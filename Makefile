@@ -30,7 +30,7 @@ ci-quick:
 	scripts/ci.sh --quick
 
 # Perf snapshot: parallel-training + online-serving + tiered-serving +
-# batched-serving + durability (checkpoint, WAL replay) + sharded
+# durability (checkpoint, WAL replay) + sharded
 # multi-tenant serving benchmarks plus the fosslint wall-time figure,
 # written to BENCH_10.json (see scripts/bench.sh; BENCHTIME=3x make bench
 # for longer runs, CPUS=1,2,4 to sweep GOMAXPROCS).

@@ -57,7 +57,7 @@ func BenchmarkTrainParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Train(nil); err != nil {
+				if err := sys.TrainContext(context.Background(), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -86,7 +86,7 @@ func BenchmarkServeOnline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		b.Fatal(err)
 	}
 	err = sys.EnableOnline(service.Config{
@@ -105,13 +105,13 @@ func BenchmarkServeOnline(b *testing.B) {
 	// the timed loop (which may be a single iteration under -benchtime 1x)
 	// measures steady state, not first-touch misses.
 	for _, q := range queries {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.ServeStep(queries[i%len(queries)]); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func tieredBenchSystem(b *testing.B, tc tier.Config) *core.System {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		b.Fatal(err)
 	}
 	err = sys.EnableOnline(service.Config{
@@ -193,13 +193,13 @@ func BenchmarkServeTiered(b *testing.B) {
 		sys := tieredBenchSystem(b, tier.Config{Memory: true, PromoteAfter: 1 << 30})
 		queries := sys.W.Train
 		for _, q := range queries { // warmup as in BenchmarkServeOnline
-			if _, _, err := sys.ServeStep(q); err != nil {
+			if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sys.ServeStep(queries[i%len(queries)]); err != nil {
+			if _, _, err := sys.ServeStepContext(context.Background(), queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -272,7 +272,7 @@ func BenchmarkServeWithMetrics(b *testing.B) {
 	sys := tieredBenchSystem(b, tier.Config{})
 	queries := sys.W.Train
 	for _, q := range queries { // warmup as in BenchmarkServeOnline
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func BenchmarkServeWithMetrics(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.ServeStep(queries[i%len(queries)]); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -338,61 +338,6 @@ func BenchmarkTierRouter(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBatch measures batched doctor inference on a trained system
-// with the plan cache disabled (every request does real model work): "seq"
-// serves a fixed 16-query set one ServeContext at a time, "batch" serves the
-// same set through one ServeBatch call whose candidates share a single
-// stacked AAM scoring pass. Identical work per op — compare ns/op directly
-// for the batching win.
-func BenchmarkServeBatch(b *testing.B) {
-	w, err := workload.Load("job", workload.Options{Seed: 1, Scale: 0.35})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.StateNet = aam.StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
-	cfg.PlanCache = 0 // measure inference, not cache hits
-	cfg.Learner.Iterations = 1
-	cfg.Learner.RealPerIter = 6
-	cfg.Learner.SimPerIter = 20
-	cfg.Learner.ValidatePerIter = 6
-	cfg.Learner.InferenceRollouts = 2
-	sys, err := core.New(w, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.Train(nil); err != nil {
-		b.Fatal(err)
-	}
-	err = sys.EnableOnline(service.Config{
-		Detector:   service.DetectorConfig{Window: 32, Threshold: 1e12, MinSamples: 32},
-		Cooldown:   1 << 30,
-		Background: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	queries := w.Train[:16]
-
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, err := sys.ServeContext(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.ServeBatch(ctx, queries); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // durableBenchSystem trains a tiny doctor with a durable online loop rooted
 // at dir, the shared fixture of the durability benchmarks.
 func durableBenchSystem(b *testing.B, dir string) (*core.System, *store.Store) {
@@ -412,7 +357,7 @@ func durableBenchSystem(b *testing.B, dir string) (*core.System, *store.Store) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		b.Fatal(err)
 	}
 	st, err := store.Open(dir)
@@ -439,7 +384,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	sys, _ := durableBenchSystem(b, b.TempDir())
 	// A realistic buffer: some served feedback beyond the training fills.
 	for _, q := range sys.W.Train[:8] {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +409,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	// Everything recorded after the checkpoint lives only in the WAL tail.
 	for i := 0; i < 32; i++ {
 		q := sys.W.Train[i%len(sys.W.Train)]
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

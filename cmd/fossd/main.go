@@ -1,10 +1,11 @@
-// Command fossd trains FOSS on one workload and evaluates it against the
-// expert optimizer on the train/test splits. Training fans episode
+// Command fossd trains FOSS on one workload and either evaluates it against
+// the expert optimizer on the train/test splits or, with -serve-http, keeps
+// the trained doctor up as a JSON HTTP service. Training fans episode
 // collection out over -workers goroutines; evaluation serves queries
 // concurrently through the runtime's cached optimize path. With -online it
-// then runs the online doctor loop over a drifting query stream: feedback
-// ingestion, drift-aware background retraining, and zero-downtime model
-// hot-swap, reported against a frozen copy of the offline model.
+// instead runs the online doctor loop over a drifting query stream, offline:
+// feedback ingestion, drift-aware background retraining, and zero-downtime
+// model hot-swap, reported against a frozen copy of the offline model.
 //
 // Usage:
 //
@@ -16,24 +17,26 @@
 //	fossd -iters 4 -serve-http :8475 -state-dir ./state \
 //	      -tenants acme,globex -tenant-spec 'globex=backend:gaussim'
 //
-// With -serve-http the trained doctor stays up as a JSON HTTP service
-// (POST /v1/optimize, POST /v1/feedback, GET /v1/stats, POST /v1/checkpoint,
-// POST /v1/catalog for live DDL) until interrupted.
+// With -serve-http fossd serves a fleet of doctors behind
+// /v1/t/{tenant}/... endpoints (optimize, feedback, stats, checkpoint,
+// catalog for live DDL, explain, advisor, metrics) plus the aggregate
+// /v1/stats, /v1/tenants and /metrics, until interrupted. Each tenant is a
+// full doctor — own backend, workload, plan cache — sharing one bounded
+// worker pool. Without -tenants / -tenant-spec the fleet has one tenant,
+// "default", built from -workload/-backend/-scale/-seed: a single-tenant
+// server is a fleet of one, reached at /v1/t/default/....
 //
-// With -state-dir the doctor is durable: trained weights checkpoint to disk
-// (atomically, on every hot-swap and every -checkpoint-every records),
-// executed-plan feedback journals to a WAL before ingestion, and a restart
-// with the same -state-dir warm-starts — model, execution buffer, and epoch
-// recover from disk, the WAL tail replays, and serving resumes bit-identical
-// to the pre-crash replica with no retraining.
+// With -state-dir every tenant is durable under <state-dir>/<tenant>/:
+// trained weights checkpoint to disk (atomically, on every hot-swap and
+// every -checkpoint-every records), executed-plan feedback journals to a WAL
+// before ingestion, and a restart with the same -state-dir warm-starts —
+// model, execution buffer, and epoch recover from disk, the WAL tail
+// replays, and serving resumes bit-identical to the pre-crash replica with
+// no retraining. SIGTERM drains the fleet losslessly — in-flight requests
+// finish, retrains drain (or are canceled past -drain-timeout), a final
+// checkpoint lands per tenant.
 //
-// With -tenants / -tenant-spec fossd serves a sharded multi-tenant fleet:
-// one full doctor per tenant (own backend, workload, plan cache, and
-// <state-dir>/<tenant>/ durability) behind /v1/t/{tenant}/... endpoints,
-// sharing one bounded worker pool. SIGTERM drains the fleet losslessly —
-// in-flight requests finish, retrains drain (or are canceled past
-// -drain-timeout), a final checkpoint lands per tenant — so the next boot
-// warm-starts every tenant bit-identically.
+// The fleet's consistent-hash front end is its own binary: cmd/fossgate.
 package main
 
 import (
@@ -84,23 +87,18 @@ func main() {
 		evalWorkers = flag.Int("eval-workers", defaultWorkers(), "evaluation request fan-out (plan choices are per-query deterministic, so this never changes results)")
 		cacheSize   = flag.Int("cache", 256, "plan cache capacity in entries (0 disables)")
 		backendName = flag.String("backend", "selinger", "optimizer backend: selinger | gaussim")
-		serveHTTP   = flag.String("serve-http", "", "after training, serve the doctor as a JSON HTTP service on this address (e.g. :8475)")
-		stateDir    = flag.String("state-dir", "", "durable state directory (checkpoints + feedback WAL); with -serve-http, a directory holding a checkpoint warm-starts the doctor from disk, skipping training; with -tenants, each tenant gets <state-dir>/<tenant>/")
+		serveHTTP   = flag.String("serve-http", "", "after training, serve the doctor fleet as a JSON HTTP service on this address (e.g. :8475); endpoints live under /v1/t/{tenant}/")
+		stateDir    = flag.String("state-dir", "", "durable state directory (checkpoints + feedback WAL): each tenant gets <state-dir>/<tenant>/, and a tenant whose directory holds a checkpoint warm-starts from disk, skipping training")
 		ckEvery     = flag.Int("checkpoint-every", 64, "recorded executions between periodic checkpoints when -state-dir is set (0 = only on hot-swaps and POST /v1/checkpoint)")
 
-		tenants      = flag.String("tenants", "", "comma-separated tenant names: serve a sharded multi-tenant fleet (requires -serve-http); each tenant gets a full doctor over the default workload/backend/scale with a name-derived seed")
+		tenants      = flag.String("tenants", "", "comma-separated tenant names: serve a sharded multi-tenant fleet (requires -serve-http); each tenant gets a full doctor over the default workload/backend/scale with a name-derived seed. Without -tenants/-tenant-spec the fleet is one tenant, \"default\", at exactly -workload/-backend/-scale/-seed")
 		tenantSpec   = flag.String("tenant-spec", "", "heterogeneous tenants: 'name=key:val,...;name2=...' with keys workload|backend|scale|seed|leader (merges with -tenants)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "shutdown budget: in-flight retrains past it are canceled (final checkpoints are still taken)")
 
-		role            = flag.String("role", "leader", "replica role for -tenants mode: leader trains/journals/checkpoints; follower boots from the leader's newest checkpoint, serves read-only, and hot-swaps each published generation (needs -leader-addr or a shared -state-dir)")
+		role            = flag.String("role", "leader", "replica role for -serve-http: leader trains/journals/checkpoints; follower boots from the leader's newest checkpoint, serves read-only, and hot-swaps each published generation (needs -leader-addr or a shared -state-dir)")
 		leaderAddr      = flag.String("leader-addr", "", "leader base URL for -role follower (e.g. http://host:8475); checkpoints replicate over /v1/t/{tenant}/repl/* and /v1/feedback forwards to the leader")
 		replInterval    = flag.Duration("repl-interval", 500*time.Millisecond, "follower manifest poll cadence — the replication-lag SLO")
 		replBootTimeout = flag.Duration("repl-boot-timeout", 2*time.Minute, "how long a follower boot waits for the leader's first checkpoint")
-
-		gateMode     = flag.Bool("gate", false, "run as a fleet gate instead of a doctor: consistent-hash tenant routing over -gate-members, proxying /v1/t/{tenant}/* (uses -serve-http as the listen address)")
-		gateMembers  = flag.String("gate-members", "", "comma-separated fleet member addresses for -gate (host:port or http://host:port)")
-		gateFailover = flag.Bool("gate-failover", false, "retry the next member in a tenant's preference list when the owner is unreachable (transport errors only)")
-		gateVNodes   = flag.Int("gate-vnodes", 0, "virtual nodes per member on the gate's hash ring (0 = default)")
 
 		online       = flag.Bool("online", false, "after training, run the online doctor loop over a drift scenario (feedback ingestion, drift-aware background retraining, zero-downtime hot-swap)")
 		drift        = flag.String("drift", "selectivity", "drift scenario for -online: template-mix | selectivity | novel-template | schema-evolution (applies a live DDL batch at the shift)")
@@ -121,52 +119,43 @@ func main() {
 	)
 	flag.Parse()
 
-	// Gate mode: no doctor at all — just the consistent-hash front end.
-	if *gateMode {
-		if *serveHTTP == "" || *gateMembers == "" {
-			fmt.Fprintln(os.Stderr, "-gate requires -serve-http (listen address) and -gate-members")
-			os.Exit(1)
-		}
-		if err := runGate(*serveHTTP, *gateMembers, *gateFailover, *gateVNodes); err != nil {
-			fmt.Fprintln(os.Stderr, "gate:", err)
-			os.Exit(1)
-		}
-		return
+	cfg := core.DefaultConfig()
+	cfg.Seed = *seed
+	cfg.MaxSteps = *maxSteps
+	cfg.Agents = *agents
+	cfg.Workers = *workers
+	cfg.PlanCache = *cacheSize
+	cfg.Learner.Iterations = *iters
+	cfg.Learner.RealPerIter = *realEp
+	cfg.Learner.SimPerIter = *simEp
+	cfg.Learner.ValidatePerIter = *validate
+	cfg.Learner.InferenceRollouts = *rollouts
+	o := onlineOpts{
+		kind: *drift, driftSeed: *driftSeed, pre: *preLen, post: *postLen,
+		window: *window, threshold: *threshold, noveltyFrac: *noveltyFrac,
+		retrainIters: *retrainIters, sync: *syncRetrain, ckEvery: *ckEvery,
+		tierMemory: *tierMemory, tierGreedy: *tierGreedy,
+		advisor: *advisor, advisorWin: *advisorWin,
 	}
 
-	// Sharded multi-tenant mode: the fleet path owns workload loading,
-	// training/warm-start, serving, and the drain lifecycle per tenant.
-	if *tenants != "" || *tenantSpec != "" {
-		if *serveHTTP == "" {
-			fmt.Fprintln(os.Stderr, "-tenants/-tenant-spec require -serve-http")
+	// Serving mode: the fleet path owns workload loading, training or
+	// warm-start, the wire surface, and the drain lifecycle per tenant — for
+	// one tenant exactly as for many.
+	if *serveHTTP != "" {
+		if *online {
+			fmt.Fprintln(os.Stderr, "-online is the offline drift demo; it does not combine with -serve-http")
 			os.Exit(1)
 		}
-		specs, err := parseTenantSpecs(*tenants, *tenantSpec)
+		defaults := shard.TenantSpec{Workload: *wl, Backend: *backendName, Scale: *scale, Seed: *seed}
+		specs, err := parseTenantSpecs(*tenants, *tenantSpec, defaults)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tenants:", err)
 			os.Exit(1)
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.MaxSteps = *maxSteps
-		cfg.Agents = *agents
-		cfg.Workers = *workers
-		cfg.PlanCache = *cacheSize
-		cfg.Learner.Iterations = *iters
-		cfg.Learner.RealPerIter = *realEp
-		cfg.Learner.SimPerIter = *simEp
-		cfg.Learner.ValidatePerIter = *validate
-		cfg.Learner.InferenceRollouts = *rollouts
-		o := onlineOpts{
-			window: *window, threshold: *threshold, noveltyFrac: *noveltyFrac,
-			retrainIters: *retrainIters, sync: *syncRetrain, ckEvery: *ckEvery,
-			tierMemory: *tierMemory, tierGreedy: *tierGreedy,
-			advisor: *advisor, advisorWin: *advisorWin,
-		}
 		err = runSharded(context.Background(), shard.Config{
 			System:           cfg,
 			Loop:             o.loopConfig(),
-			Defaults:         shard.TenantSpec{Workload: *wl, Backend: *backendName, Scale: *scale, Seed: *seed},
+			Defaults:         defaults,
 			StateDir:         *stateDir,
 			Workers:          *workers,
 			CheckpointOnBoot: *stateDir != "" && *role != "follower",
@@ -181,9 +170,8 @@ func main() {
 		}
 		return
 	}
-
-	if *role == "follower" {
-		fmt.Fprintln(os.Stderr, "-role follower requires fleet mode (-tenants / -tenant-spec)")
+	if *tenants != "" || *tenantSpec != "" || *role == "follower" {
+		fmt.Fprintln(os.Stderr, "-tenants, -tenant-spec and -role follower require -serve-http")
 		os.Exit(1)
 	}
 
@@ -196,17 +184,6 @@ func main() {
 	fmt.Printf("workload %s: %d tables, %d rows, %d train / %d test queries\n",
 		w.Name, len(w.DB.Tables), w.DB.TotalRows(), len(w.Train), len(w.Test))
 
-	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.MaxSteps = *maxSteps
-	cfg.Agents = *agents
-	cfg.Workers = *workers
-	cfg.PlanCache = *cacheSize
-	cfg.Learner.Iterations = *iters
-	cfg.Learner.RealPerIter = *realEp
-	cfg.Learner.SimPerIter = *simEp
-	cfg.Learner.ValidatePerIter = *validate
-	cfg.Learner.InferenceRollouts = *rollouts
 	be, err := backend.New(*backendName, w.DB, w.Stats)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "backend:", err)
@@ -219,39 +196,26 @@ func main() {
 	}
 	fmt.Printf("runtime: backend=%s workers=%d eval-workers=%d cache=%d\n", be.Name(), *workers, *evalWorkers, *cacheSize)
 
-	var st *store.Store
-	if *stateDir != "" {
-		st, err = store.Open(*stateDir)
+	// -online journals and checkpoints its loop when -state-dir is set.
+	if *online && *stateDir != "" {
+		st, err := store.Open(*stateDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "state-dir:", err)
 			os.Exit(1)
 		}
 		defer st.Close()
-	}
-	// Warm restart: a state directory holding a checkpoint means the trained
-	// doctor already exists on disk — recover it and serve instead of
-	// retraining from scratch. The -online drift demo always trains (it
-	// narrates adaptation from a known starting point).
-	warm := false
-	if st != nil && *serveHTTP != "" && !*online {
-		if m, ok := st.Latest(); ok {
-			warm = true
-			fmt.Printf("warm restart: found checkpoint %s (epoch %d, backend %s) in %s — skipping training\n",
-				m.Checkpoint, m.Epoch, m.Backend, *stateDir)
-		}
+		o.st = st
 	}
 
 	ctx := context.Background()
-	if !warm {
-		err = sys.TrainContext(ctx, func(st learner.IterStats) {
-			fmt.Printf("iter %d: buffer=%d aamLoss=%.3f aamAcc=%.2f ppoKL=%.4f validated=%d elapsed=%s\n",
-				st.Iter, st.BufferSize, st.AAMLoss, st.AAMAccuracy, st.PPO.ApproxKL, st.Validated,
-				time.Since(start).Truncate(time.Second))
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "train:", err)
-			os.Exit(1)
-		}
+	err = sys.TrainContext(ctx, func(st learner.IterStats) {
+		fmt.Printf("iter %d: buffer=%d aamLoss=%.3f aamAcc=%.2f ppoKL=%.4f validated=%d elapsed=%s\n",
+			st.Iter, st.BufferSize, st.AAMLoss, st.AAMAccuracy, st.PPO.ApproxKL, st.Validated,
+			time.Since(start).Truncate(time.Second))
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "train:", err)
+		os.Exit(1)
 	}
 
 	// Evaluation serves queries concurrently through the runtime: requests
@@ -306,57 +270,18 @@ func main() {
 		fmt.Printf("%s: WRL=%.3f GMRL=%.3f wins=%d losses=%d changed=%d/%d\n",
 			name, metrics.WRL(fossRes, pgRes), metrics.GMRL(fossRes, pgRes), wins, losses, changed, len(qs))
 	}
-	if !warm {
-		eval("train", w.Train)
-		eval("test ", w.Test)
-		printCacheStats(sys)
-	}
-	if *diag && !warm {
+	eval("train", w.Train)
+	eval("test ", w.Test)
+	printCacheStats(sys)
+	if *diag {
 		fmt.Println("--- test candidate diagnosis ---")
 		diagnose(sys, w.Test)
 	}
 
 	if *online {
 		fmt.Println("--- online doctor loop ---")
-		frozen := buildFrozen(sys)
-		err := runOnline(ctx, sys, frozen, w, onlineOpts{
-			kind:         *drift,
-			driftSeed:    *driftSeed,
-			pre:          *preLen,
-			post:         *postLen,
-			window:       *window,
-			threshold:    *threshold,
-			noveltyFrac:  *noveltyFrac,
-			retrainIters: *retrainIters,
-			sync:         *syncRetrain,
-			st:           st,
-			ckEvery:      *ckEvery,
-			tierMemory:   *tierMemory,
-			tierGreedy:   *tierGreedy,
-			advisor:      *advisor,
-			advisorWin:   *advisorWin,
-		})
-		if err != nil {
+		if err := runOnline(ctx, sys, buildFrozen(sys), w, o); err != nil {
 			fmt.Fprintln(os.Stderr, "online:", err)
-			os.Exit(1)
-		}
-	}
-	if *serveHTTP != "" {
-		if err := runHTTP(sys, w, *serveHTTP, onlineOpts{
-			window:       *window,
-			threshold:    *threshold,
-			noveltyFrac:  *noveltyFrac,
-			retrainIters: *retrainIters,
-			sync:         *syncRetrain,
-			st:           st,
-			ckEvery:      *ckEvery,
-			drain:        *drainTimeout,
-			tierMemory:   *tierMemory,
-			tierGreedy:   *tierGreedy,
-			advisor:      *advisor,
-			advisorWin:   *advisorWin,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "serve-http:", err)
 			os.Exit(1)
 		}
 	}

@@ -31,15 +31,15 @@ type onlineOpts struct {
 	sync         bool
 	st           *store.Store // nil = in-memory loop
 	ckEvery      int
-	drain        time.Duration // shutdown budget for -serve-http's lifecycle
-	tierMemory   bool          // tier-0 plan memory (-tier-memory)
-	tierGreedy   bool          // tier-1 greedy micro-planner (-tier-greedy)
-	advisor      bool          // async advisor (-advisor)
-	advisorWin   int           // regression window (-advisor-window)
+	tierMemory   bool // tier-0 plan memory (-tier-memory)
+	tierGreedy   bool // tier-1 greedy micro-planner (-tier-greedy)
+	advisor      bool // async advisor (-advisor)
+	advisorWin   int  // regression window (-advisor-window)
 }
 
 // loopConfig assembles the service configuration shared by -online and
-// -serve-http, including the durability store when -state-dir is set.
+// -serve-http. -online attaches its store here; the fleet leaves st nil and
+// opens one store per tenant.
 func (o onlineOpts) loopConfig() service.Config {
 	return service.Config{
 		Detector: service.DetectorConfig{

@@ -1,14 +1,16 @@
 package main
 
-// The -tenants / -tenant-spec mode: boot a sharded, multi-tenant doctor
-// fleet behind one HTTP listener. Every tenant gets a full doctor — its own
-// backend, workload, plan cache, serve-id ring, and <state-dir>/<tenant>/
-// durable state — while all tenants share one bounded worker pool. SIGTERM
+// The -serve-http mode: boot a sharded doctor fleet behind one HTTP
+// listener. Every tenant gets a full doctor — its own backend, workload,
+// plan cache, serve-id ring, and <state-dir>/<tenant>/ durable state — while
+// all tenants share one bounded worker pool; with no tenants named the fleet
+// is the single tenant "default". SIGTERM
 // drains the whole fleet losslessly: HTTP stops taking requests, in-flight
 // handlers finish, every shard awaits (or past -drain-timeout, cancels) its
 // background retrain and takes a final checkpoint, and only then does the
 // process exit — so the next boot warm-starts every tenant bit-identically.
 //
+//	fossd -serve-http :8475 -state-dir ./state
 //	fossd -serve-http :8475 -tenants acme,globex -state-dir ./state
 //	fossd -serve-http :8475 -tenant-spec 'acme=backend:gaussim,scale:0.35;globex=backend:selinger'
 
@@ -30,8 +32,11 @@ import (
 
 // parseTenantSpecs merges -tenants (bare names) and -tenant-spec
 // (name=key:val,... entries separated by ';') into one ordered spec list.
-// A name appearing in both collapses to the detailed spec.
-func parseTenantSpecs(tenants, tenantSpec string) ([]shard.TenantSpec, error) {
+// A name appearing in both collapses to the detailed spec. With no tenant
+// named the fleet is one tenant, "default", carrying deflt verbatim — its
+// explicit seed is used as given rather than re-derived from the name, so a
+// single-tenant server trains the model its flags describe.
+func parseTenantSpecs(tenants, tenantSpec string, deflt shard.TenantSpec) ([]shard.TenantSpec, error) {
 	specs := map[string]shard.TenantSpec{}
 	var order []string
 	add := func(s shard.TenantSpec) {
@@ -86,7 +91,8 @@ func parseTenantSpecs(tenants, tenantSpec string) ([]shard.TenantSpec, error) {
 		add(s)
 	}
 	if len(order) == 0 {
-		return nil, fmt.Errorf("no tenants named (use -tenants a,b or -tenant-spec)")
+		deflt.Name = "default"
+		return []shard.TenantSpec{deflt}, nil
 	}
 	out := make([]shard.TenantSpec, 0, len(order))
 	for _, name := range order {

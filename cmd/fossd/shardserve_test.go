@@ -1,0 +1,63 @@
+package main
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/foss-db/foss/internal/shard"
+)
+
+func TestParseTenantSpecs(t *testing.T) {
+	deflt := shard.TenantSpec{Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}
+	cases := []struct {
+		name                string
+		tenants, tenantSpec string
+		want                []shard.TenantSpec
+		wantErr             bool
+	}{
+		{
+			// No tenant named: a fleet of one, carrying the flags verbatim —
+			// the explicit seed survives, so the router does not re-derive it
+			// from the name.
+			name: "implicit default",
+			want: []shard.TenantSpec{{Name: "default", Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}},
+		},
+		{
+			name:    "bare names inherit nothing here",
+			tenants: "acme, globex,",
+			want:    []shard.TenantSpec{{Name: "acme"}, {Name: "globex"}},
+		},
+		{
+			name:       "detailed spec",
+			tenantSpec: "acme=workload:stack,backend:gaussim,scale:0.25,seed:42",
+			want:       []shard.TenantSpec{{Name: "acme", Workload: "stack", Backend: "gaussim", Scale: 0.25, Seed: 42}},
+		},
+		{
+			name:       "name in both collapses to the detailed spec, order kept",
+			tenants:    "acme,globex",
+			tenantSpec: "globex=backend:gaussim; initech",
+			want:       []shard.TenantSpec{{Name: "acme"}, {Name: "globex", Backend: "gaussim"}, {Name: "initech"}},
+		},
+		{
+			name:       "leader URL keeps its colons",
+			tenantSpec: "acme=leader:http://10.0.0.1:8475",
+			want:       []shard.TenantSpec{{Name: "acme", Leader: "http://10.0.0.1:8475"}},
+		},
+		{name: "missing name", tenantSpec: "=backend:gaussim", wantErr: true},
+		{name: "unknown key", tenantSpec: "acme=color:red", wantErr: true},
+		{name: "no colon", tenantSpec: "acme=backend", wantErr: true},
+		{name: "bad scale", tenantSpec: "acme=scale:big", wantErr: true},
+		{name: "bad seed", tenantSpec: "acme=seed:1.5", wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseTenantSpecs(tc.tenants, tc.tenantSpec, deflt)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
+			}
+			if !tc.wantErr && !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("got %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}

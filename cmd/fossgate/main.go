@@ -15,8 +15,7 @@
 // leader crash.
 //
 // The gate holds no state: it can restart or run replicated behind a TCP
-// load balancer without any handoff. fossd -gate is the same gate embedded
-// in the main binary.
+// load balancer without any handoff.
 package main
 
 import (

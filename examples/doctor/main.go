@@ -320,12 +320,12 @@ func portabilityDemo(w *workload.Workload) {
 			log.Fatal(err)
 		}
 		var expertMs, fossMs float64
-		plans, _, err := sys.OptimizeBatch(ctx, w.Test)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i, cp := range plans {
-			ecp, _, err := sys.ExpertPlan(w.Test[i])
+		for _, q := range w.Test {
+			cp, _, err := sys.OptimizeContext(ctx, q)
+			if err != nil {
+				log.Fatal(err)
+			}
+			ecp, _, err := sys.ExpertPlan(q)
 			if err != nil {
 				continue
 			}

@@ -1,11 +1,12 @@
 // Quickstart: load a benchmark, train FOSS briefly, and doctor one query —
-// then doctor a whole batch in one call.
+// then the whole test split, one query at a time.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"github.com/foss-db/foss"
 )
@@ -51,21 +52,21 @@ func main() {
 	fmt.Printf("\nFOSS plan (simulated %.1f ms, optimized in %v):\n%s",
 		sys.Execute(doctored), optTime.Truncate(1e6), doctored)
 
-	// Batched serving: every query's candidates share one stacked AAM
-	// scoring pass — the per-query plans are bit-identical to one-at-a-time
-	// Optimize calls.
-	batch := w.Test
-	plans, batchTime, err := sys.OptimizeBatch(ctx, batch)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The whole test split, one query at a time — the doctor steers per
+	// query, so a workload is just a loop.
 	var fossMs, expertMs float64
-	for i, cp := range plans {
+	var total time.Duration
+	for _, tq := range w.Test {
+		cp, d, err := sys.OptimizeContext(ctx, tq)
+		if err != nil {
+			log.Fatal(err)
+		}
+		total += d
 		fossMs += sys.Execute(cp)
-		if ecp, _, err := sys.ExpertPlan(batch[i]); err == nil {
+		if ecp, _, err := sys.ExpertPlan(tq); err == nil {
 			expertMs += sys.Execute(ecp)
 		}
 	}
-	fmt.Printf("\nbatched the %d test queries in %v: expert %.0f ms vs FOSS %.0f ms total\n",
-		len(batch), batchTime.Truncate(1e6), expertMs, fossMs)
+	fmt.Printf("\noptimized the %d test queries in %v: expert %.0f ms vs FOSS %.0f ms total\n",
+		len(w.Test), total.Truncate(1e6), expertMs, fossMs)
 }

@@ -23,8 +23,7 @@
 // TPC-DS, Stack), and the four learned-optimizer baselines the paper
 // compares against (Bao, Balsa, Loger, HybridQO).
 //
-// Quick start (the context-aware API; the old Optimize(q)/Serve(q)/Train
-// signatures remain as thin deprecated wrappers):
+// Quick start (every call that can block takes a context):
 //
 //	ctx := context.Background()
 //	w, _ := foss.LoadWorkload("job", foss.WorkloadOptions{Seed: 1, Scale: 0.5})
@@ -33,8 +32,11 @@
 //	plan, optTime, _ := sys.OptimizeContext(ctx, w.Test[0])
 //	latency := sys.Execute(plan)
 //
-//	// batched serving: one stacked AAM scoring pass across the batch
-//	plans, _, _ := sys.OptimizeBatch(ctx, w.Test)
+//	// the doctor steers per query: a workload is a loop
+//	for _, q := range w.Test {
+//		plan, _, _ := sys.OptimizeContext(ctx, q)
+//		_ = sys.Execute(plan)
+//	}
 //
 // Targeting a different optimizer backend:
 //
@@ -53,9 +55,13 @@
 //	}
 //	fmt.Println(sys.OnlineStats())            // drift/retrain/swap counters
 //
-// The same loop is reachable over the wire: cmd/fossd -serve-http exposes
-// /v1/optimize, /v1/feedback, /v1/stats, and /v1/checkpoint as a JSON HTTP
-// service (see internal/service and the README's endpoint reference).
+// ServeBatch is ServeContext over a list: N serves answered by one model
+// generation, all-or-nothing on error or cancellation.
+//
+// The same loop is reachable over the wire: cmd/fossd -serve-http serves a
+// fleet of doctors — one tenant, "default", unless more are named — exposing
+// /v1/t/{tenant}/optimize, /feedback, /stats, and /checkpoint as a JSON
+// HTTP service (see internal/service and the README's endpoint reference).
 //
 // Observability rides on the same surface: GET /metrics is a dependency-free
 // Prometheus text scrape (per-tier serve-latency histograms plus every loop
@@ -282,9 +288,10 @@ const (
 // HTTPOptions re-exports the wire-surface configuration (NewHTTPServer).
 type HTTPOptions = service.HTTPOptions
 
-// NewHTTPServer exposes a system's online loop as the JSON HTTP service
-// (/v1/optimize, /v1/feedback, /v1/stats). EnableOnline must have been
-// called.
+// NewHTTPServer exposes one system's online loop as a JSON HTTP handler
+// (/v1/optimize, /v1/feedback, /v1/stats) — the per-tenant building block
+// NewTenantHTTPServer re-roots under /v1/t/{tenant}/. EnableOnline must have
+// been called.
 func NewHTTPServer(sys *System, opts HTTPOptions) (*service.HTTPServer, error) {
 	lp := sys.Online()
 	if lp == nil {

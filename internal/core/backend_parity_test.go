@@ -8,8 +8,8 @@ package core_test
 //     changed nothing for the default engine.
 //   - TestCrossBackendParity drives the full train→serve→record doctor loop
 //     over every registered backend behind the same interface.
-//   - TestOptimizeBatchMatchesSingle pins the batched serving path to the
-//     sequential one, per backend.
+//   - TestServeBatchMatchesServe pins ServeBatch (and the wire surface over
+//     it) to the single serve, per backend, with both fast tiers on.
 //   - TestSetBackendCacheIsolation proves a live backend swap can never
 //     serve a plan completed by the previous backend.
 //   - TestServeBatchCancellation (-race) proves an in-flight ServeBatch
@@ -36,6 +36,7 @@ import (
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/service"
+	"github.com/foss-db/foss/internal/tier"
 	"github.com/foss-db/foss/internal/workload"
 )
 
@@ -188,9 +189,12 @@ func TestCrossBackendParity(t *testing.T) {
 	}
 }
 
-// TestOptimizeBatchMatchesSingle: the batched inference path must be
-// bit-identical to per-query optimization on every backend.
-func TestOptimizeBatchMatchesSingle(t *testing.T) {
+// TestServeBatchMatchesServe: the path is one. With both fast tiers on, a
+// batch row equals the single serve of the same query — plan, step, tier,
+// epoch — whether the fingerprint is pinned (tier 0), seen but unpinned
+// (tier 1), or novel (tier 2); and the wire surface, which sends every
+// request through ServeBatch, reaches tier 1 and accounts real tier-0 time.
+func TestServeBatchMatchesServe(t *testing.T) {
 	w, err := workload.Load("job", workload.Options{Seed: 1, Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
@@ -209,22 +213,99 @@ func TestOptimizeBatchMatchesSingle(t *testing.T) {
 			if err := sys.TrainContext(ctx, nil); err != nil {
 				t.Fatal(err)
 			}
-			qs := w.Test
-			batched, _, _, err := sys.OptimizeEvalBatch(ctx, qs)
+			if err := sys.EnableOnline(service.Config{
+				Detector:   service.DetectorConfig{Window: 8, Threshold: 1e12, MinSamples: 8},
+				Cooldown:   1 << 30,
+				Background: false,
+				Tier:       tier.Config{Memory: true, Greedy: true, PromoteAfter: 2},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			qs := w.Test[:9]
+			// First third: two wins pin a plan. Second third: one observation
+			// makes the fingerprint repeat traffic without a pin. Rest: novel.
+			record := func(q *query.Query, times int) {
+				t.Helper()
+				for i := 0; i < times; i++ {
+					res, err := sys.ServeContext(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Record(q, res.Eval, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, q := range qs[:3] {
+				record(q, 2)
+			}
+			for _, q := range qs[3:6] {
+				record(q, 1)
+			}
+
+			singles := make([]service.Result, len(qs))
+			for i, q := range qs {
+				if singles[i], err = sys.ServeContext(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch, err := sys.ServeBatch(ctx, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tiers := map[int]bool{}
 			for i, q := range qs {
-				pe, _, _, err := sys.OptimizeEvalContext(ctx, q)
-				if err != nil {
-					t.Fatal(err)
+				s, b := singles[i], batch[i]
+				if !s.Eval.ICP.Equal(b.Eval.ICP) || s.Eval.Step != b.Eval.Step || s.Tier != b.Tier || s.Epoch != b.Epoch {
+					t.Fatalf("%s: batch row (%q step %d tier %d epoch %d) != single serve (%q step %d tier %d epoch %d)",
+						q.ID, b.Eval.ICP.Key(), b.Eval.Step, b.Tier, b.Epoch, s.Eval.ICP.Key(), s.Eval.Step, s.Tier, s.Epoch)
 				}
-				if !pe.ICP.Equal(batched[i].ICP) {
-					t.Fatalf("%s/%s: batch chose %q, single chose %q", name, q.ID, batched[i].ICP.Key(), pe.ICP.Key())
-				}
-				if bl, sl := sys.Execute(batched[i].CP), sys.Execute(pe.CP); bl != sl {
-					t.Fatalf("%s/%s: batch latency %v != single %v", name, q.ID, bl, sl)
-				}
+				tiers[b.Tier] = true
+			}
+			if !tiers[tier.Tier0] || !tiers[tier.Tier1] || !tiers[tier.Tier2] {
+				t.Fatalf("batch did not exercise every tier: %v", tiers)
+			}
+
+			byID := map[string]*query.Query{}
+			for _, q := range qs {
+				byID[q.ID] = q
+			}
+			ts := httptest.NewServer(service.NewHTTPServer(sys.Online(), service.HTTPOptions{
+				Resolve: func(id string) *query.Query { return byID[id] },
+			}))
+			defer ts.Close()
+
+			// Seen but unpinned: the wire answers from tier 1 with Serve's plan.
+			seen := 3
+			code, row := postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qs[seen].ID+`"}`)
+			if code != http.StatusOK {
+				t.Fatalf("optimize %d: %v", code, row)
+			}
+			plan, _ := row["plan"].(map[string]any)
+			if row["tier"] != float64(tier.Tier1) || plan["icp_key"] != singles[seen].Eval.ICP.Key() {
+				t.Fatalf("wire serve of a seen fingerprint: tier %v plan %v, Loop.Serve gave tier %d plan %q",
+					row["tier"], plan["icp_key"], singles[seen].Tier, singles[seen].Eval.ICP.Key())
+			}
+
+			// Pinned: the wire hit counts, and its time lands in t0Nanos and
+			// the tier-0 histogram.
+			histBefore := sys.Online().ServeHistograms()[tier.Tier0]
+			before := sys.OnlineStats()
+			code, row = postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qs[0].ID+`"}`)
+			if code != http.StatusOK || row["tier"] != float64(tier.Tier0) {
+				t.Fatalf("optimize of a pinned fingerprint %d: %v", code, row)
+			}
+			after := sys.OnlineStats()
+			histAfter := sys.Online().ServeHistograms()[tier.Tier0]
+			if after.Tier0Hits != before.Tier0Hits+1 {
+				t.Fatalf("Tier0Hits %d -> %d across one wire hit", before.Tier0Hits, after.Tier0Hits)
+			}
+			if nanos := func(s service.Stats) float64 { return s.Tier0AvgUs * float64(s.Tier0Hits) }; nanos(after) <= nanos(before) {
+				t.Fatalf("wire tier-0 hit added no serve time: %v -> %v us", nanos(before), nanos(after))
+			}
+			if histAfter.Count() != histBefore.Count()+1 || histAfter.SumSeconds <= histBefore.SumSeconds {
+				t.Fatalf("tier-0 histogram across one wire hit: count %d -> %d, sum %v -> %v",
+					histBefore.Count(), histAfter.Count(), histBefore.SumSeconds, histAfter.SumSeconds)
 			}
 		})
 	}

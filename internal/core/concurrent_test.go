@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func trainStats(t *testing.T, workers int) ([]learner.IterStats, int, *System) {
 		c.Learner.ValidatePerIter = 6
 	})
 	var iters []learner.IterStats
-	if err := sys.Train(func(st learner.IterStats) { iters = append(iters, st) }); err != nil {
+	if err := sys.TrainContext(context.Background(), func(st learner.IterStats) { iters = append(iters, st) }); err != nil {
 		t.Fatal(err)
 	}
 	return iters, sys.Learner.Buf.Size(), sys
@@ -76,7 +77,7 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 
 	serial := map[string]float64{}
 	for _, q := range queries {
-		cp, _, err := sys.Optimize(q)
+		cp, _, err := sys.OptimizeContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2*len(queries); i++ {
 				q := queries[(g+i)%len(queries)]
-				cp, _, err := sys.Optimize(q)
+				cp, _, err := sys.OptimizeContext(context.Background(), q)
 				if err != nil {
 					errs <- err
 					return
@@ -119,16 +120,16 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 func TestTrainInvalidatesPlanCache(t *testing.T) {
 	_, _, sys := trainStats(t, 1)
 	q := sys.W.Train[0]
-	if _, hit, _, err := sys.OptimizeCached(q); err != nil || hit {
+	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("first optimize: hit=%v err=%v", hit, err)
 	}
-	if _, hit, _, err := sys.OptimizeCached(q); err != nil || !hit {
+	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || !hit {
 		t.Fatalf("second optimize should hit the cache: hit=%v err=%v", hit, err)
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _, err := sys.OptimizeCached(q); err != nil || hit {
+	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("post-train optimize served a stale cached plan: hit=%v err=%v", hit, err)
 	}
 }

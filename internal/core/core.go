@@ -339,13 +339,6 @@ func (s *System) TrainContext(ctx context.Context, progress func(learner.IterSta
 	return err
 }
 
-// Train is TrainContext without cancellation.
-//
-// Deprecated: use TrainContext.
-func (s *System) Train(progress func(learner.IterStats)) error {
-	return s.TrainContext(context.Background(), progress)
-}
-
 // TrainOnContext runs incremental training over an explicit query set (the
 // online service retrains on recently served queries this way) with the
 // serving path quiesced; iterations overrides the configured schedule when
@@ -357,14 +350,7 @@ func (s *System) TrainOnContext(ctx context.Context, queries []*query.Query, ite
 	return err
 }
 
-// TrainOn is TrainOnContext without cancellation.
-//
-// Deprecated: use TrainOnContext.
-func (s *System) TrainOn(queries []*query.Query, iterations int, progress func(learner.IterStats)) error {
-	return s.TrainOnContext(context.Background(), queries, iterations, progress)
-}
-
-// TrainingTime reports cumulative wall-clock spent in Train/TrainOn.
+// TrainingTime reports cumulative wall-clock spent in TrainContext/TrainOnContext.
 func (s *System) TrainingTime() time.Duration { return time.Duration(s.trainTime.Load()) }
 
 // Buffer exposes the learner's execution buffer (feedback ingestion point of
@@ -384,13 +370,6 @@ func (s *System) OptimizeContext(ctx context.Context, q *query.Query) (*plan.CP,
 	return cp, d, err
 }
 
-// Optimize is OptimizeContext without cancellation.
-//
-// Deprecated: use OptimizeContext.
-func (s *System) Optimize(q *query.Query) (*plan.CP, time.Duration, error) {
-	return s.OptimizeContext(context.Background(), q)
-}
-
 // OptimizeCachedContext is OptimizeContext exposing whether the plan came
 // from the cache.
 func (s *System) OptimizeCachedContext(ctx context.Context, q *query.Query) (*plan.CP, bool, time.Duration, error) {
@@ -399,13 +378,6 @@ func (s *System) OptimizeCachedContext(ctx context.Context, q *query.Query) (*pl
 		return nil, false, 0, err
 	}
 	return pe.CP, hit, d, nil
-}
-
-// OptimizeCached is OptimizeCachedContext without cancellation.
-//
-// Deprecated: use OptimizeCachedContext.
-func (s *System) OptimizeCached(q *query.Query) (*plan.CP, bool, time.Duration, error) {
-	return s.OptimizeCachedContext(context.Background(), q)
 }
 
 // OptimizeEvalContext is OptimizeCachedContext returning the full evaluated
@@ -419,40 +391,6 @@ func (s *System) OptimizeEvalContext(ctx context.Context, q *query.Query) (*plan
 		return nil, false, 0, err
 	}
 	return pe, hit, time.Since(start), nil
-}
-
-// OptimizeEval is OptimizeEvalContext without cancellation.
-//
-// Deprecated: use OptimizeEvalContext.
-func (s *System) OptimizeEval(q *query.Query) (*planner.PlanEval, bool, time.Duration, error) {
-	return s.OptimizeEvalContext(context.Background(), q)
-}
-
-// OptimizeEvalBatch doctors a batch of queries in one pass: cache hits
-// resolve immediately and all misses share one batched state-network
-// scoring pass (see learner.OptimizeBatch). out[i] and hits[i] correspond
-// to qs[i]; the duration covers the whole batch. Results are bit-identical
-// to per-query OptimizeEvalContext calls.
-func (s *System) OptimizeEvalBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, []bool, time.Duration, error) {
-	start := time.Now()
-	pes, hits, err := s.RT.OptimizeBatch(ctx, qs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return pes, hits, time.Since(start), nil
-}
-
-// OptimizeBatch is OptimizeEvalBatch returning just the complete plans.
-func (s *System) OptimizeBatch(ctx context.Context, qs []*query.Query) ([]*plan.CP, time.Duration, error) {
-	pes, _, d, err := s.OptimizeEvalBatch(ctx, qs)
-	if err != nil {
-		return nil, 0, err
-	}
-	cps := make([]*plan.CP, len(pes))
-	for i, pe := range pes {
-		cps[i] = pe.CP
-	}
-	return cps, d, nil
 }
 
 // ExplainCandidates re-derives the candidate pool the doctor would consider

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/foss-db/foss/internal/aam"
@@ -34,7 +35,7 @@ func smallSystem(t *testing.T, mutate func(*Config)) *System {
 func TestTrainImprovesOverExpert(t *testing.T) {
 	sys := smallSystem(t, nil)
 	var iters []learner.IterStats
-	if err := sys.Train(func(st learner.IterStats) { iters = append(iters, st) }); err != nil {
+	if err := sys.TrainContext(context.Background(), func(st learner.IterStats) { iters = append(iters, st) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(iters) != 3 {
@@ -46,7 +47,7 @@ func TestTrainImprovesOverExpert(t *testing.T) {
 
 	var fossRes, pgRes []metrics.QueryResult
 	for _, q := range sys.W.Train[:30] {
-		fcp, _, err := sys.Optimize(q)
+		fcp, _, err := sys.OptimizeContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
@@ -71,7 +72,7 @@ func TestTrainImprovesOverExpert(t *testing.T) {
 func TestOptimizeWithoutTrainingFallsBackSafely(t *testing.T) {
 	sys := smallSystem(t, nil)
 	q := sys.W.Train[0]
-	cp, optTime, err := sys.Optimize(q)
+	cp, optTime, err := sys.OptimizeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,10 @@ func TestMultiAgentProducesPlan(t *testing.T) {
 	if len(sys.Planners) != 2 {
 		t.Fatalf("expected 2 planners, got %d", len(sys.Planners))
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	cp, _, err := sys.Optimize(sys.W.Train[1])
+	cp, _, err := sys.OptimizeContext(context.Background(), sys.W.Train[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestAblationSwitchesRun(t *testing.T) {
 			c.Learner.RealPerIter = 5
 			mut(c)
 		})
-		if err := sys.Train(nil); err != nil {
+		if err := sys.TrainContext(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 package core
 
 // Online doctor façade: EnableOnline builds the blue/green replica pair and
-// the service loop; Serve/Record/ServeStep run the paper's
+// the service loop; ServeContext/Record/ServeStepContext run the paper's
 // Optimize → Execute → Record cycle with drift-aware background retraining
 // and zero-downtime model hot-swap. See internal/service for the protocol.
 
@@ -95,32 +95,8 @@ func (s *System) RecoverOnline(cfg service.Config, st *store.Store) (RecoveryInf
 	if rec == nil {
 		return RecoveryInfo{}, s.EnableOnline(cfg)
 	}
-	// The checkpoint's catalog restores BEFORE any weights or feedback load:
-	// buffer import and WAL replay re-derive plans through the backend,
-	// which must be the schema generation the records were produced against.
-	// A system whose live catalog already moved past the checkpoint's epoch
-	// refuses the warm start (fosserr.ErrCatalogMismatch) rather than serve
-	// cross-epoch state.
-	if err := s.SyncCatalog(rec.Checkpoint.CatalogEpoch, rec.Checkpoint.CatalogHash, rec.Checkpoint.CatalogDDL); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("core: recover catalog: %w", err)
-	}
-	// Load validates the envelope: backend identity, format version,
-	// checksum. This is where a gaussim system refuses a selinger snapshot.
-	if err := s.Load(rec.Checkpoint.Model); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("core: recover model: %w", err)
-	}
-	if err := s.ImportBuffer(rec.Checkpoint.Buffer); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("core: recover buffer: %w", err)
-	}
-	cfg.InitialEpoch = rec.Checkpoint.Epoch
-	if err := s.EnableOnline(cfg); err != nil {
-		return RecoveryInfo{}, err
-	}
-	// Tier-0 plan memory restores before the WAL tail replays — exactly the
-	// order the live loop produced the state in (checkpoint image, then
-	// post-horizon feedback).
-	if err := s.online.ImportTier(rec.Checkpoint.Tier); err != nil {
-		return RecoveryInfo{}, fmt.Errorf("core: recover tier memory: %w", err)
+	if err := s.installCheckpoint(cfg, rec.Checkpoint); err != nil {
+		return RecoveryInfo{}, fmt.Errorf("core: recover %w", err)
 	}
 	n, err := s.online.Replay(rec.Tail)
 	if err != nil {
@@ -147,27 +123,41 @@ func (s *System) EnableFollower(cfg service.Config, ck store.Checkpoint) error {
 	if s.online != nil {
 		return fmt.Errorf("core: online loop already enabled")
 	}
-	// The leader's catalog restores first: a follower booting from a
-	// post-DDL checkpoint must rebuild plans against the evolved schema.
-	if err := s.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
-		return fmt.Errorf("core: follower boot catalog: %w", err)
-	}
-	// Load validates the envelope-free model image against this system's
-	// backend — a gaussim follower refuses a selinger leader's checkpoint.
-	if err := s.Load(ck.Model); err != nil {
-		return fmt.Errorf("core: follower boot model: %w", err)
-	}
-	if err := s.ImportBuffer(ck.Buffer); err != nil {
-		return fmt.Errorf("core: follower boot buffer: %w", err)
-	}
 	cfg.Follower = true
 	cfg.Store = nil
+	if err := s.installCheckpoint(cfg, ck); err != nil {
+		return fmt.Errorf("core: follower boot %w", err)
+	}
+	return nil
+}
+
+// installCheckpoint restores a checkpoint image and brings the loop up at
+// its epoch — the one restore order leader warm-start and follower boot
+// share. The catalog restores BEFORE any weights or feedback load: buffer
+// import (and the WAL replay that follows a warm start) re-derive plans
+// through the backend, which must be the schema generation the records were
+// produced against; a system whose live catalog already moved past the
+// checkpoint's epoch refuses (fosserr.ErrCatalogMismatch) rather than serve
+// cross-epoch state. Load validates the envelope — backend identity, format
+// version, checksum — so a gaussim system refuses a selinger image here.
+// Tier-0 plan memory imports last, after the loop exists and before any WAL
+// tail replays: exactly the order the live loop produced the state in.
+func (s *System) installCheckpoint(cfg service.Config, ck store.Checkpoint) error {
+	if err := s.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	if err := s.Load(ck.Model); err != nil {
+		return fmt.Errorf("model: %w", err)
+	}
+	if err := s.ImportBuffer(ck.Buffer); err != nil {
+		return fmt.Errorf("buffer: %w", err)
+	}
 	cfg.InitialEpoch = ck.Epoch
 	if err := s.EnableOnline(cfg); err != nil {
-		return err
+		return fmt.Errorf("enable: %w", err)
 	}
 	if err := s.online.ImportTier(ck.Tier); err != nil {
-		return fmt.Errorf("core: follower boot tier memory: %w", err)
+		return fmt.Errorf("tier memory: %w", err)
 	}
 	return nil
 }
@@ -183,16 +173,9 @@ func (s *System) ServeContext(ctx context.Context, q *query.Query) (service.Resu
 	return s.online.Serve(ctx, q)
 }
 
-// Serve is ServeContext without cancellation.
-//
-// Deprecated: use ServeContext.
-func (s *System) Serve(q *query.Query) (service.Result, error) {
-	return s.ServeContext(context.Background(), q)
-}
-
-// ServeBatch optimizes a batch of queries through the active replica in one
-// pass, sharing the batched AAM scoring across them. out[i] corresponds to
-// qs[i]; all results come from one model generation (a single epoch).
+// ServeBatch is ServeContext over each query in order: out[i] corresponds to
+// qs[i], all results come from one model generation (a single epoch), and an
+// error or cancellation returns no partial results.
 func (s *System) ServeBatch(ctx context.Context, qs []*query.Query) ([]service.Result, error) {
 	if s.online == nil {
 		return nil, fmt.Errorf("core: ServeBatch before EnableOnline: %w", fosserr.ErrNotOnline)
@@ -220,13 +203,6 @@ func (s *System) ServeStepContext(ctx context.Context, q *query.Query) (service.
 		return service.Result{}, 0, fmt.Errorf("core: ServeStep before EnableOnline: %w", fosserr.ErrNotOnline)
 	}
 	return s.online.Step(ctx, q)
-}
-
-// ServeStep is ServeStepContext without cancellation.
-//
-// Deprecated: use ServeStepContext.
-func (s *System) ServeStep(q *query.Query) (service.Result, float64, error) {
-	return s.ServeStepContext(context.Background(), q)
 }
 
 // OnlineStats snapshots the loop's counters (zero value before EnableOnline).

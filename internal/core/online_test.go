@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestOnlineHotSwapUnderLoad(t *testing.T) {
 		c.Learner.ValidatePerIter = 4
 		c.Learner.InferenceRollouts = 2
 	})
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.EnableOnline(onlineConfig(false)); err != nil {
@@ -84,7 +85,7 @@ func TestOnlineHotSwapUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				q := queries[(g*7+i)%len(queries)]
-				res, err := sys.Serve(q)
+				res, err := sys.ServeContext(context.Background(), q)
 				if err != nil {
 					fail("serve " + q.ID + ": " + err.Error())
 					return
@@ -149,7 +150,7 @@ func TestOnlineSwapInvalidatesPlanCache(t *testing.T) {
 		c.Learner.ValidatePerIter = 4
 		c.Learner.InferenceRollouts = 2
 	})
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.EnableOnline(onlineConfig(true)); err != nil {
@@ -157,17 +158,17 @@ func TestOnlineSwapInvalidatesPlanCache(t *testing.T) {
 	}
 	q := sys.W.Train[0]
 
-	if res, err := sys.Serve(q); err != nil || res.CacheHit || res.Epoch != 1 {
+	if res, err := sys.ServeContext(context.Background(), q); err != nil || res.CacheHit || res.Epoch != 1 {
 		t.Fatalf("first serve: hit=%v epoch=%d err=%v", res.CacheHit, res.Epoch, err)
 	}
-	if res, err := sys.Serve(q); err != nil || !res.CacheHit || res.Epoch != 1 {
+	if res, err := sys.ServeContext(context.Background(), q); err != nil || !res.CacheHit || res.Epoch != 1 {
 		t.Fatalf("second serve should hit at epoch 1: hit=%v epoch=%d err=%v", res.CacheHit, res.Epoch, err)
 	}
 
 	// Drive the detector over its threshold with synchronous retraining.
 	for i := 1; i <= 6; i++ {
 		other := sys.W.Train[i]
-		res, err := sys.Serve(other)
+		res, err := sys.ServeContext(context.Background(), other)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,10 +187,10 @@ func TestOnlineSwapInvalidatesPlanCache(t *testing.T) {
 
 	// The promoted model's cache must start cold: no plan chosen by the old
 	// weights survives the swap.
-	if res, err := sys.Serve(q); err != nil || res.CacheHit || res.Epoch != 2 {
+	if res, err := sys.ServeContext(context.Background(), q); err != nil || res.CacheHit || res.Epoch != 2 {
 		t.Fatalf("post-swap serve must miss at epoch 2: hit=%v epoch=%d err=%v", res.CacheHit, res.Epoch, err)
 	}
-	if res, err := sys.Serve(q); err != nil || !res.CacheHit || res.Epoch != 2 {
+	if res, err := sys.ServeContext(context.Background(), q); err != nil || !res.CacheHit || res.Epoch != 2 {
 		t.Fatalf("post-swap repeat should hit at epoch 2: hit=%v epoch=%d err=%v", res.CacheHit, res.Epoch, err)
 	}
 }
@@ -216,7 +217,7 @@ func onlineRun(t *testing.T) ([]float64, int, service.Stats, *workload.DriftScen
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +248,7 @@ func onlineRun(t *testing.T) ([]float64, int, service.Stats, *workload.DriftScen
 	lats := make([]float64, len(stream))
 	firstSwap := -1
 	for i, q := range stream {
-		_, lat, err := sys.ServeStep(q)
+		_, lat, err := sys.ServeStepContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", i, q.ID, err)
 		}
@@ -292,7 +293,7 @@ func TestOnlineAdaptsToDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := frozen.Train(nil); err != nil {
+	if err := frozen.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +301,7 @@ func TestOnlineAdaptsToDrift(t *testing.T) {
 	var onlineSum, frozenSum float64
 	n := 0
 	for i := firstSwap + 1; i < len(stream); i++ {
-		cp, _, err := frozen.Optimize(stream[i])
+		cp, _, err := frozen.OptimizeContext(context.Background(), stream[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +344,7 @@ func TestOnlineGuards(t *testing.T) {
 		c.Learner.SimPerIter = 4
 		c.Learner.ValidatePerIter = 2
 	})
-	if _, err := sys.Serve(sys.W.Train[0]); err == nil {
+	if _, err := sys.ServeContext(context.Background(), sys.W.Train[0]); err == nil {
 		t.Fatal("Serve before EnableOnline must fail")
 	}
 	if err := sys.Record(sys.W.Train[0], nil, 1); err == nil {

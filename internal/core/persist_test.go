@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		c.Learner.RealPerIter = 5
 		c.Learner.InferenceRollouts = 1 // greedy only: deterministic given weights
 	})
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := sys.Save()
@@ -32,11 +33,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := sys.W.Test[0]
-	a, _, err := sys.Optimize(q)
+	a, _, err := sys.OptimizeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := fresh.Optimize(q)
+	b, _, err := fresh.OptimizeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

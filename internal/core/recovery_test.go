@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	}
 
 	sys := smallSystem(t, recoveryConfig)
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := sys.RecoverOnline(durableLoopConfig(st), st)
@@ -65,7 +66,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	// Serve + record the first half, checkpoint, then the second half: the
 	// post-checkpoint feedback exists only in the WAL.
 	for _, q := range queries[:5] {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +74,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range queries[5:] {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +83,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	wantPlans := make([]string, len(queries))
 	wantLat := make([]float64, len(queries))
 	for i, q := range queries {
-		res, err := sys.Serve(q)
+		res, err := sys.ServeContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatalf("stats recovered epoch %d, want %d", got, wantEpoch)
 	}
 	for i, q := range queries {
-		res, err := sysA.Serve(q)
+		res, err := sysA.ServeContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +184,14 @@ func TestDDLWarmRestartResumesAtPostDDLCatalogEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := smallSystem(t, recoveryConfig)
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.RecoverOnline(durableLoopConfig(st), st); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range sys.W.Train[:3] {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +205,7 @@ func TestDDLWarmRestartResumesAtPostDDLCatalogEpoch(t *testing.T) {
 		t.Fatalf("catalog epoch %d after one DDL, want 1", epoch)
 	}
 	for _, q := range sys.W.Train[3:6] {
-		if _, _, err := sys.ServeStep(q); err != nil {
+		if _, _, err := sys.ServeStepContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +237,7 @@ func TestDDLWarmRestartResumesAtPostDDLCatalogEpoch(t *testing.T) {
 		t.Fatalf("recovered loop at catalog epoch %d, want %d", got, epoch)
 	}
 	// The recovered doctor serves the steady workload on the evolved schema.
-	if _, err := fresh.Serve(sys.W.Test[0]); err != nil {
+	if _, err := fresh.ServeContext(context.Background(), sys.W.Test[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -337,7 +338,7 @@ func TestRecoverOnlineColdStartCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := smallSystem(t, recoveryConfig)
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.RecoverOnline(durableLoopConfig(st), st); err != nil {
@@ -369,11 +370,11 @@ func TestRecoverOnlineColdStartCheckpoints(t *testing.T) {
 		t.Fatalf("warm start info %+v", info)
 	}
 	q := sys.W.Test[0]
-	a, err := sys.Serve(q)
+	a, err := sys.ServeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fresh.Serve(q)
+	b, err := fresh.ServeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/foss-db/foss/internal/service"
@@ -27,14 +28,14 @@ func TestTierMemorySurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := smallSystem(t, recoveryConfig)
-	if err := sys.Train(nil); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.RecoverOnline(tierLoopConfig(st), st); err != nil {
 		t.Fatal(err)
 	}
 	q := sys.W.Train[0]
-	res, err := sys.Serve(q)
+	res, err := sys.ServeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestTierMemorySurvivesRestart(t *testing.T) {
 	if st := sys.OnlineStats(); st.Promotions != 1 || st.PinnedPlans != 1 {
 		t.Fatalf("promotion did not land: %+v", st)
 	}
-	hit, err := sys.Serve(q)
+	hit, err := sys.ServeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTierMemorySurvivesRestart(t *testing.T) {
 	if got := fresh.OnlineStats().PinnedPlans; got != 1 {
 		t.Fatalf("recovered plan memory holds %d pins, want 1", got)
 	}
-	rec, err := fresh.Serve(q)
+	rec, err := fresh.ServeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -105,7 +106,7 @@ func RunAblation(out io.Writer, name string, ab AblationName, opts Opts, curve b
 
 	var points []Fig9Point
 	trainStart := time.Now()
-	err = sys.Train(func(st learner.IterStats) {
+	err = sys.TrainContext(context.Background(), func(st learner.IterStats) {
 		if !curve {
 			return
 		}

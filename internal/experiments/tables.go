@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"sort"
 	"time"
@@ -199,7 +200,7 @@ func Fig7(out io.Writer, name string, opts Opts) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.Train(nil); err != nil {
+		if err := sys.TrainContext(context.Background(), nil); err != nil {
 			return nil, err
 		}
 		counts := make([]int, ms+1)

@@ -756,39 +756,6 @@ func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.Pl
 	return pool, nil
 }
 
-// OptimizeBatch doctors a batch of queries at once: per-query candidate
-// generation fans out over the worker pool (each query's rollouts stay on
-// their fingerprint-seeded RNG, so results are bit-identical to Optimize
-// regardless of batching or worker count), then ONE batched state-network
-// pass scores every candidate of every query and each query runs its
-// temporal selection over its slice. out[i] corresponds to qs[i].
-// Cancellation is honored between rollouts; on cancellation no partial
-// results are returned.
-func (l *Learner) OptimizeBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pools := make([][]*planner.PlanEval, len(qs))
-	errs := make([]error, len(qs))
-	if err := l.pool.RunCtx(ctx, len(qs), func(_, i int) {
-		pools[i], errs[i] = l.candidates(ctx, qs[i])
-	}); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := planner.SelectBestMulti(l.AAM, pools, l.Planners[0].Cfg.MaxSteps)
-	for _, pe := range out {
-		if pe == nil {
-			return nil, errNoCandidate
-		}
-	}
-	return out, nil
-}
-
 var errNoCandidate = fmt.Errorf("learner: %w", fosserr.ErrNoCandidate)
 
 // KnownBest returns, for each query id, the lowest-latency non-timeout

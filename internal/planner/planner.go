@@ -356,8 +356,17 @@ func SelectBest(model *aam.Model, cands []*PlanEval, maxSteps int) *PlanEval {
 	if len(cands) == 0 {
 		return nil
 	}
+	best, _ := selectIndex(model, cands, maxSteps)
+	return cands[best]
+}
+
+// selectIndex runs the temporal selection chain over a non-empty pool and
+// returns the winner's index plus the state matrix the chain compared (nil
+// for a singleton pool, which needs no model pass) — the one comparison
+// chain behind both SelectBest and ExplainSelection.
+func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *nn.Tensor) {
 	if len(cands) == 1 {
-		return cands[0]
+		return 0, nil
 	}
 	encs := make([]*planenc.Encoded, len(cands))
 	steps := make([]float64, len(cands))
@@ -372,7 +381,7 @@ func SelectBest(model *aam.Model, cands []*PlanEval, maxSteps int) *PlanEval {
 			best = i
 		}
 	}
-	return cands[best]
+	return best, sv
 }
 
 // CandidateScore describes one candidate of an explained selection: its hint
@@ -405,23 +414,7 @@ func ExplainSelection(model *aam.Model, cands []*PlanEval, maxSteps int) (int, [
 			scores[i].EstCost = c.CP.Root.EstCost
 		}
 	}
-	if len(cands) == 1 {
-		scores[0].Chosen = true
-		return 0, scores
-	}
-	encs := make([]*planenc.Encoded, len(cands))
-	steps := make([]float64, len(cands))
-	for i, c := range cands {
-		encs[i] = c.Enc
-		steps[i] = c.StepStatus(maxSteps)
-	}
-	sv := model.StatesBatch(encs, steps)
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if model.ScoreStates(sv, best, i) > 0 {
-			best = i
-		}
-	}
+	best, sv := selectIndex(model, cands, maxSteps)
 	for i := range cands {
 		if i == best {
 			continue
@@ -432,58 +425,4 @@ func ExplainSelection(model *aam.Model, cands []*PlanEval, maxSteps int) (int, [
 	}
 	scores[best].Chosen = true
 	return best, scores
-}
-
-// SelectBestMulti applies the temporal selection to many candidate pools at
-// once: every candidate of every pool goes through ONE batched state-network
-// pass, then each pool runs its own pairwise comparison chain over its slice
-// of the shared state matrix. out[i] is bit-identical to
-// SelectBest(model, pools[i], maxSteps) — batching shares the dense matmuls
-// without perturbing any pool's selection.
-func SelectBestMulti(model *aam.Model, pools [][]*PlanEval, maxSteps int) []*PlanEval {
-	out := make([]*PlanEval, len(pools))
-	total := 0
-	for _, pool := range pools {
-		total += len(pool)
-	}
-	if total == 0 {
-		return out
-	}
-	encs := make([]*planenc.Encoded, 0, total)
-	steps := make([]float64, 0, total)
-	offsets := make([]int, len(pools))
-	needBatch := false
-	for pi, pool := range pools {
-		offsets[pi] = len(encs)
-		if len(pool) > 1 {
-			needBatch = true
-		}
-		for _, c := range pool {
-			encs = append(encs, c.Enc)
-			steps = append(steps, c.StepStatus(maxSteps))
-		}
-	}
-	if !needBatch {
-		// every pool is empty or a singleton: no comparison needs the model
-		for pi, pool := range pools {
-			if len(pool) == 1 {
-				out[pi] = pool[0]
-			}
-		}
-		return out
-	}
-	sv := model.StatesBatch(encs, steps)
-	for pi, pool := range pools {
-		if len(pool) == 0 {
-			continue
-		}
-		best := 0
-		for i := 1; i < len(pool); i++ {
-			if model.ScoreStates(sv, offsets[pi]+best, offsets[pi]+i) > 0 {
-				best = i
-			}
-		}
-		out[pi] = pool[best]
-	}
-	return out
 }

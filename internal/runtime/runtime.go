@@ -11,12 +11,9 @@ import (
 
 // Source produces optimized plans for queries. The learner implements it;
 // the indirection keeps this package free of training-loop dependencies.
-// Both methods honor context cancellation.
+// Optimize honors context cancellation.
 type Source interface {
 	Optimize(ctx context.Context, q *query.Query) (*planner.PlanEval, error)
-	// OptimizeBatch doctors many queries with shared batched model inference;
-	// out[i] corresponds to qs[i].
-	OptimizeBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, error)
 }
 
 // Config sizes the runtime.
@@ -116,54 +113,6 @@ func (r *Runtime) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEv
 	}
 	r.cache.Put(key, pe)
 	return pe, false, nil
-}
-
-// OptimizeBatch serves a batch of queries in one pass: cache hits are
-// resolved immediately, and all misses go to the source's batched path,
-// which shares one stacked model inference across them. hits[i] reports
-// whether out[i] came from the cache. On error (including cancellation) no
-// partial results are returned.
-func (r *Runtime) OptimizeBatch(ctx context.Context, qs []*query.Query) (out []*planner.PlanEval, hits []bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out = make([]*planner.PlanEval, len(qs))
-	hits = make([]bool, len(qs))
-	// Misses are deduplicated by cache key: a batch carrying the same cold
-	// query N times pays candidate generation once (plan choices are
-	// fingerprint-deterministic, so sharing the result is exact).
-	var missKeys []PlanKey
-	var missQs []*query.Query
-	missIdx := map[PlanKey][]int{}
-	id := r.identityLocked()
-	for i, q := range qs {
-		key := id.Key(q.Fingerprint())
-		if pe, ok := r.cache.Get(key); ok {
-			out[i], hits[i] = pe, true
-			continue
-		}
-		if _, seen := missIdx[key]; !seen {
-			missKeys = append(missKeys, key)
-			missQs = append(missQs, q)
-		}
-		missIdx[key] = append(missIdx[key], i)
-	}
-	if len(missQs) == 0 {
-		return out, hits, nil
-	}
-	pes, err := r.source.OptimizeBatch(ctx, missQs)
-	if err != nil {
-		return nil, nil, err
-	}
-	for j, key := range missKeys {
-		for _, i := range missIdx[key] {
-			out[i] = pes[j]
-		}
-		r.cache.Put(key, pes[j])
-	}
-	return out, hits, nil
 }
 
 // Shared runs fn holding the serving-side shared lock: concurrent with

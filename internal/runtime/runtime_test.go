@@ -183,15 +183,6 @@ func (b *countingBackend) Optimize(ctx context.Context, q *query.Query) (*planne
 	return &planner.PlanEval{Q: q}, nil
 }
 
-func (b *countingBackend) OptimizeBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, error) {
-	out := make([]*planner.PlanEval, len(qs))
-	for i, q := range qs {
-		b.calls.Add(1)
-		out[i] = &planner.PlanEval{Q: q}
-	}
-	return out, nil
-}
-
 func testQuery(i int) *query.Query {
 	return &query.Query{
 		ID:     fmt.Sprintf("q%d", i),
@@ -317,55 +308,6 @@ func TestRuntimeRekeyAbortsOnError(t *testing.T) {
 	}
 }
 
-// TestRuntimeOptimizeBatch: hits resolve from cache, misses go to the
-// batched source path, and the composite result preserves order.
-func TestRuntimeOptimizeBatch(t *testing.T) {
-	b := &countingBackend{}
-	rt := New(Config{Workers: 2, CacheSize: 32}, b)
-	ctx := context.Background()
-	warm := testQuery(0)
-	rt.Optimize(ctx, warm)
-	qs := []*query.Query{warm, testQuery(1), testQuery(2), warm}
-	pes, hits, err := rt.OptimizeBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pes) != 4 || len(hits) != 4 {
-		t.Fatalf("len %d/%d", len(pes), len(hits))
-	}
-	// warm hits twice (second occurrence resolves in the same pass), the two
-	// cold queries miss.
-	if !hits[0] || hits[1] || hits[2] {
-		t.Fatalf("hits = %v", hits)
-	}
-	for i, pe := range pes {
-		if pe == nil || pe.Q != qs[i] {
-			t.Fatalf("result %d misaligned", i)
-		}
-	}
-	// batch misses went through OptimizeBatch: 1 warm call + 2 more
-	if got := b.calls.Load(); got != 3 {
-		t.Fatalf("source calls %d, want 3", got)
-	}
-	if _, hit, _ := rt.Optimize(ctx, testQuery(2)); !hit {
-		t.Fatal("batch results not cached")
-	}
-
-	// duplicate cold queries in one batch collapse to a single source call
-	cold := testQuery(9)
-	before := b.calls.Load()
-	pes2, _, err := rt.OptimizeBatch(ctx, []*query.Query{cold, testQuery(9), cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.calls.Load() - before; got != 1 {
-		t.Fatalf("duplicate cold queries cost %d source calls, want 1", got)
-	}
-	if pes2[0] != pes2[1] || pes2[1] != pes2[2] {
-		t.Fatal("duplicate cold queries did not share the result")
-	}
-}
-
 // TestRuntimeOptimizeCanceled: a canceled context short-circuits before any
 // planning work.
 func TestRuntimeOptimizeCanceled(t *testing.T) {
@@ -375,9 +317,6 @@ func TestRuntimeOptimizeCanceled(t *testing.T) {
 	cancel()
 	if _, _, err := rt.Optimize(ctx, testQuery(5)); err != context.Canceled {
 		t.Fatalf("err = %v", err)
-	}
-	if _, _, err := rt.OptimizeBatch(ctx, []*query.Query{testQuery(5)}); err != context.Canceled {
-		t.Fatalf("batch err = %v", err)
 	}
 	if b.calls.Load() != 0 {
 		t.Fatal("source invoked despite canceled context")

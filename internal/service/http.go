@@ -25,8 +25,8 @@ package service
 // Every /v1/optimize response row carries a serve_id; clients that execute
 // plans themselves report the observed latency through /v1/feedback, which
 // feeds the drift detector and (possibly) a background retrain — the same
-// Record path in-process callers use. Batch requests ride the batched
-// serving path: one model generation, one shared scoring pass.
+// Record path in-process callers use. A batch request is N serves answered
+// by one model generation (Loop.ServeBatch); a single is a batch of one.
 
 import (
 	"context"
@@ -380,8 +380,11 @@ func (s *HTTPServer) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			// immediately consumed. Capacity accounting and the eviction
 			// horizon stay identical across both paths, and the serve
 			// remains explainable.
-			lat := s.lp.Active().Execute(res.Eval.CP)
-			s.lp.Record(qs[i], res.Eval, lat)
+			lat, err := s.lp.executeAndRecord(qs[i], res)
+			if err != nil {
+				writeServeErr(w, err)
+				return
+			}
 			row.LatencyMs = &lat
 			row.ServeID = s.rememberExecuted(qs[i], res.Eval, res, lat)
 		} else {
@@ -707,12 +710,15 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 }
 
 // writeServeErr maps serving errors onto wire statuses: planning failures
-// are the client's query (422), cancellations are timeouts (504), a closed
-// loop is a draining service (503), the rest are server faults.
+// are the client's query (422), a query or plan a DDL has outdated is a
+// conflict with the live catalog (409), cancellations are timeouts (504), a
+// closed loop is a draining service (503), the rest are server faults.
 func writeServeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, fosserr.ErrNoPlan), errors.Is(err, fosserr.ErrNoCandidate):
 		writeErr(w, http.StatusUnprocessableEntity, err.Error())
+	case errors.Is(err, fosserr.ErrCatalogStale):
+		writeErr(w, http.StatusConflict, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, err.Error())
 	case errors.Is(err, fosserr.ErrLoopClosed):

@@ -118,7 +118,7 @@ func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPBatchOptimize: query_ids ride the batched serving path and return
+// TestHTTPBatchOptimize: query_ids are served as one batch and return
 // one row per query, order-aligned.
 func TestHTTPBatchOptimize(t *testing.T) {
 	cfg := syncConfig()
@@ -400,5 +400,25 @@ func TestServeIDExpiry(t *testing.T) {
 	}
 	if _, err := h2.take(early); err == nil || errors.Is(err, fosserr.ErrServeIDExpired) {
 		t.Fatalf("duplicate report of a consumed id = %v, want plain unknown", err)
+	}
+}
+
+// TestHTTPExecuteStaleCatalog: a DDL landing between serve and execute makes
+// the replica refuse the plan (NaN). The one-call turn must answer 409 with
+// an error body and record nothing — not encode NaN into a 200.
+func TestHTTPExecuteStaleCatalog(t *testing.T) {
+	cfg := syncConfig()
+	cfg.Detector.Threshold = 100
+	ts, blue, _ := newWireFixture(t, cfg)
+	blue.execNaN.Store(true)
+
+	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1", "execute": true}`)
+	if code != http.StatusConflict || out["error"] == nil {
+		t.Fatalf("stale execute: status %d body %v, want 409 with an error", code, out)
+	}
+	_, st := getJSON(t, ts.URL+"/v1/stats")
+	stats, _ := st["stats"].(map[string]any)
+	if stats["Recorded"] != float64(0) || stats["StaleInvalidations"] != float64(1) {
+		t.Fatalf("stale execute counters %v", stats)
 	}
 }

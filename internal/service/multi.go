@@ -240,9 +240,9 @@ func (s *MultiHTTPServer) handleTenants(w http.ResponseWriter, r *http.Request) 
 
 // writeRegistryErr maps registry failures onto wire statuses: an unknown
 // tenant is the client's path (404), a draining router refuses new work
-// (503), an invalid spec is the client's body (400), a creation collision —
-// duplicate name or a state dir another process holds — is a conflict
-// (409), the rest are server faults.
+// (503), an invalid spec — a duplicate tenant name included, which the
+// router reports as ErrBadConfig — is the client's body (400), a state dir
+// another process holds is a conflict (409), the rest are server faults.
 func writeRegistryErr(w http.ResponseWriter, tenant string, err error) {
 	switch {
 	case errors.Is(err, fosserr.ErrUnknownTenant):

@@ -30,7 +30,7 @@
 //
 // The package talks to replicas through the small Replica interface; core
 // wires two *core.System instances in and re-exports the loop as
-// System.Serve / System.Record.
+// System.ServeContext / System.Record.
 package service
 
 import (
@@ -61,9 +61,6 @@ type Replica interface {
 	// shared-locked path, returning the full evaluated candidate and a
 	// cache-hit flag. Cancellation is honored between rollouts.
 	OptimizeEvalContext(ctx context.Context, q *query.Query) (*planner.PlanEval, bool, time.Duration, error)
-	// OptimizeEvalBatch serves a batch in one pass, sharing the batched AAM
-	// scoring across cache misses; out[i]/hits[i] correspond to qs[i].
-	OptimizeEvalBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, []bool, time.Duration, error)
 	// TrainOnContext runs incremental training over the query set under the
 	// replica's exclusive lock; its plan cache is invalidated afterwards.
 	TrainOnContext(ctx context.Context, queries []*query.Query, iterations int, progress func(learner.IterStats)) error
@@ -486,79 +483,28 @@ func (lp *Loop) serveTiered(q *query.Query) (Result, bool) {
 	}
 }
 
-// ServeBatch optimizes a batch of queries on the active replica in one pass:
-// cache hits resolve immediately and all misses share one batched
-// state-network scoring pass, so out[i] is bit-identical to Serve(ctx,
-// qs[i]) while costing a fraction of the model forwards. The whole batch is
-// served by a single model generation — a swap that lands mid-batch re-serves
-// the batch on the new active — and cancellation returns promptly with no
-// partial results.
+// ServeBatch is Serve over each query in order — out[i] is Serve(ctx, qs[i])
+// in plan, tier, and latency accounting — under two batch contracts: the
+// whole batch is answered by a single model generation (a swap that lands
+// mid-batch re-serves the batch on the new active), and an error or
+// cancellation on any row returns promptly with no partial results.
 func (lp *Loop) ServeBatch(ctx context.Context, qs []*query.Query) ([]Result, error) {
 	if lp.closed.Load() {
 		return nil, fmt.Errorf("service: serve batch: %w", fosserr.ErrLoopClosed)
 	}
-	r := lp.active.Load().r
-	for _, q := range qs {
-		if err := r.CheckCatalog(q); err != nil {
-			// All-or-nothing, like cancellation: no partial batches.
-			lp.staleInvalidations.Add(1)
-			return nil, fmt.Errorf("service: serve batch: %w", err)
-		}
-	}
+	out := make([]Result, len(qs))
+serve:
 	for {
-		s := lp.active.Load()
-		out := make([]Result, len(qs))
-		// With tiering on, pinned fingerprints answer from plan memory and
-		// only the rest pay the batched scoring pass (tier-1 items ride the
-		// batch: its shared inference already amortizes their cost).
-		missQs := qs
-		var missIdx []int
-		if lp.tiers != nil {
-			id := runtime.Identity{Backend: lp.backendName, Epoch: s.epoch, Catalog: lp.catalogEpoch.Load()}
-			missQs = make([]*query.Query, 0, len(qs))
-			missIdx = make([]int, 0, len(qs))
-			for i, q := range qs {
-				if d := lp.tiers.Route(id, q.Fingerprint()); d.Tier == tier.Tier0 {
-					out[i] = Result{Eval: d.Pin, Epoch: s.epoch, CacheHit: true, Tier: tier.Tier0}
-					continue
-				}
-				missQs = append(missQs, q)
-				missIdx = append(missIdx, i)
-			}
-		}
-		if len(missQs) > 0 {
-			pes, hits, d, err := s.r.OptimizeEvalBatch(ctx, missQs)
+		for i, q := range qs {
+			res, err := lp.Serve(ctx, q)
 			if err != nil {
 				return nil, err
 			}
-			for j := range missQs {
-				i := j
-				if missIdx != nil {
-					i = missIdx[j]
-				}
-				out[i] = Result{Eval: pes[j], Epoch: s.epoch, CacheHit: hits[j], OptTime: d, Tier: tier.Tier2}
+			if i > 0 && res.Epoch != out[0].Epoch {
+				// Swaps are cooldown-gated, so one restart is the practical bound.
+				continue serve
 			}
-		}
-		if lp.active.Load() != s {
-			continue
-		}
-		for i := range out {
-			lp.served.Add(1)
-			if out[i].CacheHit {
-				lp.cacheHits.Add(1)
-			}
-			if lp.tiers != nil {
-				if out[i].Tier == tier.Tier0 {
-					lp.t0Hits.Add(1)
-				} else {
-					lp.t2Serves.Add(1)
-					lp.t2Nanos.Add(int64(out[i].OptTime))
-				}
-			}
-			// Tier-0 batch rows carry a zero OptTime (the pin answered inside
-			// the shared routing pass); they observe 0 so the histogram count
-			// still equals the serve count.
-			lp.hist[out[i].Tier].Observe(out[i].OptTime)
+			out[i] = res
 		}
 		return out, nil
 	}
@@ -725,16 +671,24 @@ func (lp *Loop) Step(ctx context.Context, q *query.Query) (Result, float64, erro
 	if err != nil {
 		return Result{}, 0, err
 	}
+	lat, err := lp.executeAndRecord(q, res)
+	return res, lat, err
+}
+
+// executeAndRecord is the tail of a server-side doctor-loop turn: run the
+// served plan on the active replica and record the observed latency. A DDL
+// that landed between Serve and Execute and dropped schema the plan depends
+// on makes the replica refuse to run it (NaN); that counts as a stale
+// invalidation and surfaces fosserr.ErrCatalogStale instead of recording a
+// NaN latency.
+func (lp *Loop) executeAndRecord(q *query.Query, res Result) (float64, error) {
 	lat := lp.active.Load().r.Execute(res.Eval.CP)
 	if math.IsNaN(lat) {
-		// A DDL landed between Serve and Execute and dropped schema the plan
-		// depends on; the replica refused to run it. Count the invalidation
-		// and surface the staleness instead of recording a NaN latency.
 		lp.staleInvalidations.Add(1)
-		return res, 0, fmt.Errorf("service: step %s: %w", q.ID, fosserr.ErrCatalogStale)
+		return 0, fmt.Errorf("service: step %s: %w", q.ID, fosserr.ErrCatalogStale)
 	}
 	lp.Record(q, res.Eval, lat)
-	return res, lat, nil
+	return lat, nil
 }
 
 // Wait blocks until every in-flight background retrain has finished

@@ -38,6 +38,12 @@ type fakeReplica struct {
 	name       string
 	buf        *learner.Buffer
 	trainDelay time.Duration
+	// onServe, when set, runs inside every OptimizeEvalContext with the
+	// running serve count — the hook mid-request events are injected through.
+	onServe func(n int64)
+	// execNaN makes Execute refuse the plan the way a replica does once a
+	// DDL dropped schema the plan depends on.
+	execNaN atomic.Bool
 
 	trains atomic.Int64
 	saves  atomic.Int64
@@ -113,21 +119,11 @@ func (f *fakeReplica) OptimizeEvalContext(ctx context.Context, q *query.Query) (
 	if err := ctx.Err(); err != nil {
 		return nil, false, 0, err
 	}
-	f.serves.Add(1)
-	return &planner.PlanEval{Q: q, Latency: math.NaN()}, false, time.Microsecond, nil
-}
-
-func (f *fakeReplica) OptimizeEvalBatch(ctx context.Context, qs []*query.Query) ([]*planner.PlanEval, []bool, time.Duration, error) {
-	out := make([]*planner.PlanEval, len(qs))
-	hits := make([]bool, len(qs))
-	for i, q := range qs {
-		pe, _, _, err := f.OptimizeEvalContext(ctx, q)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		out[i] = pe
+	n := f.serves.Add(1)
+	if f.onServe != nil {
+		f.onServe(n)
 	}
-	return out, hits, time.Microsecond, nil
+	return &planner.PlanEval{Q: q, Latency: math.NaN()}, false, time.Microsecond, nil
 }
 
 func (f *fakeReplica) BackendName() string { return "fake" }
@@ -150,7 +146,12 @@ func (f *fakeReplica) Load([]byte) error     { f.loads.Add(1); return nil }
 func (f *fakeReplica) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 	return &plan.CP{}, time.Microsecond, nil
 }
-func (f *fakeReplica) Execute(cp *plan.CP) float64    { return 10 }
+func (f *fakeReplica) Execute(cp *plan.CP) float64 {
+	if f.execNaN.Load() {
+		return math.NaN()
+	}
+	return 10
+}
 func (f *fakeReplica) Buffer() *learner.Buffer        { return f.buf }
 func (f *fakeReplica) CacheStats() runtime.CacheStats { return runtime.CacheStats{} }
 
@@ -555,5 +556,38 @@ func TestLoopStep(t *testing.T) {
 	st := lp.Stats()
 	if st.Served != 1 || st.Recorded != 1 {
 		t.Fatalf("counters %+v", st)
+	}
+}
+
+// TestServeBatchOneGenerationAcrossSwap: a hot-swap landing mid-batch
+// re-serves the batch, so every row names the same (new) epoch.
+func TestServeBatchOneGenerationAcrossSwap(t *testing.T) {
+	blue, green := newFake("blue"), newFake("green")
+	cfg := syncConfig()
+	cfg.Detector.Threshold = 100 // never drift; the test swaps by hand
+	lp := New(cfg, blue, green, nil)
+	if _, _, err := lp.Step(context.Background(), fq(0)); err != nil {
+		t.Fatal(err) // gives the retrain a recent query to train on
+	}
+	blue.onServe = func(n int64) {
+		if n == 3 { // second row of the batch below
+			lp.triggerRetrain()
+		}
+	}
+	qs := []*query.Query{fq(1), fq(2), fq(3), fq(4)}
+	out, err := lp.ServeBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp.Stats().Swaps != 1 {
+		t.Fatalf("swaps %d, want the injected one", lp.Stats().Swaps)
+	}
+	if len(out) != len(qs) {
+		t.Fatalf("rows %d", len(out))
+	}
+	for i, res := range out {
+		if res.Epoch != 2 || res.Eval.Q != qs[i] {
+			t.Fatalf("row %d: epoch %d query %s, want every row at epoch 2 in order", i, res.Epoch, res.Eval.Q.ID)
+		}
 	}
 }

@@ -374,3 +374,16 @@ func TestDoubleOpenStateDirRefused(t *testing.T) {
 		t.Fatal("duplicate tenant over one state dir was not refused")
 	}
 }
+
+// TestResolveKeepsExplicitSeed: only a zero seed is derived from the tenant
+// name. fossd's implicit "default" tenant carries -seed verbatim, so a
+// single-tenant server trains the model its flags describe.
+func TestResolveKeepsExplicitSeed(t *testing.T) {
+	r := &Router{cfg: Config{Defaults: TenantSpec{Workload: "job", Backend: "selinger", Scale: 0.25, Seed: 1}}}
+	if got := r.resolve(TenantSpec{Name: "default", Seed: 1}).Seed; got != 1 {
+		t.Fatalf("explicit seed re-derived: %d", got)
+	}
+	if got := r.resolve(TenantSpec{Name: "default"}).Seed; got == 0 || got == 1 {
+		t.Fatalf("zero seed not derived from the name: %d", got)
+	}
+}

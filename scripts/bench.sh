@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — the repository's perf snapshot: runs the parallel-training,
-# online-serving, metrics-overhead, tiered-serving, batched-serving,
+# online-serving, metrics-overhead, tiered-serving,
 # durability (checkpoint + WAL-replay), multi-tenant sharded-serving,
 # gate-proxied serving, and schema-evolution (catalog-apply + tier-0
 # re-warm) benchmarks, times a full fosslint pass over the
@@ -21,8 +21,8 @@ cpus="${CPUS:-${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}}"
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-echo "== go test -bench TrainParallel|ServeOnline|ServeWithMetrics|ServeTiered|TierRouter|ServeBatch|Checkpoint|WALReplay|ShardedServe|GateProxy|CatalogApply|Tier0RewarmAfterDDL (benchtime=$benchtime cpu=$cpus) =="
-go test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkServeOnline|BenchmarkServeWithMetrics|BenchmarkServeTiered|BenchmarkTierRouter|BenchmarkServeBatch|BenchmarkCheckpoint|BenchmarkWALReplay|BenchmarkShardedServe|BenchmarkGateProxy|BenchmarkCatalogApply|BenchmarkTier0RewarmAfterDDL' \
+echo "== go test -bench TrainParallel|ServeOnline|ServeWithMetrics|ServeTiered|TierRouter|Checkpoint|WALReplay|ShardedServe|GateProxy|CatalogApply|Tier0RewarmAfterDDL (benchtime=$benchtime cpu=$cpus) =="
+go test -run xxx -bench 'BenchmarkTrainParallel|BenchmarkServeOnline|BenchmarkServeWithMetrics|BenchmarkServeTiered|BenchmarkTierRouter|BenchmarkCheckpoint|BenchmarkWALReplay|BenchmarkShardedServe|BenchmarkGateProxy|BenchmarkCatalogApply|BenchmarkTier0RewarmAfterDDL' \
   -benchtime "$benchtime" -cpu "$cpus" . | tee "$tmp"
 
 # Static-analysis wall time: the whole-module fosslint pass is part of every

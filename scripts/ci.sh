@@ -26,6 +26,9 @@ echo "== gofmt cleanliness =="
 unformatted=$(gofmt -l .)
 [[ -z "$unformatted" ]] || { printf 'FAIL: gofmt-unclean files:\n%s\n' "$unformatted"; exit 1; }
 
+echo "== no deprecated twins in non-test Go =="
+if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd foss.go; then echo "FAIL: Deprecated: marker in non-test Go (delete the twin and migrate its callers)"; exit 1; fi
+
 echo "== fosslint: repo invariants (clean tree, firing fixtures, self-check) =="
 # The static-analysis gate runs before any test gate: it is the cheapest
 # whole-module check and its findings usually explain later test failures.
@@ -79,14 +82,15 @@ echo "== determinism: online loop replay =="
 # TestOnlineRunDeterministic: two full drift-adapt runs must be bit-identical.
 go test -count=1 -run 'TestOnlineRunDeterministic' ./internal/core/
 
-echo "== backend parity: selinger golden + cross-backend doctor loop + batch/single =="
+echo "== backend parity: selinger golden + cross-backend doctor loop + batch == serve =="
 # TestSelingerGoldenBitIdentical: the Backend refactor must stay bit-identical
 #   to the pre-interface engine (testdata/golden_selinger.txt).
 # TestCrossBackendParity: both backends complete train->serve->record behind
 #   the same foss.Backend interface.
-# TestOptimizeBatchMatchesSingle: batched serving is bit-identical per query.
+# TestServeBatchMatchesServe: a batch row equals the single serve (plan, tier,
+#   epoch, accounting) with both fast tiers on, in process and over the wire.
 # TestBackendsDiverge: gaussim is a genuinely different engine.
-go test -count=1 -run 'TestSelingerGoldenBitIdentical|TestCrossBackendParity|TestOptimizeBatchMatchesSingle|TestSetBackendCacheIsolation' ./internal/core/
+go test -count=1 -run 'TestSelingerGoldenBitIdentical|TestCrossBackendParity|TestServeBatchMatchesServe|TestSetBackendCacheIsolation' ./internal/core/
 go test -count=1 ./internal/backend/
 
 echo "== wire surface: HTTP optimize->feedback round trip =="
@@ -155,10 +159,10 @@ go test -count=1 -run 'TestDriftScenarios' ./internal/workload/
 go test -count=1 ./internal/engine/catalog/
 
 echo "== durability: fossd checkpoint -> kill -9 -> restart -> serve parity =="
-# The process-level recovery gate: a real fossd serves and checkpoints, is
-# killed with SIGKILL (no shutdown path runs), and a second fossd over the
-# same -state-dir must warm-start (no retraining) and serve the identical
-# plan for the same query.
+# The process-level recovery gate: a real single-tenant fossd — a fleet of
+# one, tenant "default" — serves and checkpoints, is killed with SIGKILL (no
+# shutdown path runs), and a second fossd over the same -state-dir must
+# warm-start (no retraining) and serve the identical plan for the same query.
 gate_dir=$(mktemp -d)
 gate_pid=""
 # A failed gate must not leak a serving fossd (it would hold the port and
@@ -178,17 +182,18 @@ wait_up() {
 "$gate_dir/fossd" $gate_train -serve-http "$gate_addr" -state-dir "$gate_dir/state" >"$gate_dir/first.log" 2>&1 &
 gate_pid=$!
 wait_up || { cat "$gate_dir/first.log"; echo "FAIL: first fossd never came up"; exit 1; }
-curl -sf "http://$gate_addr/v1/optimize" -d '{"query_id": "1_1", "execute": true}' >"$gate_dir/plan1.json"
-curl -sf -X POST "http://$gate_addr/v1/checkpoint" >/dev/null
+curl -sf "http://$gate_addr/v1/t/default/optimize" -d '{"query_id": "1_1", "execute": true}' >"$gate_dir/plan1.json"
+curl -sf -X POST "http://$gate_addr/v1/t/default/checkpoint" >/dev/null
 # journal one more execution past the checkpoint: it must survive via the WAL
-curl -sf "http://$gate_addr/v1/optimize" -d '{"query_id": "2_1", "execute": true}' >/dev/null
+curl -sf "http://$gate_addr/v1/t/default/optimize" -d '{"query_id": "2_1", "execute": true}' >/dev/null
 kill -9 "$gate_pid" 2>/dev/null; wait "$gate_pid" 2>/dev/null || true
 # shellcheck disable=SC2086
 "$gate_dir/fossd" $gate_train -serve-http "$gate_addr" -state-dir "$gate_dir/state" >"$gate_dir/second.log" 2>&1 &
 gate_pid=$!
 wait_up || { cat "$gate_dir/second.log"; echo "FAIL: restarted fossd never came up"; exit 1; }
 grep -q "warm restart" "$gate_dir/second.log" || { cat "$gate_dir/second.log"; echo "FAIL: restart retrained instead of recovering"; exit 1; }
-curl -sf "http://$gate_addr/v1/optimize" -d '{"query_id": "1_1"}' >"$gate_dir/plan2.json"
+curl -sf "http://$gate_addr/v1/t/default/optimize" -d '{"query_id": "1_1"}' >"$gate_dir/plan2.json"
+# the aggregate roll-up carries the sole tenant's counters
 curl -sf "http://$gate_addr/v1/stats" >"$gate_dir/stats.json"
 kill "$gate_pid" 2>/dev/null; wait "$gate_pid" 2>/dev/null || true
 gate_pid=""
