@@ -91,7 +91,7 @@ func main() {
 		stateDir    = flag.String("state-dir", "", "durable state directory (checkpoints + feedback WAL): each tenant gets <state-dir>/<tenant>/, and a tenant whose directory holds a checkpoint warm-starts from disk, skipping training")
 		ckEvery     = flag.Int("checkpoint-every", 64, "recorded executions between periodic checkpoints when -state-dir is set (0 = only on hot-swaps and POST /v1/checkpoint)")
 
-		tenants      = flag.String("tenants", "", "comma-separated tenant names: serve a sharded multi-tenant fleet (requires -serve-http); each tenant gets a full doctor over the default workload/backend/scale with a name-derived seed. Without -tenants/-tenant-spec the fleet is one tenant, \"default\", at exactly -workload/-backend/-scale/-seed")
+		tenants      = flag.String("tenants", "", "comma-separated tenant names: serve a sharded multi-tenant fleet (requires -serve-http); each tenant gets a full doctor over the default workload/backend/scale with a name-derived seed. Without -tenants/-tenant-spec the fleet is one tenant, \"default\", at exactly -workload/-backend/-scale/-seed (-seed 0 is name-derived like any tenant's)")
 		tenantSpec   = flag.String("tenant-spec", "", "heterogeneous tenants: 'name=key:val,...;name2=...' with keys workload|backend|scale|seed|leader (merges with -tenants)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "shutdown budget: in-flight retrains past it are canceled (final checkpoints are still taken)")
 
@@ -148,6 +148,9 @@ func main() {
 		}
 		defaults := shard.TenantSpec{Workload: *wl, Backend: *backendName, Scale: *scale, Seed: *seed}
 		specs, err := parseTenantSpecs(*tenants, *tenantSpec, defaults)
+		if err == nil && *stateDir != "" && specs[0].Name == "default" {
+			err = rootStoreErr(*stateDir)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tenants:", err)
 			os.Exit(1)

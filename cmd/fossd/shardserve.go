@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -35,7 +36,8 @@ import (
 // A name appearing in both collapses to the detailed spec. With no tenant
 // named the fleet is one tenant, "default", carrying deflt verbatim — its
 // explicit seed is used as given rather than re-derived from the name, so a
-// single-tenant server trains the model its flags describe.
+// single-tenant server trains the model its flags describe (seed 0 means
+// "derive from the name" in every spec, this one included).
 func parseTenantSpecs(tenants, tenantSpec string, deflt shard.TenantSpec) ([]shard.TenantSpec, error) {
 	specs := map[string]shard.TenantSpec{}
 	var order []string
@@ -99,6 +101,20 @@ func parseTenantSpecs(tenants, tenantSpec string, deflt shard.TenantSpec) ([]sha
 		out = append(out, specs[name])
 	}
 	return out, nil
+}
+
+// rootStoreErr refuses a -state-dir whose root holds a store. Before the
+// fleet of one, a single-tenant fossd kept its checkpoint and WAL there;
+// booting past them would cold-start "default" beside an orphaned model and
+// its un-checkpointed feedback.
+func rootStoreErr(stateDir string) error {
+	for _, name := range []string{"MANIFEST", "wal.log"} {
+		if _, err := os.Stat(filepath.Join(stateDir, name)); err == nil {
+			return fmt.Errorf("%s holds a single-tenant store (%s at its root): move its contents to %s to keep serving it",
+				stateDir, name, filepath.Join(stateDir, "default"))
+		}
+	}
+	return nil
 }
 
 // runSharded boots the fleet and serves the multi-tenant wire surface until

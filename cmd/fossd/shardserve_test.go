@@ -1,7 +1,10 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/foss-db/foss/internal/shard"
@@ -59,5 +62,23 @@ func TestParseTenantSpecs(t *testing.T) {
 				t.Fatalf("got %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRootStoreErr: a state dir laid out by the pre-fleet single-tenant
+// server is refused with the move it needs, not silently cold-started past.
+func TestRootStoreErr(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "default"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := rootStoreErr(dir); err != nil {
+		t.Fatalf("fleet-layout state dir refused: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := rootStoreErr(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "default")) {
+		t.Fatalf("root-level store: %v, want a refusal naming %s", err, filepath.Join(dir, "default"))
 	}
 }

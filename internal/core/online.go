@@ -173,9 +173,9 @@ func (s *System) ServeContext(ctx context.Context, q *query.Query) (service.Resu
 	return s.online.Serve(ctx, q)
 }
 
-// ServeBatch is ServeContext over each query in order: out[i] corresponds to
-// qs[i], all results come from one model generation (a single epoch), and an
-// error or cancellation returns no partial results.
+// ServeBatch is ServeContext over each query: out[i] corresponds to qs[i],
+// all results come from one model generation (a single epoch), and an error
+// or cancellation returns no partial results.
 func (s *System) ServeBatch(ctx context.Context, qs []*query.Query) ([]service.Result, error) {
 	if s.online == nil {
 		return nil, fmt.Errorf("core: ServeBatch before EnableOnline: %w", fosserr.ErrNotOnline)

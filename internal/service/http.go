@@ -379,7 +379,9 @@ func (s *HTTPServer) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			// the ring exactly like the two-call path would — inserted, then
 			// immediately consumed. Capacity accounting and the eviction
 			// horizon stay identical across both paths, and the serve
-			// remains explainable.
+			// remains explainable. A row the catalog moved under answers
+			// 409 for the whole batch; the rows before it ran and stay
+			// Recorded (they are real observations).
 			lat, err := s.lp.executeAndRecord(qs[i], res)
 			if err != nil {
 				writeServeErr(w, err)

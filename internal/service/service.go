@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -483,28 +484,45 @@ func (lp *Loop) serveTiered(q *query.Query) (Result, bool) {
 	}
 }
 
-// ServeBatch is Serve over each query in order — out[i] is Serve(ctx, qs[i])
-// in plan, tier, and latency accounting — under two batch contracts: the
-// whole batch is answered by a single model generation (a swap that lands
-// mid-batch re-serves the batch on the new active), and an error or
-// cancellation on any row returns promptly with no partial results.
+// ServeBatch is Serve over each query — out[i] is Serve(ctx, qs[i]) in plan,
+// tier, and latency accounting — under two batch contracts: the whole batch
+// is answered by a single model generation (a swap that lands mid-batch
+// re-serves the batch on the new active), and a stale-catalog row, an error
+// or a cancellation returns promptly with no partial results. Rows are the
+// same independent serves concurrent callers would issue, so they run as
+// such, GOMAXPROCS at a time; a batch of one runs inline. The counters track
+// serves done, not rows returned: a re-served or failed batch has counted
+// the rows it served.
 func (lp *Loop) ServeBatch(ctx context.Context, qs []*query.Query) ([]Result, error) {
 	if lp.closed.Load() {
 		return nil, fmt.Errorf("service: serve batch: %w", fosserr.ErrLoopClosed)
 	}
+	r := lp.active.Load().r
+	for _, q := range qs {
+		if err := r.CheckCatalog(q); err != nil {
+			// Refused before any row is served, so a stale batch costs nothing.
+			lp.staleInvalidations.Add(1)
+			return nil, fmt.Errorf("service: serve batch: %w", err)
+		}
+	}
 	out := make([]Result, len(qs))
+	errs := make([]error, len(qs))
+	pool := runtime.NewPool(min(len(qs), goruntime.GOMAXPROCS(0)))
 serve:
 	for {
-		for i, q := range qs {
-			res, err := lp.Serve(ctx, q)
+		if err := pool.RunCtx(ctx, len(qs), func(_, i int) {
+			out[i], errs[i] = lp.Serve(ctx, qs[i])
+		}); err != nil {
+			return nil, err
+		}
+		for i, err := range errs {
 			if err != nil {
 				return nil, err
 			}
-			if i > 0 && res.Epoch != out[0].Epoch {
+			if out[i].Epoch != out[0].Epoch {
 				// Swaps are cooldown-gated, so one restart is the practical bound.
 				continue serve
 			}
-			out[i] = res
 		}
 		return out, nil
 	}

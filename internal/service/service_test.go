@@ -520,6 +520,15 @@ func TestApplyDDLBumpsEpochAndRefusesStale(t *testing.T) {
 	if res2.Epoch != 2 {
 		t.Fatalf("post-DDL serve at epoch %d, want 2", res2.Epoch)
 	}
+
+	// A batch with one stale row is refused before any row is served.
+	served := lp.Stats().Served
+	if _, err := lp.ServeBatch(context.Background(), []*query.Query{q, fq(4)}); !errIsStale(err) {
+		t.Fatalf("batch with a dropped-table row: %v, want ErrCatalogStale", err)
+	}
+	if got := lp.Stats(); got.Served != served || got.StaleInvalidations != 3 {
+		t.Fatalf("refused batch moved the counters: served %d→%d, stale %d", served, got.Served, got.StaleInvalidations)
+	}
 }
 
 func errIsStale(err error) bool {
@@ -570,7 +579,7 @@ func TestServeBatchOneGenerationAcrossSwap(t *testing.T) {
 		t.Fatal(err) // gives the retrain a recent query to train on
 	}
 	blue.onServe = func(n int64) {
-		if n == 3 { // second row of the batch below
+		if n == 3 { // the second serve of the batch below
 			lp.triggerRetrain()
 		}
 	}
