@@ -21,13 +21,12 @@ func printCacheStats(sys *core.System) {
 func diagnose(sys *core.System, qs []*query.Query) {
 	for _, q := range qs {
 		pl := sys.Planners[0]
-		simEnv := &planner.SimEnv{Model: sys.AAM, MaxSteps: pl.Cfg.MaxSteps}
 		orig, err := pl.OriginalEval(q)
 		if err != nil {
 			fmt.Println(q.ID, "err:", err)
 			continue
 		}
-		ep, err := pl.RunEpisodeFrom(q, orig, simEnv, nil, false)
+		ep, err := pl.RunEpisodeWithRng(q, orig, nil, nil, false, nil)
 		if err != nil {
 			fmt.Println(q.ID, "err:", err)
 			continue

@@ -101,6 +101,19 @@
 //	_ = sys.EnableOnline(cfg)
 //	res, _ := sys.ServeContext(ctx, q) // res.Tier: 0, 1, or 2
 //
+// A tier-2 miss does only inference. Algorithm 1 is split (internal/planner)
+// into the walk — mask, state-network forward, policy sample or greedy, edit,
+// hinted replan, deduplicated into the episode's candidates — which is all a
+// miss, Explain and fossd -diag run, and the scoring pass, which turns a
+// walked episode into advantage-tracked rewards, critic values and PPO
+// transitions and which only training runs, right after the walk. Every
+// forward that is never followed by Backward goes through a frozen view
+// (internal/nn): the same weights with gradient tracking off, so no autograd
+// graph is built. A view may be forwarded from any goroutine while no
+// optimizer step, load or copy writes those weights; it must not be handed to
+// an optimizer, and nothing trains through it. The cost of a miss is the
+// cold_novel workload's turn_p50_us: go run ./benchmark --workload cold_novel.
+//
 // Multi-tenant serving: a ShardRouter turns one process into a fleet of
 // doctors — one full shard (system, loop, plan cache, state directory) per
 // tenant, routed by tenant key, sharing one bounded worker pool:

@@ -62,24 +62,27 @@ type Model struct {
 	FC1   *nn.Linear
 	FC2   *nn.Linear
 
-	hidden int
+	// frozen is the model's frozen view (see package nn), nil on the view
+	// itself. The scoring methods run on it, so only Logits, PairLoss and
+	// Train touch tracked parameters.
+	frozen *Model
 }
 
 // NewModel creates an advantage model over the given state network sizes.
 func NewModel(rng *rand.Rand, cfg StateNetConfig, numTables, numCols int) *Model {
 	h := cfg.StateDim
 	m := &Model{
-		State:  NewStateNet(rng, cfg, numTables, numCols),
-		PosL:   nn.Zeros(1, cfg.StateDim).Param(),
-		PosR:   nn.Zeros(1, cfg.StateDim).Param(),
-		FC1:    nn.NewLinear(rng, cfg.StateDim, h),
-		FC2:    nn.NewLinear(rng, h, NumScores),
-		hidden: h,
+		State: NewStateNet(rng, cfg, numTables, numCols),
+		PosL:  nn.Zeros(1, cfg.StateDim).Param(),
+		PosR:  nn.Zeros(1, cfg.StateDim).Param(),
+		FC1:   nn.NewLinear(rng, cfg.StateDim, h),
+		FC2:   nn.NewLinear(rng, h, NumScores),
 	}
 	for i := range m.PosL.Data {
 		m.PosL.Data[i] = rng.NormFloat64() * 0.05
 		m.PosR.Data[i] = rng.NormFloat64() * 0.05
 	}
+	m.frozen = &Model{State: m.State.Frozen(), PosL: m.PosL.Detach(), PosR: m.PosR.Detach(), FC1: m.FC1.Frozen(), FC2: m.FC2.Frozen()}
 	return m
 }
 
@@ -104,9 +107,12 @@ func (m *Model) Logits(encL, encR *planenc.Encoded, stepL, stepR float64) *nn.Te
 
 // Score returns the predicted advantage class of r over l.
 func (m *Model) Score(encL, encR *planenc.Encoded, stepL, stepR float64) int {
-	logits := m.Logits(encL, encR, stepL, stepR).Detach()
+	return argmax(m.frozen.Logits(encL, encR, stepL, stepR).Data)
+}
+
+func argmax(xs []float64) int {
 	best, bi := math.Inf(-1), 0
-	for i, v := range logits.Data {
+	for i, v := range xs {
 		if v > best {
 			best, bi = v, i
 		}

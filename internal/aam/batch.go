@@ -1,7 +1,6 @@
 package aam
 
 import (
-	"math"
 	"sync"
 
 	"github.com/foss-db/foss/internal/nn"
@@ -17,9 +16,12 @@ const scoreChunk = 32
 // plans through. Everything pooled here is dead before the borrowing call
 // returns: the embedding lookups copy their id slices, the block descriptors
 // only borrow mask pointers that each Encoded owns, and the encs slice is
-// iterated, never stored. Two buffers are deliberately NOT pooled because
-// the autograd graph retains them past the forward: `lengths` (captured by
-// SegmentMean's backward closure) and `steps` (adopted by NewTensor).
+// iterated, never stored. `lengths` and `steps` are not pooled. Every caller
+// in this repository runs ForwardBatch on a frozen view, where both are dead
+// on return, but on a tracked network the graph retains them (SegmentMean's
+// backward closure, the tensor NewTensor builds over steps), the tests compare
+// the two, and two small slices per chunk of up to scoreChunk plans do not pay
+// for a tracked/untracked branch here.
 type batchScratch struct {
 	ops, tables, cols, rowBkt, heights, structs []int
 	masks                                       [][]bool
@@ -38,7 +40,7 @@ func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64) *nn.Te
 		panic("aam: ForwardBatch length mismatch")
 	}
 	n := len(encs)
-	lengths := make([]int, n) // retained by SegmentMean's backward closure — never pooled
+	lengths := make([]int, n) // not pooled: see batchScratch
 	sc := scratchPool.Get().(*batchScratch)
 	masks := sc.masks[:0]
 	for i, enc := range encs {
@@ -106,7 +108,7 @@ func (m *Model) LogitsBatch(pairs []Pair) *nn.Tensor {
 		encs = make([]*planenc.Encoded, 2*n)
 	}
 	encs = encs[:2*n]
-	steps := make([]float64, 2*n) // adopted by NewTensor inside ForwardBatch — never pooled
+	steps := make([]float64, 2*n) // not pooled: see batchScratch
 	for i, p := range pairs {
 		encs[i], steps[i] = p.EncL, p.StepL
 		encs[n+i], steps[n+i] = p.EncR, p.StepR
@@ -141,16 +143,10 @@ func (m *Model) ScoreBatch(pairs []Pair) []int {
 		if end > len(pairs) {
 			end = len(pairs)
 		}
-		logits := m.LogitsBatch(pairs[start:end]).Detach()
+		logits := m.frozen.LogitsBatch(pairs[start:end])
 		k := logits.Shape[1]
 		for i := 0; i < end-start; i++ {
-			best, bi := math.Inf(-1), 0
-			for j := 0; j < k; j++ {
-				if v := logits.Data[i*k+j]; v > best {
-					best, bi = v, j
-				}
-			}
-			out[start+i] = bi
+			out[start+i] = argmax(logits.Data[i*k : (i+1)*k])
 		}
 	}
 	return out
@@ -160,23 +156,17 @@ func (m *Model) ScoreBatch(pairs []Pair) []int {
 // plans (used by the temporal plan selector, which chains pairwise
 // comparisons over a fixed candidate pool).
 func (m *Model) StatesBatch(encs []*planenc.Encoded, steps []float64) *nn.Tensor {
-	return m.State.ForwardBatch(encs, steps).Detach()
+	return m.frozen.State.ForwardBatch(encs, steps)
 }
 
 // ScoreStates returns the predicted advantage class of plan r over plan l
 // given precomputed state vectors (rows l and r of a StatesBatch result).
 // Identical to Score on the same plans.
 func (m *Model) ScoreStates(sv *nn.Tensor, l, r int) int {
+	m = m.frozen
 	svL := nn.Rows(sv, l, 1)
 	svR := nn.Rows(sv, r, 1)
 	hl := nn.ReLU(m.FC1.Forward(nn.Add(svL, m.PosL)))
 	hr := nn.ReLU(m.FC1.Forward(nn.Add(svR, m.PosR)))
-	logits := m.FC2.Forward(nn.Sub(hl, hr)).Detach()
-	best, bi := math.Inf(-1), 0
-	for i, v := range logits.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
+	return argmax(m.FC2.Forward(nn.Sub(hl, hr)).Data)
 }

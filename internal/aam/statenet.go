@@ -93,6 +93,27 @@ func (s *StateNet) Forward(enc *planenc.Encoded, step float64) *nn.Tensor {
 	return nn.Tanh(s.Out.Forward(withStep))         // [1, StateDim]
 }
 
+// Frozen returns the network's frozen view (see package nn): the same
+// weights, forwards that build no autograd graph.
+func (s *StateNet) Frozen() *StateNet {
+	f := &StateNet{
+		Cfg:       s.Cfg,
+		OpEmb:     s.OpEmb.Frozen(),
+		TableEmb:  s.TableEmb.Frozen(),
+		ColEmb:    s.ColEmb.Frozen(),
+		RowEmb:    s.RowEmb.Frozen(),
+		HeightEmb: s.HeightEmb.Frozen(),
+		StructEmb: s.StructEmb.Frozen(),
+		InProj:    s.InProj.Frozen(),
+		OutLN:     s.OutLN.Frozen(),
+		Out:       s.Out.Frozen(),
+	}
+	for _, b := range s.Blocks {
+		f.Blocks = append(f.Blocks, b.Frozen())
+	}
+	return f
+}
+
 func stepTensor(step float64) *nn.Tensor {
 	return nn.NewTensor([]float64{step}, 1, 1)
 }

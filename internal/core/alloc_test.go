@@ -1,0 +1,50 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"github.com/foss-db/foss/internal/service"
+	"github.com/foss-db/foss/internal/tier"
+)
+
+// TestServeMissAllocsBounded pins the allocation count of a tier-2 miss, the
+// counterpart of service.TestTier0ServeZeroAllocs for the path that runs the
+// model: expert plan, InferenceRollouts walks through the agent's frozen
+// views, one batched frozen scoring pass. It lives here because a real miss
+// needs a real System, which package service cannot import. The budget is
+// ~1.5× the measured 5863; a miss that runs the scoring pass too and forwards
+// through tracked parameters, as it did before the split, measures 28980.
+func TestServeMissAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	// An untrained doctor serves exactly the miss a trained one does; a
+	// one-entry plan cache under eight distinct queries never hits.
+	sys := smallSystem(t, func(c *Config) { c.PlanCache = 1 })
+	if err := sys.EnableOnline(service.Config{
+		Detector: service.DetectorConfig{Window: 8, Threshold: 1e9, MinSamples: 8},
+		Cooldown: 1 << 30,
+		Tier:     tier.Config{Memory: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	qs := sys.W.Train[:8]
+	i := 0
+	serve := func() {
+		res, err := sys.ServeContext(ctx, qs[i%len(qs)])
+		i++
+		if err != nil || res.CacheHit || res.Tier != tier.Tier2 {
+			panic("not a tier-2 miss")
+		}
+	}
+	for range qs { // warm the scratch pools and the expert-plan memo
+		serve()
+	}
+	avg := testing.AllocsPerRun(5*len(qs), serve)
+	const budget = 8800 // at smallSystem's DModel 16, one layer, 4 rollouts
+	if avg > budget {
+		t.Fatalf("a tier-2 miss allocates %.0f objects, budget %d", avg, budget)
+	}
+}

@@ -486,7 +486,11 @@ func (l *Learner) runEpisodes(ctx context.Context, jobs []episodeJob, iter, phas
 		j := jobs[i]
 		var executed []*planner.PlanEval
 		env := makeEnv(func(pe *planner.PlanEval) { executed = append(executed, pe) })
-		ep, err := l.Planners[j.agent].RunEpisodeWithRng(j.q, j.orig, env, j.refs, true, rngs[w])
+		pl := l.Planners[j.agent]
+		ep, err := pl.RunEpisodeWithRng(j.q, j.orig, env, j.refs, true, rngs[w])
+		if err == nil {
+			pl.Score(ep)
+		}
 		outs[i] = episodeOut{ep: ep, executed: executed, err: err}
 	})
 	if err != nil {
@@ -505,22 +509,33 @@ func (l *Learner) realPhase(ctx context.Context, queries []*query.Query, iter in
 	return l.realPhasePar(ctx, queries, iter)
 }
 
-// realPhaseSeq is the original single-threaded loop, kept verbatim so
-// Workers<=1 stays bit-identical to the sequential implementation.
+// seqEpisode is one episode of a sequential phase: a query drawn from the
+// main RNG stream, walked on the agent's own RNG against the bounty references
+// as of now, then scored.
+func (l *Learner) seqEpisode(ctx context.Context, pl *planner.Planner, queries []*query.Query, env planner.Environment) (*planner.EpisodeResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	q := queries[l.rng.Intn(len(queries))]
+	orig, err := l.original(q)
+	if err != nil {
+		return nil, err
+	}
+	ep, err := pl.RunEpisodeWithRng(q, orig, env, l.Buf.Refs(q.ID), true, pl.Agent.Rng)
+	if err == nil {
+		pl.Score(ep)
+	}
+	return ep, err
+}
+
+// realPhaseSeq is the original single-threaded loop, kept so Workers<=1
+// stays bit-identical to the sequential implementation.
 func (l *Learner) realPhaseSeq(ctx context.Context, queries []*query.Query) ([][]rl.Transition, error) {
 	out := make([][]rl.Transition, len(l.Planners))
 	for ai, pl := range l.Planners {
 		env := &planner.RealEnv{Exec: l.Exec, OnExecuted: func(pe *planner.PlanEval) { l.Buf.Add(pe) }}
 		for e := 0; e < l.Cfg.RealPerIter; e++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			q := queries[l.rng.Intn(len(queries))]
-			orig, err := l.original(q)
-			if err != nil {
-				return nil, err
-			}
-			ep, err := pl.RunEpisodeFrom(q, orig, env, l.Buf.Refs(q.ID), true)
+			ep, err := l.seqEpisode(ctx, pl, queries, env)
 			if err != nil {
 				return nil, err
 			}
@@ -563,23 +578,15 @@ func (l *Learner) simPhase(ctx context.Context, queries []*query.Query, iter int
 	return l.simPhasePar(ctx, queries, iter, st)
 }
 
-// simPhaseSeq is the original single-threaded loop, kept verbatim so
-// Workers<=1 stays bit-identical to the sequential implementation.
+// simPhaseSeq is the original single-threaded loop, kept so Workers<=1
+// stays bit-identical to the sequential implementation.
 func (l *Learner) simPhaseSeq(ctx context.Context, queries []*query.Query, st *IterStats) ([]*planner.PlanEval, error) {
 	var promising []*planner.PlanEval
 	for _, pl := range l.Planners {
 		simEnv := &planner.SimEnv{Model: l.AAM, MaxSteps: pl.Cfg.MaxSteps}
 		var trans []rl.Transition
 		for e := 0; e < l.Cfg.SimPerIter; e++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			q := queries[l.rng.Intn(len(queries))]
-			orig, err := l.original(q)
-			if err != nil {
-				return nil, err
-			}
-			ep, err := pl.RunEpisodeFrom(q, orig, simEnv, l.Buf.Refs(q.ID), true)
+			ep, err := l.seqEpisode(ctx, pl, queries, simEnv)
 			if err != nil {
 				return nil, err
 			}
@@ -675,18 +682,14 @@ func (l *Learner) validateTimeout(pe *planner.PlanEval) float64 {
 	return 0
 }
 
-// Optimize doctors one query at inference time. Every agent generates its
-// candidate sequences in the simulated environment — one greedy episode plus
-// InferenceRollouts−1 stochastic ones, widening the candidate pool the way
-// the paper's multi-agent mode does — and the AAM selects the estimated-best
-// plan in temporal order (one batched state-network pass over the pool). The
-// original plan is always a candidate, so FOSS never does worse than its own
-// selector believes.
-//
-// Optimize is safe for concurrent use (while no training runs): stochastic
-// rollouts draw from an RNG seeded by the query fingerprint, so the result
-// for a query is deterministic regardless of request interleaving.
-// Cancellation is honored between rollouts.
+// Optimize doctors one query at inference time. Every agent walks its
+// episodes — one greedy plus InferenceRollouts−1 stochastic ones, widening the
+// pool the way the paper's multi-agent mode does — with no environment and no
+// scoring pass, and the AAM selects the estimated-best plan in temporal order
+// (one batched, graph-free state-network pass over the pool). The original
+// plan is always a candidate, so FOSS never does worse than its own selector
+// believes. Safe for concurrent use while no training runs; cancellation is
+// honored between rollouts.
 func (l *Learner) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEval, error) {
 	pool, err := l.candidates(ctx, q)
 	if err != nil {
@@ -721,23 +724,11 @@ func (l *Learner) Explain(ctx context.Context, q *query.Query) (*planner.PlanEva
 // agent's greedy episode plus its stochastic rollouts, RNG seeded by the
 // query fingerprint so the pool is independent of request interleaving.
 func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.PlanEval, error) {
-	rollouts := l.Cfg.InferenceRollouts
-	if rollouts < 1 {
-		rollouts = 1
-	}
+	rollouts := max(l.Cfg.InferenceRollouts, 1)
 	rng := rand.New(rand.NewSource(int64(q.Fingerprint()>>1) ^ l.Cfg.Seed))
 	var pool []*planner.PlanEval
 	seen := map[string]bool{}
-	addCands := func(cands []*planner.PlanEval) {
-		for _, c := range cands {
-			if !seen[c.ICP.Key()] {
-				seen[c.ICP.Key()] = true
-				pool = append(pool, c)
-			}
-		}
-	}
 	for _, pl := range l.Planners {
-		simEnv := &planner.SimEnv{Model: l.AAM, MaxSteps: pl.Cfg.MaxSteps}
 		orig, err := pl.OriginalEval(q)
 		if err != nil {
 			return nil, err
@@ -746,11 +737,16 @@ func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.Pl
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			ep, err := pl.RunEpisodeWithRng(q, orig, simEnv, nil, r > 0, rng)
+			ep, err := pl.RunEpisodeWithRng(q, orig, nil, nil, r > 0, rng)
 			if err != nil {
 				return nil, err
 			}
-			addCands(ep.Candidates)
+			for _, c := range ep.Candidates {
+				if key := c.ICP.Key(); !seen[key] {
+					seen[key] = true
+					pool = append(pool, c)
+				}
+			}
 		}
 	}
 	return pool, nil

@@ -36,6 +36,9 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 // Params implements Module.
 func (l *Linear) Params() []*Tensor { return []*Tensor{l.W, l.B} }
 
+// Frozen returns the layer's frozen view (see the package comment).
+func (l *Linear) Frozen() *Linear { return &Linear{W: l.W.Detach(), B: l.B.Detach()} }
+
 // In returns the input width.
 func (l *Linear) In() int { return l.W.Shape[0] }
 
@@ -85,6 +88,9 @@ func (e *Embedding) Forward(ids []int) *Tensor {
 
 // Params implements Module.
 func (e *Embedding) Params() []*Tensor { return []*Tensor{e.W} }
+
+// Frozen returns the table's frozen view (see the package comment).
+func (e *Embedding) Frozen() *Embedding { return &Embedding{W: e.W.Detach()} }
 
 // LayerNorm normalizes each row of a 2-D tensor and applies a learned
 // affine transform.
@@ -164,6 +170,11 @@ func (l *LayerNorm) Forward(x *Tensor) *Tensor {
 // Params implements Module.
 func (l *LayerNorm) Params() []*Tensor { return []*Tensor{l.Gamma, l.Beta} }
 
+// Frozen returns the layer's frozen view (see the package comment).
+func (l *LayerNorm) Frozen() *LayerNorm {
+	return &LayerNorm{Gamma: l.Gamma.Detach(), Beta: l.Beta.Detach(), Eps: l.Eps}
+}
+
 // MultiHeadAttention is masked multi-head self-attention over a single
 // sequence of shape [seq, dim]. The mask is a seq×seq boolean matrix where
 // mask[i*seq+j]==true means position i may attend to position j (the paper's
@@ -195,8 +206,7 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 // Forward computes masked self-attention for x [seq, dim]. mask may be nil
 // (full attention).
 func (m *MultiHeadAttention) Forward(x *Tensor, mask []bool) *Tensor {
-	seq, dim := x.Shape[0], x.Shape[1]
-	dh := dim / m.Heads
+	dh := x.Shape[1] / m.Heads
 	q := m.WQ.Forward(x)
 	k := m.WK.Forward(x)
 	v := m.WV.Forward(x)
@@ -213,9 +223,12 @@ func (m *MultiHeadAttention) Forward(x *Tensor, mask []bool) *Tensor {
 		attn := Softmax(scores)
 		heads[h] = MatMul(attn, vh) // [seq, dh]
 	}
-	cat := Concat(heads...)
-	_ = seq
-	return m.WO.Forward(cat)
+	return m.WO.Forward(Concat(heads...))
+}
+
+// Frozen returns the attention layer's frozen view (see the package comment).
+func (m *MultiHeadAttention) Frozen() *MultiHeadAttention {
+	return &MultiHeadAttention{Heads: m.Heads, WQ: m.WQ.Frozen(), WK: m.WK.Frozen(), WV: m.WV.Frozen(), WO: m.WO.Frozen()}
 }
 
 // Params implements Module.
@@ -302,6 +315,11 @@ func (t *TransformerLayer) Forward(x *Tensor, mask []bool) *Tensor {
 	return Add(h, t.FF2.Forward(ReLU(t.FF1.Forward(t.LN2.Forward(h)))))
 }
 
+// Frozen returns the block's frozen view (see the package comment).
+func (t *TransformerLayer) Frozen() *TransformerLayer {
+	return &TransformerLayer{Attn: t.Attn.Frozen(), LN1: t.LN1.Frozen(), LN2: t.LN2.Frozen(), FF1: t.FF1.Frozen(), FF2: t.FF2.Frozen()}
+}
+
 // Params implements Module.
 func (t *TransformerLayer) Params() []*Tensor {
 	var ps []*Tensor
@@ -340,6 +358,15 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 		}
 	}
 	return x
+}
+
+// Frozen returns the MLP's frozen view (see the package comment).
+func (m *MLP) Frozen() *MLP {
+	f := &MLP{Layers: make([]*Linear, len(m.Layers))}
+	for i, l := range m.Layers {
+		f.Layers[i] = l.Frozen()
+	}
+	return f
 }
 
 // Params implements Module.

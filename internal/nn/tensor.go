@@ -7,6 +7,22 @@
 // asymmetric advantage model, and the PPO actor-critic) must run without any
 // external ML framework. Sizes are deliberately small so CPU training
 // converges in minutes on the laptop-scale workloads this repository uses.
+//
+// # Frozen views
+//
+// Every layer has a Frozen method returning a view of itself: the same type
+// over the same Data slices with RequiresGrad false, so each op runs
+// unchanged but records no parents, no backward closure and no gradient
+// buffer. Adam.Step, LoadParams and CopyParams write parameters in place and
+// nothing replaces a parameter tensor, so a view built once always reads the
+// current weights. A forward that is never followed by Backward belongs on
+// the view. A view may be called wherever its layer's Forward methods may,
+// from any number of goroutines, under the same rule as the layer: not while
+// an optimizer step, load or copy writes those weights. A view must not be
+// handed to an optimizer (its Params carry no gradient buffers), and Backward
+// from its outputs reaches no parameter: train on the module itself. There is
+// no package-level grad switch: which tensors track is a property of the
+// module a caller holds, so one replica trains while another serves.
 package nn
 
 import (

@@ -2,12 +2,21 @@
 // complete plans (plus step status), whose actions are Swap/Override edits
 // on the incomplete plan, and whose episodes iteratively doctor the
 // traditional optimizer's original plan (Algorithm 1).
+//
+// Algorithm 1 runs in two halves. The walk (RunEpisodeWithRng) generates
+// plans and is all that serving, Explain and fossd -diag execute. The scoring
+// pass (Score) turns a walked episode into PPO transitions and the estimated
+// optimal plan CP̄, and only training runs it. Every forward that is not
+// differentiated goes through a frozen view (see package nn): tracked
+// parameters are touched only by the Recompute closures inside rl.Update and
+// by the advantage model's own training.
 package planner
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/engine/exec"
@@ -131,13 +140,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Agent bundles the state network ϕ, the action selector π, and their
-// optimizer.
+// Agent bundles the state network ϕ, the action selector π, their optimizer,
+// and the frozen views (phi, policy) the walk and the scoring pass forward on.
 type Agent struct {
 	Phi    *aam.StateNet
 	Policy *rl.Policy
 	Opt    *nn.Adam
 	Rng    *rand.Rand
+
+	phi    *aam.StateNet
+	policy *rl.Policy
 }
 
 // NewAgent creates an agent for the given action-space size.
@@ -147,7 +159,7 @@ func NewAgent(rng *rand.Rand, netCfg aam.StateNetConfig, numTables, numCols, num
 	params := append(phi.Params(), pol.Params()...)
 	opt := nn.NewAdam(params, lr)
 	opt.ClipNorm = 5
-	return &Agent{Phi: phi, Policy: pol, Opt: opt, Rng: rng}
+	return &Agent{Phi: phi, Policy: pol, Opt: opt, Rng: rng, phi: phi.Frozen(), policy: pol.Frozen()}
 }
 
 // Params implements nn.Module over the agent's trainable tensors (state
@@ -172,12 +184,27 @@ type Ref struct {
 	RefB float64
 }
 
-// EpisodeResult is everything one episode produced.
+// EpisodeResult is everything one episode produced: the walk fills
+// Candidates and OrigLatency, Score fills Transitions and Final.
 type EpisodeResult struct {
 	Transitions []rl.Transition
 	Candidates  []*PlanEval // temporal sequence, original first
 	Final       *PlanEval   // estimated-optimal plan CP̄ (the output)
 	OrigLatency float64     // NaN when unknown (pure simulated episodes)
+
+	env   Environment
+	refs  []Ref
+	steps []step
+}
+
+// step is what the walk records of one edit for the scoring pass.
+type step struct {
+	cur, next *PlanEval
+	sv        *nn.Tensor // Φ(cur) from the frozen view
+	mask      []bool
+	action    int     // 0-based
+	logp      float64 // 0 on a greedy walk
+	isNew     bool    // next's ICP had not been visited in this episode
 }
 
 // NewEval hints the ICP into a complete plan and encodes it.
@@ -203,117 +230,103 @@ func (p *Planner) OriginalEval(q *query.Query) (*PlanEval, error) {
 	return &PlanEval{Q: q, ICP: icp, CP: cp, Enc: p.Enc.Encode(cp), Step: 0, Latency: math.NaN()}, nil
 }
 
-// RunEpisode executes Algorithm 1 for one query in the given environment.
-// refs supplies the episode-bounty reference set (may be empty: episode
-// bounty is then computed against the original plan only, via env.Adv).
-// sample selects stochastic (training) vs greedy (inference) actions.
-func (p *Planner) RunEpisode(q *query.Query, env Environment, refs []Ref, sample bool) (*EpisodeResult, error) {
-	orig, err := p.OriginalEval(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunEpisodeFrom(q, orig, env, refs, sample)
-}
-
-// RunEpisodeFrom is RunEpisode starting from a pre-planned original plan
-// (lets callers cache the original). Stochastic actions draw from the
-// agent's own RNG, so concurrent callers must use RunEpisodeWithRng.
-func (p *Planner) RunEpisodeFrom(q *query.Query, orig *PlanEval, env Environment, refs []Ref, sample bool) (*EpisodeResult, error) {
-	return p.RunEpisodeWithRng(q, orig, env, refs, sample, p.Agent.Rng)
-}
-
-// RunEpisodeWithRng is RunEpisodeFrom with an explicit RNG for action
-// sampling. Episodes only read the agent's networks (forward passes), so any
-// number of episodes may run concurrently for the same agent as long as each
-// has its own RNG and no optimizer step runs meanwhile.
+// RunEpisodeWithRng is the walk: from orig, up to MaxSteps times, mask → Φ →
+// policy sample (rng) or greedy → edit → hinted replan → env.Prepare, keeping
+// each ICP visited for the first time in Candidates. Serving passes a nil env
+// and nil refs and stops here; training passes the environment and the bounty
+// references (empty: orig alone) that Score will read. The walk only reads
+// weights, so walks may run concurrently on one agent, each with its own rng,
+// while no optimizer step runs.
 func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environment, refs []Ref, sample bool, rng *rand.Rand) (*EpisodeResult, error) {
 	maxSteps := p.Cfg.MaxSteps
-	// Dynamic timeout needs the original latency in the real environment.
-	env.Prepare(orig, 0)
 	timeout := 0.0
-	if orig.HasLatency() {
-		timeout = orig.Latency * p.Cfg.TimeoutFactor
+	if env != nil {
+		// Dynamic timeout needs the original latency in the real environment.
+		env.Prepare(orig, 0)
+		if orig.HasLatency() {
+			timeout = orig.Latency * p.Cfg.TimeoutFactor
+		}
 	}
 
-	res := &EpisodeResult{Candidates: []*PlanEval{orig}, OrigLatency: orig.Latency}
+	res := &EpisodeResult{Candidates: []*PlanEval{orig}, OrigLatency: orig.Latency, env: env, refs: refs}
 	seen := map[string]bool{orig.ICP.Key(): true}
-	best := orig // CP̄: estimated optimal so far
 	cur := orig
 	var prevAction *plan.Action
 
 	for t := 1; t <= maxSteps; t++ {
 		mask := p.Space.Mask(cur.ICP, q, prevAction, p.Cfg.Mask)
-		if !anyTrue(mask) {
+		if !slices.Contains(mask, true) {
 			// fully restricted (can happen after a swap on a 2-table query
 			// whose parent override is a no-op); relax to the general mask
 			mask = p.Space.Mask(cur.ICP, q, nil, p.Cfg.Mask)
-			if !anyTrue(mask) {
+			if !slices.Contains(mask, true) {
 				break
 			}
 		}
-		stepStatus := cur.StepStatus(maxSteps)
-		sv := p.Agent.Phi.Forward(cur.Enc, stepStatus)
-		var actionIdx int
-		var logp float64
+		st := step{cur: cur, mask: mask, sv: p.Agent.phi.Forward(cur.Enc, cur.StepStatus(maxSteps))}
 		if sample {
-			actionIdx, logp = p.Agent.Policy.Sample(rng, sv, mask)
+			st.action, st.logp = p.Agent.policy.Sample(rng, st.sv, mask)
 		} else {
-			actionIdx = p.Agent.Policy.Greedy(sv, mask)
-			logp = 0
+			st.action = p.Agent.policy.Greedy(st.sv, mask)
 		}
-		value := p.Agent.Policy.Value(sv).Detach().Item()
-		action := p.Space.Decode(actionIdx + 1)
+		action := p.Space.Decode(st.action + 1)
 		nextICP, err := p.Space.Apply(cur.ICP, action)
 		if err != nil {
 			return nil, fmt.Errorf("planner: masked action slipped through: %w", err)
 		}
-		next, err := p.NewEval(q, nextICP, t)
-		if err != nil {
+		if st.next, err = p.NewEval(q, nextICP, t); err != nil {
 			return nil, err
 		}
-		env.Prepare(next, timeout)
+		if env != nil {
+			env.Prepare(st.next, timeout)
+		}
+		if key := nextICP.Key(); !seen[key] {
+			seen[key], st.isNew = true, true
+			res.Candidates = append(res.Candidates, st.next)
+		}
+		res.steps = append(res.steps, st)
+		prevAction = &action
+		cur = st.next
+	}
+	return res, nil
+}
 
-		// Reward = Penalty (+ Bounty if this ICP is new in the episode).
-		reward := -p.Cfg.PenaltyGamma * float64(t-plan.MinSteps(orig.ICP, nextICP))
-		isNew := !seen[nextICP.Key()]
-		if isNew {
-			seen[nextICP.Key()] = true
-			pb := float64(env.Adv(best, next, maxSteps))
-			bounty := pb
+// Score is the scoring pass over an episode walked with an environment: one
+// env.Adv per step tracks CP̄ (Final), and each step becomes a Transition
+// whose reward is the penalty plus, for an ICP new in the episode, the bounty
+// and on the last step the episode bounty. Adv and the critic consume no
+// randomness and read only what the walk fixed, so scoring after the walk
+// equals scoring inside it.
+func (p *Planner) Score(ep *EpisodeResult) {
+	maxSteps := p.Cfg.MaxSteps
+	orig := ep.Candidates[0]
+	best := orig
+	for i, st := range ep.steps {
+		t := i + 1
+		adv := ep.env.Adv(best, st.next, maxSteps)
+		if adv > 0 {
+			best = st.next
+		}
+		reward := -p.Cfg.PenaltyGamma * float64(t-plan.MinSteps(orig.ICP, st.next.ICP))
+		if st.isNew {
+			bounty := float64(adv)
 			if t == maxSteps {
-				// episode bounty applies only at the final step
-				finalBest := best
-				if env.Adv(best, next, maxSteps) > 0 {
-					finalBest = next
-				}
-				bounty += p.Cfg.Eta * p.episodeBounty(env, refs, orig, finalBest, maxSteps)
+				bounty += p.Cfg.Eta * p.episodeBounty(ep.env, ep.refs, orig, best, maxSteps)
 			}
 			reward += bounty
-			res.Candidates = append(res.Candidates, next)
 		}
-
-		if env.Adv(best, next, maxSteps) > 0 {
-			best = next
-		}
-
-		encCur, stCur := cur.Enc, stepStatus
-		res.Transitions = append(res.Transitions, rl.Transition{
-			Recompute: func() *nn.Tensor { return p.Agent.Phi.Forward(encCur, stCur) },
-			Mask:      mask,
-			Action:    actionIdx,
-			LogProb:   logp,
+		enc, status := st.cur.Enc, st.cur.StepStatus(maxSteps)
+		ep.Transitions = append(ep.Transitions, rl.Transition{
+			Recompute: func() *nn.Tensor { return p.Agent.Phi.Forward(enc, status) },
+			Mask:      st.mask,
+			Action:    st.action,
+			LogProb:   st.logp,
 			Reward:    reward,
-			Value:     value,
-			Done:      t == maxSteps,
+			Value:     p.Agent.policy.Value(st.sv).Item(),
+			Done:      i == len(ep.steps)-1,
 		})
-		prevAction = &action
-		cur = next
 	}
-	if len(res.Transitions) > 0 {
-		res.Transitions[len(res.Transitions)-1].Done = true
-	}
-	res.Final = best
-	return res, nil
+	ep.Final = best
 }
 
 // episodeBounty computes eb = Σ_i (D̂(adv_i) + adv_i/l) · (refb_{i-1} − refb_i)
@@ -331,15 +344,6 @@ func (p *Planner) episodeBounty(env Environment, refs []Ref, orig, final *PlanEv
 		prev = ref.RefB
 	}
 	return eb
-}
-
-func anyTrue(mask []bool) bool {
-	for _, m := range mask {
-		if m {
-			return true
-		}
-	}
-	return false
 }
 
 // Update runs one PPO update over collected transitions.

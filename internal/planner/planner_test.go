@@ -10,6 +10,7 @@ import (
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/planenc"
+	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/workload"
 )
 
@@ -29,11 +30,25 @@ func testPlanner(t *testing.T, maxSteps int) (*Planner, *workload.Workload, *exe
 	return &Planner{Cfg: cfg, Space: space, Enc: enc, Opt: opt, Agent: agent}, w, exec.New(w.DB)
 }
 
+// trainEpisode is all of Algorithm 1 for one query: the expert plan, a
+// sampled walk on the agent's own RNG, then the scoring pass.
+func trainEpisode(pl *Planner, q *query.Query, env Environment) (*EpisodeResult, error) {
+	orig, err := pl.OriginalEval(q)
+	if err != nil {
+		return nil, err
+	}
+	ep, err := pl.RunEpisodeWithRng(q, orig, env, nil, true, pl.Agent.Rng)
+	if err == nil {
+		pl.Score(ep)
+	}
+	return ep, err
+}
+
 func TestEpisodeBasicsRealEnv(t *testing.T) {
 	pl, w, ex := testPlanner(t, 3)
 	env := &RealEnv{Exec: ex}
 	q := w.Train[0]
-	ep, err := pl.RunEpisode(q, env, nil, true)
+	ep, err := trainEpisode(pl, q, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +78,7 @@ func TestEpisodeBasicsRealEnv(t *testing.T) {
 func TestEpisodeCandidatesAreDistinctICPs(t *testing.T) {
 	pl, w, ex := testPlanner(t, 4)
 	env := &RealEnv{Exec: ex}
-	ep, err := pl.RunEpisode(w.Train[2], env, nil, true)
+	ep, err := trainEpisode(pl, w.Train[2], env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +97,7 @@ func TestEpisodeFinalNeverWorseUnderTrueAdv(t *testing.T) {
 	pl, w, ex := testPlanner(t, 3)
 	env := &RealEnv{Exec: ex}
 	for _, q := range w.Train[:8] {
-		ep, err := pl.RunEpisode(q, env, nil, true)
+		ep, err := trainEpisode(pl, q, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +119,7 @@ func TestPenaltyIsNonPositive(t *testing.T) {
 	env := &RealEnv{Exec: ex}
 	maxBounty := 2.0 + pl.Cfg.Eta*2.0
 	for _, q := range w.Train[:5] {
-		ep, err := pl.RunEpisode(q, env, nil, true)
+		ep, err := trainEpisode(pl, q, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +139,7 @@ func TestRepeatedICPGetsNoBounty(t *testing.T) {
 	env := &RealEnv{Exec: ex}
 	sawRevisit := false
 	for _, q := range w.Train[:20] {
-		ep, err := pl.RunEpisode(q, env, nil, true)
+		ep, err := trainEpisode(pl, q, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +159,7 @@ func TestSimEnvNeedsNoExecution(t *testing.T) {
 	netCfg := aam.StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
 	model := aam.NewModel(rand.New(rand.NewSource(4)), netCfg, pl.Enc.NumTables, pl.Enc.NumCols)
 	env := &SimEnv{Model: model, MaxSteps: 3}
-	ep, err := pl.RunEpisode(w.Train[1], env, nil, true)
+	ep, err := trainEpisode(pl, w.Train[1], env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +179,7 @@ func TestSelectBestTemporalOrder(t *testing.T) {
 	netCfg := aam.StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
 	model := aam.NewModel(rand.New(rand.NewSource(5)), netCfg, pl.Enc.NumTables, pl.Enc.NumCols)
 	env := &RealEnv{Exec: ex}
-	ep, err := pl.RunEpisode(w.Train[0], env, nil, true)
+	ep, err := trainEpisode(pl, w.Train[0], env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +199,7 @@ func TestUpdateChangesPolicy(t *testing.T) {
 	_ = trans
 	var all []EpisodeResult
 	for _, q := range w.Train[:6] {
-		ep, err := pl.RunEpisode(q, env, nil, true)
+		ep, err := trainEpisode(pl, q, env)
 		if err != nil {
 			t.Fatal(err)
 		}

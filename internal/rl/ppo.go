@@ -46,6 +46,13 @@ func (p *Policy) Params() []*nn.Tensor {
 	return append(p.Actor.Params(), p.Critic.Params()...)
 }
 
+// Frozen returns the heads' frozen view (see package nn): collection-time
+// forwards (Sample, Greedy, the Value a Transition records) belong on it;
+// Update trains the policy itself.
+func (p *Policy) Frozen() *Policy {
+	return &Policy{Actor: p.Actor.Frozen(), Critic: p.Critic.Frozen()}
+}
+
 // Logits returns masked action logits for a state vector.
 func (p *Policy) Logits(statevec *nn.Tensor, mask []bool) *nn.Tensor {
 	logits := p.Actor.Forward(statevec)
@@ -63,8 +70,7 @@ func (p *Policy) Value(statevec *nn.Tensor) *nn.Tensor {
 // Sample draws an action from the masked policy distribution; returns the
 // action and its log-probability. Exploration is the caller's rng.
 func (p *Policy) Sample(rng *rand.Rand, statevec *nn.Tensor, mask []bool) (int, float64) {
-	logits := p.Logits(statevec, mask).Detach()
-	probs := softmax(logits.Data)
+	probs := softmax(p.Logits(statevec, mask).Data)
 	u := rng.Float64()
 	acc := 0.0
 	for i, pr := range probs {
@@ -84,9 +90,8 @@ func (p *Policy) Sample(rng *rand.Rand, statevec *nn.Tensor, mask []bool) (int, 
 
 // Greedy returns the argmax legal action.
 func (p *Policy) Greedy(statevec *nn.Tensor, mask []bool) int {
-	logits := p.Logits(statevec, mask).Detach()
 	best, bi := math.Inf(-1), 0
-	for i, v := range logits.Data {
+	for i, v := range p.Logits(statevec, mask).Data {
 		if (mask == nil || mask[i]) && v > best {
 			best, bi = v, i
 		}

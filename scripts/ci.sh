@@ -73,6 +73,11 @@ else
   go test -race ./...
 fi
 
+echo "== frozen views: the live replica scores through its view while the standby trains (-race) =="
+# No package-level grad switch and no shared tensor: the detector must stay
+# silent, and the same view must serve the mirrored weights afterwards.
+go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./internal/aam/
+
 echo "== determinism: Workers=1 vs sequential, parallel replay =="
 # TestWorkersZeroAndOneIdentical: Workers<=1 selects the sequential path.
 # TestParallelTrainingDeterministic: two Workers=3 runs must be bit-identical.
@@ -120,11 +125,15 @@ go test -count=1 ./internal/tier/
 go test -race -count=1 -run 'TestTier|TestHotSwap' ./internal/service/
 go test -count=1 -run 'TestTierMemorySurvivesRestart' ./internal/core/
 
-echo "== alloc gates: tier-0 serve is allocation-free (metrics recording included), batched scoring bounded =="
+echo "== alloc gates: tier-0 serve is allocation-free (metrics recording included), tier-2 miss and batched scoring bounded =="
 # Run without -race (instrumentation changes the counts; the tests skip
 # themselves under the detector). TestTier0ServeZeroAllocs now runs with the
 # latency histogram recording on its path: metrics must stay free.
+# TestServeMissAllocsBounded / TestScoreBatchAllocsBounded: a miss walks the
+#   episode only and every serve-time forward runs on a frozen view (no
+#   autograd graph); going back to either costs several times the budget.
 go test -count=1 -run 'TestTier0ServeZeroAllocs' ./internal/service/
+go test -count=1 -run 'TestServeMissAllocsBounded' ./internal/core/
 go test -count=1 -run 'TestHistogramObserveZeroAllocs' ./internal/metrics/
 go test -count=1 -run 'TestScoreBatchAllocsBounded' ./internal/aam/
 
