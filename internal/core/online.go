@@ -105,7 +105,7 @@ func (s *System) RecoverOnline(cfg service.Config, st *store.Store) (RecoveryInf
 	return RecoveryInfo{
 		Recovered:      true,
 		Checkpoint:     rec.Manifest.Checkpoint,
-		Epoch:          rec.Checkpoint.Epoch,
+		Epoch:          s.online.Epoch(),
 		CatalogEpoch:   s.CatalogEpoch(),
 		BufferRestored: len(rec.Checkpoint.Buffer),
 		WALReplayed:    n,

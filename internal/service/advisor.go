@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+
+	"github.com/foss-db/foss/internal/tier"
 )
 
 // Finding kinds emitted by the advisor.
@@ -341,6 +343,19 @@ func (a *advisor) snapshot() []Finding {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]Finding(nil), a.findings...)
+}
+
+// offer stamps obs with the loop's cumulative counters and hands it to the
+// advisor (if any) without blocking: a saturated advisor drops (and counts)
+// the observation rather than slowing the path that produced it.
+func (lp *Loop) offer(obs advisorObs) {
+	if lp.adv == nil {
+		return
+	}
+	// Tier-0 hits before served, the order Stats reads them in.
+	obs.t0Hits = lp.srv.hist[tier.Tier0].Snapshot().Count()
+	obs.catEpoch, obs.served = lp.cat.epoch.Load(), lp.srv.served.Load()
+	lp.adv.offer(obs)
 }
 
 // AdvisorEnabled reports whether the loop runs an advisor.

@@ -44,6 +44,8 @@ type fakeReplica struct {
 	// execNaN makes Execute refuse the plan the way a replica does once a
 	// DDL dropped schema the plan depends on.
 	execNaN atomic.Bool
+	// saveFail makes Save fail, so no checkpoint of this replica can land.
+	saveFail atomic.Bool
 
 	trains atomic.Int64
 	saves  atomic.Int64
@@ -140,8 +142,14 @@ func (f *fakeReplica) TrainOnContext(ctx context.Context, qs []*query.Query, ite
 	return nil
 }
 
-func (f *fakeReplica) Save() ([]byte, error) { f.saves.Add(1); return []byte(f.name), nil }
-func (f *fakeReplica) Load([]byte) error     { f.loads.Add(1); return nil }
+func (f *fakeReplica) Save() ([]byte, error) {
+	if f.saveFail.Load() {
+		return nil, errors.New("fake: save refused")
+	}
+	f.saves.Add(1)
+	return []byte(f.name), nil
+}
+func (f *fakeReplica) Load([]byte) error { f.loads.Add(1); return nil }
 
 func (f *fakeReplica) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 	return &plan.CP{}, time.Microsecond, nil
@@ -205,7 +213,7 @@ func TestRecordJournalsAndReplays(t *testing.T) {
 	if stats.WALEntries != 3 || stats.WALErrors != 0 {
 		t.Fatalf("wal entries %d errors %d, want 3/0", stats.WALEntries, stats.WALErrors)
 	}
-	liveWindow := lp.det.WindowState()
+	liveWindow := lp.lrn.det.WindowState()
 	st.Close()
 
 	// Replay into a fresh loop (fresh store handle over the same dir).
@@ -238,7 +246,7 @@ func TestRecordJournalsAndReplays(t *testing.T) {
 	if got := green2.buf.Size(); got != 3 {
 		t.Fatalf("standby buffer rebuilt with %d executions, want 3", got)
 	}
-	replayWindow := lp2.det.WindowState()
+	replayWindow := lp2.lrn.det.WindowState()
 	if replayWindow.Mean != liveWindow.Mean || replayWindow.NovelFrac != liveWindow.NovelFrac {
 		t.Fatalf("replayed window %+v != live window %+v", replayWindow, liveWindow)
 	}
@@ -345,7 +353,7 @@ func TestLoopSwapsOnRegression(t *testing.T) {
 			green.saves.Load(), blue.loads.Load())
 	}
 	// the drift window must restart clean after the swap
-	if win := lp.det.WindowState(); win.Mean != 0 {
+	if win := lp.lrn.det.WindowState(); win.Mean != 0 {
 		t.Fatalf("detector window survived the swap: %+v", win)
 	}
 	// feedback reached both buffers

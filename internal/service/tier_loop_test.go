@@ -308,7 +308,7 @@ func TestTierDecisionsDeterministic(t *testing.T) {
 
 // TestTierStateRebuiltByReplay: WAL replay re-derives the identical tier
 // state from the feedback stream alone — pins, win streaks, and regression
-// latches — without consulting the journaled promote/demote records.
+// latches; promotions and demotions are not journaled.
 func TestTierStateRebuiltByReplay(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)

@@ -25,23 +25,23 @@ const (
 	// latency — appended by Record before the feedback enters the execution
 	// buffer.
 	KindFeedback RecordKind = iota
-	// KindSwap journals a completed hot-swap (epoch bump). Replay uses it to
-	// reset the drift detector's rolling window at the same points the live
-	// loop did.
+	// KindSwap journals a hot-swap and the serving epoch it published. Replay
+	// publishes at the same point in the stream — cooldown, plan memory and
+	// the drift window restart where the live loop's did — and never resumes
+	// below the journaled epoch.
 	KindSwap
-	// KindPromote journals a fingerprint's plan entering tier-0 plan memory
-	// (its observed latency beat the expert baseline over the promotion
-	// streak). Informational: replay re-derives promotions from the feedback
-	// records themselves, so these records exist for auditability, not state.
+	// KindPromote and KindDemote are reserved: tier promotions/demotions were
+	// once journaled under them, but no reader ever consumed the records
+	// (plan memory re-derives from the feedback stream). Nothing writes them;
+	// replay skips them so existing journals still recover, and the values
+	// stay allocated so KindDDL keeps its number.
 	KindPromote
-	// KindDemote journals a pinned plan's escalation back to tier 2 after a
-	// latency regression. Informational, like KindPromote.
 	KindDemote
 	// KindDDL journals one applied schema-evolution batch: the DDL statements
 	// themselves plus the serving epoch the apply published. Replay re-applies
 	// the batch to the catalog at the same point in the feedback stream the
 	// live loop did, so recovered state is planned against the same schema
-	// generations.
+	// generations, at an epoch no lower than the journaled one.
 	KindDDL
 )
 

@@ -97,10 +97,6 @@ type Decision struct {
 type Outcome struct {
 	Promoted bool
 	Demoted  bool
-	// Pin and PinLatency identify the promoted plan when Promoted (for WAL
-	// journaling).
-	Pin        *planner.PlanEval
-	PinLatency float64
 }
 
 // Memory is the tier router's state: pinned tier-0 plans, cached tier-1
@@ -227,7 +223,7 @@ func (m *Memory) Observe(id runtime.Identity, fp uint64, q *query.Query, pe *pla
 	if m.cfg.Memory && !h.Regressed && !pinned && h.Wins >= m.cfg.PromoteAfter && h.best != nil && h.bestID == id {
 		m.pins[key] = h.best
 		m.pinLat[key] = h.bestLat
-		return Outcome{Promoted: true, Pin: h.best, PinLatency: h.bestLat}
+		return Outcome{Promoted: true}
 	}
 	return Outcome{}
 }

@@ -29,6 +29,12 @@ unformatted=$(gofmt -l .)
 echo "== no deprecated twins in non-test Go =="
 if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd foss.go; then echo "FAIL: Deprecated: marker in non-test Go (delete the twin and migrate its callers)"; exit 1; fi
 
+echo "== one journaling site in internal/service =="
+# Every live transition journals through journal.append; a second
+# WAL().Append call is a forked journaling path replay will not know about.
+wal_sites=$(grep -n 'WAL().Append(' internal/service/*.go | grep -v '_test\.go:' || true)
+[[ $(grep -c . <<<"$wal_sites") -eq 1 ]] || { printf 'FAIL: want exactly one WAL().Append( in non-test internal/service, found:\n%s\n' "$wal_sites"; exit 1; }
+
 echo "== fosslint: repo invariants (clean tree, firing fixtures, self-check) =="
 # The static-analysis gate runs before any test gate: it is the cheapest
 # whole-module check and its findings usually explain later test failures.
@@ -86,6 +92,9 @@ go test -count=1 -run 'TestWorkersZeroAndOneIdentical|TestParallelTrainingDeterm
 echo "== determinism: online loop replay =="
 # TestOnlineRunDeterministic: two full drift-adapt runs must be bit-identical.
 go test -count=1 -run 'TestOnlineRunDeterministic' ./internal/core/
+# TestReplayEquivalentToLive: a journal replayed into a fresh loop lands in
+#   the live loop's state (feedback, swap, DDL; crash-before-checkpoint tails).
+go test -count=1 -run 'TestReplayEquivalentToLive' ./internal/service/
 
 echo "== backend parity: selinger golden + cross-backend doctor loop + batch == serve =="
 # TestSelingerGoldenBitIdentical: the Backend refactor must stay bit-identical
