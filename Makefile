@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint ci ci-quick bench bench-all clean
+.PHONY: all build test race vet lint ci ci-quick bench bench-compare paper clean
 
 all: build
 
@@ -21,25 +21,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full verification pipeline: vet + build + race tests + determinism checks
-# (+ the workers=4 speedup measurement on multi-core machines).
+# Full verification pipeline: vet + lint + build + every test once under the
+# race detector + the process-level gates + bench-compare against HEAD~1.
 ci:
 	scripts/ci.sh
 
 ci-quick:
 	scripts/ci.sh --quick
 
-# Perf snapshot: parallel-training + online-serving + tiered-serving +
-# durability (checkpoint, WAL replay) + sharded
-# multi-tenant serving benchmarks plus the fosslint wall-time figure,
-# written to BENCH_10.json (see scripts/bench.sh; BENCHTIME=3x make bench
-# for longer runs, CPUS=1,2,4 to sweep GOMAXPROCS).
+# The repo's one benchmark: four workloads, both passes, every metric
+# BENCHMARK.json names (see benchmark/README.md).
 bench:
-	scripts/bench.sh
+	$(GO) run ./benchmark
 
-# Every benchmark in the repo, one iteration each (paper tables/figures).
-bench-all:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+# Is this tree slower than BASE? PAIRS (default 10) seed-matched alternating
+# runs per side, judged by `benchmark -compare`; exit 1 on REGRESSED.
+bench-compare:
+	scripts/bench-compare.sh $(BASE) $(PAIRS)
+
+# Every table and figure of the paper at reduced training budgets.
+paper:
+	$(GO) run ./cmd/fossbench -fast all
 
 clean:
 	$(GO) clean ./...

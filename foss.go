@@ -63,12 +63,14 @@
 // /v1/t/{tenant}/optimize, /feedback, /stats, and /checkpoint as a JSON
 // HTTP service (see internal/service and the README's endpoint reference).
 //
-// Observability rides on the same surface: GET /metrics is a dependency-free
-// Prometheus text scrape (per-tier serve-latency histograms plus every loop
-// counter; tenant-labeled under the fleet server), GET /v1/explain/{serve_id}
+// Observability rides on the same surface. The fleet's aggregates are the
+// un-prefixed paths: GET /metrics is a dependency-free Prometheus text scrape
+// (per-tier serve-latency histograms plus every loop counter, tenant-labeled)
+// and GET /v1/stats the roll-up. Per-doctor reads live under the tenant prefix
+// — /v1/t/default/… on a fleet of one: GET /v1/t/{tenant}/explain/{serve_id}
 // reconstructs why a served plan won (served vs expert, hint diff, tier
-// decision, per-candidate AAM scores), and GET /v1/advisor reports the async
-// advisor's structured findings — see AdvisorConfig and Finding.
+// decision, per-candidate AAM scores), and GET /v1/t/{tenant}/advisor reports
+// the async advisor's structured findings — see AdvisorConfig and Finding.
 //
 // Durable serving: attach a state directory and the doctor's accumulated
 // experience survives restarts — every Record journals to a feedback WAL
@@ -176,18 +178,12 @@ type Option = core.Option
 // default Selinger engine.
 func WithBackend(b Backend) Option { return core.WithBackend(b) }
 
-// WithWorkers overrides Config.Workers.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
-
-// WithPlanCache overrides Config.PlanCache.
-func WithPlanCache(entries int) Option { return core.WithPlanCache(entries) }
-
 // DefaultConfig returns the paper-mirroring configuration at repository
 // scale.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// New assembles a FOSS system over a loaded workload. Functional options
-// select the backend and override serving-oriented tunables.
+// New assembles a FOSS system over a loaded workload. WithBackend selects
+// the optimizer backend; every tunable is a Config field.
 func New(w *Workload, cfg Config, opts ...Option) (*System, error) { return core.New(w, cfg, opts...) }
 
 // NewBackend constructs a registered backend ("selinger", "gaussim") over a

@@ -90,27 +90,15 @@ func DefaultConfig() Config {
 type Option func(*options)
 
 type options struct {
-	backend   backend.Backend
-	workers   *int
-	planCache *int
-	pool      *runtime.Pool
-	world     *catalogWorld
+	backend backend.Backend
+	pool    *runtime.Pool
+	world   *catalogWorld
 }
 
 // WithBackend builds the system over an explicit optimizer backend instead
 // of the default Selinger engine.
 func WithBackend(b backend.Backend) Option {
 	return func(o *options) { o.backend = b }
-}
-
-// WithWorkers overrides Config.Workers.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = &n }
-}
-
-// WithPlanCache overrides Config.PlanCache.
-func WithPlanCache(entries int) Option {
-	return func(o *options) { o.planCache = &entries }
 }
 
 // withWorld shares an existing live-catalog world instead of minting a fresh
@@ -174,12 +162,6 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.workers != nil {
-		cfg.Workers = *o.workers
-	}
-	if o.planCache != nil {
-		cfg.PlanCache = *o.planCache
 	}
 	if o.pool != nil {
 		// Width and Workers must agree for the learner's per-worker RNG
@@ -329,7 +311,9 @@ func (s *System) SetBackend(b backend.Backend) error {
 
 // TrainContext runs the simulated-learner loop with the serving path
 // quiesced; any cached plans are invalidated afterwards since the models
-// changed. progress may be nil. Cancellation is honored between episodes; a
+// changed. progress may be nil; it runs inside the quiesced section, so an
+// Optimize* call from it waits on the training lock forever — evaluate
+// through s.Learner there. Cancellation is honored between episodes; a
 // canceled training run leaves the models mid-schedule but structurally
 // consistent (updates are applied between episodes, never during one).
 func (s *System) TrainContext(ctx context.Context, progress func(learner.IterStats)) error {

@@ -67,9 +67,6 @@ func ExpertName(backendName string) string {
 	return "PostgreSQL"
 }
 
-// DefaultOpts is the standard configuration used by cmd/fossbench.
-func DefaultOpts() Opts { return Opts{Scale: 0.5, Seed: 1} }
-
 // ---- method adapters ----
 
 type pgMethod struct {
@@ -118,8 +115,17 @@ func (f *fossMethod) Train(onStep func(int)) error {
 	})
 }
 
+// Plan asks the learner directly: Fig. 5 and Fig. 9 evaluate from inside the
+// training callback, where System.OptimizeContext would wait on the training
+// lock forever (see TrainContext). Experiments are single-threaded and
+// uncached, so the runtime would add only that lock and a cache-key hash.
 func (f *fossMethod) Plan(q *query.Query) (*plan.CP, time.Duration, error) {
-	return f.sys.OptimizeContext(context.Background(), q)
+	start := time.Now()
+	pe, err := f.sys.Learner.Optimize(context.Background(), q)
+	if err != nil {
+		return nil, 0, err
+	}
+	return pe.CP, time.Since(start), nil
 }
 
 func (f *fossMethod) KnownBest() map[string]float64 {
