@@ -37,45 +37,6 @@ func Rows(a *Tensor, start, n int) *Tensor {
 	return out
 }
 
-// ConcatRows stacks 2-D tensors with equal column counts along dimension 0.
-// Unlike VStack (which requires single-row inputs) the inputs may have any
-// number of rows each.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("nn: ConcatRows of nothing")
-	}
-	cols := ts[0].Shape[1]
-	total := 0
-	for _, t := range ts {
-		if len(t.Shape) != 2 || t.Shape[1] != cols {
-			panic("nn: ConcatRows column mismatch")
-		}
-		total += t.Shape[0]
-	}
-	d := make([]float64, total*cols)
-	off := 0
-	for _, t := range ts {
-		copy(d[off:off+len(t.Data)], t.Data)
-		off += len(t.Data)
-	}
-	out := newResult("concatrows", d, []int{total, cols}, ts...)
-	if out.parents != nil {
-		out.backFn = func() {
-			off := 0
-			for _, t := range ts {
-				if t.RequiresGrad || t.parents != nil {
-					t.ensureGrad()
-					for i := range t.Data {
-						t.Grad[i] += out.Grad[off+i]
-					}
-				}
-				off += len(t.Data)
-			}
-		}
-	}
-	return out
-}
-
 // SegmentMean averages consecutive row segments of a [ΣSeq, cols] tensor:
 // segment i covers lengths[i] rows, and the result is [len(lengths), cols].
 // Rows are summed in order, so segment i's output is bit-identical to
@@ -197,35 +158,146 @@ func (s *BlockScratch) Release() {
 
 // ForwardBlocks computes masked self-attention independently within each
 // block of the row-stacked input x [ΣSeq, dim], sharing the Q/K/V/output
-// projection matmuls across blocks. Attention never crosses block
-// boundaries, and each block's output rows are bit-identical to Forward on
-// that block alone.
+// projections across blocks. Attention never crosses block boundaries, and
+// each block's output rows are bit-identical to Forward on that block alone.
 func (m *MultiHeadAttention) ForwardBlocks(x *Tensor, blocks []Block) *Tensor {
-	dim := x.Shape[1]
-	dh := dim / m.Heads
-	q := m.WQ.Forward(x)
-	k := m.WK.Forward(x)
-	v := m.WV.Forward(x)
+	return m.WO.Forward(attention(m.WQ.Forward(x), m.WK.Forward(x), m.WV.Forward(x), m.Heads, blocks))
+}
+
+// attention is masked multi-head scaled-dot-product attention as one op over
+// row-stacked q, k, v [ΣSeq, dim] (the three projections of one input, hence
+// tracked or frozen together): per block and head, softmax(q·kᵀ/√dh, masked
+// positions at -1e9)·v, heads read in place by stride and written side by
+// side into one [ΣSeq, dim] output. blocks must tile the rows in order; the
+// slice is not retained.
+func attention(q, k, v *Tensor, heads int, blocks []Block) *Tensor {
+	rows, dim := q.Shape[0], q.Shape[1]
+	dh := dim / heads
 	scale := 1 / math.Sqrt(float64(dh))
-	outBlocks := make([]*Tensor, len(blocks))
-	for bi, b := range blocks {
-		qb := Rows(q, b.Start, b.N)
-		kb := Rows(k, b.Start, b.N)
-		vb := Rows(v, b.Start, b.N)
-		heads := make([]*Tensor, m.Heads)
-		for h := 0; h < m.Heads; h++ {
-			qh := Cols(qb, h*dh, dh)
-			kh := Cols(kb, h*dh, dh)
-			vh := Cols(vb, h*dh, dh)
-			scores := Scale(MatMul(qh, TransposeT(kh)), scale)
-			if b.Mask != nil {
-				scores = MaskedFill(scores, b.Mask, -1e9)
-			}
-			heads[h] = MatMul(Softmax(scores), vh)
+	next, maxN, sumSq := 0, 0, 0
+	for _, b := range blocks {
+		if b.Start != next || (b.Mask != nil && len(b.Mask) != b.N*b.N) {
+			panic("nn: attention blocks must tile the rows in order, each mask N×N")
 		}
-		outBlocks[bi] = Concat(heads...)
+		next += b.N
+		maxN = max(maxN, b.N)
+		sumSq += b.N * b.N
 	}
-	return m.WO.Forward(ConcatRows(outBlocks...))
+	if next != rows || len(k.Data) != len(q.Data) || len(v.Data) != len(q.Data) {
+		panic("nn: attention blocks or operands do not cover the rows")
+	}
+	graph := needsGraph(q, k, v)
+	// Each block's keys transposed, [dim, N] at offset Start*dim: head h's kᵀ
+	// is rows [h*dh, (h+1)*dh) of it, so the scores are a plain a·b product.
+	kT := make([]float64, rows*dim)
+	// The softmax weights: one [N, N] per block and head when the backward
+	// needs them, one scratch reused by every head when it does not.
+	var probs []float64
+	if graph {
+		probs = make([]float64, heads*sumSq)
+	} else {
+		probs = make([]float64, maxN*maxN)
+	}
+	d := make([]float64, rows*dim)
+	po := 0
+	for _, b := range blocks {
+		n, base := b.N, b.Start*dim
+		if n == 0 {
+			continue
+		}
+		for r := 0; r < n; r++ {
+			for c := 0; c < dim; c++ {
+				kT[base+c*n+r] = k.Data[base+r*dim+c]
+			}
+		}
+		for h := 0; h < heads; h++ {
+			hb := base + h*dh
+			p := probs[po : po+n*n]
+			if graph {
+				po += n * n
+			} else {
+				clear(p)
+			}
+			gemm(p, n, q.Data[hb:], dim, 1, kT[base+h*dh*n:], n, n, dh, n)
+			for i := range p {
+				p[i] *= scale
+				if b.Mask != nil && !b.Mask[i] {
+					p[i] = -1e9
+				}
+			}
+			for i := 0; i < n; i++ {
+				softmaxRow(p[i*n:(i+1)*n], p[i*n:(i+1)*n])
+			}
+			gemm(d[hb:], dim, p, n, 1, v.Data[hb:], dim, n, n, dh)
+		}
+	}
+	out := newResult("attention", d, []int{rows, dim}, q, k, v)
+	if out.parents != nil {
+		bs := append([]Block(nil), blocks...)
+		out.backFn = func() { attentionBackward(out.Grad, q, k, v, kT, probs, heads, maxN, scale, bs) }
+	}
+	return out
+}
+
+// attentionBackward adds attention's input gradients to q.Grad, k.Grad and
+// v.Grad given g, the gradient of its output. Every element is built the way
+// the op-by-op chain built it: each head's contribution summed from zero in
+// the chain's index order, then added to the input's accumulator once.
+func attentionBackward(g []float64, q, k, v *Tensor, kT, probs []float64, heads, maxN int, scale float64, blocks []Block) {
+	q.ensureGrad()
+	k.ensureGrad()
+	v.ensureGrad()
+	dim := q.Shape[1]
+	dh := dim / heads
+	ds := make([]float64, maxN*maxN) // one head's d(probs), then d(scores)
+	tmp := make([]float64, maxN*dh)  // one head's dV [N, dh], then dKᵀ [dh, N]
+	po := 0
+	for _, b := range blocks {
+		n, base := b.N, b.Start*dim
+		if n == 0 {
+			continue
+		}
+		for h := 0; h < heads; h++ {
+			hb := base + h*dh
+			p := probs[po : po+n*n]
+			po += n * n
+			dp, dv := ds[:n*n], tmp[:n*dh]
+			clear(dp)
+			gemmNT(dp, n, g[hb:], dim, v.Data[hb:], dim, n, n, dh)
+			clear(dv)
+			gemm(dv, dh, p, 1, n, g[hb:], dim, n, n, dh)
+			for j := 0; j < n; j++ {
+				for c := 0; c < dh; c++ {
+					v.Grad[hb+j*dim+c] += dv[j*dh+c]
+				}
+			}
+			// Through softmax, the mask (no gradient into a masked score) and
+			// the 1/√dh scale, in place: dp becomes d(q·kᵀ).
+			for i := 0; i < n; i++ {
+				pr, dr := p[i*n:(i+1)*n], dp[i*n:(i+1)*n]
+				dot := 0.0
+				for j := range pr {
+					dot += pr[j] * dr[j]
+				}
+				for j := range pr {
+					if b.Mask != nil && !b.Mask[i*n+j] {
+						dr[j] = 0
+					} else {
+						dr[j] = pr[j] * (dr[j] - dot) * scale
+					}
+				}
+			}
+			gemmNT(q.Grad[hb:], dim, dp, n, kT[base+h*dh*n:], n, n, dh, n)
+			dk := tmp[:dh*n]
+			clear(dk)
+			gemm(dk, n, q.Data[hb:], 1, dim, dp, n, dh, n, n)
+			for j := 0; j < n; j++ {
+				for c := 0; c < dh; c++ {
+					k.Grad[hb+j*dim+c] += dk[c*n+j]
+				}
+			}
+		}
+	}
 }
 
 // ForwardBlocks applies the encoder block to a row-stacked batch: layer

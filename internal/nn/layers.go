@@ -28,9 +28,38 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	return &Linear{W: w.Param(), B: Zeros(1, out).Param()}
 }
 
-// Forward applies the layer to a [batch, in] input.
+// Forward applies the layer to a [batch, in] input as one fused affine op:
+// the product, then the bias, into a single buffer, with a single backward.
 func (l *Linear) Forward(x *Tensor) *Tensor {
-	return AddRowVector(MatMul(x, l.W), l.B)
+	w, b := l.W, l.B
+	if len(x.Shape) != 2 || x.Shape[1] != w.Shape[0] {
+		panic(fmt.Sprintf("nn: Linear shape mismatch %v x %v", x.Shape, w.Shape))
+	}
+	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
+	d := make([]float64, m*n)
+	gemm(d, n, x.Data, k, 1, w.Data, n, m, k, n)
+	bias := b.Data[:n]
+	for i := 0; i < m; i++ {
+		row := d[i*n : (i+1)*n]
+		for j := range row {
+			row[j] += bias[j]
+		}
+	}
+	out := newResult("affine", d, []int{m, n}, x, w, b)
+	if out.parents != nil {
+		out.backFn = func() {
+			if b.RequiresGrad || b.parents != nil {
+				b.ensureGrad()
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						b.Grad[j] += out.Grad[i*n+j]
+					}
+				}
+			}
+			matMulBackward(out.Grad, x, w, m, k, n)
+		}
+	}
+	return out
 }
 
 // Params implements Module.
@@ -64,12 +93,17 @@ func NewEmbedding(rng *rand.Rand, vocab, dim int) *Embedding {
 func (e *Embedding) Forward(ids []int) *Tensor {
 	vocab, dim := e.W.Shape[0], e.W.Shape[1]
 	d := make([]float64, len(ids)*dim)
-	clamped := make([]int, len(ids))
+	var clamped []int // backward-only
+	if needsGraph(e.W) {
+		clamped = make([]int, len(ids))
+	}
 	for i, id := range ids {
 		if id < 0 || id >= vocab {
 			id = vocab - 1
 		}
-		clamped[i] = id
+		if clamped != nil {
+			clamped[i] = id
+		}
 		copy(d[i*dim:(i+1)*dim], e.W.Data[id*dim:(id+1)*dim])
 	}
 	out := newResult("embed", d, []int{len(ids), dim}, e.W)
@@ -109,11 +143,14 @@ func NewLayerNorm(dim int) *LayerNorm {
 func (l *LayerNorm) Forward(x *Tensor) *Tensor {
 	rows, dim := x.Shape[0], x.Shape[1]
 	d := make([]float64, rows*dim)
-	means := make([]float64, rows)
-	invstd := make([]float64, rows)
-	norm := make([]float64, rows*dim)
+	var invstd, norm []float64 // backward-only
+	if needsGraph(x, l.Gamma, l.Beta) {
+		invstd = make([]float64, rows)
+		norm = make([]float64, rows*dim)
+	}
+	gamma, beta := l.Gamma.Data[:dim], l.Beta.Data[:dim]
 	for r := 0; r < rows; r++ {
-		row := x.Data[r*dim : (r+1)*dim]
+		row, dr := x.Data[r*dim:(r+1)*dim], d[r*dim:(r+1)*dim]
 		m := 0.0
 		for _, v := range row {
 			m += v
@@ -125,11 +162,15 @@ func (l *LayerNorm) Forward(x *Tensor) *Tensor {
 		}
 		vr /= float64(dim)
 		is := 1 / math.Sqrt(vr+l.Eps)
-		means[r], invstd[r] = m, is
 		for j, v := range row {
 			n := (v - m) * is
-			norm[r*dim+j] = n
-			d[r*dim+j] = n*l.Gamma.Data[j] + l.Beta.Data[j]
+			dr[j] = n*gamma[j] + beta[j]
+			if norm != nil {
+				norm[r*dim+j] = n
+			}
+		}
+		if invstd != nil {
+			invstd[r] = is
 		}
 	}
 	out := newResult("layernorm", d, x.Shape, x, l.Gamma, l.Beta)
@@ -204,26 +245,9 @@ func NewMultiHeadAttention(rng *rand.Rand, dim, heads int) *MultiHeadAttention {
 }
 
 // Forward computes masked self-attention for x [seq, dim]. mask may be nil
-// (full attention).
+// (full attention). It is ForwardBlocks over the single block [0, seq).
 func (m *MultiHeadAttention) Forward(x *Tensor, mask []bool) *Tensor {
-	dh := x.Shape[1] / m.Heads
-	q := m.WQ.Forward(x)
-	k := m.WK.Forward(x)
-	v := m.WV.Forward(x)
-	heads := make([]*Tensor, m.Heads)
-	scale := 1 / math.Sqrt(float64(dh))
-	for h := 0; h < m.Heads; h++ {
-		qh := Cols(q, h*dh, dh)
-		kh := Cols(k, h*dh, dh)
-		vh := Cols(v, h*dh, dh)
-		scores := Scale(MatMul(qh, TransposeT(kh)), scale) // [seq, seq]
-		if mask != nil {
-			scores = MaskedFill(scores, mask, -1e9)
-		}
-		attn := Softmax(scores)
-		heads[h] = MatMul(attn, vh) // [seq, dh]
-	}
-	return m.WO.Forward(Concat(heads...))
+	return m.ForwardBlocks(x, []Block{{N: x.Shape[0], Mask: mask}})
 }
 
 // Frozen returns the attention layer's frozen view (see the package comment).
@@ -258,29 +282,6 @@ func Cols(a *Tensor, start, n int) *Tensor {
 			for r := 0; r < rows; r++ {
 				for j := 0; j < n; j++ {
 					a.Grad[r*cols+start+j] += out.Grad[r*n+j]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// TransposeT returns the transpose of a 2-D tensor.
-func TransposeT(a *Tensor) *Tensor {
-	rows, cols := a.Shape[0], a.Shape[1]
-	d := make([]float64, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			d[c*rows+r] = a.Data[r*cols+c]
-		}
-	}
-	out := newResult("transpose", d, []int{cols, rows}, a)
-	if out.parents != nil {
-		out.backFn = func() {
-			a.ensureGrad()
-			for r := 0; r < rows; r++ {
-				for c := 0; c < cols; c++ {
-					a.Grad[r*cols+c] += out.Grad[c*rows+r]
 				}
 			}
 		}

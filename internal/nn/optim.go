@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 )
 
@@ -98,23 +99,15 @@ func LoadParams(m Module, data []byte) error {
 	}
 	ps := m.Params()
 	if len(vals) != len(ps) {
-		return errParamMismatch(len(ps), len(vals))
+		return fmt.Errorf("nn: parameter structure mismatch on load: want %d tensors, got %d", len(ps), len(vals))
 	}
 	for i, p := range ps {
 		if len(vals[i]) != len(p.Data) {
-			return errParamMismatch(len(p.Data), len(vals[i]))
+			return fmt.Errorf("nn: parameter structure mismatch on load: tensor %d: want %d values, got %d", i, len(p.Data), len(vals[i]))
 		}
 		copy(p.Data, vals[i])
 	}
 	return nil
-}
-
-type paramMismatchError struct{ want, got int }
-
-func errParamMismatch(want, got int) error { return paramMismatchError{want, got} }
-
-func (e paramMismatchError) Error() string {
-	return "nn: parameter structure mismatch on load"
 }
 
 // CopyParams copies parameter values from src into dst (same structure).

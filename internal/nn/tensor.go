@@ -23,6 +23,39 @@
 // from its outputs reaches no parameter: train on the module itself. There is
 // no package-level grad switch: which tensors track is a property of the
 // module a caller holds, so one replica trains while another serves.
+//
+// # Kernels
+//
+// Every product goes through one GEMM family on raw slices (kernel.go): gemm
+// (a·b, and aᵀ·g by swapping a's strides) and gemmNT (g·bᵀ). MatMul is those
+// and nothing else; Linear.Forward is one fused affine op (product, then bias,
+// one buffer, one backward); masked multi-head attention is one fused op over
+// (q, k, v, blocks) with a hand-written backward. Tracked and frozen forwards
+// run the same code and differ only in whether the backward closure and its
+// saved state are recorded.
+//
+// The kernels are fast only in ways that change no bit, because bit-identical
+// weights and plans are what let wrl/gmrl and the golden replays prove that a
+// kernel change changed nothing else. The order rule, which kernel_test.go
+// checks against the plain loops by math.Float64bits:
+//
+//   - Each output element's sum adds its products in ascending index order,
+//     starting from the accumulator's current value (gemm), or from zero with
+//     the finished dot product added to the accumulator once (gemmNT).
+//   - A zero multiplier contributes nothing and its other operand is not read:
+//     a[i][p] == 0 in gemm (post-ReLU activations, masked attention weights).
+//     gemmNT skips nothing.
+//   - Unrolling is across independent outputs (eight or four sums carried in
+//     registers at once), or by writing consecutive terms as one
+//     left-associated expression. Never partial sums, never math.FMA, no
+//     reassociation.
+//   - A fused op adds to each input's accumulator exactly the quantities the
+//     chain it replaced added (attention: one head's contribution summed from
+//     zero, then added once), and lists its parents in the chain's first-visit
+//     order (x, W, B; q, k, v). Backward's reverse-topological order is then
+//     unchanged, and with it the order in which shared accumulators receive
+//     contributions: x.Grad from the V, K and Q projections, a weight's Grad
+//     across its uses.
 package nn
 
 import (
@@ -44,6 +77,10 @@ type Tensor struct {
 	parents []*Tensor
 	backFn  func()
 	op      string
+
+	// shape backs Shape for op results of rank ≤ 2 (every op in this
+	// package), so a result costs one allocation besides its data.
+	shape [2]int
 }
 
 // NewTensor creates a tensor with the given shape backed by data.
@@ -158,10 +195,19 @@ func needsGraph(ts ...*Tensor) bool {
 	return false
 }
 
+// newResult wraps an op's output. It retains neither shape nor parents (both
+// are copied, parents only when the graph is recorded), so call sites build
+// them on the stack and a graph-free forward allocates the Tensor and nothing
+// else.
 func newResult(op string, data []float64, shape []int, parents ...*Tensor) *Tensor {
-	out := &Tensor{Data: data, Shape: append([]int(nil), shape...), op: op}
+	out := &Tensor{Data: data, op: op}
+	if len(shape) <= len(out.shape) {
+		out.Shape = out.shape[:copy(out.shape[:], shape)]
+	} else {
+		out.Shape = append([]int(nil), shape...)
+	}
 	if needsGraph(parents...) {
-		out.parents = parents
+		out.parents = append([]*Tensor(nil), parents...)
 		out.ensureGrad()
 	}
 	return out
@@ -604,60 +650,25 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	d := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		ar := a.Data[i*k : (i+1)*k]
-		dr := d[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			if av == 0 {
-				continue
-			}
-			br := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				dr[j] += av * br[j]
-			}
-		}
-	}
+	gemm(d, n, a.Data, k, 1, b.Data, n, m, k, n)
 	out := newResult("matmul", d, []int{m, n}, a, b)
 	if out.parents != nil {
-		out.backFn = func() {
-			if a.RequiresGrad || a.parents != nil {
-				a.ensureGrad()
-				// dA = dOut * B^T
-				for i := 0; i < m; i++ {
-					gr := out.Grad[i*n : (i+1)*n]
-					agr := a.Grad[i*k : (i+1)*k]
-					for p := 0; p < k; p++ {
-						br := b.Data[p*n : (p+1)*n]
-						s := 0.0
-						for j := 0; j < n; j++ {
-							s += gr[j] * br[j]
-						}
-						agr[p] += s
-					}
-				}
-			}
-			if b.RequiresGrad || b.parents != nil {
-				b.ensureGrad()
-				// dB = A^T * dOut
-				for i := 0; i < m; i++ {
-					ar := a.Data[i*k : (i+1)*k]
-					gr := out.Grad[i*n : (i+1)*n]
-					for p := 0; p < k; p++ {
-						av := ar[p]
-						if av == 0 {
-							continue
-						}
-						bgr := b.Grad[p*n : (p+1)*n]
-						for j := 0; j < n; j++ {
-							bgr[j] += av * gr[j]
-						}
-					}
-				}
-			}
-		}
+		out.backFn = func() { matMulBackward(out.Grad, a, b, m, k, n) }
 	}
 	return out
+}
+
+// matMulBackward adds g·bᵀ to a.Grad and aᵀ·g to b.Grad, g being the [m,n]
+// gradient of a·b, for whichever of the two is tracked.
+func matMulBackward(g []float64, a, b *Tensor, m, k, n int) {
+	if a.RequiresGrad || a.parents != nil {
+		a.ensureGrad()
+		gemmNT(a.Grad, k, g, n, b.Data, n, m, k, n)
+	}
+	if b.RequiresGrad || b.parents != nil {
+		b.ensureGrad()
+		gemm(b.Grad, n, a.Data, 1, k, g, n, k, m, n)
+	}
 }
 
 // AddRowVector adds a [1,n] bias to every row of a [m,n] tensor.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,7 +93,7 @@ func TestGradConcatColsTransposeRow(t *testing.T) {
 	b := randTensor(rng, 3, 4)
 	checkGrad(t, "concat", func() *Tensor { return Sum(Mul(Concat(a, b), Concat(a, b))) }, a, b)
 	checkGrad(t, "cols", func() *Tensor { return Sum(Cols(b, 1, 2)) }, b)
-	checkGrad(t, "transpose", func() *Tensor { return Sum(Mul(TransposeT(b), TransposeT(b))) }, b)
+	checkGrad(t, "transpose", func() *Tensor { return Sum(Mul(refTranspose(b), refTranspose(b))) }, b)
 	checkGrad(t, "row", func() *Tensor { return Sum(Row(b, 1)) }, b)
 	checkGrad(t, "rowsmean", func() *Tensor { return Sum(RowsMean(b, []bool{true, false, true})) }, b)
 	checkGrad(t, "vstack", func() *Tensor { return Sum(VStack(Row(b, 0), Row(b, 2))) }, b)
@@ -240,8 +241,19 @@ func TestLoadParamsStructureMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(m2, blob); err == nil {
+	// Same tensor count, different widths: the error names the first tensor
+	// that differs and both sizes.
+	err = LoadParams(m2, blob)
+	if err == nil {
 		t.Fatal("expected structure mismatch error")
+	}
+	if want := "tensor 0: want 36 values, got 32"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
+	}
+	// Different tensor count.
+	err = LoadParams(NewLinear(rng, 4, 8), blob)
+	if err == nil || !strings.Contains(err.Error(), "want 2 tensors, got 4") {
+		t.Fatalf("error %v does not say want 2 tensors, got 4", err)
 	}
 }
 

@@ -145,8 +145,6 @@ func DefaultConfig() Config {
 // Stats summarizes one Update call.
 type Stats struct {
 	PolicyLoss float64
-	ValueLoss  float64
-	Entropy    float64
 	ApproxKL   float64
 	Epochs     int // epochs actually run before KL early stop
 }

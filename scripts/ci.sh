@@ -88,14 +88,18 @@ go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./int
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
   # TestTier0ServeZeroAllocs, TestServeMissAllocsBounded,
-  # TestHistogramObserveZeroAllocs, TestScoreBatchAllocsBounded: README
+  # TestHistogramObserveZeroAllocs, TestScoreBatchAllocsBounded,
+  # TestFrozenForwardBlocksAllocsPinned: README
   # "Verification" says what each pins. A rename that leaves the pattern
   # matching nothing in one of their packages is a failure, not a pass.
   alloc_out=$(go test -count=1 -run Allocs ./internal/...) || { echo "$alloc_out"; echo "FAIL: alloc tripwire"; exit 1; }
-  for pkg in service core metrics aam; do
+  for pkg in service core metrics aam nn; do
     line=$(grep -E "^ok\s+\S+/internal/$pkg\s" <<<"$alloc_out" || true)
     [[ -n "$line" && "$line" != *"no tests to run"* ]] || { echo "$alloc_out"; echo "FAIL: -run Allocs ran no test in internal/$pkg"; exit 1; }
   done
+
+  echo "== nn kernels: ten seconds of FuzzGemm against the triple loops, bit for bit =="
+  go test -run '^$' -fuzz FuzzGemm -fuzztime 10s ./internal/nn
 fi
 
 echo "== durability: fossd checkpoint -> kill -9 -> restart -> serve parity =="
