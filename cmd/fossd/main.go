@@ -1,15 +1,15 @@
 // Command fossd trains FOSS on one workload and either evaluates it against
 // the expert optimizer on the train/test splits or, with -serve-http, keeps
-// the trained doctor up as a JSON HTTP service. Training fans episode
-// collection out over -workers goroutines; evaluation serves queries
-// concurrently through the runtime's cached optimize path. With -online it
-// instead runs the online doctor loop over a drifting query stream, offline:
-// feedback ingestion, drift-aware background retraining, and zero-downtime
-// model hot-swap, reported against a frozen copy of the offline model.
+// the trained doctor up as a JSON HTTP service. Evaluation serves queries
+// concurrently, as wide as the cores, through the runtime's cached optimize
+// path. With -online it instead runs the online doctor loop over a drifting
+// query stream, offline: feedback ingestion, drift-aware background
+// retraining, and zero-downtime model hot-swap, reported against a frozen
+// copy of the offline model.
 //
 // Usage:
 //
-//	fossd -workload job -scale 0.5 -iters 6 -sim 120 -real 30 -validate 30 -workers 4
+//	fossd -workload job -scale 0.5 -iters 6 -sim 120 -real 30 -validate 30
 //	fossd -workload job -scale 0.5 -iters 4 -online -drift selectivity -sync-retrain
 //	fossd -workload job -backend gaussim -iters 4
 //	fossd -workload job -iters 4 -serve-http :8475
@@ -21,10 +21,10 @@
 // /v1/t/{tenant}/... endpoints (optimize, feedback, stats, checkpoint,
 // catalog for live DDL, explain, advisor, metrics) plus the aggregate
 // /v1/stats, /v1/tenants and /metrics, until interrupted. Each tenant is a
-// full doctor — own backend, workload, plan cache — sharing one bounded
-// worker pool. Without -tenants / -tenant-spec the fleet has one tenant,
-// "default", built from -workload/-backend/-scale/-seed: a single-tenant
-// server is a fleet of one, reached at /v1/t/default/....
+// full doctor — own backend, workload, plan cache. Without -tenants /
+// -tenant-spec the fleet has one tenant, "default", built from
+// -workload/-backend/-scale/-seed: a single-tenant server is a fleet of one,
+// reached at /v1/t/default/....
 //
 // With -state-dir every tenant is durable under <state-dir>/<tenant>/:
 // trained weights checkpoint to disk (atomically, on every hot-swap and
@@ -44,7 +44,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	goruntime "runtime"
 	"time"
 
 	"github.com/foss-db/foss/internal/backend"
@@ -57,17 +56,6 @@ import (
 	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
 )
-
-func defaultWorkers() int {
-	n := goruntime.NumCPU()
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
 
 func main() {
 	var (
@@ -83,8 +71,6 @@ func main() {
 		verbose     = flag.Bool("v", false, "per-query output")
 		diag        = flag.Bool("diag", false, "print candidate sequences with true latencies")
 		rollouts    = flag.Int("rollouts", 4, "inference rollouts per agent")
-		workers     = flag.Int("workers", 1, "training episode fan-out; 1 (default) is the sequential reproducible baseline — trained models depend on this value, so raise it only when wall-clock matters more than cross-machine comparability")
-		evalWorkers = flag.Int("eval-workers", defaultWorkers(), "evaluation request fan-out (plan choices are per-query deterministic, so this never changes results)")
 		cacheSize   = flag.Int("cache", 256, "plan cache capacity in entries (0 disables)")
 		backendName = flag.String("backend", "selinger", "optimizer backend: selinger | gaussim")
 		serveHTTP   = flag.String("serve-http", "", "after training, serve the doctor fleet as a JSON HTTP service on this address (e.g. :8475); endpoints live under /v1/t/{tenant}/")
@@ -123,7 +109,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.MaxSteps = *maxSteps
 	cfg.Agents = *agents
-	cfg.Workers = *workers
 	cfg.PlanCache = *cacheSize
 	cfg.Learner.Iterations = *iters
 	cfg.Learner.RealPerIter = *realEp
@@ -160,7 +145,6 @@ func main() {
 			Loop:             o.loopConfig(),
 			Defaults:         defaults,
 			StateDir:         *stateDir,
-			Workers:          *workers,
 			CheckpointOnBoot: *stateDir != "" && *role != "follower",
 			Role:             *role,
 			LeaderAddr:       *leaderAddr,
@@ -197,7 +181,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "new:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("runtime: backend=%s workers=%d eval-workers=%d cache=%d\n", be.Name(), *workers, *evalWorkers, *cacheSize)
+	fmt.Printf("runtime: backend=%s cache=%d\n", be.Name(), *cacheSize)
 
 	// -online journals and checkpoints its loop when -state-dir is set.
 	if *online && *stateDir != "" {
@@ -222,16 +206,16 @@ func main() {
 	}
 
 	// Evaluation serves queries concurrently through the runtime: requests
-	// fan out over the pool, results land in per-query slots so output and
+	// fan out over the cores, results land in per-query slots so output and
 	// aggregate metrics stay deterministic.
-	pool := runtime.NewPool(*evalWorkers)
 	eval := func(name string, qs []*query.Query) {
 		type row struct {
 			foss, pg metrics.QueryResult
 			ok       bool
 		}
 		rows := make([]row, len(qs))
-		pool.Run(len(qs), func(_, i int) {
+		// ctx is never canceled, so Fan has no error to return.
+		_ = runtime.Fan(ctx, len(qs), func(i int) {
 			q := qs[i]
 			fcp, _, ot, err := sys.OptimizeCachedContext(ctx, q)
 			if err != nil {

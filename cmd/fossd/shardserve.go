@@ -2,13 +2,12 @@ package main
 
 // The -serve-http mode: boot a sharded doctor fleet behind one HTTP
 // listener. Every tenant gets a full doctor — its own backend, workload,
-// plan cache, serve-id ring, and <state-dir>/<tenant>/ durable state — while
-// all tenants share one bounded worker pool; with no tenants named the fleet
-// is the single tenant "default". SIGTERM
-// drains the whole fleet losslessly: HTTP stops taking requests, in-flight
-// handlers finish, every shard awaits (or past -drain-timeout, cancels) its
-// background retrain and takes a final checkpoint, and only then does the
-// process exit — so the next boot warm-starts every tenant bit-identically.
+// plan cache, serve-id ring, and <state-dir>/<tenant>/ durable state; with no
+// tenants named the fleet is the single tenant "default". SIGTERM drains the
+// whole fleet losslessly: HTTP stops taking requests, in-flight handlers
+// finish, every shard awaits (or past -drain-timeout, cancels) its background
+// retrain and takes a final checkpoint, and only then does the process exit —
+// so the next boot warm-starts every tenant bit-identically.
 //
 //	fossd -serve-http :8475 -state-dir ./state
 //	fossd -serve-http :8475 -tenants acme,globex -state-dir ./state
@@ -128,8 +127,8 @@ func runSharded(ctx context.Context, cfg shard.Config, specs []shard.TenantSpec,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fleet up: %d tenant(s) %v in %s (shared pool: %d workers)\n",
-		len(router.Names()), router.Names(), time.Since(start).Truncate(time.Millisecond), router.Pool().Workers())
+	fmt.Printf("fleet up: %d tenant(s) %v in %s\n",
+		len(router.Names()), router.Names(), time.Since(start).Truncate(time.Millisecond))
 
 	srv := &http.Server{Addr: addr, Handler: service.NewMultiHTTPServer(router)}
 	done := make(chan struct{})

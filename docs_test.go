@@ -69,3 +69,46 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// TestKnobsTableMatchesFlags keeps README's "## Knobs" table and fossd's flag
+// set the same list: every flag fossd defines has a row naming it in the
+// "Where" column, and every -name that column lists is a flag fossd defines.
+func TestKnobsTableMatchesFlags(t *testing.T) {
+	defined := map[string]bool{}
+	sources, _ := filepath.Glob("cmd/fossd/*.go")
+	flagDef := regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
+	for _, f := range sources {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(read(t, f), -1) {
+			defined[m[1]] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no flag definitions under cmd/fossd")
+	}
+
+	_, knobs, _ := strings.Cut(read(t, "README.md"), "\n## Knobs\n")
+	knobs, _, _ = strings.Cut(knobs, "\n## ")
+	listed := map[string]bool{}
+	flagRef := regexp.MustCompile("`-([a-z][a-z-]*)`")
+	for _, line := range strings.Split(knobs, "\n") {
+		// | knob | where | default | meaning |
+		if cells := strings.Split(line, "|"); len(cells) >= 5 {
+			for _, m := range flagRef.FindAllStringSubmatch(cells[2], -1) {
+				listed[m[1]] = true
+			}
+		}
+	}
+	for name := range defined {
+		if !listed[name] {
+			t.Errorf("fossd defines -%s but README's Knobs table has no row for it", name)
+		}
+	}
+	for name := range listed {
+		if !defined[name] {
+			t.Errorf("README's Knobs table lists -%s but fossd defines no such flag", name)
+		}
+	}
+}

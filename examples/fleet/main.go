@@ -1,9 +1,8 @@
 // Fleet runs a hospital group instead of one doctor: a shard router boots
 // two tenants over different optimizer backends (acme on selinger, globex
 // on the hash-centric gaussim), each with its own trained doctor, plan
-// cache, and private state directory, all sharing one bounded worker pool.
-// Both tenants serve concurrently; their epochs, buffers, and checkpoints
-// never touch.
+// cache, and private state directory. Both tenants serve concurrently; their
+// epochs, buffers, and checkpoints never touch.
 //
 // The second act is the deploy story: the fleet is drained — intake stops,
 // in-flight work finishes, a final checkpoint lands per tenant, WAL locks
@@ -46,7 +45,6 @@ func fleetConfig(stateDir string) shard.Config {
 		},
 		Defaults:         shard.TenantSpec{Workload: "job", Scale: 0.3, Seed: 1},
 		StateDir:         stateDir,
-		Workers:          2,
 		CheckpointOnBoot: true,
 		OnEvent: func(tenant, event string) {
 			fmt.Printf("   [%s] %s\n", tenant, event)

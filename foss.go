@@ -118,12 +118,12 @@
 //
 // Multi-tenant serving: a ShardRouter turns one process into a fleet of
 // doctors — one full shard (system, loop, plan cache, state directory) per
-// tenant, routed by tenant key, sharing one bounded worker pool:
+// tenant, routed by tenant key:
 //
 //	router, _ := foss.NewShardRouter(ctx, foss.ShardConfig{
 //		System:   foss.DefaultConfig(),
 //		Loop:     foss.DefaultOnlineConfig(),
-//		StateDir: "state", Workers: 4,
+//		StateDir: "state",
 //	}, []foss.TenantSpec{{Name: "acme"}, {Name: "globex", Backend: "gaussim"}})
 //	sh, _ := router.Get("acme")
 //	res, _ := sh.Serve(ctx, q)
@@ -323,8 +323,7 @@ func DefaultOnlineConfig() OnlineConfig { return service.DefaultConfig() }
 type TenantSpec = shard.TenantSpec
 
 // ShardConfig re-exports the fleet configuration: per-shard system and loop
-// templates, the state-dir root (each tenant gets <StateDir>/<tenant>/),
-// and the shared worker-pool width.
+// templates and the state-dir root (each tenant gets <StateDir>/<tenant>/).
 type ShardConfig = shard.Config
 
 // ShardRouter re-exports the tenant router: N independent doctor shards

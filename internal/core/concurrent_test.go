@@ -5,66 +5,22 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/foss-db/foss/internal/learner"
 )
 
-// trainStats trains a fresh small system and returns its per-iteration stats
-// plus the final buffer size.
-func trainStats(t *testing.T, workers int) ([]learner.IterStats, int, *System) {
+// trainedSystem trains a fresh small system with a plan cache.
+func trainedSystem(t *testing.T) *System {
 	t.Helper()
 	sys := smallSystem(t, func(c *Config) {
-		c.Workers = workers
 		c.PlanCache = 64
 		c.Learner.Iterations = 2
 		c.Learner.RealPerIter = 6
 		c.Learner.SimPerIter = 20
 		c.Learner.ValidatePerIter = 6
 	})
-	var iters []learner.IterStats
-	if err := sys.TrainContext(context.Background(), func(st learner.IterStats) { iters = append(iters, st) }); err != nil {
+	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	return iters, sys.Learner.Buf.Size(), sys
-}
-
-func statsEqual(a, b []learner.IterStats) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("iteration counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("iter %d stats differ:\n%+v\n%+v", i, a[i], b[i])
-		}
-	}
-	return nil
-}
-
-// TestParallelTrainingDeterministic trains twice at Workers=3 and requires
-// bit-identical iteration stats and buffer contents: parallel episode
-// collection must not depend on goroutine scheduling.
-func TestParallelTrainingDeterministic(t *testing.T) {
-	s1, n1, _ := trainStats(t, 3)
-	s2, n2, _ := trainStats(t, 3)
-	if err := statsEqual(s1, s2); err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("buffer sizes differ: %d vs %d", n1, n2)
-	}
-}
-
-// TestWorkersZeroAndOneIdentical: both values select the sequential path and
-// must match exactly.
-func TestWorkersZeroAndOneIdentical(t *testing.T) {
-	s0, n0, _ := trainStats(t, 0)
-	s1, n1, _ := trainStats(t, 1)
-	if err := statsEqual(s0, s1); err != nil {
-		t.Fatal(err)
-	}
-	if n0 != n1 {
-		t.Fatalf("buffer sizes differ: %d vs %d", n0, n1)
-	}
+	return sys
 }
 
 // TestConcurrentOptimizeMatchesSerial serves queries from many goroutines
@@ -72,7 +28,7 @@ func TestWorkersZeroAndOneIdentical(t *testing.T) {
 // (per-query seeded rollouts + read-only forwards), and that repeats hit the
 // plan cache.
 func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
-	_, _, sys := trainStats(t, 2)
+	sys := trainedSystem(t)
 	queries := sys.W.Train[:6]
 
 	serial := map[string]float64{}
@@ -118,7 +74,7 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 
 // TestTrainInvalidatesPlanCache: a cached plan must not survive retraining.
 func TestTrainInvalidatesPlanCache(t *testing.T) {
-	_, _, sys := trainStats(t, 1)
+	sys := trainedSystem(t)
 	q := sys.W.Train[0]
 	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("first optimize: hit=%v err=%v", hit, err)

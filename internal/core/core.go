@@ -38,9 +38,8 @@ type Config struct {
 	MaxSteps int // plan-edit episode length (paper default 3)
 	Agents   int // multi-agent switch (paper §VI-C5); 1 = single agent
 
-	// Workers bounds the training episode fan-out (see learner.Config). 0/1
-	// runs the sequential loop; higher values parallelize episode collection
-	// deterministically for the fixed worker count.
+	// Workers is read by nothing: training runs one way. The name stays
+	// declared only because benchmark/ still assigns it.
 	Workers int
 	// PlanCache is the serving-path plan cache capacity in entries (keyed by
 	// backend identity × query fingerprint, invalidated on Train/Load). 0 —
@@ -77,7 +76,6 @@ func DefaultConfig() Config {
 		Seed:      1,
 		MaxSteps:  3,
 		Agents:    1,
-		Workers:   1,
 		PlanCache: 0,
 		StateNet:  aam.StateNetConfig{DModel: 32, Heads: 2, Layers: 1, FFDim: 64, StateDim: 32},
 		Planner:   planner.DefaultConfig(),
@@ -91,7 +89,6 @@ type Option func(*options)
 
 type options struct {
 	backend backend.Backend
-	pool    *runtime.Pool
 	world   *catalogWorld
 }
 
@@ -107,16 +104,6 @@ func WithBackend(b backend.Backend) Option {
 // from the backend they pass (or the default).
 func withWorld(w *catalogWorld) Option {
 	return func(o *options) { o.world = w }
-}
-
-// WithPool runs the system's training fan-out on an externally owned worker
-// pool instead of a private one — the shard router hands one shared bounded
-// pool to every tenant so K tenants never oversubscribe K×Workers
-// goroutines. The pool's width overrides Config.Workers (the determinism
-// contract keys on width, so the two must agree); ownership — including the
-// Close duty for shared pools — stays with the caller.
-func WithPool(p *runtime.Pool) Option {
-	return func(o *options) { o.pool = p }
 }
 
 // System is a trained (or trainable) FOSS instance bound to one workload
@@ -141,11 +128,6 @@ type System struct {
 	// online is the doctor loop façade, set by EnableOnline.
 	online *service.Loop
 
-	// sharedPool remembers an externally owned pool (WithPool) so Clone —
-	// and therefore the online standby replica — fans out on the same
-	// bounded workers instead of minting a private pool.
-	sharedPool *runtime.Pool
-
 	// world is the live-catalog substrate (versioned schema + rebuilt
 	// DB/stats/backend). Shared with Clone-built replicas, so one DDL apply
 	// yields one new generation both replicas repoint to.
@@ -162,11 +144,6 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.pool != nil {
-		// Width and Workers must agree for the learner's per-worker RNG
-		// streams to stay deterministic.
-		cfg.Workers = o.pool.Workers()
 	}
 	if cfg.MaxSteps < 1 {
 		return nil, fmt.Errorf("core: MaxSteps must be >= 1, got %d: %w", cfg.MaxSteps, fosserr.ErrBadConfig)
@@ -236,28 +213,21 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	lCfg.DisableSim = cfg.DisableSimulatedEnv
 	lCfg.DisableValidation = cfg.DisableValidation
 	lCfg.Agents = cfg.Agents
-	lCfg.Workers = cfg.Workers
 
 	sys := &System{
-		Cfg:        cfg,
-		W:          w,
-		Backend:    b,
-		Enc:        enc,
-		AAM:        model,
-		Planners:   planners,
-		sharedPool: o.pool,
-		world:      world,
+		Cfg:      cfg,
+		W:        w,
+		Backend:  b,
+		Enc:      enc,
+		AAM:      model,
+		Planners: planners,
+		world:    world,
 	}
 	sys.Learner = learner.New(w, planners, model, b, lCfg)
 	sys.RT = runtime.New(runtime.Config{
-		Workers:   cfg.Workers,
 		CacheSize: cfg.PlanCache,
 		BackendID: b.Name(),
-		Pool:      o.pool,
 	}, sys.Learner)
-	// The runtime owns the worker pool; the learner's episode fan-out
-	// borrows it rather than running a pool of its own.
-	sys.Learner.UsePool(sys.RT.Pool())
 	// A replica built over an already-evolved world starts its cache
 	// identity at the world's catalog epoch (nothing is cached yet; the
 	// rekey just aligns the identity).

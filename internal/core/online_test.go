@@ -46,7 +46,6 @@ func onlineConfig(sync bool) service.Config {
 func TestOnlineHotSwapUnderLoad(t *testing.T) {
 	sys := smallSystem(t, func(c *Config) {
 		c.PlanCache = 64
-		c.Workers = 2
 		c.Learner.Iterations = 1
 		c.Learner.RealPerIter = 4
 		c.Learner.SimPerIter = 12

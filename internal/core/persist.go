@@ -178,11 +178,7 @@ func (s *System) ImportBuffer(recs []store.ExecRecord) error {
 // source's live-catalog world: a DDL applied through either replica rebuilds
 // one generation that both repoint to.
 func (s *System) Clone() (*System, error) {
-	opts := []Option{withWorld(s.world)}
-	if s.sharedPool != nil {
-		opts = append(opts, WithPool(s.sharedPool))
-	}
-	c, err := New(s.W, s.Cfg, opts...)
+	c, err := New(s.W, s.Cfg, withWorld(s.world))
 	if err != nil {
 		return nil, fmt.Errorf("core: clone: %w", err)
 	}

@@ -66,18 +66,3 @@ func TestBufferConcurrentReaders(t *testing.T) {
 		t.Fatal("original lost")
 	}
 }
-
-func TestPhaseSeedsDistinct(t *testing.T) {
-	seen := map[int64]bool{}
-	for iter := 0; iter < 8; iter++ {
-		for phase := 0; phase < 2; phase++ {
-			for w := 0; w < 16; w++ {
-				s := phaseSeed(1, iter, phase, w)
-				if seen[s] {
-					t.Fatalf("seed collision at iter=%d phase=%d worker=%d", iter, phase, w)
-				}
-				seen[s] = true
-			}
-		}
-	}
-}

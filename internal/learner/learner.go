@@ -15,22 +15,19 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/foss-db/foss/internal/aam"
-	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/rl"
-	"github.com/foss-db/foss/internal/runtime"
 	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
 )
 
 // Buffer is the execution buffer: every executed candidate plan per query.
-// It is safe for concurrent use; parallel episode collection adds executed
-// plans from many workers.
+// It is safe for concurrent use: the online loop's Record adds executed plans
+// while Checkpoint exports them.
 type Buffer struct {
 	mu      sync.Mutex
 	byQuery map[string][]*planner.PlanEval
@@ -221,16 +218,6 @@ type Config struct {
 	// rollouts whose candidates all enter the AAM selection. More rollouts
 	// widen the candidate set at the cost of optimization time.
 	InferenceRollouts int
-
-	// Workers bounds the episode fan-out of the real, simulated, and
-	// validation phases. Workers <= 1 runs the original sequential loop
-	// (bit-identical to the single-threaded implementation). Workers > 1
-	// partitions episodes round-robin over that many goroutines with
-	// per-worker seeded RNGs: results are deterministic for a fixed worker
-	// count, with episodes inside a phase seeing the execution buffer as of
-	// the phase start (buffer merges happen in episode order at the phase
-	// boundary).
-	Workers int
 }
 
 // DefaultConfig returns a laptop-scale training schedule.
@@ -244,7 +231,6 @@ func DefaultConfig() Config {
 		Seed:              1,
 		Agents:            1,
 		InferenceRollouts: 4,
-		Workers:           1,
 	}
 }
 
@@ -258,16 +244,7 @@ type Learner struct {
 	Cfg      Config
 
 	rng     *rand.Rand
-	pool    *runtime.Pool
 	origMap map[string]*planner.PlanEval // cached original plans per query
-
-	// iterBase offsets the per-phase RNG seeds across repeated Train/TrainOn
-	// calls so an online retrain never replays the worker streams of an
-	// earlier run.
-	iterBase int
-
-	// TrainingTime accumulates wall-clock spent in Train.
-	TrainingTime time.Duration
 }
 
 // New assembles a learner from pre-built components. planners must share the
@@ -285,18 +262,7 @@ func New(w *workload.Workload, planners []*planner.Planner, model *aam.Model, ex
 		Buf:      NewBuffer(),
 		Cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		pool:     runtime.NewPool(cfg.Workers),
 		origMap:  map[string]*planner.PlanEval{},
-	}
-}
-
-// UsePool replaces the learner's episode pool, letting the enclosing runtime
-// own the worker pool shared by training and any other fan-out. The pool's
-// width must equal Config.Workers for the documented determinism contract to
-// hold.
-func (l *Learner) UsePool(p *runtime.Pool) {
-	if p != nil {
-		l.pool = p
 	}
 }
 
@@ -340,9 +306,6 @@ func (l *Learner) Train(ctx context.Context, progress func(IterStats)) error {
 // overrides Cfg.Iterations when positive (incremental refreshes use a shorter
 // schedule than the offline run). progress may be nil.
 func (l *Learner) TrainOn(ctx context.Context, queries []*query.Query, iterations int, progress func(IterStats)) error {
-	start := time.Now()
-	defer func() { l.TrainingTime += time.Since(start) }()
-
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -360,7 +323,7 @@ func (l *Learner) TrainOn(ctx context.Context, queries []*query.Query, iteration
 		st := IterStats{Iter: iter}
 
 		// (a) real-environment episodes to gather executions
-		realTrans, err := l.realPhase(ctx, queries, l.iterBase+iter)
+		realTrans, err := l.realPhase(ctx, queries)
 		if err != nil {
 			return err
 		}
@@ -386,7 +349,7 @@ func (l *Learner) TrainOn(ctx context.Context, queries []*query.Query, iteration
 				}
 			}
 		} else {
-			promising, err := l.simPhase(ctx, queries, l.iterBase+iter, &st)
+			promising, err := l.simPhase(ctx, queries, &st)
 			if err != nil {
 				return err
 			}
@@ -401,118 +364,13 @@ func (l *Learner) TrainOn(ctx context.Context, queries []*query.Query, iteration
 			progress(st)
 		}
 	}
-	l.iterBase += iters
 	return nil
 }
 
-// Phase identifiers, mixed into per-worker RNG seeds so each phase of each
-// iteration draws from an independent stream.
-const (
-	phaseReal = iota
-	phaseSim
-)
-
-// phaseSeed derives a worker RNG seed from (base seed, iteration, phase,
-// worker) with splitmix-style mixing, so no two (iter, phase, worker)
-// combinations collide.
-func phaseSeed(base int64, iter, phase, worker int) int64 {
-	z := uint64(base)
-	for _, v := range []uint64{uint64(iter), uint64(phase), uint64(worker)} {
-		z += 0x9e3779b97f4a7c15 + v
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-	}
-	return int64(z >> 1)
-}
-
-// episodeJob is one scheduled episode: its agent, query, cached original
-// plan, and the bounty reference set snapshotted at phase start.
-type episodeJob struct {
-	agent int
-	q     *query.Query
-	orig  *planner.PlanEval
-	refs  []planner.Ref
-}
-
-// episodeOut is one episode's result plus every plan it executed (recorded
-// locally so buffer merges can happen in deterministic episode order).
-type episodeOut struct {
-	ep       *planner.EpisodeResult
-	executed []*planner.PlanEval
-	err      error
-}
-
-// buildJobs samples perAgent queries per agent from the main RNG stream,
-// resolves (and caches) the original plans sequentially, and snapshots the
-// episode-bounty references as of the phase start.
-func (l *Learner) buildJobs(queries []*query.Query, perAgent int) ([]episodeJob, error) {
-	jobs := make([]episodeJob, 0, len(l.Planners)*perAgent)
-	for ai := range l.Planners {
-		for e := 0; e < perAgent; e++ {
-			jobs = append(jobs, episodeJob{agent: ai, q: queries[l.rng.Intn(len(queries))]})
-		}
-	}
-	for i := range jobs {
-		orig, err := l.original(jobs[i].q)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i].orig = orig
-	}
-	refsByQ := map[string][]planner.Ref{}
-	for i := range jobs {
-		qid := jobs[i].q.ID
-		if _, ok := refsByQ[qid]; !ok {
-			refsByQ[qid] = l.Buf.Refs(qid)
-		}
-		jobs[i].refs = refsByQ[qid]
-	}
-	return jobs, nil
-}
-
-// runEpisodes fans jobs out over the worker pool. Each worker owns a seeded
-// RNG and processes its (round-robin assigned) jobs in order, so the result
-// set is deterministic for a fixed worker count. makeEnv builds a
-// per-episode environment; record captures executed plans for the ordered
-// post-phase buffer merge.
-func (l *Learner) runEpisodes(ctx context.Context, jobs []episodeJob, iter, phase int, makeEnv func(record func(*planner.PlanEval)) planner.Environment) ([]episodeOut, error) {
-	outs := make([]episodeOut, len(jobs))
-	rngs := make([]*rand.Rand, l.pool.Workers())
-	for w := range rngs {
-		rngs[w] = rand.New(rand.NewSource(phaseSeed(l.Cfg.Seed, iter, phase, w)))
-	}
-	err := l.pool.RunCtx(ctx, len(jobs), func(w, i int) {
-		j := jobs[i]
-		var executed []*planner.PlanEval
-		env := makeEnv(func(pe *planner.PlanEval) { executed = append(executed, pe) })
-		pl := l.Planners[j.agent]
-		ep, err := pl.RunEpisodeWithRng(j.q, j.orig, env, j.refs, true, rngs[w])
-		if err == nil {
-			pl.Score(ep)
-		}
-		outs[i] = episodeOut{ep: ep, executed: executed, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// realPhase runs real-environment episodes on randomly sampled queries and
-// returns the transitions per agent (used directly in the Off-Simulated
-// ablation; otherwise only their side effect — buffer fills — matters).
-func (l *Learner) realPhase(ctx context.Context, queries []*query.Query, iter int) ([][]rl.Transition, error) {
-	if l.Cfg.Workers <= 1 {
-		return l.realPhaseSeq(ctx, queries)
-	}
-	return l.realPhasePar(ctx, queries, iter)
-}
-
-// seqEpisode is one episode of a sequential phase: a query drawn from the
-// main RNG stream, walked on the agent's own RNG against the bounty references
-// as of now, then scored.
-func (l *Learner) seqEpisode(ctx context.Context, pl *planner.Planner, queries []*query.Query, env planner.Environment) (*planner.EpisodeResult, error) {
+// episode is one training episode: a query drawn from the main RNG stream,
+// walked on the agent's own RNG against the bounty references as of now, then
+// scored.
+func (l *Learner) episode(ctx context.Context, pl *planner.Planner, queries []*query.Query, env planner.Environment) (*planner.EpisodeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -528,14 +386,15 @@ func (l *Learner) seqEpisode(ctx context.Context, pl *planner.Planner, queries [
 	return ep, err
 }
 
-// realPhaseSeq is the original single-threaded loop, kept so Workers<=1
-// stays bit-identical to the sequential implementation.
-func (l *Learner) realPhaseSeq(ctx context.Context, queries []*query.Query) ([][]rl.Transition, error) {
+// realPhase runs real-environment episodes on randomly sampled queries and
+// returns the transitions per agent (used directly in the Off-Simulated
+// ablation; otherwise only their side effect — buffer fills — matters).
+func (l *Learner) realPhase(ctx context.Context, queries []*query.Query) ([][]rl.Transition, error) {
 	out := make([][]rl.Transition, len(l.Planners))
 	for ai, pl := range l.Planners {
 		env := &planner.RealEnv{Exec: l.Exec, OnExecuted: func(pe *planner.PlanEval) { l.Buf.Add(pe) }}
 		for e := 0; e < l.Cfg.RealPerIter; e++ {
-			ep, err := l.seqEpisode(ctx, pl, queries, env)
+			ep, err := l.episode(ctx, pl, queries, env)
 			if err != nil {
 				return nil, err
 			}
@@ -545,48 +404,15 @@ func (l *Learner) realPhaseSeq(ctx context.Context, queries []*query.Query) ([][
 	return out, nil
 }
 
-func (l *Learner) realPhasePar(ctx context.Context, queries []*query.Query, iter int) ([][]rl.Transition, error) {
-	jobs, err := l.buildJobs(queries, l.Cfg.RealPerIter)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := l.runEpisodes(ctx, jobs, iter, phaseReal, func(record func(*planner.PlanEval)) planner.Environment {
-		return &planner.RealEnv{Exec: l.Exec, OnExecuted: record}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]rl.Transition, len(l.Planners))
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		for _, pe := range o.executed {
-			l.Buf.Add(pe)
-		}
-		out[jobs[i].agent] = append(out[jobs[i].agent], o.ep.Transitions...)
-	}
-	return out, nil
-}
-
 // simPhase runs simulated episodes (AAM as reward indicator) and one PPO
 // update per agent, returning the promising plans found.
-func (l *Learner) simPhase(ctx context.Context, queries []*query.Query, iter int, st *IterStats) ([]*planner.PlanEval, error) {
-	if l.Cfg.Workers <= 1 {
-		return l.simPhaseSeq(ctx, queries, st)
-	}
-	return l.simPhasePar(ctx, queries, iter, st)
-}
-
-// simPhaseSeq is the original single-threaded loop, kept so Workers<=1
-// stays bit-identical to the sequential implementation.
-func (l *Learner) simPhaseSeq(ctx context.Context, queries []*query.Query, st *IterStats) ([]*planner.PlanEval, error) {
+func (l *Learner) simPhase(ctx context.Context, queries []*query.Query, st *IterStats) ([]*planner.PlanEval, error) {
 	var promising []*planner.PlanEval
 	for _, pl := range l.Planners {
 		simEnv := &planner.SimEnv{Model: l.AAM, MaxSteps: pl.Cfg.MaxSteps}
 		var trans []rl.Transition
 		for e := 0; e < l.Cfg.SimPerIter; e++ {
-			ep, err := l.seqEpisode(ctx, pl, queries, simEnv)
+			ep, err := l.episode(ctx, pl, queries, simEnv)
 			if err != nil {
 				return nil, err
 			}
@@ -600,77 +426,25 @@ func (l *Learner) simPhaseSeq(ctx context.Context, queries []*query.Query, st *I
 	return promising, nil
 }
 
-func (l *Learner) simPhasePar(ctx context.Context, queries []*query.Query, iter int, st *IterStats) ([]*planner.PlanEval, error) {
-	jobs, err := l.buildJobs(queries, l.Cfg.SimPerIter)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := l.runEpisodes(ctx, jobs, iter, phaseSim, func(func(*planner.PlanEval)) planner.Environment {
-		return &planner.SimEnv{Model: l.AAM, MaxSteps: l.Planners[0].Cfg.MaxSteps}
-	})
-	if err != nil {
-		return nil, err
-	}
-	var promising []*planner.PlanEval
-	trans := make([][]rl.Transition, len(l.Planners))
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		trans[jobs[i].agent] = append(trans[jobs[i].agent], o.ep.Transitions...)
-		if o.ep.Final != nil && o.ep.Final.Step > 0 {
-			promising = append(promising, o.ep.Final)
-		}
-	}
-	for ai, pl := range l.Planners {
-		st.PPO = pl.Update(trans[ai])
-	}
-	return promising, nil
-}
-
 // validate executes up to ValidatePerIter distinct promising plans under the
-// dynamic timeout and adds the results to the buffer. With Workers > 1 the
-// selected plans execute in parallel; selection order and buffer merges stay
-// deterministic.
+// dynamic timeout and adds the results to the buffer.
 func (l *Learner) validate(promising []*planner.PlanEval) int {
 	l.rng.Shuffle(len(promising), func(i, j int) { promising[i], promising[j] = promising[j], promising[i] })
-	if l.Cfg.Workers <= 1 {
-		n := 0
-		for _, pe := range promising {
-			if n >= l.Cfg.ValidatePerIter {
-				break
-			}
-			if pe.HasLatency() {
-				continue
-			}
-			res := l.Exec.Execute(pe.CP, l.validateTimeout(pe))
-			pe.Latency = res.LatencyMs
-			pe.TimedOut = res.TimedOut
-			l.Buf.Add(pe)
-			n++
-		}
-		return n
-	}
-	var selected []*planner.PlanEval
+	n := 0
 	for _, pe := range promising {
-		if len(selected) >= l.Cfg.ValidatePerIter {
+		if n >= l.Cfg.ValidatePerIter {
 			break
 		}
 		if pe.HasLatency() {
 			continue
 		}
-		selected = append(selected, pe)
-	}
-	results := make([]exec.Result, len(selected))
-	l.pool.Run(len(selected), func(_, i int) {
-		results[i] = l.Exec.Execute(selected[i].CP, l.validateTimeout(selected[i]))
-	})
-	for i, pe := range selected {
-		pe.Latency = results[i].LatencyMs
-		pe.TimedOut = results[i].TimedOut
+		res := l.Exec.Execute(pe.CP, l.validateTimeout(pe))
+		pe.Latency = res.LatencyMs
+		pe.TimedOut = res.TimedOut
 		l.Buf.Add(pe)
+		n++
 	}
-	return len(selected)
+	return n
 }
 
 // validateTimeout computes the dynamic validation timeout (1.5× the original

@@ -1,171 +1,48 @@
-// Package runtime is the concurrency layer of FOSS: a deterministic bounded
-// worker pool used by the training loop's episode fan-out, an LRU plan cache
-// keyed by query fingerprint, and a Runtime that arbitrates between the
-// exclusive training path and the shared, cached serving path. It sits below
-// core (which wires it to the learner) and above the model layers, and
-// deliberately knows nothing about training itself — only how to run work
-// deterministically in parallel and how to serve plans fast.
+// Package runtime is the concurrency layer of FOSS: a bounded fan-out over
+// independent jobs, an LRU plan cache keyed by query fingerprint, and a
+// Runtime that arbitrates between the exclusive training path and the
+// shared, cached serving path. It sits below core (which wires it to the
+// learner) and above the model layers, and deliberately knows nothing about
+// training itself — only how to run independent work in parallel and how to
+// serve plans fast.
 package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"sync"
 )
 
-// Pool is a bounded worker pool with a deterministic job→worker assignment:
-// job j always runs on worker j mod W, and each worker processes its jobs in
-// increasing order. With any per-worker state seeded from the worker id
-// (e.g. RNG streams), a Run's outcome depends only on W and the jobs — never
-// on goroutine scheduling.
-//
-// A pool built by NewPool is transient: each Run spawns its own goroutines
-// and owns the full width. A pool built by NewShared is backed by W
-// persistent worker goroutines that many callers dispatch onto
-// concurrently — K tenants sharing one pool run at most W jobs at any
-// moment instead of K×W. The determinism contract is identical in both
-// modes: the lane index (not the OS worker) is what fn receives, so job j
-// still sees worker j mod W.
-type Pool struct {
-	workers int
-
-	// tasks is non-nil only in shared mode: lane closures are dispatched to
-	// the persistent workers through it. closed gates dispatch after Close —
-	// late Runs fall back to running their lanes inline rather than racing a
-	// shut-down pool.
-	tasks     chan func()
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-// NewPool creates a transient pool of the given width (clamped to at least
-// 1): each Run spawns its own goroutines.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{workers: workers}
-}
-
-// NewShared creates a pool backed by `workers` persistent goroutines that
-// every Run dispatches onto. Use it to bound total fan-out across many
-// independent callers (the shard router hands one shared pool to every
-// tenant's system). Callers must Close a shared pool to release its workers.
-func NewShared(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers, tasks: make(chan func()), closed: make(chan struct{})}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for {
-				select {
-				case f := <-p.tasks:
-					f()
-				case <-p.closed:
-					return
-				}
-			}
-		}()
-	}
-	return p
-}
-
-// Close releases a shared pool's worker goroutines. Idempotent; a no-op on
-// transient pools. Runs already dispatched finish normally (Close does not
-// wait for them); Runs arriving after Close execute inline on the caller.
-func (p *Pool) Close() {
-	if p.tasks == nil {
-		return
-	}
-	p.closeOnce.Do(func() { close(p.closed) })
-}
-
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes jobs 0..n-1 across the pool and blocks until all complete.
-// Worker w runs jobs w, w+W, w+2W, ... in that order. A single-worker pool
-// runs every job inline on the calling goroutine.
-func (p *Pool) Run(n int, fn func(worker, job int)) {
-	_ = p.RunCtx(context.Background(), n, fn)
-}
-
-// RunCtx is Run honoring cancellation: every worker checks the context
-// before starting each job and stops dispatching once it is done, so an
-// in-flight fan-out returns promptly on deadline (bounded by the longest
-// single job already running). Jobs that were skipped simply never ran —
-// callers that need completeness must treat a non-nil return as "results are
-// partial". Returns ctx.Err() after all workers have drained.
-func (p *Pool) RunCtx(ctx context.Context, n int, fn func(worker, job int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if p.tasks != nil {
-		return p.runShared(ctx, n, fn)
-	}
-	if p.workers == 1 {
+// Fan executes jobs 0..n-1 on width = min(n, GOMAXPROCS) goroutines and blocks
+// until they drain; goroutine w runs jobs w, w+width, w+2·width, ... in that
+// order, and a width of one runs every job inline on the caller. Each
+// goroutine checks ctx before starting a job and stops once it is done, so a
+// fan-out returns promptly on deadline (bounded by the longest job already
+// running). Jobs that were skipped simply never ran: a non-nil return —
+// ctx.Err() — means "results are partial".
+func Fan(ctx context.Context, n int, fn func(job int)) error {
+	width := min(n, goruntime.GOMAXPROCS(0))
+	if width <= 1 {
 		for j := 0; j < n; j++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(0, j)
+			fn(j)
 		}
 		return ctx.Err()
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < p.workers && w < n; w++ {
+	for w := 0; w < width; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for j := w; j < n; j += p.workers {
+			for j := w; j < n; j += width {
 				if ctx.Err() != nil {
 					return
 				}
-				fn(w, j)
+				fn(j)
 			}
 		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// runShared partitions the jobs into W lanes (lane w runs jobs w, w+W, ...
-// in order, exactly like the transient path) and dispatches each lane to the
-// persistent workers. Lanes from concurrent Runs interleave over the same W
-// goroutines, so total concurrency stays bounded at the pool width no matter
-// how many callers fan out at once. Cancellation is honored while queued:
-// a caller whose context expires before a worker frees up stops dispatching
-// and returns once its already-running lanes drain — its remaining jobs
-// simply never ran, the same partial-results contract as the transient
-// path. After Close, lanes run inline on the caller — a shutdown race
-// degrades to sequential execution, never to a panic or a lost job.
-func (p *Pool) runShared(ctx context.Context, n int, fn func(worker, job int)) error {
-	var wg sync.WaitGroup
-	lanes := p.workers
-	if lanes > n {
-		lanes = n
-	}
-dispatch:
-	for w := 0; w < lanes; w++ {
-		w := w
-		wg.Add(1)
-		lane := func() {
-			defer wg.Done()
-			for j := w; j < n; j += p.workers {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(w, j)
-			}
-		}
-		select {
-		case p.tasks <- lane:
-		case <-p.closed:
-			lane()
-		case <-ctx.Done():
-			wg.Done() // this lane was never dispatched; don't wait for it
-			break dispatch
-		}
 	}
 	wg.Wait()
 	return ctx.Err()

@@ -18,8 +18,6 @@ type Source interface {
 
 // Config sizes the runtime.
 type Config struct {
-	// Workers bounds the episode/request fan-out. <=1 means sequential.
-	Workers int
 	// CacheSize is the plan-cache capacity in entries; 0 disables caching.
 	CacheSize int
 	// BackendID identifies the optimizer backend the cached plans were
@@ -27,28 +25,21 @@ type Config struct {
 	// served across backends — even across a backend swap that reuses this
 	// runtime.
 	BackendID string
-	// Pool, when non-nil, is used instead of a freshly built pool — the hook
-	// by which many systems (the shard router's tenants) share one bounded
-	// worker pool. Its width overrides Workers; the caller keeps ownership
-	// (and, for shared pools, the Close duty).
-	Pool *Pool
 }
 
 // DefaultConfig returns a serving-oriented runtime configuration.
 func DefaultConfig() Config {
-	return Config{Workers: 1, CacheSize: 256}
+	return Config{CacheSize: 256}
 }
 
-// Runtime owns the worker pool and the plan cache, and arbitrates between
-// the exclusive training path and the shared serving path: any number of
-// Optimize calls may run concurrently (model forwards are read-only), while
-// Exclusive (training, weight loading, backend swaps) waits for in-flight
-// requests and blocks new ones. Cached plans are keyed by the shared
-// composite PlanKey (backend identity × cache epoch × query fingerprint)
-// and invalidated whenever the models change.
+// Runtime owns the plan cache and arbitrates between the exclusive training
+// path and the shared serving path: any number of Optimize calls may run
+// concurrently (model forwards are read-only), while Exclusive (training,
+// weight loading, backend swaps) waits for in-flight requests and blocks new
+// ones. Cached plans are keyed by the shared composite PlanKey (backend
+// identity × cache epoch × query fingerprint) and invalidated whenever the
+// models change.
 type Runtime struct {
-	cfg    Config
-	pool   *Pool
 	cache  *LRU[PlanKey, *planner.PlanEval]
 	source Source
 
@@ -61,21 +52,12 @@ type Runtime struct {
 
 // New assembles a runtime over a plan-producing source.
 func New(cfg Config, source Source) *Runtime {
-	pool := cfg.Pool
-	if pool == nil {
-		pool = NewPool(cfg.Workers)
-	}
 	return &Runtime{
-		cfg:       cfg,
-		pool:      pool,
 		cache:     NewLRU[PlanKey, *planner.PlanEval](cfg.CacheSize),
 		source:    source,
 		backendID: cfg.BackendID,
 	}
 }
-
-// Pool returns the shared worker pool.
-func (r *Runtime) Pool() *Pool { return r.pool }
 
 // BackendID returns the backend identity the cache is currently scoped to.
 func (r *Runtime) BackendID() string {

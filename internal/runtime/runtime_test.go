@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,50 +12,32 @@ import (
 	"github.com/foss-db/foss/internal/query"
 )
 
-func TestPoolRunsEveryJobOnItsWorker(t *testing.T) {
-	p := NewPool(3)
-	var mu sync.Mutex
-	workerOf := map[int]int{}
-	p.Run(17, func(w, j int) {
-		mu.Lock()
-		workerOf[j] = w
-		mu.Unlock()
-	})
-	if len(workerOf) != 17 {
-		t.Fatalf("ran %d jobs, want 17", len(workerOf))
-	}
-	for j, w := range workerOf {
-		if w != j%3 {
-			t.Fatalf("job %d ran on worker %d, want %d", j, w, j%3)
+// TestFanRunsEveryJobOnce: whatever the job count is relative to the width,
+// every job runs exactly once.
+func TestFanRunsEveryJobOnce(t *testing.T) {
+	width := goruntime.GOMAXPROCS(0)
+	for _, n := range []int{0, 1, width, width + 1, 1000} {
+		ran := make([]atomic.Int64, n)
+		if err := Fan(context.Background(), n, func(j int) { ran[j].Add(1) }); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-	}
-}
-
-func TestPoolWorkerProcessesJobsInOrder(t *testing.T) {
-	p := NewPool(4)
-	var mu sync.Mutex
-	seq := map[int][]int{}
-	p.Run(23, func(w, j int) {
-		mu.Lock()
-		seq[w] = append(seq[w], j)
-		mu.Unlock()
-	})
-	for w, jobs := range seq {
-		for i := 1; i < len(jobs); i++ {
-			if jobs[i] <= jobs[i-1] {
-				t.Fatalf("worker %d ran jobs out of order: %v", w, jobs)
+		for j := range ran {
+			if got := ran[j].Load(); got != 1 {
+				t.Fatalf("n=%d: job %d ran %d times", n, j, got)
 			}
 		}
 	}
 }
 
+// TestPoolSingleWorkerRunsInline: at width one Fan runs the jobs on the
+// calling goroutine, in order.
 func TestPoolSingleWorkerRunsInline(t *testing.T) {
-	p := NewPool(0) // clamps to 1
-	if p.Workers() != 1 {
-		t.Fatalf("width %d", p.Workers())
-	}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	order := []int{}
-	p.Run(5, func(w, j int) { order = append(order, j) }) // no lock: must be inline
+	err := Fan(context.Background(), 5, func(j int) { order = append(order, j) }) // no lock: must be inline
+	if err != nil || len(order) != 5 {
+		t.Fatalf("ran %d jobs, want 5 (err %v)", len(order), err)
+	}
 	for i, j := range order {
 		if i != j {
 			t.Fatalf("inline order broken: %v", order)
@@ -125,7 +108,7 @@ func TestLRUEpochAdvancesOnInvalidate(t *testing.T) {
 // TestRuntimeCacheEpoch: Exclusive (train/load) must bump the runtime's
 // cache epoch so serving layers can label plan generations.
 func TestRuntimeCacheEpoch(t *testing.T) {
-	rt := New(Config{Workers: 1, CacheSize: 8}, &countingBackend{})
+	rt := New(Config{CacheSize: 8}, &countingBackend{})
 	if rt.CacheEpoch() != 0 {
 		t.Fatalf("fresh runtime epoch %d", rt.CacheEpoch())
 	}
@@ -192,7 +175,7 @@ func testQuery(i int) *query.Query {
 
 func TestRuntimeCachesByFingerprint(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 2, CacheSize: 8}, b)
+	rt := New(Config{CacheSize: 8}, b)
 
 	q := testQuery(1)
 	if _, hit, err := rt.Optimize(context.Background(), q); err != nil || hit {
@@ -214,7 +197,7 @@ func TestRuntimeCachesByFingerprint(t *testing.T) {
 
 func TestRuntimeExclusiveInvalidatesCache(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 1, CacheSize: 8}, b)
+	rt := New(Config{CacheSize: 8}, b)
 	q := testQuery(2)
 	rt.Optimize(context.Background(), q)
 	if err := rt.Exclusive(func() error { return nil }); err != nil {
@@ -230,7 +213,7 @@ func TestRuntimeExclusiveInvalidatesCache(t *testing.T) {
 
 func TestRuntimeConcurrentOptimize(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 4, CacheSize: 32}, b)
+	rt := New(Config{CacheSize: 32}, b)
 	queries := make([]*query.Query, 8)
 	for i := range queries {
 		queries[i] = testQuery(i)
@@ -263,7 +246,7 @@ func TestRuntimeConcurrentOptimize(t *testing.T) {
 // served across backends, even before any invalidation runs.
 func TestRuntimeCacheKeyedByBackend(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 1, CacheSize: 8, BackendID: "selinger"}, b)
+	rt := New(Config{CacheSize: 8, BackendID: "selinger"}, b)
 	q := testQuery(3)
 	ctx := context.Background()
 	rt.Optimize(ctx, q)
@@ -292,7 +275,7 @@ func TestRuntimeCacheKeyedByBackend(t *testing.T) {
 // and cache untouched.
 func TestRuntimeRekeyAbortsOnError(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 1, CacheSize: 8, BackendID: "selinger"}, b)
+	rt := New(Config{CacheSize: 8, BackendID: "selinger"}, b)
 	ctx := context.Background()
 	q := testQuery(4)
 	rt.Optimize(ctx, q)
@@ -312,7 +295,7 @@ func TestRuntimeRekeyAbortsOnError(t *testing.T) {
 // planning work.
 func TestRuntimeOptimizeCanceled(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{Workers: 1, CacheSize: 8}, b)
+	rt := New(Config{CacheSize: 8}, b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := rt.Optimize(ctx, testQuery(5)); err != context.Canceled {
@@ -326,10 +309,9 @@ func TestRuntimeOptimizeCanceled(t *testing.T) {
 // TestPoolRunCtxStopsDispatching: cancellation mid-run prevents undispatched
 // jobs from starting and surfaces the context error.
 func TestPoolRunCtxStopsDispatching(t *testing.T) {
-	p := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := p.RunCtx(ctx, 1000, func(w, j int) {
+	err := Fan(ctx, 1000, func(int) {
 		if ran.Add(1) == 3 {
 			cancel()
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	goruntime "runtime"
 	"sync/atomic"
 	"time"
 
@@ -168,10 +167,9 @@ func (lp *Loop) ServeBatch(ctx context.Context, qs []*query.Query) ([]Result, er
 	}
 	out := make([]Result, len(qs))
 	errs := make([]error, len(qs))
-	pool := runtime.NewPool(min(len(qs), goruntime.GOMAXPROCS(0)))
 serve:
 	for {
-		if err := pool.RunCtx(ctx, len(qs), func(_, i int) {
+		if err := runtime.Fan(ctx, len(qs), func(i int) {
 			out[i], errs[i] = lp.Serve(ctx, qs[i])
 		}); err != nil {
 			return nil, err

@@ -3,8 +3,7 @@
 // optimizer backend, workload identity, plan cache, serve-id ring, and
 // durable state directory (<state-dir>/<tenant>/) — and routes every
 // request by tenant key. Isolation is structural, not advisory: nothing is
-// shared between shards except the bounded worker pool (so K tenants never
-// oversubscribe K×Workers goroutines) and the process they live in.
+// shared between shards except the process they live in.
 //
 // The router carries the fleet's lifecycle. Boot trains each shard (or
 // warm-starts it from its own checkpoint, exactly like a single-tenant
@@ -29,7 +28,6 @@ import (
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/repl"
-	"github.com/foss-db/foss/internal/runtime"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
@@ -68,8 +66,8 @@ type Config struct {
 	// StateDir/<tenant>/ with its own checkpoints, manifest, WAL, and lock.
 	// Empty runs every shard in memory.
 	StateDir string
-	// Workers sizes the one shared worker pool every shard trains on.
-	// 0 falls back to System.Workers.
+	// Workers is read by nothing: training runs one way. The name stays
+	// declared only because benchmark/ still assigns it.
 	Workers int
 	// MaxPending bounds each shard's serve-id ring (0 = service default).
 	MaxPending int
@@ -155,8 +153,7 @@ func (sh *Shard) Close(ctx context.Context) error {
 
 // Router owns the fleet and routes by tenant key.
 type Router struct {
-	cfg  Config
-	pool *runtime.Pool
+	cfg Config
 
 	mu     sync.RWMutex
 	shards map[string]*Shard
@@ -178,8 +175,7 @@ type Router struct {
 	workloads map[string]*workload.Workload
 }
 
-// NewRouter boots a fleet: one shard per spec, sequentially (training is
-// already parallel inside each shard via the shared pool). On any boot
+// NewRouter boots a fleet: one shard per spec, sequentially. On any boot
 // failure the shards already up are drained and the error is returned.
 func NewRouter(ctx context.Context, cfg Config, specs []TenantSpec) (*Router, error) {
 	switch cfg.Role {
@@ -187,15 +183,8 @@ func NewRouter(ctx context.Context, cfg Config, specs []TenantSpec) (*Router, er
 	default:
 		return nil, fmt.Errorf("shard: role %q (want leader or follower): %w", cfg.Role, fosserr.ErrBadConfig)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.System.Workers
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	r := &Router{
 		cfg:       cfg,
-		pool:      runtime.NewShared(cfg.Workers),
 		shards:    map[string]*Shard{},
 		creating:  map[string]bool{},
 		workloads: map[string]*workload.Workload{},
@@ -210,9 +199,6 @@ func NewRouter(ctx context.Context, cfg Config, specs []TenantSpec) (*Router, er
 	}
 	return r, nil
 }
-
-// Pool exposes the fleet's shared worker pool (benchmarks size against it).
-func (r *Router) Pool() *runtime.Pool { return r.pool }
 
 // Get returns the named shard, fosserr.ErrUnknownTenant when absent, or
 // fosserr.ErrLoopClosed once the router is draining.
@@ -393,7 +379,7 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
 	}
 	sysCfg := r.cfg.System
 	sysCfg.Seed = spec.Seed
-	sys, err := core.New(w, sysCfg, core.WithBackend(be), core.WithPool(r.pool))
+	sys, err := core.New(w, sysCfg, core.WithBackend(be))
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +547,9 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 
 // Close drains the whole fleet: new routes are refused immediately, every
 // shard drains in parallel under the shared ctx (stop intake → await or
-// cancel in-flight retrain → final checkpoint → release WAL lock), and the
-// shared worker pool is released last. Idempotent; concurrent callers all
-// observe the one drain's result (the first error, if any).
+// cancel in-flight retrain → final checkpoint → release WAL lock).
+// Idempotent; concurrent callers all observe the one drain's result (the
+// first error, if any).
 func (r *Router) Close(ctx context.Context) error {
 	r.closeOnce.Do(func() {
 		r.mu.Lock()
@@ -588,7 +574,6 @@ func (r *Router) Close(ctx context.Context) error {
 			}(i, sh)
 		}
 		wg.Wait()
-		r.pool.Close()
 		if err := errors.Join(errs...); err != nil {
 			// Every failed tenant is reported: an operator draining for a
 			// deploy needs to know each shard whose final checkpoint is

@@ -51,7 +51,6 @@ func tinyRouterConfig(stateDir string) Config {
 		},
 		Defaults:         TenantSpec{Workload: "job", Scale: 0.25, Seed: 1},
 		StateDir:         stateDir,
-		Workers:          2,
 		CheckpointOnBoot: stateDir != "",
 	}
 }
@@ -204,7 +203,7 @@ func TestRouterLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shared pool workers and loop goroutines are gone.
+	// Loop goroutines are gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for goruntime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
