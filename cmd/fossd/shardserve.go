@@ -116,6 +116,32 @@ func rootStoreErr(stateDir string) error {
 	return nil
 }
 
+// servingOnlyErr names the flags that were set but only mean something under
+// -serve-http. Without it fossd trains, evaluates and exits: it boots no
+// fleet, follows no leader and writes no state, so accepting them would be
+// ignoring them.
+func servingOnlyErr(tenants, tenantSpec, role, stateDir, leaderAddr string) error {
+	var set []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-tenants", tenants != ""},
+		{"-tenant-spec", tenantSpec != ""},
+		{"-role follower", role == "follower"},
+		{"-state-dir", stateDir != ""},
+		{"-leader-addr", leaderAddr != ""},
+	} {
+		if f.set {
+			set = append(set, f.name)
+		}
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("without -serve-http these do nothing: %s", strings.Join(set, ", "))
+}
+
 // runSharded boots the fleet and serves the multi-tenant wire surface until
 // SIGINT/SIGTERM, then drains it.
 func runSharded(ctx context.Context, cfg shard.Config, specs []shard.TenantSpec, addr string, drain time.Duration) error {

@@ -82,3 +82,37 @@ func TestRootStoreErr(t *testing.T) {
 		t.Fatalf("root-level store: %v, want a refusal naming %s", err, filepath.Join(dir, "default"))
 	}
 }
+
+// TestServingOnlyErr: a flag that only means something under -serve-http is
+// refused without it, by name — -state-dir and -leader-addr used to be
+// accepted and ignored (train, evaluate, exit 0, write nothing).
+func TestServingOnlyErr(t *testing.T) {
+	cases := []struct {
+		name                                            string
+		tenants, tenantSpec, role, stateDir, leaderAddr string
+		want                                            string // "" = accepted
+	}{
+		{name: "train and evaluate", role: "leader"},
+		{name: "tenants", tenants: "acme", role: "leader", want: "without -serve-http these do nothing: -tenants"},
+		{name: "tenant spec", tenantSpec: "acme=backend:gaussim", role: "leader", want: "without -serve-http these do nothing: -tenant-spec"},
+		{name: "follower", role: "follower", want: "without -serve-http these do nothing: -role follower"},
+		{name: "state dir", role: "leader", stateDir: "./s", want: "without -serve-http these do nothing: -state-dir"},
+		{name: "leader addr", role: "leader", leaderAddr: "http://h:8475", want: "without -serve-http these do nothing: -leader-addr"},
+		{
+			name: "every one named", tenants: "acme", role: "follower", stateDir: "./s", leaderAddr: "http://h:8475",
+			want: "without -serve-http these do nothing: -tenants, -role follower, -state-dir, -leader-addr",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := servingOnlyErr(tc.tenants, tc.tenantSpec, tc.role, tc.stateDir, tc.leaderAddr)
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Fatalf("got %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

@@ -73,6 +73,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 // TestKnobsTableMatchesFlags keeps README's "## Knobs" table and fossd's flag
 // set the same list: every flag fossd defines has a row naming it in the
 // "Where" column, and every -name that column lists is a flag fossd defines.
+// The table has one Default column: fossd's flag defaults are read off the
+// library's DefaultConfig functions, so no cell may carry a second "(CLI: …)"
+// value.
 func TestKnobsTableMatchesFlags(t *testing.T) {
 	defined := map[string]bool{}
 	sources, _ := filepath.Glob("cmd/fossd/*.go")
@@ -94,6 +97,9 @@ func TestKnobsTableMatchesFlags(t *testing.T) {
 	listed := map[string]bool{}
 	flagRef := regexp.MustCompile("`-([a-z][a-z-]*)`")
 	for _, line := range strings.Split(knobs, "\n") {
+		if strings.Contains(line, "(CLI:") {
+			t.Errorf("README's Knobs table states a second default: %s", line)
+		}
 		// | knob | where | default | meaning |
 		if cells := strings.Split(line, "|"); len(cells) >= 5 {
 			for _, m := range flagRef.FindAllStringSubmatch(cells[2], -1) {

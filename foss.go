@@ -89,24 +89,23 @@
 //
 // Tiered serving: repeat traffic can skip the model entirely. With
 // OnlineConfig.Tier enabled the loop fronts tier 2 (the full AAM pass) with
-// a learned router over two fast paths — tier 0, a persistent plan memory
+// a learned router over one fast path — tier 0, a persistent plan memory
 // that pins a fingerprint's best plan after it beats the expert baseline
-// PromoteAfter times (a hit is one allocation-free map lookup), and tier 1,
-// a statistics-free greedy join orderer for fingerprints with history but no
-// pin. A regression past EscalateRatio escalates the fingerprint back to
-// tier 2, a hot-swap invalidates every pin in the same step that bumps the
-// epoch, and pins survive restarts through the checkpoint. Decisions are a
-// pure function of the feedback stream, so replays reproduce them exactly:
+// PromoteAfter times (a hit is one allocation-free map lookup). A regression
+// past EscalateRatio escalates the fingerprint back to tier 2, a hot-swap
+// invalidates every pin in the same step that bumps the epoch, and pins
+// survive restarts through the checkpoint. Decisions are a pure function of
+// the feedback stream, so replays reproduce them exactly:
 //
-//	cfg := foss.DefaultOnlineConfig()
-//	cfg.Tier = foss.TierConfig{Memory: true, Greedy: true}
+//	cfg := foss.DefaultOnlineConfig() // tier 0 is on
+//	cfg.Tier.PromoteAfter = 2
 //	_ = sys.EnableOnline(cfg)
-//	res, _ := sys.ServeContext(ctx, q) // res.Tier: 0, 1, or 2
+//	res, _ := sys.ServeContext(ctx, q) // res.Tier: 0 or 2
 //
 // A tier-2 miss does only inference. Algorithm 1 is split (internal/planner)
 // into the walk — mask, state-network forward, policy sample or greedy, edit,
 // hinted replan, deduplicated into the episode's candidates — which is all a
-// miss, Explain and fossd -diag run, and the scoring pass, which turns a
+// miss and Explain run, and the scoring pass, which turns a
 // walked episode into advantage-tracked rewards, critic values and PPO
 // transitions and which only training runs, right after the walk. Every
 // forward that is never followed by Backward goes through a frozen view
@@ -262,11 +261,11 @@ type ServeResult = service.Result
 type DriftDetectorConfig = service.DetectorConfig
 
 // TierConfig re-exports the tiered-serving configuration
-// (OnlineConfig.Tier): tier-0 plan memory, the tier-1 greedy micro-planner,
-// the promotion win streak, and the escalation ratio. The zero value
-// disables tiering. Per-tier serve counters and latencies appear in
-// OnlineStats (Tier0Hits, Tier1Hits, Tier2Serves, Promotions, Demotions,
-// PinnedPlans), and every ServeResult carries the tier that answered it.
+// (OnlineConfig.Tier): tier-0 plan memory, the promotion win streak, and
+// the escalation ratio. The zero value disables tiering. Per-tier serve
+// counters and latencies appear in OnlineStats (Tier0Hits, Tier2Serves,
+// Tier0AvgUs, Tier2AvgUs, Promotions, Demotions, PinnedPlans), and every
+// ServeResult carries the tier that answered it.
 type TierConfig = tier.Config
 
 // AdvisorConfig re-exports the async self-diagnosis advisor's tuning
@@ -309,9 +308,11 @@ func NewHTTPServer(sys *System, opts HTTPOptions) (*service.HTTPServer, error) {
 	return service.NewHTTPServer(lp, opts), nil
 }
 
-// DefaultOnlineConfig returns the serving-oriented loop configuration:
-// 32-record rolling window, 1.15 mean regression threshold, 60% novelty
-// fraction, background retraining.
+// DefaultOnlineConfig returns the configuration fossd serves with: 16-record
+// rolling window, 1.1 mean regression threshold, 50% novelty fraction,
+// background retraining of 2 iterations over the 32 most recent queries, a
+// checkpoint every 64 records once a Store is attached, tier-0 plan memory
+// and the advisor on.
 func DefaultOnlineConfig() OnlineConfig { return service.DefaultConfig() }
 
 // ---- multi-tenant sharded serving ----

@@ -9,7 +9,7 @@ package core_test
 //   - TestCrossBackendParity drives the full train→serve→record doctor loop
 //     over every registered backend behind the same interface.
 //   - TestServeBatchMatchesServe pins ServeBatch (and the wire surface over
-//     it) to the single serve, per backend, with both fast tiers on.
+//     it) to the single serve, per backend, with tier 0 on.
 //   - TestSetBackendCacheIsolation proves a live backend swap can never
 //     serve a plan completed by the previous backend.
 //   - TestServeBatchCancellation (-race) proves an in-flight ServeBatch
@@ -189,11 +189,12 @@ func TestCrossBackendParity(t *testing.T) {
 	}
 }
 
-// TestServeBatchMatchesServe: the path is one. With both fast tiers on, a
-// batch row equals the single serve of the same query — plan, step, tier,
-// epoch — whether the fingerprint is pinned (tier 0), seen but unpinned
-// (tier 1), or novel (tier 2); and the wire surface, which sends every
-// request through ServeBatch, reaches tier 1 and accounts real tier-0 time.
+// TestServeBatchMatchesServe: the path is one. With tier 0 on, a batch row
+// equals the single serve of the same query — plan, step, tier, epoch —
+// whether the fingerprint is pinned (tier 0), seen but unpinned (tier 2, a
+// plan-cache hit) or novel (tier 2, a miss); and the wire surface, which
+// sends every request through ServeBatch, answers a seen fingerprint from
+// the plan cache and accounts real tier-0 time.
 func TestServeBatchMatchesServe(t *testing.T) {
 	w, err := workload.Load("job", workload.Options{Seed: 1, Scale: 0.2})
 	if err != nil {
@@ -206,7 +207,9 @@ func TestServeBatchMatchesServe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys, err := core.New(w, tinyConfig(), core.WithBackend(be))
+			cfg := tinyConfig()
+			cfg.PlanCache = 64 // a repeat of an unpinned fingerprint is a cache hit
+			sys, err := core.New(w, cfg, core.WithBackend(be))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +220,7 @@ func TestServeBatchMatchesServe(t *testing.T) {
 				Detector:   service.DetectorConfig{Window: 8, Threshold: 1e12, MinSamples: 8},
 				Cooldown:   1 << 30,
 				Background: false,
-				Tier:       tier.Config{Memory: true, Greedy: true, PromoteAfter: 2},
+				Tier:       tier.Config{Memory: true, PromoteAfter: 2},
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -262,8 +265,8 @@ func TestServeBatchMatchesServe(t *testing.T) {
 				}
 				tiers[b.Tier] = true
 			}
-			if !tiers[tier.Tier0] || !tiers[tier.Tier1] || !tiers[tier.Tier2] {
-				t.Fatalf("batch did not exercise every tier: %v", tiers)
+			if !tiers[tier.Tier0] || !tiers[tier.Tier2] {
+				t.Fatalf("batch did not exercise both tiers: %v", tiers)
 			}
 
 			byID := map[string]*query.Query{}
@@ -275,16 +278,17 @@ func TestServeBatchMatchesServe(t *testing.T) {
 			}))
 			defer ts.Close()
 
-			// Seen but unpinned: the wire answers from tier 1 with Serve's plan.
+			// Seen but unpinned: the doctor's own plan is one lookup away — the
+			// wire answers tier 2 from the plan cache, with Serve's plan.
 			seen := 3
 			code, row := postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qs[seen].ID+`"}`)
 			if code != http.StatusOK {
 				t.Fatalf("optimize %d: %v", code, row)
 			}
 			plan, _ := row["plan"].(map[string]any)
-			if row["tier"] != float64(tier.Tier1) || plan["icp_key"] != singles[seen].Eval.ICP.Key() {
-				t.Fatalf("wire serve of a seen fingerprint: tier %v plan %v, Loop.Serve gave tier %d plan %q",
-					row["tier"], plan["icp_key"], singles[seen].Tier, singles[seen].Eval.ICP.Key())
+			if row["tier"] != float64(tier.Tier2) || row["cache_hit"] != true || plan["icp_key"] != singles[seen].Eval.ICP.Key() {
+				t.Fatalf("wire serve of a seen fingerprint: tier %v cache_hit %v plan %v, want a tier-2 cache hit on Loop.Serve's plan %q",
+					row["tier"], row["cache_hit"], plan["icp_key"], singles[seen].Eval.ICP.Key())
 			}
 
 			// Pinned: the wire hit counts, and its time lands in t0Nanos and

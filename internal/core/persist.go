@@ -131,9 +131,8 @@ func (s *System) load(data []byte) error {
 // deterministic, so a candidate rebuilt from a checkpoint or WAL record is
 // interchangeable with the one that was executed live. Latency is NaN on
 // return; callers restore the journaled outcome. Runs under the runtime's
-// shared lock (the tier-1 serving path rebuilds greedy candidates live, and
-// a catalog rekey repoints the planner's backend), and refuses queries whose
-// tables a DDL has since dropped with fosserr.ErrCatalogStale.
+// shared lock (a catalog rekey repoints the planner's backend), and refuses
+// queries whose tables a DDL has since dropped with fosserr.ErrCatalogStale.
 func (s *System) RebuildEval(q *query.Query, icp plan.ICP, step int) (*planner.PlanEval, error) {
 	var pe *planner.PlanEval
 	err := s.RT.Shared(func() error {

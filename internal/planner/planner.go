@@ -4,7 +4,7 @@
 // traditional optimizer's original plan (Algorithm 1).
 //
 // Algorithm 1 runs in two halves. The walk (RunEpisodeWithRng) generates
-// plans and is all that serving, Explain and fossd -diag execute. The scoring
+// plans and is all that serving and Explain execute. The scoring
 // pass (Score) turns a walked episode into PPO transitions and the estimated
 // optimal plan CP̄, and only training runs it. Every forward that is not
 // differentiated goes through a frozen view (see package nn): tracked

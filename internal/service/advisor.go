@@ -13,8 +13,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-
-	"github.com/foss-db/foss/internal/tier"
 )
 
 // Finding kinds emitted by the advisor.
@@ -353,7 +351,7 @@ func (lp *Loop) offer(obs advisorObs) {
 		return
 	}
 	// Tier-0 hits before served, the order Stats reads them in.
-	obs.t0Hits = lp.srv.hist[tier.Tier0].Snapshot().Count()
+	obs.t0Hits = lp.srv.hist[histPin].Snapshot().Count()
 	obs.catEpoch, obs.served = lp.cat.epoch.Load(), lp.srv.served.Load()
 	lp.adv.offer(obs)
 }

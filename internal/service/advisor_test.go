@@ -164,8 +164,8 @@ func TestAdvisorBackpressureAndRetention(t *testing.T) {
 
 // TestWaitReturnsWithAdvisorEnabled: Wait drains transient retrain work, not
 // the loop-lifetime advisor goroutine — on a quiet loop with the advisor on,
-// Wait must return immediately instead of blocking until Close (the fossd
-// -online hang: the stream drained, then Wait deadlocked on the advisor).
+// Wait must return immediately instead of blocking until Close (a caller
+// that drains its stream and then Waits would deadlock on the advisor).
 func TestWaitReturnsWithAdvisorEnabled(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 4}

@@ -179,11 +179,6 @@ func tierDecision(res Result) string {
 	switch res.Tier {
 	case tier.Tier0:
 		return "tier-0 plan memory: feedback-proven pin answered without touching the model"
-	case tier.Tier1:
-		if res.CacheHit {
-			return "tier-1 greedy micro-planner: cached greedy plan for a seen, unpinned fingerprint"
-		}
-		return "tier-1 greedy micro-planner: greedy plan built for a seen, unpinned fingerprint"
 	default:
 		if res.CacheHit {
 			return "tier-2 full AAM steering: plan-cache hit on the active replica"

@@ -260,7 +260,7 @@ type optimizeRow struct {
 	Epoch    uint64 `json:"epoch"`
 	CacheHit bool   `json:"cache_hit"`
 	// Tier reports the serving tier that produced the plan (0 = plan memory,
-	// 1 = greedy micro-planner, 2 = full AAM steering).
+	// 2 = full AAM steering).
 	Tier      int      `json:"tier"`
 	OptTimeMs float64  `json:"opt_time_ms"`
 	Plan      planJSON `json:"plan"`

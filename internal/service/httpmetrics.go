@@ -12,7 +12,6 @@ package service
 
 import (
 	"net/http"
-	"strconv"
 
 	"github.com/foss-db/foss/internal/metrics"
 	"github.com/foss-db/foss/internal/repl"
@@ -29,7 +28,7 @@ type scrapeRow struct {
 	backend string
 	stats   Stats
 	cache   runtime.CacheStats
-	hist    [3]metrics.HistSnapshot
+	hist    [2]metrics.HistSnapshot
 	pending int
 	expired uint64
 
@@ -110,10 +109,8 @@ func writeMetricsText(w http.ResponseWriter, rows []scrapeRow) {
 	// (tenant, tier).
 	e.Family("foss_serve_latency_seconds", "Serve latency by serving tier (optimization time, not execution).", "histogram")
 	for _, row := range rows {
-		for t := 0; t < 3; t++ {
-			e.Hist("foss_serve_latency_seconds",
-				labels(row, metrics.Label{Key: "tier", Value: strconv.Itoa(t)}), row.hist[t])
-		}
+		e.Hist("foss_serve_latency_seconds", labels(row, metrics.Label{Key: "tier", Value: "0"}), row.hist[histPin])
+		e.Hist("foss_serve_latency_seconds", labels(row, metrics.Label{Key: "tier", Value: "2"}), row.hist[histFull])
 	}
 
 	counter("foss_served_total", "Queries served.", func(r scrapeRow) uint64 { return r.stats.Served })
@@ -131,10 +128,9 @@ func writeMetricsText(w http.ResponseWriter, rows []scrapeRow) {
 	counter("foss_checkpoint_errors_total", "Checkpoint write failures.", func(r scrapeRow) uint64 { return r.stats.CheckpointErrors })
 	gauge("foss_wal_replayed", "WAL records replayed into this process at recovery.", func(r scrapeRow) float64 { return float64(r.stats.Replayed) })
 
-	e.Family("foss_tier_serves_total", "Serves answered per tier (0=plan memory, 1=greedy, 2=full AAM).", "counter")
+	e.Family("foss_tier_serves_total", "Serves answered per tier (0=plan memory, 2=full AAM).", "counter")
 	for _, row := range rows {
 		e.Uint("foss_tier_serves_total", labels(row, metrics.Label{Key: "tier", Value: "0"}), row.stats.Tier0Hits)
-		e.Uint("foss_tier_serves_total", labels(row, metrics.Label{Key: "tier", Value: "1"}), row.stats.Tier1Hits)
 		e.Uint("foss_tier_serves_total", labels(row, metrics.Label{Key: "tier", Value: "2"}), row.stats.Tier2Serves)
 	}
 	counter("foss_tier_promotions_total", "Plans pinned into tier-0 memory.", func(r scrapeRow) uint64 { return r.stats.Promotions })

@@ -183,7 +183,12 @@ func TestMetricsGoldenFormat(t *testing.T) {
 		t.Fatalf("foss_served_total = %v (present %v), want %d", served, ok, serves)
 	}
 	var histTotal float64
-	for tierN := 0; tierN < 3; tierN++ {
+	for _, s := range p.samples {
+		if strings.Contains(s.labels, `tier="1"`) {
+			t.Fatalf("line %d: there is no tier 1, yet %s%s is exposed", s.line, s.name, s.labels)
+		}
+	}
+	for _, tierN := range []int{tier.Tier0, tier.Tier2} {
 		tl := fmt.Sprintf(`{tier="%d"}`, tierN)
 		var buckets []promSample
 		for _, s := range p.samples {

@@ -166,7 +166,6 @@ type aggregateTotals struct {
 	WALEntries  uint64 `json:"wal_entries"`
 	CacheHits   uint64 `json:"cache_hits"`
 	Tier0Hits   uint64 `json:"tier0_hits"`
-	Tier1Hits   uint64 `json:"tier1_hits"`
 	Promotions  uint64 `json:"tier_promotions"`
 	Pending     int    `json:"pending_feedback"`
 	Expired     uint64 `json:"expired_serve_ids"`
@@ -201,7 +200,6 @@ func (s *MultiHTTPServer) handleAggregateStats(w http.ResponseWriter, r *http.Re
 		out.Totals.WALEntries += row.Stats.WALEntries
 		out.Totals.CacheHits += row.Stats.CacheHits
 		out.Totals.Tier0Hits += row.Stats.Tier0Hits
-		out.Totals.Tier1Hits += row.Stats.Tier1Hits
 		out.Totals.Promotions += row.Stats.Promotions
 		out.Totals.Pending += row.Pending
 		out.Totals.Expired += row.Expired

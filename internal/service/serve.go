@@ -24,13 +24,12 @@ type Result struct {
 	// every hot-swap.
 	Epoch uint64
 	// CacheHit reports whether the plan came from the active replica's cache
-	// (or, for tier-0/1 results, from the loop's own plan memory).
+	// (or, for a tier-0 result, from the loop's own plan memory).
 	CacheHit bool
 	// OptTime is the optimization time (model inference + hint completion).
 	OptTime time.Duration
 	// Tier reports which serving tier produced the plan: 0 = plan-memory
-	// hit, 1 = greedy micro-planner, 2 = full AAM steering (always 2 when
-	// tiered serving is disabled).
+	// hit, 2 = full AAM steering (always 2 when tiered serving is disabled).
 	Tier int
 }
 
@@ -53,16 +52,22 @@ type serving struct {
 
 	served, cacheHits atomic.Uint64
 
-	// hist holds the per-tier serve-latency histograms behind /metrics,
-	// indexed by tier; their bucket counts and sums are also the only
-	// per-tier serve counters. Embedded by value: observing is two atomic
-	// adds on a fixed array, nothing the tier-0 zero-allocation budget can
-	// feel. Every serve observes exactly one histogram AFTER bumping served,
-	// and readers snapshot the histograms BEFORE loading served, so Σ
-	// histogram counts ≤ Served in any concurrent snapshot (equal once
-	// traffic quiesces).
-	hist [3]metrics.Histogram
+	// hist holds the per-tier serve-latency histograms behind /metrics —
+	// histPin for tier-0 hits, histFull for tier-2 passes; their bucket
+	// counts and sums are also the only per-tier serve counters. Embedded by
+	// value: observing is two atomic adds on a fixed array, nothing the
+	// tier-0 zero-allocation budget can feel. Every serve observes exactly
+	// one histogram AFTER bumping served, and readers snapshot the histograms
+	// BEFORE loading served, so Σ histogram counts ≤ Served in any concurrent
+	// snapshot (equal once traffic quiesces).
+	hist [2]metrics.Histogram
 }
+
+// Indexes into serving.hist and ServeHistograms.
+const (
+	histPin  = 0 // tier-0 plan-memory hit
+	histFull = 1 // tier-2 full pass
+)
 
 // identity is the scope plan memory is valid under: backend × the slot's
 // model epoch × the live catalog epoch.
@@ -76,8 +81,8 @@ func (lp *Loop) identity(s *slot) runtime.Identity {
 // and atomic pointer loads. A request that a hot-swap overtakes mid-flight
 // (the demoted replica may already carry the freshly mirrored weights by the
 // time the request acquires its read lock) is re-served on the new active,
-// so Result.Epoch always identifies the model generation — and the pin or
-// greedy cache — that actually chose the plan.
+// so Result.Epoch always identifies the model generation — and the pin —
+// that actually chose the plan.
 func (lp *Loop) Serve(ctx context.Context, q *query.Query) (Result, error) {
 	if lp.closed.Load() {
 		return Result{}, fmt.Errorf("service: serve: %w", fosserr.ErrLoopClosed)
@@ -89,9 +94,11 @@ func (lp *Loop) Serve(ctx context.Context, q *query.Query) (Result, error) {
 	for {
 		s := lp.srv.active.Load()
 		res, fast := lp.serveFast(s, q)
+		h := histPin
 		if fast {
 			res.OptTime = time.Since(start)
 		} else {
+			h = histFull
 			pe, hit, d, err := s.r.OptimizeEvalContext(ctx, q)
 			if err != nil {
 				return Result{}, err
@@ -109,40 +116,23 @@ func (lp *Loop) Serve(ctx context.Context, q *query.Query) (Result, error) {
 			lp.srv.cacheHits.Add(1)
 		}
 		res.Epoch = s.epoch
-		lp.srv.hist[res.Tier].Observe(res.OptTime)
+		lp.srv.hist[h].Observe(res.OptTime)
 		return res, nil
 	}
 }
 
-// serveFast attempts the tier-0/1 fast paths on slot s; ok=false means the
-// full tier-2 path must answer. The tier-0 hit path is allocation-free: a
-// memoized fingerprint and one read-locked map lookup.
+// serveFast attempts the tier-0 fast path on slot s; ok=false means the
+// full tier-2 path must answer. A hit is allocation-free: a memoized
+// fingerprint and one read-locked map lookup.
 func (lp *Loop) serveFast(s *slot, q *query.Query) (Result, bool) {
 	if lp.srv.tiers == nil {
 		return Result{}, false
 	}
-	fp := q.Fingerprint()
-	id := lp.identity(s)
-	switch d := lp.srv.tiers.Route(id, fp); d.Tier {
-	case tier.Tier0:
-		return Result{Eval: d.Pin, CacheHit: true, Tier: tier.Tier0}, true
-	case tier.Tier1:
-		key := id.Key(fp)
-		pe, hit := lp.srv.tiers.GreedyCached(key)
-		if !hit {
-			gicp, ok := tier.Greedy(q)
-			if !ok {
-				return Result{}, false // disconnected join graph: tier 2
-			}
-			var err error
-			if pe, err = s.r.RebuildEval(q, gicp, 0); err != nil {
-				return Result{}, false
-			}
-			lp.srv.tiers.StoreGreedy(key, pe)
-		}
-		return Result{Eval: pe, CacheHit: hit, Tier: tier.Tier1}, true
+	d := lp.srv.tiers.Route(lp.identity(s), q.Fingerprint())
+	if d.Tier != tier.Tier0 {
+		return Result{}, false
 	}
-	return Result{}, false
+	return Result{Eval: d.Pin, CacheHit: true, Tier: tier.Tier0}, true
 }
 
 // ServeBatch is Serve over each query — out[i] is Serve(ctx, qs[i]) in plan,
@@ -214,13 +204,12 @@ func (lp *Loop) executeAndRecord(q *query.Query, res Result) (float64, error) {
 	return lat, nil
 }
 
-// ServeHistograms snapshots the per-tier serve-latency histograms (indexed
-// by tier). Callers composing a scrape must snapshot these BEFORE calling
-// Stats so Σ counts ≤ Stats().Served holds under concurrent traffic.
-func (lp *Loop) ServeHistograms() [3]metrics.HistSnapshot {
-	return [3]metrics.HistSnapshot{
-		lp.srv.hist[0].Snapshot(), lp.srv.hist[1].Snapshot(), lp.srv.hist[2].Snapshot(),
-	}
+// ServeHistograms snapshots the serve-latency histograms: [0] tier-0 pin
+// hits, [1] tier-2 full passes. Callers composing a scrape must snapshot
+// these BEFORE calling Stats so Σ counts ≤ Stats().Served holds under
+// concurrent traffic.
+func (lp *Loop) ServeHistograms() [2]metrics.HistSnapshot {
+	return [2]metrics.HistSnapshot{lp.srv.hist[histPin].Snapshot(), lp.srv.hist[histFull].Snapshot()}
 }
 
 // tierServes reads one tier's serve count and mean serve time (µs) off its

@@ -138,10 +138,9 @@ type Config struct {
 	// 0 means 1 (a fresh loop).
 	InitialEpoch uint64
 
-	// Tier configures the tiered fast path in front of the doctor: tier-0
-	// plan memory (feedback-promoted pins) and the tier-1 greedy
-	// micro-planner. The zero value disables both — every request takes the
-	// full tier-2 path.
+	// Tier configures the fast path in front of the doctor: tier-0 plan
+	// memory (feedback-promoted pins). The zero value disables it — every
+	// request takes the full tier-2 path.
 	Tier tier.Config
 
 	// Follower marks this loop as a read-only serving replica in a
@@ -162,19 +161,24 @@ type Config struct {
 	Advisor AdvisorConfig
 }
 
-// DefaultConfig returns a serving-oriented configuration.
+// DefaultConfig returns the configuration fossd serves with — the one place
+// the serving loop's defaults are written. Store stays nil: durability is
+// the caller's (fossd -state-dir opens one store per tenant).
 func DefaultConfig() Config {
 	return Config{
 		Detector: DetectorConfig{
-			Window:      32,
-			Threshold:   1.15,
-			MinSamples:  16,
-			NoveltyFrac: 0.6,
+			Window:      16,
+			Threshold:   1.1,
+			MinSamples:  8,
+			NoveltyFrac: 0.5,
 		},
-		Cooldown:          32,
+		Cooldown:          16,
 		RetrainIterations: 2,
-		RetrainQueries:    48,
+		RetrainQueries:    32,
 		Background:        true,
+		CheckpointEvery:   64,
+		Tier:              tier.Config{Memory: true},
+		Advisor:           AdvisorConfig{Enabled: true, Window: 64},
 	}
 }
 
@@ -209,13 +213,11 @@ type Stats struct {
 
 	// Tiered-serving counters (zero when tiering is disabled).
 	Tier0Hits   uint64  // serves answered from plan memory
-	Tier1Hits   uint64  // serves answered by the greedy micro-planner
 	Tier2Serves uint64  // serves that took the full AAM path
 	Promotions  uint64  // plans pinned into tier-0 memory
 	Demotions   uint64  // pins escalated back to tier 2 on regression
 	PinnedPlans int     // live tier-0 pins right now
 	Tier0AvgUs  float64 // mean serve time per tier, microseconds
-	Tier1AvgUs  float64
 	Tier2AvgUs  float64
 }
 
@@ -384,7 +386,7 @@ func (lp *Loop) Epoch() uint64 { return lp.srv.active.Load().epoch }
 // promotions, recorded before the WAL length), and the write side bumps them
 // in the opposite order (or under one critical section). Every snapshot
 // therefore satisfies the cross-counter invariants: CacheHits ≤ Served,
-// Tier0+Tier1+Tier2 ≤ Served, Demotions ≤ Promotions, and (with a clean
+// Tier0+Tier2 ≤ Served, Demotions ≤ Promotions, and (with a clean
 // journal) Recorded ≤ WALEntries. The -race scrape test pins exactly these.
 func (lp *Loop) Stats() Stats {
 	win := lp.lrn.det.WindowState()
@@ -415,9 +417,8 @@ func (lp *Loop) Stats() Stats {
 		// The per-tier counts and means come off the serve histograms — one
 		// snapshot, taken before served is loaded below.
 		hist := lp.ServeHistograms()
-		st.Tier0Hits, st.Tier0AvgUs = tierServes(hist[tier.Tier0])
-		st.Tier1Hits, st.Tier1AvgUs = tierServes(hist[tier.Tier1])
-		st.Tier2Serves, st.Tier2AvgUs = tierServes(hist[tier.Tier2])
+		st.Tier0Hits, st.Tier0AvgUs = tierServes(hist[histPin])
+		st.Tier2Serves, st.Tier2AvgUs = tierServes(hist[histFull])
 		st.Demotions = lp.lrn.demotions.Load()
 		st.Promotions = lp.lrn.promotions.Load()
 		st.PinnedPlans = lp.srv.tiers.Pinned()
@@ -433,8 +434,8 @@ func (lp *Loop) Stats() Stats {
 	return st
 }
 
-// String renders the counters compactly (fossd's -online output). The
-// durability block appears only when a store is in play.
+// String renders the counters compactly. The durability block appears only
+// when a store is in play.
 func (s Stats) String() string {
 	out := fmt.Sprintf(
 		"epoch=%d served=%d cacheHits=%d recorded=%d drifts=%d retrains=%d swaps=%d errs=%d expertErrs=%d windowMean=%.3f windowNovel=%.2f",
@@ -446,9 +447,9 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(" catalogEpoch=%d ddlApplies=%d staleInvalidations=%d",
 			s.CatalogEpoch, s.CatalogApplies, s.StaleInvalidations)
 	}
-	if s.Tier0Hits > 0 || s.Tier1Hits > 0 || s.Tier2Serves > 0 || s.PinnedPlans > 0 {
-		out += fmt.Sprintf(" tier0=%d tier1=%d tier2=%d pins=%d promotions=%d demotions=%d",
-			s.Tier0Hits, s.Tier1Hits, s.Tier2Serves, s.PinnedPlans, s.Promotions, s.Demotions)
+	if s.Tier0Hits > 0 || s.Tier2Serves > 0 || s.PinnedPlans > 0 {
+		out += fmt.Sprintf(" tier0=%d tier2=%d pins=%d promotions=%d demotions=%d",
+			s.Tier0Hits, s.Tier2Serves, s.PinnedPlans, s.Promotions, s.Demotions)
 	}
 	return out
 }

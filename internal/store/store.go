@@ -76,7 +76,6 @@ type PinnedPlan struct {
 // TierHistory is one fingerprint's routing history in durable form.
 type TierHistory struct {
 	Fingerprint uint64
-	Seen        uint64
 	Wins        int
 	Regressed   bool
 }

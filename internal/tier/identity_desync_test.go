@@ -30,8 +30,7 @@ func TestIdentityDesync(t *testing.T) {
 
 	q := chainQuery("a")
 	fp := q.Fingerprint()
-	icp, _ := Greedy(q)
-	pe := eval(q, icp)
+	pe := eval(q, chainICP())
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package tier implements the three-tier optimizer that fronts the online
-// doctor: a learned router sends each query to the cheapest tier whose
-// history says it can be trusted.
+// Package tier implements the two-tier serving path that fronts the online
+// doctor: a learned router answers a query from plan memory when feedback
+// has proven a plan for it, and from the doctor otherwise.
 //
 //   - Tier 0 — plan memory: a per-tenant map from query fingerprint (scoped
 //     by the shared composite serving identity, backend × epoch) to the best
@@ -8,11 +8,12 @@
 //     the expert baseline over a configurable win streak, so a tier-0 hit is
 //     a plan feedback has already proven. Hits cost one map lookup —
 //     microseconds, zero allocations.
-//   - Tier 1 — greedy micro-planner: a statistics-free greedy join orderer
-//     (see Greedy) for fingerprints with history but no pinned winner.
-//     Microsecond-class, deterministic, no model forwards.
 //   - Tier 2 — full AAM steering: the doctor's complete scoring pass, for
-//     novel or regressed queries. Unchanged by this package.
+//     everything without a pin. Unchanged by this package.
+//
+// There is no tier in between (the labels are wire values, so 1 stays
+// unused): a doctor's fast path is a plan feedback has proven, and its floor
+// is the expert's plan — never one built from scratch without the model.
 //
 // The router is deterministic: decisions are a pure function of the
 // per-fingerprint history, which is itself a pure function of the feedback
@@ -38,7 +39,6 @@ import (
 // Tier labels, in escalation order.
 const (
 	Tier0 = 0 // plan-memory hit
-	Tier1 = 1 // greedy micro-planner
 	Tier2 = 2 // full AAM steering
 )
 
@@ -46,21 +46,18 @@ const (
 type Config struct {
 	// Memory enables tier 0: feedback-promoted plan pinning.
 	Memory bool
-	// Greedy enables tier 1: the greedy micro-planner for fingerprints with
-	// history but no pin.
-	Greedy bool
 	// PromoteAfter is the consecutive-win streak (observed latency beating
 	// the expert baseline) required before a fingerprint's best plan is
 	// pinned into tier-0 memory. Default 3.
 	PromoteAfter int
-	// EscalateRatio is the latency/expert ratio past which a fast-path plan
+	// EscalateRatio is the latency/expert ratio past which a pinned plan
 	// is escalated back to tier 2 (pin dropped, fingerprint marked regressed
 	// until the next epoch). Default 1.5.
 	EscalateRatio float64
 }
 
-// Enabled reports whether any fast tier is on.
-func (c Config) Enabled() bool { return c.Memory || c.Greedy }
+// Enabled reports whether the fast tier is on.
+func (c Config) Enabled() bool { return c.Memory }
 
 func (c Config) withDefaults() Config {
 	if c.PromoteAfter < 1 {
@@ -72,12 +69,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// History is one fingerprint's routing state. Seen survives epoch bumps
-// (the router still knows the fingerprint is repeat traffic); Wins, the
-// regression latch, and the best-candidate tracking are identity-scoped and
-// reset on invalidation.
+// History is one fingerprint's routing state: Wins, the regression latch,
+// and the best-candidate tracking are identity-scoped and reset on
+// invalidation.
 type History struct {
-	Seen      uint64
 	Wins      int
 	Regressed bool
 
@@ -99,17 +94,16 @@ type Outcome struct {
 	Demoted  bool
 }
 
-// Memory is the tier router's state: pinned tier-0 plans, cached tier-1
-// greedy completions, and per-fingerprint history. Safe for concurrent use;
-// Route is a read-lock lookup so the serving fast path never contends with
-// anything but promotions.
+// Memory is the tier router's state: pinned tier-0 plans and
+// per-fingerprint history. Safe for concurrent use; Route is a read-lock
+// lookup so the serving fast path never contends with anything but
+// promotions.
 type Memory struct {
 	cfg Config
 
 	mu     sync.RWMutex
 	pins   map[runtime.PlanKey]*planner.PlanEval
 	pinLat map[runtime.PlanKey]float64
-	greedy map[runtime.PlanKey]*planner.PlanEval
 	hist   map[uint64]*History
 }
 
@@ -119,7 +113,6 @@ func NewMemory(cfg Config) *Memory {
 		cfg:    cfg.withDefaults(),
 		pins:   map[runtime.PlanKey]*planner.PlanEval{},
 		pinLat: map[runtime.PlanKey]float64{},
-		greedy: map[runtime.PlanKey]*planner.PlanEval{},
 		hist:   map[uint64]*History{},
 	}
 }
@@ -138,35 +131,16 @@ func (m *Memory) Route(id runtime.Identity, fp uint64) Decision {
 			return Decision{Tier: Tier0, Pin: pe}
 		}
 	}
-	if m.cfg.Greedy {
-		if h, ok := m.hist[fp]; ok && h.Seen >= 1 && !h.Regressed {
-			return Decision{Tier: Tier1}
-		}
-	}
 	return Decision{Tier: Tier2}
-}
-
-// GreedyCached returns the cached tier-1 completion for the key, if any.
-func (m *Memory) GreedyCached(key runtime.PlanKey) (*planner.PlanEval, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	pe, ok := m.greedy[key]
-	return pe, ok
-}
-
-// StoreGreedy caches a tier-1 completion (invalidated with the pins).
-func (m *Memory) StoreGreedy(key runtime.PlanKey, pe *planner.PlanEval) {
-	m.mu.Lock()
-	m.greedy[key] = pe
-	m.mu.Unlock()
 }
 
 // Observe ingests one executed plan's feedback and drives promotion and
 // escalation. The executed plan is classified as fast-path by plan identity
-// (ICP + step equality against the pin, or against the greedy completion
-// for this query) rather than by journaled tier labels — so WAL replay,
-// which re-feeds the same observations, reconstructs the identical state.
-func (m *Memory) Observe(id runtime.Identity, fp uint64, q *query.Query, pe *planner.PlanEval, latencyMs, expertMs float64) Outcome {
+// (ICP + step equality against the pin) rather than by journaled tier labels
+// — so WAL replay, which re-feeds the same observations, reconstructs the
+// identical state. The query is unread since tier 1 went; benchmark/hot.go
+// still passes it, and ROADMAP item 6 (a) drops it from both.
+func (m *Memory) Observe(id runtime.Identity, fp uint64, _ *query.Query, pe *planner.PlanEval, latencyMs, expertMs float64) Outcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -175,31 +149,20 @@ func (m *Memory) Observe(id runtime.Identity, fp uint64, q *query.Query, pe *pla
 		h = &History{}
 		m.hist[fp] = h
 	}
-	h.Seen++
 
 	key := id.Key(fp)
 	pin, pinned := m.pins[key]
 	onPin := pinned && pin.Step == pe.Step && pin.ICP.Equal(pe.ICP)
-	onGreedy := false
-	if !onPin && m.cfg.Greedy && pe.Step == 0 {
-		// Recompute rather than consult the greedy cache: the recomputation
-		// is pure and microsecond-cheap, and it classifies identically during
-		// live serving and WAL replay (where the cache starts empty).
-		if gicp, ok := Greedy(q); ok && gicp.Equal(pe.ICP) {
-			onGreedy = true
-		}
-	}
 
-	// Escalation: a fast-path plan that regressed past the ratio goes back
-	// to tier 2 until the next epoch re-earns trust.
-	if (onPin || onGreedy) && expertMs > 0 && latencyMs > m.cfg.EscalateRatio*expertMs {
+	// Escalation: a pinned plan that regressed past the ratio goes back to
+	// tier 2 until the next epoch re-earns trust.
+	if onPin && expertMs > 0 && latencyMs > m.cfg.EscalateRatio*expertMs {
 		delete(m.pins, key)
 		delete(m.pinLat, key)
-		delete(m.greedy, key)
 		h.Regressed = true
 		h.Wins = 0
 		h.best = nil
-		return Outcome{Demoted: onPin}
+		return Outcome{Demoted: true}
 	}
 
 	win := expertMs > 0 && latencyMs <= expertMs
@@ -228,16 +191,14 @@ func (m *Memory) Observe(id runtime.Identity, fp uint64, q *query.Query, pe *pla
 	return Outcome{}
 }
 
-// Invalidate drops every pin and cached greedy completion and resets the
-// identity-scoped history (win streaks, regression latches, promotion
-// candidates), keeping only the Seen counts. Called on hot-swap, in the
-// same step that invalidates the runtime plan cache.
+// Invalidate drops every pin and resets the identity-scoped history (win
+// streaks, regression latches, promotion candidates). Called on hot-swap,
+// in the same step that invalidates the runtime plan cache.
 func (m *Memory) Invalidate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.pins)
 	clear(m.pinLat)
-	clear(m.greedy)
 	for _, h := range m.hist {
 		h.Wins = 0
 		h.Regressed = false
@@ -276,7 +237,6 @@ func (m *Memory) Export() *store.TierState {
 	for fp, h := range m.hist {
 		ts.History = append(ts.History, store.TierHistory{
 			Fingerprint: fp,
-			Seen:        h.Seen,
 			Wins:        h.Wins,
 			Regressed:   h.Regressed,
 		})
@@ -296,7 +256,7 @@ func (m *Memory) Import(ts *store.TierState, id runtime.Identity, rebuild func(q
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range ts.History {
-		m.hist[p.Fingerprint] = &History{Seen: p.Seen, Wins: p.Wins, Regressed: p.Regressed}
+		m.hist[p.Fingerprint] = &History{Wins: p.Wins, Regressed: p.Regressed}
 	}
 	if !m.cfg.Memory {
 		return nil

@@ -1,13 +1,17 @@
 package tier
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/runtime"
+	"github.com/foss-db/foss/internal/store"
 )
 
 // chainQuery builds a connected chain query a—b—c—d with an equality filter
@@ -29,52 +33,12 @@ func chainQuery(filtered string) *query.Query {
 	}
 }
 
-func TestGreedyDeterministicAndConnected(t *testing.T) {
-	q := chainQuery("c")
-	icp, ok := Greedy(q)
-	if !ok {
-		t.Fatal("connected chain rejected")
-	}
-	if len(icp.Order) != 4 || len(icp.Methods) != 3 {
-		t.Fatalf("order %v methods %v", icp.Order, icp.Methods)
-	}
-	if icp.Order[0] != "c" {
-		t.Fatalf("greedy must start from the most-filtered alias, got %v", icp.Order)
-	}
-	if !q.IsConnectedOrder(icp.Order) {
-		t.Fatalf("greedy emitted a cross product: %v", icp.Order)
-	}
-	for _, m := range icp.Methods {
-		if m != plan.HashJoin {
-			t.Fatalf("non-hash join in statistics-free plan: %v", icp.Methods)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		again, ok := Greedy(chainQuery("c"))
-		if !ok || !again.Equal(icp) {
-			t.Fatalf("run %d diverged: %v vs %v", i, again, icp)
-		}
-	}
-}
-
-func TestGreedyRejectsDisconnected(t *testing.T) {
-	q := &query.Query{
-		ID: "cross", Template: "t",
-		Tables: []query.TableRef{{Table: "ta", Alias: "a"}, {Table: "tb", Alias: "b"}},
-	}
-	if _, ok := Greedy(q); ok {
-		t.Fatal("disconnected join graph accepted — would be a cross product")
-	}
-}
-
-func TestGreedySingleTable(t *testing.T) {
-	q := &query.Query{
-		ID: "one", Template: "t",
-		Tables: []query.TableRef{{Table: "ta", Alias: "a"}},
-	}
-	icp, ok := Greedy(q)
-	if !ok || len(icp.Order) != 1 || icp.Order[0] != "a" {
-		t.Fatalf("single-table greedy: %v ok=%v", icp, ok)
+// chainICP is the fixture plan for chainQuery: the chain in order, hash
+// joins throughout.
+func chainICP() plan.ICP {
+	return plan.ICP{
+		Order:   []string{"a", "b", "c", "d"},
+		Methods: []plan.JoinMethod{plan.HashJoin, plan.HashJoin, plan.HashJoin},
 	}
 }
 
@@ -90,7 +54,7 @@ func TestMemoryPromoteRouteEscalate(t *testing.T) {
 	id := runtime.Identity{Backend: "b", Epoch: 1}
 	q := chainQuery("a")
 	fp := q.Fingerprint()
-	icp, _ := Greedy(q)
+	icp := chainICP()
 	pe := eval(q, icp)
 
 	if d := m.Route(id, fp); d.Tier != Tier2 {
@@ -140,7 +104,7 @@ func TestMemoryExportImportRoundtrip(t *testing.T) {
 	id := runtime.Identity{Backend: "b", Epoch: 3}
 	q := chainQuery("b")
 	fp := q.Fingerprint()
-	icp, _ := Greedy(q)
+	icp := chainICP()
 	if out := m.Observe(id, fp, q, eval(q, icp), 4, 10); !out.Promoted {
 		t.Fatal("fixture did not promote")
 	}
@@ -154,10 +118,11 @@ func TestMemoryExportImportRoundtrip(t *testing.T) {
 
 	m2 := NewMemory(Config{Memory: true, PromoteAfter: 1})
 	rebuilt := 0
-	err := m2.Import(ts, id, func(q *query.Query, icp plan.ICP, step int) (*planner.PlanEval, error) {
+	rebuild := func(q *query.Query, icp plan.ICP, step int) (*planner.PlanEval, error) {
 		rebuilt++
 		return &planner.PlanEval{Q: q, ICP: icp, Step: step, Latency: math.NaN()}, nil
-	})
+	}
+	err := m2.Import(ts, id, rebuild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +139,37 @@ func TestMemoryExportImportRoundtrip(t *testing.T) {
 	// nil state is a clean no-op (old checkpoints without a tier section).
 	if err := m2.Import(nil, id, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	// A tier image written before History lost its Seen count (the tier-1
+	// router's repeat-traffic marker) still decodes and serves: gob drops the
+	// field this build no longer declares.
+	type oldHistory struct {
+		Fingerprint uint64
+		Seen        uint64
+		Wins        int
+		Regressed   bool
+	}
+	old := struct {
+		Pins    []store.PinnedPlan
+		History []oldHistory
+	}{ts.Pins, []oldHistory{{Fingerprint: fp, Seen: 7, Wins: 1}}}
+	var img bytes.Buffer
+	if err := gob.NewEncoder(&img).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var decoded store.TierState
+	if err := gob.NewDecoder(&img).Decode(&decoded); err != nil {
+		t.Fatalf("tier image with a Seen field: %v", err)
+	}
+	if !reflect.DeepEqual(decoded.History, ts.History) {
+		t.Fatalf("old image's history decoded to %+v, want %+v", decoded.History, ts.History)
+	}
+	m3 := NewMemory(Config{Memory: true, PromoteAfter: 1})
+	if err := m3.Import(&decoded, id, rebuild); err != nil {
+		t.Fatal(err)
+	}
+	if d := m3.Route(id, fp); d.Tier != Tier0 || !d.Pin.ICP.Equal(icp) {
+		t.Fatalf("pin from the old image does not serve: tier=%d", d.Tier)
 	}
 }
