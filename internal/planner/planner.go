@@ -63,8 +63,10 @@ type Environment interface {
 	// timeout (1.5× the original plan's latency); the real environment
 	// executes under it, the simulated environment ignores it.
 	Prepare(pe *PlanEval, timeoutMs float64)
-	// Adv returns the advantage class of r over l in {0..K-1}.
-	Adv(l, r *PlanEval, maxSteps int) int
+	// Advantage returns the function that gives the advantage class in
+	// {0..K-1} of r over l, for l and r among plans (the scoring pass lists
+	// every plan it will compare, so a model can forward each one once).
+	Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval) int
 }
 
 // Executor is the slice of an optimizer backend that runs plans: execution
@@ -95,9 +97,9 @@ func (e *RealEnv) Prepare(pe *PlanEval, timeoutMs float64) {
 	}
 }
 
-// Adv computes the true advantage class from executed latencies.
-func (e *RealEnv) Adv(l, r *PlanEval, maxSteps int) int {
-	return aam.ScoreOf(aam.AdvInit(l.Latency, r.Latency))
+// Advantage computes the true advantage class from executed latencies.
+func (e *RealEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval) int {
+	return func(l, r *PlanEval) int { return aam.ScoreOf(aam.AdvInit(l.Latency, r.Latency)) }
 }
 
 // SimEnv scores candidates with the asymmetric advantage model; no execution
@@ -111,9 +113,23 @@ type SimEnv struct {
 // Prepare is a no-op in the simulated environment.
 func (e *SimEnv) Prepare(pe *PlanEval, timeoutMs float64) {}
 
-// Adv queries the AAM.
-func (e *SimEnv) Adv(l, r *PlanEval, maxSteps int) int {
-	return e.Model.Score(l.Enc, r.Enc, l.StepStatus(maxSteps), r.StepStatus(maxSteps))
+// Advantage queries the AAM: one batched state pass over the distinct plans,
+// then one pairwise head per comparison (ScoreStates, identical to Score).
+func (e *SimEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval) int {
+	var distinct []*PlanEval
+	var encs []*planenc.Encoded
+	var steps []float64
+	for _, pe := range plans {
+		if !slices.Contains(distinct, pe) {
+			distinct = append(distinct, pe)
+			encs = append(encs, pe.Enc)
+			steps = append(steps, pe.StepStatus(maxSteps))
+		}
+	}
+	sv := e.Model.StatesBatch(encs, steps)
+	return func(l, r *PlanEval) int {
+		return e.Model.ScoreStates(sv, slices.Index(distinct, l), slices.Index(distinct, r))
+	}
 }
 
 // Config parameterizes the planner.
@@ -292,18 +308,33 @@ func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environm
 }
 
 // Score is the scoring pass over an episode walked with an environment: one
-// env.Adv per step tracks CP̄ (Final), and each step becomes a Transition
+// advantage per step tracks CP̄ (Final), and each step becomes a Transition
 // whose reward is the penalty plus, for an ICP new in the episode, the bounty
-// and on the last step the episode bounty. Adv and the critic consume no
-// randomness and read only what the walk fixed, so scoring after the walk
-// equals scoring inside it.
+// and on the last step the episode bounty. The advantage function is built
+// once over every plan the pass compares (orig, each step's next, and the
+// bounty references when the episode bounty is paid). It and the critic consume no randomness and read only what
+// the walk fixed, so scoring after the walk equals scoring inside it.
 func (p *Planner) Score(ep *EpisodeResult) {
 	maxSteps := p.Cfg.MaxSteps
 	orig := ep.Candidates[0]
+	refs := ep.refs
+	if len(refs) == 0 {
+		refs = []Ref{{Eval: orig, RefB: 0}}
+	}
+	plans := []*PlanEval{orig}
+	for _, st := range ep.steps {
+		plans = append(plans, st.next)
+	}
+	if n := len(ep.steps); n == maxSteps && ep.steps[n-1].isNew { // the episode bounty is paid
+		for _, ref := range refs {
+			plans = append(plans, ref.Eval)
+		}
+	}
+	advantage := ep.env.Advantage(plans, maxSteps)
 	best := orig
 	for i, st := range ep.steps {
 		t := i + 1
-		adv := ep.env.Adv(best, st.next, maxSteps)
+		adv := advantage(best, st.next)
 		if adv > 0 {
 			best = st.next
 		}
@@ -311,7 +342,7 @@ func (p *Planner) Score(ep *EpisodeResult) {
 		if st.isNew {
 			bounty := float64(adv)
 			if t == maxSteps {
-				bounty += p.Cfg.Eta * p.episodeBounty(ep.env, ep.refs, orig, best, maxSteps)
+				bounty += p.Cfg.Eta * episodeBounty(advantage, refs, best)
 			}
 			reward += bounty
 		}
@@ -330,16 +361,14 @@ func (p *Planner) Score(ep *EpisodeResult) {
 }
 
 // episodeBounty computes eb = Σ_i (D̂(adv_i) + adv_i/l) · (refb_{i-1} − refb_i)
-// over the reference set {best, median, original} with refb_0 = 1.
-func (p *Planner) episodeBounty(env Environment, refs []Ref, orig, final *PlanEval, maxSteps int) float64 {
-	if len(refs) == 0 {
-		refs = []Ref{{Eval: orig, RefB: 0}}
-	}
+// over the reference set {best, median, original} (orig alone when the
+// buffer has none) with refb_0 = 1.
+func episodeBounty(advantage func(l, r *PlanEval) int, refs []Ref, final *PlanEval) float64 {
 	const l = float64(len(aam.Partition)) // 2
 	prev := 1.0
 	eb := 0.0
 	for _, ref := range refs {
-		adv := env.Adv(ref.Eval, final, maxSteps)
+		adv := advantage(ref.Eval, final)
 		eb += (aam.Midpoint(adv) + float64(adv)/l) * (prev - ref.RefB)
 		prev = ref.RefB
 	}
