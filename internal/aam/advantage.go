@@ -63,8 +63,8 @@ type Model struct {
 	FC2   *nn.Linear
 
 	// frozen is the model's frozen view (see package nn), nil on the view
-	// itself. The scoring methods run on it, so only Logits, PairLoss and
-	// Train touch tracked parameters.
+	// itself. The scoring methods run on it, so only Logits and Train touch
+	// tracked parameters.
 	frozen *Model
 }
 
@@ -124,7 +124,8 @@ func argmax(xs []float64) int {
 type Sample struct {
 	EncL, EncR   *planenc.Encoded
 	StepL, StepR float64
-	Label        int // true advantage class ScoreOf(AdvInit(latL, latR))
+	Label        int    // true advantage class ScoreOf(AdvInit(latL, latR))
+	Query        string // the query both plans belong to; Train groups by it
 }
 
 // LossConfig parameterizes the asymmetric loss of §IV-C.
@@ -138,36 +139,6 @@ type LossConfig struct {
 // standard asymmetric-loss decay pair.
 func DefaultLossConfig() LossConfig {
 	return LossConfig{GammaPos: 1, GammaNeg: 4, Epsilon: 0.1}
-}
-
-// PairLoss computes the asymmetric focal loss with label smoothing for one
-// sample as a scalar graph node. The focal decay factors (1−p̂)^γ are
-// treated as constants (detached), the standard focal-loss implementation
-// choice.
-func (m *Model) PairLoss(s Sample, cfg LossConfig) *nn.Tensor {
-	logits := m.Logits(s.EncL, s.EncR, s.StepL, s.StepR)
-	logp := nn.LogSoftmax(logits)
-	// probabilities (detached) for the focal factors
-	p := make([]float64, NumScores)
-	for j := 0; j < NumScores; j++ {
-		p[j] = math.Exp(logp.Data[j])
-	}
-	w := make([]float64, NumScores)
-	for j := 0; j < NumScores; j++ {
-		var smoothed, phat, gamma float64
-		if j == s.Label {
-			smoothed = 1 - cfg.Epsilon
-			phat = p[j]
-			gamma = cfg.GammaPos
-		} else {
-			smoothed = cfg.Epsilon / float64(NumScores-1)
-			phat = 1 - p[j]
-			gamma = cfg.GammaNeg
-		}
-		w[j] = smoothed * math.Pow(1-clamp01(phat), gamma)
-	}
-	weights := nn.NewTensor(w, 1, NumScores)
-	return nn.Neg(nn.Sum(nn.Mul(logp, weights)))
 }
 
 func clamp01(x float64) float64 {
@@ -195,6 +166,9 @@ func DefaultTrainConfig() TrainConfig {
 }
 
 // Train fits the model to the samples and returns the mean loss per epoch.
+// Each epoch shuffles the order of the queries, lays each query's pairs out
+// in sample order, and cuts that sequence into BatchSize minibatches, so a
+// minibatch mostly compares plans of one query and shares their states.
 func (m *Model) Train(samples []Sample, cfg TrainConfig) []float64 {
 	if len(samples) == 0 {
 		return nil
@@ -202,37 +176,107 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) []float64 {
 	opt := nn.NewAdam(m.Params(), cfg.LR)
 	opt.ClipNorm = 5
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var epochLosses []float64
-	idx := make([]int, len(samples))
-	for i := range idx {
-		idx[i] = i
+	var groups [][]int
+	group := map[string]int{}
+	for i, s := range samples {
+		g, ok := group[s.Query]
+		if !ok {
+			g = len(groups)
+			group[s.Query] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
+	var epochLosses []float64
+	batch := make([]Sample, 0, cfg.BatchSize)
 	for ep := 0; ep < cfg.Epochs; ep++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 		total := 0.0
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
+		step := func() {
 			opt.ZeroGrad()
-			var batch *nn.Tensor
-			for _, i := range idx[start:end] {
-				l := m.PairLoss(samples[i], cfg.Loss)
-				if batch == nil {
-					batch = l
-				} else {
-					batch = nn.Add(batch, l)
-				}
-			}
-			loss := nn.Scale(batch, 1/float64(end-start))
+			loss := m.batchLoss(batch, cfg.Loss)
 			loss.Backward()
 			opt.Step()
-			total += loss.Item() * float64(end-start)
+			total += loss.Item() * float64(len(batch))
+			batch = batch[:0]
 		}
-		epochLosses = append(epochLosses, total/float64(len(idx)))
+		for _, g := range groups {
+			for _, i := range g {
+				batch = append(batch, samples[i])
+				if len(batch) == cfg.BatchSize {
+					step()
+				}
+			}
+		}
+		if len(batch) > 0 {
+			step()
+		}
+		epochLosses = append(epochLosses, total/float64(len(samples)))
 	}
 	return epochLosses
+}
+
+// batchLoss is the asymmetric focal loss with label smoothing of §IV-C,
+// averaged over a minibatch, as one graph: a single tracked ForwardBatch over
+// the minibatch's distinct plan states, the pairwise head over the gathered
+// left and right rows, and the per-class loss terms over [B, NumScores]. The
+// focal decay factors (1−p̂)^γ are constants (detached), the standard
+// focal-loss implementation choice.
+func (m *Model) batchLoss(batch []Sample, cfg LossConfig) *nn.Tensor {
+	encs, steps, left, right := distinctStates(batch)
+	sv := m.State.ForwardBatch(encs, steps)
+	gather := func(idx []int) *nn.Tensor {
+		rows := make([]*nn.Tensor, len(idx))
+		for i, r := range idx {
+			rows[i] = nn.Row(sv, r)
+		}
+		return nn.VStack(rows...)
+	}
+	hl := nn.ReLU(m.FC1.Forward(nn.AddRowVector(gather(left), m.PosL)))
+	hr := nn.ReLU(m.FC1.Forward(nn.AddRowVector(gather(right), m.PosR)))
+	logp := nn.LogSoftmax(m.FC2.Forward(nn.Sub(hl, hr))) // [B, NumScores]
+	w := make([]float64, len(logp.Data))
+	for i, s := range batch {
+		for j := 0; j < NumScores; j++ {
+			p := math.Exp(logp.Data[i*NumScores+j])
+			smoothed, phat, gamma := cfg.Epsilon/float64(NumScores-1), 1-p, cfg.GammaNeg
+			if j == s.Label {
+				smoothed, phat, gamma = 1-cfg.Epsilon, p, cfg.GammaPos
+			}
+			w[i*NumScores+j] = smoothed * math.Pow(1-clamp01(phat), gamma)
+		}
+	}
+	weights := nn.NewTensor(w, len(batch), NumScores)
+	return nn.Scale(nn.Sum(nn.Mul(logp, weights)), -1/float64(len(batch)))
+}
+
+// distinctStates lists the distinct (encoding, step) plan states of a
+// minibatch, in first-use order, and for each sample the rows of its left and
+// right plan in that list.
+func distinctStates(batch []Sample) (encs []*planenc.Encoded, steps []float64, left, right []int) {
+	type state struct {
+		enc  *planenc.Encoded
+		step float64
+	}
+	row := map[state]int{}
+	at := func(enc *planenc.Encoded, step float64) int {
+		k := state{enc, step}
+		r, ok := row[k]
+		if !ok {
+			r = len(encs)
+			row[k] = r
+			encs = append(encs, enc)
+			steps = append(steps, step)
+		}
+		return r
+	}
+	left = make([]int, len(batch))
+	right = make([]int, len(batch))
+	for i, s := range batch {
+		left[i] = at(s.EncL, s.StepL)
+		right[i] = at(s.EncR, s.StepR)
+	}
+	return encs, steps, left, right
 }
 
 // Accuracy returns the fraction of samples whose predicted class matches.

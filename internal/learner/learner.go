@@ -172,7 +172,8 @@ func (b *Buffer) Refs(qid string) []planner.Ref {
 // Samples builds the AAM supervised training set: all ordered pairs of
 // executed plans of the same query, excluding pairs where both timed out
 // (their relative order is unknowable), labeled with the true advantage
-// class. maxSteps normalizes the step-status feature.
+// class and tagged with the query. maxSteps normalizes the step-status
+// feature.
 func (b *Buffer) Samples(maxSteps int) []aam.Sample {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -192,6 +193,7 @@ func (b *Buffer) Samples(maxSteps int) []aam.Sample {
 					EncL: l.Enc, EncR: r.Enc,
 					StepL: l.StepStatus(maxSteps), StepR: r.StepStatus(maxSteps),
 					Label: aam.ScoreOf(aam.AdvInit(l.Latency, r.Latency)),
+					Query: qid,
 				})
 			}
 		}

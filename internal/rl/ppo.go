@@ -14,9 +14,10 @@ import (
 	"github.com/foss-db/foss/internal/nn"
 )
 
-// Transition is one step of experience. StateVec values are the *detached*
-// state representations at collection time; Recompute closures rebuild the
-// graph at update time so gradients flow through the state network.
+// Transition is one step of experience. It keeps no state vector: Value and
+// LogProb are plain numbers the frozen view computed at collection time, and
+// the Recompute closure rebuilds the state vector with a graph at update time
+// so gradients flow through the state network.
 type Transition struct {
 	Recompute func() *nn.Tensor // rebuilds statevec [1, D] with graph
 	Mask      []bool            // legal actions at this state

@@ -85,6 +85,9 @@ echo "== frozen views: the live replica scores through its view while the standb
 # and the same view must serve the mirrored weights afterwards.
 go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./internal/aam/
 
+echo "== AAM training kernel: one epoch of BenchmarkAAMTrainEpoch, so it cannot rot =="
+go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
+
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
   # TestTier0ServeZeroAllocs, TestServeMissAllocsBounded,
