@@ -4,7 +4,8 @@
 #   vet, gofmt cleanliness, the fosslint invariant suite (clean tree +
 #   every rule proven to fire on its seeded fixture), build, every test once
 #   (under the race detector in full mode, plus the alloc tripwires the
-#   detector makes skip), the frozen-view race stress, the five process-level
+#   detector makes skip), the frozen-view race stress, one epoch of the AAM
+#   training benchmark, the five process-level
 #   gates (recovery, drain, metrics, replication, schema evolution), and in
 #   full mode the benchmark compared against HEAD~1.
 #
@@ -85,7 +86,7 @@ echo "== frozen views: the live replica scores through its view while the standb
 # and the same view must serve the mirrored weights afterwards.
 go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./internal/aam/
 
-echo "== AAM training kernel: one epoch of BenchmarkAAMTrainEpoch, so it cannot rot =="
+echo "== AAM training kernel: one epoch of -bench AAMTrainEpoch (internal/aam), so it cannot rot =="
 go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
 
 if [[ $quick -eq 0 ]]; then
