@@ -176,40 +176,33 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) []float64 {
 	opt := nn.NewAdam(m.Params(), cfg.LR)
 	opt.ClipNorm = 5
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var groups [][]int
+	var groups [][]Sample
 	group := map[string]int{}
-	for i, s := range samples {
+	for _, s := range samples {
 		g, ok := group[s.Query]
 		if !ok {
 			g = len(groups)
 			group[s.Query] = g
 			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], i)
+		groups[g] = append(groups[g], s)
 	}
 	var epochLosses []float64
-	batch := make([]Sample, 0, cfg.BatchSize)
+	order := make([]Sample, 0, len(samples))
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+		order = order[:0]
+		for _, g := range groups {
+			order = append(order, g...)
+		}
 		total := 0.0
-		step := func() {
+		for start := 0; start < len(order); start += cfg.BatchSize {
+			batch := order[start:min(start+cfg.BatchSize, len(order))]
 			opt.ZeroGrad()
 			loss := m.batchLoss(batch, cfg.Loss)
 			loss.Backward()
 			opt.Step()
 			total += loss.Item() * float64(len(batch))
-			batch = batch[:0]
-		}
-		for _, g := range groups {
-			for _, i := range g {
-				batch = append(batch, samples[i])
-				if len(batch) == cfg.BatchSize {
-					step()
-				}
-			}
-		}
-		if len(batch) > 0 {
-			step()
 		}
 		epochLosses = append(epochLosses, total/float64(len(samples)))
 	}
