@@ -117,16 +117,12 @@ func (e *SimEnv) Prepare(pe *PlanEval, timeoutMs float64) {}
 // then one pairwise head per comparison (ScoreStates, identical to Score).
 func (e *SimEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval) int {
 	var distinct []*PlanEval
-	var encs []*planenc.Encoded
-	var steps []float64
 	for _, pe := range plans {
 		if !slices.Contains(distinct, pe) {
 			distinct = append(distinct, pe)
-			encs = append(encs, pe.Enc)
-			steps = append(steps, pe.StepStatus(maxSteps))
 		}
 	}
-	sv := e.Model.StatesBatch(encs, steps)
+	sv := planStates(e.Model, distinct, maxSteps)
 	return func(l, r *PlanEval) int {
 		return e.Model.ScoreStates(sv, slices.Index(distinct, l), slices.Index(distinct, r))
 	}
@@ -401,13 +397,7 @@ func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *nn.Te
 	if len(cands) == 1 {
 		return 0, nil
 	}
-	encs := make([]*planenc.Encoded, len(cands))
-	steps := make([]float64, len(cands))
-	for i, c := range cands {
-		encs[i] = c.Enc
-		steps[i] = c.StepStatus(maxSteps)
-	}
-	sv := model.StatesBatch(encs, steps)
+	sv := planStates(model, cands, maxSteps)
 	best := 0
 	for i := 1; i < len(cands); i++ {
 		if model.ScoreStates(sv, best, i) > 0 {
@@ -415,6 +405,18 @@ func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *nn.Te
 		}
 	}
 	return best, sv
+}
+
+// planStates runs one batched state-network pass over plans: row i of the
+// result is plans[i]'s state vector.
+func planStates(model *aam.Model, plans []*PlanEval, maxSteps int) *nn.Tensor {
+	encs := make([]*planenc.Encoded, len(plans))
+	steps := make([]float64, len(plans))
+	for i, pe := range plans {
+		encs[i] = pe.Enc
+		steps[i] = pe.StepStatus(maxSteps)
+	}
+	return model.StatesBatch(encs, steps)
 }
 
 // CandidateScore describes one candidate of an explained selection: its hint
