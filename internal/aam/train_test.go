@@ -43,6 +43,7 @@ func queryPairs(rng *rand.Rand, query string, p int) []Sample {
 	return out
 }
 
+// grads copies every parameter gradient out of m and clears it.
 func grads(m *Model) [][]float64 {
 	var out [][]float64
 	for _, p := range m.Params() {
@@ -50,10 +51,6 @@ func grads(m *Model) [][]float64 {
 		clear(p.Grad)
 	}
 	return out
-}
-
-func relDiff(a, b float64) float64 {
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
 // TestBatchLossMatchesPerPairReference: on a minibatch whose pairs share plan
@@ -82,7 +79,7 @@ func TestBatchLossMatchesPerPairReference(t *testing.T) {
 	got.Backward()
 	have := grads(m)
 
-	if d := relDiff(got.Item(), ref.Item()); d > 1e-12 {
+	if d := math.Abs(got.Item()-ref.Item()) / math.Abs(ref.Item()); d > 1e-12 {
 		t.Fatalf("loss %v, per-pair reference %v (relative difference %g)", got.Item(), ref.Item(), d)
 	}
 	// Every gradient is held to 1e-9 of the largest reference gradient. An

@@ -308,8 +308,9 @@ func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environm
 // whose reward is the penalty plus, for an ICP new in the episode, the bounty
 // and on the last step the episode bounty. The advantage function is built
 // once over every plan the pass compares (orig, each step's next, and the
-// bounty references when the episode bounty is paid). It and the critic consume no randomness and read only what
-// the walk fixed, so scoring after the walk equals scoring inside it.
+// bounty references when the episode bounty is paid). It and the critic
+// consume no randomness and read only what the walk fixed, so scoring after
+// the walk equals scoring inside it.
 func (p *Planner) Score(ep *EpisodeResult) {
 	maxSteps := p.Cfg.MaxSteps
 	orig := ep.Candidates[0]
