@@ -10,8 +10,6 @@ package core_test
 //     over every registered backend behind the same interface.
 //   - TestServeBatchMatchesServe pins ServeBatch (and the wire surface over
 //     it) to the single serve, per backend, with tier 0 on.
-//   - TestSetBackendCacheIsolation proves a live backend swap can never
-//     serve a plan completed by the previous backend.
 //   - TestServeBatchCancellation (-race) proves an in-flight ServeBatch
 //     returns promptly once its deadline passes.
 //   - TestHTTPRoundTripRealSystem runs the wire surface over a genuinely
@@ -33,7 +31,6 @@ import (
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/backend"
 	"github.com/foss-db/foss/internal/core"
-	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/tier"
@@ -312,94 +309,6 @@ func TestServeBatchMatchesServe(t *testing.T) {
 					histBefore.Count(), histAfter.Count(), histBefore.SumSeconds, histAfter.SumSeconds)
 			}
 		})
-	}
-}
-
-// TestSetBackendCacheIsolation: swapping backends under a live system must
-// repoint every engine touchpoint and never serve a cached plan across the
-// swap — including a swap back to the original backend.
-func TestSetBackendCacheIsolation(t *testing.T) {
-	w, err := workload.Load("job", workload.Options{Seed: 1, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	cfg := tinyConfig()
-	cfg.PlanCache = 64
-	sys, err := core.New(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.TrainContext(ctx, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	q := w.Train[0]
-	if _, hit, _, err := sys.OptimizeCachedContext(ctx, q); err != nil || hit {
-		t.Fatalf("cold serve: hit=%v err=%v", hit, err)
-	}
-	if _, hit, _, err := sys.OptimizeCachedContext(ctx, q); err != nil || !hit {
-		t.Fatalf("warm serve: hit=%v err=%v", hit, err)
-	}
-
-	gau := backend.NewGaussim(w.DB, w.Stats)
-	if err := sys.SetBackend(gau); err != nil {
-		t.Fatal(err)
-	}
-	if sys.BackendName() != "gaussim" || sys.Backend.Name() != "gaussim" {
-		t.Fatalf("backend not swapped: %s/%s", sys.BackendName(), sys.Backend.Name())
-	}
-	pe, hit, _, err := sys.OptimizeEvalContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("plan served across backends after SetBackend")
-	}
-	// the served plan must have been completed by gaussim: hinting its ICP
-	// through gaussim reproduces it, and execution uses gaussim's latency
-	// surface
-	gcp, err := gau.HintedPlan(q, pe.ICP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gau.Execute(gcp, 0).LatencyMs != sys.Execute(pe.CP) {
-		t.Fatal("served plan does not execute on the gaussim surface")
-	}
-
-	// swap back: still no cross-backend serving
-	sel := backend.NewSelinger(w.DB, w.Stats)
-	if err := sys.SetBackend(sel); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, _, _ := sys.OptimizeCachedContext(ctx, q); hit {
-		t.Fatal("stale pre-swap plan resurrected after swapping back")
-	}
-
-	// a backend over a different schema is rejected
-	w2, err := workload.Load("tpcds", workload.Options{Seed: 1, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetBackend(backend.NewSelinger(w2.DB, w2.Stats)); !errors.Is(err, fosserr.ErrBackendMismatch) {
-		t.Fatalf("cross-schema swap error = %v, want ErrBackendMismatch", err)
-	}
-	if err := sys.SetBackend(nil); !errors.Is(err, fosserr.ErrBadConfig) {
-		t.Fatalf("nil swap error = %v, want ErrBadConfig", err)
-	}
-
-	// once the online loop exists, swaps are rejected: a drift-triggered
-	// hot-swap would publish the standby replica still wired to the old
-	// backend, silently undoing the swap
-	if err := sys.EnableOnline(service.Config{
-		Detector:   service.DetectorConfig{Window: 8, Threshold: 1e12, MinSamples: 8},
-		Cooldown:   1 << 30,
-		Background: false,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetBackend(gau); !errors.Is(err, fosserr.ErrBackendMismatch) {
-		t.Fatalf("swap under live online loop = %v, want ErrBackendMismatch", err)
 	}
 }
 

@@ -75,16 +75,6 @@ func (cw *catalogWorld) schema() *catalog.Schema {
 	return cw.v.Schema()
 }
 
-// setBackend repoints the world at a swapped-in backend (SetBackend's hook,
-// called inside the runtime's exclusive section) so a later DDL apply
-// rebuilds the current engine.
-func (cw *catalogWorld) setBackend(b backend.Backend) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.be = b
-	cw.st = b.Stats()
-}
-
 // apply runs one DDL batch: new schema (copy-on-write), new DB (unchanged
 // tables shared by pointer), new statistics (unchanged tables shared by
 // pointer, touched tables rebuilt by a deterministic full scan), new backend
@@ -196,7 +186,7 @@ func (s *System) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 // ResyncCatalog repoints this system at the world's current backend if its
 // runtime is behind the world's catalog epoch. Idempotent; safe under
 // concurrent serving (the repoint runs inside the runtime's exclusive
-// section, like a backend swap or a weight load).
+// section, like a weight load).
 func (s *System) ResyncCatalog() error {
 	be, schema, epoch := s.world.snapshot()
 	if epoch <= s.RT.CatalogEpoch() {

@@ -42,7 +42,7 @@ type Config struct {
 	// declared only because benchmark/ still assigns it.
 	Workers int
 	// PlanCache is the serving-path plan cache capacity in entries (keyed by
-	// backend identity × query fingerprint, invalidated on Train/Load). 0 —
+	// query fingerprint, invalidated on Train/Load/DDL). 0 —
 	// the default — disables caching, keeping per-query optimization-time
 	// measurements faithful (the experiments harness depends on that);
 	// serving deployments like cmd/fossd opt in.
@@ -112,8 +112,9 @@ type System struct {
 	Cfg Config
 	W   *workload.Workload
 
-	// Backend is the optimizer substrate under the doctor. Swap it with
-	// SetBackend; never mutate it directly while serving.
+	// Backend is the optimizer substrate under the doctor, fixed at
+	// construction; only a catalog rekey repoints it, to a rebuilt engine of
+	// the same name. Never mutate it directly while serving.
 	Backend backend.Backend
 
 	Enc      *planenc.Encoder
@@ -224,10 +225,7 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		world:    world,
 	}
 	sys.Learner = learner.New(w, planners, model, b, lCfg)
-	sys.RT = runtime.New(runtime.Config{
-		CacheSize: cfg.PlanCache,
-		BackendID: b.Name(),
-	}, sys.Learner)
+	sys.RT = runtime.New(runtime.Config{CacheSize: cfg.PlanCache}, sys.Learner)
 	// A replica built over an already-evolved world starts its cache
 	// identity at the world's catalog epoch (nothing is cached yet; the
 	// rekey just aligns the identity).
@@ -239,44 +237,12 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	return sys, nil
 }
 
-// BackendName reports the identity of the backend currently under the
-// doctor.
-func (s *System) BackendName() string { return s.RT.BackendID() }
-
-// SetBackend swaps the optimizer backend under the doctor: the serving path
-// is quiesced, every component that talks to the engine is repointed, and
-// the plan cache is invalidated and rekeyed so no plan completed by the old
-// backend can ever be served from the new one. The learned models carry
-// over — the point of the paper's backend portability — but feedback
-// gathered on the old backend stays in the buffer, so a retrain after a
-// swap blends both engines' experience unless the caller resets it.
-//
-// SetBackend is rejected once EnableOnline has built the blue/green replica
-// pair: the standby replica is wired to the original backend, and a
-// drift-triggered hot-swap would publish it — silently undoing the swap.
-// Swap backends first, then enable the online loop.
-func (s *System) SetBackend(b backend.Backend) error {
-	if b == nil {
-		return fmt.Errorf("core: nil backend: %w", fosserr.ErrBadConfig)
-	}
-	if s.online != nil {
-		return fmt.Errorf("core: cannot swap backends under a live online loop (standby replica still targets %q); swap before EnableOnline: %w",
-			s.Backend.Name(), fosserr.ErrBackendMismatch)
-	}
-	if b.Schema() != s.Backend.Schema() {
-		return fmt.Errorf("core: backend %q serves a different schema: %w", b.Name(), fosserr.ErrBackendMismatch)
-	}
-	return s.RT.Rekey(b.Name(), func() error {
-		s.Backend = b
-		for _, pl := range s.Planners {
-			pl.Opt = b
-		}
-		s.Learner.Exec = b
-		// The live-catalog world follows the swap: a later DDL apply rebuilds
-		// the new engine, not the one it replaced.
-		s.world.setBackend(b)
-		return nil
-	})
+// BackendName reports the identity of the backend under the doctor. The
+// read runs under the runtime's shared lock because a catalog rekey repoints
+// s.Backend (to a rebuilt engine of the same name).
+func (s *System) BackendName() (name string) {
+	_ = s.RT.Shared(func() error { name = s.Backend.Name(); return nil })
+	return name
 }
 
 // TrainContext runs the simulated-learner loop with the serving path
@@ -369,7 +335,7 @@ func (s *System) ExplainCandidates(ctx context.Context, q *query.Query) ([]plann
 
 // ExpertPlan exposes the backend's native cost-based plan (the baseline).
 // It runs under the runtime's shared lock: concurrent with serving, never
-// interleaved with a backend swap or catalog rekey repointing s.Backend.
+// interleaved with a catalog rekey repointing s.Backend.
 func (s *System) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 	start := time.Now()
 	var cp *plan.CP
@@ -390,7 +356,7 @@ func (s *System) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 // Execute runs a plan to completion (no timeout) and returns its simulated
 // latency in milliseconds, as charged by the current backend. It runs under
 // the runtime's shared lock, so the backend pointer read can never race a
-// swap or catalog rekey. A plan whose query references a DDL-dropped table
+// catalog rekey. A plan whose query references a DDL-dropped table
 // (served just before the drop landed) returns NaN instead of executing —
 // the online loop counts it as a stale invalidation and drops the feedback.
 func (s *System) Execute(cp *plan.CP) float64 {

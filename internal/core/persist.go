@@ -61,9 +61,6 @@ func (s *System) save() ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, err
 	}
-	// Tag with the backend pointer's own name (not RT.BackendID, whose lock
-	// this shared section already holds — the two are kept in sync by
-	// SetBackend).
 	return store.Seal(s.Backend.Name(), buf.Bytes())
 }
 
@@ -95,8 +92,6 @@ func (s *System) load(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: load: %w", err)
 	}
-	// s.Backend.Name(), not s.BackendName(): load runs under RT's exclusive
-	// lock, which RT.BackendID would try to RLock again.
 	if env.Backend != s.Backend.Name() {
 		return fmt.Errorf("core: snapshot trained under backend %q, this system runs %q: %w",
 			env.Backend, s.Backend.Name(), fosserr.ErrBackendMismatch)

@@ -7,7 +7,9 @@ package runtime
 // router's plan memory both build their keys through Identity.Key, so every
 // epoch source feeds both caches from one place and can never desynchronize
 // them: a DDL bump makes stale entries unreachable in the LRU and the tier
-// memory in the same instant, exactly like a hot-swap or backend rekey.
+// memory in the same instant, exactly like a hot-swap. A runtime serves one
+// backend for its whole life and leaves Backend empty; the serving loop's
+// tier key fills it, so a tier image can never pin plans across backends.
 type Identity struct {
 	Backend string
 	Epoch   uint64

@@ -20,50 +20,31 @@ type Source interface {
 type Config struct {
 	// CacheSize is the plan-cache capacity in entries; 0 disables caching.
 	CacheSize int
-	// BackendID identifies the optimizer backend the cached plans were
-	// completed by. It is mixed into every cache key, so plans can never be
-	// served across backends — even across a backend swap that reuses this
-	// runtime.
-	BackendID string
-}
-
-// DefaultConfig returns a serving-oriented runtime configuration.
-func DefaultConfig() Config {
-	return Config{CacheSize: 256}
 }
 
 // Runtime owns the plan cache and arbitrates between the exclusive training
 // path and the shared serving path: any number of Optimize calls may run
 // concurrently (model forwards are read-only), while Exclusive (training,
-// weight loading, backend swaps) waits for in-flight requests and blocks new
-// ones. Cached plans are keyed by the shared composite PlanKey (backend
-// identity × cache epoch × query fingerprint) and invalidated whenever the
-// models change.
+// weight loading, catalog rekeys) waits for in-flight requests and blocks new
+// ones. A runtime serves one backend for its whole life, so cached plans are
+// keyed by the shared composite PlanKey (cache epoch × catalog epoch × query
+// fingerprint) and invalidated whenever the models change.
 type Runtime struct {
 	cache  *LRU[PlanKey, *planner.PlanEval]
 	source Source
 
 	// mu is the train/serve arbiter: Optimize holds it shared, Exclusive
-	// holds it exclusively. It also guards backendID and catalogEpoch.
+	// holds it exclusively. It also guards catalogEpoch.
 	mu           sync.RWMutex
-	backendID    string
 	catalogEpoch uint64
 }
 
 // New assembles a runtime over a plan-producing source.
 func New(cfg Config, source Source) *Runtime {
 	return &Runtime{
-		cache:     NewLRU[PlanKey, *planner.PlanEval](cfg.CacheSize),
-		source:    source,
-		backendID: cfg.BackendID,
+		cache:  NewLRU[PlanKey, *planner.PlanEval](cfg.CacheSize),
+		source: source,
 	}
-}
-
-// BackendID returns the backend identity the cache is currently scoped to.
-func (r *Runtime) BackendID() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.backendID
 }
 
 // identityLocked builds the cache's current composite identity. Caller holds
@@ -72,7 +53,7 @@ func (r *Runtime) BackendID() string {
 // Identity (the tier router's plan memory) agree on when an entry became
 // stale — one invalidation source, two caches, no desynchronization.
 func (r *Runtime) identityLocked() Identity {
-	return Identity{Backend: r.backendID, Epoch: r.cache.Epoch(), Catalog: r.catalogEpoch}
+	return Identity{Epoch: r.cache.Epoch(), Catalog: r.catalogEpoch}
 }
 
 // Optimize returns the chosen plan for the query, serving from the plan
@@ -118,26 +99,6 @@ func (r *Runtime) Exclusive(fn func() error) error {
 	return err
 }
 
-// Rekey atomically switches the cache's backend identity (quiescing the
-// serving path), runs fn — the caller's backend-pointer swap — inside the
-// same exclusive section, and invalidates every cached plan. If fn errors
-// the identity and cache are left untouched. Entries cached under the
-// previous backend become doubly unreachable: dropped by the invalidation
-// and, even if one were resurrected, unreachable under the new composite
-// key. fn may be nil.
-func (r *Runtime) Rekey(backendID string, fn func() error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if fn != nil {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	r.backendID = backendID
-	r.cache.Invalidate()
-	return nil
-}
-
 // CatalogEpoch returns the catalog (schema) epoch the cache is currently
 // scoped to.
 func (r *Runtime) CatalogEpoch() uint64 {
@@ -148,10 +109,9 @@ func (r *Runtime) CatalogEpoch() uint64 {
 
 // RekeyCatalog atomically advances the cache's catalog epoch (quiescing the
 // serving path), runs fn — the caller's schema/backend repoint — inside the
-// same exclusive section, and invalidates every cached plan. The sibling of
-// Rekey for schema evolution: entries planned against the old schema are
-// dropped by the invalidation and, even if resurrected, unreachable under
-// the new composite key. If fn errors the epoch and cache are untouched.
+// same exclusive section, and invalidates every cached plan. Entries planned
+// against the old schema are dropped by the invalidation and, even if
+// resurrected, unreachable under the new composite key. If fn errors the epoch and cache are untouched.
 // fn may be nil. The epoch only moves forward; a stale epoch is rejected
 // without running fn.
 func (r *Runtime) RekeyCatalog(epoch uint64, fn func() error) error {

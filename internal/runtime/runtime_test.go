@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -241,53 +242,41 @@ func TestRuntimeConcurrentOptimize(t *testing.T) {
 	}
 }
 
-// TestRuntimeCacheKeyedByBackend: the same fingerprint under different
-// backend identities must occupy distinct cache slots — plans can never be
-// served across backends, even before any invalidation runs.
-func TestRuntimeCacheKeyedByBackend(t *testing.T) {
-	b := &countingBackend{}
-	rt := New(Config{CacheSize: 8, BackendID: "selinger"}, b)
-	q := testQuery(3)
-	ctx := context.Background()
-	rt.Optimize(ctx, q)
-	if _, hit, _ := rt.Optimize(ctx, q); !hit {
-		t.Fatal("warm entry missed under original backend")
-	}
-	if err := rt.Rekey("gaussim", nil); err != nil {
-		t.Fatal(err)
-	}
-	if rt.BackendID() != "gaussim" {
-		t.Fatalf("backend id %q after rekey", rt.BackendID())
-	}
-	if _, hit, _ := rt.Optimize(ctx, q); hit {
-		t.Fatal("plan served across backends after a swap")
-	}
-	// Swapping back must also start cold: the old entry was invalidated.
-	if err := rt.Rekey("selinger", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, _ := rt.Optimize(ctx, q); hit {
-		t.Fatal("stale pre-swap plan resurrected after swapping back")
-	}
-}
-
-// TestRuntimeRekeyAbortsOnError: a failed swap callback must leave identity
-// and cache untouched.
+// TestRuntimeRekeyAbortsOnError: a failing RekeyCatalog callback leaves the
+// catalog epoch and the cache untouched, and a backwards epoch is refused
+// without running the callback.
 func TestRuntimeRekeyAbortsOnError(t *testing.T) {
 	b := &countingBackend{}
-	rt := New(Config{CacheSize: 8, BackendID: "selinger"}, b)
+	rt := New(Config{CacheSize: 8}, b)
 	ctx := context.Background()
 	q := testQuery(4)
+	if err := rt.RekeyCatalog(2, nil); err != nil {
+		t.Fatal(err)
+	}
 	rt.Optimize(ctx, q)
-	wantErr := fmt.Errorf("swap veto")
-	if err := rt.Rekey("gaussim", func() error { return wantErr }); err != wantErr {
+	wantErr := fmt.Errorf("repoint veto")
+	if err := rt.RekeyCatalog(3, func() error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want veto", err)
 	}
-	if rt.BackendID() != "selinger" {
-		t.Fatalf("identity changed on failed swap: %q", rt.BackendID())
+	if got := rt.CatalogEpoch(); got != 2 {
+		t.Fatalf("catalog epoch %d after failed rekey, want 2", got)
 	}
 	if _, hit, _ := rt.Optimize(ctx, q); !hit {
-		t.Fatal("cache dropped on failed swap")
+		t.Fatal("cache dropped on failed rekey")
+	}
+
+	ran := false
+	if err := rt.RekeyCatalog(1, func() error { ran = true; return nil }); err == nil {
+		t.Fatal("backwards catalog epoch accepted")
+	}
+	if ran {
+		t.Fatal("callback ran for a backwards catalog epoch")
+	}
+	if got := rt.CatalogEpoch(); got != 2 {
+		t.Fatalf("catalog epoch %d after refused rekey, want 2", got)
+	}
+	if _, hit, _ := rt.Optimize(ctx, q); !hit {
+		t.Fatal("cache dropped on refused rekey")
 	}
 }
 
