@@ -83,7 +83,7 @@ func main() {
 		tenantSpec   = flag.String("tenant-spec", "", "heterogeneous tenants: 'name=key:val,...;name2=...' with keys workload|backend|scale|seed|leader (merges with -tenants)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "shutdown budget: in-flight retrains past it are canceled (final checkpoints are still taken)")
 
-		role            = flag.String("role", "leader", "replica role for -serve-http: leader trains/journals/checkpoints; follower boots from the leader's newest checkpoint, serves read-only, and hot-swaps each published generation (needs -leader-addr or a shared -state-dir)")
+		role            = flag.String("role", "leader", "replica role for -serve-http: leader trains/journals/checkpoints; follower boots from the leader's newest checkpoint over -leader-addr, serves read-only, and hot-swaps each published generation (holds no state: refused with -state-dir)")
 		leaderAddr      = flag.String("leader-addr", "", "leader base URL for -role follower (e.g. http://host:8475); checkpoints replicate over /v1/t/{tenant}/repl/* and /v1/feedback forwards to the leader")
 		replInterval    = flag.Duration("repl-interval", 500*time.Millisecond, "follower manifest poll cadence — the replication-lag SLO")
 		replBootTimeout = flag.Duration("repl-boot-timeout", 2*time.Minute, "how long a follower boot waits for the leader's first checkpoint")
@@ -116,7 +116,7 @@ func main() {
 			Loop:             loop,
 			Defaults:         defaults,
 			StateDir:         *stateDir,
-			CheckpointOnBoot: *stateDir != "" && *role != "follower",
+			CheckpointOnBoot: *stateDir != "",
 			Role:             *role,
 			LeaderAddr:       *leaderAddr,
 			ReplInterval:     *replInterval,

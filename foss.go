@@ -236,17 +236,6 @@ type RecoveryInfo = core.RecoveryInfo
 // OpenStateDir opens (creating if needed) a durable state directory.
 func OpenStateDir(dir string) (*StateStore, error) { return store.Open(dir) }
 
-// ReadStateStore re-exports the read-only view of a state directory:
-// follower replicas tail a live leader's checkpoints through one without
-// contending for the writer lock (readers share LOCK.read; writers still
-// exclude each other on LOCK).
-type ReadStateStore = store.ReadStore
-
-// OpenStateDirReadOnly opens an existing state directory read-only. Any
-// number of readers coexist with one live writer; a second writer is still
-// refused with ErrStoreLocked.
-func OpenStateDirReadOnly(dir string) (*ReadStateStore, error) { return store.OpenReadOnly(dir) }
-
 // OnlineConfig re-exports the online doctor loop configuration
 // (System.EnableOnline).
 type OnlineConfig = service.Config
@@ -358,7 +347,7 @@ func NewTenantHTTPServer(reg TenantRegistry) *service.MultiHTTPServer {
 }
 
 // DriftKind re-exports the drift scenario kinds ("template-mix",
-// "selectivity", "novel-template").
+// "selectivity", "novel-template", "schema-evolution").
 type DriftKind = workload.DriftKind
 
 // DriftOptions re-exports drift scenario generation options.

@@ -1,9 +1,8 @@
-// Package repl replicates a leader's checkpoints to follower processes: a
-// Source abstracts where published checkpoints come from (the leader's
-// state directory opened read-only, or the leader's HTTP replication
-// endpoints), and a Tailer polls the manifest and hot-swaps newly published
-// models into a follower's serving loop through the existing blue/green
-// machinery. Followers never train; replication is pull-based and
+// Package repl replicates a leader's checkpoints to follower processes over
+// the leader's HTTP replication endpoints: an HTTPSource fetches published
+// manifests and checkpoints (Source is the seam tests substitute), and a
+// Tailer polls the manifest and hot-swaps newly published models into a
+// follower's serving loop through the existing blue/green machinery. Followers never train; replication is pull-based and
 // idempotent — a missed poll is caught up by the next one, because the
 // manifest always names the complete latest checkpoint.
 package repl
@@ -32,39 +31,6 @@ type Source interface {
 	String() string
 }
 
-// DirSource tails a state directory on a shared filesystem — the leader's
-// own directory or a synced copy — through a read-only store handle.
-type DirSource struct {
-	rs *store.ReadStore
-}
-
-// NewDirSource opens dir read-only (shared lock; fails if the path does not
-// exist, coexists with the live writer).
-func NewDirSource(dir string) (*DirSource, error) {
-	rs, err := store.OpenReadOnly(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &DirSource{rs: rs}, nil
-}
-
-// Manifest implements Source.
-func (s *DirSource) Manifest(context.Context) (store.Manifest, bool, error) {
-	m, ok := s.rs.Latest()
-	return m, ok, nil
-}
-
-// FetchCheckpoint implements Source.
-func (s *DirSource) FetchCheckpoint(_ context.Context, name string) ([]byte, error) {
-	return s.rs.ReadCheckpoint(name)
-}
-
-// String implements Source.
-func (s *DirSource) String() string { return "dir:" + s.rs.Dir() }
-
-// Close releases the read lock.
-func (s *DirSource) Close() error { return s.rs.Close() }
-
 // HTTPSource tails a leader over its replication endpoints. base is the
 // URL prefix up to (not including) "/repl/..." — "http://host:8475/v1" for
 // a single-tenant leader, "http://host:8475/v1/t/{tenant}" for a tenant on
@@ -80,7 +46,8 @@ func NewHTTPSource(base string) *HTTPSource {
 }
 
 // Manifest implements Source: GET {base}/repl/manifest. 404 means the
-// leader has no checkpoint yet; anything else non-200 is an error.
+// leader has no checkpoint yet; anything else non-200, and a body whose CRC
+// does not match its fields, is an error.
 func (s *HTTPSource) Manifest(ctx context.Context) (store.Manifest, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/repl/manifest", nil)
 	if err != nil {
@@ -102,6 +69,9 @@ func (s *HTTPSource) Manifest(ctx context.Context) (store.Manifest, bool, error)
 	var m store.Manifest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
 		return store.Manifest{}, false, fmt.Errorf("repl: manifest decode: %w", err)
+	}
+	if err := m.Verify(); err != nil {
+		return store.Manifest{}, false, fmt.Errorf("repl: manifest fetch: %w", err)
 	}
 	if m.Checkpoint == "" {
 		return store.Manifest{}, false, nil

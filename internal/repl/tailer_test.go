@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/store"
 )
 
@@ -156,61 +158,52 @@ func TestTailerCountsTransientErrors(t *testing.T) {
 	}
 }
 
-// TestDirSourceRoundTrip: a DirSource over a live writer's directory sees
-// each published generation, and the blob decodes to the written image.
-func TestDirSourceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
+// TestHTTPSourceAgainstHandler: HTTPSource speaks the wire protocol —
+// 404 means not published, a manifest whose CRC does not match its fields
+// is a fetch error the tailer counts, a legacy manifest without a CRC is
+// accepted, a blob round-trips byte-identical, and bad names are refused
+// client-side.
+func TestHTTPSourceAgainstHandler(t *testing.T) {
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-
-	src, err := NewDirSource(dir)
+	name, err := st.WriteCheckpoint("fake", store.Checkpoint{Model: []byte("m"), Epoch: 9, WALSeq: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-
-	ctx := context.Background()
-	if _, ok, err := src.Manifest(ctx); ok || err != nil {
-		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
-	}
-	if _, err := st.WriteCheckpoint("fake", store.Checkpoint{Model: []byte("weights"), Epoch: 4, WALSeq: 7}); err != nil {
-		t.Fatal(err)
-	}
-	m, ok, err := src.Manifest(ctx)
-	if !ok || err != nil {
-		t.Fatalf("manifest: ok=%v err=%v", ok, err)
-	}
-	blob, err := src.FetchCheckpoint(ctx, m.Checkpoint)
+	blob, err := st.ReadCheckpoint(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, backend, err := store.DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backend != "fake" || ck.Epoch != 4 || string(ck.Model) != "weights" {
-		t.Fatalf("round trip: backend=%q ck=%+v", backend, ck)
-	}
-}
+	published, _ := st.Latest() // carries the writer's CRC
+	tampered, legacy := published, published
+	tampered.CRC++
+	legacy.CRC = 0 // omitted from the JSON, as in manifests written before the field
 
-// TestHTTPSourceAgainstHandler: HTTPSource speaks the wire protocol —
-// 404 means not published, a blob round-trips byte-identical, and bad
-// names are refused client-side.
-func TestHTTPSourceAgainstHandler(t *testing.T) {
-	blob := sealed(t, 9, 3)
-	published := false
+	var mu sync.Mutex
+	var body []byte // nil = not published
+	serve := func(m store.Manifest) {
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		body = b
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/repl/manifest", func(w http.ResponseWriter, r *http.Request) {
-		if !published {
+		mu.Lock()
+		b := body
+		mu.Unlock()
+		if b == nil {
 			http.Error(w, `{"error":"no checkpoint"}`, http.StatusNotFound)
 			return
 		}
-		m := store.Manifest{Version: 1, Checkpoint: "ckpt-00000009-000000000003.snap", Backend: "fake", Epoch: 9, WALSeq: 3}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"version":1,"checkpoint":"` + m.Checkpoint + `","backend":"fake","epoch":9,"wal_seq":3}`))
+		w.Write(b)
 	})
 	mux.HandleFunc("/v1/repl/checkpoint/", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(blob)
@@ -223,9 +216,32 @@ func TestHTTPSourceAgainstHandler(t *testing.T) {
 	if _, ok, err := src.Manifest(ctx); ok || err != nil {
 		t.Fatalf("pre-publish: ok=%v err=%v", ok, err)
 	}
-	published = true
+
+	// A checksum that does not match the fields: refused, and counted as a
+	// fetch error by the tailer.
+	serve(tampered)
+	if _, ok, err := src.Manifest(ctx); ok || !errors.Is(err, fosserr.ErrSnapshotCorrupt) {
+		t.Fatalf("tampered CRC: ok=%v err=%v, want ErrSnapshotCorrupt", ok, err)
+	}
+	tl := New(Config{Source: src, Apply: func(store.Manifest, store.Checkpoint) error {
+		t.Error("a CRC-mismatched manifest reached Apply")
+		return nil
+	}})
+	if ok, err := tl.Poll(ctx); ok || err == nil {
+		t.Fatalf("tailer over a tampered manifest: ok=%v err=%v", ok, err)
+	}
+	if st := tl.Stats(); st.FetchErrors != 1 || st.LastSeenEpoch != 0 {
+		t.Fatalf("tampered manifest stats = %+v, want one fetch error and nothing seen", st)
+	}
+
+	// A legacy manifest without a CRC is accepted; so is the writer's own.
+	serve(legacy)
+	if m, ok, err := src.Manifest(ctx); !ok || err != nil || m.Epoch != 9 {
+		t.Fatalf("legacy manifest: ok=%v err=%v m=%+v", ok, err, m)
+	}
+	serve(published)
 	m, ok, err := src.Manifest(ctx)
-	if !ok || err != nil || m.Epoch != 9 {
+	if !ok || err != nil || m != published {
 		t.Fatalf("manifest: ok=%v err=%v m=%+v", ok, err, m)
 	}
 	got, err := src.FetchCheckpoint(ctx, m.Checkpoint)

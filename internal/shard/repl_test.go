@@ -1,13 +1,14 @@
 package shard
 
 // Follower integration: a follower router boots from the leader's
-// checkpoint (shared state dir or the leader's wire surface), serves the
-// leader's exact model, refuses writes, tails new generations, and relays
-// feedback back to the leader.
+// checkpoint over the leader's wire surface, serves the leader's exact
+// model, refuses writes, tails new generations, and relays feedback back to
+// the leader.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,14 +16,14 @@ import (
 	"time"
 
 	"github.com/foss-db/foss/internal/engine/catalog"
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/store"
 )
 
 // followerConfig derives a follower router config from a leader's.
-func followerConfig(stateDir, leaderAddr string) Config {
-	cfg := tinyRouterConfig(stateDir)
-	cfg.CheckpointOnBoot = false
+func followerConfig(leaderAddr string) Config {
+	cfg := tinyRouterConfig("")
 	cfg.Role = "follower"
 	cfg.LeaderAddr = leaderAddr
 	cfg.ReplInterval = 30 * time.Millisecond
@@ -30,16 +31,28 @@ func followerConfig(stateDir, leaderAddr string) Config {
 	return cfg
 }
 
-// TestFollowerSharedDirReplication: follower over the leader's state dir —
-// identical serving at boot, 403 writes, and hot-swap of a later
-// generation within the tail interval.
-func TestFollowerSharedDirReplication(t *testing.T) {
-	dir := t.TempDir()
-	leaderR, err := NewRouter(context.Background(), tinyRouterConfig(dir), []TenantSpec{{Name: "acme"}})
+// leaderFleet boots a durable one-tenant ("acme") leader behind its HTTP
+// surface and returns it with its base URL.
+func leaderFleet(t *testing.T) (*Router, string) {
+	t.Helper()
+	r, err := NewRouter(context.Background(), tinyRouterConfig(t.TempDir()), []TenantSpec{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer leaderR.Close(context.Background())
+	srv := httptest.NewServer(service.NewMultiHTTPServer(r))
+	t.Cleanup(func() {
+		srv.Close()
+		r.Close(context.Background())
+	})
+	return r, srv.URL
+}
+
+// TestFollowerSharedDirReplication: a follower replicating the leader's
+// state directory over its HTTP surface — identical serving at boot, 403
+// with the leader's address on writes only a leader takes, and hot-swap of
+// a later generation within the tail interval.
+func TestFollowerSharedDirReplication(t *testing.T) {
+	leaderR, leaderAddr := leaderFleet(t)
 	leadSh, _ := leaderR.Get("acme")
 	q := leadSh.W.Test[0]
 	leadRes, err := leadSh.Serve(context.Background(), q)
@@ -47,7 +60,7 @@ func TestFollowerSharedDirReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	folR, err := NewRouter(context.Background(), followerConfig(dir, ""), []TenantSpec{{Name: "acme"}})
+	folR, err := NewRouter(context.Background(), followerConfig(leaderAddr), []TenantSpec{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +80,20 @@ func TestFollowerSharedDirReplication(t *testing.T) {
 			folRes.Eval.ICP.Key(), folRes.Epoch, leadRes.Eval.ICP.Key(), leadRes.Epoch)
 	}
 
-	// Writes are refused with no leader address configured (dir transport).
+	// A checkpoint only the leader can take is refused with its address.
 	ts := httptest.NewServer(folSh.HTTP)
 	defer ts.Close()
-	for _, c := range []struct{ path, body string }{
-		{"/v1/checkpoint", `{}`},
-		{"/v1/feedback", `{"serve_id": "s1", "latency_ms": 1}`},
-	} {
-		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusForbidden {
-			t.Fatalf("%s on follower: %d", c.path, resp.StatusCode)
-		}
+	resp, err := http.Post(ts.URL+"/v1/checkpoint", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refusal map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&refusal); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden || refusal["leader"] != leaderAddr {
+		t.Fatalf("/v1/checkpoint on follower: %d %v, want 403 naming %s", resp.StatusCode, refusal, leaderAddr)
 	}
 
 	// The leader publishes a new generation; the tailer hot-swaps it.
@@ -117,13 +129,8 @@ func TestFollowerSharedDirReplication(t *testing.T) {
 // checkpoints immediately, the tailer applies it, and the follower's live
 // catalog lands on the leader's epoch without a restart.
 func TestFollowerCatalogReplication(t *testing.T) {
-	dir := t.TempDir()
-	leaderR, err := NewRouter(context.Background(), tinyRouterConfig(dir), []TenantSpec{{Name: "acme"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaderR.Close(context.Background())
-	folR, err := NewRouter(context.Background(), followerConfig(dir, ""), []TenantSpec{{Name: "acme"}})
+	leaderR, leaderAddr := leaderFleet(t)
+	folR, err := NewRouter(context.Background(), followerConfig(leaderAddr), []TenantSpec{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +176,8 @@ func TestFollowerCatalogReplication(t *testing.T) {
 // access replicates over the leader's /v1/t/{tenant}/repl endpoints, and
 // /v1/feedback on the follower lands in the leader's learning loop.
 func TestFollowerHTTPReplicationAndForwarding(t *testing.T) {
-	dir := t.TempDir()
-	leaderR, err := NewRouter(context.Background(), tinyRouterConfig(dir), []TenantSpec{{Name: "acme"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaderR.Close(context.Background())
-	leaderSrv := httptest.NewServer(service.NewMultiHTTPServer(leaderR))
-	defer leaderSrv.Close()
-
-	folR, err := NewRouter(context.Background(), followerConfig("", leaderSrv.URL), []TenantSpec{{Name: "acme"}})
+	leaderR, leaderAddr := leaderFleet(t)
+	folR, err := NewRouter(context.Background(), followerConfig(leaderAddr), []TenantSpec{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +233,22 @@ func TestFollowerHTTPReplicationAndForwarding(t *testing.T) {
 	}
 	if got := leadSh.Sys.OnlineStats().Recorded; got != before+1 {
 		t.Fatalf("leader Recorded = %d, want %d", got, before+1)
+	}
+}
+
+// TestFollowerWithStateDirRefused: a follower holds no state, so a follower
+// configured with a state directory is refused at boot, naming both flags,
+// before any shard boots.
+func TestFollowerWithStateDirRefused(t *testing.T) {
+	cfg := followerConfig("http://127.0.0.1:1")
+	cfg.StateDir = t.TempDir()
+	_, err := NewRouter(context.Background(), cfg, []TenantSpec{{Name: "acme"}})
+	if !errors.Is(err, fosserr.ErrBadConfig) {
+		t.Fatalf("follower with a state dir: err = %v, want ErrBadConfig", err)
+	}
+	for _, flag := range []string{"-role follower", "-state-dir"} {
+		if !strings.Contains(err.Error(), flag) {
+			t.Fatalf("refusal %q does not name %s", err, flag)
+		}
 	}
 }

@@ -64,7 +64,8 @@ type Config struct {
 	Defaults TenantSpec
 	// StateDir roots the fleet's durable state: shard s lives in
 	// StateDir/<tenant>/ with its own checkpoints, manifest, WAL, and lock.
-	// Empty runs every shard in memory.
+	// Empty runs every shard in memory; a follower holds no state, so it must
+	// leave StateDir empty.
 	StateDir string
 	// Workers is read by nothing: training runs one way. The name stays
 	// declared only because benchmark/ still assigns it.
@@ -82,13 +83,13 @@ type Config struct {
 	// Role selects what each shard does with its model: "" or "leader"
 	// trains, journals, and checkpoints as always; "follower" boots from the
 	// leader's newest checkpoint, serves read-only, and tails the leader's
-	// MANIFEST for hot-swaps — it never trains and never opens a writable
-	// store.
+	// manifest for hot-swaps — it never trains and opens no store. A
+	// follower with a StateDir is refused with fosserr.ErrBadConfig.
 	Role string
 	// LeaderAddr is the default leader base URL for followers
-	// ("http://host:port"); per-tenant TenantSpec.Leader overrides it. With
-	// StateDir set a follower replicates through the shared filesystem
-	// instead and LeaderAddr is used only for feedback forwarding.
+	// ("http://host:port"); per-tenant TenantSpec.Leader overrides it.
+	// Checkpoints replicate from the leader's /v1/t/{tenant}/repl/* endpoints
+	// and feedback forwards to it.
 	LeaderAddr string
 	// ReplInterval is the follower's manifest poll cadence (0 = 500ms).
 	ReplInterval time.Duration
@@ -113,9 +114,6 @@ type Shard struct {
 	Recovery core.RecoveryInfo
 	// Tailer is the follower's checkpoint tailer, nil on leaders.
 	Tailer *repl.Tailer
-	// srcClose releases the follower's replication source (the shared read
-	// lock for directory sources); nil otherwise.
-	srcClose func() error
 }
 
 // Serve optimizes one query on this shard's active replica.
@@ -132,19 +130,13 @@ func (sh *Shard) Step(ctx context.Context, q *query.Query) (service.Result, floa
 // canceled past ctx's deadline), a final checkpoint lands, and only then is
 // the store — and with it the WAL lock — released.
 func (sh *Shard) Close(ctx context.Context) error {
-	// Follower order: stop the tailer first (no hot-swap mid-drain), then
-	// drain the loop, then release the replication source's read lock.
+	// A follower stops its tailer first: no hot-swap mid-drain.
 	if sh.Tailer != nil {
 		sh.Tailer.Close()
 	}
 	err := sh.Sys.Close(ctx)
 	if sh.Store != nil {
 		if cerr := sh.Store.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if sh.srcClose != nil {
-		if cerr := sh.srcClose(); err == nil {
 			err = cerr
 		}
 	}
@@ -179,7 +171,12 @@ type Router struct {
 // failure the shards already up are drained and the error is returned.
 func NewRouter(ctx context.Context, cfg Config, specs []TenantSpec) (*Router, error) {
 	switch cfg.Role {
-	case "", "leader", "follower":
+	case "", "leader":
+	case "follower":
+		if cfg.StateDir != "" {
+			return nil, fmt.Errorf("shard: -role follower with -state-dir %s: a follower holds no state, it replicates from -leader-addr: %w",
+				cfg.StateDir, fosserr.ErrBadConfig)
+		}
 	default:
 		return nil, fmt.Errorf("shard: role %q (want leader or follower): %w", cfg.Role, fosserr.ErrBadConfig)
 	}
@@ -447,17 +444,20 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
 	return sh, nil
 }
 
-// bootFollower brings a shard up as a read-only replica: open a replication
-// source (the leader's state dir over a shared filesystem, or the leader's
-// /v1/t/{tenant}/repl endpoints over HTTP), wait for the leader's first
-// checkpoint, install it, and start the tailer that hot-swaps every later
-// generation. A follower never trains — boot cost is one checkpoint fetch.
+// bootFollower brings a shard up as a read-only replica: wait for the
+// leader's first checkpoint on its /v1/t/{tenant}/repl endpoints, install
+// it, and start the tailer that hot-swaps every later generation. A follower
+// never trains — boot cost is one checkpoint fetch.
 func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Config, event func(string, ...any)) (*Shard, error) {
 	spec, sys := sh.Spec, sh.Sys
 	leader := spec.Leader
 	if leader == "" {
 		leader = r.cfg.LeaderAddr
 	}
+	if leader == "" {
+		return nil, fmt.Errorf("shard: follower %q needs a -leader-addr: %w", spec.Name, fosserr.ErrBadConfig)
+	}
+	base := leader + "/v1/t/" + spec.Name
 	bootTimeout := r.cfg.ReplBootTimeout
 	if bootTimeout <= 0 {
 		bootTimeout = 2 * time.Minute
@@ -465,51 +465,17 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 	wctx, cancel := context.WithTimeout(ctx, bootTimeout)
 	defer cancel()
 
-	var src repl.Source
-	switch {
-	case r.cfg.StateDir != "":
-		// Shared-filesystem replication: tail the leader's own state dir
-		// under a shared read lock. The dir appears when the leader boots, so
-		// retry within the boot window instead of racing it.
-		dir := filepath.Join(r.cfg.StateDir, spec.Name)
-		for {
-			ds, err := repl.NewDirSource(dir)
-			if err == nil {
-				src = ds
-				sh.srcClose = ds.Close
-				break
-			}
-			select {
-			case <-wctx.Done():
-				return nil, fmt.Errorf("shard: follower %q: open replication source %s: %w", spec.Name, dir, err)
-			case <-time.After(200 * time.Millisecond):
-			}
-		}
-	case leader != "":
-		src = repl.NewHTTPSource(leader + "/v1/t/" + spec.Name)
-	default:
-		return nil, fmt.Errorf("shard: follower %q needs a shared -state-dir or a -leader-addr: %w", spec.Name, fosserr.ErrBadConfig)
-	}
-
+	src := repl.NewHTTPSource(base)
 	event("follower boot: waiting for leader checkpoint (source=%s timeout=%s)", src, bootTimeout)
 	m, ck, err := repl.WaitForCheckpoint(wctx, src, 0)
 	if err != nil {
-		if sh.srcClose != nil {
-			_ = sh.srcClose()
-		}
 		return nil, fmt.Errorf("shard: follower %q: %w", spec.Name, err)
 	}
 	if m.Backend != "" && m.Backend != spec.Backend {
-		if sh.srcClose != nil {
-			_ = sh.srcClose()
-		}
 		return nil, fmt.Errorf("shard: follower %q: leader checkpoint is backend %q, shard configured %q: %w",
 			spec.Name, m.Backend, spec.Backend, fosserr.ErrBackendMismatch)
 	}
 	if err := sys.EnableFollower(loopCfg, ck); err != nil {
-		if sh.srcClose != nil {
-			_ = sh.srcClose()
-		}
 		return nil, fmt.Errorf("shard: follower %q: %w", spec.Name, err)
 	}
 	event("follower serving: checkpoint=%s epoch=%d walseq=%d", m.Checkpoint, ck.Epoch, ck.WALSeq)
@@ -531,17 +497,14 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 	for _, q := range sh.W.All() {
 		byID[q.ID] = q
 	}
-	opts := service.HTTPOptions{
-		Resolve:    func(id string) *query.Query { return byID[id] },
-		MaxPending: r.cfg.MaxPending,
-		Follower:   true,
-		LeaderAddr: leader,
-		ReplStats:  tl.Stats,
-	}
-	if leader != "" {
-		opts.ForwardFeedback = service.NewFeedbackForwarder(leader + "/v1/t/" + spec.Name)
-	}
-	sh.HTTP = service.NewHTTPServer(sys.Online(), opts)
+	sh.HTTP = service.NewHTTPServer(sys.Online(), service.HTTPOptions{
+		Resolve:         func(id string) *query.Query { return byID[id] },
+		MaxPending:      r.cfg.MaxPending,
+		Follower:        true,
+		LeaderAddr:      leader,
+		ReplStats:       tl.Stats,
+		ForwardFeedback: service.NewFeedbackForwarder(base),
+	})
 	return sh, nil
 }
 

@@ -30,31 +30,6 @@ func acquireLock(path string) (*os.File, error) {
 	return f, nil
 }
 
-// acquireSharedLock takes a non-blocking shared flock on path, creating the
-// file if needed. Readers share it freely with each other. It is taken on a
-// DIFFERENT file than the writer's exclusive lock (LOCK.read vs LOCK):
-// flock's SH/EX conflict is symmetric, so a reader holding LOCK_SH on the
-// writer's lockfile would both fail against a live leader and block a
-// restarting leader against a lingering reader — exactly the coupling a
-// read-only open must not introduce. Reader correctness never came from the
-// lock anyway (every file a reader opens is published atomically via
-// temp+rename); the shared lock only marks reader liveness so tooling can
-// tell "tailed" from "abandoned".
-func acquireSharedLock(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open read lockfile %s: %w", path, err)
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_SH|syscall.LOCK_NB); err != nil {
-		f.Close()
-		if errors.Is(err, syscall.EWOULDBLOCK) || errors.Is(err, syscall.EAGAIN) {
-			return nil, fmt.Errorf("store: %s held exclusively: %w", path, fosserr.ErrStoreLocked)
-		}
-		return nil, fmt.Errorf("store: flock %s: %w", path, err)
-	}
-	return f, nil
-}
-
 // releaseLock drops the flock and closes the lockfile. Best-effort: closing
 // the descriptor releases the lock even if the explicit unlock fails.
 func releaseLock(f *os.File) {

@@ -10,63 +10,9 @@ import (
 	"github.com/foss-db/foss/internal/fosserr"
 )
 
-// TestReadOnlyLockCombinations pins the fleet's locking matrix: a writer
-// and any number of readers coexist on one directory (in either open
-// order), readers coexist with each other, and two writers still exclude.
-func TestReadOnlyLockCombinations(t *testing.T) {
-	dir := t.TempDir()
-
-	// writer then reader
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatalf("reader against live writer: %v", err)
-	}
-
-	// reader then reader
-	r2, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatalf("second concurrent reader: %v", err)
-	}
-
-	// writer vs writer still excludes
-	if _, err := Open(dir); !errors.Is(err, fosserr.ErrStoreLocked) {
-		t.Fatalf("second writer: want ErrStoreLocked, got %v", err)
-	}
-
-	// reader then writer: a restarting leader must never block on readers
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("writer restart with two live readers: %v", err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenReadOnlyMissingDir: a follower pointed at a nonexistent path
-// fails loudly instead of creating and tailing an empty directory.
-func TestOpenReadOnlyMissingDir(t *testing.T) {
-	if _, err := OpenReadOnly(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("want error for missing directory")
-	}
-}
-
 // TestManifestCRCRejectsTornWrite: a manifest whose CRC does not match its
-// fields (a torn or bit-flipped observation through a non-atomic sync
-// channel) reads as not-yet-published, never as a bogus recovery point.
+// fields (a torn or bit-flipped file) reads as not-yet-published, never as a
+// bogus recovery point the leader's /repl/manifest handler would serve.
 func TestManifestCRCRejectsTornWrite(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -81,12 +27,7 @@ func TestManifestCRCRejectsTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if m, ok := rs.Latest(); !ok || m.Epoch != 1 || m.CRC == 0 {
+	if m, ok := st.Latest(); !ok || m.Epoch != 1 || m.CRC == 0 {
 		t.Fatalf("intact manifest: ok=%v m=%+v", ok, m)
 	}
 
@@ -94,7 +35,7 @@ func TestManifestCRCRejectsTornWrite(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rs.Latest(); ok {
+	if _, ok := st.Latest(); ok {
 		t.Fatal("torn manifest read as published")
 	}
 
@@ -103,8 +44,12 @@ func TestManifestCRCRejectsTornWrite(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rs.Latest(); ok {
+	if _, ok := st.Latest(); ok {
 		t.Fatal("CRC-mismatched manifest read as published")
+	}
+	bad := Manifest{Version: 1, Checkpoint: "ckpt-00000001-000000000000.snap", Backend: "fake", Epoch: 9, CRC: 12345}
+	if err := bad.Verify(); !errors.Is(err, fosserr.ErrSnapshotCorrupt) {
+		t.Fatalf("Verify on a mismatched CRC = %v, want ErrSnapshotCorrupt", err)
 	}
 
 	// Pre-CRC manifest (field absent): accepted for back-compat.
@@ -112,15 +57,16 @@ func TestManifestCRCRejectsTornWrite(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := rs.Latest(); !ok || m.Epoch != 1 {
+	if m, ok := st.Latest(); !ok || m.Epoch != 1 {
 		t.Fatalf("legacy manifest without CRC: ok=%v m=%+v", ok, m)
 	}
 }
 
-// TestPublishTailRace races a publishing writer against a tailing reader:
-// the reader must never observe an error, a torn manifest, or a manifest
-// going backwards, and every checkpoint the manifest names must decode
-// intact at the moment it is current.
+// TestPublishTailRace races a publishing writer against the reads the
+// leader's /repl/* handlers make (Latest, then ReadCheckpoint): they must
+// never observe an error, a torn manifest, or a manifest going backwards,
+// and every checkpoint the manifest names must decode intact at the moment
+// it is current.
 func TestPublishTailRace(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -128,11 +74,6 @@ func TestPublishTailRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rs, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
 
 	const rounds = 40
 	var wg sync.WaitGroup
@@ -153,7 +94,7 @@ func TestPublishTailRace(t *testing.T) {
 
 	var lastEpoch uint64
 	for {
-		m, ok := rs.Latest()
+		m, ok := st.Latest()
 		if !ok {
 			continue
 		}
@@ -161,11 +102,11 @@ func TestPublishTailRace(t *testing.T) {
 			t.Fatalf("manifest went backwards: %d after %d", m.Epoch, lastEpoch)
 		}
 		lastEpoch = m.Epoch
-		blob, err := rs.ReadCheckpoint(m.Checkpoint)
+		blob, err := st.ReadCheckpoint(m.Checkpoint)
 		if err != nil {
 			// The leader prunes old checkpoints: a fetch can lose the race
 			// with a newer publish, but then the manifest must have moved on.
-			if m2, ok2 := rs.Latest(); ok2 && m2.Checkpoint != m.Checkpoint {
+			if m2, ok2 := st.Latest(); ok2 && m2.Checkpoint != m.Checkpoint {
 				continue
 			}
 			t.Fatalf("fetch current checkpoint %s: %v", m.Checkpoint, err)

@@ -90,12 +90,12 @@ type Manifest struct {
 	Backend    string `json:"backend"`
 	Epoch      uint64 `json:"epoch"`
 	WALSeq     uint64 `json:"wal_seq"`
-	// CRC is the IEEE checksum over the other fields' canonical form. It
-	// guards readers that observe the manifest through a non-atomic channel
-	// (an rsync'd copy, a snapshotting filesystem, a partial HTTP body): a
-	// torn manifest fails the check and reads as "not yet published" instead
-	// of poisoning a follower. 0 (absent in pre-repl manifests) skips the
-	// check for backward compatibility.
+	// CRC is the IEEE checksum over the other fields' canonical form
+	// (Verify). It guards readers that observe the manifest through a
+	// non-atomic channel (a torn file, a partial or corrupted HTTP body): a
+	// mismatched manifest is never applied — a local read treats it as not
+	// yet published, a follower's fetch as an error. 0 (absent in pre-repl
+	// manifests) skips the check for backward compatibility.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
@@ -104,6 +104,16 @@ type Manifest struct {
 func (m Manifest) checksum() uint32 {
 	return crc32.ChecksumIEEE([]byte(fmt.Sprintf("%d|%s|%s|%d|%d",
 		m.Version, m.Checkpoint, m.Backend, m.Epoch, m.WALSeq)))
+}
+
+// Verify checks CRC against the other fields, failing with
+// fosserr.ErrSnapshotCorrupt on a mismatch. A zero CRC (a manifest written
+// before the field existed) passes.
+func (m Manifest) Verify() error {
+	if m.CRC != 0 && m.CRC != m.checksum() {
+		return fmt.Errorf("store: manifest crc %#x does not match its fields: %w", m.CRC, fosserr.ErrSnapshotCorrupt)
+	}
+	return nil
 }
 
 const (
@@ -172,27 +182,17 @@ func (s *Store) Close() error {
 }
 
 // Latest returns the current manifest, or ok=false when the directory has
-// no durable checkpoint yet (cold start).
+// no durable checkpoint yet (cold start). A missing file, malformed JSON, or
+// a CRC mismatch all read as "no manifest": the atomic rename makes those
+// impossible in steady state, and the leader's /repl/manifest handler must
+// never serve a torn one.
 func (s *Store) Latest() (Manifest, bool) {
-	return readManifest(s.dir)
-}
-
-// readManifest loads and validates a directory's manifest. A missing file,
-// malformed JSON, or a CRC mismatch all read as "no manifest" — on the
-// writer's own filesystem the atomic rename makes those impossible in
-// steady state, but a reader observing a synced copy mid-transfer sees a
-// torn file as not-yet-published rather than an error. Manifests without a
-// CRC (written before the field existed) are accepted.
-func readManifest(dir string) (Manifest, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	if err != nil {
 		return Manifest{}, false
 	}
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil || m.Checkpoint == "" {
-		return Manifest{}, false
-	}
-	if m.CRC != 0 && m.CRC != m.checksum() {
+	if err := json.Unmarshal(data, &m); err != nil || m.Checkpoint == "" || m.Verify() != nil {
 		return Manifest{}, false
 	}
 	return m, true
@@ -203,14 +203,10 @@ func readManifest(dir string) (Manifest, bool) {
 // naming scheme so a wire-supplied name can never escape the checkpoints
 // directory.
 func (s *Store) ReadCheckpoint(name string) ([]byte, error) {
-	return readCheckpointBlob(s.dir, name)
-}
-
-func readCheckpointBlob(dir, name string) ([]byte, error) {
 	if !ValidCheckpointName(name) {
 		return nil, fmt.Errorf("store: invalid checkpoint name %q", name)
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, checkpointDir, name))
+	blob, err := os.ReadFile(filepath.Join(s.dir, checkpointDir, name))
 	if err != nil {
 		return nil, fmt.Errorf("store: read checkpoint %s: %w", name, err)
 	}
