@@ -104,6 +104,9 @@ if [[ $quick -eq 0 ]]; then
 
   echo "== nn kernels: ten seconds of FuzzGemm against the triple loops, bit for bit =="
   go test -run '^$' -fuzz FuzzGemm -fuzztime 10s ./internal/nn
+
+  echo "== checkpoint decoder: ten seconds of FuzzDecodeCheckpoint, no panic, sentinel errors only =="
+  go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/store
 fi
 
 echo "== durability: fossd checkpoint -> kill -9 -> restart -> serve parity =="
