@@ -2,9 +2,10 @@
 // the leader's HTTP replication endpoints: an HTTPSource fetches published
 // manifests and checkpoints (Source is the seam tests substitute), and a
 // Tailer polls the manifest and hot-swaps newly published models into a
-// follower's serving loop through the existing blue/green machinery. Followers never train; replication is pull-based and
-// idempotent — a missed poll is caught up by the next one, because the
-// manifest always names the complete latest checkpoint.
+// follower's serving loop through the existing blue/green machinery.
+// Followers never train; replication is pull-based and idempotent — a
+// missed poll is caught up by the next one, because the manifest always
+// names the complete latest checkpoint.
 package repl
 
 import (
