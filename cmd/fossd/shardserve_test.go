@@ -1,60 +1,68 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/shard"
 )
 
+// specDefault is what -workload/-backend/-scale/-seed give the implicit
+// "default" tenant in the parseTenantSpecs tests.
+var specDefault = shard.TenantSpec{Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}
+
+// tenantSpecCases are TestParseTenantSpecs' table and FuzzParseTenantSpecs'
+// seed corpus.
+var tenantSpecCases = []struct {
+	name                string
+	tenants, tenantSpec string
+	want                []shard.TenantSpec
+	wantErr             bool
+}{
+	{
+		// No tenant named: a fleet of one, carrying the flags verbatim —
+		// the explicit seed survives, so the router does not re-derive it
+		// from the name.
+		name: "implicit default",
+		want: []shard.TenantSpec{{Name: "default", Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}},
+	},
+	{
+		name:    "bare names inherit nothing here",
+		tenants: "acme, globex,",
+		want:    []shard.TenantSpec{{Name: "acme"}, {Name: "globex"}},
+	},
+	{
+		name:       "detailed spec",
+		tenantSpec: "acme=workload:stack,backend:gaussim,scale:0.25,seed:42",
+		want:       []shard.TenantSpec{{Name: "acme", Workload: "stack", Backend: "gaussim", Scale: 0.25, Seed: 42}},
+	},
+	{
+		name:       "name in both collapses to the detailed spec, order kept",
+		tenants:    "acme,globex",
+		tenantSpec: "globex=backend:gaussim; initech",
+		want:       []shard.TenantSpec{{Name: "acme"}, {Name: "globex", Backend: "gaussim"}, {Name: "initech"}},
+	},
+	{
+		name:       "leader URL keeps its colons",
+		tenantSpec: "acme=leader:http://10.0.0.1:8475",
+		want:       []shard.TenantSpec{{Name: "acme", Leader: "http://10.0.0.1:8475"}},
+	},
+	{name: "missing name", tenantSpec: "=backend:gaussim", wantErr: true},
+	{name: "unknown key", tenantSpec: "acme=color:red", wantErr: true},
+	{name: "no colon", tenantSpec: "acme=backend", wantErr: true},
+	{name: "bad scale", tenantSpec: "acme=scale:big", wantErr: true},
+	{name: "bad seed", tenantSpec: "acme=seed:1.5", wantErr: true},
+}
+
 func TestParseTenantSpecs(t *testing.T) {
-	deflt := shard.TenantSpec{Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}
-	cases := []struct {
-		name                string
-		tenants, tenantSpec string
-		want                []shard.TenantSpec
-		wantErr             bool
-	}{
-		{
-			// No tenant named: a fleet of one, carrying the flags verbatim —
-			// the explicit seed survives, so the router does not re-derive it
-			// from the name.
-			name: "implicit default",
-			want: []shard.TenantSpec{{Name: "default", Workload: "tpcds", Backend: "gaussim", Scale: 0.35, Seed: 7}},
-		},
-		{
-			name:    "bare names inherit nothing here",
-			tenants: "acme, globex,",
-			want:    []shard.TenantSpec{{Name: "acme"}, {Name: "globex"}},
-		},
-		{
-			name:       "detailed spec",
-			tenantSpec: "acme=workload:stack,backend:gaussim,scale:0.25,seed:42",
-			want:       []shard.TenantSpec{{Name: "acme", Workload: "stack", Backend: "gaussim", Scale: 0.25, Seed: 42}},
-		},
-		{
-			name:       "name in both collapses to the detailed spec, order kept",
-			tenants:    "acme,globex",
-			tenantSpec: "globex=backend:gaussim; initech",
-			want:       []shard.TenantSpec{{Name: "acme"}, {Name: "globex", Backend: "gaussim"}, {Name: "initech"}},
-		},
-		{
-			name:       "leader URL keeps its colons",
-			tenantSpec: "acme=leader:http://10.0.0.1:8475",
-			want:       []shard.TenantSpec{{Name: "acme", Leader: "http://10.0.0.1:8475"}},
-		},
-		{name: "missing name", tenantSpec: "=backend:gaussim", wantErr: true},
-		{name: "unknown key", tenantSpec: "acme=color:red", wantErr: true},
-		{name: "no colon", tenantSpec: "acme=backend", wantErr: true},
-		{name: "bad scale", tenantSpec: "acme=scale:big", wantErr: true},
-		{name: "bad seed", tenantSpec: "acme=seed:1.5", wantErr: true},
-	}
-	for _, tc := range cases {
+	for _, tc := range tenantSpecCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := parseTenantSpecs(tc.tenants, tc.tenantSpec, deflt)
+			got, err := parseTenantSpecs(tc.tenants, tc.tenantSpec, specDefault)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
 			}
@@ -63,6 +71,64 @@ func TestParseTenantSpecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseTenantSpecs feeds parseTenantSpecs arbitrary -tenants and
+// -tenant-spec values, seeded with TestParseTenantSpecs' table. It must never
+// panic. What it accepts names every tenant once, non-empty, in the order
+// the flags first name them ("default" when they name none), and the fleet
+// preflight either accepts that list or refuses it with ErrBadConfig.
+//
+//	go test ./cmd/fossd -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s
+func FuzzParseTenantSpecs(f *testing.F) {
+	for _, tc := range tenantSpecCases {
+		f.Add(tc.tenants, tc.tenantSpec)
+	}
+	configs := []shard.Config{
+		{Defaults: shard.TenantSpec{Workload: "job", Backend: "selinger"}},
+		{Defaults: shard.TenantSpec{Workload: "job", Backend: "selinger"}, Role: "follower"},
+	}
+	f.Fuzz(func(t *testing.T, tenants, tenantSpec string) {
+		specs, err := parseTenantSpecs(tenants, tenantSpec, specDefault)
+		if err != nil {
+			return
+		}
+		var want []string
+		named := map[string]bool{}
+		name := func(n string) {
+			if n = strings.TrimSpace(n); n != "" && !named[n] {
+				named[n] = true
+				want = append(want, n)
+			}
+		}
+		for _, n := range strings.Split(tenants, ",") {
+			name(n)
+		}
+		for _, entry := range strings.Split(tenantSpec, ";") {
+			n, _, _ := strings.Cut(strings.TrimSpace(entry), "=")
+			name(n)
+		}
+		if len(want) == 0 {
+			want = []string{"default"}
+		}
+		got := make([]string, len(specs))
+		seen := map[string]bool{}
+		for i, s := range specs {
+			if s.Name == "" || seen[s.Name] {
+				t.Fatalf("accepted specs %+v: empty or repeated name %q", specs, s.Name)
+			}
+			seen[s.Name] = true
+			got[i] = s.Name
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("accepted names %q, want first-seen order %q", got, want)
+		}
+		for _, cfg := range configs {
+			if err := shard.Preflight(cfg, specs); err != nil && !errors.Is(err, fosserr.ErrBadConfig) {
+				t.Fatalf("preflight of %+v: %v, want nil or ErrBadConfig", specs, err)
+			}
+		}
+	})
 }
 
 // TestRootStoreErr: a state dir laid out by the pre-fleet single-tenant

@@ -326,7 +326,9 @@ type ShardRouter = shard.Router
 type Shard = shard.Shard
 
 // NewShardRouter boots a fleet: one shard per spec — trained, or
-// warm-started from its own checkpoint when the state dir holds one.
+// warm-started from its own checkpoint when the state dir holds one. Every
+// spec is checked before anything boots, and the shards boot concurrently,
+// GOMAXPROCS wide.
 func NewShardRouter(ctx context.Context, cfg ShardConfig, specs []TenantSpec) (*ShardRouter, error) {
 	return shard.NewRouter(ctx, cfg, specs)
 }

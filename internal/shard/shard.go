@@ -5,12 +5,15 @@
 // request by tenant key. Isolation is structural, not advisory: nothing is
 // shared between shards except the process they live in.
 //
-// The router carries the fleet's lifecycle. Boot trains each shard (or
-// warm-starts it from its own checkpoint, exactly like a single-tenant
-// restart), CreateTenant adds shards to a live fleet, and Close drains every
-// shard in parallel — stop intake, await or cancel in-flight retrains, take
-// a final checkpoint per tenant, release each WAL — so a SIGTERM deploy of
-// the whole fleet is as lossless as PR 4 made a kill -9 of one doctor.
+// The router carries the fleet's lifecycle. Boot checks every spec first,
+// then brings the shards up concurrently, one per core: each trains (or
+// warm-starts from its own checkpoint, exactly like a single-tenant restart,
+// or, on a follower, fetches its leader's checkpoint) on its own goroutine,
+// because two tenants' boots share nothing. CreateTenant adds shards to a
+// live fleet, and Close drains every shard in parallel — stop intake, await
+// or cancel in-flight retrains, take a final checkpoint per tenant, release
+// each WAL — so a SIGTERM deploy of the whole fleet is as lossless as a
+// kill -9 of one doctor.
 package shard
 
 import (
@@ -19,7 +22,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,6 +33,7 @@ import (
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/repl"
+	"github.com/foss-db/foss/internal/runtime"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
@@ -77,7 +83,8 @@ type Config struct {
 	// its first request.
 	CheckpointOnBoot bool
 	// OnEvent, when set, receives one-line boot/drain progress strings
-	// (fossd narrates them; tests leave it nil).
+	// (fossd narrates them; tests leave it nil). Tenants boot and drain
+	// concurrently, so it may be called from several goroutines at once.
 	OnEvent func(tenant, event string)
 
 	// Role selects what each shard does with its model: "" or "leader"
@@ -163,38 +170,101 @@ type Router struct {
 	// tenants that share an identity share the immutable generated data
 	// (queries and statistics are read-only after generation), so booting a
 	// homogeneous 8-tenant fleet generates the benchmark once, not 8 times.
+	// An entry is in place before its generation runs, outside wlMu: tenants
+	// with different keys generate concurrently, and one key's waiters block
+	// on the single generation under way.
 	wlMu      sync.Mutex
-	workloads map[string]*workload.Workload
+	workloads map[string]func() (*workload.Workload, error)
 }
 
-// NewRouter boots a fleet: one shard per spec, sequentially. On any boot
-// failure the shards already up are drained and the error is returned.
+// NewRouter boots a fleet: one shard per spec. Every spec is checked before
+// anything boots (see Preflight), then the shards boot concurrently, at most
+// GOMAXPROCS at a time; at GOMAXPROCS=1 they boot one after another in spec
+// order. The first boot failure cancels the rest: tenants mid-training stop
+// at their next episode and specs not yet started never boot. The shards
+// already up are then drained, and the error names every tenant that failed,
+// in spec order.
 func NewRouter(ctx context.Context, cfg Config, specs []TenantSpec) (*Router, error) {
-	switch cfg.Role {
-	case "", "leader":
-	case "follower":
-		if cfg.StateDir != "" {
-			return nil, fmt.Errorf("shard: -role follower with -state-dir %s: a follower holds no state, it replicates from -leader-addr: %w",
-				cfg.StateDir, fosserr.ErrBadConfig)
-		}
-	default:
-		return nil, fmt.Errorf("shard: role %q (want leader or follower): %w", cfg.Role, fosserr.ErrBadConfig)
-	}
 	r := &Router{
 		cfg:       cfg,
 		shards:    map[string]*Shard{},
 		creating:  map[string]bool{},
-		workloads: map[string]*workload.Workload{},
+		workloads: map[string]func() (*workload.Workload, error){},
 	}
-	for _, spec := range specs {
-		if _, err := r.create(ctx, spec); err != nil {
-			cctx, cancel := context.WithCancel(context.Background())
-			cancel() // already-booted shards have no traffic: drain instantly
-			_ = r.Close(cctx)
-			return nil, fmt.Errorf("shard: boot tenant %q: %w", spec.Name, err)
+	specs, err := r.preflight(specs)
+	if err != nil {
+		return nil, err
+	}
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, len(specs))
+	fanErr := runtime.Fan(bctx, len(specs), func(i int) {
+		if _, err := r.create(bctx, specs[i]); err != nil {
+			errs[i] = fmt.Errorf("shard: boot tenant %q: %w", specs[i].Name, err)
+			cancel()
+		}
+	})
+	if fanErr == nil { // every failure cancels bctx: a clean fan booted every spec
+		return r, nil
+	}
+	// A tenant stopped because a sibling failed reports only the cancel;
+	// the sibling's error is the one worth reading. When the caller's ctx
+	// ended the boot, every tenant reports it.
+	for i, err := range errs {
+		if ctx.Err() == nil && errors.Is(err, context.Canceled) {
+			errs[i] = nil
 		}
 	}
-	return r, nil
+	err = errors.Join(errs...)
+	if err == nil {
+		err = fmt.Errorf("shard: boot: %w", fanErr)
+	}
+	cctx, cancelDrain := context.WithCancel(context.Background())
+	cancelDrain() // already-booted shards have no traffic: drain instantly
+	_ = r.Close(cctx)
+	return nil, err
+}
+
+// Preflight checks a fleet without booting it: the role, and every spec as
+// resolved against cfg.Defaults. A spec is refused for a bad tenant name, a
+// name used twice, a workload or backend not in workload.Names() /
+// backend.Names(), or — on a follower — no leader address. The error joins
+// every refused spec, in order, and wraps fosserr.ErrBadConfig; nothing
+// touches the filesystem.
+func Preflight(cfg Config, specs []TenantSpec) error {
+	_, err := (&Router{cfg: cfg}).preflight(specs)
+	return err
+}
+
+// preflight is Preflight returning the resolved specs.
+func (r *Router) preflight(specs []TenantSpec) ([]TenantSpec, error) {
+	switch r.cfg.Role {
+	case "", "leader":
+	case "follower":
+		if r.cfg.StateDir != "" {
+			return nil, fmt.Errorf("shard: -role follower with -state-dir %s: a follower holds no state, it replicates from -leader-addr: %w",
+				r.cfg.StateDir, fosserr.ErrBadConfig)
+		}
+	default:
+		return nil, fmt.Errorf("shard: role %q (want leader or follower): %w", r.cfg.Role, fosserr.ErrBadConfig)
+	}
+	resolved := make([]TenantSpec, len(specs))
+	seen := map[string]bool{}
+	var errs []error
+	for i, spec := range specs {
+		spec = r.resolve(spec)
+		resolved[i] = spec
+		if err := r.checkSpec(spec); err != nil {
+			errs = append(errs, err)
+		} else if seen[spec.Name] {
+			errs = append(errs, fmt.Errorf("shard: tenant %q named twice: %w", spec.Name, fosserr.ErrBadConfig))
+		}
+		seen[spec.Name] = true
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("shard: fleet refused: %w", err)
+	}
+	return resolved, nil
 }
 
 // Get returns the named shard, fosserr.ErrUnknownTenant when absent, or
@@ -234,7 +304,7 @@ func (r *Router) Create(ctx context.Context, spec TenantSpec) (*Shard, error) {
 
 func (r *Router) create(ctx context.Context, spec TenantSpec) (*Shard, error) {
 	spec = r.resolve(spec)
-	if err := validateName(spec.Name); err != nil {
+	if err := r.checkSpec(spec); err != nil {
 		return nil, err
 	}
 	// Reserve the name before the (long) boot: a concurrent duplicate create
@@ -280,6 +350,26 @@ func (r *Router) create(ctx context.Context, spec TenantSpec) (*Shard, error) {
 	delete(r.creating, spec.Name)
 	r.mu.Unlock()
 	return sh, nil
+}
+
+// checkSpec refuses a resolved spec that could never boot: a bad name, a
+// workload or backend nobody registered, or a follower with no leader.
+func (r *Router) checkSpec(spec TenantSpec) error {
+	if err := validateName(spec.Name); err != nil {
+		return err
+	}
+	if !slices.Contains(workload.Names(), spec.Workload) {
+		return fmt.Errorf("shard: tenant %q: workload %q (want %s): %w: %w", spec.Name, spec.Workload,
+			strings.Join(workload.Names(), "|"), fosserr.ErrUnknownWorkload, fosserr.ErrBadConfig)
+	}
+	if !slices.Contains(backend.Names(), spec.Backend) {
+		return fmt.Errorf("shard: tenant %q: backend %q (want %s): %w: %w", spec.Name, spec.Backend,
+			strings.Join(backend.Names(), "|"), fosserr.ErrUnknownBackend, fosserr.ErrBadConfig)
+	}
+	if r.cfg.Role == "follower" && spec.Leader == "" && r.cfg.LeaderAddr == "" {
+		return fmt.Errorf("shard: follower %q needs a -leader-addr: %w", spec.Name, fosserr.ErrBadConfig)
+	}
+	return nil
 }
 
 // validateName rejects tenant names that cannot be routed or safely mapped
@@ -347,24 +437,40 @@ func (r *Router) resolve(spec TenantSpec) TenantSpec {
 func (r *Router) workload(spec TenantSpec) (*workload.Workload, error) {
 	key := fmt.Sprintf("%s/%d/%g", spec.Workload, spec.Seed, spec.Scale)
 	r.wlMu.Lock()
-	defer r.wlMu.Unlock()
-	if w, ok := r.workloads[key]; ok {
-		return w, nil
+	load, ok := r.workloads[key]
+	if !ok {
+		load = sync.OnceValues(func() (*workload.Workload, error) {
+			return workload.Load(spec.Workload, workload.Options{Seed: spec.Seed, Scale: spec.Scale})
+		})
+		r.workloads[key] = load
 	}
-	w, err := workload.Load(spec.Workload, workload.Options{Seed: spec.Seed, Scale: spec.Scale})
-	if err != nil {
-		return nil, err
-	}
-	r.workloads[key] = w
-	return w, nil
+	r.wlMu.Unlock()
+	return load()
 }
 
-// boot assembles and trains (or warm-starts) one shard.
-func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
+// boot assembles and trains (or warm-starts) one shard. A durable shard
+// takes its state directory's lock first, so a directory someone else holds
+// fails the boot before anything is generated or trained. Each boot-complete
+// event carries the tenant's own elapsed time: boots overlap, so the fleet's
+// total is not their sum.
+func (r *Router) boot(ctx context.Context, spec TenantSpec) (_ *Shard, err error) {
+	start := time.Now()
 	event := func(format string, args ...any) {
 		if r.cfg.OnEvent != nil {
 			r.cfg.OnEvent(spec.Name, fmt.Sprintf(format, args...))
 		}
+	}
+	elapsed := func() time.Duration { return time.Since(start).Round(time.Millisecond) }
+	var st *store.Store
+	if r.cfg.StateDir != "" {
+		if st, err = store.Open(filepath.Join(r.cfg.StateDir, spec.Name)); err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil {
+				st.Close()
+			}
+		}()
 	}
 	w, err := r.workload(spec)
 	if err != nil {
@@ -381,48 +487,42 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
 		return nil, err
 	}
 
-	sh := &Shard{Spec: spec, Sys: sys, W: w}
+	sh := &Shard{Spec: spec, Sys: sys, W: w, Store: st}
 	loopCfg := r.cfg.Loop
 
 	if r.cfg.Role == "follower" {
-		return r.bootFollower(ctx, sh, loopCfg, event)
+		return r.bootFollower(ctx, sh, loopCfg, event, elapsed)
 	}
 
-	if r.cfg.StateDir != "" {
-		st, err := store.Open(filepath.Join(r.cfg.StateDir, spec.Name))
+	warm := false
+	if st != nil {
+		_, warm = st.Latest()
+	}
+	switch {
+	case warm:
+		info, err := sys.RecoverOnline(loopCfg, st)
 		if err != nil {
 			return nil, err
 		}
-		sh.Store = st
-		if _, warm := st.Latest(); warm {
-			info, err := sys.RecoverOnline(loopCfg, st)
-			if err != nil {
-				st.Close()
-				return nil, err
-			}
-			sh.Recovery = info
-			event("warm restart: checkpoint=%s epoch=%d buffer=%d walReplayed=%d",
-				info.Checkpoint, info.Epoch, info.BufferRestored, info.WALReplayed)
-		} else {
-			event("cold start: training (backend=%s workload=%s scale=%g seed=%d)",
-				spec.Backend, spec.Workload, spec.Scale, spec.Seed)
-			if err := sys.TrainContext(ctx, nil); err != nil {
-				st.Close()
-				return nil, err
-			}
-			if _, err := sys.RecoverOnline(loopCfg, st); err != nil {
-				st.Close()
-				return nil, err
-			}
-			if r.cfg.CheckpointOnBoot {
-				if _, err := sys.Online().Checkpoint(); err != nil {
-					st.Close()
-					return nil, err
-				}
-			}
-			event("trained and durable: epoch=%d", sys.Online().Epoch())
+		sh.Recovery = info
+		event("warm restart: checkpoint=%s epoch=%d buffer=%d walReplayed=%d in %s",
+			info.Checkpoint, info.Epoch, info.BufferRestored, info.WALReplayed, elapsed())
+	case st != nil:
+		event("cold start: training (backend=%s workload=%s scale=%g seed=%d)",
+			spec.Backend, spec.Workload, spec.Scale, spec.Seed)
+		if err := sys.TrainContext(ctx, nil); err != nil {
+			return nil, err
 		}
-	} else {
+		if _, err := sys.RecoverOnline(loopCfg, st); err != nil {
+			return nil, err
+		}
+		if r.cfg.CheckpointOnBoot {
+			if _, err := sys.Online().Checkpoint(); err != nil {
+				return nil, err
+			}
+		}
+		event("cold start: trained and durable: epoch=%d in %s", sys.Online().Epoch(), elapsed())
+	default:
 		event("cold start: training in memory (backend=%s workload=%s scale=%g seed=%d)",
 			spec.Backend, spec.Workload, spec.Scale, spec.Seed)
 		if err := sys.TrainContext(ctx, nil); err != nil {
@@ -431,6 +531,7 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
 		if err := sys.EnableOnline(loopCfg); err != nil {
 			return nil, err
 		}
+		event("cold start: trained in memory: epoch=%d in %s", sys.Online().Epoch(), elapsed())
 	}
 
 	byID := map[string]*query.Query{}
@@ -448,14 +549,11 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (*Shard, error) {
 // leader's first checkpoint on its /v1/t/{tenant}/repl endpoints, install
 // it, and start the tailer that hot-swaps every later generation. A follower
 // never trains — boot cost is one checkpoint fetch.
-func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Config, event func(string, ...any)) (*Shard, error) {
+func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Config, event func(string, ...any), elapsed func() time.Duration) (*Shard, error) {
 	spec, sys := sh.Spec, sh.Sys
 	leader := spec.Leader
 	if leader == "" {
-		leader = r.cfg.LeaderAddr
-	}
-	if leader == "" {
-		return nil, fmt.Errorf("shard: follower %q needs a -leader-addr: %w", spec.Name, fosserr.ErrBadConfig)
+		leader = r.cfg.LeaderAddr // checkSpec refused a follower with neither
 	}
 	base := leader + "/v1/t/" + spec.Name
 	bootTimeout := r.cfg.ReplBootTimeout
@@ -478,7 +576,7 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 	if err := sys.EnableFollower(loopCfg, ck); err != nil {
 		return nil, fmt.Errorf("shard: follower %q: %w", spec.Name, err)
 	}
-	event("follower serving: checkpoint=%s epoch=%d walseq=%d", m.Checkpoint, ck.Epoch, ck.WALSeq)
+	event("follower serving: checkpoint=%s epoch=%d walseq=%d in %s", m.Checkpoint, ck.Epoch, ck.WALSeq, elapsed())
 
 	tl := repl.New(repl.Config{
 		Source:        src,

@@ -107,6 +107,9 @@ if [[ $quick -eq 0 ]]; then
 
   echo "== checkpoint decoder: ten seconds of FuzzDecodeCheckpoint, no panic, sentinel errors only =="
   go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/store
+
+  echo "== tenant specs: ten seconds of FuzzParseTenantSpecs, no panic, every accepted fleet preflights or is refused as ErrBadConfig =="
+  go test -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s ./cmd/fossd
 fi
 
 echo "== durability: fossd checkpoint -> kill -9 -> restart -> serve parity =="
