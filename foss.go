@@ -70,7 +70,7 @@
 // — /v1/t/default/… on a fleet of one: GET /v1/t/{tenant}/explain/{serve_id}
 // reconstructs why a served plan won (served vs expert, hint diff, tier
 // decision, per-candidate AAM scores), and GET /v1/t/{tenant}/advisor reports
-// the async advisor's structured findings — see AdvisorConfig and Finding.
+// the advisor's structured findings — see AdvisorConfig and Finding.
 //
 // Durable serving: attach a state directory and the doctor's accumulated
 // experience survives restarts — every Record journals to a feedback WAL
@@ -257,11 +257,10 @@ type DriftDetectorConfig = service.DetectorConfig
 // ServeResult carries the tier that answered it.
 type TierConfig = tier.Config
 
-// AdvisorConfig re-exports the async self-diagnosis advisor's tuning
-// (OnlineConfig.Advisor). When enabled, the loop runs a background analyst
-// over the feedback stream — the record path pays one non-blocking channel
-// send — emitting structured Findings surfaced by GET /v1/advisor and
-// Loop.AdvisorFindings.
+// AdvisorConfig re-exports the self-diagnosis advisor's tuning
+// (OnlineConfig.Advisor). When enabled, Record analyzes every feedback
+// record inline, in O(1), emitting structured Findings surfaced by
+// GET /v1/advisor and Loop.AdvisorFindings.
 type AdvisorConfig = service.AdvisorConfig
 
 // Finding re-exports one advisor emission: a kind (FindingRegression,

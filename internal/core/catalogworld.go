@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/foss-db/foss/internal/backend"
 	"github.com/foss-db/foss/internal/engine/catalog"
@@ -36,6 +37,11 @@ type catalogWorld struct {
 	st *stats.Catalog
 	be backend.Backend
 
+	// cur publishes v's current schema for lock-free readers (CheckCatalog
+	// runs twice per served query). apply stores it under mu, once the
+	// generation it belongs to is complete.
+	cur atomic.Pointer[catalog.Schema]
+
 	// frozen marks a world whose backend was built over a database this
 	// package cannot see (WithBackend over a foreign DB): reads work, DDL is
 	// refused.
@@ -47,13 +53,15 @@ type catalogWorld struct {
 // comes up frozen: everything serves normally, ApplyDDL refuses.
 func newCatalogWorld(db *storage.DB, st *stats.Catalog, be backend.Backend) *catalogWorld {
 	frozen := db == nil || be.Schema() != db.Schema
-	return &catalogWorld{
+	cw := &catalogWorld{
 		v:      catalog.NewVersioned(be.Schema()),
 		db:     db,
 		st:     st,
 		be:     be,
 		frozen: frozen,
 	}
+	cw.cur.Store(cw.v.Schema())
+	return cw
 }
 
 // baseSchema returns the immutable epoch-0 schema the world started from —
@@ -69,11 +77,7 @@ func (cw *catalogWorld) snapshot() (backend.Backend, *catalog.Schema, uint64) {
 }
 
 // schema returns the current immutable schema snapshot.
-func (cw *catalogWorld) schema() *catalog.Schema {
-	cw.mu.RLock()
-	defer cw.mu.RUnlock()
-	return cw.v.Schema()
-}
+func (cw *catalogWorld) schema() *catalog.Schema { return cw.cur.Load() }
 
 // apply runs one DDL batch: new schema (copy-on-write), new DB (unchanged
 // tables shared by pointer), new statistics (unchanged tables shared by
@@ -98,6 +102,7 @@ func (cw *catalogWorld) apply(ddls []catalog.DDL) (uint64, error) {
 		return 0, fmt.Errorf("core: rebuild backend after ddl: %w", err)
 	}
 	cw.db, cw.st, cw.be = db, st, be
+	cw.cur.Store(schema)
 	return epoch, nil
 }
 
@@ -223,14 +228,20 @@ func (s *System) CatalogSchema() *catalog.Schema { return s.world.schema() }
 // in the live schema; a reference to a DDL-dropped table fails with
 // fosserr.ErrCatalogStale. The serving loop gates requests (and replayed
 // feedback) through this rather than letting the planner trip over a table
-// the storage layer no longer has.
+// the storage layer no longer has. A query already checked against this
+// exact schema passes on one pointer comparison: the lookups run once per
+// (query, schema generation).
 func (s *System) CheckCatalog(q *query.Query) error {
 	schema := s.world.schema()
+	if q.CheckedAgainst(schema) {
+		return nil
+	}
 	for _, t := range q.Tables {
 		if _, ok := schema.Tables[t.Table]; !ok {
 			return fmt.Errorf("core: query %s references table %q: %w", q.ID, t.Table, fosserr.ErrCatalogStale)
 		}
 	}
+	q.MarkChecked(schema)
 	return nil
 }
 

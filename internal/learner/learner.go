@@ -12,6 +12,7 @@ package learner
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -47,12 +48,45 @@ func (b *Buffer) Add(pe *planner.PlanEval) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	qid := pe.Q.ID
-	for _, old := range b.byQuery[qid] {
+	if !b.holds(pe) {
+		b.insert(pe)
+	}
+}
+
+// AddExecuted is Add for a served candidate that other readers still share:
+// a new execution is stored as a copy carrying the observed latency, and a
+// repeat of an ICP already buffered for its query copies nothing. pe itself
+// is never written.
+func (b *Buffer) AddExecuted(pe *planner.PlanEval, latencyMs float64) {
+	if pe == nil || math.IsNaN(latencyMs) {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.holds(pe) {
+		return
+	}
+	fb := *pe
+	fb.Latency = latencyMs
+	fb.TimedOut = false
+	b.insert(&fb)
+}
+
+// holds reports whether pe's ICP is already buffered for its query. Caller
+// holds mu.
+func (b *Buffer) holds(pe *planner.PlanEval) bool {
+	for _, old := range b.byQuery[pe.Q.ID] {
 		if old.ICP.Equal(pe.ICP) {
-			return
+			return true
 		}
 	}
+	return false
+}
+
+// insert appends pe under its query, registering the query on first sight.
+// Caller holds mu.
+func (b *Buffer) insert(pe *planner.PlanEval) {
+	qid := pe.Q.ID
 	if _, ok := b.byQuery[qid]; !ok {
 		b.order = append(b.order, qid)
 	}

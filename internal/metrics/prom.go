@@ -69,6 +69,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[idx].Add(1)
 }
 
+// Count returns the number of observations so far without copying a
+// snapshot: the Σ of the bucket counts, read low-to-high like Snapshot.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 // HistSnapshot is one consistent-enough reading of a Histogram: the
 // per-bucket counts are individually exact and only ever grow, and Count is
 // derived as their sum — so the cumulative series is internally consistent

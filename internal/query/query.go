@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+
+	"github.com/foss-db/foss/internal/engine/catalog"
 )
 
 // CmpOp is a comparison operator in a filter predicate.
@@ -99,7 +101,20 @@ type Query struct {
 	// serving fast path must not. 0 means "not yet computed" (a computed zero
 	// is remapped to 1 — both unreachable in practice for FNV-1a over SQL).
 	fp atomic.Uint64
+	// checked memoizes the last schema every referenced table was found in,
+	// so a catalog check repeats its lookups only when the schema it checks
+	// against is a different generation. Keyed by pointer, not epoch:
+	// replicas over different catalog worlds can share one Query and sit at
+	// the same epoch with different schemas. Schemas are immutable, so a
+	// match proves the check would pass again.
+	checked atomic.Pointer[catalog.Schema]
 }
+
+// CheckedAgainst reports whether MarkChecked last recorded s.
+func (q *Query) CheckedAgainst(s *catalog.Schema) bool { return s != nil && q.checked.Load() == s }
+
+// MarkChecked records that every table the query references exists in s.
+func (q *Query) MarkChecked(s *catalog.Schema) { q.checked.Store(s) }
 
 // NumTables returns the number of joined relations.
 func (q *Query) NumTables() int { return len(q.Tables) }

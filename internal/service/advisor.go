@@ -1,12 +1,11 @@
 package service
 
-// advisor.go — the async self-diagnosis advisor: a background analyst that
-// watches the feedback stream and turns raw counters into findings an
-// operator can act on. The shape follows the async-analyzer pattern: the
-// serve/record path pays exactly one non-blocking channel send; everything
-// else — windowing, thrash bookkeeping, finding emission — happens on the
-// advisor's own goroutine, owned by the loop and drained by Close like a
-// retrain.
+// advisor.go — the self-diagnosis advisor: an analyst that watches the
+// feedback stream and turns raw counters into findings an operator can act
+// on. It runs inline, in O(1) per record, inside the Loop.mu section that
+// journals the record, so it sees every record and DDL marker in journal
+// order: nothing is sampled or dropped, and the findings are a deterministic
+// function of the feedback stream.
 
 import (
 	"fmt"
@@ -37,7 +36,7 @@ const (
 	FindingSchemaChurn = "schema-churn"
 )
 
-// AdvisorConfig tunes the async advisor. The zero value disables it.
+// AdvisorConfig tunes the advisor. The zero value disables it.
 type AdvisorConfig struct {
 	// Enabled turns the advisor on.
 	Enabled bool
@@ -59,9 +58,6 @@ type AdvisorConfig struct {
 	// MaxFindings bounds the retained findings, oldest dropped first
 	// (default 64).
 	MaxFindings int
-	// Depth is the intake channel's buffer; when the advisor falls this far
-	// behind, further observations are dropped and counted (default 256).
-	Depth int
 }
 
 func (c AdvisorConfig) withDefaults() AdvisorConfig {
@@ -83,9 +79,6 @@ func (c AdvisorConfig) withDefaults() AdvisorConfig {
 	if c.MaxFindings < 1 {
 		c.MaxFindings = 64
 	}
-	if c.Depth < 1 {
-		c.Depth = 256
-	}
 	return c
 }
 
@@ -97,8 +90,8 @@ type Finding struct {
 	Detail string `json:"detail"`
 	// Epoch is the model generation the triggering record was served by.
 	Epoch uint64 `json:"epoch"`
-	// Seq is the advisor-side ordinal of the triggering observation (1 = the
-	// first record the advisor saw).
+	// Seq is the ordinal of the triggering record among those the loop
+	// recorded (1 = the first); DDL markers are not counted.
 	Seq uint64 `json:"seq"`
 	// Fingerprint and QueryID name the offending query for per-fingerprint
 	// findings (plan-thrash); zero/empty otherwise.
@@ -133,23 +126,21 @@ type advisorObs struct {
 	served   uint64
 }
 
-// advisor owns the analysis state. All fields below mu are touched only by
-// the run goroutine (ingest); findings/emitted/dropped are the shared
-// surface the HTTP handler reads.
+// advisor owns the analysis state, which only ingest touches — under
+// Loop.mu, or a unit test's single goroutine. findings and emitted are the
+// surface readers share.
 type advisor struct {
 	cfg AdvisorConfig
-	ch  chan advisorObs
 
-	dropped atomic.Uint64
 	emitted atomic.Uint64
 
 	mu       sync.Mutex
 	findings []Finding
 
-	// Analysis state, single-goroutine.
 	seq        uint64
-	window     []advisorObs // ring of the last cfg.Window observations
+	window     []bool // ring of the last cfg.Window records: regressed or not
 	wpos       int
+	regressed  int            // true entries in window
 	regLatched bool           // a regression finding is live; re-arm on recovery
 	cycles     map[uint64]int // per-fingerprint demotion count this epoch
 	blocked    int            // consecutive cooldown-suppressed drift signals
@@ -168,46 +159,14 @@ func newAdvisor(cfg AdvisorConfig) *advisor {
 	cfg = cfg.withDefaults()
 	return &advisor{
 		cfg:    cfg,
-		ch:     make(chan advisorObs, cfg.Depth),
+		window: make([]bool, 0, cfg.Window),
 		cycles: map[uint64]int{},
 	}
 }
 
-// offer hands one observation to the advisor without ever blocking the
-// feedback path; a full channel drops and counts.
-func (a *advisor) offer(obs advisorObs) {
-	select {
-	case a.ch <- obs:
-	default:
-		a.dropped.Add(1)
-	}
-}
-
-// run is the advisor goroutine: consume until stopped, then drain whatever
-// Record already handed off and exit. The channel is never closed (offers
-// may race the stop signal); the drain loop's default case bounds shutdown.
-func (a *advisor) run(stop <-chan struct{}) {
-	for {
-		select {
-		case obs := <-a.ch:
-			a.ingest(obs)
-		case <-stop:
-			for {
-				select {
-				case obs := <-a.ch:
-					a.ingest(obs)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// ingest runs the analysis for one observation. Called only from the run
-// goroutine (and synchronously by unit tests).
+// ingest runs the analysis for one observation in O(1); only emitting a
+// finding allocates.
 func (a *advisor) ingest(obs advisorObs) {
-	a.seq++
 	if obs.ddl {
 		// Schema-change marker: remember the pre-DDL tier-0 hit rate and
 		// start the post-DDL measurement. The marker itself carries no
@@ -221,6 +180,7 @@ func (a *advisor) ingest(obs advisorObs) {
 		}
 		return
 	}
+	a.seq++
 	if a.ddlPending && obs.served >= a.ddlServed+uint64(a.cfg.Window) {
 		post := float64(obs.t0Hits-a.ddlT0) / float64(obs.served-a.ddlServed)
 		a.ddlPending = false
@@ -249,21 +209,23 @@ func (a *advisor) ingest(obs advisorObs) {
 		clear(a.cycles)
 	}
 
-	// Regression: fraction of the last Window records past RegressionRatio.
+	// Regression: fraction of the last Window records past RegressionRatio,
+	// counted as records enter and leave the ring.
+	reg := obs.ratio > a.cfg.RegressionRatio
 	if len(a.window) < a.cfg.Window {
-		a.window = append(a.window, obs)
+		a.window = append(a.window, reg)
 	} else {
-		a.window[a.wpos] = obs
+		if a.window[a.wpos] {
+			a.regressed--
+		}
+		a.window[a.wpos] = reg
 		a.wpos = (a.wpos + 1) % a.cfg.Window
 	}
+	if reg {
+		a.regressed++
+	}
 	if len(a.window) == a.cfg.Window {
-		regressed := 0
-		for _, o := range a.window {
-			if o.ratio > a.cfg.RegressionRatio {
-				regressed++
-			}
-		}
-		frac := float64(regressed) / float64(len(a.window))
+		frac := float64(a.regressed) / float64(len(a.window))
 		switch {
 		case frac >= a.cfg.RegressionFrac && !a.regLatched:
 			a.regLatched = true
@@ -272,7 +234,7 @@ func (a *advisor) ingest(obs advisorObs) {
 				Epoch: obs.epoch,
 				Seq:   a.seq,
 				Ratio: frac,
-				Count: regressed,
+				Count: a.regressed,
 				Detail: fmt.Sprintf(
 					"%.0f%% of the last %d executions regressed past %.2fx the expert baseline since epoch %d",
 					frac*100, len(a.window), a.cfg.RegressionRatio, obs.epoch),
@@ -343,25 +305,25 @@ func (a *advisor) snapshot() []Finding {
 	return append([]Finding(nil), a.findings...)
 }
 
-// offer stamps obs with the loop's cumulative counters and hands it to the
-// advisor (if any) without blocking: a saturated advisor drops (and counts)
-// the observation rather than slowing the path that produced it.
-func (lp *Loop) offer(obs advisorObs) {
+// advise stamps obs with the loop's cumulative counters and runs the
+// advisor (if any) on it. Caller holds mu, so the advisor sees records and
+// DDL markers in journal order.
+func (lp *Loop) advise(obs advisorObs) {
 	if lp.adv == nil {
 		return
 	}
 	// Tier-0 hits before served, the order Stats reads them in.
-	obs.t0Hits = lp.srv.hist[histPin].Snapshot().Count()
+	obs.t0Hits = lp.srv.hist[histPin].Count()
 	obs.catEpoch, obs.served = lp.cat.epoch.Load(), lp.srv.served.Load()
-	lp.adv.offer(obs)
+	lp.adv.ingest(obs)
 }
 
 // AdvisorEnabled reports whether the loop runs an advisor.
 func (lp *Loop) AdvisorEnabled() bool { return lp.adv != nil }
 
 // AdvisorFindings returns the advisor's retained findings, oldest first
-// (nil when the advisor is disabled). Findings are emitted asynchronously:
-// feedback recorded a moment ago may not have been analyzed yet.
+// (nil when the advisor is disabled). A record is analyzed before Record
+// returns.
 func (lp *Loop) AdvisorFindings() []Finding {
 	if lp.adv == nil {
 		return nil
@@ -371,12 +333,12 @@ func (lp *Loop) AdvisorFindings() []Finding {
 
 // AdvisorCounters returns (emitted, dropped): findings emitted over the
 // loop's lifetime (emission keeps counting past the MaxFindings retention
-// bound) and observations dropped because the advisor fell behind.
+// bound), and 0 — the advisor sees every record, so nothing is dropped.
 func (lp *Loop) AdvisorCounters() (emitted, dropped uint64) {
 	if lp.adv == nil {
 		return 0, 0
 	}
-	return lp.adv.emitted.Load(), lp.adv.dropped.Load()
+	return lp.adv.emitted.Load(), 0
 }
 
 // advisorResponse is the GET /v1/advisor body.
@@ -384,7 +346,6 @@ type advisorResponse struct {
 	Enabled  bool      `json:"enabled"`
 	Findings []Finding `json:"findings"`
 	Emitted  uint64    `json:"emitted"`
-	Dropped  uint64    `json:"dropped"`
 }
 
 // handleAdvisor serves the advisor's findings. A disabled advisor answers
@@ -398,11 +359,10 @@ func (s *HTTPServer) handleAdvisor(w http.ResponseWriter, r *http.Request) {
 	if findings == nil {
 		findings = []Finding{}
 	}
-	emitted, dropped := s.lp.AdvisorCounters()
+	emitted, _ := s.lp.AdvisorCounters()
 	writeJSON(w, http.StatusOK, advisorResponse{
 		Enabled:  s.lp.AdvisorEnabled(),
 		Findings: findings,
 		Emitted:  emitted,
-		Dropped:  dropped,
 	})
 }

@@ -2,20 +2,24 @@ package service
 
 // Advisor emission tests: ingest() is driven synchronously with synthetic
 // observation streams, so every finding kind — regression (with its latch),
-// plan-thrash, cooldown-blocked — is pinned deterministically. The wire test
-// at the bottom covers the async path end to end: real traffic through the
-// loop, findings surfacing on GET /v1/advisor.
+// plan-thrash, cooldown-blocked — is pinned deterministically. The loop
+// tests below drive real records through Record: the advisor sees every one
+// of them, in journal order, under concurrency too, and findings surface on
+// GET /v1/advisor the moment Record returns.
 
 import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"github.com/foss-db/foss/internal/engine/catalog"
 	"github.com/foss-db/foss/internal/query"
+	"github.com/foss-db/foss/internal/tier"
 )
 
 // TestAdvisorRegressionLatch: a regression finding fires once the window
@@ -137,53 +141,166 @@ func TestAdvisorEpochReset(t *testing.T) {
 	}
 }
 
-// TestAdvisorBackpressureAndRetention: offers past the channel depth drop
-// and count; retained findings are FIFO-bounded while the emitted counter
-// keeps the lifetime total.
-func TestAdvisorBackpressureAndRetention(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, Depth: 1})
-	a.offer(advisorObs{})
-	a.offer(advisorObs{})
-	a.offer(advisorObs{})
-	if got := a.dropped.Load(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-
-	b := newAdvisor(AdvisorConfig{Enabled: true, ThrashCycles: 1, MaxFindings: 2})
+// TestAdvisorRetention: retained findings are FIFO-bounded while the
+// emitted counter keeps the lifetime total.
+func TestAdvisorRetention(t *testing.T) {
+	a := newAdvisor(AdvisorConfig{Enabled: true, ThrashCycles: 1, MaxFindings: 2})
 	for fp := uint64(1); fp <= 3; fp++ {
-		b.ingest(advisorObs{epoch: 1, fp: fp, demoted: true})
+		a.ingest(advisorObs{epoch: 1, fp: fp, demoted: true})
 	}
-	got := b.snapshot()
+	got := a.snapshot()
 	if len(got) != 2 || got[0].Fingerprint != 2 || got[1].Fingerprint != 3 {
 		t.Fatalf("retention not FIFO-bounded at 2: %+v", got)
 	}
-	if b.emitted.Load() != 3 {
-		t.Fatalf("emitted = %d, want the lifetime 3", b.emitted.Load())
+	if a.emitted.Load() != 3 {
+		t.Fatalf("emitted = %d, want the lifetime 3", a.emitted.Load())
 	}
 }
 
-// TestWaitReturnsWithAdvisorEnabled: Wait drains transient retrain work, not
-// the loop-lifetime advisor goroutine — on a quiet loop with the advisor on,
-// Wait must return immediately instead of blocking until Close (a caller
-// that drains its stream and then Waits would deadlock on the advisor).
-func TestWaitReturnsWithAdvisorEnabled(t *testing.T) {
+// advisorStreamConfig is a tiered loop whose drift detector fires on a
+// regressed window while the cooldown keeps every retrain out of reach, with
+// an advisor small enough for a short stream to hit every finding kind.
+func advisorStreamConfig() Config {
 	cfg := syncConfig()
-	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 4}
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
-	t.Cleanup(func() { _ = lp.Close(context.Background()) })
+	cfg.Detector = DetectorConfig{Window: 4, Threshold: 1.2, MinSamples: 4}
+	cfg.Cooldown = 1 << 20
+	cfg.Tier = tier.Config{Memory: true}
+	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 4, RegressionFrac: 0.5, RegressionRatio: 1.5, ThrashCycles: 1, CooldownTurns: 3}
+	return cfg
+}
 
-	done := make(chan struct{})
-	go func() { lp.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait blocked on the advisor goroutine")
+// feedAdvisorStream drives one fixed stream through lp: a promotion and its
+// demotion, a regressed run the cooldown blocks drift on, a DDL marker, and
+// traffic after it. The fake expert runs at 10 ms: 5 is a win, 100 a
+// regression.
+func feedAdvisorStream(t *testing.T, lp *Loop) {
+	t.Helper()
+	turn := func(v int64, lat float64) {
+		q := fq(v)
+		res, err := lp.Serve(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lp.Record(q, res.Eval, lat) {
+			t.Fatalf("record of %s refused", q.ID)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		turn(1, 5) // three wins pin q1
+	}
+	turn(1, 100) // the pin regresses: demoted
+	for i := 0; i < 4; i++ {
+		turn(2, 100)
+	}
+	if _, err := lp.ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: "zz"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		turn(3, 5)
+	}
+	for i := 0; i < 4; i++ {
+		turn(4, 100)
 	}
 }
 
-// TestHTTPAdvisorEndpoint drives the async path end to end: regressing
-// traffic through the loop, the advisor goroutine analyzing off the record
-// path, findings surfacing on GET /v1/advisor. A loop without an advisor
+// TestAdvisorLosslessAndDeterministic: the advisor analyzes every record, so
+// one feedback stream fed to two loops yields the same findings, and the
+// advisor's ordinal is exactly the number of records the loop took.
+func TestAdvisorLosslessAndDeterministic(t *testing.T) {
+	var runs [2][]Finding
+	for i := range runs {
+		lp := New(advisorStreamConfig(), newFake("blue"), newFake("green"), nil)
+		feedAdvisorStream(t, lp)
+		st := lp.Stats()
+		if lp.adv.seq != st.Recorded || st.Recorded != 18 {
+			t.Fatalf("advisor seq %d, recorded %d: want both 18", lp.adv.seq, st.Recorded)
+		}
+		if st.Demotions != 1 || st.CatalogApplies != 1 {
+			t.Fatalf("stream did not demote once and apply one DDL: %+v", st)
+		}
+		runs[i] = lp.AdvisorFindings()
+	}
+	kinds := map[string]bool{}
+	for _, f := range runs[0] {
+		kinds[f.Kind] = true
+	}
+	for _, k := range []string{FindingRegression, FindingPlanThrash, FindingCooldownBlocked} {
+		if !kinds[k] {
+			t.Fatalf("stream emitted no %s finding: %+v", k, runs[0])
+		}
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("same stream, different findings:\n%+v\n%+v", runs[0], runs[1])
+	}
+}
+
+// TestAdvisorUnderConcurrentRecords is the -race soak for the inline
+// advisor: two recording goroutines, a DDL apply, and readers of the
+// findings, Stats and /metrics, all at once. Every record still reaches the
+// advisor.
+func TestAdvisorUnderConcurrentRecords(t *testing.T) {
+	cfg := advisorStreamConfig()
+	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	h := NewHTTPServer(lp, HTTPOptions{})
+
+	const writers, turns = 2, 200
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < turns; i++ {
+				q := fq(int64(g*4 + i%4))
+				res, err := lp.Serve(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				lat := 5.0
+				if i%3 == 2 {
+					lat = 100
+				}
+				if !lp.Record(q, res.Eval, lat) {
+					t.Errorf("record of %s refused", q.ID)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := lp.ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: "zz"}}); err != nil {
+			t.Error(err)
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if reads == 0 {
+				t.Fatal("readers never overlapped the records")
+			}
+			if st := lp.Stats(); lp.adv.seq != st.Recorded || st.Recorded != writers*turns {
+				t.Fatalf("advisor seq %d, recorded %d: want both %d", lp.adv.seq, st.Recorded, writers*turns)
+			}
+			return
+		default:
+			_ = lp.AdvisorFindings()
+			_ = lp.Stats()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "foss_advisor_dropped_total") {
+				t.Fatalf("metrics scrape: status %d, want 200 and no foss_advisor_dropped_total family", rec.Code)
+			}
+		}
+	}
+}
+
+// TestHTTPAdvisorEndpoint drives the advisor end to end: regressing traffic
+// through the loop, findings surfacing on GET /v1/advisor as soon as the
+// feedback that caused them is acknowledged. A loop without an advisor
 // answers 200 with enabled:false.
 func TestHTTPAdvisorEndpoint(t *testing.T) {
 	cfg := syncConfig()
@@ -218,24 +335,20 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 			t.Fatalf("feedback: %d %v", code, fb)
 		}
 	}
-	// The analysis is asynchronous: poll until the finding lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, out = getJSON(t, ts.URL+"/v1/advisor")
-		if fs, _ := out["findings"].([]any); len(fs) > 0 {
-			f := fs[0].(map[string]any)
-			if f["kind"] != FindingRegression || f["epoch"] != float64(1) {
-				t.Fatalf("unexpected finding %v", f)
-			}
-			if out["emitted"].(float64) < 1 {
-				t.Fatalf("emitted counter lags findings: %v", out)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no finding after regressing traffic: %v", out)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The analysis ran inside Record: the finding is already there.
+	_, out = getJSON(t, ts.URL+"/v1/advisor")
+	fs, _ := out["findings"].([]any)
+	if len(fs) == 0 {
+		t.Fatalf("no finding after regressing traffic: %v", out)
+	}
+	if f := fs[0].(map[string]any); f["kind"] != FindingRegression || f["epoch"] != float64(1) {
+		t.Fatalf("unexpected finding %v", f)
+	}
+	if out["emitted"].(float64) < 1 {
+		t.Fatalf("emitted counter lags findings: %v", out)
+	}
+	if _, ok := out["dropped"]; ok {
+		t.Fatalf("response still carries a dropped counter: %v", out)
 	}
 
 	// Disabled advisor: still a 200, explicitly not enabled.

@@ -65,7 +65,7 @@ func (lp *Loop) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 	lp.cat.applies.Add(1)
 	// Schema-change marker: the advisor compares the tier-0 hit rate before
 	// the apply with the window after it (FindingSchemaChurn).
-	lp.offer(advisorObs{ddl: true, epoch: epoch})
+	lp.advise(advisorObs{ddl: true, epoch: epoch})
 	lp.mu.Unlock()
 	// The post-DDL generation becomes the recovery point immediately — a
 	// crash after a DDL restarts on the evolved schema without re-planning

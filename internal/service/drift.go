@@ -30,7 +30,10 @@ type Signal struct {
 
 // Detector is the rolling regression-vs-expert drift monitor. It keeps a
 // fixed window of (ratio, novel) observations plus an all-time fingerprint
-// set; Observe is O(1) and safe for concurrent use.
+// set; Observe is amortized O(1) and safe for concurrent use. The window sum
+// runs incrementally and is re-summed from the ring once per lap, so neither
+// rounding nor an outlier that swamped the running sum outlives the window
+// by more than one lap.
 type Detector struct {
 	cfg DetectorConfig
 
@@ -96,6 +99,12 @@ func (d *Detector) Observe(fingerprint uint64, ratio float64) Signal {
 		d.novel++
 	}
 	d.idx = (d.idx + 1) % d.cfg.Window
+	if d.idx == 0 {
+		d.sum = 0
+		for _, r := range d.ratios {
+			d.sum += r
+		}
+	}
 
 	sig := Signal{
 		Mean:      d.sum / float64(d.n),

@@ -17,7 +17,7 @@ package service
 //	GET  /v1/catalog   — live catalog epoch, hash, and applied-DDL log
 //	GET  /metrics             — Prometheus text exposition (see httpmetrics.go)
 //	GET  /v1/explain/{serve_id} — why the doctor chose that plan (explain.go)
-//	GET  /v1/advisor          — async advisor findings (advisor.go)
+//	GET  /v1/advisor          — advisor findings (advisor.go)
 //
 // Request bodies are size-capped (413 past 1 MiB) and strictly parsed:
 // unknown fields are rejected so malformed specs fail loudly.

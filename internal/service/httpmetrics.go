@@ -32,8 +32,8 @@ type scrapeRow struct {
 	pending int
 	expired uint64
 
-	advisorOn              bool
-	advEmitted, advDropped uint64
+	advisorOn  bool
+	advEmitted uint64
 
 	// replOn marks a row whose server runs a replication tailer (a
 	// follower); the repl gauges are emitted only for such rows so a leader's
@@ -52,7 +52,7 @@ func (s *HTTPServer) scrape(tenant string) scrapeRow {
 	s.mu.Lock()
 	pending := s.live
 	s.mu.Unlock()
-	emitted, dropped := s.lp.AdvisorCounters()
+	emitted, _ := s.lp.AdvisorCounters()
 	row := scrapeRow{
 		tenant:     tenant,
 		backend:    active.BackendName(),
@@ -63,7 +63,6 @@ func (s *HTTPServer) scrape(tenant string) scrapeRow {
 		expired:    s.expired.Load(),
 		advisorOn:  s.lp.AdvisorEnabled(),
 		advEmitted: emitted,
-		advDropped: dropped,
 	}
 	if s.opts.ReplStats != nil {
 		row.replOn = true
@@ -155,14 +154,13 @@ func writeMetricsText(w http.ResponseWriter, rows []scrapeRow) {
 	gauge("foss_pending_feedback", "Served plans awaiting feedback in the ring.", func(r scrapeRow) float64 { return float64(r.pending) })
 	counter("foss_expired_serve_ids_total", "Serve ids evicted before their feedback arrived.", func(r scrapeRow) uint64 { return r.expired })
 
-	gauge("foss_advisor_enabled", "1 when the async advisor runs.", func(r scrapeRow) float64 {
+	gauge("foss_advisor_enabled", "1 when the advisor runs.", func(r scrapeRow) float64 {
 		if r.advisorOn {
 			return 1
 		}
 		return 0
 	})
 	counter("foss_advisor_findings_total", "Advisor findings emitted.", func(r scrapeRow) uint64 { return r.advEmitted })
-	counter("foss_advisor_dropped_total", "Advisor observations dropped under backpressure.", func(r scrapeRow) uint64 { return r.advDropped })
 
 	// Replication families: emitted only when some row runs a tailer (a
 	// follower), so leader scrapes carry no misleading zero-lag series and

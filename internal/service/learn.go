@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"sync/atomic"
 
 	"github.com/foss-db/foss/internal/planner"
@@ -35,12 +36,13 @@ type learning struct {
 // window signals drift past the cooldown — Record triggers a retrain.
 //
 // A zero latency is legitimate (sub-millisecond executions round to 0);
-// only negative values are rejected. The return reports whether the
-// observation was ingested: false for invalid arguments and for feedback
-// arriving after Close began (intake stopped; the final checkpoint must
-// stay the last word) — wire callers answer 503, not a false ack.
+// negative, NaN and infinite values are rejected — one of them would poison
+// the drift window's mean. The return reports whether the observation was
+// ingested: false for invalid arguments and for feedback arriving after
+// Close began (intake stopped; the final checkpoint must stay the last
+// word) — wire callers answer 503, not a false ack.
 func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) bool {
-	if q == nil || pe == nil || latencyMs < 0 || lp.closed.Load() {
+	if q == nil || pe == nil || latencyMs < 0 || math.IsNaN(latencyMs) || math.IsInf(latencyMs, 1) || lp.closed.Load() {
 		return false
 	}
 	// Feedback produced against a schema generation a DDL has since retired
@@ -62,7 +64,8 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 	// records below it produced (see there). The fsync inside the append
 	// makes this section the feedback throughput ceiling; that is the price
 	// of the durability point preceding ingestion (group commit is the known
-	// escape hatch if a deployment ever needs more).
+	// escape hatch if a deployment ever needs more). The advisor analyzes
+	// the record here too, so it sees the stream in journal order.
 	lp.mu.Lock()
 	lp.jr.append(store.WALEntry{
 		Kind:        store.KindFeedback,
@@ -86,10 +89,10 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 		lp.lrn.demotions.Add(1)
 	}
 	n := lp.lrn.recorded.Add(1)
+	obs.driftBlocked = sig.Drift && !ready
+	lp.advise(obs)
 	lp.mu.Unlock()
 
-	obs.driftBlocked = sig.Drift && !ready
-	lp.offer(obs)
 	if sig.Drift && ready {
 		lp.triggerRetrain()
 	}
@@ -112,12 +115,10 @@ func (lp *Loop) feedback(q *query.Query, fp uint64, pe *planner.PlanEval, latenc
 	// newly promoted model without the feedback).
 	s := lp.srv.active.Load()
 	for _, r := range [2]Replica{s.r, lp.lrn.standby} {
-		// The cached PlanEval is shared by concurrent readers: feedback gets
-		// its own copies, one per buffer, with the observed latency filled in.
-		fb := *pe
-		fb.Latency = latencyMs
-		fb.TimedOut = false
-		r.Buffer().Add(&fb)
+		// The cached PlanEval is shared by concurrent readers: a buffer that
+		// does not hold this execution yet stores its own copy, with the
+		// observed latency filled in.
+		r.Buffer().AddExecuted(pe, latencyMs)
 	}
 	lp.noteRecent(q, fp)
 	lp.lrn.sinceRetrain++

@@ -16,7 +16,7 @@
 // warm restart bit-identical to the loop that crashed.
 //
 //	event            WAL kind      state the transition touches               live-only side effects
-//	Record           KindFeedback  both replicas' buffers, recent-query ring,  counters, advisor offer,
+//	Record           KindFeedback  both replicas' buffers, recent-query ring,  counters, advisor ingest,
 //	(feedback)                     cooldown, tier Observe, detector Observe    retrain + checkpoint triggers
 //	retrain swap /   KindSwap      serving slot + epoch, standby rotation,     weight mirroring onto the
 //	ApplyCheckpoint  (leader only) cooldown reset, tier Invalidate,            demoted replica, checkpoint
@@ -152,12 +152,11 @@ type Config struct {
 	// forwards to the leader).
 	Follower bool
 
-	// Advisor configures the async self-diagnosis advisor: a background
-	// goroutine (owned by the loop, drained by Close) that watches the
+	// Advisor configures the self-diagnosis advisor, which watches the
 	// feedback stream and emits structured findings — sustained regression
-	// vs the expert baseline, plan-memory thrash, cooldown-starved drift.
-	// The zero value disables it; serving pays nothing either way (the
-	// Record-side hand-off is one non-blocking channel send).
+	// vs the expert baseline, plan-memory thrash, cooldown-starved drift,
+	// schema churn. It analyzes each record inline, in O(1), inside Record's
+	// critical section. The zero value disables it; Serve never touches it.
 	Advisor AdvisorConfig
 }
 
@@ -240,8 +239,7 @@ type Loop struct {
 	jr  journal      // durability.go: the optional store and its counters
 	cat catalogState // catalog.go: catalog epoch mirror and its counters
 
-	wg    sync.WaitGroup
-	advWG sync.WaitGroup // advisor goroutine: loop-lifetime, so outside wg (Wait must not block on it)
+	wg sync.WaitGroup
 
 	// Lifecycle: closed flips once, under lifeMu, which spawn also holds
 	// (see there). baseCtx is the parent of every background retrain; Close
@@ -253,10 +251,8 @@ type Loop struct {
 	baseCtx  context.Context
 	stopBase context.CancelFunc
 
-	// adv is the async advisor (nil = disabled); Close releases its
-	// goroutine through advStop.
-	adv     *advisor
-	advStop chan struct{}
+	// adv is the advisor (nil = disabled); its analysis state moves under mu.
+	adv *advisor
 }
 
 // New assembles a loop over an active/standby replica pair. known seeds the
@@ -288,19 +284,12 @@ func New(cfg Config, active, standby Replica, known []*query.Query) *Loop {
 	lp.srv.active.Store(&slot{r: active, epoch: max(cfg.InitialEpoch, 1)})
 	if cfg.Advisor.Enabled {
 		lp.adv = newAdvisor(cfg.Advisor)
-		lp.advStop = make(chan struct{})
-		lp.advWG.Add(1)
-		go func() {
-			defer lp.advWG.Done()
-			lp.adv.run(lp.advStop)
-		}()
 	}
 	return lp
 }
 
 // Wait blocks until every in-flight background retrain has finished
-// (including its hot-swap and weight mirroring) — not the advisor goroutine,
-// which lives until Close.
+// (including its hot-swap and weight mirroring).
 func (lp *Loop) Wait() { lp.wg.Wait() }
 
 // Close drains the loop for a lossless shutdown: intake stops (Serve and
@@ -319,17 +308,9 @@ func (lp *Loop) Close(ctx context.Context) error {
 		lp.closed.Store(true)
 		lp.lifeMu.Unlock()
 
-		// Release the advisor before draining: its goroutine blocks on the
-		// intake channel, so the stop signal must precede the advWG wait. It
-		// drains whatever Record already handed off, then exits.
-		if lp.advStop != nil {
-			close(lp.advStop)
-		}
-
 		done := make(chan struct{})
 		go func() {
 			lp.wg.Wait()
-			lp.advWG.Wait()
 			close(done)
 		}()
 		select {

@@ -297,6 +297,48 @@ func TestDetectorRollingEviction(t *testing.T) {
 	}
 }
 
+// TestDriftSurvivesOutlierFeedback: one outlier must not switch regression
+// drift detection off for the rest of the epoch. A ratio of 1e300 swamps a
+// running sum, so subtracting it back out leaves the sum near zero; once the
+// outlier has left the window the mean must read the 1.2s the window holds
+// again. NaN and +Inf latencies never reach the window at all: Record
+// refuses them as it refuses negatives.
+func TestDriftSurvivesOutlierFeedback(t *testing.T) {
+	d := NewDetector(DetectorConfig{Window: 16, Threshold: 1.1, MinSamples: 8}, nil)
+	for i := 0; i < 16; i++ {
+		d.Observe(1, 1.2)
+	}
+	d.Observe(1, 1e300)
+	var sig Signal
+	for i := 0; i < 64; i++ {
+		sig = d.Observe(1, 1.2)
+	}
+	if math.Abs(sig.Mean-1.2) > 1e-9 || !sig.Drift {
+		t.Fatalf("window of 1.2s after the outlier left: mean %v drift %v, want 1.2 and drift", sig.Mean, sig.Drift)
+	}
+
+	cfg := syncConfig()
+	cfg.Detector = DetectorConfig{Window: 4, Threshold: 100, MinSamples: 4}
+	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	res, err := lp.Serve(context.Background(), fq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lat := range []float64{math.NaN(), math.Inf(1)} {
+		if lp.Record(fq(1), res.Eval, lat) {
+			t.Fatalf("latency %v accepted", lat)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if !lp.Record(fq(1), res.Eval, 12) {
+			t.Fatal("finite latency refused")
+		}
+	}
+	if st := lp.Stats(); st.Recorded != 4 || math.Abs(st.WindowMean-1.2) > 1e-9 {
+		t.Fatalf("recorded %d, window mean %v: want 4 and 1.2 (the fake expert runs at 10)", st.Recorded, st.WindowMean)
+	}
+}
+
 // TestDetectorNovelty: unseen fingerprints signal drift even at healthy
 // latencies; known fingerprints never do.
 func TestDetectorNovelty(t *testing.T) {

@@ -97,6 +97,44 @@ func TestTier0ServeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHotTurnZeroAllocs pins a whole hot turn to zero allocations: a tier-0
+// Serve plus the Record of an execution both buffers already hold — the
+// catalog checks, the expert-latency cache, the feedback transition, the
+// tier router, the drift detector and the advisor all run, and none of them
+// may copy or allocate.
+func TestHotTurnZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cfg := tierConfig(tier.Config{Memory: true})
+	cfg.Advisor = AdvisorConfig{Enabled: true}
+	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	q := fq(7)
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		res, err := lp.Serve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp.Record(q, res.Eval, 5)
+	}
+	if lp.Stats().PinnedPlans != 1 {
+		t.Fatal("fixture did not promote a pin")
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		res, err := lp.Serve(ctx, q)
+		if err != nil || res.Tier != tier.Tier0 {
+			panic("not a tier-0 hit")
+		}
+		if !lp.Record(q, res.Eval, 5) {
+			panic("record refused")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("hot turn allocates %.1f objects, want 0", avg)
+	}
+}
+
 // TestTierEscalationDropsPin: a pinned plan regressing past EscalateRatio is
 // demoted immediately, and the regression latch blocks re-promotion for the
 // rest of the epoch.

@@ -91,7 +91,7 @@ go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
 
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
-  # TestTier0ServeZeroAllocs, TestServeMissAllocsBounded,
+  # TestTier0ServeZeroAllocs, TestHotTurnZeroAllocs, TestServeMissAllocsBounded,
   # TestHistogramObserveZeroAllocs, TestScoreBatchAllocsBounded,
   # TestFrozenForwardBlocksAllocsPinned: README
   # "Verification" says what each pins. A rename that leaves the pattern
