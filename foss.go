@@ -58,16 +58,18 @@
 // ServeBatch is ServeContext over a list: N serves answered by one model
 // generation, all-or-nothing on error or cancellation.
 //
-// The same loop is reachable over the wire: cmd/fossd -serve-http serves a
-// fleet of doctors — one tenant, "default", unless more are named — exposing
-// /v1/t/{tenant}/optimize, /feedback, /stats, and /checkpoint as a JSON
-// HTTP service (see internal/service and the README's endpoint reference).
+// The same loop is reachable over the wire, and the wire has one shape: a
+// fleet of doctors (NewTenantHTTPServer; cmd/fossd -serve-http serves one
+// tenant, "default", unless more are named). Every per-doctor endpoint lives
+// under /v1/t/{tenant}/ — optimize, feedback, stats, checkpoint, catalog —
+// as a JSON HTTP service (see internal/service and the README's endpoint
+// reference).
 //
-// Observability rides on the same surface. The fleet's aggregates are the
-// un-prefixed paths: GET /metrics is a dependency-free Prometheus text scrape
+// Observability rides on the same surface. The fleet-wide reads sit outside
+// the tenant prefix: GET /metrics is a dependency-free Prometheus text scrape
 // (per-tier serve-latency histograms plus every loop counter, tenant-labeled)
-// and GET /v1/stats the roll-up. Per-doctor reads live under the tenant prefix
-// — /v1/t/default/… on a fleet of one: GET /v1/t/{tenant}/explain/{serve_id}
+// and GET /v1/stats the roll-up. Per-doctor reads live under the prefix —
+// /v1/t/default/… on a fleet of one: GET /v1/t/{tenant}/explain/{serve_id}
 // reconstructs why a served plan won (served vs expert, hint diff, tier
 // decision, per-candidate AAM scores), and GET /v1/t/{tenant}/advisor reports
 // the advisor's structured findings — see AdvisorConfig and Finding.
@@ -281,21 +283,6 @@ const (
 	FindingCooldownBlocked = service.FindingCooldownBlocked
 )
 
-// HTTPOptions re-exports the wire-surface configuration (NewHTTPServer).
-type HTTPOptions = service.HTTPOptions
-
-// NewHTTPServer exposes one system's online loop as a JSON HTTP handler
-// (/v1/optimize, /v1/feedback, /v1/stats) — the per-tenant building block
-// NewTenantHTTPServer re-roots under /v1/t/{tenant}/. EnableOnline must have
-// been called.
-func NewHTTPServer(sys *System, opts HTTPOptions) (*service.HTTPServer, error) {
-	lp := sys.Online()
-	if lp == nil {
-		return nil, ErrNotOnline
-	}
-	return service.NewHTTPServer(lp, opts), nil
-}
-
 // DefaultOnlineConfig returns the configuration fossd serves with: 16-record
 // rolling window, 1.1 mean regression threshold, 50% novelty fraction,
 // background retraining of 2 iterations over the 32 most recent queries, a
@@ -340,8 +327,9 @@ type TenantRegistry = service.TenantRegistry
 type WireTenantSpec = service.WireTenantSpec
 
 // NewTenantHTTPServer exposes a tenant registry (typically a ShardRouter)
-// as the multi-tenant JSON HTTP service: /v1/t/{tenant}/optimize|feedback|
-// stats|checkpoint, the aggregate /v1/stats roll-up, and GET|POST
+// as the JSON HTTP service: every per-doctor endpoint under /v1/t/{tenant}/
+// (optimize, feedback, stats, checkpoint, catalog, explain, advisor, metrics,
+// repl), the fleet-wide GET /v1/stats and GET /metrics, and GET|POST
 // /v1/tenants.
 func NewTenantHTTPServer(reg TenantRegistry) *service.MultiHTTPServer {
 	return service.NewMultiHTTPServer(reg)

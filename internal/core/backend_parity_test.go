@@ -13,7 +13,8 @@ package core_test
 //   - TestServeBatchCancellation (-race) proves an in-flight ServeBatch
 //     returns promptly once its deadline passes.
 //   - TestHTTPRoundTripRealSystem runs the wire surface over a genuinely
-//     trained system: /v1/optimize → /v1/feedback → /v1/stats.
+//     trained system, as the one tenant of a fleet: optimize → feedback →
+//     stats under /v1/t/default/.
 
 import (
 	"bufio"
@@ -31,6 +32,7 @@ import (
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/backend"
 	"github.com/foss-db/foss/internal/core"
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/tier"
@@ -270,15 +272,12 @@ func TestServeBatchMatchesServe(t *testing.T) {
 			for _, q := range qs {
 				byID[q.ID] = q
 			}
-			ts := httptest.NewServer(service.NewHTTPServer(sys.Online(), service.HTTPOptions{
-				Resolve: func(id string) *query.Query { return byID[id] },
-			}))
-			defer ts.Close()
+			base := serveOneTenant(t, sys, byID)
 
 			// Seen but unpinned: the doctor's own plan is one lookup away — the
 			// wire answers tier 2 from the plan cache, with Serve's plan.
 			seen := 3
-			code, row := postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qs[seen].ID+`"}`)
+			code, row := postJSONT(t, base+"/optimize", `{"query_id": "`+qs[seen].ID+`"}`)
 			if code != http.StatusOK {
 				t.Fatalf("optimize %d: %v", code, row)
 			}
@@ -292,7 +291,7 @@ func TestServeBatchMatchesServe(t *testing.T) {
 			// the tier-0 histogram.
 			histBefore := sys.Online().ServeHistograms()[tier.Tier0]
 			before := sys.OnlineStats()
-			code, row = postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qs[0].ID+`"}`)
+			code, row = postJSONT(t, base+"/optimize", `{"query_id": "`+qs[0].ID+`"}`)
 			if code != http.StatusOK || row["tier"] != float64(tier.Tier0) {
 				t.Fatalf("optimize of a pinned fingerprint %d: %v", code, row)
 			}
@@ -400,14 +399,10 @@ func TestHTTPRoundTripRealSystem(t *testing.T) {
 	for _, q := range w.All() {
 		byID[q.ID] = q
 	}
-	h := service.NewHTTPServer(sys.Online(), service.HTTPOptions{
-		Resolve: func(id string) *query.Query { return byID[id] },
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	base := serveOneTenant(t, sys, byID)
 
 	qid := w.Test[0].ID
-	code, row := postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qid+`", "execute": true}`)
+	code, row := postJSONT(t, base+"/optimize", `{"query_id": "`+qid+`", "execute": true}`)
 	if code != http.StatusOK {
 		t.Fatalf("optimize %d: %v", code, row)
 	}
@@ -421,17 +416,17 @@ func TestHTTPRoundTripRealSystem(t *testing.T) {
 	}
 
 	// client-side execution path: optimize, then report feedback
-	code, row = postJSONT(t, ts.URL+"/v1/optimize", `{"query_id": "`+qid+`"}`)
+	code, row = postJSONT(t, base+"/optimize", `{"query_id": "`+qid+`"}`)
 	if code != http.StatusOK || row["cache_hit"] != true {
 		t.Fatalf("repeat optimize %d (cache_hit=%v)", code, row["cache_hit"])
 	}
-	code, fb := postJSONT(t, ts.URL+"/v1/feedback",
+	code, fb := postJSONT(t, base+"/feedback",
 		fmt.Sprintf(`{"serve_id": %q, "latency_ms": %v}`, row["serve_id"], lat))
 	if code != http.StatusOK || fb["recorded"] != true {
 		t.Fatalf("feedback %d: %v", code, fb)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,6 +439,33 @@ func TestHTTPRoundTripRealSystem(t *testing.T) {
 	if s, _ := st["stats"].(map[string]any); s["Served"].(float64) < 2 || s["Recorded"].(float64) < 2 {
 		t.Fatalf("stats counters %v", s)
 	}
+}
+
+// oneTenant is a registry holding one system's wire state as "default", the
+// one tenant of a fleet.
+type oneTenant struct{ h *service.HTTPServer }
+
+func (o oneTenant) TenantServer(name string) (*service.HTTPServer, error) {
+	if name != "default" {
+		return nil, fosserr.ErrUnknownTenant
+	}
+	return o.h, nil
+}
+func (o oneTenant) TenantNames() []string { return []string{"default"} }
+func (o oneTenant) CreateTenant(context.Context, service.WireTenantSpec) (*service.HTTPServer, error) {
+	return nil, fosserr.ErrBadConfig
+}
+
+// serveOneTenant serves sys's online loop as the one tenant of a fleet,
+// resolving query ids through byID, and returns the tenant's URL prefix.
+func serveOneTenant(t *testing.T, sys *core.System, byID map[string]*query.Query) string {
+	t.Helper()
+	h := service.NewHTTPServer(sys.Online(), service.HTTPOptions{
+		Resolve: func(id string) *query.Query { return byID[id] },
+	})
+	ts := httptest.NewServer(service.NewMultiHTTPServer(oneTenant{h}))
+	t.Cleanup(ts.Close)
+	return ts.URL + "/v1/t/default"
 }
 
 // postJSONT posts a JSON body and decodes the JSON response.

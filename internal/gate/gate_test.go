@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -76,12 +78,13 @@ func TestRingOwnersPreferenceList(t *testing.T) {
 	}
 }
 
-// member spins up a fake fleet process that records which paths it saw.
+// member spins up a fake fleet process that records which paths it saw,
+// escaped as they arrived.
 func member(t *testing.T, name string) (*httptest.Server, *[]string) {
 	t.Helper()
 	var paths []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		paths = append(paths, r.URL.Path)
+		paths = append(paths, r.URL.EscapedPath())
 		switch {
 		case r.URL.Path == "/metrics":
 			io.WriteString(w, "# HELP foss_served_total Queries served.\n# TYPE foss_served_total counter\nfoss_served_total 7\n")
@@ -134,6 +137,36 @@ func TestProxyRoutesToOwner(t *testing.T) {
 		}
 	default:
 		t.Fatalf("owner %q is neither member", want)
+	}
+}
+
+// TestProxyEscapedTenant: an escaped slash stays inside the tenant segment.
+// The gate hashes the decoded tenant "a/b" — the name a member's mux routes
+// on — and the member receives the path exactly as the client escaped it.
+func TestProxyEscapedTenant(t *testing.T) {
+	s1, p1 := member(t, "m1")
+	s2, p2 := member(t, "m2")
+	p, err := NewProxy(Options{Members: []string{s1.URL, s2.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(p)
+	defer gw.Close()
+
+	resp, err := http.Get(gw.URL + "/v1/t/a%2Fb/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	owner := p1
+	if p.Ring().Owner("a/b") == s2.URL {
+		owner = p2
+	}
+	if len(*p1)+len(*p2) != 1 || len(*owner) != 1 || (*owner)[0] != "/v1/t/a%2Fb/stats" {
+		t.Fatalf("member paths m1=%v m2=%v, want the owner of tenant a/b to see /v1/t/a%%2Fb/stats once", *p1, *p2)
 	}
 }
 
@@ -217,6 +250,35 @@ func TestProxyMetricsMerge(t *testing.T) {
 	}
 }
 
+// keys returns a JSON object's key set, sorted.
+func keys(t *testing.T, body []byte) []string {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(body, &obj); err != nil {
+		t.Fatalf("body is not a JSON object: %v: %s", err, body)
+	}
+	var ks []string
+	for k := range obj {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}
+
+func get(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("GET %s: %d %q: %s", url, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	return body
+}
+
 // TestProxyStatsFanOut: /v1/stats aggregates each member's body keyed by
 // address, and /v1/gate reports membership.
 func TestProxyStatsFanOut(t *testing.T) {
@@ -229,39 +291,70 @@ func TestProxyStatsFanOut(t *testing.T) {
 	gw := httptest.NewServer(p)
 	defer gw.Close()
 
-	resp, err := http.Get(gw.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	body := get(t, gw.URL+"/v1/stats")
+	if ks := keys(t, body); !reflect.DeepEqual(ks, []string{"errors", "members"}) {
+		t.Fatalf("stats keys = %v", ks)
 	}
 	var agg struct {
 		Members map[string]json.RawMessage `json:"members"`
 		Errors  map[string]string          `json:"errors"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
+	if err := json.Unmarshal(body, &agg); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if len(agg.Members) != 2 || len(agg.Errors) != 0 {
 		t.Fatalf("agg = %+v", agg)
 	}
+	if ks := keys(t, agg.Members[s1.URL]); !reflect.DeepEqual(ks, []string{"backend"}) {
+		t.Fatalf("member body keys = %v", ks)
+	}
 
-	resp2, err := http.Get(gw.URL + "/v1/gate?tenant=acme")
-	if err != nil {
-		t.Fatal(err)
+	body = get(t, gw.URL+"/v1/gate?tenant=acme")
+	if ks := keys(t, body); !reflect.DeepEqual(ks, []string{"failover", "members", "owners", "tenant"}) {
+		t.Fatalf("gate keys = %v", ks)
 	}
 	var info struct {
 		Members []string `json:"members"`
 		Owners  []string `json:"owners"`
 	}
-	if err := json.NewDecoder(resp2.Body).Decode(&info); err != nil {
+	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
 	if len(info.Members) != 2 || len(info.Owners) != 2 {
 		t.Fatalf("gate info = %+v", info)
 	}
 	if info.Owners[0] != p.Ring().Owner("acme") {
 		t.Fatalf("owners[0] = %q, want ring owner %q", info.Owners[0], p.Ring().Owner("acme"))
+	}
+	if ks := keys(t, get(t, gw.URL+"/v1/gate")); !reflect.DeepEqual(ks, []string{"failover", "members"}) {
+		t.Fatalf("gate keys without a tenant = %v", ks)
+	}
+}
+
+// TestProxyStatsInvalidMemberBody: a member answering 200 with a body that
+// is not JSON is reported under errors; the page stays valid JSON.
+func TestProxyStatsInvalidMemberBody(t *testing.T) {
+	good, _ := member(t, "m1")
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"backend": truncated`)
+	}))
+	defer bad.Close()
+	p, err := NewProxy(Options{Members: []string{good.URL, bad.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(p)
+	defer gw.Close()
+
+	var agg struct {
+		Members map[string]json.RawMessage `json:"members"`
+		Errors  map[string]string          `json:"errors"`
+	}
+	if err := json.Unmarshal(get(t, gw.URL+"/v1/stats"), &agg); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := agg.Members[good.URL]; !ok || len(agg.Members) != 1 || agg.Errors[bad.URL] == "" {
+		t.Fatalf("agg = %+v, want %s under members and %s under errors", agg, good.URL, bad.URL)
 	}
 }
 

@@ -4,12 +4,16 @@ package gate
 // the member that owns the tenant on the ring; /metrics and /v1/stats fan
 // out to every member and merge, so one scrape sees the whole fleet.
 //
-//	/v1/t/{tenant}/*  → proxied to the owning member (failover optional)
-//	/metrics          → every member's exposition, instance-labeled + merged,
-//	                    plus the gate's own foss_gate_* counters
-//	/v1/stats         → per-member stats bodies keyed by address
-//	/v1/gate          → membership, ring parameters; ?tenant=x adds the
-//	                    tenant's preference list
+//	    /v1/t/{tenant}/*  → proxied to the owning member (failover optional)
+//	GET /metrics          → every member's exposition, instance-labeled +
+//	                        merged, plus the gate's own foss_gate_* counters
+//	GET /v1/stats         → per-member stats bodies keyed by address
+//	GET /v1/gate          → membership, ring parameters; ?tenant=x adds the
+//	                        tenant's preference list
+//
+// The tenant is the {tenant} path segment as net/http decodes it — the same
+// value a member's mux routes on — and the member receives the request path
+// still escaped, so it parses the same tenant.
 //
 // Failover forwards only on transport errors (connect refused/reset, i.e.
 // the member is gone) — an HTTP error status is a real answer from a live
@@ -18,10 +22,10 @@ package gate
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,10 +85,10 @@ func NewProxy(opts Options) (*Proxy, error) {
 		p.bases[m] = strings.TrimRight(base, "/")
 		p.proxied[m] = &atomic.Uint64{}
 	}
-	p.mux.HandleFunc("/v1/t/", p.handleTenant)
-	p.mux.HandleFunc("/metrics", p.handleMetrics)
-	p.mux.HandleFunc("/v1/stats", p.handleStats)
-	p.mux.HandleFunc("/v1/gate", p.handleGate)
+	p.mux.HandleFunc("/v1/t/{tenant}/", p.handleTenant)
+	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
+	p.mux.HandleFunc("GET /v1/stats", p.handleStats)
+	p.mux.HandleFunc("GET /v1/gate", p.handleGate)
 	return p, nil
 }
 
@@ -100,12 +104,7 @@ func (p *Proxy) Ring() *Ring { return p.ring }
 const maxProxyBody = 1<<20 + 1
 
 func (p *Proxy) handleTenant(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/t/")
-	tenant, _, _ := strings.Cut(rest, "/")
-	if tenant == "" {
-		http.Error(w, `{"error":"want /v1/t/{tenant}/..."}`, http.StatusNotFound)
-		return
-	}
+	tenant := r.PathValue("tenant")
 	n := 1
 	if p.failover {
 		n = len(p.ring.Members())
@@ -149,7 +148,7 @@ func (p *Proxy) handleTenant(w http.ResponseWriter, r *http.Request) {
 // fail over — once headers were streamed through, the only option left
 // would be a torn response.
 func (p *Proxy) forward(r *http.Request, member string, body []byte) (*http.Response, []byte, error) {
-	url := p.bases[member] + r.URL.Path
+	url := p.bases[member] + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
@@ -220,85 +219,40 @@ func (p *Proxy) fanOut(r *http.Request, path string) (map[string][]byte, map[str
 	return bodies, errs
 }
 
+// handleStats answers {"members": {addr: body}, "errors": {addr: msg}}. A
+// member whose body is not JSON lands in errors, like one that failed.
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET required"}`, http.StatusMethodNotAllowed)
-		return
-	}
 	bodies, errs := p.fanOut(r, "/v1/stats")
-	var b strings.Builder
-	b.WriteString(`{"members":{`)
-	first := true
-	for _, m := range p.ring.Members() {
-		body, ok := bodies[m]
-		if !ok {
-			continue
+	members := map[string]json.RawMessage{}
+	for m, body := range bodies {
+		if json.Valid(body) {
+			members[m] = body
+		} else {
+			errs[m] = "invalid JSON stats body"
 		}
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, "%q:%s", m, strings.TrimSpace(string(body)))
 	}
-	b.WriteString(`},"errors":{`)
-	first = true
-	keys := make([]string, 0, len(errs))
-	for m := range errs {
-		keys = append(keys, m)
-	}
-	sort.Strings(keys)
-	for _, m := range keys {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, "%q:%q", m, errs[m])
-	}
-	b.WriteString(`}}`)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, b.String())
+	writeJSON(w, map[string]any{"members": members, "errors": errs})
 }
 
 func (p *Proxy) handleGate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET required"}`, http.StatusMethodNotAllowed)
-		return
-	}
-	var b strings.Builder
-	b.WriteString(`{"members":[`)
-	for i, m := range p.ring.Members() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%q", m)
-	}
-	fmt.Fprintf(&b, `],"failover":%v`, p.failover)
+	info := map[string]any{"members": p.ring.Members(), "failover": p.failover}
 	if tenant := r.URL.Query().Get("tenant"); tenant != "" {
-		owners := p.ring.Owners(tenant, len(p.ring.Members()))
-		fmt.Fprintf(&b, `,"tenant":%q,"owners":[`, tenant)
-		for i, m := range owners {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%q", m)
-		}
-		b.WriteByte(']')
+		info["tenant"] = tenant
+		info["owners"] = p.ring.Owners(tenant, len(p.ring.Members()))
 	}
-	b.WriteByte('}')
+	writeJSON(w, info)
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, b.String())
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // handleMetrics merges every member's exposition under instance labels and
 // appends the gate's own counters. Family headers (# HELP/# TYPE) are kept
 // from the first member that emits them — the text format forbids repeats.
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET required"}`, http.StatusMethodNotAllowed)
-		return
-	}
 	bodies, errs := p.fanOut(r, "/metrics")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -33,9 +33,8 @@ type Source interface {
 }
 
 // HTTPSource tails a leader over its replication endpoints. base is the
-// URL prefix up to (not including) "/repl/..." — "http://host:8475/v1" for
-// a single-tenant leader, "http://host:8475/v1/t/{tenant}" for a tenant on
-// a fleet leader.
+// tenant's URL prefix on the leader, up to (not including) "/repl/..." —
+// "http://host:8475/v1/t/{tenant}".
 type HTTPSource struct {
 	base   string
 	client *http.Client

@@ -194,7 +194,7 @@ func TestHTTPSourceAgainstHandler(t *testing.T) {
 		body = b
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/repl/manifest", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/t/acme/repl/manifest", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		b := body
 		mu.Unlock()
@@ -205,13 +205,13 @@ func TestHTTPSourceAgainstHandler(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 	})
-	mux.HandleFunc("/v1/repl/checkpoint/", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/t/acme/repl/checkpoint/", func(w http.ResponseWriter, r *http.Request) {
 		w.Write(blob)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	src := NewHTTPSource(ts.URL + "/v1")
+	src := NewHTTPSource(ts.URL + "/v1/t/acme")
 	ctx := context.Background()
 	if _, ok, err := src.Manifest(ctx); ok || err != nil {
 		t.Fatalf("pre-publish: ok=%v err=%v", ok, err)

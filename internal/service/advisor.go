@@ -341,7 +341,7 @@ func (lp *Loop) AdvisorCounters() (emitted, dropped uint64) {
 	return lp.adv.emitted.Load(), 0
 }
 
-// advisorResponse is the GET /v1/advisor body.
+// advisorResponse is the GET advisor body.
 type advisorResponse struct {
 	Enabled  bool      `json:"enabled"`
 	Findings []Finding `json:"findings"`
@@ -351,10 +351,6 @@ type advisorResponse struct {
 // handleAdvisor serves the advisor's findings. A disabled advisor answers
 // 200 with enabled:false — scraping it is never an error.
 func (s *HTTPServer) handleAdvisor(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	findings := s.lp.AdvisorFindings()
 	if findings == nil {
 		findings = []Finding{}

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/engine/catalog"
-	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/tier"
 )
 
@@ -241,7 +240,7 @@ func TestAdvisorLosslessAndDeterministic(t *testing.T) {
 func TestAdvisorUnderConcurrentRecords(t *testing.T) {
 	cfg := advisorStreamConfig()
 	lp := New(cfg, newFake("blue"), newFake("green"), nil)
-	h := NewHTTPServer(lp, HTTPOptions{})
+	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(lp, HTTPOptions{})))
 
 	const writers, turns = 2, 200
 	var wg sync.WaitGroup
@@ -290,7 +289,7 @@ func TestAdvisorUnderConcurrentRecords(t *testing.T) {
 			_ = lp.AdvisorFindings()
 			_ = lp.Stats()
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			fleet.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/t/default/metrics", nil))
 			if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), "foss_advisor_dropped_total") {
 				t.Fatalf("metrics scrape: status %d, want 200 and no foss_advisor_dropped_total family", rec.Code)
 			}
@@ -309,17 +308,10 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 	blue, green := newFake("blue"), newFake("green")
 	lp := New(cfg, blue, green, nil)
 	t.Cleanup(func() { _ = lp.Close(context.Background()) })
-	h := NewHTTPServer(lp, HTTPOptions{Resolve: func(id string) *query.Query {
-		v, err := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-		if err != nil {
-			return nil
-		}
-		return fq(v)
-	}})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
+	h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
+	_, base := serveFleet(t, h)
 
-	code, out := getJSON(t, ts.URL+"/v1/advisor")
+	code, out := getJSON(t, base+"/advisor")
 	if code != http.StatusOK || out["enabled"] != true {
 		t.Fatalf("advisor before traffic: %d %v", code, out)
 	}
@@ -329,14 +321,14 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 
 	// Two executions at 10x the expert baseline fill the window regressed.
 	for i := 1; i <= 2; i++ {
-		_, row := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
+		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
 		sid := row["serve_id"].(string)
-		if code, fb := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+sid+`", "latency_ms": 100}`); code != http.StatusOK {
+		if code, fb := postJSON(t, base+"/feedback", `{"serve_id": "`+sid+`", "latency_ms": 100}`); code != http.StatusOK {
 			t.Fatalf("feedback: %d %v", code, fb)
 		}
 	}
 	// The analysis ran inside Record: the finding is already there.
-	_, out = getJSON(t, ts.URL+"/v1/advisor")
+	_, out = getJSON(t, base+"/advisor")
 	fs, _ := out["findings"].([]any)
 	if len(fs) == 0 {
 		t.Fatalf("no finding after regressing traffic: %v", out)
@@ -354,8 +346,8 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 	// Disabled advisor: still a 200, explicitly not enabled.
 	cfg2 := syncConfig()
 	cfg2.Detector.Threshold = 100
-	ts2, _, _ := newWireFixture(t, cfg2)
-	code, out = getJSON(t, ts2.URL+"/v1/advisor")
+	base2, _, _ := newWireFixture(t, cfg2)
+	code, out = getJSON(t, base2+"/advisor")
 	if code != http.StatusOK || out["enabled"] != false {
 		t.Fatalf("disabled advisor: %d %v", code, out)
 	}

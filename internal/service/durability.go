@@ -29,7 +29,7 @@ type journal struct {
 // its WAL. Callers hold Loop.mu (the ordering lock doubles as the journal
 // lock), so the journal's order is the order the transitions ran in. A
 // failed append is counted and otherwise ignored: the event still takes
-// effect in memory, and the gap is visible as WALErrors in /v1/stats.
+// effect in memory, and the gap is visible as WALErrors in the stats.
 func (j *journal) append(e store.WALEntry) {
 	if j.st == nil {
 		return

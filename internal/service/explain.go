@@ -1,20 +1,19 @@
 package service
 
-// explain.go — GET /v1/explain/{serve_id}: an EXPLAIN for the doctor's own
-// decision. Every served plan already passes through the pendingServe ring
-// on its way to feedback; explain reads that captured context back out, so
-// the serve path pays nothing for explainability until someone asks. The
-// response reconstructs the full story of one serve: the plan that was
-// served (with its tree), the expert plan the traditional optimizer would
-// have run, the hint diff between them, the tier decision that routed the
-// request, and — when the replica supports it — the candidate pool with
-// per-candidate AAM scores.
+// explain.go — GET /v1/t/{tenant}/explain/{serve_id}: an EXPLAIN for the
+// doctor's own decision. Every served plan already passes through the
+// pendingServe ring on its way to feedback; explain reads that captured
+// context back out, so the serve path pays nothing for explainability until
+// someone asks. The response reconstructs the full story of one serve: the
+// plan that was served (with its tree), the expert plan the traditional
+// optimizer would have run, the hint diff between them, the tier decision
+// that routed the request, and — when the replica supports it — the
+// candidate pool with per-candidate AAM scores.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/planner"
@@ -50,7 +49,7 @@ type hintDiffJSON struct {
 	ExpertKey     string   `json:"expert_key"`
 }
 
-// explainResponse is the /v1/explain/{serve_id} body.
+// explainResponse is the explain/{serve_id} body.
 type explainResponse struct {
 	ServeID     string `json:"serve_id"`
 	QueryID     string `json:"query_id"`
@@ -81,11 +80,7 @@ type explainResponse struct {
 }
 
 func (s *HTTPServer) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/explain/")
+	id := r.PathValue("serve_id")
 	var seq uint64
 	if _, err := fmt.Sscanf(id, "s%d", &seq); err != nil || fmt.Sprintf("s%d", seq) != id {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown serve_id %q", id))

@@ -8,14 +8,12 @@ package service
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/foss-db/foss/internal/plan"
-	"github.com/foss-db/foss/internal/query"
 )
 
 // TestHTTPExplainRoundTrip: the explain body's served block must match the
@@ -25,13 +23,13 @@ import (
 func TestHTTPExplainRoundTrip(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
-	_, row := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1"}`)
+	_, row := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	sid := row["serve_id"].(string)
 	servedPlan := row["plan"].(map[string]any)
 
-	code, ex := getJSON(t, ts.URL+"/v1/explain/"+sid)
+	code, ex := getJSON(t, base+"/explain/"+sid)
 	if code != http.StatusOK {
 		t.Fatalf("explain status %d: %v", code, ex)
 	}
@@ -70,22 +68,22 @@ func TestHTTPExplainRoundTrip(t *testing.T) {
 	}
 
 	// Explaining must NOT have consumed the slot: feedback still lands.
-	code, fb := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+sid+`", "latency_ms": 42.5}`)
+	code, fb := postJSON(t, base+"/feedback", `{"serve_id": "`+sid+`", "latency_ms": 42.5}`)
 	if code != http.StatusOK {
 		t.Fatalf("feedback after explain: %d %v", code, fb)
 	}
-	_, ex = getJSON(t, ts.URL+"/v1/explain/"+sid)
+	_, ex = getJSON(t, base+"/explain/"+sid)
 	if ex["recorded"] != true || ex["latency_ms"] != float64(42.5) {
 		t.Fatalf("explain after feedback: recorded=%v latency=%v", ex["recorded"], ex["latency_ms"])
 	}
 
 	// Unknown and malformed ids are 404s; wrong method is 405.
 	for _, id := range []string{"s999", "bogus", "s1x", "s"} {
-		if code, _ := getJSON(t, ts.URL+"/v1/explain/"+id); code != http.StatusNotFound {
+		if code, _ := getJSON(t, base+"/explain/"+id); code != http.StatusNotFound {
 			t.Fatalf("explain %q status %d, want 404", id, code)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/explain/"+sid, "application/json", nil)
+	resp, err := http.Post(base+"/explain/"+sid, "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,22 +102,18 @@ func TestHTTPExplainEvicted(t *testing.T) {
 	lp := New(cfg, blue, green, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 2,
-		Resolve: func(id string) *query.Query {
-			v, _ := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-			return fq(v)
-		},
+		Resolve:    resolveQ,
 	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
+	_, base := serveFleet(t, h)
 
 	var first string
 	for i := 1; i <= 3; i++ {
-		_, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
+		_, out := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
 		if i == 1 {
 			first = out["serve_id"].(string)
 		}
 	}
-	if code, _ := getJSON(t, ts.URL+"/v1/explain/"+first); code != http.StatusGone {
+	if code, _ := getJSON(t, base+"/explain/"+first); code != http.StatusGone {
 		t.Fatalf("evicted serve_id explain status %d, want 410", code)
 	}
 }
@@ -166,47 +160,43 @@ func TestHTTPExecuteInterleaveRing(t *testing.T) {
 	lp := New(cfg, blue, green, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 4,
-		Resolve: func(id string) *query.Query {
-			v, _ := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-			return fq(v)
-		},
+		Resolve:    resolveQ,
 	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
+	_, base := serveFleet(t, h)
 
 	var execIDs []string
 	for i := 1; i <= 6; i++ {
 		// One-call turn: recorded server-side, slot pre-consumed.
-		_, ex := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(i)+`", "execute": true}`)
+		_, ex := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`", "execute": true}`)
 		sid, _ := ex["serve_id"].(string)
 		if sid == "" || ex["latency_ms"] != float64(10) {
 			t.Fatalf("execute row %d missing serve_id/latency: %v", i, ex)
 		}
 		execIDs = append(execIDs, sid)
 		// Two-call turn: feedback promptly, before any eviction pressure.
-		_, row := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(100+i)+`"}`)
-		if code, fb := postJSON(t, ts.URL+"/v1/feedback",
+		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(100+i)+`"}`)
+		if code, fb := postJSON(t, base+"/feedback",
 			`{"serve_id": "`+row["serve_id"].(string)+`", "latency_ms": 5}`); code != http.StatusOK {
 			t.Fatalf("interleaved feedback %d: %d %v", i, code, fb)
 		}
 	}
 	// Every slot was consumed when it left the ring: nothing expired, the
 	// 410 horizon never moved.
-	if _, st := getJSON(t, ts.URL+"/v1/stats"); st["expired_serve_ids"] != float64(0) {
+	if _, st := getJSON(t, base+"/stats"); st["expired_serve_ids"] != float64(0) {
 		t.Fatalf("consumed slots counted as expired: %v", st["expired_serve_ids"])
 	}
-	if _, st := getJSON(t, ts.URL+"/v1/stats"); st["pending_feedback"] != float64(0) {
+	if _, st := getJSON(t, base+"/stats"); st["pending_feedback"] != float64(0) {
 		t.Fatalf("pending after all feedback: %v", st["pending_feedback"])
 	}
 	// Recent execute serves stay explainable with their recorded latency
 	// (older ones may have aged out of the consumed ring — silently).
 	last := execIDs[len(execIDs)-1]
-	code, ex := getJSON(t, ts.URL+"/v1/explain/"+last)
+	code, ex := getJSON(t, base+"/explain/"+last)
 	if code != http.StatusOK || ex["recorded"] != true || ex["latency_ms"] != float64(10) {
 		t.Fatalf("execute serve not explainable: %d %v", code, ex)
 	}
 	// Feedback on an execute row is a duplicate report: 404, not 410.
-	if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+last+`", "latency_ms": 5}`); code != http.StatusNotFound {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+last+`", "latency_ms": 5}`); code != http.StatusNotFound {
 		t.Fatalf("feedback on execute row status %d, want 404", code)
 	}
 
@@ -214,15 +204,15 @@ func TestHTTPExecuteInterleaveRing(t *testing.T) {
 	// with unreported serves and the oldest flips to 410.
 	var firstLive string
 	for i := 1; i <= 5; i++ {
-		_, row := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(200+i)+`"}`)
+		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(200+i)+`"}`)
 		if i == 1 {
 			firstLive = row["serve_id"].(string)
 		}
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+firstLive+`", "latency_ms": 5}`); code != http.StatusGone {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+firstLive+`", "latency_ms": 5}`); code != http.StatusGone {
 		t.Fatalf("evicted live serve status %d, want 410", code)
 	}
-	if _, st := getJSON(t, ts.URL+"/v1/stats"); st["expired_serve_ids"] != float64(1) {
+	if _, st := getJSON(t, base+"/stats"); st["expired_serve_ids"] != float64(1) {
 		t.Fatalf("expired = %v, want exactly the one live eviction", st["expired_serve_ids"])
 	}
 }

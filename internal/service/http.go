@@ -1,32 +1,36 @@
 package service
 
-// The wire surface of the online doctor: a JSON-over-HTTP projection of the
+// The wire handlers of one doctor: a JSON-over-HTTP projection of a tenant's
 // Loop so traffic can reach the doctor from outside the process (the paper's
 // service framing — SQL in, steered plan out, observed latency back in).
+// HTTPServer holds the per-tenant wire state (loop, options, serve-id ring);
+// the fleet mux in multi.go owns every route and calls these handlers under
+// /v1/t/{tenant}/:
 //
-//	POST /v1/optimize  {"query_id": "..."} | {"query_ids": [...]}
-//	                   | {"query": {...}}  | {"queries": [{...}, ...]}
-//	                   optional "execute": true — the server executes the
-//	                   chosen plan on the active replica and records the
-//	                   feedback itself (a one-call doctor-loop turn)
-//	POST /v1/feedback  {"serve_id": "...", "latency_ms": 12.3}
-//	GET  /v1/stats
-//	POST /v1/checkpoint  — force a durable checkpoint (requires a store)
-//	POST /v1/catalog   {"ddl": [{"kind": "drop-index", ...}, ...]} — apply
-//	                   one atomic schema-evolution batch to the live catalog
-//	GET  /v1/catalog   — live catalog epoch, hash, and applied-DDL log
-//	GET  /metrics             — Prometheus text exposition (see httpmetrics.go)
-//	GET  /v1/explain/{serve_id} — why the doctor chose that plan (explain.go)
-//	GET  /v1/advisor          — advisor findings (advisor.go)
+//	POST optimize  {"query_id": "..."} | {"query_ids": [...]}
+//	               | {"query": {...}}  | {"queries": [{...}, ...]}
+//	               optional "execute": true — the server executes the chosen
+//	               plan on the active replica and records the feedback itself
+//	               (a one-call doctor-loop turn)
+//	POST feedback  {"serve_id": "...", "latency_ms": 12.3}
+//	GET  stats
+//	POST checkpoint — force a durable checkpoint (requires a store)
+//	POST catalog   {"ddl": [{"kind": "drop-index", ...}, ...]} — apply one
+//	               atomic schema-evolution batch to the live catalog
+//	GET  catalog   — live catalog epoch, hash, and applied-DDL log
+//	GET  metrics   — Prometheus text exposition (see httpmetrics.go)
+//	GET  explain/{serve_id} — why the doctor chose that plan (explain.go)
+//	GET  advisor   — advisor findings (advisor.go)
+//	     repl/...  — the replication source (replhttp.go)
 //
 // Request bodies are size-capped (413 past 1 MiB) and strictly parsed:
 // unknown fields are rejected so malformed specs fail loudly.
 //
-// Every /v1/optimize response row carries a serve_id; clients that execute
-// plans themselves report the observed latency through /v1/feedback, which
-// feeds the drift detector and (possibly) a background retrain — the same
-// Record path in-process callers use. A batch request is N serves answered
-// by one model generation (Loop.ServeBatch); a single is a batch of one.
+// Every optimize response row carries a serve_id; clients that execute plans
+// themselves report the observed latency through feedback, which feeds the
+// drift detector and (possibly) a background retrain — the same Record path
+// in-process callers use. A batch request is N serves answered by one model
+// generation (Loop.ServeBatch); a single is a batch of one.
 
 import (
 	"context"
@@ -54,14 +58,12 @@ type HTTPOptions struct {
 	// eviction). 0 defaults to 4096.
 	MaxPending int
 
-	// Follower marks this surface as fronting a read-only replica: write
-	// endpoints (/v1/feedback without a forwarder, /v1/checkpoint,
-	// "execute": true optimizes, the repl source endpoints) answer 403 with
-	// LeaderAddr in the body; read endpoints serve normally.
-	Follower bool
-	// LeaderAddr is the leader's address, reported in follower refusals.
+	// LeaderAddr is the leader's address, reported when a follower loop
+	// (Loop.Follower) refuses a write: feedback without a forwarder,
+	// checkpoint, catalog POST, "execute": true optimizes and the repl
+	// source endpoints answer 403 naming it; reads serve normally.
 	LeaderAddr string
-	// ForwardFeedback, when set on a follower, relays /v1/feedback to the
+	// ForwardFeedback, when set on a follower, relays feedback to the
 	// tenant's leader in durable identity form (see NewFeedbackForwarder).
 	ForwardFeedback func(ctx context.Context, q *query.Query, pe *planner.PlanEval, latencyMs float64) error
 	// ReplStats, when set, surfaces the follower's replication-tailer
@@ -69,11 +71,12 @@ type HTTPOptions struct {
 	ReplStats func() repl.Stats
 }
 
-// HTTPServer is the http.Handler exposing a Loop. Safe for concurrent use.
+// HTTPServer is one tenant's wire state — its loop, options and serve-id
+// ring — behind the handlers the fleet mux routes to. Safe for concurrent
+// use.
 type HTTPServer struct {
 	lp   *Loop
 	opts HTTPOptions
-	mux  *http.ServeMux
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -81,7 +84,7 @@ type HTTPServer struct {
 	// order is the issuance-order ring of every remembered serve (live and
 	// consumed alike), bounded by MaxPending; live is how many of them still
 	// await feedback (the pending_feedback stat). Consumed entries stay in
-	// the map so /v1/explain can answer for already-reported serves; their
+	// the map so explain can answer for already-reported serves; their
 	// retention is bounded separately by consumedOrder, and popping one off
 	// either ring is bookkeeping, never an expiry.
 	order         []uint64
@@ -96,13 +99,13 @@ type HTTPServer struct {
 }
 
 // pendingServe is one served plan in the ring: the feedback target while
-// live, the /v1/explain record for its retained lifetime. q, pe and res are
+// live, the explain record for its retained lifetime. q, pe and res are
 // immutable after insertion; consumed/latency flip under the server mu.
 type pendingServe struct {
 	q  *query.Query
 	pe *planner.PlanEval
 	// res is the serve-time decision context (epoch, tier, cache hit,
-	// optimization time) — what /v1/explain reports.
+	// optimization time) — what explain reports.
 	res Result
 	// consumed marks feedback as recorded (client- or server-side); a
 	// consumed entry answers 404 to further feedback but keeps explaining.
@@ -111,24 +114,12 @@ type pendingServe struct {
 	latencyMs  float64
 }
 
-// NewHTTPServer builds the HTTP surface over an online loop.
+// NewHTTPServer builds one tenant's wire state over an online loop.
 func NewHTTPServer(lp *Loop, opts HTTPOptions) *HTTPServer {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 4096
 	}
-	s := &HTTPServer{lp: lp, opts: opts, pending: map[uint64]*pendingServe{}, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("/v1/feedback", s.handleFeedback)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("/v1/catalog", s.handleCatalog)
-	s.mux.HandleFunc("/v1/explain/", s.handleExplain)
-	s.mux.HandleFunc("/v1/advisor", s.handleAdvisor)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/v1/repl/manifest", s.handleReplManifest)
-	s.mux.HandleFunc("/v1/repl/checkpoint/", s.handleReplCheckpoint)
-	s.mux.HandleFunc("/v1/repl/feedback", s.handleReplFeedback)
-	return s
+	return &HTTPServer{lp: lp, opts: opts, pending: map[uint64]*pendingServe{}}
 }
 
 // maxBodyBytes bounds every request body: plans and feedback are small, so
@@ -157,9 +148,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// ServeHTTP implements http.Handler.
-func (s *HTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
 // ---- wire types ----
 
 // wireFilter is the JSON form of a filter predicate.
@@ -186,7 +174,7 @@ type wireTable struct {
 	Alias string `json:"alias"`
 }
 
-// wireQuery is the inline query spec accepted by /v1/optimize.
+// wireQuery is the inline query spec accepted by optimize.
 type wireQuery struct {
 	ID      string       `json:"id,omitempty"`
 	Tables  []wireTable  `json:"tables"`
@@ -227,7 +215,7 @@ func (wq wireQuery) toQuery() (*query.Query, error) {
 	return q, nil
 }
 
-// optimizeRequest is the /v1/optimize body.
+// optimizeRequest is the optimize body.
 type optimizeRequest struct {
 	QueryID  string      `json:"query_id,omitempty"`
 	QueryIDs []string    `json:"query_ids,omitempty"`
@@ -248,10 +236,10 @@ type planJSON struct {
 	EstRows float64  `json:"est_rows"`
 }
 
-// optimizeRow is one served query in an /v1/optimize response.
+// optimizeRow is one served query in an optimize response.
 type optimizeRow struct {
-	// ServeID names this serve in the pending ring — the /v1/feedback target
-	// for client-executed plans and the /v1/explain handle either way.
+	// ServeID names this serve in the pending ring — the feedback target
+	// for client-executed plans and the explain handle either way.
 	// "execute": true rows are recorded server-side, so their slot is
 	// already consumed: later feedback for one answers 404 (already
 	// reported) and cannot double-count the execution.
@@ -269,19 +257,19 @@ type optimizeRow struct {
 	LatencyMs *float64 `json:"latency_ms,omitempty"`
 }
 
-// optimizeResponse is the /v1/optimize body for batch requests; single-query
+// optimizeResponse is the optimize body for batch requests; single-query
 // requests receive the bare optimizeRow.
 type optimizeResponse struct {
 	Results []optimizeRow `json:"results"`
 }
 
-// feedbackRequest is the /v1/feedback body.
+// feedbackRequest is the feedback body.
 type feedbackRequest struct {
 	ServeID   string  `json:"serve_id"`
 	LatencyMs float64 `json:"latency_ms"`
 }
 
-// statsResponse is the /v1/stats body (and, keyed by tenant, one row of the
+// statsResponse is a tenant's stats body (and, keyed by tenant, one row of the
 // multi-tenant aggregate roll-up).
 type statsResponse struct {
 	Backend string    `json:"backend"`
@@ -310,15 +298,11 @@ type errorResponse struct {
 // ---- handlers ----
 
 func (s *HTTPServer) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req optimizeRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Execute && s.opts.Follower {
+	if req.Execute && s.lp.Follower() {
 		// Server-side execution records feedback — a write. Plain optimizes
 		// (plan out, no recording) serve fine from a follower.
 		writeFollowerErr(w, s.opts.LeaderAddr, "server-side execution")
@@ -402,10 +386,6 @@ func (s *HTTPServer) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *HTTPServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req feedbackRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -416,7 +396,7 @@ func (s *HTTPServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "latency_ms must be >= 0")
 		return
 	}
-	if s.opts.Follower && s.opts.ForwardFeedback == nil {
+	if s.lp.Follower() && s.opts.ForwardFeedback == nil {
 		writeFollowerErr(w, s.opts.LeaderAddr, "feedback ingestion")
 		return
 	}
@@ -429,7 +409,7 @@ func (s *HTTPServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err.Error())
 		return
 	}
-	if s.opts.Follower {
+	if s.lp.Follower() {
 		// Follower with a forwarder: the serve happened here (the serve_id
 		// ring is local), but the observation trains the leader. Relay it in
 		// durable identity form; the next checkpoint carries it back.
@@ -453,14 +433,10 @@ func (s *HTTPServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *HTTPServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
 
-// statsSnapshot assembles the /v1/stats body; the multi-tenant server reuses
+// statsSnapshot assembles the stats body; the multi-tenant server reuses
 // it per shard for the aggregate roll-up.
 func (s *HTTPServer) statsSnapshot() statsResponse {
 	active := s.lp.Active()
@@ -487,11 +463,7 @@ func (s *HTTPServer) Loop() *Loop { return s.lp }
 // operational "flush now" knob (pre-maintenance, pre-deploy). 412 when the
 // loop runs without a store.
 func (s *HTTPServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.opts.Follower {
+	if s.lp.Follower() {
 		writeFollowerErr(w, s.opts.LeaderAddr, "checkpointing")
 		return
 	}
@@ -507,7 +479,7 @@ func (s *HTTPServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"checkpoint": name, "epoch": s.lp.Epoch()})
 }
 
-// catalogRequest is the POST /v1/catalog body: one atomic schema-evolution
+// catalogRequest is the POST catalog body: one atomic schema-evolution
 // batch (all statements apply, or none do).
 type catalogRequest struct {
 	DDL []catalog.DDL `json:"ddl"`
@@ -522,58 +494,54 @@ type catalogResponse struct {
 	Log          []catalog.DDL `json:"log,omitempty"`
 }
 
-// handleCatalog applies a DDL batch to the live catalog (POST) or reports the
-// catalog's durable identity (GET; serves fine from a follower — its catalog
-// advances through checkpoint replication).
-func (s *HTTPServer) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		active := s.lp.Active()
-		writeJSON(w, http.StatusOK, catalogResponse{
-			CatalogEpoch: active.CatalogEpoch(),
-			CatalogHash:  fmt.Sprintf("%016x", active.CatalogHash()),
-			Epoch:        s.lp.Epoch(),
-			Log:          active.CatalogLog(),
-		})
-	case http.MethodPost:
-		if s.opts.Follower {
-			writeFollowerErr(w, s.opts.LeaderAddr, "schema evolution")
-			return
-		}
-		var req catalogRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		if len(req.DDL) == 0 {
-			writeErr(w, http.StatusBadRequest, "no ddl statements in request")
-			return
-		}
-		epoch, err := s.lp.ApplyDDL(req.DDL)
-		if err != nil {
-			switch {
-			case errors.Is(err, fosserr.ErrLoopClosed):
-				writeErr(w, http.StatusServiceUnavailable, err.Error())
-			case errors.Is(err, fosserr.ErrNotLeader):
-				writeFollowerErr(w, s.opts.LeaderAddr, "schema evolution")
-			case errors.Is(err, fosserr.ErrBadConfig):
-				writeErr(w, http.StatusPreconditionFailed, err.Error())
-			default:
-				// Apply validates the batch against the live schema (unknown
-				// table, duplicate index, ...) — the client's DDL, not a
-				// server fault.
-				writeErr(w, http.StatusUnprocessableEntity, err.Error())
-			}
-			return
-		}
-		writeJSON(w, http.StatusOK, catalogResponse{
-			CatalogEpoch: epoch,
-			CatalogHash:  fmt.Sprintf("%016x", s.lp.Active().CatalogHash()),
-			Epoch:        s.lp.Epoch(),
-			Applied:      len(req.DDL),
-		})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST required")
+// handleCatalogGet reports the live catalog's durable identity. It serves
+// fine from a follower, whose catalog advances through checkpoint
+// replication.
+func (s *HTTPServer) handleCatalogGet(w http.ResponseWriter, r *http.Request) {
+	active := s.lp.Active()
+	writeJSON(w, http.StatusOK, catalogResponse{
+		CatalogEpoch: active.CatalogEpoch(),
+		CatalogHash:  fmt.Sprintf("%016x", active.CatalogHash()),
+		Epoch:        s.lp.Epoch(),
+		Log:          active.CatalogLog(),
+	})
+}
+
+// handleCatalogPost applies one DDL batch to the live catalog.
+func (s *HTTPServer) handleCatalogPost(w http.ResponseWriter, r *http.Request) {
+	if s.lp.Follower() {
+		writeFollowerErr(w, s.opts.LeaderAddr, "schema evolution")
+		return
 	}
+	var req catalogRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.DDL) == 0 {
+		writeErr(w, http.StatusBadRequest, "no ddl statements in request")
+		return
+	}
+	epoch, err := s.lp.ApplyDDL(req.DDL)
+	if err != nil {
+		switch {
+		case errors.Is(err, fosserr.ErrLoopClosed):
+			writeErr(w, http.StatusServiceUnavailable, err.Error())
+		case errors.Is(err, fosserr.ErrBadConfig):
+			writeErr(w, http.StatusPreconditionFailed, err.Error())
+		default:
+			// Apply validates the batch against the live schema (unknown
+			// table, duplicate index, ...) — the client's DDL, not a
+			// server fault.
+			writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		}
+		return
+	}
+	writeJSON(w, http.StatusOK, catalogResponse{
+		CatalogEpoch: epoch,
+		CatalogHash:  fmt.Sprintf("%016x", s.lp.Active().CatalogHash()),
+		Epoch:        s.lp.Epoch(),
+		Applied:      len(req.DDL),
+	})
 }
 
 // ---- serve-id ring ----
@@ -672,7 +640,7 @@ func (s *HTTPServer) take(id string) (*pendingServe, error) {
 }
 
 // noteLatency back-fills the observed latency onto a consumed entry once the
-// loop has actually ingested it, so /v1/explain reports only recorded
+// loop has actually ingested it, so explain reports only recorded
 // latencies.
 func (s *HTTPServer) noteLatency(ps *pendingServe, latencyMs float64) {
 	s.mu.Lock()

@@ -16,22 +16,55 @@ import (
 	"github.com/foss-db/foss/internal/store"
 )
 
-// newWireFixture builds the HTTP surface over a fake-replica loop whose
-// resolver serves fq(v) for any numeric id "qv".
-func newWireFixture(t *testing.T, cfg Config) (*httptest.Server, *fakeReplica, *fakeReplica) {
+// resolveQ is the fixtures' query_id resolver: fq(v) for any id "q<v>".
+func resolveQ(id string) *query.Query {
+	v, err := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
+	if err != nil || !strings.HasPrefix(id, "q") {
+		return nil
+	}
+	return fq(v)
+}
+
+// fakeRegistry is a TenantRegistry over in-process HTTPServers, for wire
+// tests without booting real shards.
+type fakeRegistry struct {
+	names   []string
+	servers map[string]*HTTPServer
+}
+
+func (f *fakeRegistry) TenantServer(name string) (*HTTPServer, error) {
+	s, ok := f.servers[name]
+	if !ok {
+		return nil, fosserr.ErrUnknownTenant
+	}
+	return s, nil
+}
+func (f *fakeRegistry) TenantNames() []string { return f.names }
+func (f *fakeRegistry) CreateTenant(context.Context, WireTenantSpec) (*HTTPServer, error) {
+	return nil, fosserr.ErrBadConfig
+}
+
+// oneTenant is a registry holding h as "default", the one tenant of a fleet.
+func oneTenant(h *HTTPServer) *fakeRegistry {
+	return &fakeRegistry{names: []string{"default"}, servers: map[string]*HTTPServer{"default": h}}
+}
+
+// serveFleet serves h as the one tenant of a fleet and returns the server
+// and the tenant's URL prefix.
+func serveFleet(t *testing.T, h *HTTPServer) (*httptest.Server, string) {
+	t.Helper()
+	ts := httptest.NewServer(NewMultiHTTPServer(oneTenant(h)))
+	t.Cleanup(ts.Close)
+	return ts, ts.URL + "/v1/t/default"
+}
+
+// newWireFixture serves a fake-replica loop as a one-tenant fleet, resolving
+// query ids with resolveQ, and returns the tenant's URL prefix.
+func newWireFixture(t *testing.T, cfg Config) (string, *fakeReplica, *fakeReplica) {
 	t.Helper()
 	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
-	h := NewHTTPServer(lp, HTTPOptions{Resolve: func(id string) *query.Query {
-		v, err := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-		if err != nil || !strings.HasPrefix(id, "q") {
-			return nil
-		}
-		return fq(v)
-	}})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts, blue, green
+	_, base := serveFleet(t, NewHTTPServer(New(cfg, blue, green, nil), HTTPOptions{Resolve: resolveQ}))
+	return base, blue, green
 }
 
 func getJSON(t *testing.T, url string) (int, map[string]any) {
@@ -68,9 +101,9 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any) {
 func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
-	ts, blue, _ := newWireFixture(t, cfg)
+	base, blue, _ := newWireFixture(t, cfg)
 
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1"}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	if code != http.StatusOK {
 		t.Fatalf("optimize status %d: %v", code, out)
 	}
@@ -88,16 +121,16 @@ func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 		t.Fatalf("replica served %d times", blue.serves.Load())
 	}
 
-	code, out = postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 42.5}`)
+	code, out = postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 42.5}`)
 	if code != http.StatusOK || out["recorded"] != true {
 		t.Fatalf("feedback status %d: %v", code, out)
 	}
 	// replay of the same serve_id must 404 (one feedback per serve)
-	if code, _ = postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 42.5}`); code != http.StatusNotFound {
+	if code, _ = postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 42.5}`); code != http.StatusNotFound {
 		t.Fatalf("replayed feedback status %d", code)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +156,9 @@ func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 func TestHTTPBatchOptimize(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, blue, _ := newWireFixture(t, cfg)
+	base, blue, _ := newWireFixture(t, cfg)
 
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_ids": ["q1", "q2", "q3"]}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_ids": ["q1", "q2", "q3"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, out)
 	}
@@ -156,21 +189,21 @@ func TestHTTPBatchOptimize(t *testing.T) {
 func TestHTTPServerSideExecute(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q7", "execute": true}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_id": "q7", "execute": true}`)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, out)
 	}
 	if out["latency_ms"] != float64(10) { // the fake executes everything at 10ms
 		t.Fatalf("latency %v", out["latency_ms"])
 	}
-	code, st := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q7"}`)
+	code, st := postJSON(t, base+"/optimize", `{"query_id": "q7"}`)
 	_ = st
 	if code != http.StatusOK {
 		t.Fatalf("second optimize status %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,26 +221,27 @@ func TestHTTPServerSideExecute(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
 	cases := []struct {
 		path, body string
 		want       int
 	}{
-		{"/v1/optimize", `{`, http.StatusBadRequest},                                      // malformed JSON
-		{"/v1/optimize", `{}`, http.StatusBadRequest},                                     // no queries
-		{"/v1/optimize", `{"query_id": "nope"}`, http.StatusNotFound},                     // unknown id
-		{"/v1/optimize", `{"query": {"tables": [], "joins": []}}`, http.StatusBadRequest}, // invalid spec
-		{"/v1/feedback", `{"serve_id": "s999", "latency_ms": 5}`, http.StatusNotFound},    // unknown serve
-		{"/v1/feedback", `{"serve_id": "s1", "latency_ms": -1}`, http.StatusBadRequest},   // bad latency
+		{"/optimize", `{`, http.StatusBadRequest},                                      // malformed JSON
+		{"/optimize", `{}`, http.StatusBadRequest},                                     // no queries
+		{"/optimize", `{"query_id": "nope"}`, http.StatusNotFound},                     // unknown id
+		{"/optimize", `{"query": {"tables": [], "joins": []}}`, http.StatusBadRequest}, // invalid spec
+		{"/feedback", `{"serve_id": "s999", "latency_ms": 5}`, http.StatusNotFound},    // unknown serve
+		{"/feedback", `{"serve_id": "s1", "latency_ms": -1}`, http.StatusBadRequest},   // bad latency
+		{"/catalog", `{"ddl": []}`, http.StatusBadRequest},                             // empty DDL batch
 	}
 	for _, c := range cases {
-		if code, out := postJSON(t, ts.URL+c.path, c.body); code != c.want {
+		if code, out := postJSON(t, base+c.path, c.body); code != c.want {
 			t.Fatalf("POST %s %s → %d (want %d): %v", c.path, c.body, code, c.want, out)
 		}
 	}
 	// wrong methods
-	resp, err := http.Get(ts.URL + "/v1/optimize")
+	resp, err := http.Get(base + "/optimize")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +258,15 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPFeedbackZeroLatency(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
-	_, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1"}`)
+	_, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	serveID := out["serve_id"].(string)
-	code, out := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 0}`)
+	code, out := postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 0}`)
 	if code != http.StatusOK || out["recorded"] != true {
 		t.Fatalf("zero-latency feedback dropped: status %d %v", code, out)
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +285,19 @@ func TestHTTPFeedbackZeroLatency(t *testing.T) {
 func TestHTTPStrictBodies(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
 	for _, c := range []struct{ path, body string }{
-		{"/v1/optimize", `{"query_id": "q1", "exekute": true}`},
-		{"/v1/feedback", `{"serve_id": "s1", "latencyms": 5}`},
+		{"/optimize", `{"query_id": "q1", "exekute": true}`},
+		{"/feedback", `{"serve_id": "s1", "latencyms": 5}`},
 	} {
-		if code, out := postJSON(t, ts.URL+c.path, c.body); code != http.StatusBadRequest {
+		if code, out := postJSON(t, base+c.path, c.body); code != http.StatusBadRequest {
 			t.Fatalf("unknown field in %s accepted: %d %v", c.path, code, out)
 		}
 	}
 
 	huge := `{"query_id": "q1", "query": {"tables": [{"table": "` + strings.Repeat("x", maxBodyBytes) + `"}]}}`
-	if code, out := postJSON(t, ts.URL+"/v1/optimize", huge); code != http.StatusRequestEntityTooLarge {
+	if code, out := postJSON(t, base+"/optimize", huge); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d %v", code, out)
 	}
 }
@@ -273,8 +307,8 @@ func TestHTTPStrictBodies(t *testing.T) {
 func TestHTTPCheckpoint(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
-	if code, out := postJSON(t, ts.URL+"/v1/checkpoint", `{}`); code != http.StatusPreconditionFailed {
+	base, _, _ := newWireFixture(t, cfg)
+	if code, out := postJSON(t, base+"/checkpoint", `{}`); code != http.StatusPreconditionFailed {
 		t.Fatalf("checkpoint without store: %d %v", code, out)
 	}
 
@@ -284,8 +318,8 @@ func TestHTTPCheckpoint(t *testing.T) {
 	}
 	defer st.Close()
 	cfg.Store = st
-	ts2, _, _ := newWireFixture(t, cfg)
-	code, out := postJSON(t, ts2.URL+"/v1/checkpoint", `{}`)
+	base2, _, _ := newWireFixture(t, cfg)
+	code, out := postJSON(t, base2+"/checkpoint", `{}`)
 	if code != http.StatusOK {
 		t.Fatalf("checkpoint: %d %v", code, out)
 	}
@@ -294,7 +328,7 @@ func TestHTTPCheckpoint(t *testing.T) {
 		t.Fatalf("manifest %+v does not point at %q", m, name)
 	}
 	// Stats surface the durability counters.
-	resp, err := http.Get(ts2.URL + "/v1/stats")
+	resp, err := http.Get(base2 + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,28 +352,24 @@ func TestHTTPPendingEviction(t *testing.T) {
 	lp := New(cfg, blue, green, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 2,
-		Resolve: func(id string) *query.Query {
-			v, _ := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-			return fq(v)
-		},
+		Resolve:    resolveQ,
 	})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
+	_, base := serveFleet(t, h)
 
 	var first string
 	for i := 1; i <= 3; i++ {
-		_, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
+		_, out := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
 		if i == 1 {
 			first = out["serve_id"].(string)
 		}
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+first+`", "latency_ms": 5}`); code != http.StatusGone {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+first+`", "latency_ms": 5}`); code != http.StatusGone {
 		t.Fatalf("evicted serve_id should get 410 Gone, got %d", code)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "s999", "latency_ms": 5}`); code != http.StatusNotFound {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "s999", "latency_ms": 5}`); code != http.StatusNotFound {
 		t.Fatalf("never-issued serve_id should get 404, got %d", code)
 	}
-	if _, out := getJSON(t, ts.URL+"/v1/stats"); out["expired_serve_ids"].(float64) != 1 {
+	if _, out := getJSON(t, base+"/stats"); out["expired_serve_ids"].(float64) != 1 {
 		t.Fatalf("stats should count 1 expiration: %v", out["expired_serve_ids"])
 	}
 }
@@ -409,14 +439,14 @@ func TestServeIDExpiry(t *testing.T) {
 func TestHTTPExecuteStaleCatalog(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, blue, _ := newWireFixture(t, cfg)
+	base, blue, _ := newWireFixture(t, cfg)
 	blue.execNaN.Store(true)
 
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1", "execute": true}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_id": "q1", "execute": true}`)
 	if code != http.StatusConflict || out["error"] == nil {
 		t.Fatalf("stale execute: status %d body %v, want 409 with an error", code, out)
 	}
-	_, st := getJSON(t, ts.URL+"/v1/stats")
+	_, st := getJSON(t, base+"/stats")
 	stats, _ := st["stats"].(map[string]any)
 	if stats["Recorded"] != float64(0) || stats["StaleInvalidations"] != float64(1) {
 		t.Fatalf("stale execute counters %v", stats)

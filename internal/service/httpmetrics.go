@@ -1,14 +1,14 @@
 package service
 
-// httpmetrics.go — GET /metrics: the Prometheus text projection of the
-// loop's counters and the per-tier serve-latency histograms. Everything here
-// is derived from state the serve path already maintains (atomic counters,
-// fixed-bucket histograms); a scrape allocates, the record path does not.
+// httpmetrics.go — the Prometheus text projection of the loops' counters and
+// per-tier serve-latency histograms, served as GET /metrics (every tenant)
+// and GET /v1/t/{tenant}/metrics (one). Everything here is derived from
+// state the serve path already maintains (atomic counters, fixed-bucket
+// histograms); a scrape allocates, the record path does not.
 //
-// The multi-tenant server reuses scrapeRow per shard and writes every
-// tenant's series under one family header with a tenant label — the text
-// format forbids repeating # TYPE blocks, so families iterate outside,
-// tenants inside.
+// Each tenant contributes one scrapeRow, and every series carries its
+// tenant label. The text format forbids repeating # TYPE blocks, so
+// families iterate outside, tenants inside.
 
 import (
 	"net/http"
@@ -21,8 +21,7 @@ import (
 // promContentType is the text exposition format version Prometheus expects.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// scrapeRow is one tenant's worth of a scrape. tenant "" means the
-// single-tenant server: no tenant label on any series.
+// scrapeRow is one tenant's worth of a scrape.
 type scrapeRow struct {
 	tenant  string
 	backend string
@@ -71,25 +70,19 @@ func (s *HTTPServer) scrape(tenant string) scrapeRow {
 	return row
 }
 
+// handleMetrics scrapes one tenant, under the same tenant label the fleet
+// page gives it.
 func (s *HTTPServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeMetricsText(w, []scrapeRow{s.scrape("")})
+	writeMetricsText(w, []scrapeRow{s.scrape(r.PathValue("tenant"))})
 }
 
-// metricsFamilies enumerates every (family, per-row emit) pair once, so the
-// single-tenant and aggregate scrapes cannot drift apart.
+// writeMetricsText enumerates every (family, per-row emit) pair once, so the
+// tenant and fleet scrapes cannot drift apart.
 func writeMetricsText(w http.ResponseWriter, rows []scrapeRow) {
 	var e metrics.Expo
 
 	labels := func(row scrapeRow, extra ...metrics.Label) []metrics.Label {
-		var ls []metrics.Label
-		if row.tenant != "" {
-			ls = append(ls, metrics.Label{Key: "tenant", Value: row.tenant})
-		}
-		return append(ls, extra...)
+		return append([]metrics.Label{{Key: "tenant", Value: row.tenant}}, extra...)
 	}
 	counter := func(name, help string, get func(scrapeRow) uint64) {
 		e.Family(name, help, "counter")

@@ -7,7 +7,6 @@ package service
 // its counters must agree with the loop's stats.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,8 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/foss-db/foss/internal/fosserr"
-	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/tier"
 )
 
@@ -129,18 +126,18 @@ func TestMetricsGoldenFormat(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 1}
-	ts, _, _ := newWireFixture(t, cfg)
+	base, _, _ := newWireFixture(t, cfg)
 
 	const serves = 6
 	for i := 1; i <= serves; i++ {
-		_, row := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q`+strconv.Itoa(i%3)+`"}`)
+		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i%3)+`"}`)
 		sid := row["serve_id"].(string)
-		if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+sid+`", "latency_ms": 5}`); code != http.StatusOK {
+		if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+sid+`", "latency_ms": 5}`); code != http.StatusOK {
 			t.Fatalf("feedback %d failed", i)
 		}
 	}
 
-	body, ctype := scrapeMetrics(t, ts.URL+"/metrics")
+	body, ctype := scrapeMetrics(t, base+"/metrics")
 	if ctype != promContentType {
 		t.Fatalf("content type %q, want %q", ctype, promContentType)
 	}
@@ -161,10 +158,12 @@ func TestMetricsGoldenFormat(t *testing.T) {
 		}
 	}
 
-	// Single-tenant scrape: no tenant labels anywhere.
+	// A fleet of one scrapes like any fleet: every series carries the
+	// tenant label.
+	const tl = `tenant="default"`
 	for _, s := range p.samples {
-		if strings.Contains(s.labels, "tenant=") {
-			t.Fatalf("line %d: tenant label on a single-tenant scrape: %s%s", s.line, s.name, s.labels)
+		if !strings.HasPrefix(s.labels, "{"+tl) {
+			t.Fatalf("line %d: series without the tenant label: %s%s", s.line, s.name, s.labels)
 		}
 	}
 
@@ -178,7 +177,7 @@ func TestMetricsGoldenFormat(t *testing.T) {
 		}
 		return 0, false
 	}
-	served, ok := find("foss_served_total", "")
+	served, ok := find("foss_served_total", "{"+tl+"}")
 	if !ok || served != serves {
 		t.Fatalf("foss_served_total = %v (present %v), want %d", served, ok, serves)
 	}
@@ -189,7 +188,7 @@ func TestMetricsGoldenFormat(t *testing.T) {
 		}
 	}
 	for _, tierN := range []int{tier.Tier0, tier.Tier2} {
-		tl := fmt.Sprintf(`{tier="%d"}`, tierN)
+		tierLabels := fmt.Sprintf(`{%s,tier="%d"}`, tl, tierN)
 		var buckets []promSample
 		for _, s := range p.samples {
 			if s.name == "foss_serve_latency_seconds_bucket" && strings.Contains(s.labels, fmt.Sprintf(`tier="%d"`, tierN)) {
@@ -209,7 +208,7 @@ func TestMetricsGoldenFormat(t *testing.T) {
 		if !strings.Contains(last.labels, `le="+Inf"`) {
 			t.Fatalf("tier %d: last bucket %s is not +Inf", tierN, last.labels)
 		}
-		count, ok := find("foss_serve_latency_seconds_count", tl)
+		count, ok := find("foss_serve_latency_seconds_count", tierLabels)
 		if !ok || count != last.value {
 			t.Fatalf("tier %d: _count %v != +Inf bucket %v", tierN, count, last.value)
 		}
@@ -218,19 +217,19 @@ func TestMetricsGoldenFormat(t *testing.T) {
 	if histTotal != served {
 		t.Fatalf("Σ histogram counts %v != served %v after quiescence", histTotal, served)
 	}
-	if rec, _ := find("foss_recorded_total", ""); rec != serves {
+	if rec, _ := find("foss_recorded_total", "{"+tl+"}"); rec != serves {
 		t.Fatalf("foss_recorded_total = %v, want %d", rec, serves)
 	}
 	// PromoteAfter=1 with winning feedback: the tier counters moved.
-	if promos, _ := find("foss_tier_promotions_total", ""); promos == 0 {
+	if promos, _ := find("foss_tier_promotions_total", "{"+tl+"}"); promos == 0 {
 		t.Fatal("no promotions despite winning feedback on repeat fingerprints")
 	}
-	if t0, ok := find("foss_tier_serves_total", `{tier="0"}`); !ok || t0 == 0 {
+	if t0, ok := find("foss_tier_serves_total", "{"+tl+`,tier="0"}`); !ok || t0 == 0 {
 		t.Fatalf("tier-0 serve counter = %v (present %v), want > 0", t0, ok)
 	}
 
 	// Wrong method refused.
-	resp, err := http.Post(ts.URL+"/metrics", "text/plain", nil)
+	resp, err := http.Post(base+"/metrics", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,25 +237,6 @@ func TestMetricsGoldenFormat(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics status %d", resp.StatusCode)
 	}
-}
-
-// fakeRegistry is a TenantRegistry over in-process HTTPServers, for fleet
-// scrape tests without booting real shards.
-type fakeRegistry struct {
-	names   []string
-	servers map[string]*HTTPServer
-}
-
-func (f *fakeRegistry) TenantServer(name string) (*HTTPServer, error) {
-	s, ok := f.servers[name]
-	if !ok {
-		return nil, fosserr.ErrUnknownTenant
-	}
-	return s, nil
-}
-func (f *fakeRegistry) TenantNames() []string { return f.names }
-func (f *fakeRegistry) CreateTenant(context.Context, WireTenantSpec) (*HTTPServer, error) {
-	return nil, fosserr.ErrBadConfig
 }
 
 // TestMetricsAggregateTenantLabels: the fleet scrape emits every family once
@@ -269,10 +249,7 @@ func TestMetricsAggregateTenantLabels(t *testing.T) {
 	for _, name := range []string{"acme", "globex"} {
 		blue, green := newFake(name+"-blue"), newFake(name+"-green")
 		lp := New(cfg, blue, green, nil)
-		h := NewHTTPServer(lp, HTTPOptions{Resolve: func(id string) *query.Query {
-			v, _ := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-			return fq(v)
-		}})
+		h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 		reg.names = append(reg.names, name)
 		reg.servers[name] = h
 	}

@@ -1,22 +1,12 @@
 package service
 
-// The multi-tenant wire surface: one listener fronting a fleet of doctors.
-// Every tenant-scoped endpoint is the single-tenant surface re-rooted under
-// the tenant's prefix, served by that tenant's own HTTPServer (its loop,
-// its serve-id ring, its counters):
-//
-//	POST /v1/t/{tenant}/optimize    — as /v1/optimize, on that tenant's shard
-//	POST /v1/t/{tenant}/feedback    — as /v1/feedback
-//	GET  /v1/t/{tenant}/stats       — as /v1/stats
-//	POST /v1/t/{tenant}/checkpoint  — as /v1/checkpoint
-//	POST /v1/t/{tenant}/catalog     — as /v1/catalog (DDL batch; GET reads)
-//	GET  /v1/t/{tenant}/explain/{serve_id} — as /v1/explain/{serve_id}
-//	GET  /v1/t/{tenant}/advisor     — as /v1/advisor
-//	GET  /v1/t/{tenant}/metrics     — that tenant's scrape, tenant-labeled
-//	GET  /v1/stats                  — aggregate roll-up over every tenant
-//	GET  /metrics                   — aggregate scrape, one series per tenant
-//	GET  /v1/tenants                — tenant list
-//	POST /v1/tenants                — create a shard live (see WireTenantSpec)
+// The wire surface: one listener fronting a fleet of doctors. routes is the
+// whole of it — every endpoint registered once, by method and pattern, on
+// one net/http mux. A tenant route looks up {tenant} in the registry and
+// calls that tenant's HTTPServer handler (its loop, its serve-id ring, its
+// counters); the fleet routes read every tenant. The mux answers a wrong
+// method with 405 and an Allow header, an unrouted path with 404, and HEAD
+// on every GET route.
 //
 // The registry behind the surface is an interface so this package stays
 // below the shard router in the dependency order: internal/shard implements
@@ -27,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/foss-db/foss/internal/fosserr"
 )
@@ -69,57 +58,58 @@ type MultiHTTPServer struct {
 // NewMultiHTTPServer builds the fleet surface over a tenant registry.
 func NewMultiHTTPServer(reg TenantRegistry) *MultiHTTPServer {
 	s := &MultiHTTPServer{reg: reg, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/v1/t/", s.handleTenantScoped)
-	s.mux.HandleFunc("/v1/stats", s.handleAggregateStats)
-	s.mux.HandleFunc("/v1/tenants", s.handleTenants)
-	s.mux.HandleFunc("/metrics", s.handleAggregateMetrics)
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, rt.handler)
+	}
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *MultiHTTPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// tenantEndpoints is the allowlist of per-tenant paths; anything else under
-// /v1/t/{tenant}/ is a 404 here rather than a confusing delegate miss.
-var tenantEndpoints = map[string]bool{
-	"optimize": true, "feedback": true, "stats": true, "checkpoint": true,
-	"explain": true, "advisor": true, "metrics": true, "repl": true,
-	"catalog": true,
+// route is one endpoint: a net/http pattern and the handler it runs.
+type route struct {
+	pattern string
+	handler http.HandlerFunc
 }
 
-// handleTenantScoped peels /v1/t/{tenant}/{endpoint}[/{rest}] and delegates
-// to the tenant's own HTTPServer with the path re-rooted at
-// /v1/{endpoint}[/{rest}] — the single-tenant handlers (body limits, strict
-// parsing, serve-id ring) apply unchanged per tenant. Two special cases:
-// explain keeps its serve_id suffix through the re-rooting, and metrics is
-// rendered here so the tenant label lands on every series.
-func (s *MultiHTTPServer) handleTenantScoped(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/t/")
-	tenant, sub, ok := strings.Cut(rest, "/")
-	endpoint := sub
-	if i := strings.IndexByte(sub, '/'); i >= 0 {
-		endpoint = sub[:i]
+// routes is the route table — the README's "HTTP endpoints" table lists the
+// same patterns, and a test keeps the two in step.
+func (s *MultiHTTPServer) routes() []route {
+	t := s.tenant
+	return []route{
+		{"POST /v1/t/{tenant}/optimize", t((*HTTPServer).handleOptimize)},
+		{"POST /v1/t/{tenant}/feedback", t((*HTTPServer).handleFeedback)},
+		{"GET /v1/t/{tenant}/stats", t((*HTTPServer).handleStats)},
+		{"POST /v1/t/{tenant}/checkpoint", t((*HTTPServer).handleCheckpoint)},
+		{"POST /v1/t/{tenant}/catalog", t((*HTTPServer).handleCatalogPost)},
+		{"GET /v1/t/{tenant}/catalog", t((*HTTPServer).handleCatalogGet)},
+		{"GET /v1/t/{tenant}/explain/{serve_id}", t((*HTTPServer).handleExplain)},
+		{"GET /v1/t/{tenant}/advisor", t((*HTTPServer).handleAdvisor)},
+		{"GET /v1/t/{tenant}/metrics", t((*HTTPServer).handleMetrics)},
+		{"GET /v1/t/{tenant}/repl/manifest", t((*HTTPServer).handleReplManifest)},
+		{"GET /v1/t/{tenant}/repl/checkpoint/{name}", t((*HTTPServer).handleReplCheckpoint)},
+		{"POST /v1/t/{tenant}/repl/feedback", t((*HTTPServer).handleReplFeedback)},
+		{"GET /v1/stats", s.handleAggregateStats},
+		{"GET /metrics", s.handleAggregateMetrics},
+		{"GET /v1/tenants", s.handleListTenants},
+		{"POST /v1/tenants", s.handleCreateTenant},
 	}
-	if !ok || tenant == "" || !tenantEndpoints[endpoint] {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown path %q (want /v1/t/{tenant}/{optimize|feedback|stats|checkpoint|catalog|explain|advisor|metrics})", r.URL.Path))
-		return
-	}
-	ts, err := s.reg.TenantServer(tenant)
-	if err != nil {
-		writeRegistryErr(w, tenant, err)
-		return
-	}
-	if endpoint == "metrics" {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "GET required")
+}
+
+// tenant adapts a per-tenant handler to the mux: it resolves the {tenant}
+// path segment in the registry (404 unknown, 503 draining) and calls h on
+// that tenant's server.
+func (s *MultiHTTPServer) tenant(h func(*HTTPServer, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("tenant")
+		ts, err := s.reg.TenantServer(name)
+		if err != nil {
+			writeRegistryErr(w, name, err)
 			return
 		}
-		writeMetricsText(w, []scrapeRow{ts.scrape(tenant)})
-		return
+		h(ts, w, r)
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/v1/" + sub
-	ts.ServeHTTP(w, r2)
 }
 
 // handleAggregateMetrics scrapes the whole fleet on one page: every family
@@ -128,10 +118,6 @@ func (s *MultiHTTPServer) handleTenantScoped(w http.ResponseWriter, r *http.Requ
 // roll-up applies here too — a tenant mid-creation is not listed, a tenant
 // that finished creating scrapes with all its series.
 func (s *MultiHTTPServer) handleAggregateMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	var rows []scrapeRow
 	for _, name := range s.reg.TenantNames() {
 		ts, err := s.reg.TenantServer(name)
@@ -172,10 +158,6 @@ type aggregateTotals struct {
 }
 
 func (s *MultiHTTPServer) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	out := aggregateStatsResponse{Tenants: map[string]statsResponse{}}
 	for _, name := range s.reg.TenantNames() {
 		ts, err := s.reg.TenantServer(name)
@@ -207,33 +189,30 @@ func (s *MultiHTTPServer) handleAggregateStats(w http.ResponseWriter, r *http.Re
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *MultiHTTPServer) handleTenants(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{"tenants": s.reg.TenantNames()})
-	case http.MethodPost:
-		var spec WireTenantSpec
-		if !decodeBody(w, r, &spec) {
-			return
-		}
-		if spec.Tenant == "" {
-			writeErr(w, http.StatusBadRequest, "tenant name required")
-			return
-		}
-		ts, err := s.reg.CreateTenant(r.Context(), spec)
-		if err != nil {
-			writeRegistryErr(w, spec.Tenant, err)
-			return
-		}
-		lp := ts.Loop()
-		writeJSON(w, http.StatusCreated, map[string]any{
-			"tenant":  spec.Tenant,
-			"backend": lp.Active().BackendName(),
-			"epoch":   lp.Epoch(),
-		})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "GET or POST required")
+func (s *MultiHTTPServer) handleListTenants(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"tenants": s.reg.TenantNames()})
+}
+
+func (s *MultiHTTPServer) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
+	var spec WireTenantSpec
+	if !decodeBody(w, r, &spec) {
+		return
 	}
+	if spec.Tenant == "" {
+		writeErr(w, http.StatusBadRequest, "tenant name required")
+		return
+	}
+	ts, err := s.reg.CreateTenant(r.Context(), spec)
+	if err != nil {
+		writeRegistryErr(w, spec.Tenant, err)
+		return
+	}
+	lp := ts.Loop()
+	writeJSON(w, http.StatusCreated, map[string]any{
+		"tenant":  spec.Tenant,
+		"backend": lp.Active().BackendName(),
+		"epoch":   lp.Epoch(),
+	})
 }
 
 // writeRegistryErr maps registry failures onto wire statuses: an unknown

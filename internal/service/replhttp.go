@@ -1,18 +1,18 @@
 package service
 
-// The replication wire surface. On a leader:
+// The replication wire surface, under /v1/t/{tenant}/ like every tenant
+// endpoint. On a leader:
 //
-//	GET  /v1/repl/manifest          — the current recovery point (404 until
-//	                                  the first checkpoint lands, 412 without
-//	                                  a store)
-//	GET  /v1/repl/checkpoint/{name} — the named sealed checkpoint blob
-//	POST /v1/repl/feedback          — feedback forwarded from a follower, in
-//	                                  durable identity form (query ×
-//	                                  incomplete plan × step × latency):
-//	                                  serve_ids never cross processes, so the
-//	                                  forwarded form carries what WAL records
-//	                                  carry and the leader rebuilds the
-//	                                  executed candidate deterministically
+//	GET  repl/manifest          — the current recovery point (404 until the
+//	                              first checkpoint lands, 412 without a store)
+//	GET  repl/checkpoint/{name} — the named sealed checkpoint blob
+//	POST repl/feedback          — feedback forwarded from a follower, in
+//	                              durable identity form (query × incomplete
+//	                              plan × step × latency): serve_ids never
+//	                              cross processes, so the forwarded form
+//	                              carries what WAL records carry and the
+//	                              leader rebuilds the executed candidate
+//	                              deterministically
 //
 // On a follower the same paths answer 403 (a follower cannot be a
 // replication source — it has no store — and does not accept writes).
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/foss-db/foss/internal/fosserr"
@@ -34,9 +33,9 @@ import (
 	"github.com/foss-db/foss/internal/query"
 )
 
-// replFeedbackRequest is the POST /v1/repl/feedback body: one executed
+// replFeedbackRequest is the POST repl/feedback body: one executed
 // plan's durable identity plus the observed latency — the cross-process
-// form of /v1/feedback.
+// form of feedback.
 type replFeedbackRequest struct {
 	Query     wireQuery `json:"query"`
 	Order     []string  `json:"order"`
@@ -67,11 +66,7 @@ func (req replFeedbackRequest) toICP() (plan.ICP, error) {
 }
 
 func (s *HTTPServer) handleReplManifest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.opts.Follower {
+	if s.lp.Follower() {
 		writeFollowerErr(w, s.opts.LeaderAddr, "checkpoint replication")
 		return
 	}
@@ -88,16 +83,13 @@ func (s *HTTPServer) handleReplManifest(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *HTTPServer) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.opts.Follower {
+	if s.lp.Follower() {
 		writeFollowerErr(w, s.opts.LeaderAddr, "checkpoint replication")
 		return
 	}
-	name := strings.TrimPrefix(r.URL.Path, "/v1/repl/checkpoint/")
-	blob, err := s.lp.ReplCheckpointBlob(name)
+	// PathValue decodes %2F, so the name may hold a slash or a dot-segment;
+	// ReplCheckpointBlob admits only names store.ValidCheckpointName accepts.
+	blob, err := s.lp.ReplCheckpointBlob(r.PathValue("name"))
 	if err != nil {
 		if errors.Is(err, fosserr.ErrNoStore) {
 			writeErr(w, http.StatusPreconditionFailed, "no durability store attached (run with -state-dir)")
@@ -112,11 +104,7 @@ func (s *HTTPServer) handleReplCheckpoint(w http.ResponseWriter, r *http.Request
 }
 
 func (s *HTTPServer) handleReplFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.opts.Follower {
+	if s.lp.Follower() {
 		writeFollowerErr(w, s.opts.LeaderAddr, "feedback ingestion")
 		return
 	}
@@ -167,9 +155,9 @@ func writeFollowerErr(w http.ResponseWriter, leader, what string) {
 
 // NewFeedbackForwarder builds the follower-side feedback forwarder: it
 // POSTs executed-plan feedback to {base}/repl/feedback in durable identity
-// form. base is the leader's URL prefix up to "/repl/..." — the same shape
-// repl.NewHTTPSource takes ("http://leader:8475/v1/t/{tenant}" on a fleet,
-// "http://leader:8475/v1" single-tenant).
+// form. base is the tenant's URL prefix on the leader,
+// "http://leader:8475/v1/t/{tenant}" — the same shape repl.NewHTTPSource
+// takes.
 func NewFeedbackForwarder(base string) func(ctx context.Context, q *query.Query, pe *planner.PlanEval, latencyMs float64) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	return func(ctx context.Context, q *query.Query, pe *planner.PlanEval, latencyMs float64) error {

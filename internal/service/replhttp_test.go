@@ -1,54 +1,45 @@
 package service
 
 import (
+	"bytes"
+	"io"
 	"net/http"
-	"net/http/httptest"
-	"strconv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/repl"
 	"github.com/foss-db/foss/internal/store"
 )
 
-// newFollowerFixture builds the HTTP surface over a follower loop (never
-// trains, no store) with the standard q{v} resolver.
-func newFollowerFixture(t *testing.T, opts HTTPOptions) (*httptest.Server, *Loop) {
+// newFollowerFixture serves a follower loop (never trains, no store) as a
+// one-tenant fleet, resolving query ids with resolveQ, and returns the
+// tenant's URL prefix.
+func newFollowerFixture(t *testing.T, opts HTTPOptions) (string, *Loop) {
 	t.Helper()
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	cfg.Follower = true
 	blue, green := newFake("blue"), newFake("green")
 	lp := New(cfg, blue, green, nil)
-	opts.Follower = true
-	if opts.Resolve == nil {
-		opts.Resolve = func(id string) *query.Query {
-			v, err := strconv.ParseInt(strings.TrimPrefix(id, "q"), 10, 64)
-			if err != nil || !strings.HasPrefix(id, "q") {
-				return nil
-			}
-			return fq(v)
-		}
-	}
-	h := NewHTTPServer(lp, opts)
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts, lp
+	opts.Resolve = resolveQ
+	_, base := serveFleet(t, NewHTTPServer(lp, opts))
+	return base, lp
 }
 
 // TestFollowerWriteEndpointsRefuse: every write surface on a follower
 // answers 403 with the leader's address in the body; read surfaces serve.
 func TestFollowerWriteEndpointsRefuse(t *testing.T) {
-	ts, _ := newFollowerFixture(t, HTTPOptions{LeaderAddr: "http://leader:8475"})
+	base, _ := newFollowerFixture(t, HTTPOptions{LeaderAddr: "http://leader:8475"})
 
 	writes := []struct{ path, body string }{
-		{"/v1/feedback", `{"serve_id": "s1", "latency_ms": 5}`},
-		{"/v1/checkpoint", `{}`},
-		{"/v1/optimize", `{"query_id": "q1", "execute": true}`},
+		{"/feedback", `{"serve_id": "s1", "latency_ms": 5}`},
+		{"/checkpoint", `{}`},
+		{"/optimize", `{"query_id": "q1", "execute": true}`},
 	}
 	for _, c := range writes {
-		code, out := postJSON(t, ts.URL+c.path, c.body)
+		code, out := postJSON(t, base+c.path, c.body)
 		if code != http.StatusForbidden {
 			t.Fatalf("%s on follower: %d %v", c.path, code, out)
 		}
@@ -57,25 +48,25 @@ func TestFollowerWriteEndpointsRefuse(t *testing.T) {
 		}
 	}
 	// A follower cannot be a replication source either (it has no store).
-	for _, path := range []string{"/v1/repl/manifest", "/v1/repl/checkpoint/x"} {
-		if code, out := getJSON(t, ts.URL+path); code != http.StatusForbidden {
+	for _, path := range []string{"/repl/manifest", "/repl/checkpoint/x"} {
+		if code, out := getJSON(t, base+path); code != http.StatusForbidden {
 			t.Fatalf("%s on follower: %d %v", path, code, out)
 		}
 	}
 
 	// Reads serve normally: plain optimize, stats, explain, metrics.
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q1"}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	if code != http.StatusOK {
 		t.Fatalf("follower optimize: %d %v", code, out)
 	}
 	serveID, _ := out["serve_id"].(string)
-	if code, _ := getJSON(t, ts.URL+"/v1/stats"); code != http.StatusOK {
+	if code, _ := getJSON(t, base+"/stats"); code != http.StatusOK {
 		t.Fatalf("follower stats: %d", code)
 	}
-	if code, _ := getJSON(t, ts.URL+"/v1/explain/"+serveID); code != http.StatusOK {
+	if code, _ := getJSON(t, base+"/explain/"+serveID); code != http.StatusOK {
 		t.Fatalf("follower explain: %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("follower metrics: %v %d", err, resp.StatusCode)
 	}
@@ -88,39 +79,39 @@ func TestFollowerWriteEndpointsRefuse(t *testing.T) {
 func TestFollowerFeedbackForwarding(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	leaderTS, _, _ := newWireFixture(t, cfg)
+	leader, leaderBase := serveFleet(t, NewHTTPServer(New(cfg, newFake("blue"), newFake("green"), nil), HTTPOptions{Resolve: resolveQ}))
 
-	ts, _ := newFollowerFixture(t, HTTPOptions{
-		LeaderAddr:      leaderTS.URL,
-		ForwardFeedback: NewFeedbackForwarder(leaderTS.URL + "/v1"),
+	base, _ := newFollowerFixture(t, HTTPOptions{
+		LeaderAddr:      leader.URL,
+		ForwardFeedback: NewFeedbackForwarder(leaderBase),
 	})
 
-	code, out := postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q7"}`)
+	code, out := postJSON(t, base+"/optimize", `{"query_id": "q7"}`)
 	if code != http.StatusOK {
 		t.Fatalf("optimize: %d %v", code, out)
 	}
 	serveID := out["serve_id"].(string)
-	code, out = postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 12.5}`)
+	code, out = postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 12.5}`)
 	if code != http.StatusOK || out["forwarded"] != true {
 		t.Fatalf("forwarded feedback: %d %v", code, out)
 	}
-	if _, st := getJSON(t, leaderTS.URL+"/v1/stats"); st["stats"].(map[string]any)["Recorded"] != float64(1) {
+	if _, st := getJSON(t, leaderBase+"/stats"); st["stats"].(map[string]any)["Recorded"] != float64(1) {
 		t.Fatalf("leader did not record forwarded feedback: %v", st["stats"])
 	}
 	// Duplicate feedback for the same serve stays a local 404 — the slot
 	// was consumed by the successful forward.
-	if code, _ := postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 12.5}`); code != http.StatusNotFound {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 12.5}`); code != http.StatusNotFound {
 		t.Fatalf("duplicate forwarded feedback: %d", code)
 	}
 
 	// Leader gone: the relay fails loudly instead of pretending to record.
-	code, out = postJSON(t, ts.URL+"/v1/optimize", `{"query_id": "q8"}`)
+	code, out = postJSON(t, base+"/optimize", `{"query_id": "q8"}`)
 	if code != http.StatusOK {
 		t.Fatalf("optimize: %d %v", code, out)
 	}
 	serveID = out["serve_id"].(string)
-	leaderTS.Close()
-	if code, out = postJSON(t, ts.URL+"/v1/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 3}`); code != http.StatusBadGateway {
+	leader.Close()
+	if code, out = postJSON(t, base+"/feedback", `{"serve_id": "`+serveID+`", "latency_ms": 3}`); code != http.StatusBadGateway {
 		t.Fatalf("feedback with dead leader: %d %v", code, out)
 	}
 }
@@ -131,30 +122,31 @@ func TestFollowerFeedbackForwarding(t *testing.T) {
 func TestLeaderReplEndpoints(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts, _, _ := newWireFixture(t, cfg)
-	if code, _ := getJSON(t, ts.URL+"/v1/repl/manifest"); code != http.StatusPreconditionFailed {
+	base, _, _ := newWireFixture(t, cfg)
+	if code, _ := getJSON(t, base+"/repl/manifest"); code != http.StatusPreconditionFailed {
 		t.Fatalf("manifest without store: %d", code)
 	}
 
-	st, err := store.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	cfg.Store = st
-	ts2, _, _ := newWireFixture(t, cfg)
-	if code, _ := getJSON(t, ts2.URL+"/v1/repl/manifest"); code != http.StatusNotFound {
+	base2, _, _ := newWireFixture(t, cfg)
+	if code, _ := getJSON(t, base2+"/repl/manifest"); code != http.StatusNotFound {
 		t.Fatalf("manifest before first checkpoint: %d", code)
 	}
-	if code, out := postJSON(t, ts2.URL+"/v1/checkpoint", `{}`); code != http.StatusOK {
+	if code, out := postJSON(t, base2+"/checkpoint", `{}`); code != http.StatusOK {
 		t.Fatalf("checkpoint: %d %v", code, out)
 	}
-	code, m := getJSON(t, ts2.URL+"/v1/repl/manifest")
+	code, m := getJSON(t, base2+"/repl/manifest")
 	if code != http.StatusOK {
 		t.Fatalf("manifest: %d %v", code, m)
 	}
 	name, _ := m["checkpoint"].(string)
-	resp, err := http.Get(ts2.URL + "/v1/repl/checkpoint/" + name)
+	resp, err := http.Get(base2 + "/repl/checkpoint/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +166,27 @@ func TestLeaderReplEndpoints(t *testing.T) {
 	if ck, backend, err := store.DecodeCheckpoint(blob); err != nil || backend != "fake" || ck.Epoch == 0 {
 		t.Fatalf("fetched blob does not decode: err=%v backend=%q", err, backend)
 	}
-	// ("../MANIFEST" traversal is covered at the source/name-validation
-	// layer; http.Get normalizes dot-segments before they reach the server.)
 	for _, bad := range []string{"MANIFEST", "nope.snap", "ckpt-1-2.snap"} {
-		if code, _ := getJSON(t, ts2.URL+"/v1/repl/checkpoint/"+bad); code != http.StatusNotFound {
+		if code, _ := getJSON(t, base2+"/repl/checkpoint/"+bad); code != http.StatusNotFound {
 			t.Fatalf("bad name %q: %d", bad, code)
+		}
+	}
+	// An escaped slash survives routing as one {name} segment and reaches
+	// the handler decoded ("../MANIFEST", "a/b"): only the checkpoint-name
+	// allowlist stands between it and the state directory.
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil || len(manifest) == 0 {
+		t.Fatalf("read MANIFEST: %v (%d bytes)", err, len(manifest))
+	}
+	for _, bad := range []string{"..%2FMANIFEST", "a%2Fb"} {
+		resp, err := http.Get(base2 + "/repl/checkpoint/" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || bytes.Contains(body, manifest) {
+			t.Fatalf("encoded name %q: %d %q, want a 404 without the manifest", bad, resp.StatusCode, body)
 		}
 	}
 }
@@ -242,13 +250,13 @@ func TestFollowerNeverRetrains(t *testing.T) {
 // TestMetricsReplFamilies: a server with ReplStats exposes the replication
 // gauges; one without does not.
 func TestMetricsReplFamilies(t *testing.T) {
-	ts, _ := newFollowerFixture(t, HTTPOptions{
+	base, _ := newFollowerFixture(t, HTTPOptions{
 		LeaderAddr: "http://leader:8475",
 		ReplStats: func() repl.Stats {
 			return repl.Stats{LastAppliedEpoch: 7, LastAppliedWALSeq: 42, LagCheckpoints: 1, AppliedSwaps: 3, FetchErrors: 2}
 		},
 	})
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +272,11 @@ func TestMetricsReplFamilies(t *testing.T) {
 	resp.Body.Close()
 	text := sb.String()
 	for _, want := range []string{
-		"foss_repl_last_applied_walseq 42",
-		"foss_repl_last_applied_epoch 7",
-		"foss_repl_lag_checkpoints 1",
-		"foss_repl_swaps_applied_total 3",
-		"foss_repl_fetch_errors_total 2",
+		`foss_repl_last_applied_walseq{tenant="default"} 42`,
+		`foss_repl_last_applied_epoch{tenant="default"} 7`,
+		`foss_repl_lag_checkpoints{tenant="default"} 1`,
+		`foss_repl_swaps_applied_total{tenant="default"} 3`,
+		`foss_repl_fetch_errors_total{tenant="default"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
@@ -278,8 +286,8 @@ func TestMetricsReplFamilies(t *testing.T) {
 	// No ReplStats (a leader): families may appear, series must not.
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	ts2, _, _ := newWireFixture(t, cfg)
-	resp2, err := http.Get(ts2.URL + "/metrics")
+	base2, _, _ := newWireFixture(t, cfg)
+	resp2, err := http.Get(base2 + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +300,7 @@ func TestMetricsReplFamilies(t *testing.T) {
 		}
 	}
 	resp2.Body.Close()
-	if strings.Contains(sb.String(), "foss_repl_last_applied_walseq 0") {
+	if strings.Contains(sb.String(), `foss_repl_last_applied_walseq{tenant="default"} 0`) {
 		t.Fatalf("leader scrape carries repl series:\n%s", sb.String())
 	}
 }

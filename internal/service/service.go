@@ -352,6 +352,10 @@ func (lp *Loop) spawn(f func()) bool {
 // Closed reports whether Close has begun.
 func (lp *Loop) Closed() bool { return lp.closed.Load() }
 
+// Follower reports whether this loop is a read-only replica
+// (Config.Follower); the wire layer refuses writes to one.
+func (lp *Loop) Follower() bool { return lp.cfg.Follower }
+
 // Active returns the replica currently serving (for evaluation harnesses).
 func (lp *Loop) Active() Replica { return lp.srv.active.Load().r }
 

@@ -81,9 +81,9 @@ func TestFollowerSharedDirReplication(t *testing.T) {
 	}
 
 	// A checkpoint only the leader can take is refused with its address.
-	ts := httptest.NewServer(folSh.HTTP)
+	ts := httptest.NewServer(service.NewMultiHTTPServer(folR))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/checkpoint", "application/json", strings.NewReader(`{}`))
+	resp, err := http.Post(ts.URL+"/v1/t/acme/checkpoint", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFollowerSharedDirReplication(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden || refusal["leader"] != leaderAddr {
-		t.Fatalf("/v1/checkpoint on follower: %d %v, want 403 naming %s", resp.StatusCode, refusal, leaderAddr)
+		t.Fatalf("checkpoint on follower: %d %v, want 403 naming %s", resp.StatusCode, refusal, leaderAddr)
 	}
 
 	// The leader publishes a new generation; the tailer hot-swaps it.
@@ -200,9 +200,9 @@ func TestFollowerHTTPReplicationAndForwarding(t *testing.T) {
 
 	// Serve on the follower's wire surface, report latency there, observe
 	// the record on the leader.
-	ts := httptest.NewServer(folSh.HTTP)
+	ts := httptest.NewServer(service.NewMultiHTTPServer(folR))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/t/acme/optimize", "application/json",
 		strings.NewReader(`{"query_id": "`+q.ID+`"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestFollowerHTTPReplicationAndForwarding(t *testing.T) {
 		t.Fatal("no serve_id from follower optimize")
 	}
 	before := leadSh.Sys.OnlineStats().Recorded
-	resp2, err := http.Post(ts.URL+"/v1/feedback", "application/json",
+	resp2, err := http.Post(ts.URL+"/v1/t/acme/feedback", "application/json",
 		strings.NewReader(`{"serve_id": "`+row.ServeID+`", "latency_ms": 7.5}`))
 	if err != nil {
 		t.Fatal(err)

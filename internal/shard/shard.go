@@ -598,7 +598,6 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 	sh.HTTP = service.NewHTTPServer(sys.Online(), service.HTTPOptions{
 		Resolve:         func(id string) *query.Query { return byID[id] },
 		MaxPending:      r.cfg.MaxPending,
-		Follower:        true,
 		LeaderAddr:      leader,
 		ReplStats:       tl.Stats,
 		ForwardFeedback: service.NewFeedbackForwarder(base),
