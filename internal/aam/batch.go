@@ -159,14 +159,32 @@ func (m *Model) StatesBatch(encs []*planenc.Encoded, steps []float64) *nn.Tensor
 	return m.frozen.State.ForwardBatch(encs, steps)
 }
 
-// ScoreStates returns the predicted advantage class of plan r over plan l
-// given precomputed state vectors (rows l and r of a StatesBatch result).
-// Identical to Score on the same plans.
-func (m *Model) ScoreStates(sv *nn.Tensor, l, r int) int {
+// Heads is the pairwise head split at its subtraction, over a fixed pool of
+// plans: row i of l is relu(FC1(sv_i + PosL)) and row i of r is
+// relu(FC1(sv_i + PosR)), where sv_i is plan i's state vector. Each plan's
+// two halves run once, so a comparison costs only FC2(l_i − r_j).
+type Heads struct {
+	fc2  *nn.Linear
+	l, r *nn.Tensor
+}
+
+// Heads runs the state network over the pool in one batched pass, then FC1
+// once per side over all rows. Linear rows are independent, so Score on the
+// result is bit-identical to Score on the same plans.
+func (m *Model) Heads(encs []*planenc.Encoded, steps []float64) *Heads {
 	m = m.frozen
-	svL := nn.Rows(sv, l, 1)
-	svR := nn.Rows(sv, r, 1)
-	hl := nn.ReLU(m.FC1.Forward(nn.Add(svL, m.PosL)))
-	hr := nn.ReLU(m.FC1.Forward(nn.Add(svR, m.PosR)))
-	return argmax(m.FC2.Forward(nn.Sub(hl, hr)).Data)
+	sv := m.State.ForwardBatch(encs, steps)
+	return &Heads{
+		fc2: m.FC2,
+		l:   nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosL))),
+		r:   nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosR))),
+	}
+}
+
+// Score returns the predicted advantage class of plan r over plan l (indices
+// into the pool Heads was built over).
+func (h *Heads) Score(l, r int) int { return argmax(h.logits(l, r).Data) }
+
+func (h *Heads) logits(l, r int) *nn.Tensor {
+	return h.fc2.Forward(nn.Sub(nn.Rows(h.l, l, 1), nn.Rows(h.r, r, 1)))
 }

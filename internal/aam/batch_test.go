@@ -1,9 +1,11 @@
 package aam
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/foss-db/foss/internal/nn"
 	"github.com/foss-db/foss/internal/planenc"
 )
 
@@ -133,5 +135,55 @@ func TestScoreStatesMatchesScore(t *testing.T) {
 				t.Fatalf("(%d,%d): ScoreStates %d != Score %d", l, r, got, want)
 			}
 		}
+	}
+}
+
+// ScoreStates is the per-comparison pairwise head that Heads replaced, kept
+// as the oracle: both FC1 passes run again for every (l, r) over rows l and r
+// of a StatesBatch result.
+func (m *Model) ScoreStates(sv *nn.Tensor, l, r int) int {
+	return argmax(m.scoreStatesLogits(sv, l, r).Data)
+}
+
+func (m *Model) scoreStatesLogits(sv *nn.Tensor, l, r int) *nn.Tensor {
+	m = m.frozen
+	hl := nn.ReLU(m.FC1.Forward(nn.Add(nn.Rows(sv, l, 1), m.PosL)))
+	hr := nn.ReLU(m.FC1.Forward(nn.Add(nn.Rows(sv, r, 1), m.PosR)))
+	return m.FC2.Forward(nn.Sub(hl, hr))
+}
+
+// TestHeadsMatchScoreStates: the heads computed once per plan give the
+// logits, bit for bit, and hence the class, of the per-comparison head on
+// every ordered pair of a random pool, the diagonal included.
+func TestHeadsMatchScoreStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	cfg := StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
+	m := NewModel(rng, cfg, 4, 4)
+	var encs []*planenc.Encoded
+	var steps []float64
+	for i := 0; i < 9; i++ {
+		encs = append(encs, variableEncoded(rng, 1+rng.Intn(6)))
+		steps = append(steps, float64(i%4)/3)
+	}
+	sv := m.StatesBatch(encs, steps)
+	h := m.Heads(encs, steps)
+	classes := map[int]bool{}
+	for l := range encs {
+		for r := range encs {
+			want := m.scoreStatesLogits(sv, l, r).Data
+			got := h.logits(l, r).Data
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("(%d,%d) logit %d: heads %v != ScoreStates %v", l, r, k, got[k], want[k])
+				}
+			}
+			if got, want := h.Score(l, r), m.ScoreStates(sv, l, r); got != want {
+				t.Fatalf("(%d,%d): heads class %d != ScoreStates %d", l, r, got, want)
+			}
+			classes[h.Score(l, r)] = true
+		}
+	}
+	if len(classes) < 2 {
+		t.Fatalf("the pool scores one class only (%v): the comparison is vacuous", classes)
 	}
 }

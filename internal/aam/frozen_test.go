@@ -87,6 +87,9 @@ func checkScoring(t *testing.T, what string, m *Model, pairs []Pair) {
 	}
 	sv := m.StatesBatch(encs, steps)
 	untracked(t, what+": StatesBatch", sv)
+	heads := m.Heads(encs, steps)
+	untracked(t, what+": Heads", heads.l)
+	untracked(t, what+": Heads", heads.r)
 	for i, p := range pairs {
 		if got := m.Score(p.EncL, p.EncR, p.StepL, p.StepR); got != want[i] {
 			t.Fatalf("%s: Score(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
@@ -96,6 +99,9 @@ func checkScoring(t *testing.T, what string, m *Model, pairs []Pair) {
 		}
 		if got := m.ScoreStates(sv, 2*i, 2*i+1); got != want[i] {
 			t.Fatalf("%s: ScoreStates(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
+		}
+		if got := heads.Score(2*i, 2*i+1); got != want[i] {
+			t.Fatalf("%s: Heads.Score(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
 		}
 		sameData(t, what+": view logits", m.frozen.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Data,
 			m.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Data)

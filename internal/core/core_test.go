@@ -10,7 +10,7 @@ import (
 	"github.com/foss-db/foss/internal/workload"
 )
 
-func smallSystem(t *testing.T, mutate func(*Config)) *System {
+func smallSystem(t testing.TB, mutate func(*Config)) *System {
 	t.Helper()
 	w, err := workload.Load("job", workload.Options{Seed: 1, Scale: 0.35})
 	if err != nil {

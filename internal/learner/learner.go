@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -532,12 +533,15 @@ func (l *Learner) Explain(ctx context.Context, q *query.Query) (*planner.PlanEva
 
 // candidates generates the deduplicated candidate pool for one query: every
 // agent's greedy episode plus its stochastic rollouts, RNG seeded by the
-// query fingerprint so the pool is independent of request interleaving.
+// query fingerprint so the pool is independent of request interleaving. The
+// rollouts share one walk memo, dropped on return, so a state several of
+// them visit is forwarded, hinted, encoded and masked once.
 func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.PlanEval, error) {
 	rollouts := max(l.Cfg.InferenceRollouts, 1)
 	rng := rand.New(rand.NewSource(int64(q.Fingerprint()>>1) ^ l.Cfg.Seed))
+	memo := planner.NewMemo()
 	var pool []*planner.PlanEval
-	seen := map[string]bool{}
+	var keys []string
 	for _, pl := range l.Planners {
 		orig, err := pl.OriginalEval(q)
 		if err != nil {
@@ -547,14 +551,14 @@ func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.Pl
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			ep, err := pl.RunEpisodeWithRng(q, orig, nil, nil, r > 0, rng)
+			ep, err := pl.Rollout(q, orig, r > 0, rng, memo)
 			if err != nil {
 				return nil, err
 			}
-			for _, c := range ep.Candidates {
-				if key := c.ICP.Key(); !seen[key] {
-					seen[key] = true
-					pool = append(pool, c)
+			for i, key := range ep.Keys {
+				if !slices.Contains(keys, key) {
+					keys = append(keys, key)
+					pool = append(pool, ep.Candidates[i])
 				}
 			}
 		}

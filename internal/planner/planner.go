@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/engine/exec"
@@ -113,8 +114,9 @@ type SimEnv struct {
 // Prepare is a no-op in the simulated environment.
 func (e *SimEnv) Prepare(pe *PlanEval, timeoutMs float64) {}
 
-// Advantage queries the AAM: one batched state pass over the distinct plans,
-// then one pairwise head per comparison (ScoreStates, identical to Score).
+// Advantage queries the AAM: one batched pass over the distinct plans for
+// their state vectors and selection heads, then only the last pairwise layer
+// per comparison (aam.Heads, identical to Score).
 func (e *SimEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval) int {
 	var distinct []*PlanEval
 	for _, pe := range plans {
@@ -122,9 +124,9 @@ func (e *SimEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval)
 			distinct = append(distinct, pe)
 		}
 	}
-	sv := planStates(e.Model, distinct, maxSteps)
+	heads := planHeads(e.Model, distinct, maxSteps)
 	return func(l, r *PlanEval) int {
-		return e.Model.ScoreStates(sv, slices.Index(distinct, l), slices.Index(distinct, r))
+		return heads.Score(slices.Index(distinct, l), slices.Index(distinct, r))
 	}
 }
 
@@ -162,6 +164,8 @@ type Agent struct {
 
 	phi    *aam.StateNet
 	policy *rl.Policy
+
+	phiForwards atomic.Int64 // walk forwards of phi, read by PhiForwards
 }
 
 // NewAgent creates an agent for the given action-space size.
@@ -173,6 +177,10 @@ func NewAgent(rng *rand.Rand, netCfg aam.StateNetConfig, numTables, numCols, num
 	opt.ClipNorm = 5
 	return &Agent{Phi: phi, Policy: pol, Opt: opt, Rng: rng, phi: phi.Frozen(), policy: pol.Frozen()}
 }
+
+// PhiForwards reports how many Φ forwards the agent's walks have run, so a
+// test can check that a memo forwards each distinct state once.
+func (a *Agent) PhiForwards() int64 { return a.phiForwards.Load() }
 
 // Params implements nn.Module over the agent's trainable tensors (state
 // network + policy heads), enabling save/load of trained agents.
@@ -201,6 +209,7 @@ type Ref struct {
 type EpisodeResult struct {
 	Transitions []rl.Transition
 	Candidates  []*PlanEval // temporal sequence, original first
+	Keys        []string    // Keys[i] is Candidates[i].ICP.Key()
 	Final       *PlanEval   // estimated-optimal plan CP̄ (the output)
 	OrigLatency float64     // NaN when unknown (pure simulated episodes)
 
@@ -221,11 +230,11 @@ type step struct {
 
 // NewEval hints the ICP into a complete plan and encodes it.
 func (p *Planner) NewEval(q *query.Query, icp plan.ICP, step int) (*PlanEval, error) {
-	cp, err := p.Opt.HintedPlan(q, icp)
+	cp, enc, err := (*Memo)(nil).hint(p, q, icp, "")
 	if err != nil {
 		return nil, err
 	}
-	return &PlanEval{Q: q, ICP: icp, CP: cp, Enc: p.Enc.Encode(cp), Step: step, Latency: math.NaN()}, nil
+	return &PlanEval{Q: q, ICP: icp, CP: cp, Enc: enc, Step: step, Latency: math.NaN()}, nil
 }
 
 // OriginalEval plans the query with the traditional optimizer and wraps it
@@ -244,12 +253,26 @@ func (p *Planner) OriginalEval(q *query.Query) (*PlanEval, error) {
 
 // RunEpisodeWithRng is the walk: from orig, up to MaxSteps times, mask → Φ →
 // policy sample (rng) or greedy → edit → hinted replan → env.Prepare, keeping
-// each ICP visited for the first time in Candidates. Serving passes a nil env
-// and nil refs and stops here; training passes the environment and the bounty
-// references (empty: orig alone) that Score will read. The walk only reads
-// weights, so walks may run concurrently on one agent, each with its own rng,
-// while no optimizer step runs.
+// each ICP visited for the first time in Candidates. Training passes the
+// environment and the bounty references (empty: orig alone) that Score will
+// read. The walk only reads weights, so walks may run concurrently on one
+// agent, each with its own rng, while no optimizer step runs.
 func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environment, refs []Ref, sample bool, rng *rand.Rand) (*EpisodeResult, error) {
+	return p.walk(q, orig, env, refs, sample, rng, nil)
+}
+
+// Rollout is the serving walk: RunEpisodeWithRng with no environment and no
+// references, taking its Φ forwards, hinted plans and masks from memo, which
+// the query's other rollouts share. The episode is the one RunEpisodeWithRng
+// walks on the same rng.
+func (p *Planner) Rollout(q *query.Query, orig *PlanEval, sample bool, rng *rand.Rand, memo *Memo) (*EpisodeResult, error) {
+	return p.walk(q, orig, nil, nil, sample, rng, memo)
+}
+
+// walk is the one walk behind RunEpisodeWithRng and Rollout; memo may be nil.
+// Each visit's ICP key is built once and serves the episode's dedup, the
+// memo and (through Keys) the caller's pool dedup.
+func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []Ref, sample bool, rng *rand.Rand, memo *Memo) (*EpisodeResult, error) {
 	maxSteps := p.Cfg.MaxSteps
 	timeout := 0.0
 	if env != nil {
@@ -260,22 +283,17 @@ func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environm
 		}
 	}
 
-	res := &EpisodeResult{Candidates: []*PlanEval{orig}, OrigLatency: orig.Latency, env: env, refs: refs}
-	seen := map[string]bool{orig.ICP.Key(): true}
+	curKey := orig.ICP.Key()
+	res := &EpisodeResult{Candidates: []*PlanEval{orig}, Keys: []string{curKey}, OrigLatency: orig.Latency, env: env, refs: refs}
 	cur := orig
 	var prevAction *plan.Action
 
 	for t := 1; t <= maxSteps; t++ {
-		mask := p.Space.Mask(cur.ICP, q, prevAction, p.Cfg.Mask)
-		if !slices.Contains(mask, true) {
-			// fully restricted (can happen after a swap on a 2-table query
-			// whose parent override is a no-op); relax to the general mask
-			mask = p.Space.Mask(cur.ICP, q, nil, p.Cfg.Mask)
-			if !slices.Contains(mask, true) {
-				break
-			}
+		mask := memo.mask(p, q, cur.ICP, curKey, prevAction)
+		if mask == nil {
+			break
 		}
-		st := step{cur: cur, mask: mask, sv: p.Agent.phi.Forward(cur.Enc, cur.StepStatus(maxSteps))}
+		st := step{cur: cur, mask: mask, sv: memo.state(p.Agent, cur, curKey, maxSteps)}
 		if sample {
 			st.action, st.logp = p.Agent.policy.Sample(rng, st.sv, mask)
 		} else {
@@ -286,19 +304,23 @@ func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environm
 		if err != nil {
 			return nil, fmt.Errorf("planner: masked action slipped through: %w", err)
 		}
-		if st.next, err = p.NewEval(q, nextICP, t); err != nil {
+		key := nextICP.Key()
+		cp, enc, err := memo.hint(p, q, nextICP, key)
+		if err != nil {
 			return nil, err
 		}
+		st.next = &PlanEval{Q: q, ICP: nextICP, CP: cp, Enc: enc, Step: t, Latency: math.NaN()}
 		if env != nil {
 			env.Prepare(st.next, timeout)
 		}
-		if key := nextICP.Key(); !seen[key] {
-			seen[key], st.isNew = true, true
+		if !slices.Contains(res.Keys, key) {
+			st.isNew = true
 			res.Candidates = append(res.Candidates, st.next)
+			res.Keys = append(res.Keys, key)
 		}
 		res.steps = append(res.steps, st)
 		prevAction = &action
-		cur = st.next
+		cur, curKey = st.next, key
 	}
 	return res, nil
 }
@@ -379,9 +401,9 @@ func (p *Planner) Update(trans []rl.Transition) rl.Stats {
 
 // SelectBest applies the paper's temporal selection: walk the candidate
 // sequence in generation order keeping the AAM-estimated best. All candidate
-// state vectors are produced by one batched state-network pass, so the
-// comparison chain costs N−1 cheap pairwise head evaluations instead of
-// 2(N−1) full forwards.
+// state vectors and both halves of the pairwise head are produced by one
+// batched pass, so the comparison chain costs N−1 passes of the head's last
+// layer instead of 2(N−1) full forwards.
 func SelectBest(model *aam.Model, cands []*PlanEval, maxSteps int) *PlanEval {
 	if len(cands) == 0 {
 		return nil
@@ -391,33 +413,33 @@ func SelectBest(model *aam.Model, cands []*PlanEval, maxSteps int) *PlanEval {
 }
 
 // selectIndex runs the temporal selection chain over a non-empty pool and
-// returns the winner's index plus the state matrix the chain compared (nil
-// for a singleton pool, which needs no model pass) — the one comparison
-// chain behind both SelectBest and ExplainSelection.
-func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *nn.Tensor) {
+// returns the winner's index plus the heads the chain compared (nil for a
+// singleton pool, which needs no model pass) — the one comparison chain
+// behind both SelectBest and ExplainSelection.
+func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *aam.Heads) {
 	if len(cands) == 1 {
 		return 0, nil
 	}
-	sv := planStates(model, cands, maxSteps)
+	heads := planHeads(model, cands, maxSteps)
 	best := 0
 	for i := 1; i < len(cands); i++ {
-		if model.ScoreStates(sv, best, i) > 0 {
+		if heads.Score(best, i) > 0 {
 			best = i
 		}
 	}
-	return best, sv
+	return best, heads
 }
 
-// planStates runs one batched state-network pass over plans: row i of the
-// result is plans[i]'s state vector.
-func planStates(model *aam.Model, plans []*PlanEval, maxSteps int) *nn.Tensor {
+// planHeads runs one batched pass over plans: index i of the result is
+// plans[i].
+func planHeads(model *aam.Model, plans []*PlanEval, maxSteps int) *aam.Heads {
 	encs := make([]*planenc.Encoded, len(plans))
 	steps := make([]float64, len(plans))
 	for i, pe := range plans {
 		encs[i] = pe.Enc
 		steps[i] = pe.StepStatus(maxSteps)
 	}
-	return model.StatesBatch(encs, steps)
+	return model.Heads(encs, steps)
 }
 
 // CandidateScore describes one candidate of an explained selection: its hint
@@ -438,7 +460,7 @@ type CandidateScore struct {
 // returns the winner's index plus a per-candidate score card. The winner is
 // bit-identical to SelectBest on the same pool and model: the same pairwise
 // comparison chain picks it, and the score card is derived from the same
-// state matrix afterwards. Returns (-1, nil) on an empty pool.
+// heads afterwards. Returns (-1, nil) on an empty pool.
 func ExplainSelection(model *aam.Model, cands []*PlanEval, maxSteps int) (int, []CandidateScore) {
 	if len(cands) == 0 {
 		return -1, nil
@@ -450,14 +472,14 @@ func ExplainSelection(model *aam.Model, cands []*PlanEval, maxSteps int) (int, [
 			scores[i].EstCost = c.CP.Root.EstCost
 		}
 	}
-	best, sv := selectIndex(model, cands, maxSteps)
+	best, heads := selectIndex(model, cands, maxSteps)
 	for i := range cands {
 		if i == best {
 			continue
 		}
 		// Class of the winner (r) over candidate i (l) — the mirror of the
 		// selection chain's comparisons.
-		scores[i].Score = model.ScoreStates(sv, i, best)
+		scores[i].Score = heads.Score(i, best)
 	}
 	scores[best].Chosen = true
 	return best, scores

@@ -5,9 +5,9 @@
 #   every rule proven to fire on its seeded fixture), build, every test once
 #   (under the race detector in full mode, plus the alloc tripwires the
 #   detector makes skip), the frozen-view race stress, one epoch of the AAM
-#   training benchmark, the five process-level
-#   gates (recovery, drain, metrics, replication, schema evolution), and in
-#   full mode the benchmark compared against HEAD~1.
+#   training benchmark, one tier-2 miss of the serving benchmark, the five
+#   process-level gates (recovery, drain, metrics, replication, schema
+#   evolution), and in full mode the benchmark compared against HEAD~1.
 #
 # Usage: scripts/ci.sh [--quick]
 #   --quick runs the suite without the race detector and skips the benchmark.
@@ -88,6 +88,9 @@ go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./int
 
 echo "== AAM training kernel: one epoch of -bench AAMTrainEpoch (internal/aam), so it cannot rot =="
 go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
+
+echo "== miss kernel: one tier-2 miss of -bench ServeMiss (internal/core), so it cannot rot =="
+go test -run '^$' -bench ServeMiss -benchtime 1x ./internal/core
 
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
