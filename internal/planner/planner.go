@@ -3,8 +3,9 @@
 // on the incomplete plan, and whose episodes iteratively doctor the
 // traditional optimizer's original plan (Algorithm 1).
 //
-// Algorithm 1 runs in two halves. The walk (RunEpisodeWithRng) generates
-// plans and is all that serving and Explain execute. The scoring
+// Algorithm 1 runs in two halves. The walk (RunEpisodeWithRng, or Rollout
+// with a per-serve Memo) generates plans and is all that serving and Explain
+// execute. The scoring
 // pass (Score) turns a walked episode into PPO transitions and the estimated
 // optimal plan CP̄, and only training runs it. Every forward that is not
 // differentiated goes through a frozen view (see package nn): tracked
