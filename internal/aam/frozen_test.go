@@ -131,7 +131,7 @@ func pairsOf(samples []Sample) []Pair {
 
 // TestModelScoresThroughCurrentWeights: the scoring methods run on the view
 // NewModel built, and that one view keeps agreeing with the tracked model
-// after training (Adam steps in place), a load and a replica-mirroring copy.
+// after training (Adam steps in place), a load and a parameter copy.
 func TestModelScoresThroughCurrentWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	m := NewModel(rng, frozenTestCfg, 4, 4)
@@ -176,18 +176,18 @@ func TestModelScoresThroughCurrentWeights(t *testing.T) {
 	}
 }
 
-// TestFrozenViewServesWhileOtherReplicaTrains is the blue/green shape under
+// TestFrozenViewServesWhileOtherReplicaTrains is the retrain shape under
 // -race: the live replica scores through its view on several goroutines while
-// the standby replica trains its tracked parameters. The two share no tensor,
-// and nothing package-level (a grad switch would be written by one side and
-// read by the other), so the detector must stay silent and the live replica's
-// answers must not move. The standby is then mirrored into the live replica,
-// as after a swap, and the same view must serve the trained weights.
+// a fork of it trains its tracked parameters. The two share no tensor, and
+// nothing package-level (a grad switch would be written by one side and read
+// by the other), so the detector must stay silent and the live replica's
+// answers must not move. The trained weights are then copied into the live
+// model in place, as a Load does, and the same view must serve them.
 func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	live := NewModel(rng, frozenTestCfg, 4, 4)
-	standby := NewModel(rng, frozenTestCfg, 4, 4)
-	nn.CopyParams(standby, live)
+	fork := NewModel(rng, frozenTestCfg, 4, 4)
+	nn.CopyParams(fork, live)
 	samples := syntheticSamples()
 	pairs := pairsOf(samples)
 	want := wantScores(live, pairs)
@@ -200,7 +200,7 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 		defer close(trained)
 		tc := DefaultTrainConfig()
 		tc.Epochs = 3
-		standby.Train(samples, tc)
+		fork.Train(samples, tc)
 	}()
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
@@ -215,7 +215,7 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 				got := live.ScoreBatch(pairs)
 				for i := range want {
 					if got[i] != want[i] || live.Score(pairs[i].EncL, pairs[i].EncR, pairs[i].StepL, pairs[i].StepR) != want[i] {
-						t.Errorf("live replica's score for pair %d moved while the standby trained", i)
+						t.Errorf("live replica's score for pair %d moved while the fork trained", i)
 						return
 					}
 				}
@@ -224,6 +224,6 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 	}
 	wg.Wait()
 
-	nn.CopyParams(live, standby)
-	checkScoring(t, "after mirroring the trained standby", live, pairs)
+	nn.CopyParams(live, fork)
+	checkScoring(t, "after copying the trained fork in", live, pairs)
 }

@@ -173,10 +173,10 @@ func rebuildStats(old *stats.Catalog, oldDB, db *storage.DB) *stats.Catalog {
 // the new catalog epoch.
 //
 // Under a live online loop, apply through service.Loop.ApplyDDL (the
-// System.Online() handle) instead: the loop resyncs the standby replica and
-// journals the batch; a direct ApplyDDL on the active replica would leave
-// the standby planning against the old schema until the next loop-driven
-// resync.
+// System.Online() handle) instead: the loop journals the batch and
+// re-publishes the serving replica at a new epoch; a direct ApplyDDL does
+// neither, so a warm restart would lose the batch and plan memory would
+// outlive it.
 func (s *System) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 	epoch, err := s.world.apply(ddls)
 	if err != nil {

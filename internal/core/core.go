@@ -130,8 +130,8 @@ type System struct {
 	online *service.Loop
 
 	// world is the live-catalog substrate (versioned schema + rebuilt
-	// DB/stats/backend). Shared with Clone-built replicas, so one DDL apply
-	// yields one new generation both replicas repoint to.
+	// DB/stats/backend). Shared with Clone-built systems, so one DDL apply
+	// yields one new generation every one of them repoints to.
 	world *catalogWorld
 
 	// trainTime accumulates wall-clock spent training, in nanoseconds;
@@ -270,7 +270,9 @@ func (s *System) TrainOnContext(ctx context.Context, queries []*query.Query, ite
 	return err
 }
 
-// TrainingTime reports cumulative wall-clock spent in TrainContext/TrainOnContext.
+// TrainingTime reports cumulative wall-clock this System spent in
+// TrainContext/TrainOnContext. Online retrains train forks (Fork), so their
+// time is not counted here.
 func (s *System) TrainingTime() time.Duration { return time.Duration(s.trainTime.Load()) }
 
 // Buffer exposes the learner's execution buffer (feedback ingestion point of

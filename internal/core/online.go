@@ -1,7 +1,7 @@
 package core
 
-// Online doctor façade: EnableOnline builds the blue/green replica pair and
-// the service loop; ServeContext/Record/ServeStepContext run the paper's
+// Online doctor façade: EnableOnline wraps the system in the service loop;
+// ServeContext/Record/ServeStepContext run the paper's
 // Optimize → Execute → Record cycle with drift-aware background retraining
 // and zero-downtime model hot-swap. See internal/service for the protocol.
 
@@ -16,26 +16,17 @@ import (
 	"github.com/foss-db/foss/internal/store"
 )
 
-// EnableOnline turns this (typically already trained) system into the active
-// replica of an online doctor loop. A standby replica is built over the same
-// workload, configuration, and backend; the trained weights and execution
-// buffer are mirrored onto it, and the drift detector is seeded with the
-// training split's fingerprints.
+// EnableOnline makes this (typically already trained) system the first
+// replica an online doctor loop serves, and seeds the drift detector with the
+// training split's fingerprints. Each retrain trains a Fork of the serving
+// replica and publishes it, so after the first swap this System keeps its own
+// weights while the loop serves newer ones: serve through the loop
+// (ServeContext), not Optimize*.
 func (s *System) EnableOnline(cfg service.Config) error {
 	if s.online != nil {
 		return fmt.Errorf("core: online loop already enabled")
 	}
-	standby, err := s.Clone()
-	if err != nil {
-		return fmt.Errorf("core: build standby replica: %w", err)
-	}
-	// The standby learns from the same accumulated experience: seed its
-	// buffer with the active replica's executions (entries are immutable
-	// once latency is set, so sharing them is safe).
-	for _, pe := range s.Learner.Buf.All() {
-		standby.Learner.Buf.Add(pe)
-	}
-	s.online = service.New(cfg, s, standby, s.W.Train)
+	s.online = service.New(cfg, s, s.W.Train)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
+	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/store"
 )
 
@@ -166,11 +167,10 @@ func (s *System) ImportBuffer(recs []store.ExecRecord) error {
 }
 
 // Clone builds a fresh System over the same workload, configuration, and
-// backend with the trained weights mirrored in. Execution buffer, plan
-// cache, and RNG streams start fresh — callers that need shared experience
-// copy the buffer themselves (as EnableOnline does). The clone shares the
-// source's live-catalog world: a DDL applied through either replica rebuilds
-// one generation that both repoint to.
+// backend with the trained weights copied in. Execution buffer, plan cache,
+// optimizer state, and RNG streams start fresh (Fork shares the buffer
+// instead). The clone shares the source's live-catalog world: a DDL applied
+// through either system rebuilds one generation that both repoint to.
 func (s *System) Clone() (*System, error) {
 	c, err := New(s.W, s.Cfg, withWorld(s.world))
 	if err != nil {
@@ -183,6 +183,20 @@ func (s *System) Clone() (*System, error) {
 	if err := c.Load(blob); err != nil {
 		return nil, fmt.Errorf("core: clone load: %w", err)
 	}
+	return c, nil
+}
+
+// Fork is Clone over the same execution buffer — the replica the online loop
+// trains on a retrain, or loads a leader's checkpoint into, before
+// publishing it (service.Replica). Sharing the buffer keeps one per tenant,
+// and makes a retrain's starting state a function of the served weights and
+// that buffer alone.
+func (s *System) Fork() (service.Replica, error) {
+	c, err := s.Clone()
+	if err != nil {
+		return nil, err
+	}
+	c.Learner.Buf = s.Learner.Buf
 	return c, nil
 }
 

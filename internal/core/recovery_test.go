@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"github.com/foss-db/foss/internal/backend"
 	"github.com/foss-db/foss/internal/engine/catalog"
 	"github.com/foss-db/foss/internal/fosserr"
+	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
@@ -380,5 +382,124 @@ func TestRecoverOnlineColdStartCheckpoints(t *testing.T) {
 	}
 	if a.Eval.ICP.Key() != b.Eval.ICP.Key() {
 		t.Fatal("warm-started system serves a different plan")
+	}
+}
+
+// retrainLoopConfig retrains on exactly the records that regress past ten
+// times the expert, and on no other: a one-record window and cooldown leave
+// nothing for a checkpoint to drop that could move a trigger.
+func retrainLoopConfig(st *store.Store) service.Config {
+	return service.Config{
+		Detector:          service.DetectorConfig{Window: 1, Threshold: 10, MinSamples: 1, NoveltyFrac: 0},
+		Cooldown:          1,
+		RetrainIterations: 1,
+		RetrainQueries:    4,
+		Background:        false,
+		Store:             st,
+	}
+}
+
+// TestWarmRestartRetrainsLikeLiveLoop: a retrain starts from the served
+// weights and the buffer alone, so a loop recovered from a checkpoint plus
+// its WAL retrains to the same bytes as the loop it replaced. The live run
+// retrains and swaps, records more feedback, checkpoints (the crash point),
+// journals one record past it, and then feeds the records up to its second
+// retrain. The second run repeats the run up to the crash, recovers into a
+// fresh System with the same configuration, and feeds the same records.
+func TestWarmRestartRetrainsLikeLiveLoop(t *testing.T) {
+	ctx := context.Background()
+	// feed serves q through the loop and records it at the expert's latency
+	// (ratio 1) or, to trip a retrain, at a hundred times it.
+	feed := func(sys *System, q *query.Query, regress bool) {
+		t.Helper()
+		res, err := sys.ServeContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecp, _, err := sys.ExpertPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := sys.Execute(ecp)
+		if !(lat > 0) {
+			t.Fatalf("expert latency %v for %s: the ratios below need a positive one", lat, q.ID)
+		}
+		if regress {
+			lat *= 100
+		}
+		if err := sys.Record(q, res.Eval, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Disjoint query sets per phase: the recent ring is not checkpointed, so
+	// the four queries after the crash must be the whole ring in both runs.
+	toCrash := func(dir string) (*System, *store.Store) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := smallSystem(t, recoveryConfig)
+		if err := sys.TrainContext(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RecoverOnline(retrainLoopConfig(st), st); err != nil {
+			t.Fatal(err)
+		}
+		train := sys.W.Train
+		for i, q := range train[:4] {
+			feed(sys, q, i == 3)
+		}
+		if s := sys.OnlineStats(); s.Swaps != 1 || s.RetrainErrors != 0 {
+			t.Fatalf("first retrain did not swap: %+v", s)
+		}
+		for _, q := range train[4:6] {
+			feed(sys, q, false)
+		}
+		if _, err := sys.Online().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		feed(sys, train[6], false) // lives in the WAL only
+		return sys, st
+	}
+	toSecondRetrain := func(sys *System) []byte {
+		t.Helper()
+		for i, q := range sys.W.Train[7:11] {
+			feed(sys, q, i == 3)
+		}
+		if s := sys.OnlineStats(); s.Epoch != 3 || s.RetrainErrors != 0 {
+			t.Fatalf("second retrain did not swap to epoch 3: %+v", s)
+		}
+		blob, err := sys.Online().Active().Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	live, st := toCrash(t.TempDir())
+	defer st.Close()
+	want := toSecondRetrain(live)
+
+	dir := t.TempDir()
+	_, st1 := toCrash(dir)
+	if err := st1.Close(); err != nil { // the crash: the loop is never closed
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	restarted := smallSystem(t, recoveryConfig)
+	info, err := restarted.RecoverOnline(retrainLoopConfig(st2), st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Recovered || info.Epoch != 2 || info.WALReplayed != 1 {
+		t.Fatalf("recovery %+v, want epoch 2 and one replayed record", info)
+	}
+	got := toSecondRetrain(restarted)
+	if !bytes.Equal(got, want) {
+		t.Fatal("the restarted loop's second retrain produced different weights from the live loop's")
 	}
 }

@@ -94,24 +94,11 @@ func (b *Buffer) insert(pe *planner.PlanEval) {
 	b.byQuery[qid] = append(b.byQuery[qid], pe)
 }
 
-// All returns every stored execution in deterministic insertion order. The
-// online service uses it to seed a standby replica's buffer with the active
-// replica's accumulated experience.
-func (b *Buffer) All() []*planner.PlanEval {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []*planner.PlanEval
-	for _, qid := range b.order {
-		out = append(out, b.byQuery[qid]...)
-	}
-	return out
-}
-
 // Export snapshots the buffer in durable, engine-independent form: each
 // execution's query, incomplete plan, step, and observed outcome. Records
-// come out in the buffer's canonical order — the same order All() and
-// Samples() iterate — so an export→import round trip reproduces iteration
-// order (and therefore AAM sample order) exactly.
+// come out in the buffer's canonical order — the order Samples() iterates —
+// so an export→import round trip reproduces iteration order (and therefore
+// AAM sample order) exactly.
 func (b *Buffer) Export() []store.ExecRecord {
 	b.mu.Lock()
 	defer b.mu.Unlock()

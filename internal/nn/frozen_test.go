@@ -93,7 +93,7 @@ func TestFrozenViewMatchesTracked(t *testing.T) {
 }
 
 // TestFrozenViewTracksInPlaceWrites: the three ways weights change — an
-// optimizer step, a load, a replica-mirroring copy — all write Data in place,
+// optimizer step, a load, a parameter copy — all write Data in place,
 // so a view built before them reads the new weights without being rebuilt.
 func TestFrozenViewTracksInPlaceWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

@@ -208,7 +208,7 @@ func feedAdvisorStream(t *testing.T, lp *Loop) {
 func TestAdvisorLosslessAndDeterministic(t *testing.T) {
 	var runs [2][]Finding
 	for i := range runs {
-		lp := New(advisorStreamConfig(), newFake("blue"), newFake("green"), nil)
+		lp := New(advisorStreamConfig(), newFake("blue"), nil)
 		feedAdvisorStream(t, lp)
 		st := lp.Stats()
 		if lp.adv.seq != st.Recorded || st.Recorded != 18 {
@@ -239,7 +239,7 @@ func TestAdvisorLosslessAndDeterministic(t *testing.T) {
 // advisor.
 func TestAdvisorUnderConcurrentRecords(t *testing.T) {
 	cfg := advisorStreamConfig()
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(lp, HTTPOptions{})))
 
 	const writers, turns = 2, 200
@@ -305,8 +305,8 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift: epoch stays 1
 	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 2, RegressionFrac: 0.5, RegressionRatio: 1.5}
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	t.Cleanup(func() { _ = lp.Close(context.Background()) })
 	h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 	_, base := serveFleet(t, h)
@@ -346,7 +346,7 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 	// Disabled advisor: still a 200, explicitly not enabled.
 	cfg2 := syncConfig()
 	cfg2.Detector.Threshold = 100
-	base2, _, _ := newWireFixture(t, cfg2)
+	base2, _ := newWireFixture(t, cfg2)
 	code, out = getJSON(t, base2+"/advisor")
 	if code != http.StatusOK || out["enabled"] != false {
 		t.Fatalf("disabled advisor: %d %v", code, out)

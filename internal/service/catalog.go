@@ -10,11 +10,11 @@ import (
 	"github.com/foss-db/foss/internal/store"
 )
 
-// catalogState is the loop's view of the replicas' shared catalog world.
+// catalogState is the loop's view of the catalog world a replica shares
+// with its forks.
 type catalogState struct {
 	// epoch mirrors the active replica's live-catalog epoch so the serving
-	// fast paths key plan memory by it without touching the replica (the
-	// replicas share one catalog world, so one value describes both). It
+	// fast paths key plan memory by it without touching the replica. It
 	// moves only under Loop.mu (the ddl transition, ApplyCheckpoint),
 	// strictly upward.
 	epoch          atomic.Uint64
@@ -33,10 +33,10 @@ func (lp *Loop) checkCatalog(r Replica, q *query.Query) error {
 	return err
 }
 
-// ApplyDDL applies one schema-evolution batch to the serving pair — the
+// ApplyDDL applies one schema-evolution batch to the serving replica — the
 // loop-level entry point for live DDL. The batch applies through the active
-// replica, building one new copy-on-write generation in the replicas' shared
-// catalog world; the serving epoch bumps so every epoch-keyed consumer
+// replica, building one new copy-on-write generation in the catalog world it
+// shares with its forks; the serving epoch bumps so every epoch-keyed consumer
 // (tier-0 plan memory, the runtime plan cache, the replication tailer
 // comparing manifest epochs) sees a new generation without a weight swap; the
 // batch journals as a KindDDL WAL record and the post-DDL state checkpoints
@@ -90,12 +90,10 @@ func (lp *Loop) ddl(ddls []catalog.DDL, epoch uint64, journal bool) (uint64, err
 	if journal {
 		lp.jr.append(store.WALEntry{Kind: store.KindDDL, Epoch: epoch, DDL: ddls})
 	}
-	// The standby deliberately does NOT resync here: it may be mid-retrain,
-	// holding its exclusive training lock for a whole schedule, and a DDL
-	// must never wait on training. It repoints at the shared world's new
-	// generation before it can ever train again or serve — retrain resyncs
-	// at its start and again under this same mu before publishing, and
-	// ApplyCheckpoint syncs before it loads.
+	// A fork in training is deliberately NOT resynced here: it holds its
+	// exclusive training lock for a whole schedule, and a DDL must never
+	// wait on training. retrain repoints it at the shared world's new
+	// generation under this same mu before publishing it.
 	lp.cat.epoch.Store(catEpoch)
 	// Expert baselines were measured against the old statistics; keeping
 	// them would judge post-DDL plans against a retired cost surface.

@@ -68,9 +68,9 @@ func TestCloseDrainsBackgroundRetrain(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Background = true
 	cfg.Store = st
-	blue, green := newFake("blue"), newFake("green")
-	green.trainDelay = 100 * time.Millisecond
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	blue.trainDelay = 100 * time.Millisecond // inherited by the fork
+	lp := New(cfg, blue, nil)
 
 	driveRetrain(t, lp)
 	if !lp.Stats().Retraining {
@@ -83,12 +83,13 @@ func TestCloseDrainsBackgroundRetrain(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	// The retrain drained to completion: trained, swapped, mirrored.
+	// The retrain drained to completion: forked, trained, swapped.
 	if st := lp.Stats(); st.Swaps != 1 || st.RetrainErrors != 0 || !st.Closed {
 		t.Fatalf("drain left the retrain incomplete: %+v", st)
 	}
-	if green.trains.Load() != 1 {
-		t.Fatalf("standby trained %d times, want 1", green.trains.Load())
+	forks := blue.forked()
+	if len(forks) != 1 || forks[0].trains.Load() != 1 || lp.Active() != Replica(forks[0]) {
+		t.Fatalf("want one fork, trained once and published; forks=%d", len(forks))
 	}
 
 	// Intake is stopped.
@@ -137,9 +138,9 @@ func TestCloseCancelsStuckRetrain(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Background = true
 	cfg.Store = st
-	blue, green := newFake("blue"), newFake("green")
-	green.trainDelay = time.Hour // a retrain that would outlive any deploy
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	blue.trainDelay = time.Hour // the fork's retrain would outlive any deploy
+	lp := New(cfg, blue, nil)
 
 	driveRetrain(t, lp)
 
@@ -168,8 +169,8 @@ func TestCloseRaceWithTraffic(t *testing.T) {
 	base := goruntime.NumGoroutine()
 	cfg := syncConfig()
 	cfg.Background = true
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	stop := make(chan struct{})
 	donech := make(chan struct{})

@@ -71,10 +71,8 @@ func (lp *Loop) Checkpoint() (string, error) {
 		// image's schema generation matches the records at or below seq.
 		catEpoch, catHash, catLog := s.r.CatalogEpoch(), s.r.CatalogHash(), s.r.CatalogLog()
 		lp.mu.Unlock()
-		// Save runs under the replica's shared lock: concurrent with its
-		// serving reads, mutually exclusive with the weight mirroring a
-		// hot-swap performs on a just-demoted replica — the image can never
-		// capture half-copied weights.
+		// A published replica's weights never change, so Save reads a fixed
+		// generation concurrently with its serving reads.
 		blob, err := s.r.Save()
 		if err != nil {
 			return "", fmt.Errorf("service: checkpoint save: %w", err)
@@ -208,15 +206,14 @@ func (lp *Loop) ImportTier(ts *store.TierState) error {
 }
 
 // ApplyCheckpoint hot-swaps a leader-published checkpoint into this loop —
-// the follower half of the blue/green machinery. The checkpoint's model
-// loads into the standby replica (its exclusive load lock waits only for
-// that replica's draining stragglers, never blocking serving), the standby
-// publishes at the checkpoint's epoch — so leader and follower agree on the
-// generation a plan came from — tier pins re-import under the new epoch,
-// and the demoted replica mirrors the new weights to become the next
-// standby. Stale or already-applied generations (epoch ≤ current) are
-// skipped. Safe to call while traffic serves; callers serialize with each
-// other (the repl tailer is a single goroutine).
+// the follower half of the swap protocol. The checkpoint's model loads into a
+// fork of the active replica (its exclusive load lock blocks nobody: the fork
+// has no traffic yet), the fork publishes at the checkpoint's epoch — so
+// leader and follower agree on the generation a plan came from — and tier
+// pins re-import under the new epoch. A failure before the publish drops the
+// fork and leaves serving untouched. Stale or already-applied generations
+// (epoch ≤ current) are skipped. Safe to call while traffic serves; callers
+// serialize with each other (the repl tailer is a single goroutine).
 func (lp *Loop) ApplyCheckpoint(ck store.Checkpoint) error {
 	if lp.closed.Load() {
 		return fmt.Errorf("service: apply checkpoint: %w", fosserr.ErrLoopClosed)
@@ -224,23 +221,23 @@ func (lp *Loop) ApplyCheckpoint(ck store.Checkpoint) error {
 	if ck.Epoch <= lp.Epoch() {
 		return nil
 	}
-	lp.mu.Lock()
-	standby := lp.lrn.standby
-	lp.mu.Unlock()
+	fork, err := lp.Active().Fork()
+	if err != nil {
+		return fmt.Errorf("service: apply checkpoint: %w", err)
+	}
 	// The leader's catalog restores before its weights: a checkpoint taken
 	// after a DDL carries (epoch, hash, log), and the follower replays the
-	// missing suffix through its shared catalog world — both replicas'
-	// backends rebuild to the leader's schema generation — before the model
-	// image (whose buffer/tier state was produced against that generation)
-	// is touched. A follower somehow ahead of the leader's catalog refuses
+	// missing suffix through its shared catalog world before the model image
+	// (whose buffer/tier state was produced against that generation) is
+	// touched. A follower somehow ahead of the leader's catalog refuses
 	// (fosserr.ErrCatalogMismatch) rather than serve cross-epoch state.
-	if err := standby.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
+	if err := fork.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
 		return fmt.Errorf("service: apply checkpoint: %w", err)
 	}
 	// Load validates the sealed model (backend identity, version, checksum)
 	// — a checkpoint from a differently-configured leader is refused here,
 	// before anything is published.
-	if err := standby.Load(ck.Model); err != nil {
+	if err := fork.Load(ck.Model); err != nil {
 		return fmt.Errorf("service: apply checkpoint: %w", err)
 	}
 	lp.mu.Lock()
@@ -251,21 +248,11 @@ func (lp *Loop) ApplyCheckpoint(ck store.Checkpoint) error {
 	}
 	// Same transition as a local hot-swap: the new model's pins arrive below
 	// from the checkpoint's exported tier state.
-	old := lp.publish(standby, ck.Epoch)
-	lp.cat.epoch.Store(standby.CatalogEpoch())
+	lp.publish(fork, ck.Epoch)
+	lp.cat.epoch.Store(fork.CatalogEpoch())
 	lp.mu.Unlock()
 	lp.lrn.swaps.Add(1)
 
-	// Mirror onto the demoted replica so the next apply loads into a
-	// replica already carrying the current generation. The catalog resync is
-	// a shared-world no-op for core replicas but keeps the contract honest
-	// for any Replica wiring distinct worlds.
-	if err := old.ResyncCatalog(); err != nil {
-		return fmt.Errorf("service: apply checkpoint: mirror catalog: %w", err)
-	}
-	if err := old.Load(ck.Model); err != nil {
-		return fmt.Errorf("service: apply checkpoint: mirror: %w", err)
-	}
 	// The leader's feedback-proven plan memory rides the checkpoint:
 	// followers serve tier-0 repeats without ever having recorded the
 	// feedback that earned the pins.

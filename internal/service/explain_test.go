@@ -23,7 +23,7 @@ import (
 func TestHTTPExplainRoundTrip(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	_, row := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	sid := row["serve_id"].(string)
@@ -98,8 +98,8 @@ func TestHTTPExplainRoundTrip(t *testing.T) {
 func TestHTTPExplainEvicted(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 2,
 		Resolve:    resolveQ,
@@ -156,8 +156,8 @@ func TestDiffICP(t *testing.T) {
 func TestHTTPExecuteInterleaveRing(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 4,
 		Resolve:    resolveQ,

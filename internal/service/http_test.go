@@ -60,11 +60,11 @@ func serveFleet(t *testing.T, h *HTTPServer) (*httptest.Server, string) {
 
 // newWireFixture serves a fake-replica loop as a one-tenant fleet, resolving
 // query ids with resolveQ, and returns the tenant's URL prefix.
-func newWireFixture(t *testing.T, cfg Config) (string, *fakeReplica, *fakeReplica) {
+func newWireFixture(t *testing.T, cfg Config) (string, *fakeReplica) {
 	t.Helper()
-	blue, green := newFake("blue"), newFake("green")
-	_, base := serveFleet(t, NewHTTPServer(New(cfg, blue, green, nil), HTTPOptions{Resolve: resolveQ}))
-	return base, blue, green
+	blue := newFake("blue")
+	_, base := serveFleet(t, NewHTTPServer(New(cfg, blue, nil), HTTPOptions{Resolve: resolveQ}))
+	return base, blue
 }
 
 func getJSON(t *testing.T, url string) (int, map[string]any) {
@@ -101,7 +101,7 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any) {
 func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
-	base, blue, _ := newWireFixture(t, cfg)
+	base, blue := newWireFixture(t, cfg)
 
 	code, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	if code != http.StatusOK {
@@ -156,7 +156,7 @@ func TestHTTPOptimizeFeedbackRoundTrip(t *testing.T) {
 func TestHTTPBatchOptimize(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, blue, _ := newWireFixture(t, cfg)
+	base, blue := newWireFixture(t, cfg)
 
 	code, out := postJSON(t, base+"/optimize", `{"query_ids": ["q1", "q2", "q3"]}`)
 	if code != http.StatusOK {
@@ -189,7 +189,7 @@ func TestHTTPBatchOptimize(t *testing.T) {
 func TestHTTPServerSideExecute(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	code, out := postJSON(t, base+"/optimize", `{"query_id": "q7", "execute": true}`)
 	if code != http.StatusOK {
@@ -221,7 +221,7 @@ func TestHTTPServerSideExecute(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	cases := []struct {
 		path, body string
@@ -258,7 +258,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPFeedbackZeroLatency(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	_, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
 	serveID := out["serve_id"].(string)
@@ -285,7 +285,7 @@ func TestHTTPFeedbackZeroLatency(t *testing.T) {
 func TestHTTPStrictBodies(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	for _, c := range []struct{ path, body string }{
 		{"/optimize", `{"query_id": "q1", "exekute": true}`},
@@ -307,7 +307,7 @@ func TestHTTPStrictBodies(t *testing.T) {
 func TestHTTPCheckpoint(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 	if code, out := postJSON(t, base+"/checkpoint", `{}`); code != http.StatusPreconditionFailed {
 		t.Fatalf("checkpoint without store: %d %v", code, out)
 	}
@@ -318,7 +318,7 @@ func TestHTTPCheckpoint(t *testing.T) {
 	}
 	defer st.Close()
 	cfg.Store = st
-	base2, _, _ := newWireFixture(t, cfg)
+	base2, _ := newWireFixture(t, cfg)
 	code, out := postJSON(t, base2+"/checkpoint", `{}`)
 	if code != http.StatusOK {
 		t.Fatalf("checkpoint: %d %v", code, out)
@@ -348,8 +348,8 @@ func TestHTTPCheckpoint(t *testing.T) {
 func TestHTTPPendingEviction(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	h := NewHTTPServer(lp, HTTPOptions{
 		MaxPending: 2,
 		Resolve:    resolveQ,
@@ -380,8 +380,8 @@ func TestHTTPPendingEviction(t *testing.T) {
 func TestServeIDExpiry(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	h := NewHTTPServer(lp, HTTPOptions{MaxPending: 2})
 
 	ids := make([]string, 3)
@@ -439,7 +439,7 @@ func TestServeIDExpiry(t *testing.T) {
 func TestHTTPExecuteStaleCatalog(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, blue, _ := newWireFixture(t, cfg)
+	base, blue := newWireFixture(t, cfg)
 	blue.execNaN.Store(true)
 
 	code, out := postJSON(t, base+"/optimize", `{"query_id": "q1", "execute": true}`)

@@ -14,7 +14,6 @@ import (
 // themselves, for Stats.
 type learning struct {
 	det          *Detector
-	standby      Replica
 	recent       []*query.Query
 	recentSet    map[uint64]bool
 	expertLat    map[uint64]float64
@@ -31,7 +30,7 @@ type learning struct {
 // and the latency observed when it ran. With a store attached, the
 // execution is journaled to the WAL first — the durability point precedes
 // ingestion, so a crash at any later point replays this record. The feedback
-// transition then lands it in both replicas' buffers (so the next retrain
+// transition then lands it in the execution buffer (so the next retrain
 // learns from it), the tier router and the drift detector, and — when the
 // window signals drift past the cooldown — Record triggers a retrain.
 //
@@ -103,23 +102,18 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 }
 
 // feedback is the transition for one executed plan, shared by Record and
-// Replay: the execution lands in both replicas' buffers, the recent-query
-// ring and the cooldown counter advance, and the tier router and the drift
+// Replay: the execution lands in the execution buffer, the recent-query ring
+// and the cooldown counter advance, and the tier router and the drift
 // detector observe it against the expert baseline. Caller holds mu, which is
 // what orders all of that with the journal. Returns what it observed, in the
 // form the advisor takes it, and the detector's verdict.
 func (lp *Loop) feedback(q *query.Query, fp uint64, pe *planner.PlanEval, latencyMs, expert float64) (advisorObs, Signal) {
-	// The pair resolves under mu: publish updates the active pointer and the
-	// standby field inside the same critical section, so this snapshot can
-	// never see the demoted replica on both sides (which would leave the
-	// newly promoted model without the feedback).
 	s := lp.srv.active.Load()
-	for _, r := range [2]Replica{s.r, lp.lrn.standby} {
-		// The cached PlanEval is shared by concurrent readers: a buffer that
-		// does not hold this execution yet stores its own copy, with the
-		// observed latency filled in.
-		r.Buffer().AddExecuted(pe, latencyMs)
-	}
+	// Every replica a tenant publishes is a fork sharing one buffer, so a
+	// fork in training sees this execution too. The cached PlanEval is
+	// shared by concurrent readers: a buffer that does not hold this
+	// execution yet stores its own copy, with the observed latency filled in.
+	s.r.Buffer().AddExecuted(pe, latencyMs)
 	lp.noteRecent(q, fp)
 	lp.lrn.sinceRetrain++
 	obs := advisorObs{fp: fp, qid: q.ID, epoch: s.epoch, ratio: 1}
@@ -196,39 +190,38 @@ func (lp *Loop) triggerRetrain() {
 	}
 }
 
-// retrain runs the incremental schedule on the standby, hot-swaps it in, and
-// mirrors the new weights onto the demoted replica. The standby has no
-// traffic, so its exclusive train lock blocks nobody; feedback keeps flowing
-// into both replicas' buffers meanwhile.
+// retrain forks the active replica, runs the incremental schedule on the
+// fork, and publishes it. The fork has no traffic, so its exclusive train
+// lock blocks nobody, and feedback keeps flowing into the buffer it shares
+// with the active replica. A published replica's weights never change: a
+// failed retrain drops its fork, and the next one forks the served
+// generation again.
 func (lp *Loop) retrain() {
 	lp.mu.Lock()
-	standby := lp.lrn.standby
 	queries := append([]*query.Query(nil), lp.lrn.recent...)
 	lp.mu.Unlock()
 	if len(queries) == 0 {
 		return
 	}
 
-	// The ddl transition never touches the standby (see there), so one idle
-	// since the last DDL still plans against the retired generation: catch
-	// it up before it learns from a schema no request will be served on.
-	if err := standby.ResyncCatalog(); err != nil {
+	fork, err := lp.Active().Fork()
+	if err != nil {
 		lp.lrn.retrainErrors.Add(1)
 		return
 	}
 	// baseCtx, not Background: a Close whose drain deadline passes cancels
 	// it, bounding shutdown by one training episode instead of the full
 	// incremental schedule.
-	if err := standby.TrainOnContext(lp.baseCtx, queries, lp.cfg.RetrainIterations, nil); err != nil {
+	if err := fork.TrainOnContext(lp.baseCtx, queries, lp.cfg.RetrainIterations, nil); err != nil {
 		lp.lrn.retrainErrors.Add(1)
 		return
 	}
 
 	lp.mu.Lock()
-	// A DDL that landed during training left the standby on the old catalog
+	// A DDL that landed during training left the fork on the old catalog
 	// generation (ApplyDDL never waits behind a training lock); repoint it
 	// before it takes traffic. Idempotent and cheap when already current.
-	if err := standby.ResyncCatalog(); err != nil {
+	if err := fork.ResyncCatalog(); err != nil {
 		lp.mu.Unlock()
 		lp.lrn.retrainErrors.Add(1)
 		return
@@ -236,21 +229,9 @@ func (lp *Loop) retrain() {
 	// Journaled so replay publishes at the same point in the stream.
 	epoch := lp.Epoch() + 1
 	lp.jr.append(store.WALEntry{Kind: store.KindSwap, Epoch: epoch})
-	old := lp.publish(standby, epoch)
+	lp.publish(fork, epoch)
 	lp.mu.Unlock()
 	lp.lrn.swaps.Add(1)
-
-	// Mirror the fresh weights onto the demoted replica so the next retrain
-	// starts from the generation being served. Load's exclusive lock waits
-	// only for that replica's draining in-flight requests.
-	blob, err := standby.Save()
-	if err != nil {
-		lp.lrn.retrainErrors.Add(1)
-		return
-	}
-	if err := old.Load(blob); err != nil {
-		lp.lrn.retrainErrors.Add(1)
-	}
 
 	// Every epoch bump lands on disk: the published generation becomes the
 	// recovery point, so a crash after a swap restarts on the adapted model,
@@ -261,21 +242,16 @@ func (lp *Loop) retrain() {
 
 // publish is the transition that makes next the serving replica at epoch,
 // shared by retrain, ApplyCheckpoint and Replay: one atomic store (Serve
-// never waits), the demoted replica becomes the standby, and the cooldown,
-// plan memory and the drift window restart. next's own plan cache was
-// invalidated when its exclusive train/load section ended, so no plan
-// outlives the weights that chose it: a cache hit at epoch e always matches
-// a miss at epoch e. Caller holds mu — the active pointer loads inside the
-// critical section that publishes, so an ApplyDDL epoch bump between the
-// read and the store can never be overwritten. Returns the demoted replica.
-func (lp *Loop) publish(next Replica, epoch uint64) Replica {
-	old := lp.Active()
-	if next != old {
-		lp.lrn.standby = old
-	}
+// never waits), and the cooldown, plan memory and the drift window restart.
+// The demoted replica is dropped once its in-flight requests drain. next's
+// own plan cache is empty or was invalidated when its exclusive train/load
+// section ended, so no plan outlives the weights that chose it: a cache hit
+// at epoch e always matches a miss at epoch e. Caller holds mu across its
+// read of the epoch it bumps, so an ApplyDDL epoch bump can never land
+// between the read and the store and be overwritten.
+func (lp *Loop) publish(next Replica, epoch uint64) {
 	lp.lrn.sinceRetrain = 0
 	lp.startGeneration(next, epoch)
-	return old
 }
 
 // startGeneration stores the serving slot and gives it a clean slate — the

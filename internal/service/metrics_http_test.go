@@ -126,7 +126,7 @@ func TestMetricsGoldenFormat(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 1}
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 
 	const serves = 6
 	for i := 1; i <= serves; i++ {
@@ -247,8 +247,8 @@ func TestMetricsAggregateTenantLabels(t *testing.T) {
 	cfg.Detector.Threshold = 100
 	reg := &fakeRegistry{servers: map[string]*HTTPServer{}}
 	for _, name := range []string{"acme", "globex"} {
-		blue, green := newFake(name+"-blue"), newFake(name+"-green")
-		lp := New(cfg, blue, green, nil)
+		blue := newFake(name + "-blue")
+		lp := New(cfg, blue, nil)
 		h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 		reg.names = append(reg.names, name)
 		reg.servers[name] = h

@@ -27,12 +27,12 @@ type op struct {
 
 // loopState is everything the three transitions advance, in comparable form.
 type loopState struct {
-	Epoch, CatalogEpoch   uint64
-	Cooldown              int
-	Window                Signal
-	Recent                []string
-	ActiveBuf, StandbyBuf int
-	Tier                  string
+	Epoch, CatalogEpoch uint64
+	Cooldown            int
+	Window              Signal
+	Recent              []string
+	Buffer              []string
+	Tier                string
 }
 
 func snapshotState(lp *Loop) loopState {
@@ -43,11 +43,14 @@ func snapshotState(lp *Loop) loopState {
 		CatalogEpoch: lp.CatalogEpoch(),
 		Cooldown:     lp.lrn.sinceRetrain,
 		Window:       lp.lrn.det.WindowState(),
-		ActiveBuf:    lp.Active().Buffer().Size(),
-		StandbyBuf:   lp.lrn.standby.Buffer().Size(),
 	}
 	for _, q := range lp.lrn.recent {
 		st.Recent = append(st.Recent, q.ID)
+	}
+	// The one buffer, projected like the pins below: in canonical order,
+	// by query id, plan and outcome.
+	for _, r := range lp.Active().Buffer().Export() {
+		st.Buffer = append(st.Buffer, fmt.Sprintf("%s %s step=%d lat=%v", r.Query.ID, r.ICP.Key(), r.Step, r.LatencyMs))
 	}
 	// Pins hold *query.Query (memoized fingerprints differ between a live
 	// query and its gob-decoded twin), so project the exported state.
@@ -115,8 +118,8 @@ func TestReplayEquivalentToLive(t *testing.T) {
 			cfg := syncConfig()
 			cfg.Tier = tier.Config{Memory: true, PromoteAfter: 2}
 			cfg.Store = st
-			blue, green := newFake("blue"), newFake("green")
-			lp := New(cfg, blue, green, nil)
+			blue := newFake("blue")
+			lp := New(cfg, blue, nil)
 			crashed := false
 			for i, o := range tc.script {
 				switch {
@@ -124,8 +127,7 @@ func TestReplayEquivalentToLive(t *testing.T) {
 					if _, err := lp.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
-					blue.saveFail.Store(true)
-					green.saveFail.Store(true)
+					blue.lin.saveFail.Store(true) // every fork inherits it
 					crashed = true
 				case o.ddl != nil:
 					if _, err := lp.ApplyDDL(o.ddl); err != nil {
@@ -156,7 +158,7 @@ func TestReplayEquivalentToLive(t *testing.T) {
 			defer st2.Close()
 			cfg2 := cfg
 			cfg2.Store = st2
-			blue2, green2 := newFake("blue2"), newFake("green2")
+			blue2 := newFake("blue2")
 			var tail []store.WALEntry
 			var ck *store.Checkpoint
 			if crashed {
@@ -169,22 +171,20 @@ func TestReplayEquivalentToLive(t *testing.T) {
 					t.Fatalf("recovered tail %+v does not start at kind %d", tail, tc.firstTail)
 				}
 				// What core.installCheckpoint does for real replicas.
-				for _, f := range []*fakeReplica{blue2, green2} {
-					if err := f.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
-						t.Fatal(err)
-					}
-					err := f.buf.Import(ck.Buffer, func(r store.ExecRecord) (*planner.PlanEval, error) {
-						return f.RebuildEval(r.Query, r.ICP, r.Step)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
+				if err := blue2.SyncCatalog(ck.CatalogEpoch, ck.CatalogHash, ck.CatalogDDL); err != nil {
+					t.Fatal(err)
+				}
+				err = blue2.buf.Import(ck.Buffer, func(r store.ExecRecord) (*planner.PlanEval, error) {
+					return blue2.RebuildEval(r.Query, r.ICP, r.Step)
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
 				cfg2.InitialEpoch = ck.Epoch
 			} else if err := st2.WAL().Replay(0, func(e store.WALEntry) error { tail = append(tail, e); return nil }); err != nil {
 				t.Fatal(err)
 			}
-			lp2 := New(cfg2, blue2, green2, nil)
+			lp2 := New(cfg2, blue2, nil)
 			if ck != nil {
 				if err := lp2.ImportTier(ck.Tier); err != nil {
 					t.Fatal(err)
@@ -243,8 +243,8 @@ func TestJournalAppendFailure(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
 	cfg.Store = st
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	q := fq(1)
 	if !lp.Record(q, &planner.PlanEval{Q: q}, 5) {
 		t.Fatal("feedback refused because the journal is down")
@@ -256,7 +256,7 @@ func TestJournalAppendFailure(t *testing.T) {
 	if s.WALErrors != 2 || s.Recorded != 1 || s.Epoch != 2 || s.CatalogEpoch != 1 {
 		t.Fatalf("walErrors=%d recorded=%d epoch=%d catalogEpoch=%d, want 2/1/2/1", s.WALErrors, s.Recorded, s.Epoch, s.CatalogEpoch)
 	}
-	if blue.buf.Size() != 1 || green.buf.Size() != 1 {
-		t.Fatalf("buffers %d/%d, want 1/1: the feedback transition did not run", blue.buf.Size(), green.buf.Size())
+	if blue.buf.Size() != 1 {
+		t.Fatalf("buffer %d, want 1: the feedback transition did not run", blue.buf.Size())
 	}
 }

@@ -21,8 +21,8 @@ func newFollowerFixture(t *testing.T, opts HTTPOptions) (string, *Loop) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	cfg.Follower = true
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 	opts.Resolve = resolveQ
 	_, base := serveFleet(t, NewHTTPServer(lp, opts))
 	return base, lp
@@ -79,7 +79,7 @@ func TestFollowerWriteEndpointsRefuse(t *testing.T) {
 func TestFollowerFeedbackForwarding(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	leader, leaderBase := serveFleet(t, NewHTTPServer(New(cfg, newFake("blue"), newFake("green"), nil), HTTPOptions{Resolve: resolveQ}))
+	leader, leaderBase := serveFleet(t, NewHTTPServer(New(cfg, newFake("blue"), nil), HTTPOptions{Resolve: resolveQ}))
 
 	base, _ := newFollowerFixture(t, HTTPOptions{
 		LeaderAddr:      leader.URL,
@@ -122,7 +122,7 @@ func TestFollowerFeedbackForwarding(t *testing.T) {
 func TestLeaderReplEndpoints(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base, _, _ := newWireFixture(t, cfg)
+	base, _ := newWireFixture(t, cfg)
 	if code, _ := getJSON(t, base+"/repl/manifest"); code != http.StatusPreconditionFailed {
 		t.Fatalf("manifest without store: %d", code)
 	}
@@ -134,7 +134,7 @@ func TestLeaderReplEndpoints(t *testing.T) {
 	}
 	defer st.Close()
 	cfg.Store = st
-	base2, _, _ := newWireFixture(t, cfg)
+	base2, _ := newWireFixture(t, cfg)
 	if code, _ := getJSON(t, base2+"/repl/manifest"); code != http.StatusNotFound {
 		t.Fatalf("manifest before first checkpoint: %d", code)
 	}
@@ -192,14 +192,15 @@ func TestLeaderReplEndpoints(t *testing.T) {
 }
 
 // TestApplyCheckpoint: a newer-generation checkpoint hot-swaps into the
-// loop (epoch adopted, swap counted, both replicas converge); stale and
-// same-epoch checkpoints are no-ops.
+// loop (epoch adopted, swap counted, a fork loaded it and is published, the
+// demoted replica is never reloaded); stale and same-epoch checkpoints are
+// no-ops.
 func TestApplyCheckpoint(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	cfg.Follower = true
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	if err := lp.ApplyCheckpoint(store.Checkpoint{Model: []byte("g5"), Epoch: 5, WALSeq: 50}); err != nil {
 		t.Fatal(err)
@@ -210,9 +211,16 @@ func TestApplyCheckpoint(t *testing.T) {
 	if lp.Stats().Swaps != 1 {
 		t.Fatalf("swaps = %d", lp.Stats().Swaps)
 	}
-	// Both replicas loaded the image (standby mirrored after the swap).
-	if blue.loads.Load() == 0 || green.loads.Load() == 0 {
-		t.Fatalf("loads: blue=%d green=%d", blue.loads.Load(), green.loads.Load())
+	// The published fork loaded the image; the demoted replica did not.
+	forks := blue.forked()
+	if len(forks) != 1 || lp.Active() != Replica(forks[0]) {
+		t.Fatalf("want the one fork published, forks=%d", len(forks))
+	}
+	if forks[0].loads.Load() != 1 || forks[0].currentWeights() != "g5" {
+		t.Fatalf("published fork: loads=%d weights=%q, want 1 and the image", forks[0].loads.Load(), forks[0].currentWeights())
+	}
+	if blue.loads.Load() != 0 || blue.currentWeights() != "w0" {
+		t.Fatalf("demoted replica: loads=%d weights=%q, want 0 and untouched", blue.loads.Load(), blue.currentWeights())
 	}
 
 	for _, stale := range []uint64{5, 4} {
@@ -231,8 +239,8 @@ func TestFollowerNeverRetrains(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector = DetectorConfig{Window: 2, Threshold: 1.05, MinSamples: 2, NoveltyFrac: 0}
 	cfg.Follower = true
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	for i := int64(0); i < 8; i++ {
 		res, err := lp.Serve(t.Context(), fq(i))
@@ -242,8 +250,8 @@ func TestFollowerNeverRetrains(t *testing.T) {
 		// Ever-worse latencies: guaranteed drift pressure.
 		lp.Record(fq(i), res.Eval, float64(100*(i+1)))
 	}
-	if n := blue.trains.Load() + green.trains.Load(); n != 0 || lp.Stats().Retrains != 0 {
-		t.Fatalf("follower retrained: trains=%d stats=%+v", n, lp.Stats())
+	if n := len(blue.forked()); n != 0 || blue.trains.Load() != 0 || lp.Stats().Retrains != 0 {
+		t.Fatalf("follower retrained: forks=%d stats=%+v", n, lp.Stats())
 	}
 }
 
@@ -286,7 +294,7 @@ func TestMetricsReplFamilies(t *testing.T) {
 	// No ReplStats (a leader): families may appear, series must not.
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
-	base2, _, _ := newWireFixture(t, cfg)
+	base2, _ := newWireFixture(t, cfg)
 	resp2, err := http.Get(base2 + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func TestRoutesMatchREADME(t *testing.T) {
 // checked before the tenant is looked up, so an unknown tenant gets the
 // same answer.
 func TestRoutesWrongMethod(t *testing.T) {
-	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(New(syncConfig(), newFake("blue"), newFake("green"), nil), HTTPOptions{})))
+	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(New(syncConfig(), newFake("blue"), nil), HTTPOptions{})))
 	allowed := map[string][]string{} // path pattern → methods it routes
 	for _, rt := range fleet.routes() {
 		method, path, _ := strings.Cut(rt.pattern, " ")
@@ -85,7 +85,7 @@ func TestRoutesWrongMethod(t *testing.T) {
 // a known and an unknown tenant alike; an unknown tenant on a routed
 // endpoint is the registry's JSON 404; HEAD is answered on a GET route.
 func TestRoutesNetHTTPAnswers(t *testing.T) {
-	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(New(syncConfig(), newFake("blue"), newFake("green"), nil), HTTPOptions{})))
+	fleet := NewMultiHTTPServer(oneTenant(NewHTTPServer(New(syncConfig(), newFake("blue"), nil), HTTPOptions{})))
 	serve := func(method, url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		fleet.ServeHTTP(rec, httptest.NewRequest(method, url, nil))

@@ -78,11 +78,12 @@ func (lp *Loop) identity(s *slot) runtime.Identity {
 // Serve optimizes one query on the active replica, from the cheapest tier
 // that can answer it. It never blocks on retraining or swaps: the only
 // synchronization on this path is the active replica's shared serving lock
-// and atomic pointer loads. A request that a hot-swap overtakes mid-flight
-// (the demoted replica may already carry the freshly mirrored weights by the
-// time the request acquires its read lock) is re-served on the new active,
-// so Result.Epoch always identifies the model generation — and the pin —
-// that actually chose the plan.
+// and atomic pointer loads. A request that a re-publish overtakes mid-flight
+// is re-served on the new slot, so Result.Epoch always identifies the
+// generation — and the pin — that actually chose the plan. A swap alone
+// would not need it (a published replica's weights never change), but a DDL
+// re-publishes the same replica at a new epoch after repointing its catalog,
+// so a request in flight across it may have planned against either schema.
 func (lp *Loop) Serve(ctx context.Context, q *query.Query) (Result, error) {
 	if lp.closed.Load() {
 		return Result{}, fmt.Errorf("service: serve: %w", fosserr.ErrLoopClosed)
@@ -106,9 +107,9 @@ func (lp *Loop) Serve(ctx context.Context, q *query.Query) (Result, error) {
 			res = Result{Eval: pe, CacheHit: hit, OptTime: d, Tier: tier.Tier2}
 		}
 		if lp.srv.active.Load() != s {
-			// a swap landed while this request was in flight; swaps are rare
-			// (cooldown-gated), so the retry loop terminates in practice
-			// after one extra pass
+			// a swap or DDL re-published the slot while this request was in
+			// flight; both are rare, so the retry loop terminates in
+			// practice after one extra pass
 			continue
 		}
 		lp.srv.served.Add(1)

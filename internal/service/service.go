@@ -3,9 +3,10 @@
 // after deployment. Executed-plan feedback flows back into the learner's
 // execution buffer; a rolling regression-vs-expert drift detector decides
 // when the serving model has fallen behind the workload; and retraining
-// happens in the background on a standby replica that is then published by
-// an atomic pointer swap — serving never blocks on training and never sees a
-// half-updated model.
+// happens in the background on a fork of the serving replica that is then
+// published by an atomic pointer swap — serving never blocks on training and
+// never sees a half-updated model. A published replica's weights never
+// change; the demoted one is dropped.
 //
 // # One journaled state machine
 //
@@ -16,11 +17,11 @@
 // warm restart bit-identical to the loop that crashed.
 //
 //	event            WAL kind      state the transition touches               live-only side effects
-//	Record           KindFeedback  both replicas' buffers, recent-query ring,  counters, advisor ingest,
+//	Record           KindFeedback  the execution buffer, recent-query ring,    counters, advisor ingest,
 //	(feedback)                     cooldown, tier Observe, detector Observe    retrain + checkpoint triggers
-//	retrain swap /   KindSwap      serving slot + epoch, standby rotation,     weight mirroring onto the
-//	ApplyCheckpoint  (leader only) cooldown reset, tier Invalidate,            demoted replica, checkpoint
-//	(publish)                      detector Reset                              (follower: tier import)
+//	retrain swap /   KindSwap      serving slot + epoch, cooldown reset,       checkpoint
+//	ApplyCheckpoint  (leader only) tier Invalidate, detector Reset             (follower: tier import)
+//	(publish)
 //	ApplyDDL         KindDDL       replica ApplyDDL, epoch + catalog epoch,    advisor marker,
 //	(ddl)                          expert-latency flush, recent-ring prune,    checkpoint
 //	                               tier Invalidate, detector Reset
@@ -29,7 +30,7 @@
 // swap or DDL record advances the serving epoch to max(current, journaled).
 //
 // The package talks to replicas through the small Replica interface; core
-// wires two *core.System instances in and re-exports the loop as
+// wires a *core.System in, forks it per retrain, and re-exports the loop as
 // System.ServeContext / System.Record.
 package service
 
@@ -50,10 +51,14 @@ import (
 	"github.com/foss-db/foss/internal/tier"
 )
 
-// Replica is the surface the loop needs from one doctor instance. Two
-// instances over the same workload form the blue/green pair; *core.System
-// implements it.
+// Replica is the surface the loop needs from one doctor instance; the loop
+// serves one published replica at a time, and each retrain or applied
+// checkpoint publishes a fork of it. *core.System implements it.
 type Replica interface {
+	// Fork returns a new, unpublished replica carrying this one's current
+	// weights over the same execution buffer and catalog world, with fresh
+	// optimizer and RNG state and an empty plan cache.
+	Fork() (Replica, error)
 	// OptimizeEvalContext serves one query through the replica's cached,
 	// shared-locked path, returning the full evaluated candidate and a
 	// cache-hit flag. Cancellation is honored between rollouts.
@@ -63,8 +68,8 @@ type Replica interface {
 	TrainOnContext(ctx context.Context, queries []*query.Query, iterations int, progress func(learner.IterStats)) error
 	// BackendName identifies the optimizer backend under the replica.
 	BackendName() string
-	// Save / Load snapshot and restore the learned weights (Load quiesces
-	// the replica's serving path while weights are copied).
+	// Save / Load snapshot and restore the learned weights. The loop loads
+	// only into a fork it has not published yet.
 	Save() ([]byte, error)
 	Load(data []byte) error
 	// ExpertPlan returns the traditional optimizer's plan, the drift
@@ -72,7 +77,8 @@ type Replica interface {
 	ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error)
 	// Execute runs a plan and returns its latency in milliseconds.
 	Execute(cp *plan.CP) float64
-	// Buffer exposes the replica's execution buffer for feedback ingestion.
+	// Buffer exposes the execution buffer for feedback ingestion; a replica
+	// and its forks return the same one.
 	Buffer() *learner.Buffer
 	// CacheStats snapshots the replica's plan-cache counters.
 	CacheStats() runtime.CacheStats
@@ -83,10 +89,9 @@ type Replica interface {
 
 	// ApplyDDL applies a schema-evolution batch to the replica's live
 	// catalog and repoints it at the rebuilt backend under its own
-	// train/serve arbiter. Returns the new catalog epoch. For a blue/green
-	// pair over one shared catalog world, applying through either replica
-	// produces the single new generation the other picks up via
-	// ResyncCatalog.
+	// train/serve arbiter. Returns the new catalog epoch. A replica and its
+	// forks share one catalog world: applying through the active replica
+	// produces the single new generation a fork picks up via ResyncCatalog.
 	ApplyDDL(ddls []catalog.DDL) (uint64, error)
 	// ResyncCatalog repoints the replica at its catalog world's current
 	// generation; a no-op when already current.
@@ -220,14 +225,14 @@ type Stats struct {
 	Tier2AvgUs  float64
 }
 
-// Loop is the online doctor service over a blue/green replica pair. It
-// coordinates four groups of state — srv, lrn, jr, cat, one file each — and
+// Loop is the online doctor service over one published replica at a time.
+// It coordinates four groups of state — srv, lrn, jr, cat, one file each — and
 // owns the lifecycle.
 type Loop struct {
 	cfg Config
 
 	// mu is the ordering lock: every transition runs under it, together with
-	// its journal append, so the WAL, both buffers, plan memory, the
+	// its journal append, so the WAL, the buffer, plan memory, the
 	// detector window and the catalog epoch all advance in one order — the
 	// order Replay reproduces. It also guards the learning state outside the
 	// transitions (the expert-latency cache, the retrain's snapshot of the
@@ -235,7 +240,7 @@ type Loop struct {
 	mu sync.Mutex
 
 	srv serving      // serve.go: the active slot, plan memory, serve counters
-	lrn learning     // learn.go: detector, standby, recent ring, cooldown
+	lrn learning     // learn.go: detector, recent ring, cooldown, counters
 	jr  journal      // durability.go: the optional store and its counters
 	cat catalogState // catalog.go: catalog epoch mirror and its counters
 
@@ -255,15 +260,14 @@ type Loop struct {
 	adv *advisor
 }
 
-// New assembles a loop over an active/standby replica pair. known seeds the
-// detector's fingerprint set (typically the training split). The active
-// replica should carry the trained models; the standby must mirror them
-// (core.EnableOnline handles the initial sync).
-func New(cfg Config, active, standby Replica, known []*query.Query) *Loop {
+// New assembles a loop serving active, which should carry the trained
+// models. known seeds the detector's fingerprint set (typically the training
+// split).
+func New(cfg Config, active Replica, known []*query.Query) *Loop {
 	cfg.Cooldown = max(cfg.Cooldown, 1)
 	cfg.RetrainIterations = max(cfg.RetrainIterations, 1)
 	if cfg.RetrainQueries < 1 {
-		cfg.RetrainQueries = 48
+		cfg.RetrainQueries = DefaultConfig().RetrainQueries
 	}
 	fps := make([]uint64, 0, len(known))
 	for _, q := range known {
@@ -271,7 +275,6 @@ func New(cfg Config, active, standby Replica, known []*query.Query) *Loop {
 	}
 	lp := &Loop{cfg: cfg}
 	lp.lrn.det = NewDetector(cfg.Detector, fps)
-	lp.lrn.standby = standby
 	lp.lrn.recentSet = map[uint64]bool{}
 	lp.lrn.expertLat = map[uint64]float64{}
 	lp.jr.st = cfg.Store
@@ -289,7 +292,7 @@ func New(cfg Config, active, standby Replica, known []*query.Query) *Loop {
 }
 
 // Wait blocks until every in-flight background retrain has finished
-// (including its hot-swap and weight mirroring).
+// (including its hot-swap and checkpoint).
 func (lp *Loop) Wait() { lp.wg.Wait() }
 
 // Close drains the loop for a lossless shutdown: intake stops (Serve and

@@ -31,57 +31,99 @@ func fq(v int64) *query.Query {
 }
 
 // fakeReplica is a scripted Replica: constant per-query latencies, counted
-// train/save/load calls, optional train delay for overlap tests. The catalog
-// half tracks an applied-DDL log and the set of dropped tables so stale-query
-// refusal is observable.
+// train/save/load calls, optional train delay for overlap tests. Its weights
+// are a string that each training appends to, so a Save tells generations
+// apart. Forks share the buffer and the lineage, the way core forks share a
+// buffer and a catalog world.
 type fakeReplica struct {
 	name       string
 	buf        *learner.Buffer
-	trainDelay time.Duration
+	lin        *fakeLineage
+	trainDelay time.Duration // inherited by forks
 	// onServe, when set, runs inside every OptimizeEvalContext with the
 	// running serve count — the hook mid-request events are injected through.
 	onServe func(n int64)
 	// execNaN makes Execute refuse the plan the way a replica does once a
 	// DDL dropped schema the plan depends on.
 	execNaN atomic.Bool
-	// saveFail makes Save fail, so no checkpoint of this replica can land.
-	saveFail atomic.Bool
+
+	wMu     sync.Mutex
+	weights string
 
 	trains atomic.Int64
 	saves  atomic.Int64
 	loads  atomic.Int64
 	serves atomic.Int64
+}
 
+// fakeLineage is what a fake and every replica forked from it share: the
+// catalog (an applied-DDL log and the set of dropped tables, so stale-query
+// refusal is observable), the failure switches, and the forks taken.
+type fakeLineage struct {
 	catMu   sync.Mutex
 	catLog  []catalog.DDL
 	dropped map[string]bool
+
+	// saveFail makes Save fail, so no checkpoint can land.
+	saveFail atomic.Bool
+	// trainFails makes the next n trainings fail after they have mutated
+	// their replica's weights.
+	trainFails atomic.Int64
+	// loadFail makes Load fail.
+	loadFail atomic.Bool
+
+	forkMu sync.Mutex
+	forks  []*fakeReplica
 }
 
 func newFake(name string) *fakeReplica {
-	return &fakeReplica{name: name, buf: learner.NewBuffer(), dropped: map[string]bool{}}
+	return &fakeReplica{name: name, buf: learner.NewBuffer(), weights: "w0",
+		lin: &fakeLineage{dropped: map[string]bool{}}}
+}
+
+func (f *fakeReplica) Fork() (Replica, error) {
+	l := f.lin
+	l.forkMu.Lock()
+	defer l.forkMu.Unlock()
+	c := &fakeReplica{name: fmt.Sprintf("%s/%d", f.name, len(l.forks)+1), buf: f.buf, lin: l,
+		trainDelay: f.trainDelay, weights: f.currentWeights()}
+	l.forks = append(l.forks, c)
+	return c, nil
+}
+
+// forked returns the replicas forked from f's lineage, oldest first.
+func (f *fakeReplica) forked() []*fakeReplica {
+	f.lin.forkMu.Lock()
+	defer f.lin.forkMu.Unlock()
+	return append([]*fakeReplica(nil), f.lin.forks...)
+}
+
+func (f *fakeReplica) currentWeights() string {
+	f.wMu.Lock()
+	defer f.wMu.Unlock()
+	return f.weights
 }
 
 func (f *fakeReplica) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
-	f.catMu.Lock()
-	defer f.catMu.Unlock()
+	l := f.lin
+	l.catMu.Lock()
+	defer l.catMu.Unlock()
 	for _, d := range ddls {
 		switch d.Kind {
 		case catalog.DDLDropTable:
-			f.dropped[d.Table] = true
+			l.dropped[d.Table] = true
 		case catalog.DDLAddTable:
-			delete(f.dropped, d.Table)
+			delete(l.dropped, d.Table)
 		}
 	}
-	f.catLog = append(f.catLog, ddls...)
-	return uint64(len(f.catLog)), nil
+	l.catLog = append(l.catLog, ddls...)
+	return uint64(len(l.catLog)), nil
 }
 
 func (f *fakeReplica) ResyncCatalog() error { return nil }
 
 func (f *fakeReplica) SyncCatalog(epoch, hash uint64, log []catalog.DDL) error {
-	f.catMu.Lock()
-	cur := uint64(len(f.catLog))
-	f.catMu.Unlock()
+	cur := f.CatalogEpoch()
 	if cur > epoch {
 		return fmt.Errorf("fake: catalog at %d, checkpoint at %d", cur, epoch)
 	}
@@ -93,10 +135,11 @@ func (f *fakeReplica) SyncCatalog(epoch, hash uint64, log []catalog.DDL) error {
 }
 
 func (f *fakeReplica) CheckCatalog(q *query.Query) error {
-	f.catMu.Lock()
-	defer f.catMu.Unlock()
+	l := f.lin
+	l.catMu.Lock()
+	defer l.catMu.Unlock()
 	for _, t := range q.Tables {
-		if f.dropped[t.Table] {
+		if l.dropped[t.Table] {
 			return fmt.Errorf("fake: table %q dropped: %w", t.Table, fosserr.ErrCatalogStale)
 		}
 	}
@@ -104,17 +147,17 @@ func (f *fakeReplica) CheckCatalog(q *query.Query) error {
 }
 
 func (f *fakeReplica) CatalogEpoch() uint64 {
-	f.catMu.Lock()
-	defer f.catMu.Unlock()
-	return uint64(len(f.catLog))
+	f.lin.catMu.Lock()
+	defer f.lin.catMu.Unlock()
+	return uint64(len(f.lin.catLog))
 }
 
 func (f *fakeReplica) CatalogHash() uint64 { return 0 }
 
 func (f *fakeReplica) CatalogLog() []catalog.DDL {
-	f.catMu.Lock()
-	defer f.catMu.Unlock()
-	return append([]catalog.DDL(nil), f.catLog...)
+	f.lin.catMu.Lock()
+	defer f.lin.catMu.Unlock()
+	return append([]catalog.DDL(nil), f.lin.catLog...)
 }
 
 func (f *fakeReplica) OptimizeEvalContext(ctx context.Context, q *query.Query) (*planner.PlanEval, bool, time.Duration, error) {
@@ -139,17 +182,33 @@ func (f *fakeReplica) TrainOnContext(ctx context.Context, qs []*query.Query, ite
 		}
 	}
 	f.trains.Add(1)
+	f.wMu.Lock()
+	f.weights += "+t"
+	f.wMu.Unlock()
+	if n := f.lin.trainFails.Load(); n > 0 && f.lin.trainFails.CompareAndSwap(n, n-1) {
+		return errors.New("fake: training failed")
+	}
 	return nil
 }
 
 func (f *fakeReplica) Save() ([]byte, error) {
-	if f.saveFail.Load() {
+	if f.lin.saveFail.Load() {
 		return nil, errors.New("fake: save refused")
 	}
 	f.saves.Add(1)
-	return []byte(f.name), nil
+	return []byte(f.currentWeights()), nil
 }
-func (f *fakeReplica) Load([]byte) error { f.loads.Add(1); return nil }
+
+func (f *fakeReplica) Load(blob []byte) error {
+	f.loads.Add(1)
+	if f.lin.loadFail.Load() {
+		return errors.New("fake: load refused")
+	}
+	f.wMu.Lock()
+	f.weights = string(blob)
+	f.wMu.Unlock()
+	return nil
+}
 
 func (f *fakeReplica) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 	return &plan.CP{}, time.Microsecond, nil
@@ -190,8 +249,8 @@ func TestRecordJournalsAndReplays(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
 	cfg.Store = st
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	rec := func(v int64, lat float64) {
 		q := fq(v)
@@ -231,8 +290,8 @@ func TestRecordJournalsAndReplays(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Store = st2
-	blue2, green2 := newFake("blue2"), newFake("green2")
-	lp2 := New(cfg2, blue2, green2, nil)
+	blue2 := newFake("blue2")
+	lp2 := New(cfg2, blue2, nil)
 	n, err := lp2.Replay(entries)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +300,11 @@ func TestRecordJournalsAndReplays(t *testing.T) {
 		t.Fatalf("replayed %d, want 3", n)
 	}
 	if got := blue2.buf.Size(); got != 3 {
-		t.Fatalf("active buffer rebuilt with %d executions, want 3", got)
+		t.Fatalf("buffer rebuilt with %d executions, want 3", got)
 	}
-	if got := green2.buf.Size(); got != 3 {
-		t.Fatalf("standby buffer rebuilt with %d executions, want 3", got)
+	// Replay runs the feedback transition only: nothing forks.
+	if n := len(blue2.forked()); n != 0 || lp2.Active() != Replica(blue2) {
+		t.Fatalf("replay forked %d replicas or moved the active one", n)
 	}
 	replayWindow := lp2.lrn.det.WindowState()
 	if replayWindow.Mean != liveWindow.Mean || replayWindow.NovelFrac != liveWindow.NovelFrac {
@@ -319,7 +379,7 @@ func TestDriftSurvivesOutlierFeedback(t *testing.T) {
 
 	cfg := syncConfig()
 	cfg.Detector = DetectorConfig{Window: 4, Threshold: 100, MinSamples: 4}
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	res, err := lp.Serve(context.Background(), fq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -361,11 +421,11 @@ func TestDetectorNovelty(t *testing.T) {
 }
 
 // TestLoopSwapsOnRegression drives the full synchronous cycle: sustained
-// regression → retrain on the standby → atomic promotion with an epoch bump
-// → weight mirroring onto the demoted replica.
+// regression → retrain on a fork of the active replica → atomic promotion
+// of the fork with an epoch bump; the demoted replica is never touched.
 func TestLoopSwapsOnRegression(t *testing.T) {
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(syncConfig(), blue, green, nil)
+	blue := newFake("blue")
+	lp := New(syncConfig(), blue, nil)
 
 	if lp.Epoch() != 1 || lp.Active() != Replica(blue) {
 		t.Fatal("blue must serve at epoch 1")
@@ -384,23 +444,25 @@ func TestLoopSwapsOnRegression(t *testing.T) {
 	if st.Swaps != 1 || st.Retrains != 1 || st.Drifts != 1 {
 		t.Fatalf("expected one drift/retrain/swap, got %+v", st)
 	}
-	if lp.Epoch() != 2 || lp.Active() != Replica(green) {
-		t.Fatalf("green must serve at epoch 2 (epoch=%d)", lp.Epoch())
+	forks := blue.forked()
+	if len(forks) != 1 || lp.Epoch() != 2 || lp.Active() != Replica(forks[0]) {
+		t.Fatalf("blue's fork must serve at epoch 2 (forks=%d epoch=%d)", len(forks), lp.Epoch())
 	}
-	if green.trains.Load() != 1 {
-		t.Fatalf("standby trained %d times, want 1", green.trains.Load())
+	fork := forks[0]
+	if fork.trains.Load() != 1 || fork.currentWeights() != "w0+t" {
+		t.Fatalf("the fork trained %d times to %q, want once from blue's w0", fork.trains.Load(), fork.currentWeights())
 	}
-	if green.saves.Load() != 1 || blue.loads.Load() != 1 {
-		t.Fatalf("weights not mirrored onto demoted replica: saves=%d loads=%d",
-			green.saves.Load(), blue.loads.Load())
+	if blue.trains.Load() != 0 || blue.loads.Load() != 0 || blue.currentWeights() != "w0" {
+		t.Fatalf("demoted replica touched: trains=%d loads=%d weights=%q",
+			blue.trains.Load(), blue.loads.Load(), blue.currentWeights())
 	}
 	// the drift window must restart clean after the swap
 	if win := lp.lrn.det.WindowState(); win.Mean != 0 {
 		t.Fatalf("detector window survived the swap: %+v", win)
 	}
-	// feedback reached both buffers
-	if blue.buf.Size() == 0 || green.buf.Size() == 0 {
-		t.Fatalf("feedback missing from a buffer: blue=%d green=%d", blue.buf.Size(), green.buf.Size())
+	// the fork learned from the one buffer the feedback reached
+	if fork.Buffer() != blue.buf || blue.buf.Size() != 4 {
+		t.Fatalf("fork buffer shared=%v, size %d, want shared and 4", fork.Buffer() == blue.buf, blue.buf.Size())
 	}
 }
 
@@ -408,8 +470,8 @@ func TestLoopSwapsOnRegression(t *testing.T) {
 func TestLoopCooldown(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Cooldown = 8
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	record := func(n int, base int64) {
 		for i := int64(0); i < int64(n); i++ {
@@ -441,9 +503,9 @@ func TestLoopCooldown(t *testing.T) {
 func TestServeNeverBlocksDuringRetrain(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Background = true
-	blue, green := newFake("blue"), newFake("green")
-	green.trainDelay = 150 * time.Millisecond
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	blue.trainDelay = 150 * time.Millisecond // inherited by the fork
+	lp := New(cfg, blue, nil)
 
 	for i := int64(0); i < 4; i++ {
 		res, err := lp.Serve(context.Background(), fq(i))
@@ -488,6 +550,144 @@ func TestServeNeverBlocksDuringRetrain(t *testing.T) {
 	}
 }
 
+// TestFailedRetrainLeavesNothingBehind: a retrain whose training fails after
+// mutating its replica's weights is dropped whole — serving stays on the
+// active replica, whose weights never moved, and the next retrain forks the
+// served generation, not the half-trained one. An ApplyCheckpoint whose Load
+// fails likewise leaves serving untouched.
+func TestFailedRetrainLeavesNothingBehind(t *testing.T) {
+	blue := newFake("blue")
+	blue.lin.trainFails.Store(1)
+	lp := New(syncConfig(), blue, nil)
+	record := func(v int64) {
+		t.Helper()
+		res, err := lp.Serve(context.Background(), fq(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp.Record(fq(v), res.Eval, 100) // ratio 10: the full window drifts
+	}
+	for v := int64(0); v < 4; v++ {
+		record(v)
+	}
+	if st := lp.Stats(); st.Retrains != 1 || st.RetrainErrors != 1 || st.Swaps != 0 {
+		t.Fatalf("want one failed retrain and no swap, got %+v", st)
+	}
+	if lp.Active() != Replica(blue) || blue.currentWeights() != "w0" {
+		t.Fatalf("the failed retrain moved serving: weights %q", blue.currentWeights())
+	}
+	// The window still drifts, so the next record retrains again.
+	record(4)
+	forks := blue.forked()
+	if st := lp.Stats(); st.Swaps != 1 || len(forks) != 2 || lp.Active() != Replica(forks[1]) {
+		t.Fatalf("second retrain did not publish its fork: forks=%d %+v", len(forks), st)
+	}
+	if got := forks[1].currentWeights(); got != "w0+t" {
+		t.Fatalf("published weights %q, want one training from the served w0 (the failed fork holds %q)",
+			got, forks[0].currentWeights())
+	}
+
+	cfg := syncConfig()
+	cfg.Follower = true
+	f := newFake("follower")
+	lpf := New(cfg, f, nil)
+	f.lin.loadFail.Store(true)
+	if err := lpf.ApplyCheckpoint(store.Checkpoint{Model: []byte("g5"), Epoch: 5}); err == nil {
+		t.Fatal("a checkpoint whose Load fails was applied")
+	}
+	if lpf.Epoch() != 1 || lpf.Active() != Replica(f) || lpf.Stats().Swaps != 0 || f.currentWeights() != "w0" || f.loads.Load() != 0 {
+		t.Fatalf("failed apply moved serving: epoch %d, weights %q, loads %d", lpf.Epoch(), f.currentWeights(), f.loads.Load())
+	}
+	if res, err := lpf.Serve(context.Background(), fq(1)); err != nil || res.Epoch != 1 {
+		t.Fatalf("serve after a failed apply: epoch %d, %v", res.Epoch, err)
+	}
+	f.lin.loadFail.Store(false)
+	if err := lpf.ApplyCheckpoint(store.Checkpoint{Model: []byte("g5"), Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if a := lpf.Active().(*fakeReplica); lpf.Epoch() != 5 || a.currentWeights() != "g5" {
+		t.Fatalf("retried apply: epoch %d, weights %q", lpf.Epoch(), a.currentWeights())
+	}
+}
+
+// TestServeAndRecordThroughBackgroundRetrain: Serve and Record keep flowing
+// while a background retrain's fork trains. Feedback recorded meanwhile is
+// in the published replica's buffer exactly once, and the demoted replica's
+// weights are byte-for-byte what they were. CI runs it under -race
+// -count=10.
+func TestServeAndRecordThroughBackgroundRetrain(t *testing.T) {
+	cfg := syncConfig()
+	cfg.Background = true
+	blue := newFake("blue")
+	blue.trainDelay = 50 * time.Millisecond // inherited by the fork
+	lp := New(cfg, blue, nil)
+	before, err := blue.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 4; i++ {
+		res, err := lp.Serve(context.Background(), fq(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp.Record(fq(i), res.Eval, 100)
+	}
+	if !lp.Stats().Retraining {
+		t.Fatal("background retrain did not start")
+	}
+
+	var mu sync.Mutex
+	var during []string // feedback recorded while the fork trained
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 200 && lp.Stats().Retraining; i++ {
+				q := fq(1000 + 1000*g + i)
+				res, err := lp.Serve(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !lp.Record(q, res.Eval, 5) { // a win: no second drift
+					t.Error("feedback refused")
+					return
+				}
+				mu.Lock()
+				during = append(during, q.ID)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	lp.Wait()
+
+	forks := blue.forked()
+	if st := lp.Stats(); st.Swaps != 1 || st.RetrainErrors != 0 || len(forks) != 1 || lp.Active() != Replica(forks[0]) {
+		t.Fatalf("retrain did not publish its fork cleanly: forks=%d %+v", len(forks), st)
+	}
+	if len(during) == 0 {
+		t.Fatal("no feedback overlapped the retrain; the test proved nothing")
+	}
+	held := map[string]int{}
+	for _, r := range lp.Active().Buffer().Export() {
+		held[r.Query.ID]++
+	}
+	for _, id := range during {
+		if held[id] != 1 {
+			t.Fatalf("feedback on %s is in the published buffer %d times, want once", id, held[id])
+		}
+	}
+	after, err := blue.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) || blue.trains.Load() != 0 || blue.loads.Load() != 0 {
+		t.Fatalf("demoted replica changed: %q -> %q (trains %d, loads %d)", before, after, blue.trains.Load(), blue.loads.Load())
+	}
+}
+
 // TestApplyDDLBumpsEpochAndRefusesStale: a loop-level DDL apply bumps the
 // serving epoch (so every epoch-keyed cache invalidates) and the catalog
 // epoch, journals a KindDDL record, and afterwards both Serve and Record
@@ -503,8 +703,8 @@ func TestApplyDDLBumpsEpochAndRefusesStale(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
 	cfg.Store = st
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	res, err := lp.Serve(context.Background(), fq(1))
 	if err != nil {
@@ -590,7 +790,7 @@ func errIsStale(err error) bool {
 func TestApplyDDLRefusedOnFollower(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Follower = true
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	if _, err := lp.ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: "a"}}); !errors.Is(err, fosserr.ErrNotLeader) {
 		t.Fatalf("follower ApplyDDL: %v, want ErrNotLeader", err)
 	}
@@ -598,10 +798,10 @@ func TestApplyDDLRefusedOnFollower(t *testing.T) {
 
 // TestLoopStep: the convenience turn serves, executes, and records.
 func TestLoopStep(t *testing.T) {
-	blue, green := newFake("blue"), newFake("green")
+	blue := newFake("blue")
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift
-	lp := New(cfg, blue, green, nil)
+	lp := New(cfg, blue, nil)
 	res, lat, err := lp.Step(context.Background(), fq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -621,10 +821,10 @@ func TestLoopStep(t *testing.T) {
 // TestServeBatchOneGenerationAcrossSwap: a hot-swap landing mid-batch
 // re-serves the batch, so every row names the same (new) epoch.
 func TestServeBatchOneGenerationAcrossSwap(t *testing.T) {
-	blue, green := newFake("blue"), newFake("green")
+	blue := newFake("blue")
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift; the test swaps by hand
-	lp := New(cfg, blue, green, nil)
+	lp := New(cfg, blue, nil)
 	if _, _, err := lp.Step(context.Background(), fq(0)); err != nil {
 		t.Fatal(err) // gives the retrain a recent query to train on
 	}

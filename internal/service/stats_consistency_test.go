@@ -31,8 +31,8 @@ func TestStatsConsistentUnderTraffic(t *testing.T) {
 	cfg.Detector.Threshold = 1e12 // never drift: no retrain noise
 	cfg.Store = st
 	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 1, EscalateRatio: 1.5}
-	blue, green := newFake("blue"), newFake("green")
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	lp := New(cfg, blue, nil)
 
 	const writers, turns = 4, 50
 	var wg sync.WaitGroup

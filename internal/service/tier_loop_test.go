@@ -25,7 +25,7 @@ func tierConfig(tc tier.Config) Config {
 // expert baseline, the fingerprint is pinned and tier-0 hits return the
 // exact promoted plan object — bit-identical to what tier 2 served.
 func TestTierPromotionServesIdenticalPlan(t *testing.T) {
-	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), newFake("green"), nil)
+	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), nil)
 	q := fq(1)
 	first, err := lp.Serve(context.Background(), q)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestTier0ServeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), newFake("green"), nil)
+	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), nil)
 	q := fq(7)
 	for i := 0; i < 3; i++ {
 		res, err := lp.Serve(context.Background(), q)
@@ -108,7 +108,7 @@ func TestHotTurnZeroAllocs(t *testing.T) {
 	}
 	cfg := tierConfig(tier.Config{Memory: true})
 	cfg.Advisor = AdvisorConfig{Enabled: true}
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	q := fq(7)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
@@ -139,7 +139,7 @@ func TestHotTurnZeroAllocs(t *testing.T) {
 // demoted immediately, and the regression latch blocks re-promotion for the
 // rest of the epoch.
 func TestTierEscalationDropsPin(t *testing.T) {
-	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), newFake("green"), nil)
+	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), nil)
 	q := fq(2)
 	for i := 0; i < 3; i++ {
 		res, err := lp.Serve(context.Background(), q)
@@ -185,7 +185,7 @@ func TestTierEscalationDropsPin(t *testing.T) {
 func TestHotSwapInvalidatesPlanMemory(t *testing.T) {
 	cfg := syncConfig() // threshold 1.2: sustained ratio-10 regressions drift
 	cfg.Tier = tier.Config{Memory: true}
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	q := fq(4)
 	for i := 0; i < 3; i++ {
 		res, err := lp.Serve(context.Background(), q)
@@ -230,7 +230,7 @@ func TestHotSwapInvalidatesPlanMemory(t *testing.T) {
 // pinned plans were chosen against the retired schema generation), and the
 // surviving fingerprints must re-earn their pins against the evolved catalog.
 func TestDDLInvalidatesPlanMemory(t *testing.T) {
-	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), newFake("green"), nil)
+	lp := New(tierConfig(tier.Config{Memory: true}), newFake("blue"), nil)
 	q := fq(4)
 	for i := 0; i < 3; i++ {
 		res, err := lp.Serve(context.Background(), q)
@@ -272,7 +272,7 @@ func TestDDLInvalidatesPlanMemory(t *testing.T) {
 func TestTierDecisionsDeterministic(t *testing.T) {
 	run := func() []int {
 		lp := New(tierConfig(tier.Config{Memory: true, PromoteAfter: 2}),
-			newFake("blue"), newFake("green"), nil)
+			newFake("blue"), nil)
 		var tiers []int
 		for i := 0; i < 40; i++ {
 			q := fq(int64(i % 5))
@@ -313,7 +313,7 @@ func TestTierStateRebuiltByReplay(t *testing.T) {
 	}
 	cfg := tierConfig(tier.Config{Memory: true})
 	cfg.Store = st
-	lp := New(cfg, newFake("blue"), newFake("green"), nil)
+	lp := New(cfg, newFake("blue"), nil)
 	q := fq(9)
 	for i := 0; i < 3; i++ {
 		res, err := lp.Serve(context.Background(), q)
@@ -339,7 +339,7 @@ func TestTierStateRebuiltByReplay(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Store = st2
-	lp2 := New(cfg2, newFake("blue2"), newFake("green2"), nil)
+	lp2 := New(cfg2, newFake("blue2"), nil)
 	if _, err := lp2.Replay(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestTierStateRebuiltByReplay(t *testing.T) {
 // other 22.
 func TestTierHitRatioRepeatTrace(t *testing.T) {
 	lp := New(tierConfig(tier.Config{Memory: true, PromoteAfter: 3}),
-		newFake("blue"), newFake("green"), nil)
+		newFake("blue"), nil)
 	for i := 0; i < 200; i++ {
 		q := fq(int64(i % 8))
 		res, err := lp.Serve(context.Background(), q)
@@ -387,9 +387,9 @@ func TestTierPromotionRacesHotSwap(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Background = true
 	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 2}
-	blue, green := newFake("blue"), newFake("green")
-	green.trainDelay = 50 * time.Millisecond
-	lp := New(cfg, blue, green, nil)
+	blue := newFake("blue")
+	blue.trainDelay = 50 * time.Millisecond // inherited by the fork
+	lp := New(cfg, blue, nil)
 
 	// Trip the drift detector so a background retrain is in flight.
 	for i := int64(0); i < 4; i++ {

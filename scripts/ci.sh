@@ -4,7 +4,7 @@
 #   vet, gofmt cleanliness, the fosslint invariant suite (clean tree +
 #   every rule proven to fire on its seeded fixture), build, every test once
 #   (under the race detector in full mode, plus the alloc tripwires the
-#   detector makes skip), the frozen-view race stress, one epoch of the AAM
+#   detector makes skip), the frozen-view and fork race stress, one epoch of the AAM
 #   training benchmark, one tier-2 miss of the serving benchmark, the five
 #   process-level gates (recovery, drain, metrics, replication, schema
 #   evolution), and in full mode the benchmark compared against HEAD~1.
@@ -80,11 +80,15 @@ else
   go test -race ./...
 fi
 
-echo "== frozen views: the live replica scores through its view while the standby trains (-race -count=10) =="
+echo "== frozen views and forks: serving and feedback while a fork trains (-race -count=10) =="
 # The one stress the suite above does not give: ten rounds under the detector.
-# No package-level grad switch and no shared tensor, so it must stay silent,
-# and the same view must serve the mirrored weights afterwards.
+# The live replica scores through its frozen view while another model trains
+# (no package-level grad switch and no shared tensor, so it must stay
+# silent), and the loop serves and records through a background retrain: the
+# feedback lands once in the published fork's buffer, and the demoted
+# replica's weights never change.
 go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./internal/aam/
+go test -race -count=10 -run 'TestServeAndRecordThroughBackgroundRetrain' ./internal/service/
 
 echo "== AAM training kernel: one epoch of -bench AAMTrainEpoch (internal/aam), so it cannot rot =="
 go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
