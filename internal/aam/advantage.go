@@ -98,8 +98,8 @@ func (m *Model) Params() []*nn.Tensor {
 // Logits computes the K advantage logits for the pair (l, r) at the given
 // step statuses.
 func (m *Model) Logits(encL, encR *planenc.Encoded, stepL, stepR float64) *nn.Tensor {
-	svL := m.State.Forward(encL, stepL)
-	svR := m.State.Forward(encR, stepR)
+	svL := m.State.Forward(encL, stepL, nil)
+	svR := m.State.Forward(encR, stepR, nil)
 	hl := nn.ReLU(m.FC1.Forward(nn.Add(svL, m.PosL)))
 	hr := nn.ReLU(m.FC1.Forward(nn.Add(svR, m.PosR)))
 	return m.FC2.Forward(nn.Sub(hl, hr))
@@ -217,7 +217,7 @@ func (m *Model) Train(samples []Sample, cfg TrainConfig) []float64 {
 // focal-loss implementation choice.
 func (m *Model) batchLoss(batch []Sample, cfg LossConfig) *nn.Tensor {
 	encs, steps, left, right := distinctStates(batch)
-	sv := m.State.ForwardBatch(encs, steps)
+	sv := m.State.ForwardBatch(encs, steps, nil)
 	gather := func(idx []int) *nn.Tensor {
 		rows := make([]*nn.Tensor, len(idx))
 		for i, r := range idx {

@@ -34,8 +34,9 @@ var scratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // encoded plans in one stacked forward pass: embeddings, the input
 // projection, layer norms and feed-forward MLPs run over all plans' nodes at
 // once, and attention is evaluated per plan block. Row i is bit-identical to
-// Forward(encs[i], steps[i]).
-func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64) *nn.Tensor {
+// Forward(encs[i], steps[i], a), so no row depends on how plans are batched.
+// a is the arena Forward takes.
+func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64, a *nn.Arena) *nn.Tensor {
 	if len(encs) != len(steps) {
 		panic("aam: ForwardBatch length mismatch")
 	}
@@ -62,12 +63,12 @@ func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64) *nn.Te
 		structs = append(structs, enc.Structs...)
 	}
 	node := nn.Concat(
-		s.OpEmb.Forward(ops),
-		s.TableEmb.Forward(tables),
-		s.ColEmb.Forward(cols),
-		s.RowEmb.Forward(rowBkt),
-		s.HeightEmb.Forward(heights),
-		s.StructEmb.Forward(structs),
+		s.OpEmb.Forward(ops, a),
+		s.TableEmb.Forward(tables, a),
+		s.ColEmb.Forward(cols, a),
+		s.RowEmb.Forward(rowBkt, a),
+		s.HeightEmb.Forward(heights, a),
+		s.StructEmb.Forward(structs, a),
 	)
 	bs := nn.BorrowBlocks(lengths, masks)
 	// The embeddings copied the ids and the block descriptors hold the mask
@@ -113,7 +114,7 @@ func (m *Model) LogitsBatch(pairs []Pair) *nn.Tensor {
 		encs[i], steps[i] = p.EncL, p.StepL
 		encs[n+i], steps[n+i] = p.EncR, p.StepR
 	}
-	sv := m.State.ForwardBatch(encs, steps)
+	sv := m.State.ForwardBatch(encs, steps, nil)
 	// ForwardBatch iterates encs without storing it; clear the pointers so the
 	// pool never pins an encoding alive, then recycle.
 	for i := range encs {
@@ -156,7 +157,7 @@ func (m *Model) ScoreBatch(pairs []Pair) []int {
 // plans (used by the temporal plan selector, which chains pairwise
 // comparisons over a fixed candidate pool).
 func (m *Model) StatesBatch(encs []*planenc.Encoded, steps []float64) *nn.Tensor {
-	return m.frozen.State.ForwardBatch(encs, steps)
+	return m.frozen.State.ForwardBatch(encs, steps, nil)
 }
 
 // Heads is the pairwise head split at its subtraction, over a fixed pool of
@@ -169,16 +170,18 @@ type Heads struct {
 }
 
 // Heads runs the state network over the pool in one batched pass, then FC1
-// once per side over all rows. Linear rows are independent, so Score on the
-// result is bit-identical to Score on the same plans.
-func (m *Model) Heads(encs []*planenc.Encoded, steps []float64) *Heads {
-	m = m.frozen
-	sv := m.State.ForwardBatch(encs, steps)
-	return &Heads{
-		fc2: m.FC2,
-		l:   nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosL))),
-		r:   nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosR))),
-	}
+// once per side over all rows, allocating in a (nil: the heap). Linear rows
+// are independent, so Score on the result is bit-identical to Score on the
+// same plans.
+func (m *Model) Heads(encs []*planenc.Encoded, steps []float64, a *nn.Arena) *Heads {
+	l, r := m.frozen.halves(encs, steps, a)
+	return &Heads{fc2: m.frozen.FC2, l: l, r: r}
+}
+
+// halves computes the head rows [len(encs), StateDim] of both sides.
+func (m *Model) halves(encs []*planenc.Encoded, steps []float64, a *nn.Arena) (l, r *nn.Tensor) {
+	sv := m.State.ForwardBatch(encs, steps, a)
+	return nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosL))), nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosR)))
 }
 
 // Score returns the predicted advantage class of plan r over plan l (indices
@@ -187,4 +190,47 @@ func (h *Heads) Score(l, r int) int { return argmax(h.logits(l, r).Data) }
 
 func (h *Heads) logits(l, r int) *nn.Tensor {
 	return h.fc2.Forward(nn.Sub(nn.Rows(h.l, l, 1), nn.Rows(h.r, r, 1)))
+}
+
+// Judge builds the selection heads of a pool that grows while it is judged:
+// each Add computes the head rows of the plans it is given, in an arena the
+// judge owns, and Heads assembles every row added so far. Rows do not depend
+// on how plans are batched (see StateNet.ForwardBatch), so the result is
+// bit-identical to Model.Heads over the whole pool. A judge belongs to one
+// goroutine at a time (see package nn's "Arenas"), and Release ends it.
+type Judge struct {
+	m     *Model // the frozen view
+	arena *nn.Arena
+	l, r  []*nn.Tensor // the head rows of each Add, in order
+}
+
+// NewJudge returns a judge over the model's current weights, with an arena
+// borrowed from the pool.
+func (m *Model) NewJudge() *Judge { return &Judge{m: m.frozen, arena: nn.BorrowArena()} }
+
+// Add computes the head rows of the given plans, after those already added.
+func (j *Judge) Add(encs []*planenc.Encoded, steps []float64) {
+	l, r := j.m.halves(encs, steps, j.arena)
+	j.l, j.r = append(j.l, l), append(j.r, r)
+}
+
+// Heads returns the heads over every plan added, row i being the i-th plan
+// added. They live in the judge's arena: valid until Release.
+func (j *Judge) Heads() *Heads {
+	h := &Heads{fc2: j.m.FC2}
+	switch len(j.l) {
+	case 0:
+	case 1:
+		h.l, h.r = j.l[0], j.r[0]
+	default:
+		h.l, h.r = nn.VStack(j.l...), nn.VStack(j.r...)
+	}
+	return h
+}
+
+// Release returns the judge's arena to the pool: nothing the judge computed
+// may be read afterwards.
+func (j *Judge) Release() {
+	j.l, j.r = nil, nil
+	j.arena.Release()
 }

@@ -50,10 +50,10 @@ func TestForwardBatchMatchesSequential(t *testing.T) {
 		encs = append(encs, variableEncoded(rng, 1+rng.Intn(6)))
 		steps = append(steps, float64(i)/7)
 	}
-	batch := s.ForwardBatch(encs, steps).Detach()
+	batch := s.ForwardBatch(encs, steps, nil).Detach()
 	dim := batch.Shape[1]
 	for i, enc := range encs {
-		want := s.Forward(enc, steps[i]).Detach()
+		want := s.Forward(enc, steps[i], nil).Detach()
 		for j := 0; j < dim; j++ {
 			if batch.Data[i*dim+j] != want.Data[j] {
 				t.Fatalf("plan %d dim %d: batch %v != sequential %v",
@@ -166,7 +166,7 @@ func TestHeadsMatchScoreStates(t *testing.T) {
 		steps = append(steps, float64(i%4)/3)
 	}
 	sv := m.StatesBatch(encs, steps)
-	h := m.Heads(encs, steps)
+	h := m.Heads(encs, steps, nil)
 	classes := map[int]bool{}
 	for l := range encs {
 		for r := range encs {
@@ -185,5 +185,42 @@ func TestHeadsMatchScoreStates(t *testing.T) {
 	}
 	if len(classes) < 2 {
 		t.Fatalf("the pool scores one class only (%v): the comparison is vacuous", classes)
+	}
+}
+
+// TestJudgeMatchesHeads: a judge fed a pool in pieces, whatever the split,
+// builds heads whose logits are bit-identical to Model.Heads over the whole
+// pool on the heap, on every ordered pair. Judges are borrowed and released
+// in turn, so later rounds run in reused arenas.
+func TestJudgeMatchesHeads(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	cfg := StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
+	m := NewModel(rng, cfg, 4, 4)
+	var encs []*planenc.Encoded
+	var steps []float64
+	for i := 0; i < 9; i++ {
+		encs = append(encs, variableEncoded(rng, 1+rng.Intn(6)))
+		steps = append(steps, float64(i%4)/3)
+	}
+	want := m.Heads(encs, steps, nil)
+	for _, split := range [][]int{{9}, {1, 1, 1, 1, 1, 1, 1, 1, 1}, {2, 3, 4}, {1, 5, 1, 2}} {
+		j := m.NewJudge()
+		start := 0
+		for _, n := range split {
+			j.Add(encs[start:start+n], steps[start:start+n])
+			start += n
+		}
+		got := j.Heads()
+		for l := range encs {
+			for r := range encs {
+				g, w := got.logits(l, r).Data, want.logits(l, r).Data
+				for k := range w {
+					if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+						t.Fatalf("split %v (%d,%d) logit %d: judge %v != heads %v", split, l, r, k, g[k], w[k])
+					}
+				}
+			}
+		}
+		j.Release()
 	}
 }

@@ -51,16 +51,16 @@ func TestFrozenStateNetMatchesTracked(t *testing.T) {
 	view := s.Frozen()
 	encs, steps := randomPlans(rng, 7)
 
-	tracked := s.ForwardBatch(encs, steps)
+	tracked := s.ForwardBatch(encs, steps, nil)
 	if tracked.Grad == nil {
 		t.Fatal("tracked forward built no graph: the comparison proves nothing")
 	}
-	batch := view.ForwardBatch(encs, steps)
+	batch := view.ForwardBatch(encs, steps, nil)
 	sameData(t, "ForwardBatch", batch.Data, tracked.Data)
 	untracked(t, "view ForwardBatch", batch)
 	for i, enc := range encs {
-		one := view.Forward(enc, steps[i])
-		sameData(t, "Forward", one.Data, s.Forward(enc, steps[i]).Data)
+		one := view.Forward(enc, steps[i], nil)
+		sameData(t, "Forward", one.Data, s.Forward(enc, steps[i], nil).Data)
 		untracked(t, "view Forward", one)
 	}
 }
@@ -87,7 +87,7 @@ func checkScoring(t *testing.T, what string, m *Model, pairs []Pair) {
 	}
 	sv := m.StatesBatch(encs, steps)
 	untracked(t, what+": StatesBatch", sv)
-	heads := m.Heads(encs, steps)
+	heads := m.Heads(encs, steps, nil)
 	untracked(t, what+": Heads", heads.l)
 	untracked(t, what+": Heads", heads.r)
 	for i, p := range pairs {

@@ -73,15 +73,17 @@ func NewStateNet(rng *rand.Rand, cfg StateNetConfig, numTables, numCols int) *St
 }
 
 // Forward produces the state representation vector [1, StateDim] for an
-// encoded plan at step status t/maxsteps.
-func (s *StateNet) Forward(enc *planenc.Encoded, step float64) *nn.Tensor {
+// encoded plan at step status t/maxsteps. On a frozen view the activations
+// and the result are allocated in a (see package nn's "Arenas"); nil, or a
+// tracked network, allocates them on the heap.
+func (s *StateNet) Forward(enc *planenc.Encoded, step float64, a *nn.Arena) *nn.Tensor {
 	node := nn.Concat(
-		s.OpEmb.Forward(enc.Ops),
-		s.TableEmb.Forward(enc.Tables),
-		s.ColEmb.Forward(enc.Columns),
-		s.RowEmb.Forward(enc.RowBkt),
-		s.HeightEmb.Forward(enc.Heights),
-		s.StructEmb.Forward(enc.Structs),
+		s.OpEmb.Forward(enc.Ops, a),
+		s.TableEmb.Forward(enc.Tables, a),
+		s.ColEmb.Forward(enc.Columns, a),
+		s.RowEmb.Forward(enc.RowBkt, a),
+		s.HeightEmb.Forward(enc.Heights, a),
+		s.StructEmb.Forward(enc.Structs, a),
 	)
 	x := s.InProj.Forward(node)
 	for _, b := range s.Blocks {

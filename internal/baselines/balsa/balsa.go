@@ -84,7 +84,7 @@ func New(w *workload.Workload, cfg Config) *Balsa {
 
 // valueOf scores a (partial or complete) plan: predicted log-latency.
 func (b *Balsa) valueOf(cp *plan.CP) float64 {
-	sv := b.state.Forward(b.enc.Encode(cp), 0)
+	sv := b.state.Forward(b.enc.Encode(cp), 0, nil)
 	return b.head.Forward(sv).Detach().Item()
 }
 
@@ -233,7 +233,7 @@ func (b *Balsa) refreshModel() {
 		for _, i := range idx {
 			pt := b.experience[i]
 			b.adam.ZeroGrad()
-			sv := b.state.Forward(pt.enc, 0)
+			sv := b.state.Forward(pt.enc, 0, nil)
 			pred := b.head.Forward(sv)
 			diff := nn.AddScalar(pred, -pt.logLat)
 			loss := nn.Mean(nn.Mul(diff, diff))

@@ -124,7 +124,7 @@ func (b *Bao) candidates(q *query.Query) []*plan.CP {
 
 // predict returns the value model's latency estimate (ms) for a plan.
 func (b *Bao) predict(cp *plan.CP) float64 {
-	sv := b.state.Forward(b.enc.Encode(cp), 0)
+	sv := b.state.Forward(b.enc.Encode(cp), 0, nil)
 	return math.Exp(b.head.Forward(sv).Detach().Item())
 }
 
@@ -178,7 +178,7 @@ func (b *Bao) refreshModel() {
 		for _, i := range idx {
 			pt := b.experience[i]
 			b.adam.ZeroGrad()
-			sv := b.state.Forward(pt.enc, 0)
+			sv := b.state.Forward(pt.enc, 0, nil)
 			pred := b.head.Forward(sv)
 			diff := nn.AddScalar(pred, -pt.logLat)
 			loss := nn.Mean(nn.Mul(diff, diff))

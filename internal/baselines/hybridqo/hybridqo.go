@@ -87,7 +87,7 @@ func New(w *workload.Workload, cfg Config) *HybridQO {
 }
 
 func (h *HybridQO) predict(cp *plan.CP) float64 {
-	sv := h.state.Forward(h.enc.Encode(cp), 0)
+	sv := h.state.Forward(h.enc.Encode(cp), 0, nil)
 	return h.head.Forward(sv).Detach().Item()
 }
 
@@ -302,7 +302,7 @@ func (h *HybridQO) refreshModel() {
 		for _, i := range idx {
 			pt := h.experience[i]
 			h.adam.ZeroGrad()
-			sv := h.state.Forward(pt.enc, 0)
+			sv := h.state.Forward(pt.enc, 0, nil)
 			pred := h.head.Forward(sv)
 			diff := nn.AddScalar(pred, -pt.logLat)
 			loss := nn.Mean(nn.Mul(diff, diff))

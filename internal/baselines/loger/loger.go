@@ -109,7 +109,7 @@ func New(w *workload.Workload, cfg Config) *Loger {
 }
 
 func (l *Loger) valueOf(cp *plan.CP) float64 {
-	sv := l.state.Forward(l.enc.Encode(cp), 0)
+	sv := l.state.Forward(l.enc.Encode(cp), 0, nil)
 	return l.head.Forward(sv).Detach().Item()
 }
 
@@ -247,7 +247,7 @@ func (l *Loger) refreshModel() {
 		for _, i := range idx {
 			pt := l.experience[i]
 			l.adam.ZeroGrad()
-			sv := l.state.Forward(pt.enc, 0)
+			sv := l.state.Forward(pt.enc, 0, nil)
 			pred := l.head.Forward(sv)
 			diff := nn.AddScalar(pred, -pt.logLat)
 			loss := nn.Mean(nn.Mul(diff, diff))

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/foss-db/foss/internal/service"
+	"github.com/foss-db/foss/internal/tier"
 )
 
 // trainedSystem trains a fresh small system with a plan cache.
@@ -87,5 +90,73 @@ func TestTrainInvalidatesPlanCache(t *testing.T) {
 	}
 	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("post-train optimize served a stale cached plan: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestJudgedMissesBesideExplain: batches of misses — each walking in its own
+// arena while its own judge scores the pool in another, on a second
+// goroutine — run beside Explain over the same queries. CI runs it ten times
+// under the race detector: no arena is shared between serves, and every
+// answer is the lone serve's: each batch row is a miss serving the plan a
+// sequential Optimize picks, and Explain chooses that plan too.
+func TestJudgedMissesBesideExplain(t *testing.T) {
+	sys := smallSystem(t, func(c *Config) { c.PlanCache = 1 })
+	if err := sys.EnableOnline(service.Config{
+		Detector: service.DetectorConfig{Window: 8, Threshold: 1e9, MinSamples: 8},
+		Cooldown: 1 << 30,
+		Tier:     tier.Config{Memory: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	qs := sys.W.Train[:8]
+	want := map[string]string{}
+	for _, q := range qs {
+		pe, err := sys.Learner.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q.ID] = pe.ICP.Key()
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2 * len(qs) {
+				q := qs[(g+i)%len(qs)]
+				scores, err := sys.ExplainCandidates(ctx, q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, sc := range scores {
+					if sc.Chosen && sc.ICPKey != want[q.ID] {
+						errs <- fmt.Errorf("%s: Explain chooses %s, Optimize %s", q.ID, sc.ICPKey, want[q.ID])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for round := range 4 {
+		sys.RT.InvalidateCache()
+		rows, err := sys.ServeBatch(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if r.CacheHit || r.Tier != tier.Tier2 || r.Eval.ICP.Key() != want[qs[i].ID] {
+				t.Errorf("round %d, %s: tier %d cache hit %v plan %s; want a tier-2 miss serving %s",
+					round, qs[i].ID, r.Tier, r.CacheHit, r.Eval.ICP.Key(), want[qs[i].ID])
+			}
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

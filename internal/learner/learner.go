@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/fosserr"
+	"github.com/foss-db/foss/internal/planenc"
 	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/rl"
@@ -483,21 +483,15 @@ func (l *Learner) validateTimeout(pe *planner.PlanEval) float64 {
 // Optimize doctors one query at inference time. Every agent walks its
 // episodes — one greedy plus InferenceRollouts−1 stochastic ones, widening the
 // pool the way the paper's multi-agent mode does — with no environment and no
-// scoring pass, and the AAM selects the estimated-best plan in temporal order
-// (one batched, graph-free state-network pass over the pool). The original
-// plan is always a candidate, so FOSS never does worse than its own selector
-// believes. Safe for concurrent use while no training runs; cancellation is
-// honored between rollouts.
+// scoring pass. Meanwhile the AAM judges the pool on a second goroutine,
+// computing each candidate's selection heads as a walk adds it, and once the
+// walks end the temporal chain selects the estimated-best plan over those
+// heads. The original plan is always a candidate, so FOSS never does worse
+// than its own selector believes. Safe for concurrent use while no training
+// runs; cancellation is honored between rollouts.
 func (l *Learner) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEval, error) {
-	pool, err := l.candidates(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	best := planner.SelectBest(l.AAM, pool, l.Planners[0].Cfg.MaxSteps)
-	if best == nil {
-		return nil, errNoCandidate
-	}
-	return best, nil
+	best, _, err := l.doctor(ctx, q, false)
+	return best, err
 }
 
 // Explain doctors one query the way Optimize does but additionally returns
@@ -507,50 +501,94 @@ func (l *Learner) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEv
 // (same fingerprint-seeded rollouts, same selection chain); the extra cost
 // is one pairwise comparison per losing candidate.
 func (l *Learner) Explain(ctx context.Context, q *query.Query) (*planner.PlanEval, []planner.CandidateScore, error) {
-	pool, err := l.candidates(ctx, q)
+	return l.doctor(ctx, q, true)
+}
+
+// doctor is Optimize, plus the score card when explain is set: the judged
+// walks, then the selection chain over the judge's heads.
+func (l *Learner) doctor(ctx context.Context, q *query.Query, explain bool) (*planner.PlanEval, []planner.CandidateScore, error) {
+	judge := l.AAM.NewJudge()
+	defer judge.Release()
+	pool, err := l.judged(ctx, q, judge)
 	if err != nil {
 		return nil, nil, err
 	}
-	best, scores := planner.ExplainSelection(l.AAM, pool, l.Planners[0].Cfg.MaxSteps)
-	if best < 0 {
+	if len(pool) == 0 {
 		return nil, nil, errNoCandidate
+	}
+	heads := judge.Heads()
+	best := planner.Select(heads, len(pool))
+	var scores []planner.CandidateScore
+	if explain {
+		scores = planner.Explain(heads, pool, best)
 	}
 	return pool[best], scores, nil
 }
 
-// candidates generates the deduplicated candidate pool for one query: every
-// agent's greedy episode plus its stochastic rollouts, RNG seeded by the
-// query fingerprint so the pool is independent of request interleaving. The
-// rollouts share one walk memo, dropped on return, so a state several of
-// them visit is forwarded, hinted, encoded and masked once.
-func (l *Learner) candidates(ctx context.Context, q *query.Query) ([]*planner.PlanEval, error) {
+// judgeQueue is how many candidates the walks may run ahead of the judge
+// before a walk waits; it exceeds the pool of a default-sized query.
+const judgeQueue = 32
+
+// judged builds q's candidate pool with the judge beside the walks: the memo
+// hands each new candidate to a goroutine that adds it, together with any
+// others already waiting, to judge. It returns once the judge has drained
+// every candidate, on error and cancellation too, so judge.Heads covers the
+// pool and the judge's goroutine is the caller's again.
+func (l *Learner) judged(ctx context.Context, q *query.Query, judge *aam.Judge) ([]*planner.PlanEval, error) {
+	maxSteps := l.Planners[0].Cfg.MaxSteps
+	feed := make(chan *planner.PlanEval, judgeQueue)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var encs []*planenc.Encoded
+		var steps []float64
+		for pe := range feed {
+			encs, steps = encs[:0], steps[:0]
+			for {
+				encs, steps = append(encs, pe.Enc), append(steps, pe.StepStatus(maxSteps))
+				if len(feed) == 0 {
+					break
+				}
+				pe = <-feed
+			}
+			judge.Add(encs, steps)
+		}
+	}()
+	defer func() {
+		close(feed)
+		<-done
+	}()
+	memo := planner.NewMemo(func(pe *planner.PlanEval) { feed <- pe })
+	defer memo.Release()
+	if err := l.candidates(ctx, q, memo); err != nil {
+		return nil, err
+	}
+	return memo.Pool(), nil
+}
+
+// candidates walks every agent's greedy episode plus its stochastic rollouts
+// for one query through memo, whose pool they fill. The RNG is seeded by the
+// query fingerprint, so the pool is independent of request interleaving, and
+// the rollouts share the memo, so a state several of them visit is
+// forwarded, hinted, encoded and masked once.
+func (l *Learner) candidates(ctx context.Context, q *query.Query, memo *planner.Memo) error {
 	rollouts := max(l.Cfg.InferenceRollouts, 1)
 	rng := rand.New(rand.NewSource(int64(q.Fingerprint()>>1) ^ l.Cfg.Seed))
-	memo := planner.NewMemo()
-	var pool []*planner.PlanEval
-	var keys []string
 	for _, pl := range l.Planners {
 		orig, err := pl.OriginalEval(q)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for r := 0; r < rollouts; r++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			ep, err := pl.Rollout(q, orig, r > 0, rng, memo)
-			if err != nil {
-				return nil, err
-			}
-			for i, key := range ep.Keys {
-				if !slices.Contains(keys, key) {
-					keys = append(keys, key)
-					pool = append(pool, ep.Candidates[i])
-				}
+			if _, err := pl.Rollout(q, orig, r > 0, rng, memo); err != nil {
+				return err
 			}
 		}
 	}
-	return pool, nil
+	return nil
 }
 
 var errNoCandidate = fmt.Errorf("learner: %w", fosserr.ErrNoCandidate)

@@ -59,6 +59,40 @@ func trainedLearner(t *testing.T) (*Learner, *countingSteering) {
 	return l, steer
 }
 
+// independentPool is the reference pool of q: the walks candidates runs, on
+// the same fingerprint-seeded rng, but as independent RunEpisodeWithRng walks
+// with no memo and no arena, deduplicated by ICP key after each walk the way
+// candidates did before the memo. walked, unless nil, is called after each
+// walk with the walking agent and its expert plan.
+func independentPool(t *testing.T, l *Learner, q *query.Query, walked func(agent int, orig *planner.PlanEval)) []*planner.PlanEval {
+	t.Helper()
+	var ref []*planner.PlanEval
+	inRef := map[string]bool{}
+	rng := rand.New(rand.NewSource(int64(q.Fingerprint()>>1) ^ l.Cfg.Seed))
+	for a, pl := range l.Planners {
+		orig, err := pl.OriginalEval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range l.Cfg.InferenceRollouts {
+			ep, err := pl.RunEpisodeWithRng(q, orig, nil, nil, r > 0, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if walked != nil {
+				walked(a, orig)
+			}
+			for _, c := range ep.Candidates {
+				if key := c.ICP.Key(); !inRef[key] {
+					inRef[key] = true
+					ref = append(ref, c)
+				}
+			}
+		}
+	}
+	return ref
+}
+
 // phiForwards sums the Φ forwards every agent's walks have run.
 func phiForwards(l *Learner) int64 {
 	var n int64
@@ -90,49 +124,33 @@ func TestCandidatesMemoChangesNothingAndDedups(t *testing.T) {
 		}
 		distinctStates := map[state]bool{}
 		distinctICPs := map[string]bool{}
-		var ref []*planner.PlanEval
-		inRef := map[string]bool{}
-		rng := rand.New(rand.NewSource(int64(q.Fingerprint()>>1) ^ l.Cfg.Seed))
 		phi0 := phiForwards(l)
 		walkVisits := 0
-		for a, pl := range l.Planners {
-			orig, err := pl.OriginalEval(q)
-			if err != nil {
-				t.Fatal(err)
+		steer.hinted = steer.hinted[:0]
+		ref := independentPool(t, l, q, func(a int, orig *planner.PlanEval) {
+			// Step t forwards Φ on the state step t−1 reached, then hints
+			// step t's edit: Φ and hinted replans pair up.
+			cur := orig.ICP.Key()
+			for step, icp := range steer.hinted {
+				distinctStates[state{a, cur, step}] = true
+				distinctICPs[icp] = true
+				cur = icp
 			}
-			for r := range l.Cfg.InferenceRollouts {
-				steer.hinted = steer.hinted[:0]
-				ep, err := pl.RunEpisodeWithRng(q, orig, nil, nil, r > 0, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Step t forwards Φ on the state step t−1 reached, then
-				// hints step t's edit: Φ and hinted replans pair up.
-				cur := orig.ICP.Key()
-				for step, icp := range steer.hinted {
-					distinctStates[state{a, cur, step}] = true
-					distinctICPs[icp] = true
-					cur = icp
-				}
-				walkVisits += len(steer.hinted)
-				for _, c := range ep.Candidates {
-					if key := c.ICP.Key(); !inRef[key] {
-						inRef[key] = true
-						ref = append(ref, c)
-					}
-				}
-			}
-		}
+			walkVisits += len(steer.hinted)
+			steer.hinted = steer.hinted[:0]
+		})
 		if got := phiForwards(l) - phi0; got != int64(walkVisits) {
 			t.Fatalf("%s: independent walks ran %d Φ forwards for %d visits", q.ID, got, walkVisits)
 		}
 
 		steer.hinted = steer.hinted[:0]
 		phi0 = phiForwards(l)
-		pool, err := l.candidates(ctx, q)
-		if err != nil {
+		memo := planner.NewMemo(nil)
+		if err := l.candidates(ctx, q, memo); err != nil {
 			t.Fatal(err)
 		}
+		pool := memo.Pool()
+		memo.Release()
 		phi := phiForwards(l) - phi0
 		if len(pool) != len(ref) {
 			t.Fatalf("%s: memoised pool has %d candidates, independent walks %d", q.ID, len(pool), len(ref))

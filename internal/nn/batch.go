@@ -23,7 +23,7 @@ func Rows(a *Tensor, start, n int) *Tensor {
 	if start < 0 || start+n > rows {
 		panic("nn: Rows out of range")
 	}
-	d := make([]float64, n*cols)
+	d := alloc(n*cols, a)
 	copy(d, a.Data[start*cols:(start+n)*cols])
 	out := newResult("rows", d, []int{n, cols}, a)
 	if out.parents != nil {
@@ -53,7 +53,7 @@ func SegmentMean(a *Tensor, lengths []int) *Tensor {
 	if total != a.Shape[0] {
 		panic("nn: SegmentMean lengths do not cover the tensor rows")
 	}
-	d := make([]float64, len(lengths)*cols)
+	d := alloc(len(lengths)*cols, a)
 	start := 0
 	for s, n := range lengths {
 		cnt := float64(n)
@@ -187,18 +187,19 @@ func attention(q, k, v *Tensor, heads int, blocks []Block) *Tensor {
 		panic("nn: attention blocks or operands do not cover the rows")
 	}
 	graph := needsGraph(q, k, v)
+	ar := arenaOf(q, k, v)
 	// Each block's keys transposed, [dim, N] at offset Start*dim: head h's kᵀ
 	// is rows [h*dh, (h+1)*dh) of it, so the scores are a plain a·b product.
-	kT := make([]float64, rows*dim)
+	kT := ar.alloc(rows * dim)
 	// The softmax weights: one [N, N] per block and head when the backward
 	// needs them, one scratch reused by every head when it does not.
 	var probs []float64
 	if graph {
 		probs = make([]float64, heads*sumSq)
 	} else {
-		probs = make([]float64, maxN*maxN)
+		probs = ar.alloc(maxN * maxN)
 	}
-	d := make([]float64, rows*dim)
+	d := ar.alloc(rows * dim)
 	po := 0
 	for _, b := range blocks {
 		n, base := b.N, b.Start*dim

@@ -40,9 +40,10 @@ func (e *encoder) Params() []*Tensor {
 var encoderIDs = []int{3, 1, 4, 1, 5, 9, 2}
 
 // forward runs the whole stack once per attention entry point: Forward over
-// the sequence, and ForwardBlocks over the same rows split 3+4.
-func (e *encoder) forward(blocks bool) *Tensor {
-	x := e.In.Forward(e.Emb.Forward(encoderIDs))
+// the sequence, and ForwardBlocks over the same rows split 3+4. The embedding
+// allocates in a (nil: the heap).
+func (e *encoder) forward(blocks bool, a *Arena) *Tensor {
+	x := e.In.Forward(e.Emb.Forward(encoderIDs, a))
 	if blocks {
 		x = e.Block.ForwardBlocks(x, Blocks([]int{3, 4}, nil))
 	} else {
@@ -79,11 +80,11 @@ func TestFrozenViewMatchesTracked(t *testing.T) {
 	e := newEncoder(rand.New(rand.NewSource(7)))
 	view := e.frozen()
 	for _, blocks := range []bool{false, true} {
-		tracked := e.forward(blocks)
+		tracked := e.forward(blocks, nil)
 		if tracked.parents == nil || tracked.Grad == nil {
 			t.Fatal("tracked forward built no graph: the comparison proves nothing")
 		}
-		got := view.forward(blocks)
+		got := view.forward(blocks, nil)
 		sameData(t, "frozen forward", got, tracked)
 		graphFree(t, "frozen forward", got)
 	}
@@ -99,12 +100,12 @@ func TestFrozenViewTracksInPlaceWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	e := newEncoder(rng)
 	view := e.frozen()
-	before := view.forward(false).Clone()
+	before := view.forward(false, nil).Clone()
 
 	check := func(what string) {
 		t.Helper()
-		want := e.forward(false)
-		got := view.forward(false)
+		want := e.forward(false, nil)
+		got := view.forward(false, nil)
 		sameData(t, what, got, want)
 		graphFree(t, what, got)
 		same := true
@@ -119,7 +120,7 @@ func TestFrozenViewTracksInPlaceWrites(t *testing.T) {
 
 	opt := NewAdam(e.Params(), 0.05)
 	opt.ZeroGrad()
-	Sum(Mul(e.forward(false), e.forward(false))).Backward()
+	Sum(Mul(e.forward(false, nil), e.forward(false, nil))).Backward()
 	opt.Step()
 	check("after Adam.Step")
 

@@ -549,3 +549,29 @@ func TestFrozenForwardBlocksAllocsPinned(t *testing.T) {
 		t.Fatalf("frozen TransformerLayer.ForwardBlocks: %v allocs/op, want 26", got)
 	}
 }
+
+// TestFrozenForwardBlocksArenaAllocsPinned is TestFrozenForwardBlocksAllocsPinned
+// with the input in a warm arena: every op's data, kᵀ and the softmax scratch
+// come from the arena, so the block allocates only its 12 Tensor headers.
+func TestFrozenForwardBlocksArenaAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(16))
+	layer := NewTransformerLayer(rng, 32, 2, 64).Frozen()
+	blocks, rows := caseBlocks([]int{9, 13, 5}, true)
+	a := new(Arena)
+	x := randTensor(rng, rows, 32).Detach()
+	x.arena = a
+	run := func() {
+		a.Reset()
+		layer.ForwardBlocks(x, blocks)
+	}
+	run() // size the arena
+	if got := testing.AllocsPerRun(50, run); got != 12 {
+		t.Fatalf("frozen TransformerLayer.ForwardBlocks in a warm arena: %v allocs/op, want 12", got)
+	}
+	if a.spill != 0 {
+		t.Fatalf("a warm arena spilled %d floats to the heap", a.spill)
+	}
+}

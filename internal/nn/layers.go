@@ -36,7 +36,7 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: Linear shape mismatch %v x %v", x.Shape, w.Shape))
 	}
 	m, k, n := x.Shape[0], x.Shape[1], w.Shape[1]
-	d := make([]float64, m*n)
+	d := alloc(m*n, x, w, b)
 	gemm(d, n, x.Data, k, 1, w.Data, n, m, k, n)
 	bias := b.Data[:n]
 	for i := 0; i < m; i++ {
@@ -90,13 +90,17 @@ func NewEmbedding(rng *rand.Rand, vocab, dim int) *Embedding {
 
 // Forward gathers rows for the given ids producing [len(ids), dim].
 // Ids out of range are clamped to the last row (an explicit "other" bucket).
-func (e *Embedding) Forward(ids []int) *Tensor {
+// This is where data enters an arena: on a frozen table the result is
+// allocated in a and carries it, so every op downstream allocates there too;
+// a nil a, or a tracked table, allocates from the heap.
+func (e *Embedding) Forward(ids []int, a *Arena) *Tensor {
 	vocab, dim := e.W.Shape[0], e.W.Shape[1]
-	d := make([]float64, len(ids)*dim)
 	var clamped []int // backward-only
 	if needsGraph(e.W) {
 		clamped = make([]int, len(ids))
+		a = nil
 	}
+	d := a.alloc(len(ids) * dim)
 	for i, id := range ids {
 		if id < 0 || id >= vocab {
 			id = vocab - 1
@@ -107,6 +111,7 @@ func (e *Embedding) Forward(ids []int) *Tensor {
 		copy(d[i*dim:(i+1)*dim], e.W.Data[id*dim:(id+1)*dim])
 	}
 	out := newResult("embed", d, []int{len(ids), dim}, e.W)
+	out.arena = a
 	if out.parents != nil {
 		out.backFn = func() {
 			e.W.ensureGrad()
@@ -142,7 +147,7 @@ func NewLayerNorm(dim int) *LayerNorm {
 // Forward normalizes each row of x [rows, dim].
 func (l *LayerNorm) Forward(x *Tensor) *Tensor {
 	rows, dim := x.Shape[0], x.Shape[1]
-	d := make([]float64, rows*dim)
+	d := alloc(rows*dim, x, l.Gamma, l.Beta)
 	var invstd, norm []float64 // backward-only
 	if needsGraph(x, l.Gamma, l.Beta) {
 		invstd = make([]float64, rows)
@@ -271,7 +276,7 @@ func Cols(a *Tensor, start, n int) *Tensor {
 	if start < 0 || start+n > cols {
 		panic("nn: Cols out of range")
 	}
-	d := make([]float64, rows*n)
+	d := alloc(rows*n, a)
 	for r := 0; r < rows; r++ {
 		copy(d[r*n:(r+1)*n], a.Data[r*cols+start:r*cols+start+n])
 	}

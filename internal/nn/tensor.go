@@ -24,6 +24,30 @@
 // no package-level grad switch: which tensors track is a property of the
 // module a caller holds, so one replica trains while another serves.
 //
+// # Arenas
+//
+// A frozen forward's intermediate tensors die with the forward, so serving
+// can place their data in an Arena, a bump allocator that Reset empties in
+// one step, instead of on the garbage-collected heap. The arena travels on
+// tensors, not through parameters: data enters one at Embedding.Forward, an
+// op allocates its output (and attention its kᵀ and softmax scratch) from its
+// first input that carries an arena, and the output carries that arena on.
+// Only the Tensor headers still come from the heap. The rules:
+//
+//   - One goroutine per arena. An Arena has no lock: the goroutine that
+//     allocates in it is the only one that may use it until it hands the
+//     arena's tensors over through a synchronising operation (a channel
+//     receive, say), after which that goroutine is.
+//   - Tracked ops never take arena memory. An op that records a graph
+//     allocates from the heap whatever its inputs carry, so nothing a backward
+//     closure reads as its own output can be reset underneath it. A tracked op
+//     fed an arena tensor does read that input in its backward, so the
+//     arena must not be reset before that graph is dropped.
+//   - Reset (and Release, which resets) invalidates everything allocated in
+//     the arena. A value that must outlive it is copied out first
+//     (Tensor.Clone allocates on the heap). An arena is scratch memory, not a
+//     cache: nothing in it is read after the Reset that ends its round.
+//
 // # Kernels
 //
 // Every product goes through one GEMM family on raw slices (kernel.go): gemm
@@ -81,6 +105,10 @@ type Tensor struct {
 	// shape backs Shape for op results of rank ≤ 2 (every op in this
 	// package), so a result costs one allocation besides its data.
 	shape [2]int
+
+	// arena, when set, is where ops over this tensor allocate their outputs
+	// (see "Arenas" in the package comment).
+	arena *Arena
 }
 
 // NewTensor creates a tensor with the given shape backed by data.
@@ -198,7 +226,8 @@ func needsGraph(ts ...*Tensor) bool {
 // newResult wraps an op's output. It retains neither shape nor parents (both
 // are copied, parents only when the graph is recorded), so call sites build
 // them on the stack and a graph-free forward allocates the Tensor and nothing
-// else.
+// else. A graph-free result carries arenaOf(parents), the arena its data came
+// from, so the next op allocates there too.
 func newResult(op string, data []float64, shape []int, parents ...*Tensor) *Tensor {
 	out := &Tensor{Data: data, op: op}
 	if len(shape) <= len(out.shape) {
@@ -209,6 +238,8 @@ func newResult(op string, data []float64, shape []int, parents ...*Tensor) *Tens
 	if needsGraph(parents...) {
 		out.parents = append([]*Tensor(nil), parents...)
 		out.ensureGrad()
+	} else {
+		out.arena = arenaOf(parents...)
 	}
 	return out
 }
@@ -275,7 +306,7 @@ func sameShape(a, b *Tensor) {
 // Add returns a + b (element-wise; shapes must match).
 func Add(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a, b)
 	for i := range d {
 		d[i] = a.Data[i] + b.Data[i]
 	}
@@ -302,7 +333,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b (element-wise).
 func Sub(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a, b)
 	for i := range d {
 		d[i] = a.Data[i] - b.Data[i]
 	}
@@ -329,7 +360,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b (element-wise Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a, b)
 	for i := range d {
 		d[i] = a.Data[i] * b.Data[i]
 	}
@@ -355,7 +386,7 @@ func Mul(a, b *Tensor) *Tensor {
 
 // Scale returns a * s for scalar s.
 func Scale(a *Tensor, s float64) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i := range d {
 		d[i] = a.Data[i] * s
 	}
@@ -373,7 +404,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 
 // AddScalar returns a + s element-wise.
 func AddScalar(a *Tensor, s float64) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i := range d {
 		d[i] = a.Data[i] + s
 	}
@@ -394,7 +425,7 @@ func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
 // ReLU applies max(0, x) element-wise.
 func ReLU(a *Tensor) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		if v > 0 {
 			d[i] = v
@@ -416,7 +447,7 @@ func ReLU(a *Tensor) *Tensor {
 
 // Tanh applies tanh element-wise.
 func Tanh(a *Tensor) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		d[i] = math.Tanh(v)
 	}
@@ -434,7 +465,7 @@ func Tanh(a *Tensor) *Tensor {
 
 // Sigmoid applies 1/(1+e^-x) element-wise.
 func Sigmoid(a *Tensor) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		d[i] = 1 / (1 + math.Exp(-v))
 	}
@@ -452,7 +483,7 @@ func Sigmoid(a *Tensor) *Tensor {
 
 // Exp applies e^x element-wise.
 func Exp(a *Tensor) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		d[i] = math.Exp(v)
 	}
@@ -470,7 +501,7 @@ func Exp(a *Tensor) *Tensor {
 
 // Log applies natural log element-wise (inputs must be positive).
 func Log(a *Tensor) *Tensor {
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		d[i] = math.Log(v)
 	}
@@ -492,7 +523,9 @@ func Sum(a *Tensor) *Tensor {
 	for _, v := range a.Data {
 		s += v
 	}
-	out := newResult("sum", []float64{s}, []int{1}, a)
+	d := alloc(1, a)
+	d[0] = s
+	out := newResult("sum", d, []int{1}, a)
 	if out.parents != nil {
 		out.backFn = func() {
 			a.ensureGrad()
@@ -523,7 +556,7 @@ func Concat(ts ...*Tensor) *Tensor {
 		}
 		total += t.Shape[1]
 	}
-	d := make([]float64, rows*total)
+	d := alloc(rows*total, ts...)
 	off := 0
 	for _, t := range ts {
 		c := t.Shape[1]
@@ -561,7 +594,7 @@ func RowsMean(a *Tensor, keep []bool) *Tensor {
 	}
 	rows, cols := a.Shape[0], a.Shape[1]
 	cnt := 0.0
-	d := make([]float64, cols)
+	d := alloc(cols, a)
 	for r := 0; r < rows; r++ {
 		if keep != nil && !keep[r] {
 			continue
@@ -600,7 +633,7 @@ func Row(a *Tensor, r int) *Tensor {
 		panic("nn: Row expects a 2-D tensor")
 	}
 	cols := a.Shape[1]
-	d := make([]float64, cols)
+	d := alloc(cols, a)
 	copy(d, a.Data[r*cols:(r+1)*cols])
 	out := newResult("row", d, []int{1, cols}, a)
 	if out.parents != nil {
@@ -614,29 +647,37 @@ func Row(a *Tensor, r int) *Tensor {
 	return out
 }
 
-// VStack stacks k tensors of shape [1, cols] into [k, cols].
+// VStack stacks tensors of shape [k_i, cols] (any tensor of k_i·cols
+// elements, its last dimension cols) row-wise into [Σk_i, cols].
 func VStack(ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {
 		panic("nn: VStack of nothing")
 	}
 	cols := ts[0].Shape[len(ts[0].Shape)-1]
-	d := make([]float64, len(ts)*cols)
-	for i, t := range ts {
-		if t.Size() != cols {
+	total := 0
+	for _, t := range ts {
+		if t.Size()%cols != 0 {
 			panic("nn: VStack size mismatch")
 		}
-		copy(d[i*cols:(i+1)*cols], t.Data)
+		total += t.Size()
 	}
-	out := newResult("vstack", d, []int{len(ts), cols}, ts...)
+	d := alloc(total, ts...)
+	off := 0
+	for _, t := range ts {
+		off += copy(d[off:], t.Data)
+	}
+	out := newResult("vstack", d, []int{total / cols, cols}, ts...)
 	if out.parents != nil {
 		out.backFn = func() {
-			for i, t := range ts {
+			off := 0
+			for _, t := range ts {
 				if t.RequiresGrad || t.parents != nil {
 					t.ensureGrad()
-					for j := 0; j < cols; j++ {
-						t.Grad[j] += out.Grad[i*cols+j]
+					for j := range t.Grad {
+						t.Grad[j] += out.Grad[off+j]
 					}
 				}
+				off += t.Size()
 			}
 		}
 	}
@@ -649,7 +690,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	d := make([]float64, m*n)
+	d := alloc(m*n, a, b)
 	gemm(d, n, a.Data, k, 1, b.Data, n, m, k, n)
 	out := newResult("matmul", d, []int{m, n}, a, b)
 	if out.parents != nil {
@@ -677,7 +718,7 @@ func AddRowVector(a, bias *Tensor) *Tensor {
 	if bias.Size() != n {
 		panic("nn: AddRowVector size mismatch")
 	}
-	d := make([]float64, m*n)
+	d := alloc(m*n, a, bias)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			d[i*n+j] = a.Data[i*n+j] + bias.Data[j]
@@ -708,7 +749,7 @@ func AddRowVector(a, bias *Tensor) *Tensor {
 // Softmax applies a row-wise softmax to a 2-D tensor.
 func Softmax(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
-	d := make([]float64, m*n)
+	d := alloc(m*n, a)
 	for i := 0; i < m; i++ {
 		softmaxRow(a.Data[i*n:(i+1)*n], d[i*n:(i+1)*n])
 	}
@@ -756,7 +797,7 @@ func softmaxRow(in, out []float64) {
 // LogSoftmax applies a row-wise log-softmax to a 2-D tensor.
 func LogSoftmax(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
-	d := make([]float64, m*n)
+	d := alloc(m*n, a)
 	for i := 0; i < m; i++ {
 		row := a.Data[i*n : (i+1)*n]
 		maxv := math.Inf(-1)
@@ -801,7 +842,7 @@ func MaskedFill(a *Tensor, mask []bool, value float64) *Tensor {
 	if len(mask) != len(a.Data) {
 		panic("nn: MaskedFill mask length mismatch")
 	}
-	d := make([]float64, len(a.Data))
+	d := alloc(len(a.Data), a)
 	for i, v := range a.Data {
 		if mask[i] {
 			d[i] = v

@@ -14,22 +14,31 @@ import (
 // rollouts from the same expert plan revisit a state, each computed once and
 // shared by every walk that passes the memo. A memo holds
 //
-//   - Φ forwards, keyed by (agent, ICP key, step);
+//   - Φ forwards, keyed by (agent, ICP key, step), their activations in the
+//     memo's arena (see package nn's "Arenas");
 //   - hinted plans and their encodings, keyed by ICP key — each visit still
 //     gets its own PlanEval carrying its own Step;
 //   - legality masks, keyed by (ICP key, previous action), the relaxed retry
-//     included.
+//     included;
+//   - the query's candidate pool: every ICP the walks visit, first visit
+//     first, deduplicated by ICP key.
 //
 // Every entry is exactly what recomputing it would give, so walking with a
 // memo changes no output; it only removes repeated work. A memo belongs to
 // one query and one goroutine: the planners sharing it must share their
 // Steering, Encoder, Space and mask configuration (a learner's planners do),
-// and it is dropped once the query's candidate pool is built. A nil *Memo
-// computes everything afresh.
+// and Release ends it once the query's plan is chosen. Nothing in the arena
+// escapes: a pool candidate holds only its hinted plan and encoding, both on
+// the heap. A nil *Memo computes everything afresh.
 type Memo struct {
 	states map[stateKey]*nn.Tensor
 	hinted map[string]hinted
 	masks  map[maskKey][]bool
+
+	arena *nn.Arena
+	pool  []*PlanEval
+	keys  []string // keys[i] is pool[i]'s ICP key
+	judge func(*PlanEval)
 }
 
 type stateKey struct {
@@ -48,21 +57,52 @@ type maskKey struct {
 	prev int // action id of the previous edit, 0 at the first step
 }
 
-// NewMemo returns an empty walk memo for one query.
-func NewMemo() *Memo {
-	return &Memo{states: map[stateKey]*nn.Tensor{}, hinted: map[string]hinted{}, masks: map[maskKey][]bool{}}
+// NewMemo returns an empty walk memo for one query, its arena borrowed from
+// the pool. judge, unless nil, is handed each candidate the moment a walk
+// adds it to the pool, on the walking goroutine.
+func NewMemo(judge func(*PlanEval)) *Memo {
+	return &Memo{
+		states: map[stateKey]*nn.Tensor{}, hinted: map[string]hinted{}, masks: map[maskKey][]bool{},
+		arena: nn.BorrowArena(), judge: judge,
+	}
+}
+
+// Release returns the memo's arena to the pool. The memo must not be walked
+// again; its pool stays readable.
+func (m *Memo) Release() {
+	m.states = nil
+	m.arena.Release()
+	m.arena = nil
+}
+
+// Pool returns the candidate pool the walks built, in first-visit order.
+func (m *Memo) Pool() []*PlanEval { return m.pool }
+
+// visit adds pe, whose ICP key is key, to the pool unless an earlier visit
+// did, and hands a new candidate to the judge.
+func (m *Memo) visit(pe *PlanEval, key string) {
+	if m == nil || slices.Contains(m.keys, key) {
+		return
+	}
+	m.pool = append(m.pool, pe)
+	m.keys = append(m.keys, key)
+	if m.judge != nil {
+		m.judge(pe)
+	}
 }
 
 // state returns Φ(pe) from the agent's frozen view, key being pe's ICP key.
 func (m *Memo) state(a *Agent, pe *PlanEval, key string, maxSteps int) *nn.Tensor {
 	k := stateKey{a.phi, key, pe.Step}
+	var arena *nn.Arena
 	if m != nil {
 		if sv, ok := m.states[k]; ok {
 			return sv
 		}
+		arena = m.arena
 	}
 	a.phiForwards.Add(1)
-	sv := a.phi.Forward(pe.Enc, pe.StepStatus(maxSteps))
+	sv := a.phi.Forward(pe.Enc, pe.StepStatus(maxSteps), arena)
 	if m != nil {
 		m.states[k] = sv
 	}

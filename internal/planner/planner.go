@@ -264,15 +264,16 @@ func (p *Planner) RunEpisodeWithRng(q *query.Query, orig *PlanEval, env Environm
 
 // Rollout is the serving walk: RunEpisodeWithRng with no environment and no
 // references, taking its Φ forwards, hinted plans and masks from memo, which
-// the query's other rollouts share. The episode is the one RunEpisodeWithRng
-// walks on the same rng.
+// the query's other rollouts share, and adding its candidates to memo's
+// pool. The episode is the one RunEpisodeWithRng walks on the same rng.
 func (p *Planner) Rollout(q *query.Query, orig *PlanEval, sample bool, rng *rand.Rand, memo *Memo) (*EpisodeResult, error) {
 	return p.walk(q, orig, nil, nil, sample, rng, memo)
 }
 
 // walk is the one walk behind RunEpisodeWithRng and Rollout; memo may be nil.
-// Each visit's ICP key is built once and serves the episode's dedup, the
-// memo and (through Keys) the caller's pool dedup.
+// Each visit's ICP key is built once and serves the episode's dedup and the
+// memo, which adds each candidate new to the query to its pool as the step
+// that reached it ends.
 func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []Ref, sample bool, rng *rand.Rand, memo *Memo) (*EpisodeResult, error) {
 	maxSteps := p.Cfg.MaxSteps
 	timeout := 0.0
@@ -286,6 +287,7 @@ func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []R
 
 	curKey := orig.ICP.Key()
 	res := &EpisodeResult{Candidates: []*PlanEval{orig}, Keys: []string{curKey}, OrigLatency: orig.Latency, env: env, refs: refs}
+	memo.visit(orig, curKey)
 	cur := orig
 	var prevAction *plan.Action
 
@@ -318,6 +320,7 @@ func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []R
 			st.isNew = true
 			res.Candidates = append(res.Candidates, st.next)
 			res.Keys = append(res.Keys, key)
+			memo.visit(st.next, key)
 		}
 		res.steps = append(res.steps, st)
 		prevAction = &action
@@ -368,7 +371,7 @@ func (p *Planner) Score(ep *EpisodeResult) {
 		}
 		enc, status := st.cur.Enc, st.cur.StepStatus(maxSteps)
 		ep.Transitions = append(ep.Transitions, rl.Transition{
-			Recompute: func() *nn.Tensor { return p.Agent.Phi.Forward(enc, status) },
+			Recompute: func() *nn.Tensor { return p.Agent.Phi.Forward(enc, status, nil) },
 			Mask:      st.mask,
 			Action:    st.action,
 			LogProb:   st.logp,
@@ -404,31 +407,28 @@ func (p *Planner) Update(trans []rl.Transition) rl.Stats {
 // sequence in generation order keeping the AAM-estimated best. All candidate
 // state vectors and both halves of the pairwise head are produced by one
 // batched pass, so the comparison chain costs N−1 passes of the head's last
-// layer instead of 2(N−1) full forwards.
+// layer instead of 2(N−1) full forwards. A singleton pool needs no model pass.
 func SelectBest(model *aam.Model, cands []*PlanEval, maxSteps int) *PlanEval {
-	if len(cands) == 0 {
+	switch len(cands) {
+	case 0:
 		return nil
+	case 1:
+		return cands[0]
 	}
-	best, _ := selectIndex(model, cands, maxSteps)
-	return cands[best]
+	return cands[Select(planHeads(model, cands, maxSteps), len(cands))]
 }
 
-// selectIndex runs the temporal selection chain over a non-empty pool and
-// returns the winner's index plus the heads the chain compared (nil for a
-// singleton pool, which needs no model pass) — the one comparison chain
-// behind both SelectBest and ExplainSelection.
-func selectIndex(model *aam.Model, cands []*PlanEval, maxSteps int) (int, *aam.Heads) {
-	if len(cands) == 1 {
-		return 0, nil
-	}
-	heads := planHeads(model, cands, maxSteps)
+// Select is the temporal selection chain over a non-empty pool of n plans
+// whose heads are built (row i is candidate i): it returns the index of the
+// winner. It is the one comparison chain behind SelectBest and serving.
+func Select(heads *aam.Heads, n int) int {
 	best := 0
-	for i := 1; i < len(cands); i++ {
+	for i := 1; i < n; i++ {
 		if heads.Score(best, i) > 0 {
 			best = i
 		}
 	}
-	return best, heads
+	return best
 }
 
 // planHeads runs one batched pass over plans: index i of the result is
@@ -440,7 +440,7 @@ func planHeads(model *aam.Model, plans []*PlanEval, maxSteps int) *aam.Heads {
 		encs[i] = pe.Enc
 		steps[i] = pe.StepStatus(maxSteps)
 	}
-	return model.Heads(encs, steps)
+	return model.Heads(encs, steps, nil)
 }
 
 // CandidateScore describes one candidate of an explained selection: its hint
@@ -457,31 +457,23 @@ type CandidateScore struct {
 	Chosen  bool    `json:"chosen"`
 }
 
-// ExplainSelection reruns the temporal selection over a candidate pool and
-// returns the winner's index plus a per-candidate score card. The winner is
-// bit-identical to SelectBest on the same pool and model: the same pairwise
-// comparison chain picks it, and the score card is derived from the same
-// heads afterwards. Returns (-1, nil) on an empty pool.
-func ExplainSelection(model *aam.Model, cands []*PlanEval, maxSteps int) (int, []CandidateScore) {
-	if len(cands) == 0 {
-		return -1, nil
-	}
+// Explain returns the score card of a pool Select chose best from, over the
+// same heads: every candidate's hint set, step and estimated cost, and the
+// class of the winner over it. The winner is the one Select picked, so it is
+// bit-identical to SelectBest on the same pool and model.
+func Explain(heads *aam.Heads, cands []*PlanEval, best int) []CandidateScore {
 	scores := make([]CandidateScore, len(cands))
 	for i, c := range cands {
 		scores[i] = CandidateScore{ICPKey: c.ICP.Key(), Step: c.Step}
 		if c.CP != nil && c.CP.Root != nil {
 			scores[i].EstCost = c.CP.Root.EstCost
 		}
-	}
-	best, heads := selectIndex(model, cands, maxSteps)
-	for i := range cands {
-		if i == best {
-			continue
+		if i != best {
+			// Class of the winner (r) over candidate i (l) — the mirror of
+			// the selection chain's comparisons.
+			scores[i].Score = heads.Score(i, best)
 		}
-		// Class of the winner (r) over candidate i (l) — the mirror of the
-		// selection chain's comparisons.
-		scores[i].Score = heads.Score(i, best)
 	}
 	scores[best].Chosen = true
-	return best, scores
+	return scores
 }

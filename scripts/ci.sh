@@ -80,7 +80,7 @@ else
   go test -race ./...
 fi
 
-echo "== frozen views and forks: serving and feedback while a fork trains (-race -count=10) =="
+echo "== frozen views and forks: serving and feedback while a fork trains, judged misses beside Explain (-race -count=10) =="
 # The one stress the suite above does not give: ten rounds under the detector.
 # The live replica scores through its frozen view while another model trains
 # (no package-level grad switch and no shared tensor, so it must stay
@@ -89,18 +89,21 @@ echo "== frozen views and forks: serving and feedback while a fork trains (-race
 # replica's weights never change.
 go test -race -count=10 -run 'TestFrozenViewServesWhileOtherReplicaTrains' ./internal/aam/
 go test -race -count=10 -run 'TestServeAndRecordThroughBackgroundRetrain' ./internal/service/
+# Batches of misses, each walking in its own arena while its judge goroutine
+# scores in another, beside Explain over the same queries.
+go test -race -count=10 -run 'TestJudgedMissesBesideExplain' ./internal/core/
 
 echo "== AAM training kernel: one epoch of -bench AAMTrainEpoch (internal/aam), so it cannot rot =="
 go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
 
-echo "== miss kernel: one tier-2 miss of -bench ServeMiss (internal/core), so it cannot rot =="
+echo "== miss kernel: one tier-2 miss of -bench ServeMiss (internal/core) at each size, so it cannot rot =="
 go test -run '^$' -bench ServeMiss -benchtime 1x ./internal/core
 
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
   # TestTier0ServeZeroAllocs, TestHotTurnZeroAllocs, TestServeMissAllocsBounded,
   # TestHistogramObserveZeroAllocs, TestScoreBatchAllocsBounded,
-  # TestFrozenForwardBlocksAllocsPinned: README
+  # TestFrozenForwardBlocksAllocsPinned, TestFrozenForwardBlocksArenaAllocsPinned: README
   # "Verification" says what each pins. A rename that leaves the pattern
   # matching nothing in one of their packages is a failure, not a pass.
   alloc_out=$(go test -count=1 -run Allocs ./internal/...) || { echo "$alloc_out"; echo "FAIL: alloc tripwire"; exit 1; }
@@ -114,6 +117,9 @@ if [[ $quick -eq 0 ]]; then
 
   echo "== checkpoint decoder: ten seconds of FuzzDecodeCheckpoint, no panic, sentinel errors only =="
   go test -run '^$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/store
+
+  echo "== wal frames: ten seconds of FuzzOpenWAL, no panic, truncation to a frame boundary, Len = Replay, append after open replays last =="
+  go test -run '^$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/store
 
   echo "== tenant specs: ten seconds of FuzzParseTenantSpecs, no panic, every accepted fleet preflights or is refused as ErrBadConfig =="
   go test -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s ./cmd/fossd
