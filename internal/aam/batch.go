@@ -214,18 +214,10 @@ func (j *Judge) Add(encs []*planenc.Encoded, steps []float64) {
 	j.l, j.r = append(j.l, l), append(j.r, r)
 }
 
-// Heads returns the heads over every plan added, row i being the i-th plan
-// added. They live in the judge's arena: valid until Release.
+// Heads returns the heads over every plan added (at least one), row i being
+// the i-th plan added. They live in the judge's arena: valid until Release.
 func (j *Judge) Heads() *Heads {
-	h := &Heads{fc2: j.m.FC2}
-	switch len(j.l) {
-	case 0:
-	case 1:
-		h.l, h.r = j.l[0], j.r[0]
-	default:
-		h.l, h.r = nn.VStack(j.l...), nn.VStack(j.r...)
-	}
-	return h
+	return &Heads{fc2: j.m.FC2, l: nn.VStack(j.l...), r: nn.VStack(j.r...)}
 }
 
 // Release returns the judge's arena to the pool: nothing the judge computed

@@ -210,10 +210,10 @@ type Ref struct {
 type EpisodeResult struct {
 	Transitions []rl.Transition
 	Candidates  []*PlanEval // temporal sequence, original first
-	Keys        []string    // Keys[i] is Candidates[i].ICP.Key()
 	Final       *PlanEval   // estimated-optimal plan CP̄ (the output)
 	OrigLatency float64     // NaN when unknown (pure simulated episodes)
 
+	keys  []string // keys[i] is Candidates[i].ICP.Key()
 	env   Environment
 	refs  []Ref
 	steps []step
@@ -286,7 +286,7 @@ func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []R
 	}
 
 	curKey := orig.ICP.Key()
-	res := &EpisodeResult{Candidates: []*PlanEval{orig}, Keys: []string{curKey}, OrigLatency: orig.Latency, env: env, refs: refs}
+	res := &EpisodeResult{Candidates: []*PlanEval{orig}, keys: []string{curKey}, OrigLatency: orig.Latency, env: env, refs: refs}
 	memo.visit(orig, curKey)
 	cur := orig
 	var prevAction *plan.Action
@@ -316,10 +316,10 @@ func (p *Planner) walk(q *query.Query, orig *PlanEval, env Environment, refs []R
 		if env != nil {
 			env.Prepare(st.next, timeout)
 		}
-		if !slices.Contains(res.Keys, key) {
+		if !slices.Contains(res.keys, key) {
 			st.isNew = true
 			res.Candidates = append(res.Candidates, st.next)
-			res.Keys = append(res.Keys, key)
+			res.keys = append(res.keys, key)
 			memo.visit(st.next, key)
 		}
 		res.steps = append(res.steps, st)
