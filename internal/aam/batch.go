@@ -1,7 +1,7 @@
 package aam
 
 import (
-	"sync"
+	"slices"
 
 	"github.com/foss-db/foss/internal/nn"
 	"github.com/foss-db/foss/internal/planenc"
@@ -12,84 +12,64 @@ import (
 // (block-diagonal), so the only cost of a larger chunk is peak memory.
 const scoreChunk = 32
 
-// batchScratch pools the staging buffers a batched forward copies encoded
-// plans through. Everything pooled here is dead before the borrowing call
-// returns: the embedding lookups copy their id slices, the block descriptors
-// only borrow mask pointers that each Encoded owns, and the encs slice is
-// iterated, never stored. `lengths` and `steps` are not pooled. Every caller
-// in this repository runs ForwardBatch on a frozen view, where both are dead
-// on return, but on a tracked network the graph retains them (SegmentMean's
-// backward closure, the tensor NewTensor builds over steps), the tests compare
-// the two, and two small slices per chunk of up to scoreChunk plans do not pay
-// for a tracked/untracked branch here.
-type batchScratch struct {
-	ops, tables, cols, rowBkt, heights, structs []int
-	masks                                       [][]bool
-	encs                                        []*planenc.Encoded
-}
-
-var scratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
-
 // ForwardBatch produces the state representation vectors [N, StateDim] for N
 // encoded plans in one stacked forward pass: embeddings, the input
 // projection, layer norms and feed-forward MLPs run over all plans' nodes at
 // once, and attention is evaluated per plan block. Row i is bit-identical to
-// Forward(encs[i], steps[i], a), so no row depends on how plans are batched.
-// a is the arena Forward takes.
-func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64, a *nn.Arena) *nn.Tensor {
+// Forward(encs[i], steps[i], sc), so no row depends on how plans are batched.
+//
+// On a frozen view the input stage runs once per feature tuple new to sc, and
+// the activations and the result are allocated in sc's arena (see Scratch).
+// A nil sc allocates on the heap and merges repeated rows within this call
+// only. A tracked network ignores sc: it builds the per-row graph that
+// training differentiates, on the heap, for merging rows there would sum
+// their gradients before back-propagation and move training's bits.
+func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64, sc *Scratch) *nn.Tensor {
 	if len(encs) != len(steps) {
 		panic("aam: ForwardBatch length mismatch")
 	}
-	n := len(encs)
-	lengths := make([]int, n) // not pooled: see batchScratch
-	sc := scratchPool.Get().(*batchScratch)
-	masks := sc.masks[:0]
+	if s.frozen {
+		return s.forwardFrozen(encs, steps, sc)
+	}
+	// The staging buffers come from a pooled scratch and are dead once the
+	// embeddings have copied the ids and the block descriptors hold the mask
+	// pointers. lengths and steps are not pooled: the graph retains them
+	// (SegmentMean's backward closure, the tensor NewTensor builds over steps).
+	st := borrowScratch(nil)
+	lengths := make([]int, len(encs))
+	masks := st.masks[:0]
+	for p := range st.feats {
+		st.feats[p] = st.feats[p][:0]
+	}
 	for i, enc := range encs {
 		lengths[i] = enc.N
 		masks = append(masks, enc.Mask)
+		for p, ids := range features(enc) {
+			st.feats[p] = append(st.feats[p], ids...)
+		}
 	}
-	ops := sc.ops[:0]
-	tables := sc.tables[:0]
-	cols := sc.cols[:0]
-	rowBkt := sc.rowBkt[:0]
-	heights := sc.heights[:0]
-	structs := sc.structs[:0]
-	for _, enc := range encs {
-		ops = append(ops, enc.Ops...)
-		tables = append(tables, enc.Tables...)
-		cols = append(cols, enc.Columns...)
-		rowBkt = append(rowBkt, enc.RowBkt...)
-		heights = append(heights, enc.Heights...)
-		structs = append(structs, enc.Structs...)
+	var node [6]*nn.Tensor
+	for p, e := range s.embeddings() {
+		node[p] = e.Forward(st.feats[p])
 	}
-	node := nn.Concat(
-		s.OpEmb.Forward(ops, a),
-		s.TableEmb.Forward(tables, a),
-		s.ColEmb.Forward(cols, a),
-		s.RowEmb.Forward(rowBkt, a),
-		s.HeightEmb.Forward(heights, a),
-		s.StructEmb.Forward(structs, a),
-	)
 	bs := nn.BorrowBlocks(lengths, masks)
-	// The embeddings copied the ids and the block descriptors hold the mask
-	// pointers; the staging buffers are dead. Clear the mask pointers so the
-	// pool never pins an encoding alive, then recycle.
-	for i := range masks {
-		masks[i] = nil
-	}
-	sc.ops, sc.tables, sc.cols, sc.rowBkt, sc.heights, sc.structs, sc.masks =
-		ops, tables, cols, rowBkt, heights, structs, masks
-	scratchPool.Put(sc)
-	x := s.InProj.Forward(node) // [ΣSeq, DModel]
+	clear(masks)
+	st.masks = masks
+	st.Release()
+	x := s.InProj.Forward(nn.Concat(node[:]...)) // [ΣSeq, DModel]
 	for _, b := range s.Blocks {
 		x = b.ForwardBlocks(x, bs.Blocks())
 	}
 	x = s.OutLN.Forward(x)
 	bs.Release()
-	pooled := nn.SegmentMean(x, lengths)                     // [N, DModel]
-	withStep := nn.Concat(pooled, nn.NewTensor(steps, n, 1)) // [N, DModel+1]
-	return nn.Tanh(s.Out.Forward(withStep))                  // [N, StateDim]
+	pooled := nn.SegmentMean(x, lengths)                             // [N, DModel]
+	withStep := nn.Concat(pooled, nn.NewTensor(steps, len(encs), 1)) // [N, DModel+1]
+	return nn.Tanh(s.Out.Forward(withStep))                          // [N, StateDim]
 }
+
+// InputRows reports how many input-stage rows the model's frozen view has
+// computed (see StateNet.InputRows).
+func (m *Model) InputRows() int64 { return m.frozen.State.InputRows() }
 
 // Pair is one (left, right) plan comparison for batched scoring.
 type Pair struct {
@@ -103,25 +83,20 @@ type Pair struct {
 // Logits(pairs[i]...).
 func (m *Model) LogitsBatch(pairs []Pair) *nn.Tensor {
 	n := len(pairs)
-	sc := scratchPool.Get().(*batchScratch)
-	encs := sc.encs
-	if cap(encs) < 2*n {
-		encs = make([]*planenc.Encoded, 2*n)
-	}
-	encs = encs[:2*n]
-	steps := make([]float64, 2*n) // not pooled: see batchScratch
+	sc := borrowScratch(nil)
+	encs := slices.Grow(sc.encs[:0], 2*n)[:2*n]
+	steps := make([]float64, 2*n) // the step column's tensor wraps it
 	for i, p := range pairs {
 		encs[i], steps[i] = p.EncL, p.StepL
 		encs[n+i], steps[n+i] = p.EncR, p.StepR
 	}
-	sv := m.State.ForwardBatch(encs, steps, nil)
-	// ForwardBatch iterates encs without storing it; clear the pointers so the
-	// pool never pins an encoding alive, then recycle.
-	for i := range encs {
-		encs[i] = nil
-	}
+	sv := m.State.ForwardBatch(encs, steps, sc)
+	// sv is on the heap and ForwardBatch iterates encs without storing it;
+	// clear the pointers so the pool never pins an encoding alive, then
+	// recycle.
+	clear(encs)
 	sc.encs = encs
-	scratchPool.Put(sc)
+	sc.Release()
 	svL := nn.Rows(sv, 0, n)
 	svR := nn.Rows(sv, n, n)
 	hl := nn.ReLU(m.FC1.Forward(nn.AddRowVector(svL, m.PosL)))
@@ -170,17 +145,17 @@ type Heads struct {
 }
 
 // Heads runs the state network over the pool in one batched pass, then FC1
-// once per side over all rows, allocating in a (nil: the heap). Linear rows
-// are independent, so Score on the result is bit-identical to Score on the
-// same plans.
-func (m *Model) Heads(encs []*planenc.Encoded, steps []float64, a *nn.Arena) *Heads {
-	l, r := m.frozen.halves(encs, steps, a)
+// once per side over all rows, in sc (nil: the heap; see
+// StateNet.ForwardBatch). Linear rows are independent, so Score on the result
+// is bit-identical to Score on the same plans.
+func (m *Model) Heads(encs []*planenc.Encoded, steps []float64, sc *Scratch) *Heads {
+	l, r := m.frozen.halves(encs, steps, sc)
 	return &Heads{fc2: m.frozen.FC2, l: l, r: r}
 }
 
 // halves computes the head rows [len(encs), StateDim] of both sides.
-func (m *Model) halves(encs []*planenc.Encoded, steps []float64, a *nn.Arena) (l, r *nn.Tensor) {
-	sv := m.State.ForwardBatch(encs, steps, a)
+func (m *Model) halves(encs []*planenc.Encoded, steps []float64, sc *Scratch) (l, r *nn.Tensor) {
+	sv := m.State.ForwardBatch(encs, steps, sc)
 	return nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosL))), nn.ReLU(m.FC1.Forward(nn.AddRowVector(sv, m.PosR)))
 }
 
@@ -193,24 +168,26 @@ func (h *Heads) logits(l, r int) *nn.Tensor {
 }
 
 // Judge builds the selection heads of a pool that grows while it is judged:
-// each Add computes the head rows of the plans it is given, in an arena the
+// each Add computes the head rows of the plans it is given, in a Scratch the
 // judge owns, and Heads assembles every row added so far. Rows do not depend
 // on how plans are batched (see StateNet.ForwardBatch), so the result is
-// bit-identical to Model.Heads over the whole pool. A judge belongs to one
-// goroutine at a time (see package nn's "Arenas"), and Release ends it.
+// bit-identical to Model.Heads over the whole pool; the scratch's memo only
+// spares each Add the input-stage rows of the feature tuples earlier Adds
+// computed. A judge belongs to one goroutine at a time (see package nn's
+// "Arenas"), and Release ends it.
 type Judge struct {
-	m     *Model // the frozen view
-	arena *nn.Arena
-	l, r  []*nn.Tensor // the head rows of each Add, in order
+	m    *Model // the frozen view
+	sc   *Scratch
+	l, r []*nn.Tensor // the head rows of each Add, in order
 }
 
-// NewJudge returns a judge over the model's current weights, with an arena
+// NewJudge returns a judge over the model's current weights, with a scratch
 // borrowed from the pool.
-func (m *Model) NewJudge() *Judge { return &Judge{m: m.frozen, arena: nn.BorrowArena()} }
+func (m *Model) NewJudge() *Judge { return &Judge{m: m.frozen, sc: NewScratch()} }
 
 // Add computes the head rows of the given plans, after those already added.
 func (j *Judge) Add(encs []*planenc.Encoded, steps []float64) {
-	l, r := j.m.halves(encs, steps, j.arena)
+	l, r := j.m.halves(encs, steps, j.sc)
 	j.l, j.r = append(j.l, l), append(j.r, r)
 }
 
@@ -220,9 +197,9 @@ func (j *Judge) Heads() *Heads {
 	return &Heads{fc2: j.m.FC2, l: nn.VStack(j.l...), r: nn.VStack(j.r...)}
 }
 
-// Release returns the judge's arena to the pool: nothing the judge computed
-// may be read afterwards.
+// Release returns the judge's scratch to the pool: nothing the judge
+// computed may be read afterwards.
 func (j *Judge) Release() {
 	j.l, j.r = nil, nil
-	j.arena.Release()
+	j.sc.Release()
 }

@@ -227,3 +227,96 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 	nn.CopyParams(live, fork)
 	checkScoring(t, "after copying the trained fork in", live, pairs)
 }
+
+// sameBits fails unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sharedNodePlans is randomPlans plus plans that share nodes with them: each
+// of the first plans again with one node's row bucket moved, and two plans
+// repeated whole, so a forward meets tuples it has seen in other plans.
+func sharedNodePlans(rng *rand.Rand) ([]*planenc.Encoded, []float64) {
+	encs, steps := randomPlans(rng, 6)
+	for i := range 4 {
+		enc := *encs[i]
+		enc.RowBkt = append([]int(nil), enc.RowBkt...)
+		enc.RowBkt[rng.Intn(enc.N)] = rng.Intn(planenc.RowBuckets)
+		encs, steps = append(encs, &enc), append(steps, float64(i)/5)
+	}
+	return append(encs, encs[1], encs[4]), append(steps, steps[1], 0.5)
+}
+
+// TestScratchComputesEachTupleOnce: frozen forwards through one Scratch run
+// the input stage once per feature tuple new to it, however the plans are
+// split into calls, and each row equals the tracked network's Forward, which
+// shares nothing, bit for bit. A nil scratch merges within its call only, a
+// tracked network computes no memo rows, and a scratch refuses a second
+// network.
+func TestScratchComputesEachTupleOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	s := NewStateNet(rng, frozenTestCfg, 4, 4)
+	view := s.Frozen()
+	encs, steps := sharedNodePlans(rng)
+	sc := NewScratch()
+	defer sc.Release()
+	seen := map[tuple]bool{}
+	rows := 0
+	for start := 0; start < len(encs); {
+		end := min(len(encs), start+1+rng.Intn(4))
+		fresh := 0
+		for _, enc := range encs[start:end] {
+			for r := range enc.N {
+				key := tuple{enc.Ops[r], enc.Tables[r], enc.Columns[r], enc.RowBkt[r], enc.Heights[r], enc.Structs[r]}
+				if !seen[key] {
+					seen[key] = true
+					fresh++
+				}
+			}
+			rows += enc.N
+		}
+		before := view.InputRows()
+		got := view.ForwardBatch(encs[start:end], steps[start:end], sc)
+		if n := view.InputRows() - before; n != int64(fresh) {
+			t.Fatalf("plans [%d, %d): %d input-stage rows computed, %d tuples new to the scratch", start, end, n, fresh)
+		}
+		untracked(t, "memoised ForwardBatch", got)
+		w := got.Shape[1]
+		for i := start; i < end; i++ {
+			sameBits(t, "memoised row", got.Data[(i-start)*w:(i-start+1)*w], s.Forward(encs[i], steps[i], nil).Data)
+		}
+		start = end
+	}
+	if len(seen) >= rows {
+		t.Fatalf("%d distinct tuples over %d rows: nothing repeats, the check proves nothing", len(seen), rows)
+	}
+
+	before := view.InputRows()
+	whole := view.ForwardBatch(encs, steps, nil)
+	if n := view.InputRows() - before; n != int64(len(seen)) {
+		t.Fatalf("a nil-scratch batch computed %d input-stage rows for %d distinct tuples", n, len(seen))
+	}
+	s.ForwardBatch(encs, steps, sc)
+	if n := view.InputRows() - before; n != int64(len(seen)) || s.InputRows() != 0 {
+		t.Fatalf("a tracked batch moved the count: %d rows, tracked network %d", n, s.InputRows())
+	}
+	w := whole.Shape[1]
+	for i, enc := range encs {
+		sameBits(t, "nil-scratch row", whole.Data[i*w:(i+1)*w], view.Forward(enc, steps[i], nil).Data)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a scratch forwarded a second network")
+		}
+	}()
+	NewStateNet(rng, frozenTestCfg, 4, 4).Frozen().Forward(encs[0], 0, sc)
+}

@@ -1,10 +1,19 @@
 // Package aam implements the paper's asymmetric advantage model and the
 // transformer-based state network that both the AAM and the planner's agent
 // use to represent plan states.
+//
+// A frozen view's forwards share input-stage rows; a tracked network's never
+// do. A node's rows up to the first attention depend on its feature tuple
+// alone, so a frozen forward computes them once per tuple new to its Scratch
+// and gathers the rest (see Scratch): one Scratch per network and per serve,
+// never across serves, because an entry is valid only for the weights that
+// computed it. Training's tracked forwards keep one graph row per node, so
+// their gradients, and with them the trained weights, do not move.
 package aam
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"github.com/foss-db/foss/internal/nn"
 	"github.com/foss-db/foss/internal/planenc"
@@ -41,6 +50,9 @@ type StateNet struct {
 	Blocks []*nn.TransformerLayer
 	OutLN  *nn.LayerNorm
 	Out    *nn.Linear // [DModel+1 (step)] -> StateDim
+
+	frozen    bool         // a frozen view: forwards share input-stage rows (see Scratch)
+	inputRows atomic.Int64 // input-stage rows the view computed, read by InputRows
 }
 
 // Feature embedding widths. The four node features are concatenated into a
@@ -73,19 +85,18 @@ func NewStateNet(rng *rand.Rand, cfg StateNetConfig, numTables, numCols int) *St
 }
 
 // Forward produces the state representation vector [1, StateDim] for an
-// encoded plan at step status t/maxsteps. On a frozen view the activations
-// and the result are allocated in a (see package nn's "Arenas"); nil, or a
-// tracked network, allocates them on the heap.
-func (s *StateNet) Forward(enc *planenc.Encoded, step float64, a *nn.Arena) *nn.Tensor {
-	node := nn.Concat(
-		s.OpEmb.Forward(enc.Ops, a),
-		s.TableEmb.Forward(enc.Tables, a),
-		s.ColEmb.Forward(enc.Columns, a),
-		s.RowEmb.Forward(enc.RowBkt, a),
-		s.HeightEmb.Forward(enc.Heights, a),
-		s.StructEmb.Forward(enc.Structs, a),
-	)
-	x := s.InProj.Forward(node)
+// encoded plan at step status t/maxsteps. On a frozen view it is ForwardBatch
+// over the one plan, in sc (see ForwardBatch); a tracked network ignores sc.
+func (s *StateNet) Forward(enc *planenc.Encoded, step float64, sc *Scratch) *nn.Tensor {
+	if s.frozen {
+		return s.forwardFrozen([]*planenc.Encoded{enc}, []float64{step}, sc)
+	}
+	var node [6]*nn.Tensor
+	embs := s.embeddings()
+	for p, ids := range features(enc) {
+		node[p] = embs[p].Forward(ids)
+	}
+	x := s.InProj.Forward(nn.Concat(node[:]...))
 	for _, b := range s.Blocks {
 		x = b.Forward(x, enc.Mask)
 	}
@@ -94,6 +105,11 @@ func (s *StateNet) Forward(enc *planenc.Encoded, step float64, a *nn.Arena) *nn.
 	withStep := nn.Concat(pooled, stepTensor(step)) // [1, DModel+1]
 	return nn.Tanh(s.Out.Forward(withStep))         // [1, StateDim]
 }
+
+// InputRows reports how many input-stage rows the frozen view's forwards have
+// computed, so a test can check that they compute each feature tuple once per
+// Scratch. It is zero on a tracked network.
+func (s *StateNet) InputRows() int64 { return s.inputRows.Load() }
 
 // Frozen returns the network's frozen view (see package nn): the same
 // weights, forwards that build no autograd graph.
@@ -109,6 +125,7 @@ func (s *StateNet) Frozen() *StateNet {
 		InProj:    s.InProj.Frozen(),
 		OutLN:     s.OutLN.Frozen(),
 		Out:       s.Out.Frozen(),
+		frozen:    true,
 	}
 	for _, b := range s.Blocks {
 		f.Blocks = append(f.Blocks, b.Frozen())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync"
@@ -88,4 +89,36 @@ func TestCheckCatalogMemoFollowsGeneration(t *testing.T) {
 		}(sys, sys == a)
 	}
 	wg.Wait()
+}
+
+// TestOptimizeUnknownTableIsStale: the public optimize paths gate a miss on
+// the catalog the way ExpertPlan and Execute do. A query naming a table the
+// catalog never had fails with ErrCatalogStale, where it used to panic in the
+// storage layer, and a valid query still serves afterwards.
+func TestOptimizeUnknownTableIsStale(t *testing.T) {
+	sys := smallSystem(t, nil)
+	src := sys.W.Train[0]
+	q := &query.Query{ID: "ghost", Tables: slices.Clone(src.Tables), Joins: src.Joins, Filters: src.Filters}
+	q.Tables[0].Table = "no_such_table"
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	stale := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, fosserr.ErrCatalogStale) {
+			t.Fatalf("%s of a query naming an unknown table: %v, want ErrCatalogStale", what, err)
+		}
+	}
+	_, _, err := sys.OptimizeContext(ctx, q)
+	stale("OptimizeContext", err)
+	_, _, _, err = sys.OptimizeEvalContext(ctx, q)
+	stale("OptimizeEvalContext", err)
+	_, err = sys.ExplainCandidates(ctx, q)
+	stale("ExplainCandidates", err)
+	_, _, err = sys.ExpertPlan(q)
+	stale("ExpertPlan", err)
+	if _, _, err := sys.OptimizeContext(ctx, src); err != nil {
+		t.Fatalf("a valid query after the stale one: %v", err)
+	}
 }

@@ -225,7 +225,7 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		world:    world,
 	}
 	sys.Learner = learner.New(w, planners, model, b, lCfg)
-	sys.RT = runtime.New(runtime.Config{CacheSize: cfg.PlanCache}, sys.Learner)
+	sys.RT = runtime.New(runtime.Config{CacheSize: cfg.PlanCache}, checkedSource{sys})
 	// A replica built over an already-evolved world starts its cache
 	// identity at the world's catalog epoch (nothing is cached yet; the
 	// rekey just aligns the identity).
@@ -235,6 +235,19 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		}
 	}
 	return sys, nil
+}
+
+// checkedSource is the runtime's miss path: the learner behind CheckCatalog,
+// so a query naming a table the catalog does not have fails with
+// fosserr.ErrCatalogStale, as in ExpertPlan and Execute, instead of reaching
+// the planner. A hit never gets here: no such query is ever cached.
+type checkedSource struct{ s *System }
+
+func (c checkedSource) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEval, error) {
+	if err := c.s.CheckCatalog(q); err != nil {
+		return nil, err
+	}
+	return c.s.Learner.Optimize(ctx, q)
 }
 
 // BackendName reports the identity of the backend under the doctor. The
@@ -325,6 +338,9 @@ func (s *System) OptimizeEvalContext(ctx context.Context, q *query.Query) (*plan
 func (s *System) ExplainCandidates(ctx context.Context, q *query.Query) ([]planner.CandidateScore, error) {
 	var scores []planner.CandidateScore
 	err := s.RT.Shared(func() error {
+		if err := s.CheckCatalog(q); err != nil {
+			return err
+		}
 		var err error
 		_, scores, err = s.Learner.Explain(ctx, q)
 		return err

@@ -42,17 +42,17 @@ func TestTrackedForwardTakesNoArenaMemory(t *testing.T) {
 	CopyParams(ref, e)
 	view := e.frozen()
 	a := new(Arena)
-	view.Emb.Forward(encoderIDs, a)
+	view.embed(a)
 	a.Reset() // sized: the next embedding fits, so spill counts only new takers
 
-	x := view.Emb.Forward(encoderIDs, a)
+	x := view.embed(a)
 	if x.arena != a {
 		t.Fatal("the frozen embedding did not allocate in the arena: the check proves nothing")
 	}
 	used := a.off
 	tracked := func(e *encoder, x *Tensor) *Tensor {
 		h := e.Block.ForwardBlocks(e.In.Forward(x), Blocks([]int{3, 4}, nil))
-		return Add(e.Head.Forward(e.LN.Forward(h)), e.Head.Forward(e.LN.Forward(e.In.Forward(e.Emb.Forward(encoderIDs, a)))))
+		return Add(e.Head.Forward(e.LN.Forward(h)), e.Head.Forward(e.LN.Forward(e.In.Forward(e.embed(nil)))))
 	}
 	got := tracked(e, x)
 	if a.off != used || a.spill != 0 {

@@ -303,8 +303,42 @@ func attentionBackward(g []float64, q, k, v *Tensor, kT, probs []float64, heads,
 
 // ForwardBlocks applies the encoder block to a row-stacked batch: layer
 // norms and the feed-forward MLP run over all rows at once, attention per
-// block.
+// block. It is Project, then ForwardProjected.
 func (t *TransformerLayer) ForwardBlocks(x *Tensor, blocks []Block) *Tensor {
-	h := Add(x, t.Attn.ForwardBlocks(t.LN1.Forward(x), blocks))
+	q, k, v := t.Project(x)
+	return t.ForwardProjected(x, q, k, v, blocks)
+}
+
+// Project is the block's row-local input stage: the attention's Q, K and V
+// projections of LN1(x). Row i of each depends on row i of x alone, so a
+// caller that has projected a row once may reuse it wherever the same row
+// enters the block again.
+func (t *TransformerLayer) Project(x *Tensor) (q, k, v *Tensor) {
+	ln := t.LN1.Forward(x)
+	return t.Attn.WQ.Forward(ln), t.Attn.WK.Forward(ln), t.Attn.WV.Forward(ln)
+}
+
+// ForwardProjected is ForwardBlocks entered after its input stage: q, k and
+// v are Project(x), row for row, however they were assembled. Attention and
+// everything after it run over the stacked rows exactly as in ForwardBlocks.
+func (t *TransformerLayer) ForwardProjected(x, q, k, v *Tensor, blocks []Block) *Tensor {
+	h := Add(x, t.Attn.WO.Forward(attention(q, k, v, t.Attn.Heads, blocks)))
 	return Add(h, t.FF2.Forward(ReLU(t.FF1.Forward(t.LN2.Forward(h)))))
+}
+
+// Gather stacks rows into a graph-free [len(idx), cols] tensor whose row i is
+// a copy of rows[idx[i]] (each row holds cols values), allocated in a (nil:
+// the heap) and carrying a, like an embedding lookup. It is how a frozen
+// forward re-enters rows it computed before.
+func Gather(a *Arena, rows [][]float64, idx []int, cols int) *Tensor {
+	d := a.alloc(len(idx) * cols)
+	for i, r := range idx {
+		if len(rows[r]) != cols {
+			panic("nn: Gather row width mismatch")
+		}
+		copy(d[i*cols:(i+1)*cols], rows[r])
+	}
+	out := newResult("gather", d, []int{len(idx), cols})
+	out.arena = a
+	return out
 }

@@ -84,3 +84,63 @@ func TestForwardBlocksMatchesForward(t *testing.T) {
 		start += n
 	}
 }
+
+// TestForwardProjectedFromGatheredRows: a frozen block entered with x, Q, K
+// and V gathered from the distinct rows of its input, each projected once,
+// computes ForwardBlocks over the full input bit for bit. The gathered rows
+// live in the arena and carry it, so the block allocates there too.
+func TestForwardProjectedFromGatheredRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	layer := NewTransformerLayer(rng, 8, 2, 16).Frozen()
+	distinct := randTensor(rng, 3, 8).Detach()
+	idx := []int{2, 0, 0, 1, 2, 2, 1} // every distinct row repeats
+	blocks, rows := caseBlocks([]int{3, 4}, true)
+	if rows != len(idx) {
+		t.Fatal("the blocks do not tile the gathered rows")
+	}
+	table := func(x *Tensor) [][]float64 {
+		rows := make([][]float64, x.Shape[0])
+		for r := range rows {
+			rows[r] = x.Data[r*8 : (r+1)*8]
+		}
+		return rows
+	}
+	q, k, v := layer.Project(distinct)
+	a := new(Arena)
+	x := Gather(a, table(distinct), idx, 8)
+	got := layer.ForwardProjected(x, Gather(a, table(q), idx, 8), Gather(a, table(k), idx, 8), Gather(a, table(v), idx, 8), blocks)
+	want := layer.ForwardBlocks(Gather(nil, table(distinct), idx, 8), blocks)
+	sameBits(t, "ForwardProjected over gathered rows", got.Data, want.Data)
+	if x.arena != a || got.arena != a || want.arena != nil {
+		t.Fatalf("gathered input carries %p, result %p, heap result %p; want %p, %p and nil", x.arena, got.arena, want.arena, a, a)
+	}
+	for i, r := range idx {
+		sameBits(t, "gathered row", x.Data[i*8:(i+1)*8], distinct.Data[r*8:(r+1)*8])
+	}
+}
+
+// TestEmbedConcatMatchesChain: one EmbedConcat is the Concat of each frozen
+// table's Forward bit for bit, out-of-range ids clamped alike, in the arena it
+// is given; a tracked table is refused.
+func TestEmbedConcatMatchesChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	tracked := []*Embedding{NewEmbedding(rng, 5, 4), NewEmbedding(rng, 3, 2), NewEmbedding(rng, 7, 4)}
+	tables := make([]*Embedding, len(tracked))
+	for i, e := range tracked {
+		tables[i] = e.Frozen()
+	}
+	ids := [][]int{{0, 4, 9, 2}, {-1, 2, 1, 1}, {6, 0, 3, 7}}
+	a := new(Arena)
+	got := EmbedConcat(a, tables, ids)
+	want := Concat(tables[0].Forward(ids[0]), tables[1].Forward(ids[1]), tables[2].Forward(ids[2]))
+	sameBits(t, "EmbedConcat", got.Data, want.Data)
+	if got.Shape[0] != 4 || got.Shape[1] != 10 || got.arena != a {
+		t.Fatalf("EmbedConcat: shape %v, arena %p; want [4 10] in %p", got.Shape, got.arena, a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EmbedConcat took a tracked table")
+		}
+	}()
+	EmbedConcat(nil, tracked, ids)
+}

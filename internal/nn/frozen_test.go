@@ -39,11 +39,20 @@ func (e *encoder) Params() []*Tensor {
 
 var encoderIDs = []int{3, 1, 4, 1, 5, 9, 2}
 
+// embed looks up encoderIDs: on the heap when a is nil, otherwise through
+// EmbedConcat in a, which takes frozen tables only.
+func (e *encoder) embed(a *Arena) *Tensor {
+	if a == nil {
+		return e.Emb.Forward(encoderIDs)
+	}
+	return EmbedConcat(a, []*Embedding{e.Emb}, [][]int{encoderIDs})
+}
+
 // forward runs the whole stack once per attention entry point: Forward over
 // the sequence, and ForwardBlocks over the same rows split 3+4. The embedding
 // allocates in a (nil: the heap).
 func (e *encoder) forward(blocks bool, a *Arena) *Tensor {
-	x := e.In.Forward(e.Emb.Forward(encoderIDs, a))
+	x := e.In.Forward(e.embed(a))
 	if blocks {
 		x = e.Block.ForwardBlocks(x, Blocks([]int{3, 4}, nil))
 	} else {

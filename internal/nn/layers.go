@@ -88,19 +88,16 @@ func NewEmbedding(rng *rand.Rand, vocab, dim int) *Embedding {
 	return &Embedding{W: w.Param()}
 }
 
-// Forward gathers rows for the given ids producing [len(ids), dim].
-// Ids out of range are clamped to the last row (an explicit "other" bucket).
-// This is where data enters an arena: on a frozen table the result is
-// allocated in a and carries it, so every op downstream allocates there too;
-// a nil a, or a tracked table, allocates from the heap.
-func (e *Embedding) Forward(ids []int, a *Arena) *Tensor {
+// Forward gathers rows for the given ids producing [len(ids), dim], on the
+// heap. Ids out of range are clamped to the last row (an explicit "other"
+// bucket).
+func (e *Embedding) Forward(ids []int) *Tensor {
 	vocab, dim := e.W.Shape[0], e.W.Shape[1]
 	var clamped []int // backward-only
 	if needsGraph(e.W) {
 		clamped = make([]int, len(ids))
-		a = nil
 	}
-	d := a.alloc(len(ids) * dim)
+	d := make([]float64, len(ids)*dim)
 	for i, id := range ids {
 		if id < 0 || id >= vocab {
 			id = vocab - 1
@@ -111,7 +108,6 @@ func (e *Embedding) Forward(ids []int, a *Arena) *Tensor {
 		copy(d[i*dim:(i+1)*dim], e.W.Data[id*dim:(id+1)*dim])
 	}
 	out := newResult("embed", d, []int{len(ids), dim}, e.W)
-	out.arena = a
 	if out.parents != nil {
 		out.backFn = func() {
 			e.W.ensureGrad()
@@ -122,6 +118,39 @@ func (e *Embedding) Forward(ids []int, a *Arena) *Tensor {
 			}
 		}
 	}
+	return out
+}
+
+// EmbedConcat is Concat over tables[p].Forward(ids[p]) for every p, as one
+// graph-free op: row i is table 0's row for ids[0][i], then table 1's row for
+// ids[1][i], and so on. It copies the rows the chain would, so its output is
+// the chain's bit for bit. It records no graph, so it panics on a tracked
+// table: frozen views only. Like Gather, it is where data enters an arena:
+// the result is allocated in a (nil: the heap) and carries it, so every op
+// downstream allocates there too.
+func EmbedConcat(a *Arena, tables []*Embedding, ids [][]int) *Tensor {
+	width := 0
+	for p, e := range tables {
+		if needsGraph(e.W) || len(ids[p]) != len(ids[0]) {
+			panic("nn: EmbedConcat takes frozen tables and one id per row from each")
+		}
+		width += e.W.Shape[1]
+	}
+	rows := len(ids[0])
+	d := a.alloc(rows * width)
+	off := 0
+	for p, e := range tables {
+		vocab, dim := e.W.Shape[0], e.W.Shape[1]
+		for i, id := range ids[p] {
+			if id < 0 || id >= vocab {
+				id = vocab - 1
+			}
+			copy(d[i*width+off:i*width+off+dim], e.W.Data[id*dim:(id+1)*dim])
+		}
+		off += dim
+	}
+	out := newResult("embedconcat", d, []int{rows, width})
+	out.arena = a
 	return out
 }
 

@@ -29,10 +29,11 @@
 // A frozen forward's intermediate tensors die with the forward, so serving
 // can place their data in an Arena, a bump allocator that Reset empties in
 // one step, instead of on the garbage-collected heap. The arena travels on
-// tensors, not through parameters: data enters one at Embedding.Forward, an
-// op allocates its output (and attention its kᵀ and softmax scratch) from its
-// first input that carries an arena, and the output carries that arena on.
-// Only the Tensor headers still come from the heap. The rules:
+// tensors, not through parameters: data enters one at EmbedConcat or Gather,
+// the two ops that take one, an op allocates its output (and attention its kᵀ
+// and softmax scratch) from its first input that carries an arena, and the
+// output carries that arena on. Only the Tensor headers still come from the
+// heap. The rules:
 //
 //   - One goroutine per arena. An Arena has no lock: the goroutine that
 //     allocates in it is the only one that may use it until it hands the
@@ -47,6 +48,17 @@
 //     the arena. A value that must outlive it is copied out first
 //     (Tensor.Clone allocates on the heap). An arena is scratch memory, not a
 //     cache: nothing in it is read after the Reset that ends its round.
+//   - Frozen forwards may share rows, tracked forwards never do. Every op
+//     before a block's attention computes row i from row i alone (gemm, the
+//     fused Linear bias, LayerNorm, the lookups), so a frozen forward may run
+//     that input stage once per distinct row and enter the block through
+//     TransformerLayer.ForwardProjected with rows gathered from earlier
+//     calls; the result is the recomputed one bit for bit. Such rows are
+//     valid only for the weights that computed them and live in the arena of
+//     the round that computed them, so they are shared per network and never
+//     past a Reset. A tracked forward keeps one graph row per input row:
+//     merging rows there would sum their gradients before back-propagation
+//     and change training's bits.
 //
 // # Kernels
 //
@@ -102,8 +114,8 @@ type Tensor struct {
 	backFn  func()
 	op      string
 
-	// shape backs Shape for op results of rank ≤ 2 (every op in this
-	// package), so a result costs one allocation besides its data.
+	// shape backs Shape at rank ≤ 2 (every op in this package, and
+	// NewTensor), so a tensor costs one allocation besides its data.
 	shape [2]int
 
 	// arena, when set, is where ops over this tensor allocate their outputs
@@ -121,7 +133,18 @@ func NewTensor(data []float64, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("nn: data length %d does not match shape %v (want %d)", len(data), shape, n))
 	}
-	return &Tensor{Data: data, Shape: append([]int(nil), shape...)}
+	t := &Tensor{Data: data}
+	t.setShape(shape)
+	return t
+}
+
+// setShape copies shape into t.Shape, backed by t.shape when it fits.
+func (t *Tensor) setShape(shape []int) {
+	if len(shape) <= len(t.shape) {
+		t.Shape = t.shape[:copy(t.shape[:], shape)]
+	} else {
+		t.Shape = append([]int(nil), shape...)
+	}
 }
 
 // Zeros returns a zero-filled tensor of the given shape.
@@ -230,11 +253,7 @@ func needsGraph(ts ...*Tensor) bool {
 // from, so the next op allocates there too.
 func newResult(op string, data []float64, shape []int, parents ...*Tensor) *Tensor {
 	out := &Tensor{Data: data, op: op}
-	if len(shape) <= len(out.shape) {
-		out.Shape = out.shape[:copy(out.shape[:], shape)]
-	} else {
-		out.Shape = append([]int(nil), shape...)
-	}
+	out.setShape(shape)
 	if needsGraph(parents...) {
 		out.parents = append([]*Tensor(nil), parents...)
 		out.ensureGrad()
@@ -567,6 +586,7 @@ func Concat(ts ...*Tensor) *Tensor {
 	}
 	out := newResult("concat", d, []int{rows, total}, ts...)
 	if out.parents != nil {
+		ts := out.parents // the backward's own copy: ts itself does not escape
 		out.backFn = func() {
 			off := 0
 			for _, t := range ts {
@@ -668,6 +688,7 @@ func VStack(ts ...*Tensor) *Tensor {
 	}
 	out := newResult("vstack", d, []int{total / cols, cols}, ts...)
 	if out.parents != nil {
+		ts := out.parents // the backward's own copy: ts itself does not escape
 		out.backFn = func() {
 			off := 0
 			for _, t := range ts {

@@ -119,7 +119,7 @@ func TestGradEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	emb := NewEmbedding(rng, 10, 4)
 	ids := []int{1, 3, 3, 9}
-	checkGrad(t, "embedding", func() *Tensor { return Sum(Mul(emb.Forward(ids, nil), emb.Forward(ids, nil))) }, emb.W)
+	checkGrad(t, "embedding", func() *Tensor { return Sum(Mul(emb.Forward(ids), emb.Forward(ids))) }, emb.W)
 }
 
 func TestGradAttention(t *testing.T) {

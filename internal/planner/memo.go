@@ -14,8 +14,9 @@ import (
 // rollouts from the same expert plan revisit a state, each computed once and
 // shared by every walk that passes the memo. A memo holds
 //
-//   - Φ forwards, keyed by (agent, ICP key, step), their activations in the
-//     memo's arena (see package nn's "Arenas");
+//   - Φ forwards, keyed by (agent, ICP key, step), their activations in a
+//     per-agent aam.Scratch, whose memo in turn shares input-stage rows
+//     between the Φ forwards of states whose plans share nodes;
 //   - hinted plans and their encodings, keyed by ICP key — each visit still
 //     gets its own PlanEval carrying its own Step;
 //   - legality masks, keyed by (ICP key, previous action), the relaxed retry
@@ -27,7 +28,7 @@ import (
 // memo changes no output; it only removes repeated work. A memo belongs to
 // one query and one goroutine: the planners sharing it must share their
 // Steering, Encoder, Space and mask configuration (a learner's planners do),
-// and Release ends it once the query's plan is chosen. Nothing in the arena
+// and Release ends it once the query's plan is chosen. Nothing in a scratch
 // escapes: a pool candidate holds only its hinted plan and encoding, both on
 // the heap. A nil *Memo computes everything afresh.
 type Memo struct {
@@ -35,10 +36,17 @@ type Memo struct {
 	hinted map[string]hinted
 	masks  map[maskKey][]bool
 
-	arena *nn.Arena
-	pool  []*PlanEval
-	keys  []string // keys[i] is pool[i]'s ICP key
-	judge func(*PlanEval)
+	scratch []phiScratch
+	pool    []*PlanEval
+	keys    []string // keys[i] is pool[i]'s ICP key
+	judge   func(*PlanEval)
+}
+
+// phiScratch is the scratch of one agent's Φ: a Scratch memoises the rows of
+// one network.
+type phiScratch struct {
+	phi *aam.StateNet
+	sc  *aam.Scratch
 }
 
 type stateKey struct {
@@ -57,22 +65,36 @@ type maskKey struct {
 	prev int // action id of the previous edit, 0 at the first step
 }
 
-// NewMemo returns an empty walk memo for one query, its arena borrowed from
-// the pool. judge, unless nil, is handed each candidate the moment a walk
-// adds it to the pool, on the walking goroutine.
+// NewMemo returns an empty walk memo for one query. judge, unless nil, is
+// handed each candidate the moment a walk adds it to the pool, on the walking
+// goroutine.
 func NewMemo(judge func(*PlanEval)) *Memo {
 	return &Memo{
 		states: map[stateKey]*nn.Tensor{}, hinted: map[string]hinted{}, masks: map[maskKey][]bool{},
-		arena: nn.BorrowArena(), judge: judge,
+		judge: judge,
 	}
 }
 
-// Release returns the memo's arena to the pool. The memo must not be walked
-// again; its pool stays readable.
+// Release returns the memo's scratches to the pool. The memo must not be
+// walked again; its pool stays readable.
 func (m *Memo) Release() {
 	m.states = nil
-	m.arena.Release()
-	m.arena = nil
+	for _, ps := range m.scratch {
+		ps.sc.Release()
+	}
+	m.scratch = nil
+}
+
+// scratchFor returns the scratch of phi's forwards, borrowing it on first use.
+func (m *Memo) scratchFor(phi *aam.StateNet) *aam.Scratch {
+	for _, ps := range m.scratch {
+		if ps.phi == phi {
+			return ps.sc
+		}
+	}
+	sc := aam.NewScratch()
+	m.scratch = append(m.scratch, phiScratch{phi, sc})
+	return sc
 }
 
 // Pool returns the candidate pool the walks built, in first-visit order.
@@ -94,15 +116,15 @@ func (m *Memo) visit(pe *PlanEval, key string) {
 // state returns Φ(pe) from the agent's frozen view, key being pe's ICP key.
 func (m *Memo) state(a *Agent, pe *PlanEval, key string, maxSteps int) *nn.Tensor {
 	k := stateKey{a.phi, key, pe.Step}
-	var arena *nn.Arena
+	var sc *aam.Scratch
 	if m != nil {
 		if sv, ok := m.states[k]; ok {
 			return sv
 		}
-		arena = m.arena
+		sc = m.scratchFor(a.phi)
 	}
 	a.phiForwards.Add(1)
-	sv := a.phi.Forward(pe.Enc, pe.StepStatus(maxSteps), arena)
+	sv := a.phi.Forward(pe.Enc, pe.StepStatus(maxSteps), sc)
 	if m != nil {
 		m.states[k] = sv
 	}

@@ -276,11 +276,18 @@ func (q *Query) Fingerprint() uint64 {
 	return h
 }
 
-// Validate checks structural sanity: aliases unique and resolvable, join
-// predicates and filters referencing declared aliases.
+// Validate checks structural sanity: every table and alias named, aliases
+// unique and resolvable, join predicates and filters referencing declared
+// aliases.
 func (q *Query) Validate() error {
 	seen := map[string]bool{}
 	for _, t := range q.Tables {
+		if t.Table == "" {
+			return fmt.Errorf("query %s: alias %q names no table", q.ID, t.Alias)
+		}
+		if t.Alias == "" {
+			return fmt.Errorf("query %s: table %q has an empty alias", q.ID, t.Table)
+		}
 		if seen[t.Alias] {
 			return fmt.Errorf("query %s: duplicate alias %q", q.ID, t.Alias)
 		}

@@ -44,6 +44,15 @@ func TestValidateRejects(t *testing.T) {
 	if err := q.Validate(); err == nil {
 		t.Fatal("self-join predicate accepted")
 	}
+	// A plan's join order is a list of aliases: an empty one names nothing.
+	q = &Query{ID: "one", Tables: []TableRef{{Table: "title", Alias: ""}}}
+	if err := q.Validate(); err == nil {
+		t.Fatal("empty alias accepted")
+	}
+	q = &Query{ID: "one", Tables: []TableRef{{Table: "", Alias: "t"}}}
+	if err := q.Validate(); err == nil {
+		t.Fatal("empty table name accepted")
+	}
 }
 
 func TestAdjacencyAndConnectivity(t *testing.T) {

@@ -227,13 +227,15 @@ func TestHTTPErrors(t *testing.T) {
 		path, body string
 		want       int
 	}{
-		{"/optimize", `{`, http.StatusBadRequest},                                      // malformed JSON
-		{"/optimize", `{}`, http.StatusBadRequest},                                     // no queries
-		{"/optimize", `{"query_id": "nope"}`, http.StatusNotFound},                     // unknown id
-		{"/optimize", `{"query": {"tables": [], "joins": []}}`, http.StatusBadRequest}, // invalid spec
-		{"/feedback", `{"serve_id": "s999", "latency_ms": 5}`, http.StatusNotFound},    // unknown serve
-		{"/feedback", `{"serve_id": "s1", "latency_ms": -1}`, http.StatusBadRequest},   // bad latency
-		{"/catalog", `{"ddl": []}`, http.StatusBadRequest},                             // empty DDL batch
+		{"/optimize", `{`, http.StatusBadRequest},                                                                     // malformed JSON
+		{"/optimize", `{}`, http.StatusBadRequest},                                                                    // no queries
+		{"/optimize", `{"query_id": "nope"}`, http.StatusNotFound},                                                    // unknown id
+		{"/optimize", `{"query": {"tables": [], "joins": []}}`, http.StatusBadRequest},                                // invalid spec
+		{"/optimize", `{"query": {"tables": [{"table": "t", "alias": ""}], "joins": []}}`, http.StatusBadRequest},     // empty alias
+		{"/optimize", `{"queries": [{"tables": [{"table": "", "alias": "a"}], "joins": []}]}`, http.StatusBadRequest}, // empty table
+		{"/feedback", `{"serve_id": "s999", "latency_ms": 5}`, http.StatusNotFound},                                   // unknown serve
+		{"/feedback", `{"serve_id": "s1", "latency_ms": -1}`, http.StatusBadRequest},                                  // bad latency
+		{"/catalog", `{"ddl": []}`, http.StatusBadRequest},                                                            // empty DDL batch
 	}
 	for _, c := range cases {
 		if code, out := postJSON(t, base+c.path, c.body); code != c.want {

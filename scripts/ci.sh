@@ -80,7 +80,7 @@ else
   go test -race ./...
 fi
 
-echo "== frozen views and forks: serving and feedback while a fork trains, judged misses beside Explain (-race -count=10) =="
+echo "== frozen views and forks: serving and feedback while a fork trains, judged misses beside Explain, memoised forwards (-race -count=10) =="
 # The one stress the suite above does not give: ten rounds under the detector.
 # The live replica scores through its frozen view while another model trains
 # (no package-level grad switch and no shared tensor, so it must stay
@@ -92,6 +92,9 @@ go test -race -count=10 -run 'TestServeAndRecordThroughBackgroundRetrain' ./inte
 # Batches of misses, each walking in its own arena while its judge goroutine
 # scores in another, beside Explain over the same queries.
 go test -race -count=10 -run 'TestJudgedMissesBesideExplain' ./internal/core/
+# Frozen forwards sharing input-stage rows through per-network scratches, one
+# goroutine per network, equal the tracked per-plan Forward bit for bit.
+go test -race -count=10 -run 'TestMemoisedForwardsMatchForward' ./internal/learner/
 
 echo "== AAM training kernel: one epoch of -bench AAMTrainEpoch (internal/aam), so it cannot rot =="
 go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
@@ -120,6 +123,9 @@ if [[ $quick -eq 0 ]]; then
 
   echo "== wal frames: ten seconds of FuzzOpenWAL, no panic, truncation to a frame boundary, Len = Replay, append after open replays last =="
   go test -run '^$' -fuzz FuzzOpenWAL -fuzztime 10s ./internal/store
+
+  echo "== optimize bodies: ten seconds of FuzzWireQuery, no panic, every accepted query valid with named aliases, same bytes same fingerprint =="
+  go test -run '^$' -fuzz FuzzWireQuery -fuzztime 10s ./internal/service
 
   echo "== tenant specs: ten seconds of FuzzParseTenantSpecs, no panic, every accepted fleet preflights or is refused as ErrBadConfig =="
   go test -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s ./cmd/fossd
