@@ -11,7 +11,7 @@ import (
 	"log"
 
 	"github.com/foss-db/foss/internal/backend"
-	"github.com/foss-db/foss/internal/baselines/bao"
+	"github.com/foss-db/foss/internal/baselines"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/workload"
@@ -37,7 +37,7 @@ func main() {
 
 		// Coarse: best of Bao's five hint sets.
 		bestCoarse := origLat
-		for _, h := range bao.DefaultHintSets() {
+		for _, h := range baselines.DefaultHintSets() {
 			hcp, err := be.PlanCoarse(q, optimizer.Config{DisabledJoins: h.Disabled})
 			if err != nil {
 				continue

@@ -8,10 +8,7 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/aam"
-	"github.com/foss-db/foss/internal/baselines/balsa"
-	"github.com/foss-db/foss/internal/baselines/bao"
-	"github.com/foss-db/foss/internal/baselines/hybridqo"
-	"github.com/foss-db/foss/internal/baselines/loger"
+	"github.com/foss-db/foss/internal/baselines"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/query"
@@ -59,10 +56,10 @@ func checkPlan(t *testing.T, w *workload.Workload, q *query.Query, cp *plan.CP) 
 
 func TestBaoTrainsAndPlans(t *testing.T) {
 	w := smallWorkload(t)
-	cfg := bao.DefaultConfig()
+	cfg := baselines.DefaultBaoConfig()
 	cfg.PassCount = 1
 	cfg.StateNet = smallNet
-	b := bao.New(w, cfg)
+	b := baselines.NewBao(w, cfg)
 	if err := b.Train(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +82,7 @@ func TestBaoTrainsAndPlans(t *testing.T) {
 }
 
 func TestBaoHintSetsAreFive(t *testing.T) {
-	hs := bao.DefaultHintSets()
+	hs := baselines.DefaultHintSets()
 	if len(hs) != 5 {
 		t.Fatalf("Bao default arms = %d, want 5 (paper default)", len(hs))
 	}
@@ -93,10 +90,10 @@ func TestBaoHintSetsAreFive(t *testing.T) {
 
 func TestBalsaTrainsAndPlans(t *testing.T) {
 	w := smallWorkload(t)
-	cfg := balsa.DefaultConfig()
+	cfg := baselines.DefaultBalsaConfig()
 	cfg.PassCount = 1
 	cfg.StateNet = smallNet
-	b := balsa.New(w, cfg)
+	b := baselines.NewBalsa(w, cfg)
 	if err := b.Train(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +108,10 @@ func TestBalsaTrainsAndPlans(t *testing.T) {
 
 func TestLogerTrainsAndPlans(t *testing.T) {
 	w := smallWorkload(t)
-	cfg := loger.DefaultConfig()
+	cfg := baselines.DefaultLogerConfig()
 	cfg.PassCount = 1
 	cfg.StateNet = smallNet
-	l := loger.New(w, cfg)
+	l := baselines.NewLoger(w, cfg)
 	if err := l.Train(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +125,7 @@ func TestLogerTrainsAndPlans(t *testing.T) {
 }
 
 func TestLogerRestrictions(t *testing.T) {
-	rs := loger.Restrictions()
+	rs := baselines.Restrictions()
 	if len(rs) != 4 {
 		t.Fatalf("restriction count = %d", len(rs))
 	}
@@ -144,11 +141,11 @@ func TestLogerRestrictions(t *testing.T) {
 
 func TestHybridQOTrainsAndPlans(t *testing.T) {
 	w := smallWorkload(t)
-	cfg := hybridqo.DefaultConfig()
+	cfg := baselines.DefaultHybridQOConfig()
 	cfg.PassCount = 1
 	cfg.Simulations = 10
 	cfg.StateNet = smallNet
-	h := hybridqo.New(w, cfg)
+	h := baselines.NewHybridQO(w, cfg)
 	if err := h.Train(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +160,10 @@ func TestHybridQOTrainsAndPlans(t *testing.T) {
 
 func TestTrainingCurvesFire(t *testing.T) {
 	w := smallWorkload(t)
-	cfg := bao.DefaultConfig()
+	cfg := baselines.DefaultBaoConfig()
 	cfg.PassCount = 2
 	cfg.StateNet = smallNet
-	b := bao.New(w, cfg)
+	b := baselines.NewBao(w, cfg)
 	var passes []int
 	if err := b.Train(func(p int) { passes = append(passes, p) }); err != nil {
 		t.Fatal(err)

@@ -14,10 +14,7 @@ import (
 	"time"
 
 	"github.com/foss-db/foss/internal/backend"
-	"github.com/foss-db/foss/internal/baselines/balsa"
-	"github.com/foss-db/foss/internal/baselines/bao"
-	"github.com/foss-db/foss/internal/baselines/hybridqo"
-	"github.com/foss-db/foss/internal/baselines/loger"
+	"github.com/foss-db/foss/internal/baselines"
 	"github.com/foss-db/foss/internal/core"
 	"github.com/foss-db/foss/internal/learner"
 	"github.com/foss-db/foss/internal/metrics"
@@ -66,8 +63,6 @@ func ExpertName(backendName string) string {
 	}
 	return "PostgreSQL"
 }
-
-// ---- method adapters ----
 
 type pgMethod struct {
 	name string
@@ -138,90 +133,31 @@ func (f *fossMethod) KnownBest() map[string]float64 {
 
 func (f *fossMethod) TrainingTime() time.Duration { return f.sys.TrainingTime() }
 
-type baoMethod struct{ b *bao.Bao }
-
-// NewBao wraps Bao.
-func NewBao(b *bao.Bao) Method { return &baoMethod{b} }
-
-func (m *baoMethod) Name() string { return "Bao" }
-func (m *baoMethod) Train(onStep func(int)) error {
-	return m.b.Train(onStep)
-}
-func (m *baoMethod) Plan(q *query.Query) (*plan.CP, time.Duration, error) { return m.b.Plan(q) }
-func (m *baoMethod) KnownBest() map[string]float64                        { return m.b.KnownBest() }
-func (m *baoMethod) TrainingTime() time.Duration                          { return m.b.TrainingTime() }
-
-type balsaMethod struct{ b *balsa.Balsa }
-
-// NewBalsa wraps Balsa.
-func NewBalsa(b *balsa.Balsa) Method { return &balsaMethod{b} }
-
-func (m *balsaMethod) Name() string { return "Balsa" }
-func (m *balsaMethod) Train(onStep func(int)) error {
-	return m.b.Train(onStep)
-}
-func (m *balsaMethod) Plan(q *query.Query) (*plan.CP, time.Duration, error) { return m.b.Plan(q) }
-func (m *balsaMethod) KnownBest() map[string]float64                        { return m.b.KnownBest() }
-func (m *balsaMethod) TrainingTime() time.Duration                          { return m.b.TrainingTime() }
-
-type logerMethod struct{ l *loger.Loger }
-
-// NewLoger wraps Loger.
-func NewLoger(l *loger.Loger) Method { return &logerMethod{l} }
-
-func (m *logerMethod) Name() string { return "Loger" }
-func (m *logerMethod) Train(onStep func(int)) error {
-	return m.l.Train(onStep)
-}
-func (m *logerMethod) Plan(q *query.Query) (*plan.CP, time.Duration, error) { return m.l.Plan(q) }
-func (m *logerMethod) KnownBest() map[string]float64                        { return m.l.KnownBest() }
-func (m *logerMethod) TrainingTime() time.Duration                          { return m.l.TrainingTime() }
-
-type hqoMethod struct{ h *hybridqo.HybridQO }
-
-// NewHybridQO wraps HybridQO.
-func NewHybridQO(h *hybridqo.HybridQO) Method { return &hqoMethod{h} }
-
-func (m *hqoMethod) Name() string { return "HybridQO" }
-func (m *hqoMethod) Train(onStep func(int)) error {
-	return m.h.Train(onStep)
-}
-func (m *hqoMethod) Plan(q *query.Query) (*plan.CP, time.Duration, error) { return m.h.Plan(q) }
-func (m *hqoMethod) KnownBest() map[string]float64                        { return m.h.KnownBest() }
-func (m *hqoMethod) TrainingTime() time.Duration                          { return m.h.TrainingTime() }
-
 // BuildMethods constructs all six methods over one loaded workload.
 func BuildMethods(w *workload.Workload, opts Opts) []Method {
-	fossCfg := core.DefaultConfig()
-	fossCfg.Seed = opts.Seed
-	baoCfg := bao.DefaultConfig()
-	balsaCfg := balsa.DefaultConfig()
-	logerCfg := loger.DefaultConfig()
-	hqoCfg := hybridqo.DefaultConfig()
-	baoCfg.Seed, balsaCfg.Seed, logerCfg.Seed, hqoCfg.Seed = opts.Seed, opts.Seed, opts.Seed, opts.Seed
-	if opts.Fast {
-		fossCfg.Learner.Iterations = 3
-		fossCfg.Learner.SimPerIter = 60
-		fossCfg.Learner.RealPerIter = 15
-		fossCfg.Learner.ValidatePerIter = 15
-		baoCfg.PassCount, balsaCfg.PassCount, logerCfg.PassCount, hqoCfg.PassCount = 1, 1, 1, 1
-		hqoCfg.Simulations = 15
-	} else {
-		fossCfg.Learner.Iterations = 8
-		fossCfg.Learner.SimPerIter = 180
-		fossCfg.Learner.RealPerIter = 30
-		fossCfg.Learner.ValidatePerIter = 30
+	bao := baselines.DefaultBaoConfig()
+	balsa := baselines.DefaultBalsaConfig()
+	loger := baselines.DefaultLogerConfig()
+	hqo := baselines.DefaultHybridQOConfig()
+	for _, c := range []*baselines.Config{&bao, &balsa.Config, &loger.Config, &hqo.Config} {
+		c.Seed = opts.Seed
+		if opts.Fast {
+			c.PassCount = 1
+		}
 	}
-	sys, err := core.New(w, fossCfg)
+	if opts.Fast {
+		hqo.Simulations = 15
+	}
+	sys, err := core.New(w, fossConfig(opts))
 	if err != nil {
 		panic(err)
 	}
 	return []Method{
 		NewPostgreSQL(w),
-		NewBao(bao.New(w, baoCfg)),
-		NewBalsa(balsa.New(w, balsaCfg)),
-		NewLoger(loger.New(w, logerCfg)),
-		NewHybridQO(hybridqo.New(w, hqoCfg)),
+		baselines.NewBao(w, bao),
+		baselines.NewBalsa(w, balsa),
+		baselines.NewLoger(w, loger),
+		baselines.NewHybridQO(w, hqo),
 		NewFOSS(sys),
 	}
 }

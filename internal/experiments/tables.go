@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/core"
 	"github.com/foss-db/foss/internal/metrics"
 	"github.com/foss-db/foss/internal/workload"
@@ -281,7 +280,6 @@ func Fig8(out io.Writer, name string, opts Opts) ([]Fig8Row, error) {
 func fossConfig(opts Opts) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = opts.Seed
-	cfg.StateNet = aam.StateNetConfig{DModel: 32, Heads: 2, Layers: 1, FFDim: 64, StateDim: 32}
 	if opts.Fast {
 		cfg.Learner.Iterations = 3
 		cfg.Learner.SimPerIter = 60
