@@ -129,7 +129,12 @@ func (s *System) load(data []byte) error {
 // return; callers restore the journaled outcome. Runs under the runtime's
 // shared lock (a catalog rekey repoints the planner's backend), and refuses
 // queries whose tables a DDL has since dropped with fosserr.ErrCatalogStale.
+// A step outside [0, MaxSteps] names no candidate an episode can reach and
+// is refused with fosserr.ErrNoPlan.
 func (s *System) RebuildEval(q *query.Query, icp plan.ICP, step int) (*planner.PlanEval, error) {
+	if step < 0 || step > s.Cfg.MaxSteps {
+		return nil, fmt.Errorf("core: step %d outside [0, %d]: %w", step, s.Cfg.MaxSteps, fosserr.ErrNoPlan)
+	}
 	var pe *planner.PlanEval
 	err := s.RT.Shared(func() error {
 		if err := s.CheckCatalog(q); err != nil {

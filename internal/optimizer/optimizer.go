@@ -267,7 +267,10 @@ func enabledMethods(cfg Config) []plan.JoinMethod {
 
 // HintedPlan completes a full plan that honors the ICP exactly: the join
 // order and join methods are taken verbatim; scans and annotations are
-// filled in by the optimizer (the pg_hint_plan contract).
+// filled in by the optimizer (the pg_hint_plan contract). The order must be
+// a permutation of the query's aliases (as many as the query has, each
+// known, none repeated) and every method a join method; anything else wraps
+// fosserr.ErrNoPlan.
 func (o *Optimizer) HintedPlan(q *query.Query, icp plan.ICP) (*plan.CP, error) {
 	n := q.NumTables()
 	if len(icp.Order) != n || len(icp.Methods) != n-1 {
@@ -278,14 +281,24 @@ func (o *Optimizer) HintedPlan(q *query.Query, icp plan.ICP) (*plan.CP, error) {
 	for i, a := range aliases {
 		pos[a] = i
 	}
+	for _, a := range icp.Order {
+		i, ok := pos[a]
+		if !ok {
+			return nil, fmt.Errorf("optimizer: ICP references unknown alias %q: %w", a, fosserr.ErrNoPlan)
+		}
+		if i < 0 {
+			return nil, fmt.Errorf("optimizer: ICP repeats alias %q: %w", a, fosserr.ErrNoPlan)
+		}
+		pos[a] = -1 // seen
+	}
+	for _, m := range icp.Methods {
+		if m < plan.HashJoin || m >= plan.NumJoinMethods {
+			return nil, fmt.Errorf("optimizer: ICP names join method %d: %w", m, fosserr.ErrNoPlan)
+		}
+	}
 	scans := make([]scanChoice, n)
 	for i, a := range aliases {
 		scans[i] = o.chooseScan(q, a, Config{})
-	}
-	for _, a := range icp.Order {
-		if _, ok := pos[a]; !ok {
-			return nil, fmt.Errorf("optimizer: ICP references unknown alias %q: %w", a, fosserr.ErrNoPlan)
-		}
 	}
 	return o.buildCP(q, icp, scans, aliases)
 }

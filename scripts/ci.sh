@@ -127,6 +127,9 @@ if [[ $quick -eq 0 ]]; then
   echo "== optimize bodies: ten seconds of FuzzWireQuery, no panic, every accepted query valid with named aliases, same bytes same fingerprint =="
   go test -run '^$' -fuzz FuzzWireQuery -fuzztime 10s ./internal/service
 
+  echo "== plan identities: ten seconds of FuzzHintedPlan, no panic, ErrNoPlan refusals only, every accepted ICP a permutation with n-1 join methods that its plan extracts back to =="
+  go test -run '^$' -fuzz FuzzHintedPlan -fuzztime 10s ./internal/optimizer
+
   echo "== tenant specs: ten seconds of FuzzParseTenantSpecs, no panic, every accepted fleet preflights or is refused as ErrBadConfig =="
   go test -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s ./cmd/fossd
 fi
