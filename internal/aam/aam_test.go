@@ -139,14 +139,14 @@ func TestStateNetDeterministicForward(t *testing.T) {
 	cfg := StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
 	s := NewStateNet(rng, cfg, 4, 4)
 	enc := syntheticEncoded(3)
-	a := s.Forward(enc, 0.3, nil).Detach()
-	b := s.Forward(enc, 0.3, nil).Detach()
+	a := s.Forward(enc, 0.3, nil)
+	b := s.Forward(enc, 0.3, nil)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("state network forward is nondeterministic")
 		}
 	}
-	c := s.Forward(enc, 0.9, nil).Detach()
+	c := s.Forward(enc, 0.9, nil)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != c.Data[i] {

@@ -105,11 +105,6 @@ func (m *Model) Logits(encL, encR *planenc.Encoded, stepL, stepR float64) *nn.Te
 	return m.FC2.Forward(nn.Sub(hl, hr))
 }
 
-// Score returns the predicted advantage class of r over l.
-func (m *Model) Score(encL, encR *planenc.Encoded, stepL, stepR float64) int {
-	return argmax(m.frozen.Logits(encL, encR, stepL, stepR).Data)
-}
-
 func argmax(xs []float64) int {
 	best, bi := math.Inf(-1), 0
 	for i, v := range xs {
@@ -243,8 +238,8 @@ func (m *Model) batchLoss(batch []Sample, cfg LossConfig) *nn.Tensor {
 	return nn.Scale(nn.Sum(nn.Mul(logp, weights)), -1/float64(len(batch)))
 }
 
-// distinctStates lists the distinct (encoding, step) plan states of a
-// minibatch, in first-use order, and for each sample the rows of its left and
+// distinctStates lists the distinct (encoding, step) plan states of a set of
+// samples, in first-use order, and for each sample the rows of its left and
 // right plan in that list.
 func distinctStates(batch []Sample) (encs []*planenc.Encoded, steps []float64, left, right []int) {
 	type state struct {
@@ -272,18 +267,18 @@ func distinctStates(batch []Sample) (encs []*planenc.Encoded, steps []float64, l
 	return encs, steps, left, right
 }
 
-// Accuracy returns the fraction of samples whose predicted class matches.
+// Accuracy returns the fraction of samples whose predicted class matches:
+// one Heads pass over the samples' distinct plan states, then one
+// comparison per sample.
 func (m *Model) Accuracy(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	pairs := make([]Pair, len(samples))
-	for i, s := range samples {
-		pairs[i] = Pair{EncL: s.EncL, EncR: s.EncR, StepL: s.StepL, StepR: s.StepR}
-	}
+	encs, steps, left, right := distinctStates(samples)
+	heads := m.Heads(encs, steps, nil)
 	ok := 0
-	for i, score := range m.ScoreBatch(pairs) {
-		if score == samples[i].Label {
+	for i, s := range samples {
+		if heads.Score(left[i], right[i]) == s.Label {
 			ok++
 		}
 	}

@@ -1,16 +1,9 @@
 package aam
 
 import (
-	"slices"
-
 	"github.com/foss-db/foss/internal/nn"
 	"github.com/foss-db/foss/internal/planenc"
 )
-
-// scoreChunk bounds how many plans are stacked into one batched forward.
-// Plans inside a chunk share every dense matmul; attention stays per-plan
-// (block-diagonal), so the only cost of a larger chunk is peak memory.
-const scoreChunk = 32
 
 // ForwardBatch produces the state representation vectors [N, StateDim] for N
 // encoded plans in one stacked forward pass: embeddings, the input
@@ -70,63 +63,6 @@ func (s *StateNet) ForwardBatch(encs []*planenc.Encoded, steps []float64, sc *Sc
 // InputRows reports how many input-stage rows the model's frozen view has
 // computed (see StateNet.InputRows).
 func (m *Model) InputRows() int64 { return m.frozen.State.InputRows() }
-
-// Pair is one (left, right) plan comparison for batched scoring.
-type Pair struct {
-	EncL, EncR   *planenc.Encoded
-	StepL, StepR float64
-}
-
-// LogitsBatch computes the K advantage logits for every pair in one batched
-// forward: all 2N plan states are produced by a single ForwardBatch, then the
-// pairwise head runs as two stacked matmuls. Row i is bit-identical to
-// Logits(pairs[i]...).
-func (m *Model) LogitsBatch(pairs []Pair) *nn.Tensor {
-	n := len(pairs)
-	sc := borrowScratch(nil)
-	encs := slices.Grow(sc.encs[:0], 2*n)[:2*n]
-	steps := make([]float64, 2*n) // the step column's tensor wraps it
-	for i, p := range pairs {
-		encs[i], steps[i] = p.EncL, p.StepL
-		encs[n+i], steps[n+i] = p.EncR, p.StepR
-	}
-	sv := m.State.ForwardBatch(encs, steps, sc)
-	// sv is on the heap and ForwardBatch iterates encs without storing it;
-	// clear the pointers so the pool never pins an encoding alive, then
-	// recycle.
-	clear(encs)
-	sc.encs = encs
-	sc.Release()
-	svL := nn.Rows(sv, 0, n)
-	svR := nn.Rows(sv, n, n)
-	hl := nn.ReLU(m.FC1.Forward(nn.AddRowVector(svL, m.PosL)))
-	hr := nn.ReLU(m.FC1.Forward(nn.AddRowVector(svR, m.PosR)))
-	return m.FC2.Forward(nn.Sub(hl, hr)) // [N, NumScores]
-}
-
-// ScoreBatch returns the predicted advantage class for every pair. It is the
-// batched equivalent of calling Score per pair (identical results), with the
-// work of 2N state-network forwards collapsed into ⌈2N/scoreChunk⌉ stacked
-// passes.
-func (m *Model) ScoreBatch(pairs []Pair) []int {
-	out := make([]int, len(pairs))
-	half := scoreChunk / 2
-	if half < 1 {
-		half = 1
-	}
-	for start := 0; start < len(pairs); start += half {
-		end := start + half
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		logits := m.frozen.LogitsBatch(pairs[start:end])
-		k := logits.Shape[1]
-		for i := 0; i < end-start; i++ {
-			out[start+i] = argmax(logits.Data[i*k : (i+1)*k])
-		}
-	}
-	return out
-}
 
 // StatesBatch exposes the batched state vectors [N, StateDim] for a set of
 // plans (used by the temporal plan selector, which chains pairwise

@@ -50,64 +50,14 @@ func TestForwardBatchMatchesSequential(t *testing.T) {
 		encs = append(encs, variableEncoded(rng, 1+rng.Intn(6)))
 		steps = append(steps, float64(i)/7)
 	}
-	batch := s.ForwardBatch(encs, steps, nil).Detach()
+	batch := s.ForwardBatch(encs, steps, nil)
 	dim := batch.Shape[1]
 	for i, enc := range encs {
-		want := s.Forward(enc, steps[i], nil).Detach()
+		want := s.Forward(enc, steps[i], nil)
 		for j := 0; j < dim; j++ {
 			if batch.Data[i*dim+j] != want.Data[j] {
 				t.Fatalf("plan %d dim %d: batch %v != sequential %v",
 					i, j, batch.Data[i*dim+j], want.Data[j])
-			}
-		}
-	}
-}
-
-func TestScoreBatchMatchesScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cfg := StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
-	m := NewModel(rng, cfg, 4, 4)
-
-	// More pairs than one scoreChunk holds, to exercise chunking.
-	var pairs []Pair
-	for i := 0; i < scoreChunk+9; i++ {
-		pairs = append(pairs, Pair{
-			EncL:  variableEncoded(rng, 1+rng.Intn(5)),
-			EncR:  variableEncoded(rng, 1+rng.Intn(5)),
-			StepL: rng.Float64(),
-			StepR: rng.Float64(),
-		})
-	}
-	got := m.ScoreBatch(pairs)
-	for i, p := range pairs {
-		want := m.Score(p.EncL, p.EncR, p.StepL, p.StepR)
-		if got[i] != want {
-			t.Fatalf("pair %d: ScoreBatch %d != Score %d", i, got[i], want)
-		}
-	}
-}
-
-func TestLogitsBatchMatchesLogits(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cfg := StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
-	m := NewModel(rng, cfg, 4, 4)
-
-	var pairs []Pair
-	for i := 0; i < 5; i++ {
-		pairs = append(pairs, Pair{
-			EncL:  variableEncoded(rng, 2+rng.Intn(4)),
-			EncR:  variableEncoded(rng, 2+rng.Intn(4)),
-			StepL: rng.Float64(),
-			StepR: rng.Float64(),
-		})
-	}
-	batch := m.LogitsBatch(pairs).Detach()
-	for i, p := range pairs {
-		want := m.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Detach()
-		for j := 0; j < NumScores; j++ {
-			if batch.Data[i*NumScores+j] != want.Data[j] {
-				t.Fatalf("pair %d logit %d: batch %v != sequential %v",
-					i, j, batch.Data[i*NumScores+j], want.Data[j])
 			}
 		}
 	}
@@ -130,7 +80,7 @@ func TestScoreStatesMatchesScore(t *testing.T) {
 			if l == r {
 				continue
 			}
-			want := m.Score(encs[l], encs[r], steps[l], steps[r])
+			want := argmax(m.Logits(encs[l], encs[r], steps[l], steps[r]).Data)
 			if got := m.ScoreStates(sv, l, r); got != want {
 				t.Fatalf("(%d,%d): ScoreStates %d != Score %d", l, r, got, want)
 			}

@@ -67,44 +67,51 @@ func TestFrozenStateNetMatchesTracked(t *testing.T) {
 
 // wantScores is the reference the scoring methods are held to: the argmax of
 // the tracked model's own Logits.
-func wantScores(m *Model, pairs []Pair) []int {
-	out := make([]int, len(pairs))
-	for i, p := range pairs {
-		out[i] = argmax(m.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Data)
+func wantScores(m *Model, samples []Sample) []int {
+	out := make([]int, len(samples))
+	for i, s := range samples {
+		out[i] = argmax(m.Logits(s.EncL, s.EncR, s.StepL, s.StepR).Data)
 	}
 	return out
 }
 
-func checkScoring(t *testing.T, what string, m *Model, pairs []Pair) {
-	t.Helper()
-	want := wantScores(m, pairs)
-	batch := m.ScoreBatch(pairs)
-	encs := make([]*planenc.Encoded, 0, 2*len(pairs))
-	steps := make([]float64, 0, 2*len(pairs))
-	for _, p := range pairs {
-		encs = append(encs, p.EncL, p.EncR)
-		steps = append(steps, p.StepL, p.StepR)
+// pool lists the samples' plans, each sample's left plan at row 2i and its
+// right plan at 2i+1.
+func pool(samples []Sample) ([]*planenc.Encoded, []float64) {
+	encs := make([]*planenc.Encoded, 0, 2*len(samples))
+	steps := make([]float64, 0, 2*len(samples))
+	for _, s := range samples {
+		encs = append(encs, s.EncL, s.EncR)
+		steps = append(steps, s.StepL, s.StepR)
 	}
+	return encs, steps
+}
+
+func checkScoring(t *testing.T, what string, m *Model, samples []Sample) {
+	t.Helper()
+	want := wantScores(m, samples)
+	encs, steps := pool(samples)
 	sv := m.StatesBatch(encs, steps)
 	untracked(t, what+": StatesBatch", sv)
 	heads := m.Heads(encs, steps, nil)
 	untracked(t, what+": Heads", heads.l)
 	untracked(t, what+": Heads", heads.r)
-	for i, p := range pairs {
-		if got := m.Score(p.EncL, p.EncR, p.StepL, p.StepR); got != want[i] {
-			t.Fatalf("%s: Score(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
-		}
-		if batch[i] != want[i] {
-			t.Fatalf("%s: ScoreBatch[%d] = %d, tracked logits say %d", what, i, batch[i], want[i])
-		}
+	ok := 0
+	for i, s := range samples {
 		if got := m.ScoreStates(sv, 2*i, 2*i+1); got != want[i] {
 			t.Fatalf("%s: ScoreStates(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
 		}
 		if got := heads.Score(2*i, 2*i+1); got != want[i] {
 			t.Fatalf("%s: Heads.Score(pair %d) = %d, tracked logits say %d", what, i, got, want[i])
 		}
-		sameData(t, what+": view logits", m.frozen.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Data,
-			m.Logits(p.EncL, p.EncR, p.StepL, p.StepR).Data)
+		if want[i] == s.Label {
+			ok++
+		}
+		sameData(t, what+": view logits", m.frozen.Logits(s.EncL, s.EncR, s.StepL, s.StepR).Data,
+			m.Logits(s.EncL, s.EncR, s.StepL, s.StepR).Data)
+	}
+	if acc, wantAcc := m.Accuracy(samples), float64(ok)/float64(len(samples)); acc != wantAcc {
+		t.Fatalf("%s: Accuracy %v, tracked logits say %v", what, acc, wantAcc)
 	}
 }
 
@@ -121,14 +128,6 @@ func syntheticSamples() []Sample {
 	return samples
 }
 
-func pairsOf(samples []Sample) []Pair {
-	pairs := make([]Pair, len(samples))
-	for i, s := range samples {
-		pairs[i] = Pair{EncL: s.EncL, EncR: s.EncR, StepL: s.StepL, StepR: s.StepR}
-	}
-	return pairs
-}
-
 // TestModelScoresThroughCurrentWeights: the scoring methods run on the view
 // NewModel built, and that one view keeps agreeing with the tracked model
 // after training (Adam steps in place), a load and a parameter copy.
@@ -137,13 +136,12 @@ func TestModelScoresThroughCurrentWeights(t *testing.T) {
 	m := NewModel(rng, frozenTestCfg, 4, 4)
 	view := m.frozen
 	samples := syntheticSamples()
-	pairs := pairsOf(samples)
-	checkScoring(t, "fresh model", m, pairs)
+	checkScoring(t, "fresh model", m, samples)
 
-	before := m.frozen.Logits(pairs[0].EncL, pairs[0].EncR, 0, 0.5).Clone()
+	before := m.frozen.Logits(samples[0].EncL, samples[0].EncR, 0, 0.5).Clone()
 	moved := func(what string) {
 		t.Helper()
-		after := m.frozen.Logits(pairs[0].EncL, pairs[0].EncR, 0, 0.5)
+		after := m.frozen.Logits(samples[0].EncL, samples[0].EncR, 0, 0.5)
 		if after.Data[0] == before.Data[0] {
 			t.Fatalf("%s left the view's output unchanged: the check proves nothing", what)
 		}
@@ -154,7 +152,7 @@ func TestModelScoresThroughCurrentWeights(t *testing.T) {
 	tc.Epochs = 2
 	m.Train(samples, tc)
 	moved("Train")
-	checkScoring(t, "after Train", m, pairs)
+	checkScoring(t, "after Train", m, samples)
 
 	other := NewModel(rng, frozenTestCfg, 4, 4)
 	blob, err := nn.SaveParams(other)
@@ -165,11 +163,11 @@ func TestModelScoresThroughCurrentWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved("LoadParams")
-	checkScoring(t, "after LoadParams", m, pairs)
+	checkScoring(t, "after LoadParams", m, samples)
 
 	nn.CopyParams(m, NewModel(rng, frozenTestCfg, 4, 4))
 	moved("CopyParams")
-	checkScoring(t, "after CopyParams", m, pairs)
+	checkScoring(t, "after CopyParams", m, samples)
 
 	if m.frozen != view {
 		t.Fatal("the view was rebuilt; it must be the one NewModel made")
@@ -189,8 +187,8 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 	fork := NewModel(rng, frozenTestCfg, 4, 4)
 	nn.CopyParams(fork, live)
 	samples := syntheticSamples()
-	pairs := pairsOf(samples)
-	want := wantScores(live, pairs)
+	want := wantScores(live, samples)
+	encs, steps := pool(samples)
 
 	var wg sync.WaitGroup
 	trained := make(chan struct{})
@@ -212,9 +210,9 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 					done = true // one more pass after training ends
 				default:
 				}
-				got := live.ScoreBatch(pairs)
+				heads := live.Heads(encs, steps, nil)
 				for i := range want {
-					if got[i] != want[i] || live.Score(pairs[i].EncL, pairs[i].EncR, pairs[i].StepL, pairs[i].StepR) != want[i] {
+					if heads.Score(2*i, 2*i+1) != want[i] {
 						t.Errorf("live replica's score for pair %d moved while the fork trained", i)
 						return
 					}
@@ -225,7 +223,7 @@ func TestFrozenViewServesWhileOtherReplicaTrains(t *testing.T) {
 	wg.Wait()
 
 	nn.CopyParams(live, fork)
-	checkScoring(t, "after copying the trained fork in", live, pairs)
+	checkScoring(t, "after copying the trained fork in", live, samples)
 }
 
 // sameBits fails unless got and want hold the same float64 bit patterns.

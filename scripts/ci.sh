@@ -105,7 +105,7 @@ go test -run '^$' -bench ServeMiss -benchtime 1x ./internal/core
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
   # TestTier0ServeZeroAllocs, TestHotTurnZeroAllocs, TestServeMissAllocsBounded,
-  # TestHistogramObserveZeroAllocs, TestScoreBatchAllocsBounded,
+  # TestHistogramObserveZeroAllocs, TestJudgeAllocsBounded,
   # TestFrozenForwardBlocksAllocsPinned, TestFrozenForwardBlocksArenaAllocsPinned: README
   # "Verification" says what each pins. A rename that leaves the pattern
   # matching nothing in one of their packages is a failure, not a pass.
