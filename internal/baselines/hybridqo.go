@@ -18,7 +18,7 @@ import (
 // edits: the hint fixes only how the plan starts.
 type HybridQO struct {
 	*valueModel
-	mcts HybridQOConfig
+	mcts HybridQOConfig // read for the search settings; training reads valueModel.cfg
 }
 
 // HybridQOConfig tunes HybridQO's search and training.
