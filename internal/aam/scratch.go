@@ -40,7 +40,6 @@ type Scratch struct {
 	lengths []int
 	masks   [][]bool
 	steps   []float64
-	encs    []*planenc.Encoded
 }
 
 // tuple is a node's feature ids, in the order of StateNet.embeddings.
