@@ -177,7 +177,7 @@ func main() {
 		// ctx is never canceled, so Fan has no error to return.
 		_ = runtime.Fan(ctx, len(qs), func(i int) {
 			q := qs[i]
-			fcp, _, ot, err := sys.OptimizeCachedContext(ctx, q)
+			fcp, ot, err := sys.OptimizeContext(ctx, q)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "optimize %s: %v\n", q.ID, err)
 				return

@@ -29,19 +29,13 @@ import (
 // Implementations must be safe for concurrent use: Plan, HintedPlan, and
 // Execute are all on the serving path.
 type Backend interface {
-	// Name identifies the backend ("selinger", "gaussim", ...). The runtime
-	// keys its plan cache on it so plans never cross backends.
+	// Name identifies the backend ("selinger", "gaussim", ...). Snapshots are
+	// sealed with it and the serving loop's plan memory keys on it, so
+	// neither a model nor a plan pin crosses backends.
 	Name() string
 
 	// Schema exposes the backend's catalog (sizes the plan encoder).
 	Schema() *catalog.Schema
-
-	// CatalogEpoch is the catalog (schema) generation this backend was
-	// derived at: 0 for the load-time schema, the versioned catalog's epoch
-	// after a DDL apply rebuilds the backend over the evolved schema. The
-	// runtime mixes it into every plan-cache key so plans never cross schema
-	// generations.
-	CatalogEpoch() uint64
 
 	// Stats exposes the backend's statistics catalog (the believed
 	// cardinalities the doctor's baselines and workload generators consult).
@@ -63,20 +57,13 @@ type Backend interface {
 }
 
 // New constructs a registered backend by name over a database + statistics
-// catalog, at catalog epoch 0. Unknown names wrap fosserr.ErrUnknownBackend.
+// catalog. Unknown names wrap fosserr.ErrUnknownBackend.
 func New(name string, db *storage.DB, st *stats.Catalog) (Backend, error) {
-	return NewAt(name, db, st, 0)
-}
-
-// NewAt constructs a registered backend at a specific catalog epoch — the
-// rebuild path after a DDL apply re-derives the database, statistics, and
-// encoder sizing over the evolved schema.
-func NewAt(name string, db *storage.DB, st *stats.Catalog, catalogEpoch uint64) (Backend, error) {
 	switch name {
 	case "selinger", "":
-		return NewSelingerAt(db, st, catalogEpoch), nil
+		return NewSelinger(db, st), nil
 	case "gaussim":
-		return NewGaussimAt(db, st, catalogEpoch), nil
+		return NewGaussim(db, st), nil
 	}
 	return nil, fmt.Errorf("backend: %q: %w", name, fosserr.ErrUnknownBackend)
 }

@@ -20,28 +20,19 @@ import (
 // queries, which is exactly what makes it a meaningful second target for the
 // backend-generic doctor.
 type Gaussim struct {
-	db       *storage.DB
-	st       *stats.Catalog
-	opt      *optimizer.Optimizer
-	ex       *exec.Executor
-	catEpoch uint64
+	db  *storage.DB
+	st  *stats.Catalog
+	opt *optimizer.Optimizer
+	ex  *exec.Executor
 }
 
-// NewGaussim builds the gaussim backend over a database + statistics pair,
-// at catalog epoch 0.
+// NewGaussim builds the gaussim backend over a database + statistics pair.
 func NewGaussim(db *storage.DB, st *stats.Catalog) *Gaussim {
-	return NewGaussimAt(db, st, 0)
-}
-
-// NewGaussimAt builds the backend at a specific catalog epoch (the DDL
-// rebuild path).
-func NewGaussimAt(db *storage.DB, st *stats.Catalog, catalogEpoch uint64) *Gaussim {
 	return &Gaussim{
-		db:       db,
-		st:       st,
-		opt:      optimizer.NewWithParams(db, st, cost.GaussOptimizerParams()),
-		ex:       exec.NewWithParams(db, cost.GaussTruthParams()),
-		catEpoch: catalogEpoch,
+		db:  db,
+		st:  st,
+		opt: optimizer.NewWithParams(db, st, cost.GaussOptimizerParams()),
+		ex:  exec.NewWithParams(db, cost.GaussTruthParams()),
 	}
 }
 
@@ -50,9 +41,6 @@ func (g *Gaussim) Name() string { return "gaussim" }
 
 // Schema implements Backend.
 func (g *Gaussim) Schema() *catalog.Schema { return g.db.Schema }
-
-// CatalogEpoch implements Backend.
-func (g *Gaussim) CatalogEpoch() uint64 { return g.catEpoch }
 
 // Stats implements Backend.
 func (g *Gaussim) Stats() *stats.Catalog { return g.st }

@@ -16,23 +16,15 @@ import (
 // delegates without any translation, so a doctor over this backend behaves
 // bit-for-bit like the pre-interface system.
 type Selinger struct {
-	db       *storage.DB
-	st       *stats.Catalog
-	opt      *optimizer.Optimizer
-	ex       *exec.Executor
-	catEpoch uint64
+	db  *storage.DB
+	st  *stats.Catalog
+	opt *optimizer.Optimizer
+	ex  *exec.Executor
 }
 
-// NewSelinger builds the default backend over a database + statistics pair,
-// at catalog epoch 0.
+// NewSelinger builds the default backend over a database + statistics pair.
 func NewSelinger(db *storage.DB, st *stats.Catalog) *Selinger {
-	return NewSelingerAt(db, st, 0)
-}
-
-// NewSelingerAt builds the backend at a specific catalog epoch (the DDL
-// rebuild path).
-func NewSelingerAt(db *storage.DB, st *stats.Catalog, catalogEpoch uint64) *Selinger {
-	return &Selinger{db: db, st: st, opt: optimizer.New(db, st), ex: exec.New(db), catEpoch: catalogEpoch}
+	return &Selinger{db: db, st: st, opt: optimizer.New(db, st), ex: exec.New(db)}
 }
 
 // Name implements Backend.
@@ -40,9 +32,6 @@ func (s *Selinger) Name() string { return "selinger" }
 
 // Schema implements Backend.
 func (s *Selinger) Schema() *catalog.Schema { return s.db.Schema }
-
-// CatalogEpoch implements Backend.
-func (s *Selinger) CatalogEpoch() uint64 { return s.catEpoch }
 
 // Stats implements Backend.
 func (s *Selinger) Stats() *stats.Catalog { return s.st }

@@ -62,12 +62,21 @@ func (c *constructor) construct(q *query.Query, explore bool) (*plan.CP, error) 
 			if len(preds) == 0 {
 				continue // no cross products, as in the originals' action spaces
 			}
+			// Moves may repeat a method (Loger's restrictions often pick the
+			// same one): each distinct method is planned and scored once, and
+			// every repeat still joins choices, weighting exploration as before.
+			scored := map[plan.JoinMethod]*choice{}
 			for _, m := range c.moves(q, order, a, preds) {
-				cp, err := c.opt.PartialPlan(q, append(order[:len(order):len(order)], a), append(methods[:len(methods):len(methods)], m))
-				if err != nil {
-					continue
+				ch, ok := scored[m]
+				if !ok {
+					if cp, err := c.opt.PartialPlan(q, append(order[:len(order):len(order)], a), append(methods[:len(methods):len(methods)], m)); err == nil {
+						ch = &choice{a, m, c.predict(cp)}
+					}
+					scored[m] = ch // nil: the method has no plan here
 				}
-				choices = append(choices, choice{a, m, c.predict(cp)})
+				if ch != nil {
+					choices = append(choices, *ch)
+				}
 			}
 		}
 		if len(choices) == 0 {

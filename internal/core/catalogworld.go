@@ -82,7 +82,7 @@ func (cw *catalogWorld) schema() *catalog.Schema { return cw.cur.Load() }
 // apply runs one DDL batch: new schema (copy-on-write), new DB (unchanged
 // tables shared by pointer), new statistics (unchanged tables shared by
 // pointer, touched tables rebuilt by a deterministic full scan), new backend
-// at the new epoch. The batch is atomic — on error nothing is published.
+// over both. The batch is atomic — on error nothing is published.
 func (cw *catalogWorld) apply(ddls []catalog.DDL) (uint64, error) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -95,7 +95,7 @@ func (cw *catalogWorld) apply(ddls []catalog.DDL) (uint64, error) {
 	}
 	db := rebuildDB(cw.db, schema)
 	st := rebuildStats(cw.st, cw.db, db)
-	be, err := backend.NewAt(cw.be.Name(), db, st, epoch)
+	be, err := backend.New(cw.be.Name(), db, st)
 	if err != nil {
 		// Unreachable for the names the world was built with; keep the
 		// invariant loud rather than silent.
@@ -168,9 +168,9 @@ func rebuildStats(old *stats.Catalog, oldDB, db *storage.DB) *stats.Catalog {
 
 // ApplyDDL applies a schema-evolution batch to this system's live catalog
 // and repoints the system at the rebuilt backend under the runtime's
-// exclusive section — the plan cache invalidates and rekeys atomically, so
-// no plan chosen against the old schema can ever be served again. Returns
-// the new catalog epoch.
+// exclusive section — the plan cache empties in the same section, so no
+// plan chosen against the old schema can ever be served again. Returns the
+// new catalog epoch.
 //
 // Under a live online loop, apply through service.Loop.ApplyDDL (the
 // System.Online() handle) instead: the loop journals the batch and
@@ -188,16 +188,17 @@ func (s *System) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 	return epoch, nil
 }
 
-// ResyncCatalog repoints this system at the world's current backend if its
-// runtime is behind the world's catalog epoch. Idempotent; safe under
-// concurrent serving (the repoint runs inside the runtime's exclusive
-// section, like a weight load).
+// ResyncCatalog repoints this system at the world's current backend if it
+// serves another one. Idempotent — a system already current keeps its plan
+// cache — and safe under concurrent serving: the repoint runs inside the
+// runtime's exclusive section, like a weight load, and reads the world there,
+// so of two racing resyncs the later one installs the newer generation.
 func (s *System) ResyncCatalog() error {
-	be, schema, epoch := s.world.snapshot()
-	if epoch <= s.RT.CatalogEpoch() {
+	if be, _, _ := s.world.snapshot(); be == s.currentBackend() {
 		return nil
 	}
-	return s.RT.RekeyCatalog(epoch, func() error {
+	return s.RT.Exclusive(func() error {
+		be, schema, _ := s.world.snapshot()
 		s.Backend = be
 		for _, pl := range s.Planners {
 			pl.Opt = be
@@ -231,8 +232,11 @@ func (s *System) CatalogSchema() *catalog.Schema { return s.world.schema() }
 // the storage layer no longer has. A query already checked against this
 // exact schema passes on one pointer comparison: the lookups run once per
 // (query, schema generation).
-func (s *System) CheckCatalog(q *query.Query) error {
-	schema := s.world.schema()
+func (s *System) CheckCatalog(q *query.Query) error { return checkSchema(s.world.schema(), q) }
+
+// checkSchema fails with fosserr.ErrCatalogStale unless every table q
+// references exists in schema.
+func checkSchema(schema *catalog.Schema, q *query.Query) error {
 	if q.CheckedAgainst(schema) {
 		return nil
 	}

@@ -79,16 +79,16 @@ func TestConcurrentOptimizeMatchesSerial(t *testing.T) {
 func TestTrainInvalidatesPlanCache(t *testing.T) {
 	sys := trainedSystem(t)
 	q := sys.W.Train[0]
-	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
+	if _, hit, _, err := sys.OptimizeEvalContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("first optimize: hit=%v err=%v", hit, err)
 	}
-	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || !hit {
+	if _, hit, _, err := sys.OptimizeEvalContext(context.Background(), q); err != nil || !hit {
 		t.Fatalf("second optimize should hit the cache: hit=%v err=%v", hit, err)
 	}
 	if err := sys.TrainContext(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _, err := sys.OptimizeCachedContext(context.Background(), q); err != nil || hit {
+	if _, hit, _, err := sys.OptimizeEvalContext(context.Background(), q); err != nil || hit {
 		t.Fatalf("post-train optimize served a stale cached plan: hit=%v err=%v", hit, err)
 	}
 }

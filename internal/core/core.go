@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -113,7 +114,7 @@ type System struct {
 	W   *workload.Workload
 
 	// Backend is the optimizer substrate under the doctor, fixed at
-	// construction; only a catalog rekey repoints it, to a rebuilt engine of
+	// construction; only a catalog resync repoints it, to a rebuilt engine of
 	// the same name. Never mutate it directly while serving.
 	Backend backend.Backend
 
@@ -226,14 +227,6 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	}
 	sys.Learner = learner.New(w, planners, model, b, lCfg)
 	sys.RT = runtime.New(runtime.Config{CacheSize: cfg.PlanCache}, checkedSource{sys})
-	// A replica built over an already-evolved world starts its cache
-	// identity at the world's catalog epoch (nothing is cached yet; the
-	// rekey just aligns the identity).
-	if _, _, ep := world.snapshot(); ep > 0 {
-		if err := sys.RT.RekeyCatalog(ep, nil); err != nil {
-			return nil, err
-		}
-	}
 	return sys, nil
 }
 
@@ -250,12 +243,15 @@ func (c checkedSource) Optimize(ctx context.Context, q *query.Query) (*planner.P
 	return c.s.Learner.Optimize(ctx, q)
 }
 
-// BackendName reports the identity of the backend under the doctor. The
-// read runs under the runtime's shared lock because a catalog rekey repoints
-// s.Backend (to a rebuilt engine of the same name).
-func (s *System) BackendName() (name string) {
-	_ = s.RT.Shared(func() error { name = s.Backend.Name(); return nil })
-	return name
+// BackendName reports the identity of the backend under the doctor.
+func (s *System) BackendName() string { return s.currentBackend().Name() }
+
+// currentBackend reads s.Backend under the runtime's shared lock: a catalog
+// resync repoints it (to a rebuilt engine of the same name) in an exclusive
+// section.
+func (s *System) currentBackend() (be backend.Backend) {
+	_ = s.RT.Shared(func() error { be = s.Backend; return nil })
+	return be
 }
 
 // TrainContext runs the simulated-learner loop with the serving path
@@ -275,10 +271,16 @@ func (s *System) TrainContext(ctx context.Context, progress func(learner.IterSta
 // TrainOnContext runs incremental training over an explicit query set (the
 // online service retrains on recently served queries this way) with the
 // serving path quiesced; iterations overrides the configured schedule when
-// positive.
+// positive. Queries naming a table the backend's schema does not have are
+// left out: a retrain picks its queries before a DDL may drop one of their
+// tables, and the fork it trains is built over the newer generation.
 func (s *System) TrainOnContext(ctx context.Context, queries []*query.Query, iterations int, progress func(learner.IterStats)) error {
 	start := time.Now()
-	err := s.RT.Exclusive(func() error { return s.Learner.TrainOn(ctx, queries, iterations, progress) })
+	err := s.RT.Exclusive(func() error {
+		schema := s.Backend.Schema()
+		live := slices.DeleteFunc(slices.Clone(queries), func(q *query.Query) bool { return checkSchema(schema, q) != nil })
+		return s.Learner.TrainOn(ctx, live, iterations, progress)
+	})
 	s.trainTime.Add(int64(time.Since(start)))
 	return err
 }
@@ -301,24 +303,18 @@ func (s *System) CacheStats() runtime.CacheStats { return s.RT.CacheStats() }
 // runtime: concurrent calls are safe, repeated queries hit the plan cache,
 // and cancellation is honored between rollouts.
 func (s *System) OptimizeContext(ctx context.Context, q *query.Query) (*plan.CP, time.Duration, error) {
-	cp, _, d, err := s.OptimizeCachedContext(ctx, q)
-	return cp, d, err
-}
-
-// OptimizeCachedContext is OptimizeContext exposing whether the plan came
-// from the cache.
-func (s *System) OptimizeCachedContext(ctx context.Context, q *query.Query) (*plan.CP, bool, time.Duration, error) {
-	pe, hit, d, err := s.OptimizeEvalContext(ctx, q)
+	pe, _, d, err := s.OptimizeEvalContext(ctx, q)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, 0, err
 	}
-	return pe.CP, hit, d, nil
+	return pe.CP, d, nil
 }
 
-// OptimizeEvalContext is OptimizeCachedContext returning the full evaluated
-// candidate (plan, encoding, edit step) instead of just the complete plan —
-// the online service records executed-plan feedback against it. The returned
-// PlanEval may be shared with the plan cache: treat it as read-only.
+// OptimizeEvalContext is OptimizeContext returning the full evaluated
+// candidate (plan, encoding, edit step) instead of just the complete plan,
+// and whether it came from the plan cache — the online service records
+// executed-plan feedback against it. The returned PlanEval may be shared
+// with the plan cache: treat it as read-only.
 func (s *System) OptimizeEvalContext(ctx context.Context, q *query.Query) (*planner.PlanEval, bool, time.Duration, error) {
 	start := time.Now()
 	pe, hit, err := s.RT.Optimize(ctx, q)
@@ -353,7 +349,7 @@ func (s *System) ExplainCandidates(ctx context.Context, q *query.Query) ([]plann
 
 // ExpertPlan exposes the backend's native cost-based plan (the baseline).
 // It runs under the runtime's shared lock: concurrent with serving, never
-// interleaved with a catalog rekey repointing s.Backend.
+// interleaved with a catalog resync repointing s.Backend.
 func (s *System) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 	start := time.Now()
 	var cp *plan.CP
@@ -374,7 +370,7 @@ func (s *System) ExpertPlan(q *query.Query) (*plan.CP, time.Duration, error) {
 // Execute runs a plan to completion (no timeout) and returns its simulated
 // latency in milliseconds, as charged by the current backend. It runs under
 // the runtime's shared lock, so the backend pointer read can never race a
-// catalog rekey. A plan whose query references a DDL-dropped table
+// catalog resync. A plan whose query references a DDL-dropped table
 // (served just before the drop landed) returns NaN instead of executing —
 // the online loop counts it as a stale invalidation and drops the feedback.
 func (s *System) Execute(cp *plan.CP) float64 {

@@ -127,7 +127,7 @@ func (s *System) load(data []byte) error {
 // deterministic, so a candidate rebuilt from a checkpoint or WAL record is
 // interchangeable with the one that was executed live. Latency is NaN on
 // return; callers restore the journaled outcome. Runs under the runtime's
-// shared lock (a catalog rekey repoints the planner's backend), and refuses
+// shared lock (a catalog resync repoints the planner's backend), and refuses
 // queries whose tables a DDL has since dropped with fosserr.ErrCatalogStale.
 // A step outside [0, MaxSteps] names no candidate an episode can reach and
 // is refused with fosserr.ErrNoPlan.

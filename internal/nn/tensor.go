@@ -177,9 +177,6 @@ func (t *Tensor) Param() *Tensor {
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return len(t.Data) }
 
-// Dim returns the length of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx...)] }
 

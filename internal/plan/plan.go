@@ -222,14 +222,6 @@ func Extract(cp *CP) (ICP, error) {
 	return icp, nil
 }
 
-// LeafLabel returns the alias at label Tk (1-based), or "".
-func (p ICP) LeafLabel(k int) string {
-	if k < 1 || k > len(p.Order) {
-		return ""
-	}
-	return p.Order[k-1]
-}
-
 // ParentJoinOf returns the bottom-up join label Ok (1-based) that is the
 // parent of leaf Tk: T1 and T2 join at O1; Tk (k>=3) joins at O_{k-1}.
 func ParentJoinOf(leaf int) int {

@@ -109,13 +109,6 @@ func (c *LRU[K, V]) Invalidate() {
 	c.epoch++
 }
 
-// Epoch returns the invalidation count.
-func (c *LRU[K, V]) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
 // Len returns the current entry count.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

@@ -2,11 +2,10 @@ package runtime
 
 import "testing"
 
-// TestIdentityKeyComposite: PlanKey is the one composite identity both the
-// runtime plan cache and the tier plan memory key on — equal only when
-// backend, epoch, and fingerprint all agree, so an epoch bump (hot-swap) or
-// a backend switch makes every prior key unreachable in both structures at
-// once.
+// TestIdentityKeyComposite: PlanKey is the composite identity the tier plan
+// memory keys on — equal only when backend, epoch, and fingerprint all
+// agree, so an epoch bump (hot-swap or DDL) or a backend switch makes every
+// prior key unreachable.
 func TestIdentityKeyComposite(t *testing.T) {
 	base := Identity{Backend: "selinger", Epoch: 1}
 	k := base.Key(42)

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"github.com/foss-db/foss/internal/planner"
@@ -25,35 +24,27 @@ type Config struct {
 // Runtime owns the plan cache and arbitrates between the exclusive training
 // path and the shared serving path: any number of Optimize calls may run
 // concurrently (model forwards are read-only), while Exclusive (training,
-// weight loading, catalog rekeys) waits for in-flight requests and blocks new
-// ones. A runtime serves one backend for its whole life, so cached plans are
-// keyed by the shared composite PlanKey (cache epoch × catalog epoch × query
-// fingerprint) and invalidated whenever the models change.
+// weight loading, catalog repoints) waits for in-flight requests and blocks
+// new ones. Cached plans are keyed by query fingerprint alone: everything
+// that changes what a plan would be (weights, backend, schema) changes
+// inside Exclusive, which empties the cache, and Optimize holds the shared
+// lock from its lookup to its insert, so no plan chosen before an exclusive
+// section can be cached after it.
 type Runtime struct {
-	cache  *LRU[PlanKey, *planner.PlanEval]
+	cache  *LRU[uint64, *planner.PlanEval]
 	source Source
 
 	// mu is the train/serve arbiter: Optimize holds it shared, Exclusive
-	// holds it exclusively. It also guards catalogEpoch.
-	mu           sync.RWMutex
-	catalogEpoch uint64
+	// holds it exclusively.
+	mu sync.RWMutex
 }
 
 // New assembles a runtime over a plan-producing source.
 func New(cfg Config, source Source) *Runtime {
 	return &Runtime{
-		cache:  NewLRU[PlanKey, *planner.PlanEval](cfg.CacheSize),
+		cache:  NewLRU[uint64, *planner.PlanEval](cfg.CacheSize),
 		source: source,
 	}
-}
-
-// identityLocked builds the cache's current composite identity. Caller holds
-// mu (shared or exclusive). Mixing the LRU's own invalidation epoch into the
-// key means the plan cache and any sibling structure keyed through the same
-// Identity (the tier router's plan memory) agree on when an entry became
-// stale — one invalidation source, two caches, no desynchronization.
-func (r *Runtime) identityLocked() Identity {
-	return Identity{Epoch: r.cache.Epoch(), Catalog: r.catalogEpoch}
 }
 
 // Optimize returns the chosen plan for the query, serving from the plan
@@ -66,7 +57,7 @@ func (r *Runtime) Optimize(ctx context.Context, q *query.Query) (*planner.PlanEv
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	key := r.identityLocked().Key(q.Fingerprint())
+	key := q.Fingerprint()
 	if pe, ok := r.cache.Get(key); ok {
 		return pe, true, nil
 	}
@@ -99,44 +90,9 @@ func (r *Runtime) Exclusive(fn func() error) error {
 	return err
 }
 
-// CatalogEpoch returns the catalog (schema) epoch the cache is currently
-// scoped to.
-func (r *Runtime) CatalogEpoch() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.catalogEpoch
-}
-
-// RekeyCatalog atomically advances the cache's catalog epoch (quiescing the
-// serving path), runs fn — the caller's schema/backend repoint — inside the
-// same exclusive section, and invalidates every cached plan. Entries planned
-// against the old schema are dropped by the invalidation and, even if
-// resurrected, unreachable under the new composite key. If fn errors the epoch and cache are untouched.
-// fn may be nil. The epoch only moves forward; a stale epoch is rejected
-// without running fn.
-func (r *Runtime) RekeyCatalog(epoch uint64, fn func() error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epoch < r.catalogEpoch {
-		return fmt.Errorf("runtime: catalog epoch moved backwards (%d < %d)", epoch, r.catalogEpoch)
-	}
-	if fn != nil {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	r.catalogEpoch = epoch
-	r.cache.Invalidate()
-	return nil
-}
-
 // CacheStats snapshots the plan-cache counters.
 func (r *Runtime) CacheStats() CacheStats { return r.cache.Stats() }
 
-// CacheEpoch returns the plan cache's invalidation count: every currently
-// cached plan was chosen by the models live at this epoch.
-func (r *Runtime) CacheEpoch() uint64 { return r.cache.Epoch() }
-
-// InvalidateCache drops all cached plans (e.g. after loading a snapshot
-// outside Exclusive).
+// InvalidateCache drops all cached plans without quiescing the serving path;
+// a change to the models still belongs inside Exclusive.
 func (r *Runtime) InvalidateCache() { r.cache.Invalidate() }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -88,21 +87,18 @@ func TestLRUInvalidate(t *testing.T) {
 // proof — it must count every invalidation and nothing else.
 func TestLRUEpochAdvancesOnInvalidate(t *testing.T) {
 	c := NewLRU[uint64, string](4)
-	if c.Epoch() != 0 {
-		t.Fatalf("fresh cache epoch %d", c.Epoch())
+	if e := c.Stats().Epoch; e != 0 {
+		t.Fatalf("fresh cache epoch %d", e)
 	}
 	c.Put(1, "x")
 	c.Get(1)
-	if c.Epoch() != 0 {
+	if e := c.Stats().Epoch; e != 0 {
 		t.Fatal("get/put must not advance the epoch")
 	}
 	c.Invalidate()
 	c.Invalidate()
-	if c.Epoch() != 2 {
-		t.Fatalf("epoch %d after two invalidations", c.Epoch())
-	}
-	if st := c.Stats(); st.Epoch != 2 {
-		t.Fatalf("stats epoch %d", st.Epoch)
+	if e := c.Stats().Epoch; e != 2 {
+		t.Fatalf("epoch %d after two invalidations", e)
 	}
 }
 
@@ -110,15 +106,15 @@ func TestLRUEpochAdvancesOnInvalidate(t *testing.T) {
 // cache epoch so serving layers can label plan generations.
 func TestRuntimeCacheEpoch(t *testing.T) {
 	rt := New(Config{CacheSize: 8}, &countingBackend{})
-	if rt.CacheEpoch() != 0 {
-		t.Fatalf("fresh runtime epoch %d", rt.CacheEpoch())
+	if e := rt.CacheStats().Epoch; e != 0 {
+		t.Fatalf("fresh runtime epoch %d", e)
 	}
 	if err := rt.Exclusive(func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	rt.InvalidateCache()
-	if rt.CacheEpoch() != 2 {
-		t.Fatalf("epoch %d after Exclusive + InvalidateCache", rt.CacheEpoch())
+	if e := rt.CacheStats().Epoch; e != 2 {
+		t.Fatalf("epoch %d after Exclusive + InvalidateCache", e)
 	}
 }
 
@@ -239,44 +235,6 @@ func TestRuntimeConcurrentOptimize(t *testing.T) {
 	}
 	if st.Hits < 300 {
 		t.Fatalf("unexpectedly few hits: %+v", st)
-	}
-}
-
-// TestRuntimeRekeyAbortsOnError: a failing RekeyCatalog callback leaves the
-// catalog epoch and the cache untouched, and a backwards epoch is refused
-// without running the callback.
-func TestRuntimeRekeyAbortsOnError(t *testing.T) {
-	b := &countingBackend{}
-	rt := New(Config{CacheSize: 8}, b)
-	ctx := context.Background()
-	q := testQuery(4)
-	if err := rt.RekeyCatalog(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	rt.Optimize(ctx, q)
-	wantErr := fmt.Errorf("repoint veto")
-	if err := rt.RekeyCatalog(3, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want veto", err)
-	}
-	if got := rt.CatalogEpoch(); got != 2 {
-		t.Fatalf("catalog epoch %d after failed rekey, want 2", got)
-	}
-	if _, hit, _ := rt.Optimize(ctx, q); !hit {
-		t.Fatal("cache dropped on failed rekey")
-	}
-
-	ran := false
-	if err := rt.RekeyCatalog(1, func() error { ran = true; return nil }); err == nil {
-		t.Fatal("backwards catalog epoch accepted")
-	}
-	if ran {
-		t.Fatal("callback ran for a backwards catalog epoch")
-	}
-	if got := rt.CatalogEpoch(); got != 2 {
-		t.Fatalf("catalog epoch %d after refused rekey, want 2", got)
-	}
-	if _, hit, _ := rt.Optimize(ctx, q); !hit {
-		t.Fatal("cache dropped on refused rekey")
 	}
 }
 

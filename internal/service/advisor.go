@@ -314,7 +314,7 @@ func (lp *Loop) advise(obs advisorObs) {
 	}
 	// Tier-0 hits before served, the order Stats reads them in.
 	obs.t0Hits = lp.srv.hist[histPin].Count()
-	obs.catEpoch, obs.served = lp.cat.epoch.Load(), lp.srv.served.Load()
+	obs.catEpoch, obs.served = lp.CatalogEpoch(), lp.srv.served.Load()
 	lp.adv.ingest(obs)
 }
 

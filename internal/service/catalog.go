@@ -10,14 +10,9 @@ import (
 	"github.com/foss-db/foss/internal/store"
 )
 
-// catalogState is the loop's view of the catalog world a replica shares
-// with its forks.
+// catalogState counts the loop's catalog events; the catalog epoch it serves
+// at is the active slot's.
 type catalogState struct {
-	// epoch mirrors the active replica's live-catalog epoch so the serving
-	// fast paths key plan memory by it without touching the replica. It
-	// moves only under Loop.mu (the ddl transition, ApplyCheckpoint),
-	// strictly upward.
-	epoch          atomic.Uint64
 	applies, stale atomic.Uint64 // Stats.CatalogApplies, Stats.StaleInvalidations
 }
 
@@ -36,15 +31,15 @@ func (lp *Loop) checkCatalog(r Replica, q *query.Query) error {
 // ApplyDDL applies one schema-evolution batch to the serving replica — the
 // loop-level entry point for live DDL. The batch applies through the active
 // replica, building one new copy-on-write generation in the catalog world it
-// shares with its forks; the serving epoch bumps so every epoch-keyed consumer
-// (tier-0 plan memory, the runtime plan cache, the replication tailer
-// comparing manifest epochs) sees a new generation without a weight swap; the
-// batch journals as a KindDDL WAL record and the post-DDL state checkpoints
-// immediately, so a warm restart resumes at the evolved schema. Serving never
-// blocks: requests in flight complete at the old (immutable) generation, and
-// only Record's ordering lock is held while the world rebuilds. Returns the
-// new catalog epoch. Followers refuse with fosserr.ErrNotLeader — their
-// catalog advances through ApplyCheckpoint.
+// shares with its forks (the replica's plan cache empties as it repoints);
+// the serving epoch bumps so every epoch-keyed consumer (tier-0 plan memory,
+// the replication tailer comparing manifest epochs) sees a new generation
+// without a weight swap; the batch journals as a KindDDL WAL record and the
+// post-DDL state checkpoints immediately, so a warm restart resumes at the
+// evolved schema. Serving never blocks: requests in flight complete at the
+// old (immutable) generation, and only Record's ordering lock is held while
+// the world rebuilds. Returns the new catalog epoch. Followers refuse with
+// fosserr.ErrNotLeader — their catalog advances through ApplyCheckpoint.
 func (lp *Loop) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 	if lp.closed.Load() {
 		return 0, fmt.Errorf("service: apply ddl: %w", fosserr.ErrLoopClosed)
@@ -94,7 +89,7 @@ func (lp *Loop) ddl(ddls []catalog.DDL, epoch uint64, journal bool) (uint64, err
 	// exclusive training lock for a whole schedule, and a DDL must never
 	// wait on training. retrain repoints it at the shared world's new
 	// generation under this same mu before publishing it.
-	lp.cat.epoch.Store(catEpoch)
+
 	// Expert baselines were measured against the old statistics; keeping
 	// them would judge post-DDL plans against a retired cost surface.
 	clear(lp.lrn.expertLat)
@@ -113,5 +108,6 @@ func (lp *Loop) ddl(ddls []catalog.DDL, epoch uint64, journal bool) (uint64, err
 	return catEpoch, nil
 }
 
-// CatalogEpoch returns the live catalog generation the loop is serving at.
-func (lp *Loop) CatalogEpoch() uint64 { return lp.cat.epoch.Load() }
+// CatalogEpoch returns the catalog generation the loop is serving at: the
+// active slot's.
+func (lp *Loop) CatalogEpoch() uint64 { return lp.srv.active.Load().cat }

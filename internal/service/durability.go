@@ -249,7 +249,6 @@ func (lp *Loop) ApplyCheckpoint(ck store.Checkpoint) error {
 	// Same transition as a local hot-swap: the new model's pins arrive below
 	// from the checkpoint's exported tier state.
 	lp.publish(fork, ck.Epoch)
-	lp.cat.epoch.Store(fork.CatalogEpoch())
 	lp.mu.Unlock()
 	lp.lrn.swaps.Add(1)
 

@@ -254,14 +254,14 @@ func (lp *Loop) publish(next Replica, epoch uint64) {
 	lp.startGeneration(next, epoch)
 }
 
-// startGeneration stores the serving slot and gives it a clean slate — the
-// step publish and ddl end on. Every pin must re-earn its place (plan memory
-// shares the epoch- and catalog-scoped key with the runtime LRU, so even a
-// racing pre-invalidation lookup under the new identity misses), and the
-// drift window must not mix ratios measured against two generations. Caller
-// holds mu.
+// startGeneration stores the serving slot at r's catalog epoch and gives it
+// a clean slate — the step publish and ddl end on. Every pin must re-earn its
+// place (plan memory is keyed by the slot's epoch, so even a racing
+// pre-invalidation lookup under the new identity misses), and the drift
+// window must not mix ratios measured against two generations. Caller holds
+// mu.
 func (lp *Loop) startGeneration(r Replica, epoch uint64) {
-	lp.srv.active.Store(&slot{r: r, epoch: epoch})
+	lp.srv.active.Store(&slot{r: r, epoch: epoch, cat: r.CatalogEpoch()})
 	if lp.srv.tiers != nil {
 		lp.srv.tiers.Invalidate()
 	}

@@ -33,10 +33,14 @@ type Result struct {
 	Tier int
 }
 
-// slot pairs a replica with the epoch it was published at.
+// slot pairs a replica with the model epoch and the catalog epoch it was
+// published at. The catalog epoch is the loop's only copy: a follower's fork
+// syncs the shared catalog world before it is published, so the world can
+// run ahead of the generation that serves.
 type slot struct {
 	r     Replica
 	epoch uint64
+	cat   uint64
 }
 
 // serving is the state every request reads lock-free; only the transitions
@@ -70,9 +74,10 @@ const (
 )
 
 // identity is the scope plan memory is valid under: backend × the slot's
-// model epoch × the live catalog epoch.
+// epoch. A DDL batch re-publishes the slot at a new epoch, so the catalog
+// generation needs no place of its own in the key.
 func (lp *Loop) identity(s *slot) runtime.Identity {
-	return runtime.Identity{Backend: lp.srv.backendName, Epoch: s.epoch, Catalog: lp.cat.epoch.Load()}
+	return runtime.Identity{Backend: lp.srv.backendName, Epoch: s.epoch}
 }
 
 // Serve optimizes one query on the active replica, from the cheapest tier

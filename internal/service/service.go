@@ -242,7 +242,7 @@ type Loop struct {
 	srv serving      // serve.go: the active slot, plan memory, serve counters
 	lrn learning     // learn.go: detector, recent ring, cooldown, counters
 	jr  journal      // durability.go: the optional store and its counters
-	cat catalogState // catalog.go: catalog epoch mirror and its counters
+	cat catalogState // catalog.go: catalog counters
 
 	wg sync.WaitGroup
 
@@ -283,8 +283,7 @@ func New(cfg Config, active Replica, known []*query.Query) *Loop {
 		lp.srv.tiers = tier.NewMemory(cfg.Tier)
 	}
 	lp.baseCtx, lp.stopBase = context.WithCancel(context.Background())
-	lp.cat.epoch.Store(active.CatalogEpoch())
-	lp.srv.active.Store(&slot{r: active, epoch: max(cfg.InitialEpoch, 1)})
+	lp.srv.active.Store(&slot{r: active, epoch: max(cfg.InitialEpoch, 1), cat: active.CatalogEpoch()})
 	if cfg.Advisor.Enabled {
 		lp.adv = newAdvisor(cfg.Advisor)
 	}
@@ -394,11 +393,11 @@ func (lp *Loop) Stats() Stats {
 		RecoveredEpoch:   lp.jr.recoveredEpoch,
 		WALErrors:        lp.jr.walErrors.Load(),
 		CheckpointErrors: lp.jr.ckErrors.Load(),
-		// Applies before epoch (and ApplyDDL stores the epoch first), so
+		// Applies before epoch (and ApplyDDL publishes the slot first), so
 		// every snapshot satisfies CatalogApplies ≤ CatalogEpoch — each
 		// apply carries at least one statement.
 		CatalogApplies:     lp.cat.applies.Load(),
-		CatalogEpoch:       lp.cat.epoch.Load(),
+		CatalogEpoch:       lp.CatalogEpoch(),
 		StaleInvalidations: lp.cat.stale.Load(),
 	}
 	if lp.srv.tiers != nil {

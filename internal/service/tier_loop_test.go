@@ -177,11 +177,11 @@ func TestTierEscalationDropsPin(t *testing.T) {
 	}
 }
 
-// TestHotSwapInvalidatesPlanMemory is the regression test for the shared
-// composite identity: a hot-swap must invalidate the tier-0 plan memory in
-// the same step that bumps the epoch (which already invalidates the runtime
-// plan cache through the same runtime.Identity key), leaving no window where
-// a stale pin can answer for the new model.
+// TestHotSwapInvalidatesPlanMemory: a hot-swap must invalidate the tier-0
+// plan memory in the same step that bumps the epoch its runtime.Identity
+// keys carry (the published replica's plan cache was already emptied by the
+// exclusive section that trained it), leaving no window where a stale pin can
+// answer for the new model.
 func TestHotSwapInvalidatesPlanMemory(t *testing.T) {
 	cfg := syncConfig() // threshold 1.2: sustained ratio-10 regressions drift
 	cfg.Tier = tier.Config{Memory: true}

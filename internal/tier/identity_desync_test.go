@@ -7,25 +7,21 @@ import (
 	"github.com/foss-db/foss/internal/runtime"
 )
 
-// TestIdentityDesync is the invariant the runtime.Identity comment promises:
-// the plan-cache LRU and the tier plan memory key through the same composite
-// identity, so for any combination of model-epoch bump, catalog-epoch bump,
-// and backend switch, the two structures always agree on hit vs miss — a
-// stale identity can never hit one cache while missing the other.
+// TestIdentityDesync: the tier plan memory and a cache keyed by the same
+// runtime.PlanKey agree on hit vs miss for any combination of model-epoch
+// bump and backend switch — a stale identity can never hit the memory while
+// missing the key, or the other way round.
 func TestIdentityDesync(t *testing.T) {
-	base := runtime.Identity{Backend: "selinger", Epoch: 1, Catalog: 1}
+	base := runtime.Identity{Backend: "selinger", Epoch: 1}
 	cases := []struct {
 		name string
 		id   runtime.Identity
 		hit  bool
 	}{
 		{"same identity", base, true},
-		{"model epoch bump", runtime.Identity{Backend: "selinger", Epoch: 2, Catalog: 1}, false},
-		{"catalog epoch bump", runtime.Identity{Backend: "selinger", Epoch: 1, Catalog: 2}, false},
-		{"backend switch", runtime.Identity{Backend: "gaussim", Epoch: 1, Catalog: 1}, false},
-		{"model+catalog bump", runtime.Identity{Backend: "selinger", Epoch: 2, Catalog: 2}, false},
-		{"all three moved", runtime.Identity{Backend: "gaussim", Epoch: 2, Catalog: 2}, false},
-		{"catalog rollback", runtime.Identity{Backend: "selinger", Epoch: 1, Catalog: 0}, false},
+		{"model epoch bump", runtime.Identity{Backend: "selinger", Epoch: 2}, false},
+		{"backend switch", runtime.Identity{Backend: "gaussim", Epoch: 1}, false},
+		{"both moved", runtime.Identity{Backend: "gaussim", Epoch: 2}, false},
 	}
 
 	q := chainQuery("a")

@@ -20,9 +20,11 @@
 // stream — replaying the same traffic yields the same tier choices and the
 // same plans. Feedback drives both directions: wins promote a fingerprint
 // toward tier 0, a regression past EscalateRatio escalates it back to tier 2
-// immediately. Hot-swaps invalidate all pins (the new model must re-earn
-// them), mirroring the runtime plan cache's invalidation — both are keyed
-// through runtime.Identity so they can never desynchronize.
+// immediately. Hot-swaps and DDL batches invalidate all pins (the new
+// generation must re-earn them) and move the serving epoch pins are keyed
+// by (runtime.Identity), so no pin outlives the generation that earned it —
+// the rule the runtime plan cache keeps by emptying itself in every
+// exclusive section.
 package tier
 
 import (

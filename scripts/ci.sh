@@ -80,7 +80,7 @@ else
   go test -race ./...
 fi
 
-echo "== frozen views and forks: serving and feedback while a fork trains, judged misses beside Explain, memoised forwards (-race -count=10) =="
+echo "== frozen views and forks: serving and feedback while a fork trains, judged misses beside Explain, DDL beside a retrain, memoised forwards (-race -count=10) =="
 # The one stress the suite above does not give: ten rounds under the detector.
 # The live replica scores through its frozen view while another model trains
 # (no package-level grad switch and no shared tensor, so it must stay
@@ -92,6 +92,10 @@ go test -race -count=10 -run 'TestServeAndRecordThroughBackgroundRetrain' ./inte
 # Batches of misses, each walking in its own arena while its judge goroutine
 # scores in another, beside Explain over the same queries.
 go test -race -count=10 -run 'TestJudgedMissesBesideExplain' ./internal/core/
+# Serves, regressed feedback, a background retrain and two DDL batches at
+# once: the published replica lands on the newest catalog generation and
+# the only serve error is ErrCatalogStale.
+go test -race -count=10 -run 'TestDDLBesideRetrainAndServes' ./internal/core/
 # Frozen forwards sharing input-stage rows through per-network scratches, one
 # goroutine per network, equal the tracked per-plan Forward bit for bit.
 go test -race -count=10 -run 'TestMemoisedForwardsMatchForward' ./internal/learner/
