@@ -38,7 +38,6 @@ func main() {
 		listen   = flag.String("listen", ":8400", "gate listen address")
 		members  = flag.String("members", "", "comma-separated fleet member addresses (host:port or http://host:port)")
 		failover = flag.Bool("failover", false, "retry the next member in a tenant's preference list when the owner is unreachable")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = default)")
 	)
 	flag.Parse()
 
@@ -48,7 +47,7 @@ func main() {
 			list = append(list, m)
 		}
 	}
-	p, err := gate.NewProxy(gate.Options{Members: list, VNodes: *vnodes, Failover: *failover})
+	p, err := gate.NewProxy(gate.Options{Members: list, Failover: *failover})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gate:", err)
 		os.Exit(1)

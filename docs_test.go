@@ -4,9 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/foss-db/foss/internal/core"
+	"github.com/foss-db/foss/internal/learner"
+	"github.com/foss-db/foss/internal/service"
 )
 
 func read(t *testing.T, path string) string {
@@ -70,15 +75,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
-// TestKnobsTableMatchesFlags keeps README's "## Knobs" table and fossd's flag
-// set the same list: every flag fossd defines has a row naming it in the
-// "Where" column, and every -name that column lists is a flag fossd defines.
-// The table has one Default column: fossd's flag defaults are read off the
-// library's DefaultConfig functions, so no cell may carry a second "(CLI: …)"
-// value.
-func TestKnobsTableMatchesFlags(t *testing.T) {
+// flagsOf returns the flag names the non-test sources of cmd/<name> define.
+func flagsOf(t *testing.T, name string) map[string]bool {
+	t.Helper()
 	defined := map[string]bool{}
-	sources, _ := filepath.Glob("cmd/fossd/*.go")
+	sources, _ := filepath.Glob("cmd/" + name + "/*.go")
 	flagDef := regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
 	for _, f := range sources {
 		if strings.HasSuffix(f, "_test.go") {
@@ -89,8 +90,78 @@ func TestKnobsTableMatchesFlags(t *testing.T) {
 		}
 	}
 	if len(defined) == 0 {
-		t.Fatal("found no flag definitions under cmd/fossd")
+		t.Fatalf("found no flag definitions under cmd/%s", name)
 	}
+	return defined
+}
+
+// TestConfigRowsNameWhatExists keeps README's configuration rows honest, so
+// a deleted knob cannot linger in the docs. A row whose Where column names
+// core.Config, learner.Config or service.Config names, in its first column,
+// a field of that type (a dotted path such as Tier.PromoteAfter walks the
+// nested structs). A row of any README table that names a setting in its
+// first column names flags its command defines: fossgate's when a column
+// says fossgate, fossd's otherwise.
+func TestConfigRowsNameWhatExists(t *testing.T) {
+	types := map[string]reflect.Type{
+		"core.Config":    reflect.TypeOf(core.Config{}),
+		"learner.Config": reflect.TypeOf(learner.Config{}),
+		"service.Config": reflect.TypeOf(service.Config{}),
+	}
+	flags := map[string]map[string]bool{"fossd": flagsOf(t, "fossd"), "fossgate": flagsOf(t, "fossgate")}
+	flagRef := regexp.MustCompile("`-([a-z][a-z-]*)")
+	fields := 0
+	for _, line := range strings.Split(read(t, "README.md"), "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 4 {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if !strings.HasPrefix(first, "`") && first != "—" {
+			continue // a prose row (the test contracts), not a setting
+		}
+		for name, typ := range types {
+			if !strings.Contains(cells[2], "`"+name+"`") {
+				continue
+			}
+			fields++
+			path := strings.Trim(first, "`")
+			for _, part := range strings.Split(path, ".") {
+				f, ok := typ.FieldByName(part)
+				if !ok {
+					t.Errorf("README row names %s on %s, which has no such field", path, name)
+					break
+				}
+				typ = f.Type
+			}
+		}
+		cmd := "fossd"
+		for _, c := range cells {
+			if strings.TrimSpace(c) == "fossgate" {
+				cmd = "fossgate"
+			}
+		}
+		for _, c := range cells[1:3] {
+			for _, m := range flagRef.FindAllStringSubmatch(c, -1) {
+				if !flags[cmd][m[1]] {
+					t.Errorf("README row names -%s, which %s does not define: %s", m[1], cmd, line)
+				}
+			}
+		}
+	}
+	if fields == 0 {
+		t.Error("README has no configuration rows naming a Config field")
+	}
+}
+
+// TestKnobsTableMatchesFlags keeps README's "## Knobs" table and fossd's flag
+// set the same list: every flag fossd defines has a row naming it in the
+// "Where" column, and every -name that column lists is a flag fossd defines.
+// The table has one Default column: fossd's flag defaults are read off the
+// library's DefaultConfig functions, so no cell may carry a second "(CLI: …)"
+// value.
+func TestKnobsTableMatchesFlags(t *testing.T) {
+	defined := flagsOf(t, "fossd")
 
 	_, knobs, _ := strings.Cut(read(t, "README.md"), "\n## Knobs\n")
 	knobs, _, _ = strings.Cut(knobs, "\n## ")

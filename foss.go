@@ -94,7 +94,7 @@
 // a learned router over one fast path — tier 0, a persistent plan memory
 // that pins a fingerprint's best plan after it beats the expert baseline
 // PromoteAfter times (a hit is one allocation-free map lookup). A regression
-// past EscalateRatio escalates the fingerprint back to tier 2, a hot-swap
+// past 1.5× the expert escalates the fingerprint back to tier 2, a hot-swap
 // invalidates every pin in the same step that bumps the epoch, and pins
 // survive restarts through the checkpoint. Decisions are a pure function of
 // the feedback stream, so replays reproduce them exactly:
@@ -252,17 +252,18 @@ type ServeResult = service.Result
 type DriftDetectorConfig = service.DetectorConfig
 
 // TierConfig re-exports the tiered-serving configuration
-// (OnlineConfig.Tier): tier-0 plan memory, the promotion win streak, and
-// the escalation ratio. The zero value disables tiering. Per-tier serve
-// counters and latencies appear in OnlineStats (Tier0Hits, Tier2Serves,
-// Tier0AvgUs, Tier2AvgUs, Promotions, Demotions, PinnedPlans), and every
-// ServeResult carries the tier that answered it.
+// (OnlineConfig.Tier): tier-0 plan memory and the promotion win streak; a
+// pinned plan running past 1.5× the expert baseline escalates back to tier
+// 2. The zero value disables tiering. Per-tier serve counters and latencies
+// appear in OnlineStats (Tier0Hits, Tier2Serves, Tier0AvgUs, Tier2AvgUs,
+// Promotions, Demotions, PinnedPlans), and every ServeResult carries the
+// tier that answered it.
 type TierConfig = tier.Config
 
-// AdvisorConfig re-exports the self-diagnosis advisor's tuning
+// AdvisorConfig re-exports the self-diagnosis advisor's switch
 // (OnlineConfig.Advisor). When enabled, Record analyzes every feedback
-// record inline, in O(1), emitting structured Findings surfaced by
-// GET /v1/advisor and Loop.AdvisorFindings.
+// record inline, in O(1), over a fixed 64-record window, emitting structured
+// Findings surfaced by GET /v1/t/{tenant}/advisor and Loop.AdvisorFindings.
 type AdvisorConfig = service.AdvisorConfig
 
 // Finding re-exports one advisor emission: a kind (FindingRegression,

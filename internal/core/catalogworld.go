@@ -68,12 +68,11 @@ func newCatalogWorld(db *storage.DB, st *stats.Catalog, be backend.Backend) *cat
 // the encoder's vocabulary base, shared by every replica over this world.
 func (cw *catalogWorld) baseSchema() *catalog.Schema { return cw.v.Base() }
 
-// snapshot returns the current generation: backend, schema, and epoch, all
-// immutable.
-func (cw *catalogWorld) snapshot() (backend.Backend, *catalog.Schema, uint64) {
+// snapshot returns the current generation: its backend and epoch.
+func (cw *catalogWorld) snapshot() (backend.Backend, uint64) {
 	cw.mu.RLock()
 	defer cw.mu.RUnlock()
-	return cw.be, cw.v.Schema(), cw.v.Epoch()
+	return cw.be, cw.v.Epoch()
 }
 
 // schema returns the current immutable schema snapshot.
@@ -194,20 +193,16 @@ func (s *System) ApplyDDL(ddls []catalog.DDL) (uint64, error) {
 // runtime's exclusive section, like a weight load, and reads the world there,
 // so of two racing resyncs the later one installs the newer generation.
 func (s *System) ResyncCatalog() error {
-	if be, _, _ := s.world.snapshot(); be == s.currentBackend() {
+	if be, _ := s.world.snapshot(); be == s.currentBackend() {
 		return nil
 	}
 	return s.RT.Exclusive(func() error {
-		be, schema, _ := s.world.snapshot()
+		be, _ := s.world.snapshot()
 		s.Backend = be
 		for _, pl := range s.Planners {
 			pl.Opt = be
 		}
 		s.Learner.Exec = be
-		// Grow the shared encoder's vocabulary for DDL-added tables/columns —
-		// deterministic, append-only, folds to the none bucket past the
-		// reserved headroom (Config.CatalogHeadroom).
-		s.Enc.Extend(schema)
 		return nil
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/foss-db/foss/internal/engine/catalog"
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/query"
+	"github.com/foss-db/foss/internal/store"
 	"github.com/foss-db/foss/internal/workload"
 )
 
@@ -157,7 +158,7 @@ func TestResyncCatalogLandsOnNewestBackend(t *testing.T) {
 			mid = a.Backend
 		}
 	}
-	newest, _, epoch := a.world.snapshot()
+	newest, epoch := a.world.snapshot()
 	if epoch != 2 || a.Backend != newest || newest == mid || mid == loadTime {
 		t.Fatalf("fixture: epoch %d, a on the newest backend %v, three distinct generations %v", epoch, a.Backend == newest, newest != mid && mid != loadTime)
 	}
@@ -197,7 +198,10 @@ func TestResyncCatalogLandsOnNewestBackend(t *testing.T) {
 // while it runs — the first adds a table, the second drops one some of the
 // served queries name. Afterwards the active replica serves the world's
 // newest backend, the loop reports the world's catalog epoch, and the only
-// serve error is ErrCatalogStale. CI runs it under -race -count=10.
+// serve error is ErrCatalogStale. Every feedback record the journal holds
+// names only tables of the catalog generation current at its WAL position,
+// so replay ingests what the live loop did. CI runs it under -race
+// -count=10.
 func TestDDLBesideRetrainAndServes(t *testing.T) {
 	sys := smallSystem(t, func(c *Config) {
 		c.PlanCache = 64
@@ -228,10 +232,18 @@ func TestDDLBesideRetrainAndServes(t *testing.T) {
 		}
 		expert[q.ID] = sys.Execute(ecp)
 	}
-	if err := sys.EnableOnline(onlineConfig(false)); err != nil {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	cfg := onlineConfig(false)
+	cfg.Store = st
+	if err := sys.EnableOnline(cfg); err != nil {
 		t.Fatal(err)
 	}
 	lp := sys.Online()
+	t.Cleanup(func() { _ = lp.Close(context.Background()) })
 
 	var mu sync.Mutex
 	var failures []string
@@ -288,15 +300,40 @@ func TestDDLBesideRetrainAndServes(t *testing.T) {
 	}
 
 	active := lp.Active().(*System)
-	be, _, epoch := active.world.snapshot()
+	be, epoch := active.world.snapshot()
 	if active.currentBackend() != be {
 		t.Fatal("the active replica serves another backend than the world's newest")
 	}
-	st := lp.Stats()
-	if epoch != 2 || st.CatalogEpoch != epoch || st.CatalogApplies != 2 {
-		t.Fatalf("world at catalog epoch %d, loop reports %d after %d applies, want 2/2/2", epoch, st.CatalogEpoch, st.CatalogApplies)
+	stats := lp.Stats()
+	if epoch != 2 || stats.CatalogEpoch != epoch || stats.CatalogApplies != 2 {
+		t.Fatalf("world at catalog epoch %d, loop reports %d after %d applies, want 2/2/2", epoch, stats.CatalogEpoch, stats.CatalogApplies)
 	}
-	if st.Retrains == 0 || st.RetrainErrors != 0 {
-		t.Fatalf("retrains %d, retrain errors %d: want at least one clean retrain", st.Retrains, st.RetrainErrors)
+	if stats.Retrains == 0 || stats.RetrainErrors != 0 {
+		t.Fatalf("retrains %d, retrain errors %d: want at least one clean retrain", stats.Retrains, stats.RetrainErrors)
+	}
+
+	schema := sys.world.baseSchema()
+	feedback := 0
+	err = st.WAL().Replay(0, func(e store.WALEntry) error {
+		switch e.Kind {
+		case store.KindDDL:
+			next, err := schema.Apply(e.DDL)
+			schema = next
+			return err
+		case store.KindFeedback:
+			feedback++
+			for _, r := range e.Query.Tables {
+				if _, ok := schema.Tables[r.Table]; !ok {
+					t.Errorf("WAL seq %d: feedback for %s names %s, which the catalog dropped before it was journaled", e.Seq, e.Query.ID, r.Table)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feedback == 0 || uint64(feedback) != stats.Recorded {
+		t.Fatalf("journal holds %d feedback records, loop recorded %d", feedback, stats.Recorded)
 	}
 }

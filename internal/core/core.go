@@ -49,26 +49,9 @@ type Config struct {
 	// serving deployments like cmd/fossd opt in.
 	PlanCache int
 
-	// CatalogHeadroom reserves embedding-vocabulary capacity for online
-	// schema evolution: up to CatalogHeadroom DDL-added tables (and
-	// 8×CatalogHeadroom added columns) get real encoder ids instead of
-	// folding into the none bucket. The reservation sizes the state network
-	// and agent vocabularies at construction, so it must match across
-	// replicas and restarts (snapshots refuse shape mismatches). 0 — the
-	// default — sizes everything exactly to the load-time schema: encodings
-	// stay bit-identical to a headroom-less build, and post-DDL additions
-	// fold to the none bucket (still served correctly, just undistinguished
-	// by the model).
-	CatalogHeadroom int
-
 	StateNet aam.StateNetConfig
 	Planner  planner.Config
 	Learner  learner.Config
-
-	// Ablation switches (Table II)
-	DisableSimulatedEnv bool
-	DisablePenalty      bool
-	DisableValidation   bool
 }
 
 // DefaultConfig mirrors the paper's settings at repository scale.
@@ -156,7 +139,7 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 	world := o.world
 	b := o.backend
 	if b == nil && world != nil {
-		b, _, _ = world.snapshot()
+		b, _ = world.snapshot()
 	}
 	if b == nil {
 		b = backend.NewSelinger(w.DB, w.Stats)
@@ -165,28 +148,22 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		world = newCatalogWorld(w.DB, b.Stats(), b)
 	}
 
-	// The encoder's vocabulary is anchored at the world's epoch-0 schema
-	// plus the configured evolution headroom, then extended to the current
-	// schema — so a replica built after a DDL apply assigns the same ids (and
-	// sizes the same model shapes) as one that lived through it.
-	enc := planenc.NewEncoder(world.baseSchema()).
-		WithHeadroom(cfg.CatalogHeadroom, 8*cfg.CatalogHeadroom)
-	enc.Extend(world.schema())
+	// The encoder's vocabulary is the world's epoch-0 schema, so a replica
+	// built after a DDL apply assigns the same ids (and sizes the same model
+	// shapes) as one that lived through it.
+	enc := planenc.NewEncoder(world.baseSchema())
 
 	// Every component gets an independent seeded source: the AAM's weight
 	// init, each agent's weight init, and each agent's action-sampling
 	// stream never share a *rand.Rand, so constructing components in any
 	// order (or in parallel) cannot perturb another component's stream.
-	// Vocabularies size from the encoder's capacity (base schema + headroom),
-	// not its current occupancy, so weight shapes never change under DDL.
-	model := aam.NewModel(rand.New(rand.NewSource(cfg.Seed)), cfg.StateNet, enc.CapTables, enc.CapCols)
+	// Vocabularies size from the base schema, so weight shapes never change
+	// under DDL.
+	model := aam.NewModel(rand.New(rand.NewSource(cfg.Seed)), cfg.StateNet, enc.NumTables, enc.NumCols)
 
 	space := plan.NewSpace(w.MaxTables)
 	plCfg := cfg.Planner
 	plCfg.MaxSteps = cfg.MaxSteps
-	if cfg.DisablePenalty {
-		plCfg.PenaltyGamma = 0
-	}
 
 	var planners []*planner.Planner
 	for a := 0; a < cfg.Agents; a++ {
@@ -197,7 +174,7 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		agentCfg.PPO.Gamma = plCfg.PPO.Gamma - 0.02*float64(a)
 		lr := agentCfg.PPO.LR * (1 + 0.5*float64(a))
 		agent := planner.NewAgent(rand.New(rand.NewSource(cfg.Seed+int64(100+a))),
-			cfg.StateNet, enc.CapTables, enc.CapCols, space.Size(), agentCfg.Hidden, lr)
+			cfg.StateNet, enc.NumTables, enc.NumCols, space.Size(), agentCfg.Hidden, lr)
 		// Decouple action sampling from the construction stream: weight init
 		// consumed the rng above; sampling draws from its own source.
 		agent.Rng = rand.New(rand.NewSource(cfg.Seed + int64(500+a)))
@@ -212,9 +189,6 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 
 	lCfg := cfg.Learner
 	lCfg.Seed = cfg.Seed
-	lCfg.DisableSim = cfg.DisableSimulatedEnv
-	lCfg.DisableValidation = cfg.DisableValidation
-	lCfg.Agents = cfg.Agents
 
 	sys := &System{
 		Cfg:      cfg,

@@ -120,9 +120,9 @@ func TestMultiAgentProducesPlan(t *testing.T) {
 
 func TestAblationSwitchesRun(t *testing.T) {
 	for _, mut := range []func(*Config){
-		func(c *Config) { c.DisableSimulatedEnv = true },
-		func(c *Config) { c.DisablePenalty = true },
-		func(c *Config) { c.DisableValidation = true },
+		func(c *Config) { c.Learner.DisableSim = true },
+		func(c *Config) { c.Planner.PenaltyGamma = 0 },
+		func(c *Config) { c.Learner.DisableValidation = true },
 	} {
 		sys := smallSystem(t, func(c *Config) {
 			c.Learner.Iterations = 1

@@ -48,13 +48,13 @@ func ablationConfig(name AblationName, opts Opts) core.Config {
 	case Maxsteps5:
 		cfg.MaxSteps = 5
 	case OffSimulated:
-		cfg.DisableSimulatedEnv = true
+		cfg.Learner.DisableSim = true
 		// the paper reduces episodes when every interaction is real
 		cfg.Learner.SimPerIter = 0
 	case OffPenalty:
-		cfg.DisablePenalty = true
+		cfg.Planner.PenaltyGamma = 0
 	case OffValidation:
-		cfg.DisableValidation = true
+		cfg.Learner.DisableValidation = true
 	case TwoAgents:
 		cfg.Agents = 2
 	}

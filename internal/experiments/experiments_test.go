@@ -104,15 +104,15 @@ func TestAblationConfigsDiffer(t *testing.T) {
 				t.Fatal("maxsteps5 wrong")
 			}
 		case OffSimulated:
-			if !cfg.DisableSimulatedEnv {
+			if !cfg.Learner.DisableSim {
 				t.Fatal("off-simulated wrong")
 			}
 		case OffPenalty:
-			if !cfg.DisablePenalty {
+			if cfg.Planner.PenaltyGamma != 0 || base.Planner.PenaltyGamma == 0 {
 				t.Fatal("off-penalty wrong")
 			}
 		case OffValidation:
-			if !cfg.DisableValidation {
+			if !cfg.Learner.DisableValidation {
 				t.Fatal("off-validation wrong")
 			}
 		case TwoAgents:

@@ -14,8 +14,8 @@ import (
 // TestRingDeterministicAndBalanced: the same membership in any order maps
 // every key identically, and ownership spreads across members.
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a := NewRing([]string{"n1:1", "n2:1", "n3:1"}, 64)
-	b := NewRing([]string{"n3:1", "n1:1", "n2:1"}, 64)
+	a := NewRing([]string{"n1:1", "n2:1", "n3:1"})
+	b := NewRing([]string{"n3:1", "n1:1", "n2:1"})
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
 		key := "tenant" + string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -35,8 +35,8 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // keys that member owned — everything else stays put.
 func TestRingMinimalMovement(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
-	before := NewRing(members, 64)
-	after := NewRing(members[:4], 64) // e leaves
+	before := NewRing(members)
+	after := NewRing(members[:4]) // e leaves
 	moved, kept := 0, 0
 	for i := 0; i < 1000; i++ {
 		key := "k" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
@@ -61,7 +61,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingOwnersPreferenceList: distinct members, owner first, capped at
 // membership size.
 func TestRingOwnersPreferenceList(t *testing.T) {
-	r := NewRing([]string{"x:1", "y:1", "z:1"}, 64)
+	r := NewRing([]string{"x:1", "y:1", "z:1"})
 	owners := r.Owners("tenant-a", 5)
 	if len(owners) != 3 {
 		t.Fatalf("owners = %v, want 3 distinct", owners)

@@ -39,8 +39,6 @@ type Options struct {
 	// Members is the fleet: one address per serving process
 	// ("host:port" or "http://host:port").
 	Members []string
-	// VNodes is the ring's virtual-node count per member (0 = DefaultVNodes).
-	VNodes int
 	// Failover walks the tenant's preference list on transport errors.
 	Failover bool
 	// Client overrides the forwarding client (tests); nil uses a 30s-timeout
@@ -67,7 +65,7 @@ func NewProxy(opts Options) (*Proxy, error) {
 		return nil, fmt.Errorf("gate: no members")
 	}
 	p := &Proxy{
-		ring:     NewRing(opts.Members, opts.VNodes),
+		ring:     NewRing(opts.Members),
 		bases:    map[string]string{},
 		client:   opts.Client,
 		failover: opts.Failover,

@@ -15,7 +15,7 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring over fleet members. Each member
-// projects VNodes virtual points onto the 64-bit hash circle; a key is
+// projects DefaultVNodes virtual points onto the 64-bit hash circle; a key is
 // owned by the first member point at or clockwise from the key's hash.
 // Immutability keeps lookups lock-free: membership changes build a new Ring.
 type Ring struct {
@@ -34,11 +34,8 @@ const DefaultVNodes = 128
 
 // NewRing builds a ring over the given members (deduped; order does not
 // matter — two gates configured with the same set in any order agree on
-// every owner). vnodes <= 0 uses DefaultVNodes.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// every owner).
+func NewRing(members []string) *Ring {
 	seen := map[string]bool{}
 	r := &Ring{}
 	for _, m := range members {
@@ -47,7 +44,7 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 		seen[m] = true
 		r.members = append(r.members, m)
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", m, i)), member: m})
 		}
 	}

@@ -230,12 +230,13 @@ type Config struct {
 	SimPerIter      int // simulated episodes per iteration (the paper's 900-episode updates, scaled)
 	ValidatePerIter int // promising plans executed (validated) per iteration
 	AAMTrain        aam.TrainConfig
-	Seed            int64
+	// Seed seeds the learner's sampling stream. core.New sets it from
+	// core.Config.Seed, so a System's learner always follows the system seed.
+	Seed int64
 
 	// Ablation switches (Table II).
 	DisableSim        bool // Off-Simulated: agent learns from real episodes only
 	DisableValidation bool // Off-Validation: no promising-plan execution
-	Agents            int  // multi-agent switch; 0/1 = single agent
 
 	// InferenceRollouts is the number of episodes each agent runs per query
 	// at inference time: one greedy plus (InferenceRollouts-1) stochastic
@@ -253,7 +254,6 @@ func DefaultConfig() Config {
 		ValidatePerIter:   24,
 		AAMTrain:          aam.DefaultTrainConfig(),
 		Seed:              1,
-		Agents:            1,
 		InferenceRollouts: 4,
 	}
 }
@@ -275,9 +275,6 @@ type Learner struct {
 // encoder and backend; each brings its own agent. ex is the backend's
 // execution surface (any planner.Executor).
 func New(w *workload.Workload, planners []*planner.Planner, model *aam.Model, ex planner.Executor, cfg Config) *Learner {
-	if cfg.Agents < 1 {
-		cfg.Agents = 1
-	}
 	return &Learner{
 		W:        w,
 		Planners: planners,

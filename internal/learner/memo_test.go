@@ -51,7 +51,6 @@ func trainedLearner(t *testing.T) (*Learner, *countingSteering) {
 	}
 	cfg := DefaultConfig()
 	cfg.Iterations, cfg.RealPerIter, cfg.SimPerIter, cfg.ValidatePerIter = 2, 8, 30, 8
-	cfg.Agents = 2
 	l := New(w, planners, model, be, cfg)
 	if err := l.Train(context.Background(), nil); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,11 @@
 // no-sibling / root), and a reachability attention mask that zeroes
 // attention between nodes that are not ancestor/descendant of each other.
 // Histogram and sample bitmaps are intentionally omitted, as in the paper.
+//
+// The table and column vocabularies are those of the load-time schema. A
+// table or column a later DDL adds encodes in the "none" bucket, so model
+// shapes never change under schema evolution and every replica of a tenant
+// encodes a plan the same way.
 package planenc
 
 import (
@@ -43,8 +48,8 @@ const RowBuckets = 12
 // Encoded is the tensor-ready form of one plan.
 type Encoded struct {
 	Ops     []int  // operator id per node
-	Tables  []int  // table id per node (capTables = "none")
-	Columns []int  // join/index column id per node (capCols = "none")
+	Tables  []int  // table id per node (NumTables = "none")
+	Columns []int  // join/index column id per node (NumCols = "none")
 	RowBkt  []int  // log10 bucket of estimated rows per node
 	Heights []int  // height per node (clamped to MaxHeight-1)
 	Structs []int  // structure type per node
@@ -52,67 +57,22 @@ type Encoded struct {
 	N       int    // number of nodes
 }
 
-// Encoder holds the schema vocabularies. NumTables/NumCols count the ids
-// assigned so far; CapTables/CapCols are the embedding-vocabulary capacities
-// model tensors are sized from — NumTables/NumCols plus any headroom
-// reserved for tables and columns added by later DDL. The "none" bucket sits
-// at the cap, so a zero-headroom encoder is bit-identical to the encoding
-// before capacities existed.
+// Encoder holds the schema vocabularies, fixed at the schema it was built
+// from. The "none" bucket sits at NumTables/NumCols: a join node's table, a
+// node without a join or index column, and any table or column the
+// vocabularies do not hold — one a later DDL added — all encode there.
 type Encoder struct {
 	TableIDs  map[string]int
 	ColumnIDs map[string]int
 	NumTables int
 	NumCols   int
-	CapTables int
-	CapCols   int
 }
 
-// NewEncoder builds an encoder for one schema with zero headroom.
+// NewEncoder builds an encoder for one schema.
 func NewEncoder(schema *catalog.Schema) *Encoder {
 	t := schema.TableIDs()
 	c := schema.ColumnIDs()
-	return &Encoder{TableIDs: t, ColumnIDs: c, NumTables: len(t), NumCols: len(c), CapTables: len(t), CapCols: len(c)}
-}
-
-// WithHeadroom reserves extra vocabulary slots for schema evolution: up to
-// tables future tables and cols future columns can receive real embedding
-// ids via Extend instead of folding into the none bucket. Returns the
-// encoder for chaining. Must be called before the model is sized.
-func (e *Encoder) WithHeadroom(tables, cols int) *Encoder {
-	if tables > 0 {
-		e.CapTables += tables
-	}
-	if cols > 0 {
-		e.CapCols += cols
-	}
-	return e
-}
-
-// Extend ingests an evolved schema: tables and columns present in the schema
-// but absent from the vocabularies are assigned the next free ids in the
-// schema's deterministic Order, so every replica applying the same DDL log
-// derives the identical mapping. Ids are never moved or reused — entries for
-// dropped tables stay in the map and simply stop being looked up, so plans
-// encoded before the DDL keep their exact features. Additions past the
-// capacity fold into the none bucket (encodable, just not distinguished), so
-// Extend never changes tensor shapes. Returns the id counts assigned.
-func (e *Encoder) Extend(schema *catalog.Schema) (newTables, newCols int) {
-	for _, tn := range schema.Order {
-		if _, ok := e.TableIDs[tn]; !ok && e.NumTables < e.CapTables {
-			e.TableIDs[tn] = e.NumTables
-			e.NumTables++
-			newTables++
-		}
-		for _, c := range schema.Tables[tn].Columns {
-			key := tn + "." + c.Name
-			if _, ok := e.ColumnIDs[key]; !ok && e.NumCols < e.CapCols {
-				e.ColumnIDs[key] = e.NumCols
-				e.NumCols++
-				newCols++
-			}
-		}
-	}
-	return newTables, newCols
+	return &Encoder{TableIDs: t, ColumnIDs: c, NumTables: len(t), NumCols: len(c)}
 }
 
 // rowBucket maps an estimated cardinality to a log10 bucket in [0,RowBuckets).
@@ -207,10 +167,10 @@ func (e *Encoder) Encode(cp *plan.CP) *Encoded {
 			}
 			tid, ok := e.TableIDs[cp.Q.TableOf(nd.Alias)]
 			if !ok {
-				tid = e.CapTables
+				tid = e.NumTables
 			}
 			enc.Tables[i] = tid
-			enc.Columns[i] = e.CapCols
+			enc.Columns[i] = e.NumCols
 			if nd.IdxCol != "" {
 				if cid, ok := e.ColumnIDs[cp.Q.TableOf(nd.Alias)+"."+nd.IdxCol]; ok {
 					enc.Columns[i] = cid
@@ -225,8 +185,8 @@ func (e *Encoder) Encode(cp *plan.CP) *Encoded {
 			case plan.NestLoop:
 				enc.Ops[i] = OpNestLoop
 			}
-			enc.Tables[i] = e.CapTables
-			enc.Columns[i] = e.CapCols
+			enc.Tables[i] = e.NumTables
+			enc.Columns[i] = e.NumCols
 			if len(nd.Preds) > 0 {
 				p := nd.Preds[0]
 				if cid, ok := e.ColumnIDs[cp.Q.TableOf(p.LA)+"."+p.LC]; ok {

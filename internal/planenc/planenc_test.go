@@ -153,3 +153,14 @@ func TestEncoderVocabularies(t *testing.T) {
 		t.Fatalf("unknown table should map to %d, got %d", enc.NumTables, e.Tables[2])
 	}
 }
+
+// TestNoneBucketAtVocabularySize: join nodes carry no table, so they encode
+// at NumTables, the none bucket a table outside the vocabulary shares.
+func TestNoneBucketAtVocabularySize(t *testing.T) {
+	enc := NewEncoder(testSchema())
+	e := enc.Encode(testCP())
+	// join nodes (pre-order 0,1) carry the none table id
+	if e.Tables[0] != enc.NumTables || e.Tables[1] != enc.NumTables {
+		t.Fatalf("none bucket moved: %v (numTables=%d)", e.Tables, enc.NumTables)
+	}
+}

@@ -133,7 +133,7 @@ func (e *SimEnv) Advantage(plans []*PlanEval, maxSteps int) func(l, r *PlanEval)
 
 // Config parameterizes the planner.
 type Config struct {
-	MaxSteps      int     // episode length (paper default 3)
+	MaxSteps      int     // episode length (paper default 3); core.New sets it from core.Config.MaxSteps
 	Eta           float64 // episode-bounty weight η (paper: 12)
 	PenaltyGamma  float64 // penalty coefficient γ (paper: 2; 0 disables)
 	TimeoutFactor float64 // dynamic timeout multiplier (paper: 1.5)

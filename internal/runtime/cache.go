@@ -28,10 +28,10 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // LRU is a thread-safe least-recently-used cache with hit/miss/eviction
-// counters, generic over the key so callers can key entries on composite
-// identities (the runtime keys plans on backend × query fingerprint). The
-// zero capacity means "disabled": every Get misses and Put is a no-op, so
-// callers never need to special-case an absent cache.
+// counters, generic over the key (the runtime keys plans on the query
+// fingerprint alone: everything else that would change a plan empties the
+// cache instead). The zero capacity means "disabled": every Get misses and
+// Put is a no-op, so callers never need to special-case an absent cache.
 type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int

@@ -36,51 +36,32 @@ const (
 	FindingSchemaChurn = "schema-churn"
 )
 
-// AdvisorConfig tunes the advisor. The zero value disables it.
+// AdvisorConfig switches the advisor on. The zero value disables it.
 type AdvisorConfig struct {
 	// Enabled turns the advisor on.
 	Enabled bool
-	// Window is the number of recent records the regression analysis looks
-	// at (default 64). A regression finding needs a full window.
-	Window int
-	// RegressionFrac is the fraction of the window that must regress before
-	// a regression finding fires (default 0.10).
-	RegressionFrac float64
-	// RegressionRatio is the served-vs-expert latency ratio past which one
-	// record counts as regressed (default 1.5).
-	RegressionRatio float64
-	// ThrashCycles is the number of tier-0 demotions of one fingerprint
-	// (within one epoch) that counts as plan-memory thrash (default 2).
-	ThrashCycles int
-	// CooldownTurns is the number of consecutive cooldown-suppressed drift
-	// signals that triggers a cooldown-blocked finding (default 8).
-	CooldownTurns int
-	// MaxFindings bounds the retained findings, oldest dropped first
-	// (default 64).
-	MaxFindings int
 }
 
-func (c AdvisorConfig) withDefaults() AdvisorConfig {
-	if c.Window < 1 {
-		c.Window = 64
-	}
-	if c.RegressionFrac <= 0 {
-		c.RegressionFrac = 0.10
-	}
-	if c.RegressionRatio <= 0 {
-		c.RegressionRatio = 1.5
-	}
-	if c.ThrashCycles < 1 {
-		c.ThrashCycles = 2
-	}
-	if c.CooldownTurns < 1 {
-		c.CooldownTurns = 8
-	}
-	if c.MaxFindings < 1 {
-		c.MaxFindings = 64
-	}
-	return c
-}
+// The advisor's analysis constants.
+const (
+	// advisorWindow is the number of recent records the regression analysis
+	// looks at; a regression finding needs a full window.
+	advisorWindow = 64
+	// regressionFrac is the fraction of the window that must regress before
+	// a regression finding fires.
+	regressionFrac = 0.10
+	// regressionRatio is the served-vs-expert latency ratio past which one
+	// record counts as regressed.
+	regressionRatio = 1.5
+	// thrashCycles is the number of tier-0 demotions of one fingerprint
+	// (within one epoch) that counts as plan-memory thrash.
+	thrashCycles = 2
+	// cooldownTurns is the number of consecutive cooldown-suppressed drift
+	// signals that triggers a cooldown-blocked finding.
+	cooldownTurns = 8
+	// maxFindings bounds the retained findings, oldest dropped first.
+	maxFindings = 64
+)
 
 // Finding is one structured advisor emission.
 type Finding struct {
@@ -130,15 +111,13 @@ type advisorObs struct {
 // Loop.mu, or a unit test's single goroutine. findings and emitted are the
 // surface readers share.
 type advisor struct {
-	cfg AdvisorConfig
-
 	emitted atomic.Uint64
 
 	mu       sync.Mutex
 	findings []Finding
 
 	seq        uint64
-	window     []bool // ring of the last cfg.Window records: regressed or not
+	window     []bool // ring of the last advisorWindow records: regressed or not
 	wpos       int
 	regressed  int            // true entries in window
 	regLatched bool           // a regression finding is live; re-arm on recovery
@@ -146,7 +125,7 @@ type advisor struct {
 	blocked    int            // consecutive cooldown-suppressed drift signals
 	lastEpoch  uint64
 
-	// Schema-churn state: set by a ddl marker, resolved once a full Window of
+	// Schema-churn state: set by a ddl marker, resolved once a full window of
 	// serves has accumulated past it.
 	ddlPending  bool
 	ddlCatEpoch uint64
@@ -155,11 +134,9 @@ type advisor struct {
 	preT0Rate   float64 // tier-0 hit rate before the DDL landed
 }
 
-func newAdvisor(cfg AdvisorConfig) *advisor {
-	cfg = cfg.withDefaults()
+func newAdvisor() *advisor {
 	return &advisor{
-		cfg:    cfg,
-		window: make([]bool, 0, cfg.Window),
+		window: make([]bool, 0, advisorWindow),
 		cycles: map[uint64]int{},
 	}
 }
@@ -181,7 +158,7 @@ func (a *advisor) ingest(obs advisorObs) {
 		return
 	}
 	a.seq++
-	if a.ddlPending && obs.served >= a.ddlServed+uint64(a.cfg.Window) {
+	if a.ddlPending && obs.served >= a.ddlServed+advisorWindow {
 		post := float64(obs.t0Hits-a.ddlT0) / float64(obs.served-a.ddlServed)
 		a.ddlPending = false
 		// Fires only when tier-0 was pulling real weight before the DDL and
@@ -209,25 +186,25 @@ func (a *advisor) ingest(obs advisorObs) {
 		clear(a.cycles)
 	}
 
-	// Regression: fraction of the last Window records past RegressionRatio,
-	// counted as records enter and leave the ring.
-	reg := obs.ratio > a.cfg.RegressionRatio
-	if len(a.window) < a.cfg.Window {
+	// Regression: fraction of the last advisorWindow records past
+	// regressionRatio, counted as records enter and leave the ring.
+	reg := obs.ratio > regressionRatio
+	if len(a.window) < advisorWindow {
 		a.window = append(a.window, reg)
 	} else {
 		if a.window[a.wpos] {
 			a.regressed--
 		}
 		a.window[a.wpos] = reg
-		a.wpos = (a.wpos + 1) % a.cfg.Window
+		a.wpos = (a.wpos + 1) % advisorWindow
 	}
 	if reg {
 		a.regressed++
 	}
-	if len(a.window) == a.cfg.Window {
+	if len(a.window) == advisorWindow {
 		frac := float64(a.regressed) / float64(len(a.window))
 		switch {
-		case frac >= a.cfg.RegressionFrac && !a.regLatched:
+		case frac >= regressionFrac && !a.regLatched:
 			a.regLatched = true
 			a.emit(Finding{
 				Kind:  FindingRegression,
@@ -237,9 +214,9 @@ func (a *advisor) ingest(obs advisorObs) {
 				Count: a.regressed,
 				Detail: fmt.Sprintf(
 					"%.0f%% of the last %d executions regressed past %.2fx the expert baseline since epoch %d",
-					frac*100, len(a.window), a.cfg.RegressionRatio, obs.epoch),
+					frac*100, len(a.window), regressionRatio, obs.epoch),
 			})
-		case frac < a.cfg.RegressionFrac/2:
+		case frac < regressionFrac/2:
 			// Re-arm only after the window clearly recovers, so a fraction
 			// hovering at the threshold emits once, not per record.
 			a.regLatched = false
@@ -249,7 +226,7 @@ func (a *advisor) ingest(obs advisorObs) {
 	// Plan-memory thrash: repeated promote→demote cycles on one fingerprint.
 	if obs.demoted {
 		a.cycles[obs.fp]++
-		if n := a.cycles[obs.fp]; n >= a.cfg.ThrashCycles {
+		if n := a.cycles[obs.fp]; n >= thrashCycles {
 			a.cycles[obs.fp] = 0
 			a.emit(Finding{
 				Kind:        FindingPlanThrash,
@@ -269,7 +246,7 @@ func (a *advisor) ingest(obs advisorObs) {
 	// suppressing the retrain.
 	if obs.driftBlocked {
 		a.blocked++
-		if a.blocked >= a.cfg.CooldownTurns {
+		if a.blocked >= cooldownTurns {
 			n := a.blocked
 			a.blocked = 0
 			a.emit(Finding{
@@ -287,12 +264,12 @@ func (a *advisor) ingest(obs advisorObs) {
 	}
 }
 
-// emit appends one finding, oldest-first bounded by MaxFindings.
+// emit appends one finding, oldest-first bounded by maxFindings.
 func (a *advisor) emit(f Finding) {
 	a.emitted.Add(1)
 	a.mu.Lock()
 	a.findings = append(a.findings, f)
-	if over := len(a.findings) - a.cfg.MaxFindings; over > 0 {
+	if over := len(a.findings) - maxFindings; over > 0 {
 		a.findings = append(a.findings[:0], a.findings[over:]...)
 	}
 	a.mu.Unlock()
@@ -332,7 +309,7 @@ func (lp *Loop) AdvisorFindings() []Finding {
 }
 
 // AdvisorCounters returns (emitted, dropped): findings emitted over the
-// loop's lifetime (emission keeps counting past the MaxFindings retention
+// loop's lifetime (emission keeps counting past the maxFindings retention
 // bound), and 0 — the advisor sees every record, so nothing is dropped.
 func (lp *Loop) AdvisorCounters() (emitted, dropped uint64) {
 	if lp.adv == nil {

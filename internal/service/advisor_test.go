@@ -9,6 +9,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -25,44 +26,43 @@ import (
 // fills and the regressed fraction crosses the threshold, stays latched while
 // the fraction hovers, and re-arms only after clear recovery.
 func TestAdvisorRegressionLatch(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, Window: 4, RegressionFrac: 0.5, RegressionRatio: 1.5})
-	obs := func(ratio float64) { a.ingest(advisorObs{epoch: 1, ratio: ratio}) }
+	a := newAdvisor()
+	obs := func(ratio float64, n int) {
+		for range n {
+			a.ingest(advisorObs{epoch: 1, ratio: ratio})
+		}
+	}
+	// The fewest regressed records of a full window that cross regressionFrac.
+	fire := int(math.Ceil(regressionFrac * advisorWindow))
 
-	obs(1)
-	obs(1)
-	obs(1)
+	obs(1, advisorWindow-1)
 	if got := a.snapshot(); len(got) != 0 {
 		t.Fatalf("finding before the window filled: %+v", got)
 	}
-	obs(10) // window full: 1/4 regressed, below the 0.5 threshold
+	obs(10, fire-1) // window full, one regressed record short of the threshold
 	if got := a.snapshot(); len(got) != 0 {
-		t.Fatalf("finding below RegressionFrac: %+v", got)
+		t.Fatalf("finding below regressionFrac: %+v", got)
 	}
-	obs(10) // 2/4 regressed → fire
+	obs(10, 1) // crosses it → fire
 	got := a.snapshot()
 	if len(got) != 1 || got[0].Kind != FindingRegression {
 		t.Fatalf("findings = %+v, want one regression", got)
 	}
-	if got[0].Count != 2 || got[0].Ratio != 0.5 || got[0].Epoch != 1 {
+	if got[0].Count != fire || got[0].Ratio != float64(fire)/advisorWindow || got[0].Epoch != 1 {
 		t.Fatalf("regression finding fields wrong: %+v", got[0])
 	}
 	// The window keeps regressing: the latch holds, no re-emission per record.
-	obs(10)
-	obs(10)
+	obs(10, 2)
 	if got := a.snapshot(); len(got) != 1 {
 		t.Fatalf("latched regression re-emitted: %+v", got)
 	}
-	// Recovery below RegressionFrac/2 re-arms the latch...
-	obs(1)
-	obs(1)
-	obs(1)
-	obs(1)
+	// Recovery below regressionFrac/2 re-arms the latch...
+	obs(1, advisorWindow)
 	if got := a.snapshot(); len(got) != 1 {
 		t.Fatalf("recovery emitted spuriously: %+v", got)
 	}
 	// ...so the next sustained regression fires a second finding.
-	obs(10)
-	obs(10)
+	obs(10, fire)
 	if got := a.snapshot(); len(got) != 2 {
 		t.Fatalf("re-armed regression did not fire: %+v", got)
 	}
@@ -72,18 +72,20 @@ func TestAdvisorRegressionLatch(t *testing.T) {
 // finding naming it; other fingerprints' demotions don't pool together, and
 // emission resets that fingerprint's cycle count.
 func TestAdvisorPlanThrash(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, ThrashCycles: 2})
-	a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
+	a := newAdvisor()
+	for range thrashCycles - 1 {
+		a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
+	}
 	a.ingest(advisorObs{epoch: 1, fp: 8, qid: "q8", demoted: true}) // different fp: no pooling
 	if got := a.snapshot(); len(got) != 0 {
-		t.Fatalf("thrash before ThrashCycles: %+v", got)
+		t.Fatalf("thrash before thrashCycles: %+v", got)
 	}
 	a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
 	got := a.snapshot()
 	if len(got) != 1 || got[0].Kind != FindingPlanThrash {
 		t.Fatalf("findings = %+v, want one plan-thrash", got)
 	}
-	if got[0].Fingerprint != 7 || got[0].QueryID != "q7" || got[0].Count != 2 {
+	if got[0].Fingerprint != 7 || got[0].QueryID != "q7" || got[0].Count != thrashCycles {
 		t.Fatalf("thrash finding fields wrong: %+v", got[0])
 	}
 	// Emission reset the count: one more demotion is not enough again.
@@ -96,20 +98,22 @@ func TestAdvisorPlanThrash(t *testing.T) {
 // TestAdvisorCooldownBlocked: only a consecutive streak of cooldown-
 // suppressed drift signals fires; any unblocked record resets it.
 func TestAdvisorCooldownBlocked(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, CooldownTurns: 3})
-	blocked := func(b bool) { a.ingest(advisorObs{epoch: 1, driftBlocked: b}) }
-	blocked(true)
-	blocked(true)
-	blocked(false) // streak broken
-	blocked(true)
-	blocked(true)
+	a := newAdvisor()
+	blocked := func(b bool, n int) {
+		for range n {
+			a.ingest(advisorObs{epoch: 1, driftBlocked: b})
+		}
+	}
+	blocked(true, cooldownTurns-1)
+	blocked(false, 1) // streak broken
+	blocked(true, cooldownTurns-1)
 	if got := a.snapshot(); len(got) != 0 {
 		t.Fatalf("broken streak fired: %+v", got)
 	}
-	blocked(true)
+	blocked(true, 1)
 	got := a.snapshot()
-	if len(got) != 1 || got[0].Kind != FindingCooldownBlocked || got[0].Count != 3 {
-		t.Fatalf("findings = %+v, want one cooldown-blocked with count 3", got)
+	if len(got) != 1 || got[0].Kind != FindingCooldownBlocked || got[0].Count != cooldownTurns {
+		t.Fatalf("findings = %+v, want one cooldown-blocked with count %d", got, cooldownTurns)
 	}
 }
 
@@ -117,9 +121,13 @@ func TestAdvisorCooldownBlocked(t *testing.T) {
 // latch and the per-fingerprint thrash tallies — the old model's pathology
 // must not carry into the new model's record.
 func TestAdvisorEpochReset(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, Window: 2, RegressionFrac: 0.5, RegressionRatio: 1.5, ThrashCycles: 2})
-	a.ingest(advisorObs{epoch: 1, ratio: 10})
-	a.ingest(advisorObs{epoch: 1, ratio: 10, fp: 7, demoted: true})
+	a := newAdvisor()
+	for range advisorWindow - 1 {
+		a.ingest(advisorObs{epoch: 1, ratio: 10})
+	}
+	for range thrashCycles - 1 {
+		a.ingest(advisorObs{epoch: 1, ratio: 10, fp: 7, demoted: true})
+	}
 	if got := a.snapshot(); len(got) != 1 || got[0].Kind != FindingRegression {
 		t.Fatalf("setup: want one latched regression, got %+v", got)
 	}
@@ -130,8 +138,8 @@ func TestAdvisorEpochReset(t *testing.T) {
 	if len(got) != 2 || got[1].Epoch != 2 {
 		t.Fatalf("epoch change did not re-arm the latch: %+v", got)
 	}
-	// The thrash tally restarted: one pre-swap demotion plus one post-swap
-	// demotion must not add up to ThrashCycles.
+	// The thrash tally restarted: the pre-swap demotions plus one post-swap
+	// demotion must not add up to thrashCycles.
 	a.ingest(advisorObs{epoch: 2, ratio: 1, fp: 7, demoted: true})
 	for _, f := range a.snapshot() {
 		if f.Kind == FindingPlanThrash {
@@ -143,35 +151,41 @@ func TestAdvisorEpochReset(t *testing.T) {
 // TestAdvisorRetention: retained findings are FIFO-bounded while the
 // emitted counter keeps the lifetime total.
 func TestAdvisorRetention(t *testing.T) {
-	a := newAdvisor(AdvisorConfig{Enabled: true, ThrashCycles: 1, MaxFindings: 2})
-	for fp := uint64(1); fp <= 3; fp++ {
-		a.ingest(advisorObs{epoch: 1, fp: fp, demoted: true})
+	a := newAdvisor()
+	const emitted = maxFindings + 2
+	for fp := uint64(1); fp <= emitted; fp++ {
+		for range thrashCycles {
+			a.ingest(advisorObs{epoch: 1, fp: fp, demoted: true})
+		}
 	}
 	got := a.snapshot()
-	if len(got) != 2 || got[0].Fingerprint != 2 || got[1].Fingerprint != 3 {
-		t.Fatalf("retention not FIFO-bounded at 2: %+v", got)
+	if len(got) != maxFindings || got[0].Fingerprint != emitted-maxFindings+1 || got[maxFindings-1].Fingerprint != emitted {
+		t.Fatalf("retention not FIFO-bounded at %d: %d findings, first %+v", maxFindings, len(got), got[0])
 	}
-	if a.emitted.Load() != 3 {
-		t.Fatalf("emitted = %d, want the lifetime 3", a.emitted.Load())
+	if a.emitted.Load() != emitted {
+		t.Fatalf("emitted = %d, want the lifetime %d", a.emitted.Load(), emitted)
 	}
 }
 
 // advisorStreamConfig is a tiered loop whose drift detector fires on a
-// regressed window while the cooldown keeps every retrain out of reach, with
-// an advisor small enough for a short stream to hit every finding kind.
+// regressed window while the cooldown keeps every retrain out of reach.
 func advisorStreamConfig() Config {
 	cfg := syncConfig()
 	cfg.Detector = DetectorConfig{Window: 4, Threshold: 1.2, MinSamples: 4}
 	cfg.Cooldown = 1 << 20
 	cfg.Tier = tier.Config{Memory: true}
-	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 4, RegressionFrac: 0.5, RegressionRatio: 1.5, ThrashCycles: 1, CooldownTurns: 3}
+	cfg.Advisor = AdvisorConfig{Enabled: true}
 	return cfg
 }
 
+// advisorStreamLen is the number of records feedAdvisorStream takes: one
+// full advisor window and the regressed tail after it.
+const advisorStreamLen = advisorWindow + 4
+
 // feedAdvisorStream drives one fixed stream through lp: a promotion and its
-// demotion, a regressed run the cooldown blocks drift on, a DDL marker, and
-// traffic after it. The fake expert runs at 10 ms: 5 is a win, 100 a
-// regression.
+// demotion, a regressed run the cooldown blocks drift on, a DDL marker,
+// winning traffic after it until the advisor's window fills, and a regressed
+// tail. The fake expert runs at 10 ms: 5 is a win, 100 a regression.
 func feedAdvisorStream(t *testing.T, lp *Loop) {
 	t.Helper()
 	turn := func(v int64, lat float64) {
@@ -188,13 +202,13 @@ func feedAdvisorStream(t *testing.T, lp *Loop) {
 		turn(1, 5) // three wins pin q1
 	}
 	turn(1, 100) // the pin regresses: demoted
-	for i := 0; i < 4; i++ {
+	for i := 0; i < cooldownTurns+4; i++ {
 		turn(2, 100)
 	}
 	if _, err := lp.ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: "zz"}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < advisorWindow-cooldownTurns-8; i++ {
 		turn(3, 5)
 	}
 	for i := 0; i < 4; i++ {
@@ -211,8 +225,8 @@ func TestAdvisorLosslessAndDeterministic(t *testing.T) {
 		lp := New(advisorStreamConfig(), newFake("blue"), nil)
 		feedAdvisorStream(t, lp)
 		st := lp.Stats()
-		if lp.adv.seq != st.Recorded || st.Recorded != 18 {
-			t.Fatalf("advisor seq %d, recorded %d: want both 18", lp.adv.seq, st.Recorded)
+		if lp.adv.seq != st.Recorded || st.Recorded != advisorStreamLen {
+			t.Fatalf("advisor seq %d, recorded %d: want both %d", lp.adv.seq, st.Recorded, advisorStreamLen)
 		}
 		if st.Demotions != 1 || st.CatalogApplies != 1 {
 			t.Fatalf("stream did not demote once and apply one DDL: %+v", st)
@@ -223,7 +237,7 @@ func TestAdvisorLosslessAndDeterministic(t *testing.T) {
 	for _, f := range runs[0] {
 		kinds[f.Kind] = true
 	}
-	for _, k := range []string{FindingRegression, FindingPlanThrash, FindingCooldownBlocked} {
+	for _, k := range []string{FindingRegression, FindingCooldownBlocked} {
 		if !kinds[k] {
 			t.Fatalf("stream emitted no %s finding: %+v", k, runs[0])
 		}
@@ -304,7 +318,7 @@ func TestAdvisorUnderConcurrentRecords(t *testing.T) {
 func TestHTTPAdvisorEndpoint(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100 // never drift: epoch stays 1
-	cfg.Advisor = AdvisorConfig{Enabled: true, Window: 2, RegressionFrac: 0.5, RegressionRatio: 1.5}
+	cfg.Advisor = AdvisorConfig{Enabled: true}
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
 	t.Cleanup(func() { _ = lp.Close(context.Background()) })
@@ -319,8 +333,8 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 		t.Fatalf("findings before traffic: %v", out)
 	}
 
-	// Two executions at 10x the expert baseline fill the window regressed.
-	for i := 1; i <= 2; i++ {
+	// A window of executions at 10x the expert baseline fills it regressed.
+	for i := 1; i <= advisorWindow; i++ {
 		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
 		sid := row["serve_id"].(string)
 		if code, fb := postJSON(t, base+"/feedback", `{"serve_id": "`+sid+`", "latency_ms": 100}`); code != http.StatusOK {

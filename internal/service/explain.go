@@ -100,7 +100,7 @@ func (s *HTTPServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		if seq > 0 && seq <= horizon {
 			writeErr(w, http.StatusGone,
-				fmt.Sprintf("serve_id %q left the ring (holds %d) before it was explained", id, s.opts.MaxPending))
+				fmt.Sprintf("serve_id %q left the ring (holds %d) before it was explained", id, pendingRing))
 			return
 		}
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown serve_id %q", id))

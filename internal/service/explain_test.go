@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/plan"
+	"github.com/foss-db/foss/internal/planner"
 )
 
 // TestHTTPExplainRoundTrip: the explain body's served block must match the
@@ -100,19 +101,12 @@ func TestHTTPExplainEvicted(t *testing.T) {
 	cfg.Detector.Threshold = 100
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
-	h := NewHTTPServer(lp, HTTPOptions{
-		MaxPending: 2,
-		Resolve:    resolveQ,
-	})
+	h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 	_, base := serveFleet(t, h)
 
-	var first string
-	for i := 1; i <= 3; i++ {
-		_, out := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
-		if i == 1 {
-			first = out["serve_id"].(string)
-		}
-	}
+	_, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
+	first := out["serve_id"].(string)
+	fillRing(h, pendingRing)
 	if code, _ := getJSON(t, base+"/explain/"+first); code != http.StatusGone {
 		t.Fatalf("evicted serve_id explain status %d, want 410", code)
 	}
@@ -149,7 +143,7 @@ func TestDiffICP(t *testing.T) {
 }
 
 // TestHTTPExecuteInterleaveRing is the regression test for the execute:true
-// ring accounting: one-call and two-call serves interleaved through a small
+// ring accounting: one-call and two-call serves interleaved through a full
 // ring must agree on capacity — consumed slots popping off is bookkeeping
 // (no 410, no expired count), execute rows stay explainable, and their
 // serve_ids answer 404 (already reported) to feedback, never 410.
@@ -158,11 +152,19 @@ func TestHTTPExecuteInterleaveRing(t *testing.T) {
 	cfg.Detector.Threshold = 100
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
-	h := NewHTTPServer(lp, HTTPOptions{
-		MaxPending: 4,
-		Resolve:    resolveQ,
-	})
+	h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 	_, base := serveFleet(t, h)
+
+	// Fill the ring the way the two paths' handlers do, one-call slots
+	// consumed on entry and two-call slots taken by feedback, so the wire
+	// turns below push consumed slots of both kinds off it.
+	pe := &planner.PlanEval{Q: fq(0)}
+	for range pendingRing / 2 {
+		h.rememberExecuted(fq(0), pe, Result{}, 10)
+		if _, err := h.take(h.remember(fq(0), pe, Result{})); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var execIDs []string
 	for i := 1; i <= 6; i++ {
@@ -202,13 +204,9 @@ func TestHTTPExecuteInterleaveRing(t *testing.T) {
 
 	// Genuine expiry still works after the interleave: overflow the ring
 	// with unreported serves and the oldest flips to 410.
-	var firstLive string
-	for i := 1; i <= 5; i++ {
-		_, row := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(200+i)+`"}`)
-		if i == 1 {
-			firstLive = row["serve_id"].(string)
-		}
-	}
+	_, row := postJSON(t, base+"/optimize", `{"query_id": "q201"}`)
+	firstLive := row["serve_id"].(string)
+	fillRing(h, pendingRing)
 	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+firstLive+`", "latency_ms": 5}`); code != http.StatusGone {
 		t.Fatalf("evicted live serve status %d, want 410", code)
 	}

@@ -54,9 +54,6 @@ type HTTPOptions struct {
 	// queries plus any drift variants). nil means only inline query specs
 	// are accepted.
 	Resolve func(id string) *query.Query
-	// MaxPending bounds the served-plan ring awaiting feedback (FIFO
-	// eviction). 0 defaults to 4096.
-	MaxPending int
 
 	// LeaderAddr is the leader's address, reported when a follower loop
 	// (Loop.Follower) refuses a write: feedback without a forwarder,
@@ -71,6 +68,10 @@ type HTTPOptions struct {
 	ReplStats func() repl.Stats
 }
 
+// pendingRing bounds the served-plan ring awaiting feedback (FIFO
+// eviction), and separately the consumed serves kept for explain.
+const pendingRing = 4096
+
 // HTTPServer is one tenant's wire state — its loop, options and serve-id
 // ring — behind the handlers the fleet mux routes to. Safe for concurrent
 // use.
@@ -82,7 +83,7 @@ type HTTPServer struct {
 	nextID  uint64
 	pending map[uint64]*pendingServe
 	// order is the issuance-order ring of every remembered serve (live and
-	// consumed alike), bounded by MaxPending; live is how many of them still
+	// consumed alike), bounded by pendingRing; live is how many of them still
 	// await feedback (the pending_feedback stat). Consumed entries stay in
 	// the map so explain can answer for already-reported serves; their
 	// retention is bounded separately by consumedOrder, and popping one off
@@ -116,9 +117,6 @@ type pendingServe struct {
 
 // NewHTTPServer builds one tenant's wire state over an online loop.
 func NewHTTPServer(lp *Loop, opts HTTPOptions) *HTTPServer {
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = 4096
-	}
 	return &HTTPServer{lp: lp, opts: opts, pending: map[uint64]*pendingServe{}}
 }
 
@@ -547,7 +545,7 @@ func (s *HTTPServer) handleCatalogPost(w http.ResponseWriter, r *http.Request) {
 // ---- serve-id ring ----
 
 // remember stores a served plan for later feedback, evicting FIFO past
-// MaxPending. Evicted ids advance the expiry horizon so their (too-late)
+// pendingRing. Evicted ids advance the expiry horizon so their (too-late)
 // feedback is classified as expired, not unknown.
 func (s *HTTPServer) remember(q *query.Query, pe *planner.PlanEval, res Result) string {
 	s.mu.Lock()
@@ -572,15 +570,15 @@ func (s *HTTPServer) rememberExecuted(q *query.Query, pe *planner.PlanEval, res 
 }
 
 // insertLocked allocates the next serve id, inserts the live entry, and runs
-// FIFO eviction. Caller holds mu. With MaxPending ≥ 1 the just-inserted
-// entry (at the ring's back) can never be the one evicted.
+// FIFO eviction. Caller holds mu. The just-inserted entry (at the ring's
+// back) can never be the one evicted.
 func (s *HTTPServer) insertLocked(q *query.Query, pe *planner.PlanEval, res Result) uint64 {
 	s.nextID++
 	seq := s.nextID
 	s.pending[seq] = &pendingServe{q: q, pe: pe, res: res}
 	s.order = append(s.order, seq)
 	s.live++
-	for len(s.order) > s.opts.MaxPending {
+	for len(s.order) > pendingRing {
 		drop := s.order[0]
 		s.order = s.order[1:]
 		if ps := s.pending[drop]; ps == nil || ps.consumed {
@@ -601,14 +599,14 @@ func (s *HTTPServer) insertLocked(q *query.Query, pe *planner.PlanEval, res Resu
 }
 
 // consumeLocked flips a live entry to consumed and hands its retention to
-// the consumed ring (bounded by MaxPending; leaving THAT ring deletes the
+// the consumed ring (bounded by pendingRing; leaving THAT ring deletes the
 // entry silently — its feedback already arrived, nothing expires). Caller
 // holds mu.
 func (s *HTTPServer) consumeLocked(seq uint64, ps *pendingServe) {
 	ps.consumed = true
 	s.live--
 	s.consumedOrder = append(s.consumedOrder, seq)
-	for len(s.consumedOrder) > s.opts.MaxPending {
+	for len(s.consumedOrder) > pendingRing {
 		c := s.consumedOrder[0]
 		s.consumedOrder = s.consumedOrder[1:]
 		delete(s.pending, c)
@@ -634,7 +632,7 @@ func (s *HTTPServer) take(id string) (*pendingServe, error) {
 	}
 	if seq > 0 && seq <= s.evictedThrough {
 		return nil, fmt.Errorf("serve_id %q evicted from the pending ring before its feedback arrived (ring holds %d): %w",
-			id, s.opts.MaxPending, fosserr.ErrServeIDExpired)
+			id, pendingRing, fosserr.ErrServeIDExpired)
 	}
 	return nil, fmt.Errorf("unknown or already-reported serve_id %q", id)
 }

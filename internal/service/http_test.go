@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/fosserr"
+	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/store"
 )
@@ -344,31 +345,35 @@ func TestHTTPCheckpoint(t *testing.T) {
 	}
 }
 
+// fillRing remembers n unreported serves directly, as n optimize calls
+// would: what fills the serve-id ring without n wire round trips.
+func fillRing(h *HTTPServer, n int) (last string) {
+	q := fq(0)
+	pe := &planner.PlanEval{Q: q}
+	for range n {
+		last = h.remember(q, pe, Result{})
+	}
+	return last
+}
+
 // TestHTTPPendingEviction: the serve ring is bounded — old serve_ids are
-// evicted FIFO once MaxPending is exceeded, and late feedback for one is
+// evicted FIFO once pendingRing is exceeded, and late feedback for one is
 // answered 410 Gone (distinct from 404 for an id that never existed).
 func TestHTTPPendingEviction(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 100
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
-	h := NewHTTPServer(lp, HTTPOptions{
-		MaxPending: 2,
-		Resolve:    resolveQ,
-	})
+	h := NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ})
 	_, base := serveFleet(t, h)
 
-	var first string
-	for i := 1; i <= 3; i++ {
-		_, out := postJSON(t, base+"/optimize", `{"query_id": "q`+strconv.Itoa(i)+`"}`)
-		if i == 1 {
-			first = out["serve_id"].(string)
-		}
-	}
+	_, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
+	first := out["serve_id"].(string)
+	fillRing(h, pendingRing)
 	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "`+first+`", "latency_ms": 5}`); code != http.StatusGone {
 		t.Fatalf("evicted serve_id should get 410 Gone, got %d", code)
 	}
-	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "s999", "latency_ms": 5}`); code != http.StatusNotFound {
+	if code, _ := postJSON(t, base+"/feedback", `{"serve_id": "s99999", "latency_ms": 5}`); code != http.StatusNotFound {
 		t.Fatalf("never-issued serve_id should get 404, got %d", code)
 	}
 	if _, out := getJSON(t, base+"/stats"); out["expired_serve_ids"].(float64) != 1 {
@@ -384,15 +389,12 @@ func TestServeIDExpiry(t *testing.T) {
 	cfg.Detector.Threshold = 100
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
-	h := NewHTTPServer(lp, HTTPOptions{MaxPending: 2})
+	h := NewHTTPServer(lp, HTTPOptions{})
 
-	ids := make([]string, 3)
-	for i := range ids {
-		pe, _, _, _ := blue.OptimizeEvalContext(context.Background(), fq(int64(i)))
-		ids[i] = h.remember(fq(int64(i)), pe, Result{})
-	}
-	// ids[0] was evicted by ids[2]'s arrival.
-	if _, err := h.take(ids[0]); !errors.Is(err, fosserr.ErrServeIDExpired) {
+	first := fillRing(h, 1)
+	last := fillRing(h, pendingRing)
+	// first was evicted by the arrival of the ring's pendingRing+1-th serve.
+	if _, err := h.take(first); !errors.Is(err, fosserr.ErrServeIDExpired) {
 		t.Fatalf("evicted id error = %v, want ErrServeIDExpired", err)
 	}
 	if h.expired.Load() != 1 {
@@ -400,14 +402,14 @@ func TestServeIDExpiry(t *testing.T) {
 	}
 	// live ids resolve exactly once; a second take is unknown, NOT expired
 	// (the client already consumed it — 404 tells them so).
-	if _, err := h.take(ids[2]); err != nil {
+	if _, err := h.take(last); err != nil {
 		t.Fatalf("live id: %v", err)
 	}
-	if _, err := h.take(ids[2]); err == nil || errors.Is(err, fosserr.ErrServeIDExpired) {
+	if _, err := h.take(last); err == nil || errors.Is(err, fosserr.ErrServeIDExpired) {
 		t.Fatalf("double-take error = %v, want plain unknown", err)
 	}
 	// never-issued and malformed ids are unknowns, not expiries
-	for _, id := range []string{"s999", "bogus", "s1x", ""} {
+	for _, id := range []string{"s99999", "bogus", "s1x", ""} {
 		if _, err := h.take(id); err == nil || errors.Is(err, fosserr.ErrServeIDExpired) {
 			t.Fatalf("id %q error = %v, want plain unknown", id, err)
 		}
@@ -417,16 +419,12 @@ func TestServeIDExpiry(t *testing.T) {
 	// expiry: when later serves pop it off the ring, the counter must not
 	// move, the 410 horizon must not advance over it, and its duplicate
 	// report stays a plain 404, not a 410.
-	h2 := NewHTTPServer(lp, HTTPOptions{MaxPending: 2})
-	pe, _, _, _ := blue.OptimizeEvalContext(context.Background(), fq(10))
-	early := h2.remember(fq(10), pe, Result{})
+	h2 := NewHTTPServer(lp, HTTPOptions{})
+	early := fillRing(h2, 1)
 	if _, err := h2.take(early); err != nil {
 		t.Fatalf("fresh id: %v", err)
 	}
-	for i := int64(11); i < 13; i++ {
-		pe, _, _, _ := blue.OptimizeEvalContext(context.Background(), fq(i))
-		h2.remember(fq(i), pe, Result{}) // the second pops the consumed id off the ring
-	}
+	fillRing(h2, pendingRing) // the last pops the consumed id off the ring
 	if got := h2.expired.Load(); got != 0 {
 		t.Fatalf("expirations = %d, want 0 (the consumed id must not count)", got)
 	}

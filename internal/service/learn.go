@@ -37,9 +37,10 @@ type learning struct {
 // A zero latency is legitimate (sub-millisecond executions round to 0);
 // negative, NaN and infinite values are rejected — one of them would poison
 // the drift window's mean. The return reports whether the observation was
-// ingested: false for invalid arguments and for feedback arriving after
-// Close began (intake stopped; the final checkpoint must stay the last
-// word) — wire callers answer 503, not a false ack.
+// ingested: false for invalid arguments, for feedback naming a table the live
+// catalog no longer has (counted in StaleInvalidations), and for feedback
+// arriving after Close began (intake stopped; the final checkpoint must stay
+// the last word) — wire callers answer 503, not a false ack.
 func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) bool {
 	if q == nil || pe == nil || latencyMs < 0 || math.IsNaN(latencyMs) || math.IsInf(latencyMs, 1) || lp.closed.Load() {
 		return false
@@ -66,6 +67,15 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 	// escape hatch if a deployment ever needs more). The advisor analyzes
 	// the record here too, so it sees the stream in journal order.
 	lp.mu.Lock()
+	// A DDL may have dropped one of q's tables since the check above. The
+	// ddl transition runs under mu too, so this second check orders the
+	// record against it: a record journaled after a DDL names only tables
+	// that generation has, and Replay, re-checking at the same WAL
+	// position, ingests exactly what the live loop did.
+	if lp.checkCatalog(lp.Active(), q) != nil {
+		lp.mu.Unlock()
+		return false
+	}
 	lp.jr.append(store.WALEntry{
 		Kind:        store.KindFeedback,
 		Fingerprint: fp,

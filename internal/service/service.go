@@ -182,7 +182,7 @@ func DefaultConfig() Config {
 		Background:        true,
 		CheckpointEvery:   64,
 		Tier:              tier.Config{Memory: true},
-		Advisor:           AdvisorConfig{Enabled: true, Window: 64},
+		Advisor:           AdvisorConfig{Enabled: true},
 	}
 }
 
@@ -285,7 +285,7 @@ func New(cfg Config, active Replica, known []*query.Query) *Loop {
 	lp.baseCtx, lp.stopBase = context.WithCancel(context.Background())
 	lp.srv.active.Store(&slot{r: active, epoch: max(cfg.InitialEpoch, 1), cat: active.CatalogEpoch()})
 	if cfg.Advisor.Enabled {
-		lp.adv = newAdvisor(cfg.Advisor)
+		lp.adv = newAdvisor()
 	}
 	return lp
 }

@@ -30,7 +30,7 @@ func TestStatsConsistentUnderTraffic(t *testing.T) {
 	cfg := syncConfig()
 	cfg.Detector.Threshold = 1e12 // never drift: no retrain noise
 	cfg.Store = st
-	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 1, EscalateRatio: 1.5}
+	cfg.Tier = tier.Config{Memory: true, PromoteAfter: 1}
 	blue := newFake("blue")
 	lp := New(cfg, blue, nil)
 

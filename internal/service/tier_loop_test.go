@@ -135,7 +135,7 @@ func TestHotTurnZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTierEscalationDropsPin: a pinned plan regressing past EscalateRatio is
+// TestTierEscalationDropsPin: a pinned plan regressing past 1.5× the expert is
 // demoted immediately, and the regression latch blocks re-promotion for the
 // rest of the epoch.
 func TestTierEscalationDropsPin(t *testing.T) {

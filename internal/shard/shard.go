@@ -76,8 +76,6 @@ type Config struct {
 	// Workers is read by nothing: training runs one way. The name stays
 	// declared only because benchmark/ still assigns it.
 	Workers int
-	// MaxPending bounds each shard's serve-id ring (0 = service default).
-	MaxPending int
 	// CheckpointOnBoot writes an initial checkpoint after a cold-start
 	// training run (ignored without StateDir), so a shard is durable before
 	// its first request.
@@ -539,8 +537,7 @@ func (r *Router) boot(ctx context.Context, spec TenantSpec) (_ *Shard, err error
 		byID[q.ID] = q
 	}
 	sh.HTTP = service.NewHTTPServer(sys.Online(), service.HTTPOptions{
-		Resolve:    func(id string) *query.Query { return byID[id] },
-		MaxPending: r.cfg.MaxPending,
+		Resolve: func(id string) *query.Query { return byID[id] },
 	})
 	return sh, nil
 }
@@ -597,7 +594,6 @@ func (r *Router) bootFollower(ctx context.Context, sh *Shard, loopCfg service.Co
 	}
 	sh.HTTP = service.NewHTTPServer(sys.Online(), service.HTTPOptions{
 		Resolve:         func(id string) *query.Query { return byID[id] },
-		MaxPending:      r.cfg.MaxPending,
 		LeaderAddr:      leader,
 		ReplStats:       tl.Stats,
 		ForwardFeedback: service.NewFeedbackForwarder(base),

@@ -19,7 +19,7 @@
 // per-fingerprint history, which is itself a pure function of the feedback
 // stream — replaying the same traffic yields the same tier choices and the
 // same plans. Feedback drives both directions: wins promote a fingerprint
-// toward tier 0, a regression past EscalateRatio escalates it back to tier 2
+// toward tier 0, a regression past 1.5× the expert escalates it back to tier 2
 // immediately. Hot-swaps and DDL batches invalidate all pins (the new
 // generation must re-earn them) and move the serving epoch pins are keyed
 // by (runtime.Identity), so no pin outlives the generation that earned it —
@@ -52,11 +52,12 @@ type Config struct {
 	// the expert baseline) required before a fingerprint's best plan is
 	// pinned into tier-0 memory. Default 3.
 	PromoteAfter int
-	// EscalateRatio is the latency/expert ratio past which a pinned plan
-	// is escalated back to tier 2 (pin dropped, fingerprint marked regressed
-	// until the next epoch). Default 1.5.
-	EscalateRatio float64
 }
+
+// escalateRatio is the latency/expert ratio past which a pinned plan is
+// escalated back to tier 2 (pin dropped, fingerprint marked regressed until
+// the next epoch).
+const escalateRatio = 1.5
 
 // Enabled reports whether the fast tier is on.
 func (c Config) Enabled() bool { return c.Memory }
@@ -64,9 +65,6 @@ func (c Config) Enabled() bool { return c.Memory }
 func (c Config) withDefaults() Config {
 	if c.PromoteAfter < 1 {
 		c.PromoteAfter = 3
-	}
-	if c.EscalateRatio <= 0 {
-		c.EscalateRatio = 1.5
 	}
 	return c
 }
@@ -158,7 +156,7 @@ func (m *Memory) Observe(id runtime.Identity, fp uint64, _ *query.Query, pe *pla
 
 	// Escalation: a pinned plan that regressed past the ratio goes back to
 	// tier 2 until the next epoch re-earns trust.
-	if onPin && expertMs > 0 && latencyMs > m.cfg.EscalateRatio*expertMs {
+	if onPin && expertMs > 0 && latencyMs > escalateRatio*expertMs {
 		delete(m.pins, key)
 		delete(m.pinLat, key)
 		h.Regressed = true

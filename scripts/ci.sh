@@ -134,6 +134,9 @@ if [[ $quick -eq 0 ]]; then
   echo "== plan identities: ten seconds of FuzzHintedPlan, no panic, ErrNoPlan refusals only, every accepted ICP a permutation with n-1 join methods that its plan extracts back to =="
   go test -run '^$' -fuzz FuzzHintedPlan -fuzztime 10s ./internal/optimizer
 
+  echo "== ddl batches: ten seconds of FuzzDDLBatch, no panic, a refused batch moves nothing, an accepted one advances the epoch by its length and validates, the log replays to the same hash =="
+  go test -run '^$' -fuzz FuzzDDLBatch -fuzztime 10s ./internal/engine/catalog
+
   echo "== tenant specs: ten seconds of FuzzParseTenantSpecs, no panic, every accepted fleet preflights or is refused as ErrBadConfig =="
   go test -run '^$' -fuzz FuzzParseTenantSpecs -fuzztime 10s ./cmd/fossd
 fi
