@@ -267,8 +267,9 @@ type TierConfig = tier.Config
 type AdvisorConfig = service.AdvisorConfig
 
 // Finding re-exports one advisor emission: a kind (FindingRegression,
-// FindingPlanThrash, FindingCooldownBlocked), the epoch and offending
-// fingerprint where relevant, and a human-readable detail line.
+// FindingCooldownBlocked, FindingSchemaChurn), the model epoch and record
+// ordinal that triggered it, the measured ratio and count behind it, and a
+// human-readable detail line.
 type Finding = service.Finding
 
 // Advisor finding kinds.
@@ -276,12 +277,12 @@ const (
 	// FindingRegression: a sustained fraction of recent traffic ran slower
 	// than the expert baseline.
 	FindingRegression = service.FindingRegression
-	// FindingPlanThrash: a fingerprint keeps cycling through tier-0
-	// promotion and demotion.
-	FindingPlanThrash = service.FindingPlanThrash
 	// FindingCooldownBlocked: the drift detector keeps firing while the
 	// retrain cooldown suppresses the trigger.
 	FindingCooldownBlocked = service.FindingCooldownBlocked
+	// FindingSchemaChurn: a DDL apply dropped tier-0 pins and the hot set
+	// did not re-earn them over the next 64 serves.
+	FindingSchemaChurn = service.FindingSchemaChurn
 )
 
 // DefaultOnlineConfig returns the configuration fossd serves with: 16-record

@@ -28,11 +28,6 @@ type StateNetConfig struct {
 	StateDim int // width of the final state representation vector
 }
 
-// DefaultStateNetConfig returns the sizes used throughout the repository.
-func DefaultStateNetConfig() StateNetConfig {
-	return StateNetConfig{DModel: 64, Heads: 4, Layers: 2, FFDim: 128, StateDim: 64}
-}
-
 // StateNet is ϕ: it embeds the four node features plus height and structure
 // type, runs reachability-masked multi-head attention, mean-pools the node
 // representations, concatenates the step status, and projects to statevec.

@@ -131,7 +131,8 @@ func TestBatchLossForwardsEachStateOnce(t *testing.T) {
 }
 
 // BenchmarkAAMTrainEpoch times one training epoch over a fixed synthetic
-// buffer: 8 queries × 6 plans, every ordered pair of a query's plans.
+// buffer: 8 queries × 6 plans, every ordered pair of a query's plans, on a
+// model of the sizes core.DefaultConfig trains.
 func BenchmarkAAMTrainEpoch(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	var samples []Sample
@@ -140,7 +141,7 @@ func BenchmarkAAMTrainEpoch(b *testing.B) {
 	}
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 1
-	m := NewModel(rng, DefaultStateNetConfig(), 4, 4)
+	m := NewModel(rng, StateNetConfig{DModel: 32, Heads: 2, Layers: 1, FFDim: 64, StateDim: 32}, 4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Train(samples, cfg)

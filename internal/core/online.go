@@ -176,15 +176,14 @@ func (s *System) ServeBatch(ctx context.Context, qs []*query.Query) ([]service.R
 
 // Record feeds one executed plan's observed latency back into the loop:
 // buffer ingestion, drift detection, and (possibly) a background retrain.
-// Feedback arriving after Close began is refused with ErrLoopClosed.
+// A refused observation is not ingested and returns why: feedback naming a
+// table a DDL dropped fails with ErrCatalogStale, feedback arriving after
+// Close began with ErrLoopClosed, and invalid arguments with a plain error.
 func (s *System) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) error {
 	if s.online == nil {
 		return fmt.Errorf("core: Record before EnableOnline: %w", fosserr.ErrNotOnline)
 	}
-	if !s.online.Record(q, pe, latencyMs) && s.online.Closed() {
-		return fmt.Errorf("core: record: %w", fosserr.ErrLoopClosed)
-	}
-	return nil
+	return s.online.Ingest(q, pe, latencyMs)
 }
 
 // ServeStepContext runs one full doctor-loop turn (Serve, Execute, Record),

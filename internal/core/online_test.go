@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"github.com/foss-db/foss/internal/aam"
+	"github.com/foss-db/foss/internal/engine/catalog"
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/service"
 	"github.com/foss-db/foss/internal/workload"
 )
@@ -357,5 +360,36 @@ func TestOnlineGuards(t *testing.T) {
 	}
 	if st := sys.OnlineStats(); st.Epoch != 1 {
 		t.Fatalf("fresh loop epoch %d, want 1", st.Epoch)
+	}
+}
+
+// TestRecordRefusalsReturnErrors: a feedback naming a table a DDL dropped
+// after the serve is not ingested, and System.Record says so with
+// ErrCatalogStale instead of a nil that would read as an ack; feedback after
+// Close is refused with ErrLoopClosed.
+func TestRecordRefusalsReturnErrors(t *testing.T) {
+	sys := smallSystem(t, nil)
+	if err := sys.EnableOnline(onlineConfig(true)); err != nil {
+		t.Fatal(err)
+	}
+	q := sys.W.Train[0]
+	res, err := sys.ServeContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Online().ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: q.Tables[0].Table}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Record(q, res.Eval, 1); !errors.Is(err, fosserr.ErrCatalogStale) {
+		t.Fatalf("record after its table was dropped: %v, want ErrCatalogStale", err)
+	}
+	if st := sys.OnlineStats(); st.Recorded != 0 || st.StaleInvalidations == 0 {
+		t.Fatalf("stale record was ingested or not counted: recorded %d, stale %d", st.Recorded, st.StaleInvalidations)
+	}
+	if err := sys.Online().Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Record(q, res.Eval, 1); !errors.Is(err, fosserr.ErrLoopClosed) {
+		t.Fatalf("record after Close: %v, want ErrLoopClosed", err)
 	}
 }

@@ -251,15 +251,3 @@ func (v *Versioned) Apply(ddls []DDL) (*Schema, uint64, error) {
 	v.log = append(v.log, ddls...)
 	return next, v.epoch, nil
 }
-
-// LogSuffix returns the DDL statements applied after the given epoch — the
-// replay delta that brings a peer at afterEpoch up to the current epoch. ok
-// is false when afterEpoch is ahead of this catalog (nothing to give).
-func (v *Versioned) LogSuffix(afterEpoch uint64) ([]DDL, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if afterEpoch > v.epoch {
-		return nil, false
-	}
-	return append([]DDL(nil), v.log[afterEpoch:]...), true
-}

@@ -173,14 +173,6 @@ func TestVersionedEpochAndLog(t *testing.T) {
 	if replayed.Hash() != v.Hash() {
 		t.Fatal("log replay did not converge to the live schema")
 	}
-	// Suffix mechanics: a peer at epoch 1 needs exactly the second statement.
-	suffix, ok := v.LogSuffix(1)
-	if !ok || len(suffix) != 1 || suffix[0].Kind != DDLAddColumn {
-		t.Fatalf("LogSuffix(1) = %v, %v", suffix, ok)
-	}
-	if _, ok := v.LogSuffix(3); ok {
-		t.Fatal("suffix past the live epoch must report !ok")
-	}
 }
 
 func TestErrorConstructors(t *testing.T) {

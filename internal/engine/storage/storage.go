@@ -1,12 +1,11 @@
 // Package storage is a tiny in-memory column store: tables hold one int64
-// slice per column, with optional hash and sorted indexes on declared
-// columns. It is the substrate both the executor (true cardinalities) and
-// the statistics builder (estimates) read from.
+// slice per column, with an optional hash index on declared columns. It is
+// the substrate both the executor (true cardinalities) and the statistics
+// builder (estimates) read from.
 package storage
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/foss-db/foss/internal/engine/catalog"
 )
@@ -16,17 +15,15 @@ type Table struct {
 	Meta *catalog.Table
 	Cols [][]int64
 
-	hashIdx   map[int]map[int64][]int32
-	sortedIdx map[int][]int32 // row ids ordered by column value
+	hashIdx map[int]map[int64][]int32
 }
 
 // NewTable allocates an empty table for the given metadata.
 func NewTable(meta *catalog.Table) *Table {
 	return &Table{
-		Meta:      meta,
-		Cols:      make([][]int64, len(meta.Columns)),
-		hashIdx:   map[int]map[int64][]int32{},
-		sortedIdx: map[int][]int32{},
+		Meta:    meta,
+		Cols:    make([][]int64, len(meta.Columns)),
+		hashIdx: map[int]map[int64][]int32{},
 	}
 }
 
@@ -48,7 +45,7 @@ func (t *Table) AppendRow(vals ...int64) {
 	}
 }
 
-// BuildIndexes constructs hash and sorted indexes for every column whose
+// BuildIndexes constructs a hash index for every column whose
 // catalog metadata declares Indexed. Call once after loading.
 func (t *Table) BuildIndexes() {
 	for i, c := range t.Meta.Columns {
@@ -64,13 +61,6 @@ func (t *Table) buildIndex(col int) {
 		h[v] = append(h[v], int32(r))
 	}
 	t.hashIdx[col] = h
-	ids := make([]int32, t.NumRows())
-	for r := range ids {
-		ids[r] = int32(r)
-	}
-	vals := t.Cols[col]
-	sort.Slice(ids, func(a, b int) bool { return vals[ids[a]] < vals[ids[b]] })
-	t.sortedIdx[col] = ids
 }
 
 // HasIndex reports whether column col carries an index.
@@ -87,9 +77,6 @@ func (t *Table) Lookup(col int, v int64) []int32 {
 	}
 	return idx[v]
 }
-
-// SortedRowIDs returns row ids ordered by the column value (nil if no index).
-func (t *Table) SortedRowIDs(col int) []int32 { return t.sortedIdx[col] }
 
 // Value returns the value of column col at row r.
 func (t *Table) Value(col int, r int32) int64 { return t.Cols[col][r] }

@@ -64,20 +64,6 @@ func TestHashIndexLookup(t *testing.T) {
 	}
 }
 
-func TestSortedIndex(t *testing.T) {
-	db := smallDB(t)
-	tbl := db.Table("t")
-	ids := tbl.SortedRowIDs(0)
-	if len(ids) != 100 {
-		t.Fatalf("sorted ids = %d", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		if tbl.Value(0, ids[i-1]) > tbl.Value(0, ids[i]) {
-			t.Fatal("sorted index out of order")
-		}
-	}
-}
-
 func TestAppendRowWidthMismatchPanics(t *testing.T) {
 	db := smallDB(t)
 	defer func() {

@@ -62,7 +62,8 @@ func TestBufferConcurrentReaders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if b.Original("q") == nil {
+	// Refs is nil once the step-0 plan it is anchored on is gone.
+	if b.Refs("q") == nil {
 		t.Fatal("original lost")
 	}
 }

@@ -147,13 +147,8 @@ func (b *Buffer) Size() int {
 	return n
 }
 
-// Original returns the recorded step-0 plan for a query, or nil.
-func (b *Buffer) Original(qid string) *planner.PlanEval {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.original(qid)
-}
-
+// original returns the recorded step-0 plan for a query, or nil. Caller
+// holds b.mu.
 func (b *Buffer) original(qid string) *planner.PlanEval {
 	for _, pe := range b.byQuery[qid] {
 		if pe.Step == 0 {

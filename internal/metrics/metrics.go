@@ -117,18 +117,3 @@ func SavingsRatio(base, lat float64) float64 {
 	}
 	return 1 - lat/base
 }
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			s += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Exp(s / float64(n))
-}

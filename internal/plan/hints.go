@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // FormatHints renders an ICP as pg_hint_plan-style hint text — the textual
 // interface the paper uses to steer PostgreSQL:
@@ -49,113 +46,4 @@ func methodHintName(m JoinMethod) string {
 		return "NestLoop"
 	}
 	return "?"
-}
-
-// ParseHints parses hint text produced by FormatHints back into an ICP.
-// It accepts the subset of pg_hint_plan syntax this repository emits:
-// one Leading((...)) clause and zero or more method clauses whose last
-// alias identifies the join level.
-func ParseHints(text string) (ICP, error) {
-	text = strings.TrimSpace(text)
-	text = strings.TrimPrefix(text, "/*+")
-	text = strings.TrimSuffix(text, "*/")
-	var icp ICP
-
-	rest := strings.TrimSpace(text)
-	for len(rest) > 0 {
-		name, arg, tail, err := nextClause(rest)
-		if err != nil {
-			return ICP{}, err
-		}
-		rest = tail
-		switch name {
-		case "Leading":
-			order, err := parseLeading(arg)
-			if err != nil {
-				return ICP{}, err
-			}
-			icp.Order = order
-			if icp.Methods == nil {
-				icp.Methods = make([]JoinMethod, len(order)-1)
-				for i := range icp.Methods {
-					icp.Methods[i] = HashJoin // pg default when unhinted
-				}
-			}
-		case "HashJoin", "MergeJoin", "NestLoop":
-			if icp.Order == nil {
-				return ICP{}, fmt.Errorf("plan: method hint before Leading")
-			}
-			aliases := strings.Fields(arg)
-			if len(aliases) < 2 {
-				return ICP{}, fmt.Errorf("plan: method hint %s needs >=2 aliases", name)
-			}
-			last := aliases[len(aliases)-1]
-			level := -1
-			for i, a := range icp.Order {
-				if a == last {
-					level = i - 1
-				}
-			}
-			if level < 0 || level >= len(icp.Methods) {
-				return ICP{}, fmt.Errorf("plan: method hint %s(%s) does not match Leading order", name, arg)
-			}
-			switch name {
-			case "HashJoin":
-				icp.Methods[level] = HashJoin
-			case "MergeJoin":
-				icp.Methods[level] = MergeJoin
-			case "NestLoop":
-				icp.Methods[level] = NestLoop
-			}
-		default:
-			return ICP{}, fmt.Errorf("plan: unknown hint clause %q", name)
-		}
-	}
-	if icp.Order == nil {
-		return ICP{}, fmt.Errorf("plan: no Leading clause in hints")
-	}
-	return icp, nil
-}
-
-// nextClause splits "Name(arg) rest" respecting nested parentheses in arg.
-func nextClause(s string) (name, arg, rest string, err error) {
-	s = strings.TrimSpace(s)
-	open := strings.IndexByte(s, '(')
-	if open < 0 {
-		return "", "", "", fmt.Errorf("plan: malformed hint clause %q", s)
-	}
-	name = strings.TrimSpace(s[:open])
-	depth := 0
-	for i := open; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				return name, s[open+1 : i], strings.TrimSpace(s[i+1:]), nil
-			}
-		}
-	}
-	return "", "", "", fmt.Errorf("plan: unbalanced parentheses in %q", s)
-}
-
-// parseLeading flattens the left-deep Leading tree into the bottom-up order.
-func parseLeading(arg string) ([]string, error) {
-	arg = strings.TrimSpace(arg)
-	// strip nesting: the left-deep tree (((a b) c) d) flattens to the token
-	// sequence a b c d in order
-	cleaned := strings.NewReplacer("(", " ", ")", " ").Replace(arg)
-	order := strings.Fields(cleaned)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("plan: empty Leading clause")
-	}
-	seen := map[string]bool{}
-	for _, a := range order {
-		if seen[a] {
-			return nil, fmt.Errorf("plan: alias %q repeated in Leading", a)
-		}
-		seen[a] = true
-	}
-	return order, nil
 }

@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestFormatHints(t *testing.T) {
@@ -17,58 +15,5 @@ func TestFormatHints(t *testing.T) {
 		if !strings.Contains(h, want) {
 			t.Fatalf("hints missing %q: %s", want, h)
 		}
-	}
-}
-
-func TestHintsRoundTripProperty(t *testing.T) {
-	aliases := []string{"t", "ci", "n", "mc", "cn", "mi", "it", "mk"}
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw)%6 + 2 // 2..7 tables
-		perm := rng.Perm(len(aliases))[:n]
-		icp := ICP{}
-		for _, p := range perm {
-			icp.Order = append(icp.Order, aliases[p])
-		}
-		for i := 0; i+1 < n; i++ {
-			icp.Methods = append(icp.Methods, JoinMethod(rng.Intn(NumJoinMethods)))
-		}
-		parsed, err := ParseHints(icp.FormatHints())
-		if err != nil {
-			return false
-		}
-		return parsed.Equal(icp)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseHintsRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"/*+ */",
-		"/*+ HashJoin(a b) */",                // method before Leading
-		"/*+ Leading((a a)) */",               // repeated alias
-		"/*+ Leading((a b) HashJoin(a b) */",  // unbalanced parens
-		"/*+ Leading((a b)) FooJoin(a b) */",  // unknown clause
-		"/*+ Leading((a b)) HashJoin(z q) */", // aliases not in order
-		"/*+ Leading((a b)) HashJoin(a) */",   // too few aliases
-	}
-	for _, h := range bad {
-		if _, err := ParseHints(h); err == nil {
-			t.Fatalf("malformed hint accepted: %q", h)
-		}
-	}
-}
-
-func TestParseHintsDefaultsUnhintedJoins(t *testing.T) {
-	icp, err := ParseHints("/*+ Leading(((a b) c)) NestLoop(a b c) */")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// join (a b) was not hinted: defaults to HashJoin; (ab c) is NestLoop
-	if icp.Methods[0] != HashJoin || icp.Methods[1] != NestLoop {
-		t.Fatalf("methods = %v", icp.Methods)
 	}
 }

@@ -19,10 +19,6 @@ const (
 	// FindingRegression: a sustained fraction of recent traffic ran slower
 	// than the expert baseline by more than the regression ratio.
 	FindingRegression = "regression"
-	// FindingPlanThrash: one fingerprint keeps cycling through tier-0
-	// promotion and demotion — its pinned plan is not stable under the
-	// current workload.
-	FindingPlanThrash = "plan-thrash"
 	// FindingCooldownBlocked: the drift detector has been signalling drift
 	// while the retrain cooldown suppressed the trigger, for many
 	// consecutive records — the doctor knows it is behind and is not allowed
@@ -53,9 +49,6 @@ const (
 	// regressionRatio is the served-vs-expert latency ratio past which one
 	// record counts as regressed.
 	regressionRatio = 1.5
-	// thrashCycles is the number of tier-0 demotions of one fingerprint
-	// (within one epoch) that counts as plan-memory thrash.
-	thrashCycles = 2
 	// cooldownTurns is the number of consecutive cooldown-suppressed drift
 	// signals that triggers a cooldown-blocked finding.
 	cooldownTurns = 8
@@ -74,28 +67,22 @@ type Finding struct {
 	// Seq is the ordinal of the triggering record among those the loop
 	// recorded (1 = the first); DDL markers are not counted.
 	Seq uint64 `json:"seq"`
-	// Fingerprint and QueryID name the offending query for per-fingerprint
-	// findings (plan-thrash); zero/empty otherwise.
-	Fingerprint uint64 `json:"fingerprint,omitempty"`
-	QueryID     string `json:"query_id,omitempty"`
 	// Ratio is the measured fraction/ratio behind the finding (regression:
 	// fraction of the window regressed).
 	Ratio float64 `json:"ratio,omitempty"`
 	// Count is the measured count behind the finding (regressed records,
-	// demotion cycles, blocked turns).
+	// blocked turns, serves since the DDL).
 	Count int `json:"count,omitempty"`
 }
 
 // advisorObs is what Record hands the advisor per ingested execution (and
 // what ApplyDDL hands it as a schema-change marker, ddl=true).
 type advisorObs struct {
-	fp           uint64
-	qid          string
 	epoch        uint64
 	ratio        float64 // served-vs-expert latency ratio (1.0 = neutral)
-	promoted     bool
-	demoted      bool
-	driftBlocked bool // detector signalled drift but the cooldown suppressed it
+	promoted     bool    // promoted and demoted feed Record's tier counters;
+	demoted      bool    // the analysis itself does not read them
+	driftBlocked bool    // detector signalled drift but the cooldown suppressed it
 
 	// Schema-evolution channel: ddl marks a catalog apply; every obs carries
 	// the loop's cumulative tier-0 hit and serve counters so the advisor can
@@ -119,10 +106,9 @@ type advisor struct {
 	seq        uint64
 	window     []bool // ring of the last advisorWindow records: regressed or not
 	wpos       int
-	regressed  int            // true entries in window
-	regLatched bool           // a regression finding is live; re-arm on recovery
-	cycles     map[uint64]int // per-fingerprint demotion count this epoch
-	blocked    int            // consecutive cooldown-suppressed drift signals
+	regressed  int  // true entries in window
+	regLatched bool // a regression finding is live; re-arm on recovery
+	blocked    int  // consecutive cooldown-suppressed drift signals
 	lastEpoch  uint64
 
 	// Schema-churn state: set by a ddl marker, resolved once a full window of
@@ -135,10 +121,7 @@ type advisor struct {
 }
 
 func newAdvisor() *advisor {
-	return &advisor{
-		window: make([]bool, 0, advisorWindow),
-		cycles: map[uint64]int{},
-	}
+	return &advisor{window: make([]bool, 0, advisorWindow)}
 }
 
 // ingest runs the analysis for one observation in O(1); only emitting a
@@ -147,7 +130,7 @@ func (a *advisor) ingest(obs advisorObs) {
 	if obs.ddl {
 		// Schema-change marker: remember the pre-DDL tier-0 hit rate and
 		// start the post-DDL measurement. The marker itself carries no
-		// execution, so it skips the regression/thrash analysis entirely.
+		// execution, so it skips the regression analysis entirely.
 		a.ddlPending = true
 		a.ddlCatEpoch = obs.catEpoch
 		a.ddlT0, a.ddlServed = obs.t0Hits, obs.served
@@ -178,12 +161,11 @@ func (a *advisor) ingest(obs advisorObs) {
 		}
 	}
 	if obs.epoch != a.lastEpoch {
-		// New model generation: the regression latch and the thrash/blocked
-		// tallies describe the old model's behavior, not this one's.
+		// New model generation: the regression latch and the blocked tally
+		// describe the old model's behavior, not this one's.
 		a.lastEpoch = obs.epoch
 		a.regLatched = false
 		a.blocked = 0
-		clear(a.cycles)
 	}
 
 	// Regression: fraction of the last advisorWindow records past
@@ -220,25 +202,6 @@ func (a *advisor) ingest(obs advisorObs) {
 			// Re-arm only after the window clearly recovers, so a fraction
 			// hovering at the threshold emits once, not per record.
 			a.regLatched = false
-		}
-	}
-
-	// Plan-memory thrash: repeated promote→demote cycles on one fingerprint.
-	if obs.demoted {
-		a.cycles[obs.fp]++
-		if n := a.cycles[obs.fp]; n >= thrashCycles {
-			a.cycles[obs.fp] = 0
-			a.emit(Finding{
-				Kind:        FindingPlanThrash,
-				Epoch:       obs.epoch,
-				Seq:         a.seq,
-				Fingerprint: obs.fp,
-				QueryID:     obs.qid,
-				Count:       n,
-				Detail: fmt.Sprintf(
-					"plan-memory thrash on fingerprint %016x (query %q): %d promote/demote cycles at epoch %d",
-					obs.fp, obs.qid, n, obs.epoch),
-			})
 		}
 	}
 

@@ -1,11 +1,11 @@
 package service
 
 // Advisor emission tests: ingest() is driven synchronously with synthetic
-// observation streams, so every finding kind — regression (with its latch),
-// plan-thrash, cooldown-blocked — is pinned deterministically. The loop
-// tests below drive real records through Record: the advisor sees every one
-// of them, in journal order, under concurrency too, and findings surface on
-// GET /v1/advisor the moment Record returns.
+// observation streams, so the regression latch and the cooldown-blocked
+// streak are pinned deterministically. The loop tests below drive real
+// records through Record: the advisor sees every one of them, in journal
+// order, under concurrency too, and findings surface on GET /v1/advisor the
+// moment Record returns.
 
 import (
 	"context"
@@ -68,33 +68,6 @@ func TestAdvisorRegressionLatch(t *testing.T) {
 	}
 }
 
-// TestAdvisorPlanThrash: repeated demotions of one fingerprint fire a thrash
-// finding naming it; other fingerprints' demotions don't pool together, and
-// emission resets that fingerprint's cycle count.
-func TestAdvisorPlanThrash(t *testing.T) {
-	a := newAdvisor()
-	for range thrashCycles - 1 {
-		a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
-	}
-	a.ingest(advisorObs{epoch: 1, fp: 8, qid: "q8", demoted: true}) // different fp: no pooling
-	if got := a.snapshot(); len(got) != 0 {
-		t.Fatalf("thrash before thrashCycles: %+v", got)
-	}
-	a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
-	got := a.snapshot()
-	if len(got) != 1 || got[0].Kind != FindingPlanThrash {
-		t.Fatalf("findings = %+v, want one plan-thrash", got)
-	}
-	if got[0].Fingerprint != 7 || got[0].QueryID != "q7" || got[0].Count != thrashCycles {
-		t.Fatalf("thrash finding fields wrong: %+v", got[0])
-	}
-	// Emission reset the count: one more demotion is not enough again.
-	a.ingest(advisorObs{epoch: 1, fp: 7, qid: "q7", demoted: true})
-	if got := a.snapshot(); len(got) != 1 {
-		t.Fatalf("thrash count did not reset on emission: %+v", got)
-	}
-}
-
 // TestAdvisorCooldownBlocked: only a consecutive streak of cooldown-
 // suppressed drift signals fires; any unblocked record resets it.
 func TestAdvisorCooldownBlocked(t *testing.T) {
@@ -118,15 +91,12 @@ func TestAdvisorCooldownBlocked(t *testing.T) {
 }
 
 // TestAdvisorEpochReset: a hot-swap (epoch change) resets the regression
-// latch and the per-fingerprint thrash tallies — the old model's pathology
-// must not carry into the new model's record.
+// latch — the old model's pathology must not carry into the new model's
+// record.
 func TestAdvisorEpochReset(t *testing.T) {
 	a := newAdvisor()
-	for range advisorWindow - 1 {
+	for range advisorWindow {
 		a.ingest(advisorObs{epoch: 1, ratio: 10})
-	}
-	for range thrashCycles - 1 {
-		a.ingest(advisorObs{epoch: 1, ratio: 10, fp: 7, demoted: true})
 	}
 	if got := a.snapshot(); len(got) != 1 || got[0].Kind != FindingRegression {
 		t.Fatalf("setup: want one latched regression, got %+v", got)
@@ -138,14 +108,6 @@ func TestAdvisorEpochReset(t *testing.T) {
 	if len(got) != 2 || got[1].Epoch != 2 {
 		t.Fatalf("epoch change did not re-arm the latch: %+v", got)
 	}
-	// The thrash tally restarted: the pre-swap demotions plus one post-swap
-	// demotion must not add up to thrashCycles.
-	a.ingest(advisorObs{epoch: 2, ratio: 1, fp: 7, demoted: true})
-	for _, f := range a.snapshot() {
-		if f.Kind == FindingPlanThrash {
-			t.Fatalf("thrash cycles pooled across epochs: %+v", f)
-		}
-	}
 }
 
 // TestAdvisorRetention: retained findings are FIFO-bounded while the
@@ -153,13 +115,14 @@ func TestAdvisorEpochReset(t *testing.T) {
 func TestAdvisorRetention(t *testing.T) {
 	a := newAdvisor()
 	const emitted = maxFindings + 2
-	for fp := uint64(1); fp <= emitted; fp++ {
-		for range thrashCycles {
-			a.ingest(advisorObs{epoch: 1, fp: fp, demoted: true})
-		}
+	// Each cooldownTurns-long blocked streak emits one finding, the k-th at
+	// record k·cooldownTurns.
+	for range emitted * cooldownTurns {
+		a.ingest(advisorObs{epoch: 1, driftBlocked: true})
 	}
 	got := a.snapshot()
-	if len(got) != maxFindings || got[0].Fingerprint != emitted-maxFindings+1 || got[maxFindings-1].Fingerprint != emitted {
+	first, last := uint64(emitted-maxFindings+1)*cooldownTurns, uint64(emitted)*cooldownTurns
+	if len(got) != maxFindings || got[0].Seq != first || got[maxFindings-1].Seq != last {
 		t.Fatalf("retention not FIFO-bounded at %d: %d findings, first %+v", maxFindings, len(got), got[0])
 	}
 	if a.emitted.Load() != emitted {
@@ -365,4 +328,87 @@ func TestHTTPAdvisorEndpoint(t *testing.T) {
 	if code != http.StatusOK || out["enabled"] != false {
 		t.Fatalf("disabled advisor: %d %v", code, out)
 	}
+}
+
+// TestAdvisorSchemaChurn drives real serves, records and a DDL apply through
+// a tiered loop. The apply drops every tier-0 pin. When tier 0 carried a
+// fifth or more of the serves before the apply, and the hot set does not
+// re-earn its pins over the next advisorWindow serves, a schema-churn
+// finding fires on the record that completes that window. When tier 0
+// carried less, the same collapse is silent: there was nothing to churn.
+func TestAdvisorSchemaChurn(t *testing.T) {
+	run := func(t *testing.T, hits, cold int) (*Loop, []Finding) {
+		t.Helper()
+		cfg := tierConfig(tier.Config{Memory: true})
+		cfg.Advisor = AdvisorConfig{Enabled: true}
+		lp := New(cfg, newFake("blue"), nil)
+		turn := func(v int64, lat float64, want int) {
+			t.Helper()
+			q := fq(v)
+			res, err := lp.Serve(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tier != want {
+				t.Fatalf("%s served at tier %d, want %d", q.ID, res.Tier, want)
+			}
+			if !lp.Record(q, res.Eval, lat) {
+				t.Fatalf("record of %s refused", q.ID)
+			}
+		}
+		// The fake's expert runs at 10 ms: 5 is a win, 100 a regression.
+		for range 3 {
+			turn(1, 5, tier.Tier2) // three wins pin q1
+		}
+		for range hits {
+			turn(1, 5, tier.Tier0)
+		}
+		for i := range cold {
+			turn(int64(100+i), 100, tier.Tier2)
+		}
+		if _, err := lp.ApplyDDL([]catalog.DDL{{Kind: catalog.DDLDropTable, Table: "zz"}}); err != nil {
+			t.Fatal(err)
+		}
+		if st := lp.Stats(); st.PinnedPlans != 0 {
+			t.Fatalf("the apply left %d pins", st.PinnedPlans)
+		}
+		// The hot set comes back regressing, so it never re-earns its pin.
+		for range advisorWindow - 1 {
+			turn(1, 100, tier.Tier2)
+		}
+		for _, f := range lp.AdvisorFindings() {
+			if f.Kind == FindingSchemaChurn {
+				t.Fatalf("schema churn judged before a full window of serves: %+v", f)
+			}
+		}
+		turn(1, 100, tier.Tier2)
+		return lp, lp.AdvisorFindings()
+	}
+	churn := func(fs []Finding) []Finding {
+		var out []Finding
+		for _, f := range fs {
+			if f.Kind == FindingSchemaChurn {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+
+	t.Run("fires", func(t *testing.T) {
+		// 20 hits of 30 serves: tier 0 carried two thirds before the apply.
+		lp, fs := run(t, 20, 7)
+		got := churn(fs)
+		if len(got) != 1 {
+			t.Fatalf("findings = %+v, want one schema-churn", fs)
+		}
+		if f := got[0]; f.Ratio != 0 || f.Count != advisorWindow || f.Seq != lp.Stats().Recorded || f.Epoch != lp.Epoch() {
+			t.Fatalf("schema-churn fields wrong: %+v (recorded %d, epoch %d)", f, lp.Stats().Recorded, lp.Epoch())
+		}
+	})
+	t.Run("silent below a fifth", func(t *testing.T) {
+		// 5 hits of 26 serves: tier 0 carried 19 % before the apply.
+		if _, fs := run(t, 5, 18); len(churn(fs)) != 0 {
+			t.Fatalf("schema churn fired on a workload tier 0 barely served: %+v", fs)
+		}
+	})
 }

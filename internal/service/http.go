@@ -419,11 +419,11 @@ func (s *HTTPServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"recorded": true, "forwarded": true, "leader": s.opts.LeaderAddr})
 		return
 	}
-	if !s.lp.Record(ps.q, ps.pe, req.LatencyMs) {
-		// The loop is draining: the observation was NOT ingested — a 200
-		// here would be a false ack for a sample the doctor threw away.
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("loop draining; feedback not recorded: %v", fosserr.ErrLoopClosed))
+	if err := s.lp.Ingest(ps.q, ps.pe, req.LatencyMs); err != nil {
+		// The observation was NOT ingested — a 200 here would be a false ack
+		// for a sample the doctor threw away: a DDL dropped one of its tables
+		// (409), or the loop is draining (503).
+		writeServeErr(w, err)
 		return
 	}
 	s.noteLatency(ps, req.LatencyMs)

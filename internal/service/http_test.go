@@ -452,3 +452,53 @@ func TestHTTPExecuteStaleCatalog(t *testing.T) {
 		t.Fatalf("stale execute counters %v", stats)
 	}
 }
+
+// TestHTTPFeedbackStaleCatalog: feedback naming a table a DDL dropped after
+// the serve is refused 409 ErrCatalogStale on both feedback routes, the way
+// the execute:true path refuses it, and neither the recorded count nor the
+// WAL moves. A closed loop still answers 503.
+func TestHTTPFeedbackStaleCatalog(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := syncConfig()
+	cfg.Detector.Threshold = 100
+	cfg.Store = st
+	lp := New(cfg, newFake("blue"), nil)
+	_, base := serveFleet(t, NewHTTPServer(lp, HTTPOptions{Resolve: resolveQ}))
+
+	_, out := postJSON(t, base+"/optimize", `{"query_id": "q1"}`)
+	sid := out["serve_id"].(string)
+	if code, out := postJSON(t, base+"/catalog", `{"ddl": [{"kind": "drop-table", "table": "a"}]}`); code != http.StatusOK {
+		t.Fatalf("drop table: %d %v", code, out)
+	}
+	walBefore := st.WAL().LastSeq()
+
+	if code, out := postJSON(t, base+"/feedback", `{"serve_id": "`+sid+`", "latency_ms": 5}`); code != http.StatusConflict ||
+		!strings.Contains(out["error"].(string), fosserr.ErrCatalogStale.Error()) {
+		t.Fatalf("feedback on a dropped table: %d %v, want 409 %v", code, out, fosserr.ErrCatalogStale)
+	}
+	repl := `{"query": {"tables": [{"table": "a", "alias": "a"}]}, "order": ["a"], "latency_ms": 5}`
+	if code, out := postJSON(t, base+"/repl/feedback", repl); code != http.StatusConflict {
+		t.Fatalf("repl feedback on a dropped table: %d %v, want 409", code, out)
+	}
+	if s := lp.Stats(); s.Recorded != 0 || s.StaleInvalidations != 2 || st.WAL().LastSeq() != walBefore {
+		t.Fatalf("refused feedback moved state: recorded %d, stale %d, wal %d → %d",
+			s.Recorded, s.StaleInvalidations, walBefore, st.WAL().LastSeq())
+	}
+
+	// A closed loop still answers 503.
+	lp2 := New(syncConfig(), newFake("green"), nil)
+	h2 := NewHTTPServer(lp2, HTTPOptions{Resolve: resolveQ})
+	_, base2 := serveFleet(t, h2)
+	_, out = postJSON(t, base2+"/optimize", `{"query_id": "q1"}`)
+	sid2 := out["serve_id"].(string)
+	if err := lp2.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := postJSON(t, base2+"/feedback", `{"serve_id": "`+sid2+`", "latency_ms": 5}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("feedback after close: %d %v, want 503", code, out)
+	}
+}

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/planner"
 	"github.com/foss-db/foss/internal/query"
 	"github.com/foss-db/foss/internal/store"
@@ -26,30 +29,35 @@ type learning struct {
 	promotions, demotions             atomic.Uint64
 }
 
-// Record ingests one executed plan: the query, the candidate Serve returned,
+// Ingest records one executed plan: the query, the candidate Serve returned,
 // and the latency observed when it ran. With a store attached, the
 // execution is journaled to the WAL first — the durability point precedes
 // ingestion, so a crash at any later point replays this record. The feedback
 // transition then lands it in the execution buffer (so the next retrain
 // learns from it), the tier router and the drift detector, and — when the
-// window signals drift past the cooldown — Record triggers a retrain.
+// window signals drift past the cooldown — Ingest triggers a retrain.
 //
 // A zero latency is legitimate (sub-millisecond executions round to 0);
 // negative, NaN and infinite values are rejected — one of them would poison
-// the drift window's mean. The return reports whether the observation was
-// ingested: false for invalid arguments, for feedback naming a table the live
-// catalog no longer has (counted in StaleInvalidations), and for feedback
-// arriving after Close began (intake stopped; the final checkpoint must stay
-// the last word) — wire callers answer 503, not a false ack.
-func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) bool {
-	if q == nil || pe == nil || latencyMs < 0 || math.IsNaN(latencyMs) || math.IsInf(latencyMs, 1) || lp.closed.Load() {
-		return false
+// the drift window's mean. A refused observation is not ingested, and the
+// error says why: errInvalidFeedback for invalid arguments,
+// fosserr.ErrCatalogStale for feedback naming a table the live catalog no
+// longer has (counted in StaleInvalidations), and fosserr.ErrLoopClosed for
+// feedback arriving after Close began (intake stopped; the final checkpoint
+// must stay the last word). Wire callers answer 409 and 503 for the last two,
+// never a false ack.
+func (lp *Loop) Ingest(q *query.Query, pe *planner.PlanEval, latencyMs float64) error {
+	if q == nil || pe == nil || latencyMs < 0 || math.IsNaN(latencyMs) || math.IsInf(latencyMs, 1) {
+		return errInvalidFeedback
+	}
+	if lp.closed.Load() {
+		return fmt.Errorf("service: record: %w", fosserr.ErrLoopClosed)
 	}
 	// Feedback produced against a schema generation a DDL has since retired
 	// cannot be re-derived deterministically; drop it (counted) rather than
 	// journal a record replay could never rebuild.
-	if lp.checkCatalog(lp.Active(), q) != nil {
-		return false
+	if err := lp.checkCatalog(lp.Active(), q); err != nil {
+		return fmt.Errorf("service: record: %w", err)
 	}
 	fp := q.Fingerprint()
 
@@ -72,9 +80,9 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 	// record against it: a record journaled after a DDL names only tables
 	// that generation has, and Replay, re-checking at the same WAL
 	// position, ingests exactly what the live loop did.
-	if lp.checkCatalog(lp.Active(), q) != nil {
+	if err := lp.checkCatalog(lp.Active(), q); err != nil {
 		lp.mu.Unlock()
-		return false
+		return fmt.Errorf("service: record: %w", err)
 	}
 	lp.jr.append(store.WALEntry{
 		Kind:        store.KindFeedback,
@@ -108,7 +116,16 @@ func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) 
 	if lp.jr.st != nil && lp.cfg.CheckpointEvery > 0 && n%uint64(lp.cfg.CheckpointEvery) == 0 {
 		lp.triggerCheckpoint()
 	}
-	return true
+	return nil
+}
+
+// errInvalidFeedback refuses a nil query or plan, or a negative, NaN or
+// infinite latency.
+var errInvalidFeedback = errors.New("service: record: nil query or plan, or a latency not in [0, +Inf)")
+
+// Record is Ingest reporting only whether the observation was ingested.
+func (lp *Loop) Record(q *query.Query, pe *planner.PlanEval, latencyMs float64) bool {
+	return lp.Ingest(q, pe, latencyMs) == nil
 }
 
 // feedback is the transition for one executed plan, shared by Record and
@@ -126,7 +143,7 @@ func (lp *Loop) feedback(q *query.Query, fp uint64, pe *planner.PlanEval, latenc
 	s.r.Buffer().AddExecuted(pe, latencyMs)
 	lp.noteRecent(q, fp)
 	lp.lrn.sinceRetrain++
-	obs := advisorObs{fp: fp, qid: q.ID, epoch: s.epoch, ratio: 1}
+	obs := advisorObs{epoch: s.epoch, ratio: 1}
 	if lp.srv.tiers != nil {
 		// Classification is by plan identity, not journaled labels, so a
 		// replayed stream rebuilds exactly the pins the live one earned.

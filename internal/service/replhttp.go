@@ -135,9 +135,8 @@ func (s *HTTPServer) handleReplFeedback(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusUnprocessableEntity, "rebuild plan: "+err.Error())
 		return
 	}
-	if !s.lp.Record(q, pe, req.LatencyMs) {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("loop draining; feedback not recorded: %v", fosserr.ErrLoopClosed))
+	if err := s.lp.Ingest(q, pe, req.LatencyMs); err != nil {
+		writeServeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"recorded": true, "epoch": s.lp.Epoch()})

@@ -159,9 +159,9 @@ type Config struct {
 
 	// Advisor configures the self-diagnosis advisor, which watches the
 	// feedback stream and emits structured findings — sustained regression
-	// vs the expert baseline, plan-memory thrash, cooldown-starved drift,
-	// schema churn. It analyzes each record inline, in O(1), inside Record's
-	// critical section. The zero value disables it; Serve never touches it.
+	// vs the expert baseline, cooldown-starved drift, schema churn. It
+	// analyzes each record inline, in O(1), inside Record's critical
+	// section. The zero value disables it; Serve never touches it.
 	Advisor AdvisorConfig
 }
 

@@ -46,7 +46,8 @@ const (
 
 // Config tunes the tiered serving path.
 type Config struct {
-	// Memory enables tier 0: feedback-promoted plan pinning.
+	// Memory enables tier 0: feedback-promoted plan pinning. A caller builds
+	// a Memory only when it is set; Memory itself never re-checks it.
 	Memory bool
 	// PromoteAfter is the consecutive-win streak (observed latency beating
 	// the expert baseline) required before a fingerprint's best plan is
@@ -117,19 +118,14 @@ func NewMemory(cfg Config) *Memory {
 	}
 }
 
-// Config returns the (defaulted) configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // Route picks the tier for one fingerprint under the given serving identity.
 // Deterministic: the decision depends only on state derived from the
 // feedback stream.
 func (m *Memory) Route(id runtime.Identity, fp uint64) Decision {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.cfg.Memory {
-		if pe, ok := m.pins[id.Key(fp)]; ok {
-			return Decision{Tier: Tier0, Pin: pe}
-		}
+	if pe, ok := m.pins[id.Key(fp)]; ok {
+		return Decision{Tier: Tier0, Pin: pe}
 	}
 	return Decision{Tier: Tier2}
 }
@@ -183,7 +179,7 @@ func (m *Memory) Observe(id runtime.Identity, fp uint64, _ *query.Query, pe *pla
 		h.bestID = id
 	}
 
-	if m.cfg.Memory && !h.Regressed && !pinned && h.Wins >= m.cfg.PromoteAfter && h.best != nil && h.bestID == id {
+	if !h.Regressed && !pinned && h.Wins >= m.cfg.PromoteAfter && h.best != nil && h.bestID == id {
 		m.pins[key] = h.best
 		m.pinLat[key] = h.bestLat
 		return Outcome{Promoted: true}
@@ -257,9 +253,6 @@ func (m *Memory) Import(ts *store.TierState, id runtime.Identity, rebuild func(q
 	defer m.mu.Unlock()
 	for _, p := range ts.History {
 		m.hist[p.Fingerprint] = &History{Wins: p.Wins, Regressed: p.Regressed}
-	}
-	if !m.cfg.Memory {
-		return nil
 	}
 	for _, p := range ts.Pins {
 		pe, err := rebuild(p.Query, p.ICP, p.Step)

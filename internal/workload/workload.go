@@ -52,9 +52,6 @@ type Options struct {
 	StatsSampleFrac float64
 }
 
-// DefaultOptions returns full-scale generation with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0, StatsSampleFrac: 0.3} }
-
 func (o Options) normalized() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1

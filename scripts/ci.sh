@@ -17,6 +17,16 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# Whichever gate fails, the scratch dirs and every fossd/fossgate this script
+# started are gone on exit: a leaked server would hold its port and break
+# every later run, so it is killed before its state is removed.
+lint_dir="" exbin="" gate_dir="" gate_pid="" repl_pids=""
+cleanup() {
+  kill -9 $gate_pid $repl_pids 2>/dev/null || true
+  rm -rf "$lint_dir" "$exbin" "$gate_dir"
+}
+trap cleanup EXIT
+
 echo "== go vet =="
 go vet ./...
 # the analyzers the repo leans on hardest, named explicitly so a future
@@ -147,10 +157,6 @@ echo "== durability: fossd checkpoint -> kill -9 -> restart -> serve parity =="
 # shutdown path runs), and a second fossd over the same -state-dir must
 # warm-start (no retraining) and serve the identical plan for the same query.
 gate_dir=$(mktemp -d)
-gate_pid=""
-# A failed gate must not leak a serving fossd (it would hold the port and
-# break every later run) — kill it before removing its state.
-trap '[[ -n "$gate_pid" ]] && kill -9 "$gate_pid" 2>/dev/null; rm -rf "$gate_dir"' EXIT
 go build -o "$gate_dir/fossd" ./cmd/fossd
 gate_addr=127.0.0.1:8497
 gate_train="-workload job -scale 0.35 -iters 1 -sim 20 -real 6 -validate 6 -rollouts 1"
@@ -321,7 +327,6 @@ repl_f1=127.0.0.1:8501
 repl_f2=127.0.0.1:8502
 repl_gate=127.0.0.1:8503
 repl_pids=""
-trap 'kill -9 $gate_pid $repl_pids 2>/dev/null || true; rm -rf "$gate_dir"' EXIT
 gate_pid=""
 go build -o "$gate_dir/fossgate" ./cmd/fossgate
 up() { # $1 = addr
