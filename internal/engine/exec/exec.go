@@ -13,6 +13,10 @@
 // faithful to the relative economics of the operators — which is what the
 // paper's learning signal needs.
 //
+// Intermediate results are flat row-id buffers: each operator appends its
+// output rows, one base-table row id per joined alias, into one []int32, so
+// no tuple is an allocation of its own and the GC never scans the buffers.
+//
 // Timeouts. Execute aborts once charged work exceeds the budget, mirroring
 // the paper's dynamic timeout (1.5× the original plan's latency) that keeps
 // catastrophic candidate plans from stalling training.
@@ -21,6 +25,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/storage"
@@ -60,34 +67,90 @@ func (e *Executor) Execute(cp *plan.CP, timeoutMs float64) Result {
 	if timeoutMs > 0 {
 		budget = cost.FromMs(timeoutMs)
 	}
-	st := &execState{ex: e, q: cp.Q, budget: budget}
+	st := &execState{ex: e, q: cp.Q, budget: budget, sc: scratchPool.Get().(*scratch)}
+	defer scratchPool.Put(st.sc)
 	rel, ok := st.run(cp.Root)
 	if !ok {
 		return Result{LatencyMs: timeoutMs, Work: st.work, TimedOut: true}
 	}
-	return Result{LatencyMs: cost.ToMs(st.work), Work: st.work, OutRows: len(rel.rows)}
+	st.recycle(rel)
+	return Result{LatencyMs: cost.ToMs(st.work), Work: st.work, OutRows: rel.numRows()}
 }
+
+// scratch is the memory one execution hands the next through scratchPool,
+// so a warm executor allocates next to nothing: the emptied row-id buffers
+// of relations already consumed, and the hash join's build table.
+type scratch struct {
+	spares [][]int32
+	build  chains
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // relation is an intermediate result: for each surviving combination, one
-// base-table row id per joined alias.
+// base-table row id per joined alias, row-major in one flat buffer.
 type relation struct {
 	aliases []string
-	apos    map[string]int
-	rows    [][]int32
+	ids     []int32
 }
 
-func (r *relation) colOf(alias string) int { return r.apos[alias] }
+func (r *relation) numRows() int { return len(r.ids) / len(r.aliases) }
+
+func (r *relation) colOf(alias string) int {
+	for i, a := range r.aliases {
+		if a == alias {
+			return i
+		}
+	}
+	return -1
+}
+
+// joined starts the relation that joining inner onto left produces.
+func (s *execState) joined(left *relation, inner string) *relation {
+	n := len(left.aliases)
+	return &relation{aliases: append(left.aliases[:n:n], inner), ids: s.spare()}
+}
 
 type execState struct {
 	ex     *Executor
 	q      *query.Query
 	work   float64
 	budget float64
+	sc     *scratch
+}
+
+// spare returns an empty buffer to append a relation's rows into.
+func (s *execState) spare() []int32 {
+	sp := s.sc.spares
+	if len(sp) == 0 {
+		return nil
+	}
+	s.sc.spares = sp[:len(sp)-1]
+	return sp[len(sp)-1][:0]
+}
+
+// recycle keeps the buffers of relations no operator reads any more.
+func (s *execState) recycle(rels ...*relation) {
+	for _, r := range rels {
+		s.sc.spares = append(s.sc.spares, r.ids)
+	}
 }
 
 func (s *execState) charge(w float64) bool {
 	s.work += w
 	return s.work <= s.budget
+}
+
+// tally adds n to *pending and, once outCheckBatch have accrued, charges them
+// at unit each and starts the count over; false signals timeout.
+func (s *execState) tally(pending *int, n int, unit float64) bool {
+	*pending += n
+	if *pending < outCheckBatch {
+		return true
+	}
+	w := float64(*pending) * unit
+	*pending = 0
+	return s.charge(w)
 }
 
 // run evaluates a plan node; ok=false signals timeout.
@@ -114,24 +177,19 @@ func (s *execState) run(n *plan.Node) (*relation, bool) {
 func (s *execState) runScan(n *plan.Node) (*relation, bool) {
 	tbl := s.ex.DB.Table(s.q.TableOf(n.Alias))
 	filters := n.ScanPred
-	var ids []int32
+	ids := s.spare()
 
 	if n.Scan == plan.IndexScan && n.IdxFlt >= 0 && n.IdxFlt < len(filters) {
 		f := filters[n.IdxFlt]
-		ci := tbl.Meta.ColIndex(f.Col)
-		cand := tbl.Lookup(ci, f.Val)
-		residual := 0
-		for fi := range filters {
-			if fi != n.IdxFlt {
-				residual++
-			}
-		}
-		if !s.charge(s.ex.Params.IndexScanCost(float64(tbl.NumRows()), float64(len(cand)), residual)) {
+		cand := tbl.Lookup(tbl.Meta.ColIndex(f.Col), f.Val)
+		if !s.charge(s.ex.Params.IndexScanCost(float64(tbl.NumRows()), float64(len(cand)), len(filters)-1)) {
 			return nil, false
 		}
-		for _, r := range cand {
-			if s.rowPasses(tbl, r, filters, n.IdxFlt) {
-				ids = append(ids, r)
+		if bf, ok := bindFilters(tbl, filters, n.IdxFlt); ok {
+			for _, r := range cand {
+				if passes(bf, r) {
+					ids = append(ids, r)
+				}
 			}
 		}
 	} else {
@@ -139,37 +197,49 @@ func (s *execState) runScan(n *plan.Node) (*relation, bool) {
 		if !s.charge(s.ex.Params.SeqScanCost(float64(nRows), len(filters))) {
 			return nil, false
 		}
-		for r := 0; r < nRows; r++ {
-			if s.rowPasses(tbl, int32(r), filters, -1) {
-				ids = append(ids, int32(r))
+		if bf, ok := bindFilters(tbl, filters, -1); ok {
+			for r := range int32(nRows) {
+				if passes(bf, r) {
+					ids = append(ids, r)
+				}
 			}
 		}
 	}
-	rel := &relation{aliases: []string{n.Alias}, apos: map[string]int{n.Alias: 0}}
-	rel.rows = make([][]int32, len(ids))
-	for i, id := range ids {
-		rel.rows[i] = []int32{id}
-	}
-	return rel, true
+	return &relation{aliases: []string{n.Alias}, ids: ids}, true
 }
 
-func (s *execState) rowPasses(tbl *storage.Table, r int32, filters []query.Filter, skip int) bool {
-	for fi, f := range filters {
+// boundFilter is a filter with its column slice looked up once per scan.
+type boundFilter struct {
+	col []int64
+	f   *query.Filter
+}
+
+// bindFilters binds every filter but the skip-th to its column; ok=false
+// when one names a column the table lacks, which no row passes.
+func bindFilters(tbl *storage.Table, filters []query.Filter, skip int) (bf []boundFilter, ok bool) {
+	for fi := range filters {
 		if fi == skip {
 			continue
 		}
-		ci := tbl.Meta.ColIndex(f.Col)
+		ci := tbl.Meta.ColIndex(filters[fi].Col)
 		if ci < 0 {
-			return false
+			return nil, false
 		}
-		if !evalFilter(tbl.Value(ci, r), f) {
+		bf = append(bf, boundFilter{col: tbl.Cols[ci], f: &filters[fi]})
+	}
+	return bf, true
+}
+
+func passes(bf []boundFilter, r int32) bool {
+	for _, b := range bf {
+		if !evalFilter(b.col[r], b.f) {
 			return false
 		}
 	}
 	return true
 }
 
-func evalFilter(v int64, f query.Filter) bool {
+func evalFilter(v int64, f *query.Filter) bool {
 	switch f.Op {
 	case query.Eq:
 		return v == f.Val
@@ -196,22 +266,107 @@ func evalFilter(v int64, f query.Filter) bool {
 	return false
 }
 
-// predCols resolves which side of each predicate belongs to the left
-// relation vs the inner alias, returning (leftAlias, leftCol, innerCol) per
-// predicate.
-func splitPreds(preds []query.JoinPred, inner string) (lAlias, lCol, iCol []string) {
-	for _, p := range preds {
-		if p.RA == inner {
-			lAlias = append(lAlias, p.LA)
-			lCol = append(lCol, p.LC)
-			iCol = append(iCol, p.RC)
-		} else {
-			lAlias = append(lAlias, p.RA)
-			lCol = append(lCol, p.RC)
-			iCol = append(iCol, p.LC)
+// joinKey is one join predicate bound once: the left column, its alias's
+// position in the left relation's rows, and the inner column with its index
+// in the inner table.
+type joinKey struct {
+	lCol, iCol []int64
+	lPos, iIdx int
+}
+
+type joinKeys []joinKey
+
+func (s *execState) bindKeys(n *plan.Node, innerTbl *storage.Table, left *relation) joinKeys {
+	keys := make(joinKeys, len(n.Preds))
+	for i, p := range n.Preds {
+		la, lc, ic := p.RA, p.RC, p.LC
+		if p.RA == n.Right.Alias {
+			la, lc, ic = p.LA, p.LC, p.RC
+		}
+		lt := s.ex.DB.Table(s.q.TableOf(la))
+		ci := innerTbl.Meta.ColIndex(ic)
+		keys[i] = joinKey{lCol: lt.Cols[lt.Meta.ColIndex(lc)], iCol: innerTbl.Cols[ci], lPos: left.colOf(la), iIdx: ci}
+	}
+	return keys
+}
+
+// indexed returns the first key whose inner column has an index, or -1.
+func (ks joinKeys) indexed(innerTbl *storage.Table) int {
+	for i, k := range ks {
+		if innerTbl.HasIndex(k.iIdx) {
+			return i
 		}
 	}
-	return
+	return -1
+}
+
+func (ks joinKeys) innerHash(r int32) uint64 {
+	h := uint64(fnvOffset)
+	for _, k := range ks {
+		h = mix(h, k.iCol[r])
+	}
+	return h
+}
+
+func (ks joinKeys) leftHash(lrow []int32) uint64 {
+	h := uint64(fnvOffset)
+	for _, k := range ks {
+		h = mix(h, k.lCol[lrow[k.lPos]])
+	}
+	return h
+}
+
+// equal reports whether the left row and inner row r agree on every key but
+// the skip-th.
+func (ks joinKeys) equal(lrow []int32, r int32, skip int) bool {
+	for i, k := range ks {
+		if i != skip && k.lCol[lrow[k.lPos]] != k.iCol[r] {
+			return false
+		}
+	}
+	return true
+}
+
+// chains is a hash join's build side, a chained table over flat slices:
+// hashes holds each inner row's key hash, slots each distinct hash's first
+// row plus one (0 is empty, found by linear probing from the hash's top
+// bits), and next the row after each row with the same hash, or -1.
+type chains struct {
+	hashes []uint64
+	slots  []int32
+	next   []int32
+	shift  uint
+}
+
+// build hashes rows back to front, so every chain lists its rows in their
+// order in rows. It reuses c's memory.
+func (c *chains) build(keys joinKeys, rows []int32) {
+	size := 1
+	for size < 2*len(rows) {
+		size *= 2
+	}
+	c.hashes = slices.Grow(c.hashes[:0], len(rows))[:len(rows)]
+	c.next = slices.Grow(c.next[:0], len(rows))[:len(rows)]
+	c.slots = slices.Grow(c.slots[:0], size)[:size]
+	clear(c.slots)
+	c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i := len(rows) - 1; i >= 0; i-- {
+		c.hashes[i] = keys.innerHash(rows[i])
+		sl := c.slot(c.hashes[i])
+		c.next[i] = c.slots[sl] - 1
+		c.slots[sl] = int32(i + 1)
+	}
+}
+
+// slot returns the slot holding hash h's chain, or the empty slot it would
+// take.
+func (c *chains) slot(h uint64) uint64 {
+	mask := uint64(len(c.slots) - 1)
+	for i := (h * 0x9E3779B97F4A7C15) >> c.shift; ; i = (i + 1) & mask {
+		if e := c.slots[i]; e == 0 || c.hashes[e-1] == h {
+			return i
+		}
+	}
 }
 
 const outCheckBatch = 4096
@@ -221,7 +376,8 @@ const outCheckBatch = 4096
 func (s *execState) runHashComputedJoin(n *plan.Node, left *relation, right *relation) (*relation, bool) {
 	innerAlias := n.Right.Alias
 	innerTbl := s.ex.DB.Table(s.q.TableOf(innerAlias))
-	lRows, rRows := float64(len(left.rows)), float64(len(right.rows))
+	lRows, rRows := float64(left.numRows()), float64(right.numRows())
+	keys := s.bindKeys(n, innerTbl, left)
 
 	// Method charge, pre-output: output tuples charged incrementally below.
 	switch n.Method {
@@ -230,7 +386,7 @@ func (s *execState) runHashComputedJoin(n *plan.Node, left *relation, right *rel
 			return nil, false
 		}
 	case plan.MergeJoin:
-		sorted := innerSortedOnJoinCol(innerTbl, n.Preds, innerAlias)
+		sorted := keys.indexed(innerTbl) >= 0
 		c := (lRows + rRows) * s.ex.Params.MergeTuple
 		if lRows >= 2 {
 			c += lRows * math.Log2(lRows) * s.ex.Params.SortTuple
@@ -245,57 +401,33 @@ func (s *execState) runHashComputedJoin(n *plan.Node, left *relation, right *rel
 		panic(fmt.Sprintf("exec: runHashComputedJoin on %v", n.Method))
 	}
 
-	lAlias, lCol, iCol := splitPreds(n.Preds, innerAlias)
-
 	// Cross product: no predicates connect the sides.
 	if len(n.Preds) == 0 {
 		return s.crossProduct(left, right, innerAlias)
 	}
 
-	// Build on the inner side.
-	build := map[uint64][]int32{}
-	iColIdx := make([]int, len(iCol))
-	for i, c := range iCol {
-		iColIdx[i] = innerTbl.Meta.ColIndex(c)
-	}
-	for _, row := range right.rows {
-		r := row[0]
-		build[hashKeyTable(innerTbl, iColIdx, r)] = append(build[hashKeyTable(innerTbl, iColIdx, r)], r)
-	}
+	// Build on the inner side; chains lists each key's rows in scan order.
+	c := &s.sc.build
+	c.build(keys, right.ids)
 
 	// Probe with the left relation.
-	lTblIdx := make([]*storage.Table, len(lAlias))
-	lColIdx := make([]int, len(lAlias))
-	lRelPos := make([]int, len(lAlias))
-	for i := range lAlias {
-		lTblIdx[i] = s.ex.DB.Table(s.q.TableOf(lAlias[i]))
-		lColIdx[i] = lTblIdx[i].Meta.ColIndex(lCol[i])
-		lRelPos[i] = left.colOf(lAlias[i])
-	}
-	out := &relation{aliases: append(append([]string(nil), left.aliases...), innerAlias), apos: map[string]int{}}
-	for i, a := range out.aliases {
-		out.apos[a] = i
-	}
+	out := s.joined(left, innerAlias)
+	w := len(left.aliases)
 	pending := 0
-	for _, lrow := range left.rows {
-		key := hashKeyLeft(lTblIdx, lColIdx, lRelPos, lrow)
-		for _, r := range build[key] {
-			if !joinValuesEqual(lTblIdx, lColIdx, lRelPos, lrow, innerTbl, iColIdx, r) {
+	for lo := 0; lo < len(left.ids); lo += w {
+		lrow := left.ids[lo : lo+w]
+		for j := c.slots[c.slot(keys.leftHash(lrow))] - 1; j >= 0; j = c.next[j] {
+			r := right.ids[j]
+			if !keys.equal(lrow, r, -1) {
 				continue
 			}
-			nr := make([]int32, len(lrow)+1)
-			copy(nr, lrow)
-			nr[len(lrow)] = r
-			out.rows = append(out.rows, nr)
-			pending++
-			if pending >= outCheckBatch {
-				if !s.charge(float64(pending) * s.ex.Params.OutTuple) {
-					return nil, false
-				}
-				pending = 0
+			out.ids = append(append(out.ids, lrow...), r)
+			if !s.tally(&pending, 1, s.ex.Params.OutTuple) {
+				return nil, false
 			}
 		}
 	}
+	s.recycle(left, right)
 	if !s.charge(float64(pending) * s.ex.Params.OutTuple) {
 		return nil, false
 	}
@@ -313,26 +445,8 @@ func (s *execState) runNestLoop(n *plan.Node) (*relation, bool) {
 	}
 	innerAlias := n.Right.Alias
 	innerTbl := s.ex.DB.Table(s.q.TableOf(innerAlias))
-	innerFilters := n.Right.ScanPred
-	lRows := float64(len(left.rows))
+	lRows := float64(left.numRows())
 	innerBase := float64(innerTbl.NumRows())
-
-	lAlias, lCol, iCol := splitPreds(n.Preds, innerAlias)
-
-	// pick an indexed inner join column, if any
-	idxPred := -1
-	for i, c := range iCol {
-		ci := innerTbl.Meta.ColIndex(c)
-		if ci >= 0 && innerTbl.HasIndex(ci) {
-			idxPred = i
-			break
-		}
-	}
-
-	out := &relation{aliases: append(append([]string(nil), left.aliases...), innerAlias), apos: map[string]int{}}
-	for i, a := range out.aliases {
-		out.apos[a] = i
-	}
 
 	if len(n.Preds) == 0 {
 		// cross nested loop: charge the naive formula, compute as product
@@ -346,69 +460,34 @@ func (s *execState) runNestLoop(n *plan.Node) (*relation, bool) {
 		return s.crossProduct(left, right, innerAlias)
 	}
 
-	if idxPred >= 0 {
+	keys := s.bindKeys(n, innerTbl, left)
+	if idxPred := keys.indexed(innerTbl); idxPred >= 0 {
 		// Index nested loop, executed for real.
 		if !s.charge(lRows * (s.ex.Params.NLOuter + s.ex.Params.IdxLookup*log2c(innerBase))) {
 			return nil, false
 		}
-		la := s.q.TableOf(lAlias[idxPred])
-		lt := s.ex.DB.Table(la)
-		lci := lt.Meta.ColIndex(lCol[idxPred])
-		lrp := left.colOf(lAlias[idxPred])
-		ici := innerTbl.Meta.ColIndex(iCol[idxPred])
-
-		lTblIdx := make([]*storage.Table, len(lAlias))
-		lColIdx := make([]int, len(lAlias))
-		lRelPos := make([]int, len(lAlias))
-		iColIdx := make([]int, len(iCol))
-		for i := range lAlias {
-			lTblIdx[i] = s.ex.DB.Table(s.q.TableOf(lAlias[i]))
-			lColIdx[i] = lTblIdx[i].Meta.ColIndex(lCol[i])
-			lRelPos[i] = left.colOf(lAlias[i])
-			iColIdx[i] = innerTbl.Meta.ColIndex(iCol[i])
-		}
-
+		bf, fok := bindFilters(innerTbl, n.Right.ScanPred, -1)
+		ik := keys[idxPred]
+		out := s.joined(left, innerAlias)
+		w := len(left.aliases)
 		pendingCand, pendingOut := 0, 0
-		for _, lrow := range left.rows {
-			v := lt.Value(lci, lrow[lrp])
-			cands := innerTbl.Lookup(ici, v)
-			pendingCand += len(cands)
-			if pendingCand >= outCheckBatch {
-				if !s.charge(float64(pendingCand) * s.ex.Params.IdxTuple) {
-					return nil, false
-				}
-				pendingCand = 0
+		for lo := 0; lo < len(left.ids); lo += w {
+			lrow := left.ids[lo : lo+w]
+			cands := innerTbl.Lookup(ik.iIdx, ik.lCol[lrow[ik.lPos]])
+			if !s.tally(&pendingCand, len(cands), s.ex.Params.IdxTuple) {
+				return nil, false
 			}
 			for _, r := range cands {
-				if !s.rowPasses(innerTbl, r, innerFilters, -1) {
+				if !fok || !passes(bf, r) || !keys.equal(lrow, r, idxPred) {
 					continue
 				}
-				okAll := true
-				for i := range lAlias {
-					if i == idxPred {
-						continue
-					}
-					if lTblIdx[i].Value(lColIdx[i], lrow[lRelPos[i]]) != innerTbl.Value(iColIdx[i], r) {
-						okAll = false
-						break
-					}
-				}
-				if !okAll {
-					continue
-				}
-				nr := make([]int32, len(lrow)+1)
-				copy(nr, lrow)
-				nr[len(lrow)] = r
-				out.rows = append(out.rows, nr)
-				pendingOut++
-				if pendingOut >= outCheckBatch {
-					if !s.charge(float64(pendingOut) * s.ex.Params.OutTuple) {
-						return nil, false
-					}
-					pendingOut = 0
+				out.ids = append(append(out.ids, lrow...), r)
+				if !s.tally(&pendingOut, 1, s.ex.Params.OutTuple) {
+					return nil, false
 				}
 			}
 		}
+		s.recycle(left)
 		if !s.charge(float64(pendingCand)*s.ex.Params.IdxTuple + float64(pendingOut)*s.ex.Params.OutTuple) {
 			return nil, false
 		}
@@ -416,7 +495,8 @@ func (s *execState) runNestLoop(n *plan.Node) (*relation, bool) {
 	}
 
 	// Naive nested loop: charge the quadratic formula up front; if the budget
-	// survives, compute the identical result via hashing.
+	// survives, compute the identical result via hashing, under an unlimited
+	// budget and with its charges undone, since the caller already charged.
 	if !s.charge(lRows*s.ex.Params.NLOuter + lRows*innerBase*s.ex.Params.NLInner) {
 		return nil, false
 	}
@@ -424,14 +504,12 @@ func (s *execState) runNestLoop(n *plan.Node) (*relation, bool) {
 	if !ok {
 		return nil, false
 	}
-	saveWork := s.work
-	rel, ok2 := s.runHashComputedJoinNoCharge(n, left, right)
-	s.work = saveWork // hashing here is an implementation detail, not a charge
-	if !ok2 {
-		return nil, false
-	}
+	saved, savedBudget := s.work, s.budget
+	s.budget = math.Inf(1)
+	rel, _ := s.runHashComputedJoin(&plan.Node{Method: plan.HashJoin, Preds: n.Preds, Left: n.Left, Right: n.Right}, left, right)
+	s.work, s.budget = saved, savedBudget
 	// output tuples are still charged
-	if !s.charge(float64(len(rel.rows)) * s.ex.Params.OutTuple) {
+	if !s.charge(float64(rel.numRows()) * s.ex.Params.OutTuple) {
 		return nil, false
 	}
 	return rel, true
@@ -446,59 +524,23 @@ func (s *execState) runScanUncharged(n *plan.Node) (*relation, bool) {
 	return rel, ok
 }
 
-// runHashComputedJoinNoCharge computes the join result by hashing without
-// charging method costs (inner helper for the naive NLJ path).
-func (s *execState) runHashComputedJoinNoCharge(n *plan.Node, left, right *relation) (*relation, bool) {
-	tmp := &plan.Node{Method: plan.HashJoin, Preds: n.Preds, Left: n.Left, Right: n.Right}
-	saved := s.work
-	// give the helper unlimited budget: the caller already charged
-	savedBudget := s.budget
-	s.budget = math.Inf(1)
-	rel, ok := s.runHashComputedJoin(tmp, left, right)
-	s.budget = savedBudget
-	s.work = saved
-	return rel, ok
-}
-
 func (s *execState) crossProduct(left, right *relation, innerAlias string) (*relation, bool) {
-	out := &relation{aliases: append(append([]string(nil), left.aliases...), innerAlias), apos: map[string]int{}}
-	for i, a := range out.aliases {
-		out.apos[a] = i
-	}
+	out := s.joined(left, innerAlias)
+	w := len(left.aliases)
 	pending := 0
-	for _, lrow := range left.rows {
-		for _, rrow := range right.rows {
-			nr := make([]int32, len(lrow)+1)
-			copy(nr, lrow)
-			nr[len(lrow)] = rrow[0]
-			out.rows = append(out.rows, nr)
-			pending++
-			if pending >= outCheckBatch {
-				if !s.charge(float64(pending) * s.ex.Params.OutTuple) {
-					return nil, false
-				}
-				pending = 0
+	for lo := 0; lo < len(left.ids); lo += w {
+		for _, r := range right.ids {
+			out.ids = append(append(out.ids, left.ids[lo:lo+w]...), r)
+			if !s.tally(&pending, 1, s.ex.Params.OutTuple) {
+				return nil, false
 			}
 		}
 	}
+	s.recycle(left, right)
 	if !s.charge(float64(pending) * s.ex.Params.OutTuple) {
 		return nil, false
 	}
 	return out, true
-}
-
-func innerSortedOnJoinCol(tbl *storage.Table, preds []query.JoinPred, inner string) bool {
-	for _, p := range preds {
-		col := p.RC
-		if p.RA != inner {
-			col = p.LC
-		}
-		ci := tbl.Meta.ColIndex(col)
-		if ci >= 0 && tbl.HasIndex(ci) {
-			return true
-		}
-	}
-	return false
 }
 
 func log2c(x float64) float64 {
@@ -511,33 +553,4 @@ func log2c(x float64) float64 {
 const fnvOffset = 14695981039346656037
 const fnvPrime = 1099511628211
 
-func mix(h uint64, v int64) uint64 {
-	h ^= uint64(v)
-	h *= fnvPrime
-	return h
-}
-
-func hashKeyTable(tbl *storage.Table, cols []int, r int32) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range cols {
-		h = mix(h, tbl.Value(c, r))
-	}
-	return h
-}
-
-func hashKeyLeft(tbls []*storage.Table, cols, relPos []int, lrow []int32) uint64 {
-	h := uint64(fnvOffset)
-	for i := range tbls {
-		h = mix(h, tbls[i].Value(cols[i], lrow[relPos[i]]))
-	}
-	return h
-}
-
-func joinValuesEqual(lt []*storage.Table, lc, lp []int, lrow []int32, it *storage.Table, ic []int, r int32) bool {
-	for i := range lt {
-		if lt[i].Value(lc[i], lrow[lp[i]]) != it.Value(ic[i], r) {
-			return false
-		}
-	}
-	return true
-}
+func mix(h uint64, v int64) uint64 { return (h ^ uint64(v)) * fnvPrime }

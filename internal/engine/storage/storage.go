@@ -15,7 +15,7 @@ type Table struct {
 	Meta *catalog.Table
 	Cols [][]int64
 
-	hashIdx map[int]map[int64][]int32
+	hashIdx []map[int64][]int32 // per column; nil where it has no index
 }
 
 // NewTable allocates an empty table for the given metadata.
@@ -23,7 +23,7 @@ func NewTable(meta *catalog.Table) *Table {
 	return &Table{
 		Meta:    meta,
 		Cols:    make([][]int64, len(meta.Columns)),
-		hashIdx: map[int]map[int64][]int32{},
+		hashIdx: make([]map[int64][]int32, len(meta.Columns)),
 	}
 }
 
@@ -63,20 +63,20 @@ func (t *Table) buildIndex(col int) {
 	t.hashIdx[col] = h
 }
 
-// HasIndex reports whether column col carries an index.
-func (t *Table) HasIndex(col int) bool {
-	_, ok := t.hashIdx[col]
-	return ok
-}
-
-// Lookup returns the row ids whose column equals v (nil if no index).
-func (t *Table) Lookup(col int, v int64) []int32 {
-	idx, ok := t.hashIdx[col]
-	if !ok {
+// index returns column col's index: nil if it has none, or if col is not a
+// column at all (ColIndex's -1 for an unknown name).
+func (t *Table) index(col int) map[int64][]int32 {
+	if col < 0 || col >= len(t.hashIdx) {
 		return nil
 	}
-	return idx[v]
+	return t.hashIdx[col]
 }
+
+// HasIndex reports whether column col carries an index.
+func (t *Table) HasIndex(col int) bool { return t.index(col) != nil }
+
+// Lookup returns the row ids whose column equals v (nil if no index).
+func (t *Table) Lookup(col int, v int64) []int32 { return t.index(col)[v] }
 
 // Value returns the value of column col at row r.
 func (t *Table) Value(col int, r int32) int64 { return t.Cols[col][r] }

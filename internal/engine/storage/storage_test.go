@@ -62,6 +62,12 @@ func TestHashIndexLookup(t *testing.T) {
 	if tbl.Lookup(1, 0) != nil {
 		t.Fatal("lookup on unindexed column should be nil")
 	}
+	// The index-scan path passes ColIndex's -1 for an unknown column name.
+	for _, col := range []int{-1, 2, 99} {
+		if tbl.HasIndex(col) || tbl.Lookup(col, 7) != nil {
+			t.Fatalf("column %d: no such column, yet HasIndex or Lookup answered", col)
+		}
+	}
 }
 
 func TestAppendRowWidthMismatchPanics(t *testing.T) {

@@ -116,15 +116,19 @@ go test -run '^$' -bench AAMTrainEpoch -benchtime 1x ./internal/aam
 echo "== miss kernel: one tier-2 miss of -bench ServeMiss (internal/core) at each size, so it cannot rot =="
 go test -run '^$' -bench ServeMiss -benchtime 1x ./internal/core
 
+echo "== execution stage: one JOB expert plan of -bench Execute (internal/engine/exec), so it cannot rot =="
+go test -run '^$' -bench Execute -benchtime 1x ./internal/engine/exec
+
 if [[ $quick -eq 0 ]]; then
   echo "== alloc tripwires, detector off (they skip themselves under -race) =="
   # TestTier0ServeZeroAllocs, TestHotTurnZeroAllocs, TestServeMissAllocsBounded,
   # TestHistogramObserveZeroAllocs, TestJudgeAllocsBounded,
-  # TestFrozenForwardBlocksAllocsPinned, TestFrozenForwardBlocksArenaAllocsPinned: README
+  # TestFrozenForwardBlocksAllocsPinned, TestFrozenForwardBlocksArenaAllocsPinned,
+  # TestExecuteAllocsBounded: README
   # "Verification" says what each pins. A rename that leaves the pattern
   # matching nothing in one of their packages is a failure, not a pass.
   alloc_out=$(go test -count=1 -run Allocs ./internal/...) || { echo "$alloc_out"; echo "FAIL: alloc tripwire"; exit 1; }
-  for pkg in service core metrics aam nn; do
+  for pkg in service core metrics aam nn engine/exec; do
     line=$(grep -E "^ok\s+\S+/internal/$pkg\s" <<<"$alloc_out" || true)
     [[ -n "$line" && "$line" != *"no tests to run"* ]] || { echo "$alloc_out"; echo "FAIL: -run Allocs ran no test in internal/$pkg"; exit 1; }
   done
