@@ -12,6 +12,7 @@ import (
 	"os"
 	"sort"
 
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/workload"
@@ -49,8 +50,8 @@ func main() {
 	}
 
 	if *qerr {
-		opt := optimizer.New(w.DB, w.Stats)
-		ex := exec.New(w.DB)
+		opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
+		ex := exec.New(w.DB, cost.TruthParams())
 		var qes []float64
 		for _, q := range w.All() {
 			cp, err := opt.Plan(q)

@@ -45,7 +45,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	be := backend.NewSelinger(w.DB, w.Stats)
+	be, err := backend.New("selinger", w.DB, w.Stats)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Scan the workload for the best single-override win: the 1b pattern.
 	type win struct {
@@ -197,7 +200,11 @@ func durabilityDemo(w *workload.Workload) {
 
 	// And the guard rail: the selinger-trained checkpoint refuses to load
 	// into a gaussim system.
-	gau, err := core.New(w, cfg, core.WithBackend(backend.NewGaussim(w.DB, w.Stats)))
+	gauBe, err := backend.New("gaussim", w.DB, w.Stats)
+	if err != nil {
+		log.Fatal(err)
+	}
+	gau, err := core.New(w, cfg, core.WithBackend(gauBe))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/foss-db/foss/internal/backend"
 	"github.com/foss-db/foss/internal/baselines"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/workload"
@@ -23,8 +24,13 @@ func main() {
 		log.Fatal(err)
 	}
 	// The backend API: Plan/HintedPlan/Execute are the contract every engine
-	// implements; coarse hinting is a Selinger-specific capability.
-	be := backend.NewSelinger(w.DB, w.Stats)
+	// implements. Coarse hints are no part of it: like the Bao baseline, they
+	// go straight to an optimizer believing the default engine's constants.
+	be, err := backend.New("selinger", w.DB, w.Stats)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
 
 	fmt.Printf("%-8s %10s %12s %12s %9s\n", "query", "expert", "bestCoarse", "bestFine(2)", "gap")
 	totalCoarse, totalFine := 0.0, 0.0
@@ -38,7 +44,7 @@ func main() {
 		// Coarse: best of Bao's five hint sets.
 		bestCoarse := origLat
 		for _, h := range baselines.DefaultHintSets() {
-			hcp, err := be.PlanCoarse(q, optimizer.Config{DisabledJoins: h.Disabled})
+			hcp, err := opt.PlanWithConfig(q, optimizer.Config{DisabledJoins: h.Disabled})
 			if err != nil {
 				continue
 			}

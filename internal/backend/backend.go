@@ -7,20 +7,24 @@
 // the AAM, the PPO learner, the runtime, and the online service — is
 // backend-generic.
 //
-// Two implementations ship: Selinger (the original synthetic engine,
-// bit-identical to the pre-interface behavior) and Gaussim (a hash-centric
-// engine with a deliberately different cost model and operator preferences,
-// mirroring the paper's openGauss port).
+// One engine type ships: the Selinger-style optimizer and the executor, each
+// run over a row of the engines table — the cost constants the optimizer
+// believes and the ones the executor charges. "selinger" (the default) runs
+// the standard constants; "gaussim" runs hash-centric ones mirroring the
+// paper's openGauss port, so its expert plans prefer scan-hash-merge
+// pipelines and its regret sits in different queries.
 package backend
 
 import (
 	"fmt"
 
 	"github.com/foss-db/foss/internal/engine/catalog"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/engine/stats"
 	"github.com/foss-db/foss/internal/engine/storage"
 	"github.com/foss-db/foss/internal/fosserr"
+	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/query"
 )
@@ -56,17 +60,55 @@ type Backend interface {
 	Execute(cp *plan.CP, timeoutMs float64) exec.Result
 }
 
-// New constructs a registered backend by name over a database + statistics
-// catalog. Unknown names wrap fosserr.ErrUnknownBackend.
+// engines is the registry, the default first: each row names the cost
+// constants its optimizer believes and its executor charges.
+var engines = []struct {
+	name            string
+	believed, truth cost.Params
+}{
+	{"selinger", cost.OptimizerParams(), cost.TruthParams()},
+	{"gaussim", cost.GaussOptimizerParams(), cost.GaussTruthParams()},
+}
+
+// New constructs a registered backend by name ("" is the default) over a
+// database + statistics catalog. Unknown names wrap
+// fosserr.ErrUnknownBackend.
 func New(name string, db *storage.DB, st *stats.Catalog) (Backend, error) {
-	switch name {
-	case "selinger", "":
-		return NewSelinger(db, st), nil
-	case "gaussim":
-		return NewGaussim(db, st), nil
+	for i, e := range engines {
+		if e.name == name || (name == "" && i == 0) {
+			return &engine{name: e.name, opt: optimizer.New(db, st, e.believed), ex: exec.New(db, e.truth)}, nil
+		}
 	}
 	return nil, fmt.Errorf("backend: %q: %w", name, fosserr.ErrUnknownBackend)
 }
 
-// Names lists the registered backends.
-func Names() []string { return []string{"selinger", "gaussim"} }
+// Names lists the registered backends, the default first.
+func Names() []string {
+	out := make([]string, len(engines))
+	for i, e := range engines {
+		out[i] = e.name
+	}
+	return out
+}
+
+// engine is every registered backend: the optimizer and executor over one
+// database, each with its row's constants, delegated to without translation.
+type engine struct {
+	name string
+	opt  *optimizer.Optimizer
+	ex   *exec.Executor
+}
+
+func (e *engine) Name() string            { return e.name }
+func (e *engine) Schema() *catalog.Schema { return e.opt.DB.Schema }
+func (e *engine) Stats() *stats.Catalog   { return e.opt.Stats }
+
+func (e *engine) Plan(q *query.Query) (*plan.CP, error) { return e.opt.Plan(q) }
+
+func (e *engine) HintedPlan(q *query.Query, icp plan.ICP) (*plan.CP, error) {
+	return e.opt.HintedPlan(q, icp)
+}
+
+func (e *engine) Execute(cp *plan.CP, timeoutMs float64) exec.Result {
+	return e.ex.Execute(cp, timeoutMs)
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
@@ -17,6 +18,15 @@ func loadW(t *testing.T) *workload.Workload {
 		t.Fatal(err)
 	}
 	return w
+}
+
+func mustNew(t *testing.T, name string, w *workload.Workload) Backend {
+	t.Helper()
+	b, err := New(name, w.DB, w.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestRegistry(t *testing.T) {
@@ -43,12 +53,12 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestSelingerDelegates pins the refactor contract: the Selinger backend is a
-// pure pass-through over the original optimizer + executor.
+// TestSelingerDelegates pins the refactor contract: the selinger backend is a
+// pure pass-through over the optimizer + executor with the default constants.
 func TestSelingerDelegates(t *testing.T) {
 	w := loadW(t)
-	be := NewSelinger(w.DB, w.Stats)
-	opt := optimizer.New(w.DB, w.Stats)
+	be := mustNew(t, "selinger", w)
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
 	for _, q := range w.Train[:8] {
 		want, err := opt.Plan(q)
 		if err != nil {
@@ -74,8 +84,8 @@ func TestSelingerDelegates(t *testing.T) {
 // Selinger's, while both stay executable and hint-steerable.
 func TestBackendsDiverge(t *testing.T) {
 	w := loadW(t)
-	sel := NewSelinger(w.DB, w.Stats)
-	gau := NewGaussim(w.DB, w.Stats)
+	sel := mustNew(t, "selinger", w)
+	gau := mustNew(t, "gaussim", w)
 
 	planDiffers, latDiffers := false, false
 	for _, q := range w.Train {

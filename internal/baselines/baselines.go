@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/foss-db/foss/internal/aam"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/nn"
 	"github.com/foss-db/foss/internal/optimizer"
@@ -87,7 +88,7 @@ type experience struct {
 func newValueModel(w *workload.Workload, cfg Config) *valueModel {
 	v := &valueModel{
 		w: w, cfg: cfg,
-		enc: planenc.NewEncoder(w.DB.Schema), opt: optimizer.New(w.DB, w.Stats), exec: exec.New(w.DB),
+		enc: planenc.NewEncoder(w.DB.Schema), opt: optimizer.New(w.DB, w.Stats, cost.OptimizerParams()), exec: exec.New(w.DB, cost.TruthParams()),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		knownBest: map[string]float64{}, expertLat: map[string]float64{},
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/foss-db/foss/internal/aam"
 	"github.com/foss-db/foss/internal/baselines"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/query"
@@ -48,7 +49,7 @@ func checkPlan(t *testing.T, w *workload.Workload, q *query.Query, cp *plan.CP) 
 		seen[a] = true
 	}
 	// plan must execute without error
-	res := exec.New(w.DB).Execute(cp, 0)
+	res := exec.New(w.DB, cost.TruthParams()).Execute(cp, 0)
 	if res.LatencyMs <= 0 {
 		t.Fatalf("%s: non-positive latency", q.ID)
 	}

@@ -142,7 +142,10 @@ func New(w *workload.Workload, cfg Config, opts ...Option) (*System, error) {
 		b, _ = world.snapshot()
 	}
 	if b == nil {
-		b = backend.NewSelinger(w.DB, w.Stats)
+		var err error
+		if b, err = backend.New("", w.DB, w.Stats); err != nil {
+			return nil, err
+		}
 	}
 	if world == nil {
 		world = newCatalogWorld(w.DB, b.Stats(), b)

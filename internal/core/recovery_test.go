@@ -268,6 +268,10 @@ func TestSnapshotRejections(t *testing.T) {
 	}
 
 	selinger := newSys(nil)
+	gaussim, err := backend.New("gaussim", w.DB, w.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blob, err := selinger.Save()
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +296,7 @@ func TestSnapshotRejections(t *testing.T) {
 		data   []byte
 		want   error
 	}{
-		{"cross-backend (selinger snapshot into gaussim)", newSys(backend.NewGaussim(w.DB, w.Stats)), blob, fosserr.ErrBackendMismatch},
+		{"cross-backend (selinger snapshot into gaussim)", newSys(gaussim), blob, fosserr.ErrBackendMismatch},
 		{"forged backend tag", selinger, reseal("gaussim", env.Payload), fosserr.ErrBackendMismatch},
 		{"version skew", selinger, versionSkewed(t, env.Payload), fosserr.ErrSnapshotVersion},
 		{"corrupt payload", selinger, corrupt, fosserr.ErrSnapshotCorrupt},

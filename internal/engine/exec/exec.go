@@ -49,15 +49,9 @@ type Executor struct {
 	Params cost.Params
 }
 
-// New creates an executor with the truth cost constants.
-func New(db *storage.DB) *Executor {
-	return &Executor{DB: db, Params: cost.TruthParams()}
-}
-
-// NewWithParams creates an executor charging custom cost constants — how a
-// different engine backend (e.g. gaussim) gives the same stored data a
-// different latency surface.
-func NewWithParams(db *storage.DB, p cost.Params) *Executor {
+// New creates an executor charging the cost constants p
+// (cost.TruthParams for the default engine).
+func New(db *storage.DB, p cost.Params) *Executor {
 	return &Executor{DB: db, Params: p}
 }
 

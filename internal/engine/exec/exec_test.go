@@ -102,7 +102,7 @@ func bruteForceCount(db *storage.DB, q *query.Query) int {
 func planAllOrders(t *testing.T, db *storage.DB, q *query.Query) []*plan.CP {
 	t.Helper()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	var cps []*plan.CP
 	orders := [][]string{
 		{"o", "c", "i"}, {"o", "i", "c"},
@@ -127,7 +127,7 @@ func TestExecutorMatchesBruteForceAcrossAllPlans(t *testing.T) {
 	db := testDB(t, 50, 40, 400, 7)
 	q := starQ()
 	want := bruteForceCount(db, q)
-	ex := New(db)
+	ex := New(db, cost.TruthParams())
 	for _, cp := range planAllOrders(t, db, q) {
 		res := ex.Execute(cp, 0)
 		if res.TimedOut {
@@ -143,7 +143,7 @@ func TestExecutorDeterministic(t *testing.T) {
 	db := testDB(t, 30, 30, 200, 3)
 	q := starQ()
 	cps := planAllOrders(t, db, q)
-	ex := New(db)
+	ex := New(db, cost.TruthParams())
 	for _, cp := range cps {
 		a := ex.Execute(cp, 0)
 		b := ex.Execute(cp, 0)
@@ -157,8 +157,8 @@ func TestExecutorMethodsHaveDistinctCosts(t *testing.T) {
 	db := testDB(t, 50, 40, 400, 7)
 	q := starQ()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
-	ex := New(db)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
+	ex := New(db, cost.TruthParams())
 	lat := map[plan.JoinMethod]float64{}
 	for _, m := range []plan.JoinMethod{plan.HashJoin, plan.MergeJoin, plan.NestLoop} {
 		icp := plan.ICP{Order: []string{"c", "o", "i"}, Methods: []plan.JoinMethod{m, plan.HashJoin}}
@@ -177,12 +177,12 @@ func TestExecutorTimeout(t *testing.T) {
 	db := testDB(t, 200, 200, 5000, 9)
 	q := starQ()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cp, err := opt.Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := New(db)
+	ex := New(db, cost.TruthParams())
 	full := ex.Execute(cp, 0)
 	if full.TimedOut {
 		t.Fatal("full run should not time out")
@@ -200,7 +200,7 @@ func TestHintFidelity(t *testing.T) {
 	db := testDB(t, 30, 30, 300, 5)
 	q := starQ()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	f := func(ordPick uint8, m1, m2 uint8) bool {
 		orders := [][]string{{"o", "c", "i"}, {"o", "i", "c"}, {"c", "o", "i"}, {"i", "o", "c"}}
 		icp := plan.ICP{
@@ -226,7 +226,7 @@ func TestOptimizerPicksConnectedOrder(t *testing.T) {
 	db := testDB(t, 50, 40, 400, 7)
 	q := starQ()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cp, err := opt.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestOptimizerRespectsDisabledJoins(t *testing.T) {
 	db := testDB(t, 50, 40, 400, 7)
 	q := starQ()
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cfg := optimizer.Config{DisabledJoins: map[plan.JoinMethod]bool{plan.HashJoin: true}}
 	cp, err := opt.PlanWithConfig(q, cfg)
 	if err != nil {
@@ -273,7 +273,7 @@ func TestOptimizerChoosesIndexScanForSelectiveEq(t *testing.T) {
 		Filters: []query.Filter{{Alias: "c", Col: "id", Op: query.Eq, Val: 17}},
 	}
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cp, err := opt.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +324,12 @@ func TestSingleTablePlanExecutes(t *testing.T) {
 		Filters: []query.Filter{{Alias: "c", Col: "region", Op: query.Eq, Val: 2}},
 	}
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cp, err := opt.Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := New(db).Execute(cp, 0)
+	res := New(db, cost.TruthParams()).Execute(cp, 0)
 	want := 0
 	c := db.Table("customer")
 	for r := 0; r < c.NumRows(); r++ {
@@ -352,12 +352,12 @@ func TestCrossProductWhenDisconnected(t *testing.T) {
 		},
 	}
 	st := stats.Build(db, 1.0, 1)
-	opt := optimizer.New(db, st)
+	opt := optimizer.New(db, st, cost.OptimizerParams())
 	cp, err := opt.Plan(q) // must fall back to allowing the cross join
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := New(db).Execute(cp, 0)
+	res := New(db, cost.TruthParams()).Execute(cp, 0)
 	if res.OutRows != 100 {
 		t.Fatalf("cross product rows %d, want 100", res.OutRows)
 	}
@@ -373,7 +373,7 @@ func TestCrossProductWhenDisconnected(t *testing.T) {
 func TestExecutorMatchesReference(t *testing.T) {
 	check := func(t *testing.T, db *storage.DB, cps []*plan.CP, expertMs float64) {
 		t.Helper()
-		ex := New(db)
+		ex := New(db, cost.TruthParams())
 		for _, cp := range cps {
 			for _, to := range []float64{0, 1.5 * expertMs, 20 * expertMs} {
 				if got, want := ex.Execute(cp, to), refExecute(ex, cp, to); got != want {
@@ -388,7 +388,7 @@ func TestExecutorMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := optimizer.New(w.DB, w.Stats)
+			opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
 			rng := rand.New(rand.NewSource(5))
 			for _, q := range w.All() {
 				expert, err := opt.Plan(q)
@@ -403,14 +403,14 @@ func TestExecutorMatchesReference(t *testing.T) {
 					}
 					cps = append(cps, cp)
 				}
-				check(t, w.DB, cps, New(w.DB).Execute(expert, 0).LatencyMs)
+				check(t, w.DB, cps, New(w.DB, cost.TruthParams()).Execute(expert, 0).LatencyMs)
 			}
 		})
 	}
 	t.Run("star", func(t *testing.T) {
 		db := testDB(t, 50, 40, 400, 7)
 		q := starQ()
-		opt := optimizer.New(db, stats.Build(db, 1.0, 1))
+		opt := optimizer.New(db, stats.Build(db, 1.0, 1), cost.OptimizerParams())
 		expert, err := opt.Plan(q)
 		if err != nil {
 			t.Fatal(err)
@@ -425,7 +425,7 @@ func TestExecutorMatchesReference(t *testing.T) {
 				cps = append(cps, cp)
 			}
 		}
-		check(t, db, cps, New(db).Execute(expert, 0).LatencyMs)
+		check(t, db, cps, New(db, cost.TruthParams()).Execute(expert, 0).LatencyMs)
 	})
 }
 
@@ -462,7 +462,7 @@ func jobExpertPlans(tb testing.TB) (*Executor, []*plan.CP) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opt := optimizer.New(w.DB, w.Stats)
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
 	var cps []*plan.CP
 	for _, q := range w.All() {
 		cp, err := opt.Plan(q)
@@ -471,7 +471,7 @@ func jobExpertPlans(tb testing.TB) (*Executor, []*plan.CP) {
 		}
 		cps = append(cps, cp)
 	}
-	return New(w.DB), cps
+	return New(w.DB, cost.TruthParams()), cps
 }
 
 // TestExecuteAllocsBounded pins what executing a plan allocates: operators

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/query"
@@ -24,7 +25,7 @@ func TestBaselinesGolden(t *testing.T) {
 	}
 	w := loadTiny(t)
 	o := tinyOpts()
-	ex := exec.New(w.DB)
+	ex := exec.New(w.DB, cost.TruthParams())
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload=job scale=%v seed=%d train=%d test=%d fast=%v\n", o.Scale, o.Seed, len(w.Train), len(w.Test), o.Fast)
 	for _, m := range BuildMethods(w, o) {

@@ -74,7 +74,17 @@ type pgMethod struct {
 // NewPostgreSQL wraps the default backend's native optimizer as the expert
 // baseline.
 func NewPostgreSQL(w *workload.Workload) Method {
-	return NewExpert(ExpertName(""), backend.NewSelinger(w.DB, w.Stats), w)
+	return NewExpert(ExpertName(""), defaultBackend(w), w)
+}
+
+// defaultBackend is the default engine over w. Its name is a constant, so
+// the registry lookup cannot fail.
+func defaultBackend(w *workload.Workload) backend.Backend {
+	be, err := backend.New("", w.DB, w.Stats)
+	if err != nil {
+		panic(err)
+	}
+	return be
 }
 
 // NewExpert wraps any backend's native optimizer as the expert baseline.
@@ -166,7 +176,7 @@ func BuildMethods(w *workload.Workload, opts Opts) []Method {
 // a guard timeout of 20× the expert latency (counted at the cap if hit),
 // mirroring the paper's TLE handling for runaway learned plans.
 func Evaluate(m Method, w *workload.Workload, qs []*query.Query) []metrics.QueryResult {
-	return EvaluateOn(backend.NewSelinger(w.DB, w.Stats), m, w, qs)
+	return EvaluateOn(defaultBackend(w), m, w, qs)
 }
 
 // EvaluateOn is Evaluate against an explicit backend: plans execute on that

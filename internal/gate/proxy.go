@@ -41,9 +41,6 @@ type Options struct {
 	Members []string
 	// Failover walks the tenant's preference list on transport errors.
 	Failover bool
-	// Client overrides the forwarding client (tests); nil uses a 30s-timeout
-	// default.
-	Client *http.Client
 }
 
 // Proxy is the gate's http.Handler. Safe for concurrent use.
@@ -67,13 +64,10 @@ func NewProxy(opts Options) (*Proxy, error) {
 	p := &Proxy{
 		ring:     NewRing(opts.Members),
 		bases:    map[string]string{},
-		client:   opts.Client,
+		client:   &http.Client{Timeout: 30 * time.Second},
 		failover: opts.Failover,
 		mux:      http.NewServeMux(),
 		proxied:  map[string]*atomic.Uint64{},
-	}
-	if p.client == nil {
-		p.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	for _, m := range p.ring.Members() {
 		base := m

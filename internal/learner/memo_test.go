@@ -36,7 +36,10 @@ func trainedLearner(t *testing.T) (*Learner, *countingSteering) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := backend.NewSelinger(w.DB, w.Stats)
+	be, err := backend.New("selinger", w.DB, w.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
 	steer := &countingSteering{inner: be}
 	enc := planenc.NewEncoder(w.DB.Schema)
 	space := plan.NewSpace(w.MaxTables)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/workload"
@@ -24,7 +25,7 @@ func FuzzHintedPlan(f *testing.F) {
 		f.Fatal(err)
 	}
 	qs := w.All()
-	o := New(w.DB, w.Stats)
+	o := New(w.DB, w.Stats, cost.OptimizerParams())
 	f.Add(uint16(0), []byte{0, 1, 2}, []byte{0, 1})
 	f.Add(uint16(3), []byte{2, 1, 0, 3}, []byte{2, 2, 0})
 	f.Add(uint16(5), []byte{0, 0, 0, 0}, []byte{0, 0, 0})

@@ -41,15 +41,9 @@ type Optimizer struct {
 	Params cost.Params
 }
 
-// New creates an optimizer with the standard (believed) cost constants.
-func New(db *storage.DB, st *stats.Catalog) *Optimizer {
-	return &Optimizer{DB: db, Stats: st, Params: cost.OptimizerParams()}
-}
-
-// NewWithParams creates an optimizer that believes custom cost constants —
-// the planning half of an alternative engine backend whose operator
-// preferences differ from the Selinger defaults.
-func NewWithParams(db *storage.DB, st *stats.Catalog, p cost.Params) *Optimizer {
+// New creates an optimizer that believes the cost constants p
+// (cost.OptimizerParams for the default engine).
+func New(db *storage.DB, st *stats.Catalog, p cost.Params) *Optimizer {
 	return &Optimizer{DB: db, Stats: st, Params: p}
 }
 
@@ -349,17 +343,6 @@ func (o *Optimizer) buildCP(q *query.Query, icp plan.ICP, scans []scanChoice, al
 		rows = outRows
 	}
 	return &plan.CP{Root: cur, Q: q}, nil
-}
-
-// EstimatedCost returns the root cumulative estimated cost of a plan.
-func EstimatedCost(cp *plan.CP) float64 {
-	if cp == nil || cp.Root == nil {
-		return math.Inf(1)
-	}
-	if cp.Root.IsScan() {
-		return cp.Root.EstCost
-	}
-	return cp.Root.EstCost
 }
 
 // PartialPlan builds an annotated left-deep plan over a *subset* of the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/engine/catalog"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/stats"
 	"github.com/foss-db/foss/internal/engine/storage"
 	"github.com/foss-db/foss/internal/plan"
@@ -49,7 +50,7 @@ func chainDB(t *testing.T) (*storage.DB, *stats.Catalog, *query.Query) {
 
 func TestPartialPlanCoversPrefixOnly(t *testing.T) {
 	db, st, q := chainDB(t)
-	opt := New(db, st)
+	opt := New(db, st, cost.OptimizerParams())
 	cp, err := opt.PartialPlan(q, []string{"a", "b"}, []plan.JoinMethod{plan.HashJoin})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestPartialPlanCoversPrefixOnly(t *testing.T) {
 
 func TestPlanWithPrefixHonorsPrefix(t *testing.T) {
 	db, st, q := chainDB(t)
-	opt := New(db, st)
+	opt := New(db, st, cost.OptimizerParams())
 	for _, prefix := range [][]string{{"d"}, {"c", "d"}, {"b", "c", "d"}} {
 		cp, err := opt.PlanWithPrefix(q, prefix)
 		if err != nil {
@@ -97,7 +98,7 @@ func TestPlanWithPrefixHonorsPrefix(t *testing.T) {
 
 func TestPlanWithEmptyPrefixEqualsPlan(t *testing.T) {
 	db, st, q := chainDB(t)
-	opt := New(db, st)
+	opt := New(db, st, cost.OptimizerParams())
 	a, err := opt.PlanWithPrefix(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +116,7 @@ func TestPlanWithEmptyPrefixEqualsPlan(t *testing.T) {
 
 func TestCheapestMethodRespectsRestriction(t *testing.T) {
 	db, st, q := chainDB(t)
-	opt := New(db, st)
+	opt := New(db, st, cost.OptimizerParams())
 	preds := []query.JoinPred{q.Joins[0]}
 	free := opt.CheapestMethod(q, 10, "a", preds, nil)
 	restricted := opt.CheapestMethod(q, 10, "a", preds,
@@ -130,7 +131,7 @@ func TestDPBeatsWorstHintedPlan(t *testing.T) {
 	// The DP's chosen plan should have estimated cost no worse than any
 	// hinted plan's estimate (it optimizes exactly that objective).
 	db, st, q := chainDB(t)
-	opt := New(db, st)
+	opt := New(db, st, cost.OptimizerParams())
 	best, err := opt.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +143,7 @@ func TestDPBeatsWorstHintedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if EstimatedCost(best) > EstimatedCost(alt)+1e-6 {
-		t.Fatalf("DP cost %f exceeds hinted alternative %f", EstimatedCost(best), EstimatedCost(alt))
+	if best.Root.EstCost > alt.Root.EstCost+1e-6 {
+		t.Fatalf("DP cost %f exceeds hinted alternative %f", best.Root.EstCost, alt.Root.EstCost)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/foss-db/foss/internal/aam"
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
@@ -21,13 +22,13 @@ func testPlanner(t *testing.T, maxSteps int) (*Planner, *workload.Workload, *exe
 		t.Fatal(err)
 	}
 	enc := planenc.NewEncoder(w.DB.Schema)
-	opt := optimizer.New(w.DB, w.Stats)
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
 	space := plan.NewSpace(w.MaxTables)
 	cfg := DefaultConfig()
 	cfg.MaxSteps = maxSteps
 	netCfg := aam.StateNetConfig{DModel: 16, Heads: 2, Layers: 1, FFDim: 32, StateDim: 16}
 	agent := NewAgent(rand.New(rand.NewSource(3)), netCfg, enc.NumTables, enc.NumCols, space.Size(), 32, 1e-3)
-	return &Planner{Cfg: cfg, Space: space, Enc: enc, Opt: opt, Agent: agent}, w, exec.New(w.DB)
+	return &Planner{Cfg: cfg, Space: space, Enc: enc, Opt: opt, Agent: agent}, w, exec.New(w.DB, cost.TruthParams())
 }
 
 // trainEpisode is all of Algorithm 1 for one query: the expert plan, a

@@ -81,8 +81,8 @@ type explainResponse struct {
 
 func (s *HTTPServer) handleExplain(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("serve_id")
-	var seq uint64
-	if _, err := fmt.Sscanf(id, "s%d", &seq); err != nil || fmt.Sprintf("s%d", seq) != id {
+	seq, ok := parseServeID(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown serve_id %q", id))
 		return
 	}

@@ -38,6 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -618,8 +620,8 @@ func (s *HTTPServer) consumeLocked(seq uint64, ps *pendingServe) {
 // fosserr.ErrServeIDExpired (410 on the wire); an id the server never issued
 // or already consumed stays a plain not-found (404).
 func (s *HTTPServer) take(id string) (*pendingServe, error) {
-	var seq uint64
-	if _, err := fmt.Sscanf(id, "s%d", &seq); err != nil || fmt.Sprintf("s%d", seq) != id {
+	seq, ok := parseServeID(id)
+	if !ok {
 		return nil, fmt.Errorf("unknown serve_id %q", id)
 	}
 	s.mu.Lock()
@@ -649,14 +651,18 @@ func (s *HTTPServer) noteLatency(ps *pendingServe, latencyMs float64) {
 
 // ---- helpers ----
 
+// parseServeID reads a serve id back into its ring sequence. Only the form
+// remember issues, "s" and the decimal without sign or leading zero, parses.
+func parseServeID(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "s")
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	return seq, ok && err == nil && strconv.FormatUint(seq, 10) == digits
+}
+
 func planSummary(pe *planner.PlanEval) planJSON {
-	methods := make([]string, len(pe.ICP.Methods))
-	for i, m := range pe.ICP.Methods {
-		methods[i] = m.String()
-	}
 	pj := planJSON{
 		Order:   append([]string(nil), pe.ICP.Order...),
-		Methods: methods,
+		Methods: methodNames(pe.ICP.Methods),
 		Step:    pe.Step,
 		ICPKey:  pe.ICP.Key(),
 	}

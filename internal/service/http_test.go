@@ -433,6 +433,31 @@ func TestServeIDExpiry(t *testing.T) {
 	}
 }
 
+// TestHTTPMalformedServeID: only the form the server issues names a serve.
+// Each malformed id is a 404 from both feedback and explain, even one that
+// would read back as the live s1, and none of them consumes s1.
+func TestHTTPMalformedServeID(t *testing.T) {
+	cfg := syncConfig()
+	cfg.Detector.Threshold = 100
+	base, _ := newWireFixture(t, cfg)
+	if _, row := postJSON(t, base+"/optimize", `{"query_id": "q1"}`); row["serve_id"] != "s1" {
+		t.Fatalf("first serve_id = %v, want s1", row["serve_id"])
+	}
+	for _, id := range []string{"s", "s01", "s-1", "x1", "s1x", "s18446744073709551616"} {
+		t.Run(id, func(t *testing.T) {
+			if code, out := postJSON(t, base+"/feedback", `{"serve_id": "`+id+`", "latency_ms": 1}`); code != http.StatusNotFound {
+				t.Fatalf("feedback status %d, want 404: %v", code, out)
+			}
+			if code, out := getJSON(t, base+"/explain/"+id); code != http.StatusNotFound {
+				t.Fatalf("explain status %d, want 404: %v", code, out)
+			}
+		})
+	}
+	if code, out := postJSON(t, base+"/feedback", `{"serve_id": "s1", "latency_ms": 1}`); code != http.StatusOK {
+		t.Fatalf("feedback for s1 after the malformed ids: %d %v", code, out)
+	}
+}
+
 // TestHTTPExecuteStaleCatalog: a DDL landing between serve and execute makes
 // the replica refuse the plan (NaN). The one-call turn must answer 409 with
 // an error body and record nothing — not encode NaN into a 200.

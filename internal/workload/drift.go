@@ -43,9 +43,24 @@ const (
 	DriftSchemaEvolution DriftKind = "schema-evolution"
 )
 
+// driftKinds is the registry Drift and DriftKinds both read.
+var driftKinds = []struct {
+	kind  DriftKind
+	build func(*Workload, *rand.Rand, DriftOptions) (*DriftScenario, error)
+}{
+	{DriftTemplateMix, driftTemplateMix},
+	{DriftSelectivity, driftSelectivity},
+	{DriftNovelTemplate, driftNovelTemplate},
+	{DriftSchemaEvolution, driftSchemaEvolution},
+}
+
 // DriftKinds lists the available scenario kinds.
 func DriftKinds() []DriftKind {
-	return []DriftKind{DriftTemplateMix, DriftSelectivity, DriftNovelTemplate, DriftSchemaEvolution}
+	out := make([]DriftKind, len(driftKinds))
+	for i, d := range driftKinds {
+		out[i] = d.kind
+	}
+	return out
 }
 
 // DriftOptions controls scenario generation.
@@ -103,22 +118,17 @@ func TemplateHistogram(qs []*query.Query) map[string]int {
 // Drift builds the named scenario over a loaded workload. Every generated
 // query is validated against the workload's catalog before it is returned.
 func Drift(w *Workload, kind DriftKind, opts DriftOptions) (*DriftScenario, error) {
-	opts = opts.normalized()
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var s *DriftScenario
-	var err error
-	switch kind {
-	case DriftTemplateMix:
-		s, err = driftTemplateMix(w, rng, opts)
-	case DriftSelectivity:
-		s, err = driftSelectivity(w, rng, opts)
-	case DriftNovelTemplate:
-		s, err = driftNovelTemplate(w, rng, opts)
-	case DriftSchemaEvolution:
-		s, err = driftSchemaEvolution(w, rng, opts)
-	default:
+	var build func(*Workload, *rand.Rand, DriftOptions) (*DriftScenario, error)
+	for _, d := range driftKinds {
+		if d.kind == kind {
+			build = d.build
+		}
+	}
+	if build == nil {
 		return nil, fmt.Errorf("workload: unknown drift kind %q", kind)
 	}
+	opts = opts.normalized()
+	s, err := build(w, rand.New(rand.NewSource(opts.Seed)), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -60,9 +60,8 @@ func jobSchema() *catalog.Schema {
 	return s
 }
 
-// LoadJOB generates the JOB-like workload.
-func LoadJOB(opts Options) (*Workload, error) {
-	opts = opts.normalized()
+// loadJOB generates the JOB-like workload.
+func loadJOB(opts Options) (*Workload, error) {
 	schema := jobSchema()
 	if err := schema.Validate(); err != nil {
 		return nil, err

@@ -48,10 +48,9 @@ func stackSchema() *catalog.Schema {
 	return s
 }
 
-// LoadStack generates the Stack-like workload: 12 templates × 10 queries,
+// loadStack generates the Stack-like workload: 12 templates × 10 queries,
 // 8 train / 2 test per template.
-func LoadStack(opts Options) (*Workload, error) {
-	opts = opts.normalized()
+func loadStack(opts Options) (*Workload, error) {
 	schema := stackSchema()
 	if err := schema.Validate(); err != nil {
 		return nil, err

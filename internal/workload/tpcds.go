@@ -52,10 +52,9 @@ func tpcdsSchema() *catalog.Schema {
 	return s
 }
 
-// LoadTPCDS generates the TPC-DS-like workload: 19 templates × 6 queries,
+// loadTPCDS generates the TPC-DS-like workload: 19 templates × 6 queries,
 // 5 train / 1 test per template.
-func LoadTPCDS(opts Options) (*Workload, error) {
-	opts = opts.normalized()
+func loadTPCDS(opts Options) (*Workload, error) {
 	schema := tpcdsSchema()
 	if err := schema.Validate(); err != nil {
 		return nil, err

@@ -65,22 +65,32 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// Load builds the named workload ("job", "tpcds", "stack").
+// workloads is the registry Load and Names both read. Each generator takes
+// options Load has already normalized.
+var workloads = []struct {
+	name string
+	load func(Options) (*Workload, error)
+}{{"job", loadJOB}, {"tpcds", loadTPCDS}, {"stack", loadStack}}
+
+// Load builds the named workload ("job", "tpcds", "stack"). Unknown names
+// wrap fosserr.ErrUnknownWorkload.
 func Load(name string, opts Options) (*Workload, error) {
-	opts = opts.normalized()
-	switch name {
-	case "job":
-		return LoadJOB(opts)
-	case "tpcds":
-		return LoadTPCDS(opts)
-	case "stack":
-		return LoadStack(opts)
+	for _, wl := range workloads {
+		if wl.name == name {
+			return wl.load(opts.normalized())
+		}
 	}
 	return nil, fmt.Errorf("workload: %q: %w", name, fosserr.ErrUnknownWorkload)
 }
 
 // Names lists the available workloads.
-func Names() []string { return []string{"job", "tpcds", "stack"} }
+func Names() []string {
+	out := make([]string, len(workloads))
+	for i, wl := range workloads {
+		out[i] = wl.name
+	}
+	return out
+}
 
 // ---- generation helpers ----
 

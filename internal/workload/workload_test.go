@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"github.com/foss-db/foss/internal/engine/cost"
 	"github.com/foss-db/foss/internal/engine/exec"
+	"github.com/foss-db/foss/internal/fosserr"
 	"github.com/foss-db/foss/internal/optimizer"
 	"github.com/foss-db/foss/internal/plan"
 	"github.com/foss-db/foss/internal/query"
@@ -34,6 +37,14 @@ func TestPaperQueryCounts(t *testing.T) {
 		if len(tmpls) != c.tmpl {
 			t.Fatalf("%s: %d templates, want %d", c.name, len(tmpls), c.tmpl)
 		}
+	}
+}
+
+// TestLoadUnknownWorkload: a name outside Names() is refused with the
+// sentinel a caller (fossd's flag, a tenant spec) classifies on.
+func TestLoadUnknownWorkload(t *testing.T) {
+	if _, err := Load("bogus", Options{Seed: 1, Scale: 0.1}); !errors.Is(err, fosserr.ErrUnknownWorkload) {
+		t.Fatalf("Load(bogus) error = %v, want ErrUnknownWorkload", err)
 	}
 }
 
@@ -94,8 +105,8 @@ func TestAllQueriesPlanAndExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := optimizer.New(w.DB, w.Stats)
-		ex := exec.New(w.DB)
+		opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
+		ex := exec.New(w.DB, cost.TruthParams())
 		for _, q := range w.All() {
 			cp, err := opt.Plan(q)
 			if err != nil {
@@ -140,8 +151,8 @@ func TestOptimizerRegretExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := optimizer.New(w.DB, w.Stats)
-	ex := exec.New(w.DB)
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
+	ex := exec.New(w.DB, cost.TruthParams())
 	rng := rand.New(rand.NewSource(7))
 	bigWins := 0
 	checked := 0
@@ -213,8 +224,8 @@ func TestEstimatorActuallyErrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := optimizer.New(w.DB, w.Stats)
-	ex := exec.New(w.DB)
+	opt := optimizer.New(w.DB, w.Stats, cost.OptimizerParams())
+	ex := exec.New(w.DB, cost.TruthParams())
 	maxQErr := 1.0
 	for _, q := range w.Train[:30] {
 		cp, err := opt.Plan(q)

@@ -2,7 +2,8 @@
 # ci.sh — the repository's verification pipeline.
 #
 #   vet, gofmt cleanliness, the fosslint invariant suite (clean tree +
-#   every rule proven to fire on its seeded fixture), build, every test once
+#   every rule proven to fire on its seeded fixture), build (and run the
+#   hintsteer and quickstart examples), every test once
 #   (under the race detector in full mode, plus the alloc tripwires the
 #   detector makes skip), the frozen-view and fork race stress, one epoch of the AAM
 #   training benchmark, one tier-2 miss of the serving benchmark, the five
@@ -80,6 +81,9 @@ go build ./...
 # throwaway dir — naming main packages makes go build emit executables)
 exbin=$(mktemp -d)
 go build -o "$exbin/" ./examples/quickstart ./examples/jobtour ./examples/hintsteer ./examples/doctor ./examples/ablation ./examples/fleet
+echo "== run the two quick examples (a non-zero exit fails the pipeline) =="
+"$exbin/hintsteer" >/dev/null
+"$exbin/quickstart" >/dev/null
 rm -rf "$exbin"
 
 if [[ $quick -eq 1 ]]; then
